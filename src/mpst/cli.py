@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -44,21 +43,6 @@ _INPUT_ERRORS = (
     machine.MergeError,
     OSError,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Bounds and output settings for one invocation."""
-
-    max_len: int | None
-    buf_bound: int
-    depth_bound: int
-    budget: int
-    seed: int
-    as_json: bool
-
-    def resolved_max_len(self, g) -> int:
-        return self.max_len if self.max_len is not None else default_max_len(g)
 
 
 def _fmt_letter(letter: Interaction) -> str:
@@ -110,32 +94,28 @@ def _dump_dot(automaton: tracelang.TraceAutomaton, path: str) -> None:
         fh.write(automaton.to_dot())
 
 
-_common = [
-    click.option("--max-len", type=int, default=None, help="Trace length bound (default: 2·interactions + 4)."),
-    click.option("--buf-bound", type=int, default=runtime.DEFAULT_BUF_BOUND, show_default=True, help="Buffer capacity per channel."),
-    click.option("--depth", "depth_bound", type=int, default=runtime.DEFAULT_DEPTH_BOUND, show_default=True, help="Configuration exploration bound."),
-    click.option("--budget", type=int, default=projector.DEFAULT_AND_BUDGET, show_default=True, help="Rewrite candidates for unordered-composition elimination."),
-    click.option("--seed", type=int, default=0, show_default=True, help="Seed for randomized commands."),
-    click.option("--json", "as_json", is_flag=True, help="Emit a JSON report."),
-]
+_POSITIVE = click.IntRange(min=1)
+
+# The options shared by several commands; each command attaches only those
+# it reads (see `_options`).
+_OPTIONS = {
+    "max_len": click.option("--max-len", type=_POSITIVE, default=None, help="Trace length bound (default: 2·interactions + 4)."),
+    "buf_bound": click.option("--buf-bound", type=_POSITIVE, default=runtime.DEFAULT_BUF_BOUND, show_default=True, help="Buffer capacity per channel."),
+    "depth_bound": click.option("--depth", "depth_bound", type=_POSITIVE, default=runtime.DEFAULT_DEPTH_BOUND, show_default=True, help="Configuration exploration bound."),
+    "budget": click.option("--budget", type=_POSITIVE, default=projector.DEFAULT_AND_BUDGET, show_default=True, help="Rewrite candidates for unordered-composition elimination."),
+    "as_json": click.option("--json", "as_json", is_flag=True, help="Emit a JSON report."),
+}
 
 
-def _with_common(cmd):
-    for opt in reversed(_common):
-        cmd = opt(cmd)
-    return cmd
+def _options(*names: str):
+    """Attach the named shared options, then --json, to a command."""
 
+    def attach(cmd):
+        for name in reversed((*names, "as_json")):
+            cmd = _OPTIONS[name](cmd)
+        return cmd
 
-def _config(max_len, buf_bound, depth_bound, budget, seed, as_json) -> RunConfig:
-    for name, value in (
-        ("--max-len", max_len),
-        ("--buf-bound", buf_bound),
-        ("--depth", depth_bound),
-        ("--budget", budget),
-    ):
-        if value is not None and value <= 0:
-            raise click.UsageError(f"{name} must be positive")
-    return RunConfig(max_len, buf_bound, depth_bound, budget, seed, as_json)
+    return attach
 
 
 @click.group()
@@ -146,10 +126,9 @@ def cli() -> None:
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
 @click.option("--dot", type=click.Path(dir_okay=False), default=None, help="Write the trace automaton in DOT format.")
-@_with_common
-def check(path, dot, max_len, buf_bound, depth_bound, budget, seed, as_json):
+@_options()
+def check(path, dot, as_json):
     """Decide well-formedness of the global type in PATH."""
-    cfg = _config(max_len, buf_bound, depth_bound, budget, seed, as_json)
     g = _load_global(path)
     if dot:
         _dump_dot(tracelang.compile_traces(g), dot)
@@ -157,7 +136,7 @@ def check(path, dot, max_len, buf_bound, depth_bound, budget, seed, as_json):
     if verdict:
         _emit(
             {"command": "check", "input": path, "well_formed": True},
-            cfg.as_json,
+            as_json,
             ["WellFormed"],
         )
         sys.exit(0)
@@ -169,7 +148,7 @@ def check(path, dot, max_len, buf_bound, depth_bound, budget, seed, as_json):
             "witness": _word_json(verdict.witness),
             "position": verdict.position,
         },
-        cfg.as_json,
+        as_json,
         [
             "NotWellFormed",
             f"witness: {_fmt_word(verdict.witness)}",
@@ -181,13 +160,12 @@ def check(path, dot, max_len, buf_bound, depth_bound, budget, seed, as_json):
 
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
-@_with_common
-def project(path, max_len, buf_bound, depth_bound, budget, seed, as_json):
+@_options("budget")
+def project(path, budget, as_json):
     """Project the global type in PATH onto each participant."""
-    cfg = _config(max_len, buf_bound, depth_bound, budget, seed, as_json)
     g = _load_global(path)
     try:
-        env = projector.project_top(g, budget=cfg.budget)
+        env = projector.project_top(g, budget=budget)
     except projector.ProjectionError as exc:
         where = _fmt_location(exc.location)
         _emit(
@@ -199,7 +177,7 @@ def project(path, max_len, buf_bound, depth_bound, budget, seed, as_json):
                 "detail": exc.detail,
                 "location": where,
             },
-            cfg.as_json,
+            as_json,
             [f"ProjectionError: {exc.kind}", f"detail: {exc.detail}"]
             + ([f"at: {where}"] if where else []),
         )
@@ -212,7 +190,7 @@ def project(path, max_len, buf_bound, depth_bound, budget, seed, as_json):
             "projected": True,
             "environment": {r: line.split(" : ", 1)[1] for r, line in zip(sorted(env), text.splitlines())},
         },
-        cfg.as_json,
+        as_json,
         [text],
     )
     sys.exit(0)
@@ -221,21 +199,20 @@ def project(path, max_len, buf_bound, depth_bound, budget, seed, as_json):
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
 @click.option("--traces", "trace_count", type=int, default=10, show_default=True, help="How many sample traces to print.")
-@_with_common
-def simulate(path, trace_count, max_len, buf_bound, depth_bound, budget, seed, as_json):
+@_options("max_len", "buf_bound", "depth_bound")
+def simulate(path, trace_count, max_len, buf_bound, depth_bound, as_json):
     """Run the session environment in PATH and report liveness."""
-    cfg = _config(max_len, buf_bound, depth_bound, budget, seed, as_json)
     env = _load_env(path)
-    bound = cfg.max_len if cfg.max_len is not None else 2 * len(env) + 8
-    verdict = runtime.is_live(env, cfg.buf_bound, cfg.depth_bound)
+    bound = max_len or 2 * len(env) + 8
+    verdict = runtime.is_live(env, buf_bound, depth_bound)
     name = type(verdict).__name__
     report: dict = {
         "command": "simulate",
         "input": path,
         "verdict": name,
         "max_len": bound,
-        "buf_bound": cfg.buf_bound,
-        "depth_bound": cfg.depth_bound,
+        "buf_bound": buf_bound,
+        "depth_bound": depth_bound,
     }
     lines = [name]
     if isinstance(verdict, runtime.NotLive):
@@ -243,7 +220,7 @@ def simulate(path, trace_count, max_len, buf_bound, depth_bound, budget, seed, a
         report["witness_steps"] = steps
         lines.append(f"witness: {steps} step(s) to a configuration that cannot succeed")
     samples = sorted(
-        runtime.session_traces(env, bound, cfg.buf_bound, cfg.depth_bound),
+        runtime.session_traces(env, bound, buf_bound, depth_bound),
         key=lambda w: (len(w), tuple(map(str, w))),
     )
     report["traces"] = [_word_json(w) for w in samples[:trace_count]]
@@ -252,40 +229,39 @@ def simulate(path, trace_count, max_len, buf_bound, depth_bound, budget, seed, a
     lines.extend(f"  {_fmt_word(w)}" for w in samples[:trace_count])
     if len(samples) > trace_count:
         lines.append(f"  ... ({len(samples) - trace_count} more; raise --traces to list them)")
-    _emit(report, cfg.as_json, lines)
+    _emit(report, as_json, lines)
     sys.exit(0 if isinstance(verdict, runtime.Live) else 1)
 
 
 @cli.command()
 @click.argument("gt_path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
 @click.argument("env_path", type=click.Path(exists=True, dir_okay=False, allow_dash=True), required=False)
-@_with_common
-def verify(gt_path, env_path, max_len, buf_bound, depth_bound, budget, seed, as_json):
+@_options("max_len", "buf_bound", "depth_bound", "budget")
+def verify(gt_path, env_path, max_len, buf_bound, depth_bound, budget, as_json):
     """Check that an environment implements the global type in GT_PATH.
 
     With ENV_PATH the environment is read from file; otherwise the global
     type is projected first."""
-    cfg = _config(max_len, buf_bound, depth_bound, budget, seed, as_json)
     g = _load_global(gt_path)
     if env_path:
         env = _load_env(env_path)
     else:
         try:
-            env = projector.project_top(g, budget=cfg.budget)
+            env = projector.project_top(g, budget=budget)
         except projector.ProjectionError as exc:
             _emit(
                 {"command": "verify", "input": gt_path, "projected": False, "error": exc.kind},
-                cfg.as_json,
+                as_json,
                 [f"ProjectionError: {exc.kind}", f"detail: {exc.detail}"],
             )
             sys.exit(1)
-    bound = cfg.resolved_max_len(g)
+    bound = max_len or default_max_len(g)
     try:
-        report = verifier.check_preorder(g, env, bound, cfg.buf_bound, cfg.depth_bound)
+        report = verifier.check_preorder(g, env, bound, buf_bound, depth_bound)
     except tracelang.BudgetExceededError as exc:
         _emit(
             {"command": "verify", "input": gt_path, "error": "BoundExhausted", "detail": str(exc)},
-            cfg.as_json,
+            as_json,
             [f"BoundExhausted: {exc}"],
         )
         sys.exit(1)
@@ -314,18 +290,17 @@ def verify(gt_path, env_path, max_len, buf_bound, depth_bound, budget, seed, as_
         lines.append(f"session trace outside the global type: {_fmt_word(report.sound_counterexample)}")
     if report.completeness_gap is not None:
         lines.append(f"global trace not covered: {_fmt_word(report.completeness_gap)}")
-    _emit(payload, cfg.as_json, lines)
+    _emit(payload, as_json, lines)
     sys.exit(0 if report else 1)
 
 
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
-@_with_common
-def classify(path, max_len, buf_bound, depth_bound, budget, seed, as_json):
+@_options("max_len", "buf_bound", "depth_bound", "budget")
+def classify(path, max_len, buf_bound, depth_bound, budget, as_json):
     """Diagnose why the global type in PATH resists projection."""
-    cfg = _config(max_len, buf_bound, depth_bound, budget, seed, as_json)
     g = _load_global(path)
-    outcome = verifier.classify(g, cfg.max_len, cfg.buf_bound, cfg.depth_bound)
+    outcome = verifier.classify(g, max_len, buf_bound, depth_bound, budget=budget)
     _emit(
         {
             "command": "classify",
@@ -333,7 +308,7 @@ def classify(path, max_len, buf_bound, depth_bound, budget, seed, as_json):
             "category": outcome.category,
             "detail": outcome.detail,
         },
-        cfg.as_json,
+        as_json,
         [outcome.category, outcome.detail],
     )
     sys.exit(0 if outcome.category == verifier.PROJECTABLE else 1)
@@ -342,15 +317,14 @@ def classify(path, max_len, buf_bound, depth_bound, budget, seed, as_json):
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
 @click.option("--dot", type=click.Path(dir_okay=False), default=None, help="Write the trace automaton in DOT format.")
-@_with_common
-def trace(path, dot, max_len, buf_bound, depth_bound, budget, seed, as_json):
+@_options("max_len")
+def trace(path, dot, max_len, as_json):
     """Enumerate the bounded trace language of the global type in PATH."""
-    cfg = _config(max_len, buf_bound, depth_bound, budget, seed, as_json)
     g = _load_global(path)
     auto = tracelang.compile_traces(g)
     if dot:
         _dump_dot(auto, dot)
-    bound = cfg.resolved_max_len(g)
+    bound = max_len or default_max_len(g)
     try:
         words = sorted(
             tracelang.enumerate_traces(auto, bound),
@@ -359,7 +333,7 @@ def trace(path, dot, max_len, buf_bound, depth_bound, budget, seed, as_json):
     except tracelang.BudgetExceededError as exc:
         _emit(
             {"command": "trace", "input": path, "error": "BoundExhausted", "detail": str(exc)},
-            cfg.as_json,
+            as_json,
             [f"BoundExhausted: {exc}"],
         )
         sys.exit(1)
@@ -371,7 +345,7 @@ def trace(path, dot, max_len, buf_bound, depth_bound, budget, seed, as_json):
             "count": len(words),
             "traces": [_word_json(w) for w in words],
         },
-        cfg.as_json,
+        as_json,
         [f"{len(words)} trace(s) up to length {bound}"] + [f"  {_fmt_word(w)}" for w in words],
     )
     sys.exit(0)
@@ -382,18 +356,18 @@ def trace(path, dot, max_len, buf_bound, depth_bound, budget, seed, as_json):
 @click.option("--max-size", type=int, default=8, show_default=True, help="Interactions per sample.")
 @click.option("--roles", "role_count", type=int, default=4, show_default=True, help="Roles per sample.")
 @click.option("--star-depth", type=int, default=1, show_default=True, help="Star nesting per sample.")
-@_with_common
-def crosscheck(samples, max_size, role_count, star_depth, max_len, buf_bound, depth_bound, budget, seed, as_json):
+@click.option("--seed", type=int, default=0, show_default=True, help="Seed of the first sample; sample i uses seed + i.")
+@_options("buf_bound", "depth_bound")
+def crosscheck(samples, max_size, role_count, star_depth, seed, buf_bound, depth_bound, as_json):
     """Cross-check projection soundness/completeness/liveness on random
     global types."""
-    cfg = _config(max_len, buf_bound, depth_bound, budget, seed, as_json)
     report = verifier.cross_check_theorems(
-        samples, cfg.seed, max_size, role_count, star_depth, cfg.buf_bound, cfg.depth_bound
+        samples, seed, max_size, role_count, star_depth, buf_bound, depth_bound
     )
     violations = report["violations"]
     payload = {
         "command": "crosscheck",
-        "seed": cfg.seed,
+        "seed": seed,
         "samples": report["samples"],
         "well_formed": report["well_formed"],
         "projected": report["projected"],
@@ -408,7 +382,7 @@ def crosscheck(samples, max_size, role_count, star_depth, max_len, buf_bound, de
         f"  projected: {report['projected']}  checked: {report['checked']}",
         f"violations: {len(violations)}",
     ]
-    _emit(payload, cfg.as_json, lines)
+    _emit(payload, as_json, lines)
     sys.exit(0 if not violations else 1)
 
 

@@ -551,16 +551,6 @@ def session_type_equal(a: SessionType, b: SessionType) -> bool:
     return normalize_session_type(a) == normalize_session_type(b)
 
 
-def compatible_input(partners: Iterable[Role], message: str, t: SessionType) -> bool:
-    """Can an input of `message` from `partners` be offered alongside `t`
-    in one external choice without stealing messages `t` needs?  True when
-    some partner in `partners` never sends `message` to this role at any
-    point where `t` could also consume it."""
-    r = _Resolver(t)
-    r._build_from(r.root_key)
-    return r.compatible_set(frozenset(partners), message, r.root_key)
-
-
 def root_kind(t: SessionType) -> str | None:
     """The definite root kind of a (possibly open) type term, or None when
     it depends on unresolved variables or merges."""

@@ -123,12 +123,6 @@ def merge_env(e1: SessionEnv, e2: SessionEnv) -> SessionEnv:
     return out
 
 
-def compatible_input(partners, message: str, t: SessionType) -> bool:
-    """Whether an input of `message` from `partners` may be offered in an
-    external choice alongside `t` (see machine.compatible_input)."""
-    return machine.compatible_input(partners, message, t)
-
-
 def _merge_terms(
     t: SessionType,
     s: SessionType,
@@ -409,15 +403,6 @@ def project_alg(g: GlobalType, cont: SessionEnv) -> SessionEnv:
                 INCOMPATIBLE_MERGE, f"role {role!r}: {exc}", g
             ) from None
     return out
-
-
-def project_k_exit(
-    bodies: tuple[GlobalType, ...],
-    exits: tuple[GlobalType, ...],
-    cont: SessionEnv,
-) -> SessionEnv:
-    """Project a k-exit iteration given directly by its phases."""
-    return project_alg(GKExit(tuple(bodies), tuple(exits)), cont)
 
 
 def project_top(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> SessionEnv:

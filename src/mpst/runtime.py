@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 from . import machine as _machine
 from .syntax import Interaction, Role, SessionEnv
@@ -45,6 +46,12 @@ class Config:
 
     locations: tuple[int, ...]
     buffers: Buffer
+
+
+# A move: the input it performs, or None for an output, which is silent;
+# and the configuration it leads to.  Only this module sees silent moves.
+Move = tuple[Optional[Interaction], Config]
+Graph = dict[Config, list[Move]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,11 +99,11 @@ class Session:
             m.kinds[s] == "end" for m, s in zip(self.machines, c.locations)
         )
 
-    def step(self, c: Config) -> list[tuple[Interaction | None, Config]]:
+    def step(self, c: Config) -> list[Move]:
         """All moves from `c`: (None, c') for outputs, (label, c') for
         inputs."""
         buffers = {chan: list(msgs) for chan, msgs in c.buffers}
-        out: list[tuple[Interaction | None, Config]] = []
+        out: list[Move] = []
         for i, (role, m) in enumerate(zip(self.roles, self.machines)):
             state = c.locations[i]
             for bk, target in sorted(
@@ -132,14 +139,12 @@ class Session:
         return out
 
 
-def _explore(
-    session: Session, depth_bound: int
-) -> tuple[dict[Config, list[tuple[Interaction | None, Config]]], bool]:
+def _explore(session: Session, depth_bound: int) -> tuple[Graph, bool]:
     """Breadth-first reachable configuration graph, capped at `depth_bound`
     configurations.  Returns (graph, truncated); configurations discovered
     but not expanded are absent from the graph's key set."""
     init = session.initial()
-    graph: dict[Config, list[tuple[Interaction | None, Config]]] = {}
+    graph: Graph = {}
     queue = deque([init])
     seen = {init}
     truncated = False
@@ -157,10 +162,7 @@ def _explore(
     return graph, truncated
 
 
-def _can_reach(
-    graph: dict[Config, list[tuple[Interaction | None, Config]]],
-    targets: set[Config],
-) -> set[Config]:
+def _can_reach(graph: Graph, targets: set[Config]) -> set[Config]:
     reverse: dict[Config, list[Config]] = {}
     for c, succs in graph.items():
         for _, c2 in succs:
@@ -176,17 +178,11 @@ def _can_reach(
     return closure
 
 
-def is_live(
-    env: SessionEnv,
-    buf_bound: int = DEFAULT_BUF_BOUND,
-    depth_bound: int = DEFAULT_DEPTH_BOUND,
+def _liveness(
+    session: Session, graph: Graph, truncated: bool
 ) -> Live | NotLive | Unknown:
-    """Can every reachable configuration still reach success?  Exact when
-    the bounded configuration graph is fully explored; a configuration
-    whose whole future was explored and never succeeds yields a definitive
-    NotLive even under truncation."""
-    session = Session(env, buf_bound)
-    graph, truncated = _explore(session, depth_bound)
+    """The liveness verdict of an explored configuration graph (see
+    `is_live`)."""
     success = {c for c in graph if session.is_success(c)}
     frontier: set[Config] = {
         c2 for succs in graph.values() for _, c2 in succs if c2 not in graph
@@ -213,6 +209,53 @@ def is_live(
     raise AssertionError("unreachable: bad configuration not found by BFS")
 
 
+def is_live(
+    env: SessionEnv,
+    buf_bound: int = DEFAULT_BUF_BOUND,
+    depth_bound: int = DEFAULT_DEPTH_BOUND,
+) -> Live | NotLive | Unknown:
+    """Can every reachable configuration still reach success?  Exact when
+    the bounded configuration graph is fully explored; a configuration
+    whose whole future was explored and never succeeds yields a definitive
+    NotLive even under truncation."""
+    session = Session(env, buf_bound)
+    return _liveness(session, *_explore(session, depth_bound))
+
+
+def _trace_automaton(session: Session, graph: Graph) -> TraceAutomaton:
+    """The explored graph as an automaton over input labels.  Outputs are
+    silent, so each state takes the inputs of every configuration its
+    outputs lead to, and accepts when those outputs can reach success."""
+    init = session.initial()
+    index = {init: 0}
+    delta: list[list[tuple[Interaction, int]]] = [[]]
+    accepts = set()
+    work = [init]
+    while work:
+        c = work.pop()
+        q = index[c]
+        edges: dict[tuple[Interaction, int], None] = {}
+        silent, todo = {c}, [c]
+        while todo:
+            c1 = todo.pop()
+            if session.is_success(c1):
+                accepts.add(q)
+            for label, c2 in graph.get(c1, ()):
+                if c2 not in graph:
+                    continue
+                if label is not None:
+                    if c2 not in index:
+                        index[c2] = len(delta)
+                        delta.append([])
+                        work.append(c2)
+                    edges[(label, index[c2])] = None
+                elif c2 not in silent:
+                    silent.add(c2)
+                    todo.append(c2)
+        delta[q] = list(edges)
+    return TraceAutomaton(delta, 0, frozenset(accepts))
+
+
 def session_traces(
     env: SessionEnv,
     max_len: int,
@@ -221,17 +264,8 @@ def session_traces(
 ) -> set[Word]:
     """The input-label sequences (length <= max_len) of runs that reach
     success — empty when the session is not live."""
-    verdict = is_live(env, buf_bound, depth_bound)
-    if isinstance(verdict, NotLive):
-        return set()
     session = Session(env, buf_bound)
-    graph, _ = _explore(session, depth_bound)
-    index = {c: i for i, c in enumerate(graph)}
-    delta: list[list[tuple[Interaction | None, int]]] = [[] for _ in graph]
-    for c, succs in graph.items():
-        for label, c2 in succs:
-            if c2 in index:
-                delta[index[c]].append((label, index[c2]))
-    accepts = frozenset(index[c] for c in graph if session.is_success(c))
-    auto = TraceAutomaton(delta, index[session.initial()], accepts)
-    return enumerate_traces(auto, max_len)
+    graph, truncated = _explore(session, depth_bound)
+    if isinstance(_liveness(session, graph, truncated), NotLive):
+        return set()
+    return enumerate_traces(_trace_automaton(session, graph), max_len)

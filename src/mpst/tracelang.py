@@ -6,8 +6,12 @@ letters, and provides the operations the rest of the package needs:
 bounded enumeration, language inclusion with shortest counterexamples,
 shuffle products, Parikh vectors, and the well-formedness check.
 
-Automata stay nondeterministic everywhere; subset construction happens
-only on the fly, inside `includes` and during enumeration.
+Automata have no epsilon moves.  Compilation wires each accepting state
+straight to copies of the next operand's start moves, as a position
+automaton does (Berry & Sethi, TCS 1986), so every consumer reads the
+compiled automaton as it is.  Automata stay nondeterministic everywhere;
+subset construction happens only on the fly, inside `includes` and during
+enumeration.
 """
 
 from __future__ import annotations
@@ -43,13 +47,14 @@ def _ikey(i: Interaction):
 class TraceAutomaton:
     """A nondeterministic finite automaton over interaction letters.
 
-    `delta[q]` is a list of (label, target) pairs; a label of None is an
-    epsilon move.  There is one start state and a set of accepting states.
+    `delta[q]` is a list of (label, target) pairs; every label is an
+    interaction, so there are no epsilon moves.  There is one start state
+    and a set of accepting states.
     """
 
     def __init__(
         self,
-        delta: list[list[tuple[Interaction | None, int]]],
+        delta: list[list[tuple[Interaction, int]]],
         start: int,
         accepts: frozenset[int],
     ):
@@ -62,36 +67,7 @@ class TraceAutomaton:
         return len(self.delta)
 
     def alphabet(self) -> frozenset[Interaction]:
-        return frozenset(
-            lab for edges in self.delta for lab, _ in edges if lab is not None
-        )
-
-    def epsilon_closure(self, states) -> frozenset[int]:
-        seen = set(states)
-        work = list(states)
-        while work:
-            q = work.pop()
-            for lab, r in self.delta[q]:
-                if lab is None and r not in seen:
-                    seen.add(r)
-                    work.append(r)
-        return frozenset(seen)
-
-    def eliminate_epsilon(self) -> TraceAutomaton:
-        """An equivalent automaton with no epsilon moves."""
-        closures = [self.epsilon_closure({q}) for q in range(self.n_states)]
-        delta: list[list[tuple[Interaction | None, int]]] = []
-        accepts = set()
-        for q in range(self.n_states):
-            edges = []
-            for q2 in closures[q]:
-                for lab, r in self.delta[q2]:
-                    if lab is not None:
-                        edges.append((lab, r))
-            delta.append(sorted(set(edges), key=lambda e: (_ikey(e[0]), e[1])))
-            if closures[q] & self.accepts:
-                accepts.add(q)
-        return TraceAutomaton(delta, self.start, frozenset(accepts))
+        return frozenset(lab for edges in self.delta for lab, _ in edges)
 
     def trim(self) -> TraceAutomaton:
         """Drop states that are unreachable or cannot reach acceptance."""
@@ -132,19 +108,18 @@ class TraceAutomaton:
         return TraceAutomaton(delta, index[self.start], accepts)
 
     def step(self, states: frozenset[int], letter: Interaction) -> frozenset[int]:
-        """Subset transition of the epsilon-free automaton."""
+        """Subset transition."""
         return frozenset(
             r for q in states for lab, r in self.delta[q] if lab == letter
         )
 
     def member(self, word: Word) -> bool:
-        a = self.eliminate_epsilon()
-        states = frozenset({a.start})
+        states = frozenset({self.start})
         for letter in word:
-            states = a.step(states, letter)
+            states = self.step(states, letter)
             if not states:
                 return False
-        return bool(states & a.accepts)
+        return bool(states & self.accepts)
 
     def to_dot(self) -> str:
         """The automaton in DOT graph format (for debugging dumps)."""
@@ -155,8 +130,7 @@ class TraceAutomaton:
         lines.append(f"  hidden -> s{self.start};")
         for q in range(self.n_states):
             for lab, r in self.delta[q]:
-                text = "ε" if lab is None else str(lab)
-                lines.append(f'  s{q} -> s{r} [label="{text}"];')
+                lines.append(f'  s{q} -> s{r} [label="{lab}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -180,43 +154,52 @@ def _offset(a: TraceAutomaton, by: int):
     ]
 
 
+def _wire(delta, sources, edges) -> None:
+    """Give every state in `sources` the moves `edges` as well.  Each
+    state gets a new list, so `edges` may be one of the lists wired."""
+    for q in sources:
+        delta[q] = list(dict.fromkeys(delta[q] + edges))
+
+
 def _seq(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
-    delta = [list(e) for e in a.delta] + _offset(b, a.n_states)
-    for f in a.accepts:
-        delta[f].append((None, b.start + a.n_states))
-    accepts = frozenset(f + a.n_states for f in b.accepts)
+    shift = a.n_states
+    delta = [list(e) for e in a.delta] + _offset(b, shift)
+    _wire(delta, a.accepts, delta[b.start + shift])
+    accepts = frozenset(f + shift for f in b.accepts)
+    if b.start in b.accepts:
+        accepts |= a.accepts
     return TraceAutomaton(delta, a.start, accepts)
 
 
 def _alt(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
-    # state 0 is the new start
-    delta: list[list[tuple[Interaction | None, int]]] = [
-        [(None, a.start + 1), (None, b.start + 1 + a.n_states)]
-    ]
-    delta += _offset(a, 1)
-    delta += _offset(b, 1 + a.n_states)
+    # state 0 is the new start, with the moves of both starts
+    shift = 1 + a.n_states
+    delta = [[]] + _offset(a, 1) + _offset(b, shift)
+    _wire(delta, [0], delta[a.start + 1] + delta[b.start + shift])
     accepts = frozenset(f + 1 for f in a.accepts) | frozenset(
-        f + 1 + a.n_states for f in b.accepts
+        f + shift for f in b.accepts
     )
+    if a.start in a.accepts or b.start in b.accepts:
+        accepts |= {0}
     return TraceAutomaton(delta, 0, accepts)
 
 
 def _star(a: TraceAutomaton) -> TraceAutomaton:
-    # state 0 is the new start and only accepting state
-    delta: list[list[tuple[Interaction | None, int]]] = [[(None, a.start + 1)]]
-    delta += _offset(a, 1)
-    for f in a.accepts:
-        delta[f + 1].append((None, 0))
-    return TraceAutomaton(delta, 0, frozenset({0}))
+    # state 0 is the new accepting start; every accepting state of `a` may
+    # begin another round with the moves of `a`'s start
+    delta = [[]] + _offset(a, 1)
+    _wire(delta, [0, *(f + 1 for f in a.accepts)], delta[a.start + 1])
+    accepts = frozenset({0}) | frozenset(f + 1 for f in a.accepts)
+    return TraceAutomaton(delta, 0, accepts)
 
 
 def shuffle_automata(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
     """The automaton of all interleavings of one trace of `a` with one
     trace of `b`."""
-    a = a.eliminate_epsilon().trim()
-    b = b.eliminate_epsilon().trim()
+    a = a.trim()
+    b = b.trim()
     index: dict[tuple[int, int], int] = {}
-    delta: list[list[tuple[Interaction | None, int]]] = []
+    delta: list[list[tuple[Interaction, int]]] = []
 
     def state(p: int, q: int) -> int:
         key = (p, q)
@@ -300,7 +283,7 @@ def enumerate_traces(
     """All traces of length <= max_len, as a set of words.  Raises
     BudgetExceededError when more than `cap` traces would be produced."""
     a = compile_traces(source) if not isinstance(source, TraceAutomaton) else source
-    a = a.eliminate_epsilon().trim()
+    a = a.trim()
     words: set[Word] = set()
     if a.n_states == 1 and not a.accepts and not a.delta[0]:
         return words
@@ -328,16 +311,15 @@ def enumerate_traces(
 def includes(a1: TraceAutomaton, a2: TraceAutomaton) -> Word | None:
     """None if the language of `a1` is included in that of `a2`; otherwise
     a shortest word accepted by `a1` and rejected by `a2`."""
-    e1 = a1.eliminate_epsilon().trim()
-    e2 = a2.eliminate_epsilon()
-    sigma = sorted(e1.alphabet() | e2.alphabet(), key=_ikey)
-    start = (frozenset({e1.start}), frozenset({e2.start}))
+    a1 = a1.trim()
+    sigma = sorted(a1.alphabet() | a2.alphabet(), key=_ikey)
+    start = (frozenset({a1.start}), frozenset({a2.start}))
     parent: dict = {start: None}
     queue = deque([start])
     while queue:
         pair = queue.popleft()
         s1, s2 = pair
-        if s1 & e1.accepts and not (s2 & e2.accepts):
+        if s1 & a1.accepts and not (s2 & a2.accepts):
             word: list[Interaction] = []
             node = pair
             while parent[node] is not None:
@@ -345,10 +327,10 @@ def includes(a1: TraceAutomaton, a2: TraceAutomaton) -> Word | None:
                 word.append(letter)
             return tuple(reversed(word))
         for letter in sigma:
-            n1 = e1.step(s1, letter)
+            n1 = a1.step(s1, letter)
             if not n1:
                 continue  # words outside L(a1) can never be counterexamples
-            n2 = e2.step(s2, letter)
+            n2 = a2.step(s2, letter)
             nxt = (n1, n2)
             if nxt not in parent:
                 parent[nxt] = (pair, letter)
@@ -395,12 +377,10 @@ def _swappable(first: Interaction, second: Interaction) -> bool:
 
 
 def _swap_variants(a: TraceAutomaton) -> TraceAutomaton:
-    """Accepts every word obtained from a word of `a` (epsilon-free) by
+    """Accepts every word obtained from a word of `a` by
     swapping exactly one adjacent independent pair."""
     n = a.n_states
-    delta: list[list[tuple[Interaction | None, int]]] = [
-        [] for _ in range(2 * n)
-    ]
+    delta: list[list[tuple[Interaction, int]]] = [[] for _ in range(2 * n)]
     mids: dict[tuple[Interaction, int], int] = {}
 
     def mid(alpha: Interaction, target: int) -> int:
@@ -429,7 +409,7 @@ def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:
 
     Closure under one swap implies closure under any number of swaps, so
     checking the one-swap variants suffices."""
-    a = compile_traces(g).eliminate_epsilon().trim()
+    a = compile_traces(g).trim()
     if not a.accepts:
         return WellFormed()
     counterexample = includes(_swap_variants(a), a)

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from . import machine as _machine
-from .projector import ProjectionError, project_top
+from .projector import DEFAULT_AND_BUDGET, ProjectionError, project_top
 from .runtime import (
     DEFAULT_BUF_BOUND,
     DEFAULT_DEPTH_BOUND,
@@ -299,7 +299,7 @@ def forced_join_env(envs: list[SessionEnv]) -> SessionEnv | None:
         return None
 
 
-def _candidate_envs(g: GlobalType, cap: int) -> list[SessionEnv]:
+def _candidate_envs(g: GlobalType, cap: int, budget: int) -> list[SessionEnv]:
     """Candidate implementations of an alternative whose projection
     failed: each branch's own projection, plus their forced join."""
     branches = _either_branches(g)
@@ -308,7 +308,7 @@ def _candidate_envs(g: GlobalType, cap: int) -> list[SessionEnv]:
     projections: list[SessionEnv] = []
     for b in branches:
         try:
-            projections.append(project_top(b))
+            projections.append(project_top(b, budget))
         except ProjectionError:
             return []
     out: list[SessionEnv] = []
@@ -370,6 +370,7 @@ def classify(
     buf_bound: int = DEFAULT_BUF_BOUND,
     depth_bound: int = DEFAULT_DEPTH_BOUND,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
+    budget: int = DEFAULT_AND_BUDGET,
 ) -> Classification:
     """Diagnose a global type.
 
@@ -384,13 +385,15 @@ def classify(
     Unclassified: the bounded search was inconclusive (including the case
       of a sound and complete candidate: then `g` is implementable and only
       the projection algorithm falls short).
+
+    Every projection tried along the way uses `budget` (see `project_top`).
     """
     if max_len is None:
         max_len = default_max_len(g)
     wf = well_formed(g)
     env = None
     try:
-        env = project_top(g)
+        env = project_top(g, budget)
     except ProjectionError:
         pass
     if wf and env is not None:
@@ -400,7 +403,7 @@ def classify(
             if not well_formed(variant):
                 continue
             try:
-                project_top(variant)
+                project_top(variant, budget)
             except ProjectionError:
                 continue
             return Classification(
@@ -412,7 +415,7 @@ def classify(
             UNCLASSIFIED,
             "not well formed, and no sequentiality relaxation is implementable",
         )
-    candidates = _candidate_envs(g, candidate_cap)
+    candidates = _candidate_envs(g, candidate_cap, budget)
     if not candidates:
         return Classification(
             UNCLASSIFIED, "projection failed and no candidate implementations arise"

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from mpst import cli, projector, verifier
+
 SALE = (
     "seller -> buyer : descr ;\n"
     "seller -> buyer : price ;\n"
@@ -24,6 +26,14 @@ def run(*args: str):
         capture_output=True,
         text=True,
     )
+
+
+def run_in_process(monkeypatch, *args: str) -> int:
+    """The exit code of `mpst.cli.main` run in this process on `args`."""
+    monkeypatch.setattr(sys, "argv", ["mpst", *args])
+    with pytest.raises(SystemExit) as stop:
+        cli.main()
+    return stop.value.code
 
 
 @pytest.fixture()
@@ -193,3 +203,51 @@ def test_simulate_announces_truncated_trace_listings(tmp_path):
     result = run("simulate", str(path), "--traces", "2")
     assert result.returncode == 0
     assert "(10 more; raise --traces to list them)" in result.stdout
+
+
+def test_dot_dumps_have_no_epsilon_edges(tmp_path):
+    path = tmp_path / "g.gt"
+    path.write_text("(seller -> buyer : hint)* ; (seller -> buyer : ad | skip) ; " + SALE)
+    for command in ("check", "trace"):
+        dot = tmp_path / f"{command}.dot"
+        result = run(command, str(path), "--dot", str(dot))
+        assert result.returncode == 0
+        text = dot.read_text()
+        assert "->" in text and "ε" not in text
+
+
+UNREAD_OPTIONS = [
+    ("check", ["--max-len", "--buf-bound", "--depth", "--budget", "--seed"]),
+    ("project", ["--max-len", "--buf-bound", "--depth", "--seed"]),
+    ("trace", ["--buf-bound", "--depth", "--budget", "--seed"]),
+    ("simulate", ["--budget", "--seed"]),
+    ("verify", ["--seed"]),
+    ("classify", ["--seed"]),
+    ("crosscheck", ["--max-len", "--budget"]),
+]
+
+
+@pytest.mark.parametrize(
+    ("command", "option"),
+    [(command, option) for command, options in UNREAD_OPTIONS for option in options],
+)
+def test_commands_take_only_the_options_they_read(monkeypatch, tmp_path, command, option):
+    path = tmp_path / "input"
+    path.write_text(NEVER_ENDS if command == "simulate" else SALE)
+    files = [] if command == "crosscheck" else [str(path)]
+    assert run_in_process(monkeypatch, command, *files, option, "1") == 2
+
+
+def test_classify_forwards_its_budget_to_projection(monkeypatch, tmp_path, capsys):
+    budgets = []
+
+    def project_top(g, budget=projector.DEFAULT_AND_BUDGET):
+        budgets.append(budget)
+        return projector.project_top(g, budget)
+
+    monkeypatch.setattr(verifier, "project_top", project_top)
+    path = tmp_path / "g.gt"
+    path.write_text("p -> q : a | q -> p : a\n")
+    assert run_in_process(monkeypatch, "classify", str(path), "--budget", "7") == 1
+    assert capsys.readouterr().out.splitlines()[0] == "NoKnowledgeNoChoice"
+    assert len(budgets) > 1 and set(budgets) == {7}

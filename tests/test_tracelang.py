@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import parikh, swap_violations, swappable, trace_set
-from mpst.syntax import GAction, parse_global_type
+from mpst.syntax import GAction, Interaction, parse_global_type
 from mpst.tracelang import (
     BudgetExceededError,
     NotWellFormed,
@@ -50,6 +50,10 @@ PINNED = [
     "{q1,q2} -> q : b & p -> q1 : a",
     "loop2 (p -> q : h, q -> p : h) exit (p -> q : b, q -> p : b)",
     "(p -> q : a | q -> r : c) ; (r -> s : d & s -> r : e)",
+    "(p -> q : a)* ; (q -> p : b)*",
+    "(p -> q : a | skip) ; q -> p : b",
+    "((p -> q : a)* | q -> p : b)*",
+    "skip ; (p -> q : a)? ; skip",
 ]
 
 
@@ -64,6 +68,21 @@ def test_compiled_traces_match_recursive_semantics(src, bound):
 def test_compiled_traces_match_recursive_semantics_randomly(seed):
     sample = random_global_type(seed, max_size=5, role_count=4, star_depth=1)
     assert enumerate_traces(compile_traces(sample), 5) == trace_set(sample, 5)
+
+
+def labels(auto):
+    return [lab for edges in auto.delta for lab, _ in edges]
+
+
+def test_compiled_automata_have_no_epsilon_moves():
+    """The samples of acceptance criterion 8: every edge of a compiled
+    automaton, and of the shuffle of two of them, reads an interaction."""
+    autos = [compile_traces(random_global_type(20260814 + i)) for i in range(200)]
+    for auto in autos:
+        assert all(isinstance(lab, Interaction) for lab in labels(auto))
+    for left, right in zip(autos, autos[1:]):
+        shuffled = shuffle_automata(left, right)
+        assert all(isinstance(lab, Interaction) for lab in labels(shuffled))
 
 
 def test_shuffle_is_commutative_and_preserves_operand_order():
