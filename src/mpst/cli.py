@@ -198,13 +198,14 @@ def project(path, budget, as_json):
 
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
-@click.option("--traces", "trace_count", type=int, default=10, show_default=True, help="How many sample traces to print.")
-@_options("max_len", "buf_bound", "depth_bound")
+@click.option("--traces", "trace_count", type=click.IntRange(min=0), default=10, show_default=True, help="How many sample traces to print.")
+@click.option("--max-len", type=_POSITIVE, default=None, help="Trace length bound (default: 2·roles + 8).")
+@_options("buf_bound", "depth_bound")
 def simulate(path, trace_count, max_len, buf_bound, depth_bound, as_json):
     """Run the session environment in PATH and report liveness."""
     env = _load_env(path)
     bound = max_len or 2 * len(env) + 8
-    verdict = runtime.is_live(env, buf_bound, depth_bound)
+    verdict, automaton = runtime.explore(env, buf_bound, depth_bound)
     name = type(verdict).__name__
     report: dict = {
         "command": "simulate",
@@ -220,7 +221,7 @@ def simulate(path, trace_count, max_len, buf_bound, depth_bound, as_json):
         report["witness_steps"] = steps
         lines.append(f"witness: {steps} step(s) to a configuration that cannot succeed")
     samples = sorted(
-        runtime.session_traces(env, bound, buf_bound, depth_bound),
+        tracelang.enumerate_traces(automaton, bound),
         key=lambda w: (len(w), tuple(map(str, w))),
     )
     report["traces"] = [_word_json(w) for w in samples[:trace_count]]
@@ -352,10 +353,10 @@ def trace(path, dot, max_len, as_json):
 
 
 @cli.command()
-@click.option("--samples", type=int, default=200, show_default=True, help="Number of random global types.")
-@click.option("--max-size", type=int, default=8, show_default=True, help="Interactions per sample.")
-@click.option("--roles", "role_count", type=int, default=4, show_default=True, help="Roles per sample.")
-@click.option("--star-depth", type=int, default=1, show_default=True, help="Star nesting per sample.")
+@click.option("--samples", type=click.IntRange(min=0), default=200, show_default=True, help="Number of random global types.")
+@click.option("--max-size", type=_POSITIVE, default=8, show_default=True, help="Interactions per sample.")
+@click.option("--roles", "role_count", type=click.IntRange(min=2), default=4, show_default=True, help="Roles per sample.")
+@click.option("--star-depth", type=click.IntRange(min=0), default=1, show_default=True, help="Star nesting per sample.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed of the first sample; sample i uses seed + i.")
 @_options("buf_bound", "depth_bound")
 def crosscheck(samples, max_size, role_count, star_depth, seed, buf_bound, depth_bound, as_json):

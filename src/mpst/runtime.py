@@ -52,6 +52,7 @@ class Config:
 # and the configuration it leads to.  Only this module sees silent moves.
 Move = tuple[Optional[Interaction], Config]
 Graph = dict[Config, list[Move]]
+Parents = dict[Config, Optional[Config]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,14 +140,16 @@ class Session:
         return out
 
 
-def _explore(session: Session, depth_bound: int) -> tuple[Graph, bool]:
+def _explore(session: Session, depth_bound: int) -> tuple[Graph, bool, Parents]:
     """Breadth-first reachable configuration graph, capped at `depth_bound`
-    configurations.  Returns (graph, truncated); configurations discovered
-    but not expanded are absent from the graph's key set."""
+    configurations.  Returns (graph, truncated, parents): configurations
+    discovered but not expanded are absent from the graph's key set, and
+    `parents` maps every discovered configuration to the one that
+    discovered it (None for the initial one)."""
     init = session.initial()
     graph: Graph = {}
+    parents: Parents = {init: None}
     queue = deque([init])
-    seen = {init}
     truncated = False
     while queue:
         c = queue.popleft()
@@ -156,10 +159,10 @@ def _explore(session: Session, depth_bound: int) -> tuple[Graph, bool]:
         succs = session.step(c)
         graph[c] = succs
         for _, c2 in succs:
-            if c2 not in seen:
-                seen.add(c2)
+            if c2 not in parents:
+                parents[c2] = c
                 queue.append(c2)
-    return graph, truncated
+    return graph, truncated, parents
 
 
 def _can_reach(graph: Graph, targets: set[Config]) -> set[Config]:
@@ -179,47 +182,25 @@ def _can_reach(graph: Graph, targets: set[Config]) -> set[Config]:
 
 
 def _liveness(
-    session: Session, graph: Graph, truncated: bool
+    session: Session, graph: Graph, truncated: bool, parents: Parents
 ) -> Live | NotLive | Unknown:
-    """The liveness verdict of an explored configuration graph (see
-    `is_live`)."""
+    """Can every reachable configuration still reach success?  Exact when
+    the bounded configuration graph is fully explored; a configuration
+    whose whole future was explored and never succeeds yields a definitive
+    NotLive even under truncation.  The witness is the BFS path to the
+    first such configuration in exploration order, hence a shortest one."""
     success = {c for c in graph if session.is_success(c)}
     frontier: set[Config] = {
         c2 for succs in graph.values() for _, c2 in succs if c2 not in graph
     }
     promising = _can_reach(graph, success | frontier if truncated else success)
-    bad = [c for c in graph if c not in promising]
-    if not bad:
+    bad = next((c for c in graph if c not in promising), None)
+    if bad is None:
         return Unknown(len(graph)) if truncated else Live()
-    # find a shortest path from the initial configuration to a bad one
-    init = session.initial()
-    parent: dict[Config, Config | None] = {init: None}
-    queue = deque([init])
-    while queue:
-        c = queue.popleft()
-        if c not in promising:
-            path = [c]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return NotLive(tuple(reversed(path)))
-        for _, c2 in graph.get(c, ()):  # type: ignore[arg-type]
-            if c2 not in parent:
-                parent[c2] = c
-                queue.append(c2)
-    raise AssertionError("unreachable: bad configuration not found by BFS")
-
-
-def is_live(
-    env: SessionEnv,
-    buf_bound: int = DEFAULT_BUF_BOUND,
-    depth_bound: int = DEFAULT_DEPTH_BOUND,
-) -> Live | NotLive | Unknown:
-    """Can every reachable configuration still reach success?  Exact when
-    the bounded configuration graph is fully explored; a configuration
-    whose whole future was explored and never succeeds yields a definitive
-    NotLive even under truncation."""
-    session = Session(env, buf_bound)
-    return _liveness(session, *_explore(session, depth_bound))
+    path = [bad]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return NotLive(tuple(reversed(path)))
 
 
 def _trace_automaton(session: Session, graph: Graph) -> TraceAutomaton:
@@ -256,6 +237,32 @@ def _trace_automaton(session: Session, graph: Graph) -> TraceAutomaton:
     return TraceAutomaton(delta, 0, frozenset(accepts))
 
 
+def explore(
+    env: SessionEnv,
+    buf_bound: int = DEFAULT_BUF_BOUND,
+    depth_bound: int = DEFAULT_DEPTH_BOUND,
+) -> tuple[Live | NotLive | Unknown, TraceAutomaton]:
+    """Build the session of `env` and explore its configuration graph
+    once.  Returns the liveness verdict and the session's trace automaton
+    (over input labels, accepting runs that reach success), which accepts
+    nothing when the session is not live."""
+    session = Session(env, buf_bound)
+    graph, truncated, parents = _explore(session, depth_bound)
+    verdict = _liveness(session, graph, truncated, parents)
+    if isinstance(verdict, NotLive):
+        return verdict, TraceAutomaton([[]], 0, frozenset())
+    return verdict, _trace_automaton(session, graph)
+
+
+def is_live(
+    env: SessionEnv,
+    buf_bound: int = DEFAULT_BUF_BOUND,
+    depth_bound: int = DEFAULT_DEPTH_BOUND,
+) -> Live | NotLive | Unknown:
+    """The liveness verdict of `explore`."""
+    return explore(env, buf_bound, depth_bound)[0]
+
+
 def session_traces(
     env: SessionEnv,
     max_len: int,
@@ -264,8 +271,4 @@ def session_traces(
 ) -> set[Word]:
     """The input-label sequences (length <= max_len) of runs that reach
     success — empty when the session is not live."""
-    session = Session(env, buf_bound)
-    graph, truncated = _explore(session, depth_bound)
-    if isinstance(_liveness(session, graph, truncated), NotLive):
-        return set()
-    return enumerate_traces(_trace_automaton(session, graph), max_len)
+    return enumerate_traces(explore(env, buf_bound, depth_bound)[1], max_len)

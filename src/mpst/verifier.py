@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 from . import machine as _machine
 from .projector import DEFAULT_AND_BUDGET, ProjectionError, project_top
-from .runtime import (
-    DEFAULT_BUF_BOUND,
-    DEFAULT_DEPTH_BOUND,
-    NotLive,
-    is_live,
-    session_traces,
-)
+from .runtime import DEFAULT_BUF_BOUND, DEFAULT_DEPTH_BOUND, NotLive, explore
 from .syntax import (
     GAction,
     GBoth,
@@ -52,6 +46,7 @@ from .syntax import (
 )
 from .tracelang import (
     BudgetExceededError,
+    TraceAutomaton,
     Word,
     compile_traces,
     enumerate_traces,
@@ -99,51 +94,28 @@ class Classification:
     detail: str
 
 
-def check_sound(
-    g: GlobalType,
-    env: SessionEnv,
-    max_len: int | None = None,
-    buf_bound: int = DEFAULT_BUF_BOUND,
-    depth_bound: int = DEFAULT_DEPTH_BOUND,
-) -> tuple[bool, Word | None]:
-    """Is every session trace (up to max_len) a trace of `g`?  Returns the
-    shortest violating trace otherwise."""
-    if max_len is None:
-        max_len = default_max_len(g)
+def _shortest(words: list[Word]) -> Word | None:
+    return min(words, key=lambda w: (len(w), tuple(map(str, w))), default=None)
+
+
+def _conformance(
+    g: GlobalType, session_automaton: TraceAutomaton, max_len: int, buf_bound: int
+) -> ConformanceReport:
+    """Soundness and completeness of a session's traces (up to max_len)
+    for `g`.  Sound: every session trace is a trace of `g`.  Complete:
+    every trace of `g` is a permutation of some session trace, that is,
+    has the Parikh vector of one.  The report names the shortest
+    violating session trace and the shortest uncovered trace of `g`."""
     auto = compile_traces(g)
-    bad = [
-        w
-        for w in session_traces(env, max_len, buf_bound, depth_bound)
-        if not auto.member(w)
-    ]
-    if not bad:
-        return True, None
-    return False, min(bad, key=lambda w: (len(w), tuple(map(str, w))))
-
-
-def check_complete(
-    g: GlobalType,
-    env: SessionEnv,
-    max_len: int | None = None,
-    buf_bound: int = DEFAULT_BUF_BOUND,
-    depth_bound: int = DEFAULT_DEPTH_BOUND,
-) -> tuple[bool, Word | None]:
-    """Is every trace of `g` (up to max_len) a permutation of some session
-    trace?  Permutation equivalence is Parikh-vector equality.  Returns
-    the shortest uncovered trace otherwise."""
-    if max_len is None:
-        max_len = default_max_len(g)
-    covered = {
-        parikh_vector(w) for w in session_traces(env, max_len, buf_bound, depth_bound)
-    }
+    words = enumerate_traces(session_automaton, max_len)
+    outside = [w for w in words if not auto.member(w)]
+    covered = {parikh_vector(w) for w in words}
     missing = [
-        w
-        for w in enumerate_traces(compile_traces(g), max_len)
-        if parikh_vector(w) not in covered
+        w for w in enumerate_traces(auto, max_len) if parikh_vector(w) not in covered
     ]
-    if not missing:
-        return True, None
-    return False, min(missing, key=lambda w: (len(w), tuple(map(str, w))))
+    return ConformanceReport(
+        not outside, _shortest(outside), not missing, _shortest(missing), max_len, buf_bound
+    )
 
 
 def check_preorder(
@@ -156,43 +128,24 @@ def check_preorder(
     """Bounded check that `env` implements `g`: sound and complete."""
     if max_len is None:
         max_len = default_max_len(g)
-    sound, cex = check_sound(g, env, max_len, buf_bound, depth_bound)
-    complete, gap = check_complete(g, env, max_len, buf_bound, depth_bound)
-    return ConformanceReport(sound, cex, complete, gap, max_len, buf_bound)
+    _, session_automaton = explore(env, buf_bound, depth_bound)
+    return _conformance(g, session_automaton, max_len, buf_bound)
 
 
 # --- candidate implementations for diagnosis --------------------------------
 
 
-def _out_branches(t: SessionType) -> dict | None:
-    """Root output branches as {(partner, message): continuation}, or None
-    when `t` is not output-rooted."""
+def _branches(t: SessionType, leaf: type, choice: type) -> dict | None:
+    """Root branches as {(partners, message): continuation} when `t` is a
+    `leaf` (TOut or TIn) or a `choice` (TInternal or TExternal) of such
+    roots with consistent continuations, else None."""
     match t:
-        case TOut(partner, msg, cont):
-            return {(partner, msg): cont}
-        case TInternal(branches):
-            out: dict = {}
-            for b in branches:
-                sub = _out_branches(b)
-                if sub is None:
-                    return None
-                for k, c in sub.items():
-                    if k in out and out[k] != c:
-                        return None
-                    out[k] = c
-            return out
-        case _:
-            return None
-
-
-def _in_branches(t: SessionType) -> dict | None:
-    match t:
-        case TIn(partners, msg, cont):
+        case leaf(partners, msg, cont):
             return {(partners, msg): cont}
-        case TExternal(branches):
+        case choice(branches):
             out: dict = {}
             for b in branches:
-                sub = _in_branches(b)
+                sub = _branches(b, leaf, choice)
                 if sub is None:
                     return None
                 for k, c in sub.items():
@@ -204,17 +157,16 @@ def _in_branches(t: SessionType) -> dict | None:
             return None
 
 
-def _build_out(branches: dict) -> SessionType:
-    terms = [TOut(p, a, c) for (p, a), c in sorted(branches.items())]
-    return terms[0] if len(terms) == 1 else TInternal(tuple(terms))
+def _build(branches: dict, leaf: type, choice: type) -> SessionType:
+    """Inverse of `_branches`: one `leaf` per branch, in partner then
+    message order, under a `choice` when there are several."""
 
+    def order(item):
+        (partners, msg), _ = item
+        return (sorted(partners) if leaf is TIn else partners, msg)
 
-def _build_in(branches: dict) -> SessionType:
-    terms = [
-        TIn(ps, a, c)
-        for (ps, a), c in sorted(branches.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1]))
-    ]
-    return terms[0] if len(terms) == 1 else TExternal(tuple(terms))
+    terms = [leaf(ps, a, c) for (ps, a), c in sorted(branches.items(), key=order)]
+    return terms[0] if len(terms) == 1 else choice(tuple(terms))
 
 
 def forced_join(t: SessionType, s: SessionType) -> SessionType | None:
@@ -230,7 +182,7 @@ def forced_join(t: SessionType, s: SessionType) -> SessionType | None:
     candidate implementation to be validated, not a projection."""
     if t == s:
         return t
-    t_out, s_out = _out_branches(t), _out_branches(s)
+    t_out, s_out = _branches(t, TOut, TInternal), _branches(s, TOut, TInternal)
     if t_out is not None and s_out is not None:
         joined: dict = {}
         for k in t_out.keys() | s_out.keys():
@@ -243,8 +195,8 @@ def forced_join(t: SessionType, s: SessionType) -> SessionType | None:
             else:
                 c = _converge(s_out[k], list(t_out.values()))
             joined[k] = c
-        return _build_out(joined)
-    t_in, s_in = _in_branches(t), _in_branches(s)
+        return _build(joined, TOut, TInternal)
+    t_in, s_in = _branches(t, TIn, TExternal), _branches(s, TIn, TExternal)
     if t_in is not None and s_in is not None:
         joined = {}
         for k in t_in.keys() | s_in.keys():
@@ -255,7 +207,7 @@ def forced_join(t: SessionType, s: SessionType) -> SessionType | None:
                 joined[k] = c
             else:
                 joined[k] = t_in.get(k, s_in.get(k))
-        return _build_in(joined)
+        return _build(joined, TIn, TExternal)
     return None
 
 
@@ -423,14 +375,13 @@ def classify(
     found_complete = False
     for cand in candidates:
         try:
-            complete, _ = check_complete(g, cand, max_len, buf_bound, depth_bound)
-            if not complete:
-                continue
-            found_complete = True
-            sound, _ = check_sound(g, cand, max_len, buf_bound, depth_bound)
+            report = check_preorder(g, cand, max_len, buf_bound, depth_bound)
         except BudgetExceededError:
             continue
-        if sound:
+        if not report.complete:
+            continue
+        found_complete = True
+        if report.sound:
             return Classification(
                 UNCLASSIFIED,
                 "a sound and complete implementation exists; only the"
@@ -500,15 +451,14 @@ def random_global_type(
 
 
 def _bounded_preorder(
-    g: GlobalType, env: SessionEnv, max_len: int, buf_bound: int, depth_bound: int
+    g: GlobalType, session_automaton: TraceAutomaton, max_len: int, buf_bound: int
 ) -> ConformanceReport:
-    """check_preorder, shrinking the length bound on enumeration overflow
-    so large random samples still get checked at a smaller, recorded
-    bound."""
+    """_conformance, shrinking the length bound on enumeration overflow so
+    large random samples still get checked at a smaller, recorded bound."""
     length = max_len
     while True:
         try:
-            return check_preorder(g, env, length, buf_bound, depth_bound)
+            return _conformance(g, session_automaton, length, buf_bound)
         except BudgetExceededError:
             if length <= 4:
                 raise
@@ -548,12 +498,12 @@ def cross_check_theorems(
         if not wf:
             continue
         report["checked"] += 1
-        verdict = is_live(env, buf_bound, depth_bound)
+        verdict, session_automaton = explore(env, buf_bound, depth_bound)
         if isinstance(verdict, NotLive):
             report["violations"].append((i, "liveness", None))
             continue
         conformance = _bounded_preorder(
-            g, env, default_max_len(g), buf_bound, depth_bound
+            g, session_automaton, default_max_len(g), buf_bound
         )
         if not conformance.sound:
             report["violations"].append(

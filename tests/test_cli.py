@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mpst import cli, projector, verifier
+from mpst import cli, projector, runtime, verifier
 
 SALE = (
     "seller -> buyer : descr ;\n"
@@ -181,9 +181,35 @@ def test_crosscheck_runs_a_seeded_batch():
     assert payload["violations"] == []
 
 
-def test_rejected_bounds_exit_with_usage_code(sale):
-    result = run("trace", sale, "--max-len", "0")
-    assert result.returncode == 2
+REJECTED_BOUNDS = [
+    ("trace", "--max-len", "0"),
+    ("simulate", "--traces", "-2"),
+    ("crosscheck", "--roles", "1"),
+    ("crosscheck", "--max-size", "0"),
+    ("crosscheck", "--samples", "-1"),
+    ("crosscheck", "--star-depth", "-1"),
+]
+
+
+@pytest.mark.parametrize(
+    ("command", "option", "value"),
+    REJECTED_BOUNDS,
+    ids=[f"{command}{option}={value}" for command, option, value in REJECTED_BOUNDS],
+)
+def test_rejected_bounds_exit_with_usage_code(monkeypatch, capsys, tmp_path, command, option, value):
+    path = tmp_path / "input"
+    path.write_text(LOOP_UNTIL_DONE if command == "simulate" else SALE)
+    files = [] if command == "crosscheck" else [str(path)]
+    assert run_in_process(monkeypatch, command, *files, option, value) == 2
+    assert f"error: Invalid value for '{option}'" in capsys.readouterr().err
+
+
+def test_simulate_help_states_its_own_length_default():
+    result = run("simulate", "--help")
+    assert result.returncode == 0
+    help_text = " ".join(result.stdout.split())
+    assert "(default: 2·roles + 8)" in help_text
+    assert "interactions" not in help_text
 
 
 def test_dash_reads_the_protocol_from_stdin():
@@ -251,3 +277,67 @@ def test_classify_forwards_its_budget_to_projection(monkeypatch, tmp_path, capsy
     assert run_in_process(monkeypatch, "classify", str(path), "--budget", "7") == 1
     assert capsys.readouterr().out.splitlines()[0] == "NoKnowledgeNoChoice"
     assert len(budgets) > 1 and set(budgets) == {7}
+
+
+UNKNOWABLE_CHOICE = (
+    "(p -> q : a ; q -> r : a ; r -> p : a) | (p -> q : b ; q -> r : a ; r -> p : b)\n"
+)
+
+
+@pytest.fixture()
+def sessions(monkeypatch):
+    """Every `runtime.Session` built, and every session explored, in order."""
+    built: list = []
+    explored: list = []
+    init, explore = runtime.Session.__init__, runtime._explore
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_explore(session, depth_bound):
+        explored.append(session)
+        return explore(session, depth_bound)
+
+    monkeypatch.setattr(runtime.Session, "__init__", counting_init)
+    monkeypatch.setattr(runtime, "_explore", counting_explore)
+    return built, explored
+
+
+def test_verify_and_simulate_explore_one_session(monkeypatch, tmp_path, sessions):
+    built, explored = sessions
+    protocol = tmp_path / "sale.gt"
+    protocol.write_text(SALE)
+    assert run_in_process(monkeypatch, "verify", str(protocol)) == 0
+    assert len(built) == 1 and explored == built
+    env = tmp_path / "loop.mps"
+    env.write_text(LOOP_UNTIL_DONE)
+    assert run_in_process(monkeypatch, "simulate", str(env)) == 0
+    assert len(built) == 2 and explored == built
+
+
+def test_classify_explores_one_session_per_candidate(monkeypatch, tmp_path, capsys, sessions):
+    built, explored = sessions
+    candidates: list = []
+    candidate_envs = verifier._candidate_envs
+
+    def recording(*args):
+        found = candidate_envs(*args)
+        candidates.extend(found)
+        return found
+
+    monkeypatch.setattr(verifier, "_candidate_envs", recording)
+    path = tmp_path / "g.gt"
+    path.write_text(UNKNOWABLE_CHOICE)
+    assert run_in_process(monkeypatch, "classify", str(path)) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "NoKnowledgeForChoice"
+    assert len(candidates) > 1
+    assert len(built) == len(candidates) and explored == built
+
+
+def test_crosscheck_explores_one_session_per_checked_sample(monkeypatch, capsys, sessions):
+    built, explored = sessions
+    assert run_in_process(monkeypatch, "crosscheck", "--samples", "15", "--seed", "3", "--json") == 0
+    checked = json.loads(capsys.readouterr().out)["checked"]
+    assert checked > 0
+    assert len(built) == checked and explored == built

@@ -61,6 +61,17 @@ def test_deadlocked_inputs_are_not_live():
     assert replay(env, verdict)
 
 
+def test_not_live_witness_is_a_shortest_run_to_a_stuck_configuration():
+    # p may announce b, which q never accepts, but only after its output to r
+    env = parse_session_env(
+        "p : r!x.(q!a.end (+) q!b.end)\nq : p?a.end\nr : p?x.end"
+    )
+    verdict = is_live(env)
+    assert isinstance(verdict, NotLive)
+    assert replay(env, verdict)
+    assert len(verdict.witness) - 1 == 2
+
+
 def test_truncated_exploration_reports_unknown():
     verdict = is_live(parse_session_env(LOOP_UNTIL_DONE), depth_bound=2)
     assert isinstance(verdict, Unknown)

@@ -25,9 +25,7 @@ from mpst.verifier import (
     NO_SEQUENTIALITY,
     PROJECTABLE,
     UNCLASSIFIED,
-    check_complete,
     check_preorder,
-    check_sound,
     classify,
     cross_check_theorems,
     forced_join,
@@ -48,26 +46,26 @@ def test_projection_of_a_sequence_is_sound_and_complete():
 def test_soundness_rejects_extra_behaviours():
     protocol = g("p -> q : a ; r -> s : b")  # not well formed
     env = project_top(protocol)  # projection exists but over-approximates
-    sound, cex = check_sound(protocol, env)
-    assert not sound
+    report = check_preorder(protocol, env)
+    assert not report.sound
+    cex = report.sound_counterexample
     assert cex is not None and cex[0].message == "b"  # the reordered run
 
 
 def test_completeness_rejects_covering_only_one_branch():
     protocol = g("p -> q : a | p -> q : b")
     half = parse_session_env("p : q!a.end\nq : p?a.end")
-    complete, gap = check_complete(protocol, half)
-    assert not complete
+    report = check_preorder(protocol, half)
+    assert not report.complete
+    gap = report.completeness_gap
     assert gap is not None and gap[0].message == "b"
-    sound, _ = check_sound(protocol, half)
-    assert sound
+    assert report.sound
 
 
 def test_completeness_is_up_to_permutation():
     protocol = g("p -> q : a ; r -> s : b")
     env = project_top(protocol)
-    complete, _ = check_complete(protocol, env)
-    assert complete
+    assert check_preorder(protocol, env).complete
 
 
 def test_enlarging_bounds_preserves_soundness_on_projectable_protocols():
