@@ -398,6 +398,9 @@ def main() -> None:
     except _INPUT_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    except RecursionError:
+        click.echo("error: input nests too deeply", err=True)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from .syntax import (
     TVar,
     UnguardedRecursionError,
 )
+from .tracelang import minimal_form
 
 END, OUT, IN = "end", "out", "in"
 
@@ -59,8 +60,10 @@ class Machine:
 
     `kinds[s]` is one of "end"/"out"/"in"; `branches[s]` maps branch keys
     ``("out", partner, message)`` / ``("in", partners, message)`` to
-    successor states.  State 0 is the root.  End states have no branches;
-    out/in states have at least one.
+    successor states.  State 0 is the root, and the other states are
+    numbered depth-first from it.  Every `branches[s]` iterates in canonical
+    order: outputs before inputs, then by message, then by partners.  End
+    states have no branches; out/in states have at least one.
     """
 
     kinds: tuple[str, ...]
@@ -418,69 +421,12 @@ class _Resolver:
     # -- minimization and readback ----------------------------------------------
 
     def minimized(self) -> Machine:
-        reach: list[tuple] = []
-        seen: set[tuple] = set()
-        work = [self.root_key]
-        while work:
-            k = work.pop()
-            if k in seen:
-                continue
-            seen.add(k)
-            reach.append(k)
-            work.extend(self.states[k].branches.values())
-
-        block: dict[tuple, int] = {}
-        sig0: dict[tuple, int] = {}
-        for k in reach:
-            st = self.states[k]
-            s = (st.kind, frozenset(st.branches))
-            block[k] = sig0.setdefault(s, len(sig0))
-        while True:
-            sigs: dict[tuple, int] = {}
-            nxt: dict[tuple, int] = {}
-            for k in reach:
-                st = self.states[k]
-                s = (
-                    block[k],
-                    tuple(
-                        (bk, block[t])
-                        for bk, t in sorted(
-                            st.branches.items(), key=lambda kv: _bk_order(kv[0])
-                        )
-                    ),
-                )
-                nxt[k] = sigs.setdefault(s, len(sigs))
-            if len(sigs) == len(set(block.values())):
-                block = nxt
-                break
-            block = nxt
-
-        # canonical numbering by depth-first order along sorted branches
-        order: dict[int, int] = {}
-        rep_branches: dict[int, dict] = {}
-        for k in reach:
-            b = block[k]
-            if b not in rep_branches:
-                rep_branches[b] = {
-                    bk: block[t] for bk, t in self.states[k].branches.items()
-                }
-        rep_kind = {block[k]: self.states[k].kind for k in reach}
-
-        def number(b: int) -> None:
-            if b in order:
-                return
-            order[b] = len(order)
-            for bk in sorted(rep_branches[b], key=_bk_order):
-                number(rep_branches[b][bk])
-
-        number(block[self.root_key])
-        kinds = [""] * len(order)
-        branches: list[dict] = [{} for _ in order]
-        for b, idx in order.items():
-            kinds[idx] = rep_kind[b]
-            branches[idx] = {
-                bk: order[t] for bk, t in rep_branches[b].items()
-            }
+        kinds, branches = minimal_form(
+            self.root_key,
+            lambda k: self.states[k].kind,
+            lambda k: self.states[k].branches.items(),
+            _bk_order,
+        )
         return Machine(tuple(kinds), tuple(branches), 0)
 
 
@@ -510,8 +456,8 @@ def machine_to_type(m: Machine) -> SessionType:
             body: SessionType = TEnd()
         else:
             parts = []
-            for bk in sorted(m.branches[s], key=_bk_order):
-                cont = build(m.branches[s][bk], stack)
+            for bk, target in m.branches[s].items():
+                cont = build(target, stack)
                 if bk[0] == OUT:
                     parts.append(TOut(bk[1], bk[2], cont))
                 else:

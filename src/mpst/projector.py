@@ -22,7 +22,6 @@ first rewrite that succeeds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import machine
 from .syntax import (
@@ -45,18 +44,11 @@ from .syntax import (
     TOut,
     TRec,
     TVar,
-    default_max_len,
     free_type_vars,
     print_global_type,
     roles_of,
 )
-from .tracelang import (
-    BudgetExceededError,
-    compile_traces,
-    enumerate_traces,
-    includes,
-    kexit_unfolding,
-)
+from .tracelang import compile_traces, kexit_unfolding, language_key
 
 NO_DECISION_MAKER = "NoDecisionMaker"
 INCOMPATIBLE_MERGE = "IncompatibleMerge"
@@ -617,25 +609,12 @@ def _action_shuffles(g: GlobalType) -> list[GlobalType]:
 
 
 def _dedup_by_language(candidates: list[GlobalType]) -> list[GlobalType]:
-    """Keep the first representative of every trace language, confirmed by
-    two-way inclusion within equal bounded fingerprints."""
-    kept: list[tuple[GlobalType, object, object]] = []  # (type, fingerprint, nfa)
+    """Keep the first representative of every trace language."""
+    seen: set[tuple] = set()
     out: list[GlobalType] = []
     for cand in candidates:
-        bound = min(default_max_len(cand), 6)
-        try:
-            fp = frozenset(enumerate_traces(cand, bound, cap=5000))
-        except BudgetExceededError:
-            fp = None
-        nfa = compile_traces(cand)
-        duplicate = False
-        for _, fp2, nfa2 in kept:
-            if fp is not None and fp2 is not None and fp != fp2:
-                continue
-            if includes(nfa, nfa2) is None and includes(nfa2, nfa) is None:
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append((cand, fp, nfa))
+        key = language_key(compile_traces(cand))
+        if key not in seen:
+            seen.add(key)
             out.append(cand)
     return out

@@ -107,9 +107,7 @@ class Session:
         out: list[Move] = []
         for i, (role, m) in enumerate(zip(self.roles, self.machines)):
             state = c.locations[i]
-            for bk, target in sorted(
-                m.branches[state].items(), key=lambda kv: _machine._bk_order(kv[0])
-            ):
+            for bk, target in m.branches[state].items():
                 if bk[0] == "out":
                     _, partner, msg = bk
                     chan = (role, partner)

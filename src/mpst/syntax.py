@@ -20,8 +20,8 @@ Comments run from ``//`` to end of line in both languages.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from dataclasses import dataclass
+from typing import Union
 
 Role = str
 Message = str
@@ -416,6 +416,16 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def role_set(self) -> frozenset[Role]:
+        """`{r1, ..., rn}`: the senders of a join, the partners of an input."""
+        self.eat("{")
+        names = [self.eat("ident").text]
+        while self.peek().kind == ",":
+            self.next()
+            names.append(self.eat("ident").text)
+        self.eat("}")
+        return frozenset(names)
+
 
 # ---------------------------------------------------------------------------
 # Global-type parsing
@@ -472,7 +482,7 @@ class _GlobalParser(_Parser):
             self.eat(")")
             return g
         if tok.kind == "{":
-            senders = self.sender_set()
+            senders = self.role_set()
             return self.interaction_tail(senders, tok)
         if tok.kind == "ident":
             if tok.text == "skip":
@@ -485,15 +495,6 @@ class _GlobalParser(_Parser):
             return self.interaction_tail(frozenset({tok.text}), tok)
         self.fail(f"expected a global type, found {tok.text or 'end of input'!r}")
         raise AssertionError  # unreachable
-
-    def sender_set(self) -> frozenset[Role]:
-        self.eat("{")
-        names = [self.eat("ident").text]
-        while self.peek().kind == ",":
-            self.next()
-            names.append(self.eat("ident").text)
-        self.eat("}")
-        return frozenset(names)
 
     def interaction_tail(self, senders: frozenset[Role], at: _Token) -> GAction:
         self.eat("->")
@@ -592,7 +593,7 @@ class _SessionParser(_Parser):
             self.eat(")")
             return t
         if tok.kind == "{":
-            partners = self.partner_set()
+            partners = self.role_set()
             self.eat("?")
             return self.prefix_tail(partners, is_input=True)
         if tok.kind == "ident":
@@ -611,15 +612,6 @@ class _SessionParser(_Parser):
             return TVar(name)
         self.fail(f"expected a session type, found {tok.text or 'end of input'!r}")
         raise AssertionError  # unreachable
-
-    def partner_set(self) -> frozenset[Role]:
-        self.eat("{")
-        names = [self.eat("ident").text]
-        while self.peek().kind == ",":
-            self.next()
-            names.append(self.eat("ident").text)
-        self.eat("}")
-        return frozenset(names)
 
     def prefix_tail(self, partners: frozenset[Role], is_input: bool) -> SessionType:
         message = self.eat("ident").text

@@ -9,9 +9,11 @@ shuffle products, Parikh vectors, and the well-formedness check.
 Automata have no epsilon moves.  Compilation wires each accepting state
 straight to copies of the next operand's start moves, as a position
 automaton does (Berry & Sethi, TCS 1986), so every consumer reads the
-compiled automaton as it is.  Automata stay nondeterministic everywhere;
-subset construction happens only on the fly, inside `includes` and during
-enumeration.
+compiled automaton as it is.  Automata stay nondeterministic; subset
+steps are taken on the fly inside `includes` and during enumeration, and
+`language_key` is the one place that determinizes a whole automaton: it
+gives the minimal form (`minimal_form`) of its subset construction, so two
+automata accept the same language iff their keys are equal.
 """
 
 from __future__ import annotations
@@ -336,6 +338,81 @@ def includes(a1: TraceAutomaton, a2: TraceAutomaton) -> Word | None:
                 parent[nxt] = (pair, letter)
                 queue.append(nxt)
     return None
+
+
+def minimal_form(root, kind, edges, order) -> tuple[list, list[dict]]:
+    """The minimal deterministic automaton of the states reachable from
+    `root`, numbered canonically.
+
+    `kind(s)` labels state `s` (its acceptance, its session-type kind),
+    `edges(s)` gives its moves as (letter, successor) pairs, at most one
+    per letter, and `order` is a sort key on letters.  Moore refinement
+    (Moore, *Gedanken-experiments on sequential machines*, 1956) starts from
+    one block and splits blocks by (kind, {(letter, block of successor)})
+    until no block splits.  The blocks are numbered depth-first from the
+    root's, taking letters in `order`.  Returns `(kinds, rows)`: block `n`
+    has kind `kinds[n]`, and `rows[n]` maps its letters, in `order`, to the
+    numbers of their successors.  Two states have the same behaviour iff
+    their minimal forms are equal."""
+    index = {root: 0}
+    states = [root]
+    moves: list[list[tuple]] = []
+    for s in states:  # grows while it is read: a breadth-first search
+        row = []
+        for letter, t in edges(s):
+            if t not in index:
+                index[t] = len(states)
+                states.append(t)
+            row.append((letter, index[t]))
+        moves.append(row)
+    labels = [kind(s) for s in states]
+
+    block = [0] * len(states)
+    count = 1
+    while True:
+        sigs: dict[tuple, int] = {}
+        split = [
+            sigs.setdefault((k, frozenset((a, block[t]) for a, t in row)), len(sigs))
+            for k, row in zip(labels, moves)
+        ]
+        if len(sigs) == count:
+            break
+        block, count = split, len(sigs)
+
+    rep: dict[int, int] = {}
+    for s, b in enumerate(block):
+        rep.setdefault(b, s)
+    ordered = {b: sorted(moves[s], key=lambda m: order(m[0])) for b, s in rep.items()}
+    number: dict[int, int] = {}
+    stack = [block[0]]
+    while stack:
+        b = stack.pop()
+        if b not in number:
+            number[b] = len(number)
+            stack.extend(block[t] for _, t in reversed(ordered[b]))
+    return (
+        [labels[rep[b]] for b in number],
+        [{a: number[block[t]] for a, t in ordered[b]} for b in number],
+    )
+
+
+def language_key(a: TraceAutomaton) -> tuple:
+    """A canonical key of the language of `a`: the minimal form of the
+    subset construction of `a` trimmed, letters ordered by `_ikey`.  Two
+    automata accept the same language iff their keys are equal."""
+    a = a.trim()
+
+    def moves(states: frozenset[int]):
+        succ: dict[Interaction, set[int]] = {}
+        for q in states:
+            for lab, r in a.delta[q]:
+                succ.setdefault(lab, set()).add(r)
+        return [(lab, frozenset(rs)) for lab, rs in succ.items()]
+
+    kinds, rows = minimal_form(
+        frozenset({a.start}), lambda s: not a.accepts.isdisjoint(s), moves, _ikey
+    )
+    return tuple(kinds), tuple(tuple(row.items()) for row in rows)
 
 
 def parikh_vector(word: Word) -> frozenset:

@@ -72,6 +72,25 @@ def test_missing_file_exits_with_usage_code(tmp_path):
     assert result.returncode == 2
 
 
+ROLES = ("p", "q", "r", "s")
+DEEP_INPUTS = {
+    # each interaction is sent by the receiver of the one before
+    "chain1500": " ;\n".join(f"{ROLES[i % 4]} -> {ROLES[(i + 1) % 4]} : m" for i in range(1500)),
+    "nesting1200": "(" * 1200 + "p -> q : a" + ")" * 1200,
+}
+
+
+@pytest.mark.parametrize("command", ["check", "project"])
+@pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
+def test_too_deep_inputs_exit_with_usage_code(tmp_path, name, command):
+    path = tmp_path / f"{name}.gt"
+    path.write_text(DEEP_INPUTS[name])
+    result = run(command, str(path))
+    assert result.returncode == 2
+    assert result.stderr.strip() == "error: input nests too deeply"
+    assert "Traceback" not in result.stderr
+
+
 def test_project_prints_the_environment(sale):
     result = run("project", sale)
     assert result.returncode == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpst.machine import (
+    _bk_order,
     normalize_session_type,
     root_kind,
     session_type_equal,
@@ -58,6 +59,27 @@ def test_normalization_is_idempotent_and_canonical():
 def test_normalization_orders_choice_branches():
     n = normalize_session_type(t("p?b.end + p?a.end"))
     assert print_session_type(n) == "p?a.end + p?b.end"
+
+
+def test_machine_branches_iterate_in_canonical_order():
+    """Every state of the machines of the projected criterion-8 samples,
+    and of a few hand-written choices, lists its branches sorted."""
+    types = [
+        t("p?b.end + p?a.end"),
+        t("q!b.end (+) p!b.end (+) p!a.end"),
+        t("rec X . (q?c.X + {p,q}?a.X + p?b.end)"),
+    ]
+    for i in range(200):
+        try:
+            types.extend(project_top(random_global_type(20260814 + i)).values())
+        except ProjectionError:
+            pass
+    choices = 0
+    for ty in types:
+        for branches in type_machine(ty).branches:
+            assert list(branches) == sorted(branches, key=_bk_order)
+            choices += len(branches) > 1
+    assert choices > 5
 
 
 def test_end_machine_is_single_state():

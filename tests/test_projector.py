@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from mpst.projector import (
     NO_DECISION_MAKER,
     OUTPUT_MISMATCH,
     ProjectionError,
+    _contains_both,
+    _dedup_by_language,
     eliminate_and,
     merge,
     merge_env,
@@ -175,6 +179,31 @@ def test_eliminate_and_candidates_stay_within_the_language():
 def test_eliminate_and_respects_its_budget():
     protocol = g("(p -> q : a & q -> r : b) & (r -> s : c & s -> p : d)")
     assert len(eliminate_and(protocol, budget=5)) <= 5
+
+
+def test_eliminate_and_keeps_one_candidate_per_language():
+    """Two-way inclusion tells every two kept candidates apart, for the
+    `&`-protocols above and the criterion-8 samples that use `&`."""
+    protocols = [
+        g("(p -> q : a ; q -> r : b) & (r -> s : c | s -> r : d)"),
+        g("(p -> q : a & q -> r : b) & (r -> s : c & s -> p : d)"),
+        g("p -> q : a & (r -> s : b)*"),
+    ]
+    protocols += [s for s in map(random_global_type, range(20260814, 20260814 + 200)) if _contains_both(s)]
+    kept = 0
+    for protocol in protocols:
+        autos = [compile_traces(c) for c in eliminate_and(protocol)]
+        kept += len(autos)
+        for x, y in itertools.combinations(autos, 2):
+            assert includes(x, y) is not None or includes(y, x) is not None
+    assert kept > 2 * len(protocols)
+
+
+def test_language_dedup_keeps_the_first_of_each_language():
+    first = g("p -> q : a ; (q -> r : b | q -> r : c)")
+    same = g("p -> q : a ; q -> r : b | p -> q : a ; q -> r : c")
+    other = g("p -> q : a ; q -> r : b")
+    assert _dedup_by_language([first, other, same, other]) == [first, other]
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import parikh, swap_violations, swappable, trace_set
-from mpst.syntax import GAction, Interaction, parse_global_type
+from mpst.syntax import GAction, GEither, GSeq, GSkip, Interaction, parse_global_type
 from mpst.tracelang import (
     BudgetExceededError,
     NotWellFormed,
     compile_traces,
     enumerate_traces,
     includes,
+    language_key,
+    minimal_form,
     parikh_vector,
     shuffle_automata,
     well_formed,
@@ -124,6 +129,65 @@ def test_inclusion_counterexample_is_shortest():
     small = compile_traces(g("p -> q : b"))
     big = compile_traces(g("p -> q : b | p -> q : a ; p -> q : b"))
     assert includes(big, small) == word("p -> q : a", "p -> q : b")
+
+
+def same_language(x, y) -> bool:
+    return includes(x, y) is None and includes(y, x) is None
+
+
+def assert_keys_decide_equality(pairs):
+    """Equal language keys exactly when inclusion holds both ways."""
+    for x, y in pairs:
+        assert (language_key(x) == language_key(y)) == same_language(x, y)
+
+
+def test_minimal_form_merges_equivalent_states_and_numbers_them_in_order():
+    # a ring of four equivalent states, entered through a root that also
+    # moves by a letter that sorts first
+    edges = {"r": [("y", 0), ("x", "end")], 0: [("y", 1)], 1: [("y", 2)], 2: [("y", 3)], 3: [("y", 0)], "end": []}
+    kinds, rows = minimal_form("r", lambda s: s == "end", edges.__getitem__, str)
+    assert kinds == [False, True, False]
+    assert rows == [{"x": 1, "y": 2}, {}, {"y": 2}]
+    assert [list(row) for row in rows] == [["x", "y"], [], ["y"]]
+
+
+def test_language_key_decides_equality_on_pinned_compositions():
+    autos = [compile_traces(g(src)) for src in PINNED]
+    assert_keys_decide_equality(itertools.combinations(autos, 2))
+    assert len({language_key(a) for a in autos}) == len(PINNED)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("p -> q : a ; (q -> r : b | q -> r : c)", "p -> q : a ; q -> r : b | p -> q : a ; q -> r : c"),
+        ("(p -> q : a)*", "(p -> q : a)* ; (p -> q : a)*"),
+        ("skip ; p -> q : a", "p -> q : a"),
+    ],
+)
+def test_language_key_equates_known_equal_languages(left, right):
+    x, y = compile_traces(g(left)), compile_traces(g(right))
+    assert language_key(x) == language_key(y)
+    assert same_language(x, y)
+
+
+def test_language_key_decides_equality_on_criterion_8_samples():
+    """Neighbouring samples, each sample against rewrites of it that keep
+    its language, and every two samples that share a key."""
+    samples = [random_global_type(20260814 + i) for i in range(200)]
+    autos = [compile_traces(s) for s in samples]
+    assert_keys_decide_equality(zip(autos, autos[1:]))
+    assert_keys_decide_equality(
+        (auto, compile_traces(variant))
+        for s, auto in zip(samples, autos)
+        for variant in (GEither(s, s), GSeq(GSkip(), s), GSeq(s, GSkip()))
+    )
+    classes = defaultdict(list)
+    for auto in autos:
+        classes[language_key(auto)].append(auto)
+    assert len(classes) > 150
+    for members in classes.values():
+        assert all(same_language(x, y) for x, y in itertools.combinations(members, 2))
 
 
 def test_enumeration_cap_is_enforced():
