@@ -222,7 +222,7 @@ def simulate(path, trace_count, max_len, buf_bound, depth_bound, as_json):
         lines.append(f"witness: {steps} step(s) to a configuration that cannot succeed")
     samples = sorted(
         tracelang.enumerate_traces(automaton, bound),
-        key=lambda w: (len(w), tuple(map(str, w))),
+        key=tracelang.word_key,
     )
     report["traces"] = [_word_json(w) for w in samples[:trace_count]]
     report["trace_count"] = len(samples)
@@ -329,7 +329,7 @@ def trace(path, dot, max_len, as_json):
     try:
         words = sorted(
             tracelang.enumerate_traces(auto, bound),
-            key=lambda w: (len(w), tuple(map(str, w))),
+            key=tracelang.word_key,
         )
     except tracelang.BudgetExceededError as exc:
         _emit(

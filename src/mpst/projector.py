@@ -21,7 +21,9 @@ first rewrite that succeeds.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Iterator
 
 from . import machine
 from .syntax import (
@@ -455,7 +457,7 @@ def eliminate_and(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> list[Globa
     seen: set[GlobalType] = set()
 
     def emit(t: GlobalType) -> None:
-        if t not in seen and _and_free(t):
+        if t not in seen and not _contains_both(t):
             seen.add(t)
             ordered.append(t)
 
@@ -486,10 +488,6 @@ def eliminate_and(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> list[Globa
         emit(t)
 
     return _dedup_by_language(ordered)
-
-
-def _and_free(g: GlobalType) -> bool:
-    return not _contains_both(g)
 
 
 def _serialize_all(g: GlobalType, left_first: bool) -> GlobalType:
@@ -583,29 +581,21 @@ def _action_sequence(g: GlobalType) -> list[GAction] | None:
             return None
 
 
-def _action_shuffles(g: GlobalType) -> list[GlobalType]:
+def _action_shuffles(g: GlobalType) -> Iterator[GlobalType]:
+    """Every interleaving of the two action sequences of `g = l & r`, one
+    at a time, those that take `l`'s actions earlier coming first."""
     if not isinstance(g, GBoth):
-        return []
+        return
     left = _action_sequence(g.left)
     right = _action_sequence(g.right)
     if left is None or right is None:
-        return []
-    out = []
-
-    def weave(u: list[GAction], v: list[GAction], acc: list[GAction]) -> None:
-        if not u and not v:
-            t: GlobalType = acc[0]
-            for x in acc[1:]:
-                t = GSeq(t, x)
-            out.append(t)
-            return
-        if u:
-            weave(u[1:], v, acc + [u[0]])
-        if v:
-            weave(u, v[1:], acc + [v[0]])
-
-    weave(left, right, [])
-    return out
+        return
+    n = len(left) + len(right)
+    for places in itertools.combinations(range(n), len(left)):
+        us, vs = iter(left), iter(right)
+        chosen = set(places)
+        actions = [next(us) if k in chosen else next(vs) for k in range(n)]
+        yield functools.reduce(GSeq, actions)
 
 
 def _dedup_by_language(candidates: list[GlobalType]) -> list[GlobalType]:

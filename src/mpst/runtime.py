@@ -180,14 +180,13 @@ def _can_reach(graph: Graph, targets: set[Config]) -> set[Config]:
 
 
 def _liveness(
-    session: Session, graph: Graph, truncated: bool, parents: Parents
+    graph: Graph, truncated: bool, parents: Parents, success: set[Config]
 ) -> Live | NotLive | Unknown:
-    """Can every reachable configuration still reach success?  Exact when
+    """Can every reachable configuration still reach `success`?  Exact when
     the bounded configuration graph is fully explored; a configuration
     whose whole future was explored and never succeeds yields a definitive
     NotLive even under truncation.  The witness is the BFS path to the
     first such configuration in exploration order, hence a shortest one."""
-    success = {c for c in graph if session.is_success(c)}
     frontier: set[Config] = {
         c2 for succs in graph.values() for _, c2 in succs if c2 not in graph
     }
@@ -201,11 +200,17 @@ def _liveness(
     return NotLive(tuple(reversed(path)))
 
 
-def _trace_automaton(session: Session, graph: Graph) -> TraceAutomaton:
-    """The explored graph as an automaton over input labels.  Outputs are
-    silent, so each state takes the inputs of every configuration its
-    outputs lead to, and accepts when those outputs can reach success."""
+def _trace_automaton(
+    session: Session, graph: Graph, success: set[Config]
+) -> TraceAutomaton:
+    """The explored graph as a trim automaton over input labels.  Only
+    configurations that can reach `success` are kept.  Outputs are silent,
+    so each state takes the inputs of every configuration its outputs lead
+    to, and accepts when those outputs reach success."""
+    live = _can_reach(graph, success)
     init = session.initial()
+    if init not in live:
+        return TraceAutomaton([[]], frozenset())
     index = {init: 0}
     delta: list[list[tuple[Interaction, int]]] = [[]]
     accepts = set()
@@ -217,10 +222,10 @@ def _trace_automaton(session: Session, graph: Graph) -> TraceAutomaton:
         silent, todo = {c}, [c]
         while todo:
             c1 = todo.pop()
-            if session.is_success(c1):
+            if c1 in success:
                 accepts.add(q)
-            for label, c2 in graph.get(c1, ()):
-                if c2 not in graph:
+            for label, c2 in graph[c1]:
+                if c2 not in live:
                     continue
                 if label is not None:
                     if c2 not in index:
@@ -232,7 +237,7 @@ def _trace_automaton(session: Session, graph: Graph) -> TraceAutomaton:
                     silent.add(c2)
                     todo.append(c2)
         delta[q] = list(edges)
-    return TraceAutomaton(delta, 0, frozenset(accepts))
+    return TraceAutomaton(delta, frozenset(accepts))
 
 
 def explore(
@@ -246,10 +251,11 @@ def explore(
     nothing when the session is not live."""
     session = Session(env, buf_bound)
     graph, truncated, parents = _explore(session, depth_bound)
-    verdict = _liveness(session, graph, truncated, parents)
+    success = {c for c in graph if session.is_success(c)}
+    verdict = _liveness(graph, truncated, parents, success)
     if isinstance(verdict, NotLive):
-        return verdict, TraceAutomaton([[]], 0, frozenset())
-    return verdict, _trace_automaton(session, graph)
+        return verdict, TraceAutomaton([[]], frozenset())
+    return verdict, _trace_automaton(session, graph, success)
 
 
 def is_live(

@@ -6,12 +6,20 @@ letters, and provides the operations the rest of the package needs:
 bounded enumeration, language inclusion with shortest counterexamples,
 shuffle products, Parikh vectors, and the well-formedness check.
 
-Automata have no epsilon moves.  Compilation wires each accepting state
-straight to copies of the next operand's start moves, as a position
-automaton does (Berry & Sethi, TCS 1986), so every consumer reads the
-compiled automaton as it is.  Automata stay nondeterministic; subset
-steps are taken on the fly inside `includes` and during enumeration, and
-`language_key` is the one place that determinizes a whole automaton: it
+Automata have no epsilon moves, start at state 0 and are trim: every state
+is reachable from state 0 and can reach acceptance.  Compilation builds
+position automata (Berry & Sethi, TCS 1986), which are trim by
+construction and standard (Caron & Ziadi, TCS 2000): no move enters the
+start state.  So `;`, `|` and `*` never copy an operand's start: the
+accepting states of `a` in `a ; b` take the moves of `b`'s start, the
+start of `a` in `a | b` takes them too, and in `a*` the start of `a`
+accepts and every accepting state takes its moves.  No consumer cleans an
+automaton up first.  The one automaton that is not trim is the one-swap
+automaton `well_formed` builds, which only `includes` reads.
+
+Automata stay nondeterministic; `_successors` takes every subset step, on
+the fly inside `includes`, during enumeration and membership, and in
+`language_key`, the one place that determinizes a whole automaton: it
 gives the minimal form (`minimal_form`) of its subset construction, so two
 automata accept the same language iff their keys are equal.
 """
@@ -50,78 +58,36 @@ class TraceAutomaton:
     """A nondeterministic finite automaton over interaction letters.
 
     `delta[q]` is a list of (label, target) pairs; every label is an
-    interaction, so there are no epsilon moves.  There is one start state
-    and a set of accepting states.
+    interaction, so there are no epsilon moves.  State 0 is the start
+    state, and `accepts` is the set of accepting states.
+
+    Every automaton the package builds is trim: every state is reachable
+    from state 0 and can reach an accepting state, and the empty language
+    is the single state 0 with no moves.  Compiled automata are also
+    standard: no move enters state 0.  The one automaton that is not trim
+    is `_swap_variants`' one-swap automaton inside `well_formed`, which
+    only ever serves as the left operand of `includes`.
     """
 
     def __init__(
         self,
         delta: list[list[tuple[Interaction, int]]],
-        start: int,
         accepts: frozenset[int],
     ):
         self.delta = delta
-        self.start = start
         self.accepts = frozenset(accepts)
 
     @property
     def n_states(self) -> int:
         return len(self.delta)
 
-    def alphabet(self) -> frozenset[Interaction]:
-        return frozenset(lab for edges in self.delta for lab, _ in edges)
-
-    def trim(self) -> TraceAutomaton:
-        """Drop states that are unreachable or cannot reach acceptance."""
-        fwd = {self.start}
-        work = [self.start]
-        while work:
-            q = work.pop()
-            for _, r in self.delta[q]:
-                if r not in fwd:
-                    fwd.add(r)
-                    work.append(r)
-        rev: dict[int, set[int]] = {q: set() for q in range(self.n_states)}
-        for q in range(self.n_states):
-            for _, r in self.delta[q]:
-                rev[r].add(q)
-        bwd = set(self.accepts)
-        work = list(self.accepts)
-        while work:
-            q = work.pop()
-            for p in rev[q]:
-                if p not in bwd:
-                    bwd.add(p)
-                    work.append(p)
-        keep = sorted(fwd & bwd)
-        if self.start not in keep:
-            # empty language
-            return TraceAutomaton([[]], 0, frozenset())
-        index = {q: i for i, q in enumerate(keep)}
-        delta = [
-            [
-                (lab, index[r])
-                for lab, r in self.delta[q]
-                if r in index
-            ]
-            for q in keep
-        ]
-        accepts = frozenset(index[q] for q in self.accepts if q in index)
-        return TraceAutomaton(delta, index[self.start], accepts)
-
-    def step(self, states: frozenset[int], letter: Interaction) -> frozenset[int]:
-        """Subset transition."""
-        return frozenset(
-            r for q in states for lab, r in self.delta[q] if lab == letter
-        )
-
     def member(self, word: Word) -> bool:
-        states = frozenset({self.start})
+        states = frozenset({0})
         for letter in word:
-            states = self.step(states, letter)
+            states = _successors(self, states).get(letter)
             if not states:
                 return False
-        return bool(states & self.accepts)
+        return not self.accepts.isdisjoint(states)
 
     def to_dot(self) -> str:
         """The automaton in DOT graph format (for debugging dumps)."""
@@ -129,12 +95,24 @@ class TraceAutomaton:
         for q in range(self.n_states):
             shape = "doublecircle" if q in self.accepts else "circle"
             lines.append(f"  s{q} [shape={shape}, label=\"{q}\"];")
-        lines.append(f"  hidden -> s{self.start};")
+        lines.append("  hidden -> s0;")
         for q in range(self.n_states):
             for lab, r in self.delta[q]:
                 lines.append(f'  s{q} -> s{r} [label="{lab}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _successors(
+    a: TraceAutomaton, states: frozenset[int]
+) -> dict[Interaction, frozenset[int]]:
+    """The subset step: every letter some state in `states` moves by,
+    mapped to the set of states those moves lead to."""
+    succ: dict[Interaction, set[int]] = {}
+    for q in states:
+        for lab, r in a.delta[q]:
+            succ.setdefault(lab, set()).add(r)
+    return {lab: frozenset(rs) for lab, rs in succ.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +121,11 @@ class TraceAutomaton:
 
 
 def _empty_word() -> TraceAutomaton:
-    return TraceAutomaton([[]], 0, frozenset({0}))
+    return TraceAutomaton([[]], frozenset({0}))
 
 
 def _letter(i: Interaction) -> TraceAutomaton:
-    return TraceAutomaton([[(i, 1)], []], 0, frozenset({1}))
-
-
-def _offset(a: TraceAutomaton, by: int):
-    return [
-        [(lab, r + by) for lab, r in edges] for edges in a.delta
-    ]
+    return TraceAutomaton([[(i, 1)], []], frozenset({1}))
 
 
 def _wire(delta, sources, edges) -> None:
@@ -163,75 +135,60 @@ def _wire(delta, sources, edges) -> None:
         delta[q] = list(dict.fromkeys(delta[q] + edges))
 
 
+def _append(a: TraceAutomaton, b: TraceAutomaton):
+    """The states of `a` followed by the states of `b` but its start, which
+    no move enters.  Returns the moves of all of them, the moves of `b`'s
+    start and `b`'s accepting states other than its start, renumbered."""
+    shift = a.n_states - 1
+    moves = [[(lab, r + shift) for lab, r in edges] for edges in b.delta]
+    accepts = frozenset(f + shift for f in b.accepts if f)
+    return list(a.delta) + moves[1:], moves[0], accepts
+
+
 def _seq(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
-    shift = a.n_states
-    delta = [list(e) for e in a.delta] + _offset(b, shift)
-    _wire(delta, a.accepts, delta[b.start + shift])
-    accepts = frozenset(f + shift for f in b.accepts)
-    if b.start in b.accepts:
-        accepts |= a.accepts
-    return TraceAutomaton(delta, a.start, accepts)
+    # every accepting state of `a` takes the moves of `b`'s start, and stays
+    # accepting when `b` accepts the empty word
+    delta, start_moves, accepts = _append(a, b)
+    _wire(delta, a.accepts, start_moves)
+    return TraceAutomaton(delta, accepts | a.accepts if 0 in b.accepts else accepts)
 
 
 def _alt(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
-    # state 0 is the new start, with the moves of both starts
-    shift = 1 + a.n_states
-    delta = [[]] + _offset(a, 1) + _offset(b, shift)
-    _wire(delta, [0], delta[a.start + 1] + delta[b.start + shift])
-    accepts = frozenset(f + 1 for f in a.accepts) | frozenset(
-        f + shift for f in b.accepts
-    )
-    if a.start in a.accepts or b.start in b.accepts:
-        accepts |= {0}
-    return TraceAutomaton(delta, 0, accepts)
+    # `a`'s start is the start of both, with the moves of `b`'s start too
+    delta, start_moves, accepts = _append(a, b)
+    _wire(delta, [0], start_moves)
+    return TraceAutomaton(delta, a.accepts | accepts | (b.accepts & {0}))
 
 
 def _star(a: TraceAutomaton) -> TraceAutomaton:
-    # state 0 is the new accepting start; every accepting state of `a` may
-    # begin another round with the moves of `a`'s start
-    delta = [[]] + _offset(a, 1)
-    _wire(delta, [0, *(f + 1 for f in a.accepts)], delta[a.start + 1])
-    accepts = frozenset({0}) | frozenset(f + 1 for f in a.accepts)
-    return TraceAutomaton(delta, 0, accepts)
+    # `a`'s start accepts, and every accepting state of `a` may begin
+    # another round with the moves of `a`'s start
+    delta = list(a.delta)
+    _wire(delta, a.accepts, delta[0])
+    return TraceAutomaton(delta, a.accepts | {0})
 
 
 def shuffle_automata(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
     """The automaton of all interleavings of one trace of `a` with one
-    trace of `b`."""
-    a = a.trim()
-    b = b.trim()
-    index: dict[tuple[int, int], int] = {}
-    delta: list[list[tuple[Interaction, int]]] = []
-
-    def state(p: int, q: int) -> int:
-        key = (p, q)
-        if key not in index:
-            index[key] = len(delta)
-            delta.append([])
-        return index[key]
-
-    start = state(a.start, b.start)
-    work = [(a.start, b.start)]
-    seen = {(a.start, b.start)}
+    trace of `b`: the reachable pairs of their states, starting at (0, 0)."""
+    index = {(0, 0): 0}
+    delta: list[list[tuple[Interaction, int]]] = [[]]
+    work = [(0, 0)]
     while work:
         p, q = work.pop()
-        s = state(p, q)
-        for lab, r in a.delta[p]:
-            t = (r, q)
-            delta[s].append((lab, state(*t)))
-            if t not in seen:
-                seen.add(t)
+        edges = delta[index[p, q]]
+        moves = [(lab, (r, q)) for lab, r in a.delta[p]]
+        moves += [(lab, (p, r)) for lab, r in b.delta[q]]
+        for lab, t in moves:
+            if t not in index:
+                index[t] = len(delta)
+                delta.append([])
                 work.append(t)
-        for lab, r in b.delta[q]:
-            t = (p, r)
-            delta[s].append((lab, state(*t)))
-            if t not in seen:
-                seen.add(t)
-                work.append(t)
+            edges.append((lab, index[t]))
     accepts = frozenset(
         s for (p, q), s in index.items() if p in a.accepts and q in b.accepts
     )
-    return TraceAutomaton(delta, start, accepts)
+    return TraceAutomaton(delta, accepts)
 
 
 def kexit_unfolding(
@@ -278,62 +235,50 @@ def compile_traces(g: GlobalType) -> TraceAutomaton:
 
 
 def enumerate_traces(
-    source: GlobalType | TraceAutomaton,
-    max_len: int,
-    cap: int = DEFAULT_ENUM_CAP,
+    a: TraceAutomaton, max_len: int, cap: int = DEFAULT_ENUM_CAP
 ) -> set[Word]:
-    """All traces of length <= max_len, as a set of words.  Raises
+    """All traces of `a` of length <= max_len, as a set of words.  Raises
     BudgetExceededError when more than `cap` traces would be produced."""
-    a = compile_traces(source) if not isinstance(source, TraceAutomaton) else source
-    a = a.trim()
     words: set[Word] = set()
-    if a.n_states == 1 and not a.accepts and not a.delta[0]:
-        return words
-    sigma = sorted(a.alphabet(), key=_ikey)
-    queue: deque[tuple[frozenset[int], Word]] = deque(
-        [(frozenset({a.start}), ())]
-    )
+    queue: deque[tuple[frozenset[int], Word]] = deque([(frozenset({0}), ())])
     while queue:
         states, word = queue.popleft()
-        if states & a.accepts:
+        if not a.accepts.isdisjoint(states):
             words.add(word)
             if len(words) > cap:
                 raise BudgetExceededError(
                     f"more than {cap} traces of length <= {max_len}"
                 )
-        if len(word) == max_len:
-            continue
-        for letter in sigma:
-            nxt = a.step(states, letter)
-            if nxt:
+        if len(word) < max_len:
+            for letter, nxt in _successors(a, states).items():
                 queue.append((nxt, word + (letter,)))
     return words
 
 
 def includes(a1: TraceAutomaton, a2: TraceAutomaton) -> Word | None:
     """None if the language of `a1` is included in that of `a2`; otherwise
-    a shortest word accepted by `a1` and rejected by `a2`."""
-    a1 = a1.trim()
-    sigma = sorted(a1.alphabet() | a2.alphabet(), key=_ikey)
-    start = (frozenset({a1.start}), frozenset({a2.start}))
+    the shortlex-least word (letters ordered by `_ikey`) accepted by `a1`
+    and rejected by `a2`.  Neither automaton needs to be trim: the
+    breadth-first search over pairs of state sets finds that word all the
+    same."""
+    start = (frozenset({0}), frozenset({0}))
     parent: dict = {start: None}
     queue = deque([start])
     while queue:
         pair = queue.popleft()
         s1, s2 = pair
-        if s1 & a1.accepts and not (s2 & a2.accepts):
+        if not a1.accepts.isdisjoint(s1) and a2.accepts.isdisjoint(s2):
             word: list[Interaction] = []
             node = pair
             while parent[node] is not None:
                 node, letter = parent[node]
                 word.append(letter)
             return tuple(reversed(word))
-        for letter in sigma:
-            n1 = a1.step(s1, letter)
-            if not n1:
-                continue  # words outside L(a1) can never be counterexamples
-            n2 = a2.step(s2, letter)
-            nxt = (n1, n2)
+        # words outside L(a1) can never be counterexamples, so only the
+        # letters of `a1` are followed
+        succ1, succ2 = _successors(a1, s1), _successors(a2, s2)
+        for letter in sorted(succ1, key=_ikey):
+            nxt = (succ1[letter], succ2.get(letter, frozenset()))
             if nxt not in parent:
                 parent[nxt] = (pair, letter)
                 queue.append(nxt)
@@ -397,22 +342,22 @@ def minimal_form(root, kind, edges, order) -> tuple[list, list[dict]]:
 
 
 def language_key(a: TraceAutomaton) -> tuple:
-    """A canonical key of the language of `a`: the minimal form of the
-    subset construction of `a` trimmed, letters ordered by `_ikey`.  Two
-    automata accept the same language iff their keys are equal."""
-    a = a.trim()
-
-    def moves(states: frozenset[int]):
-        succ: dict[Interaction, set[int]] = {}
-        for q in states:
-            for lab, r in a.delta[q]:
-                succ.setdefault(lab, set()).add(r)
-        return [(lab, frozenset(rs)) for lab, rs in succ.items()]
-
+    """A canonical key of the language of the trim automaton `a`: the
+    minimal form of its subset construction, letters ordered by `_ikey`.
+    Two trim automata accept the same language iff their keys are equal."""
     kinds, rows = minimal_form(
-        frozenset({a.start}), lambda s: not a.accepts.isdisjoint(s), moves, _ikey
+        frozenset({0}),
+        lambda s: not a.accepts.isdisjoint(s),
+        lambda s: _successors(a, s).items(),
+        _ikey,
     )
     return tuple(kinds), tuple(tuple(row.items()) for row in rows)
+
+
+def word_key(word: Word) -> tuple:
+    """The order in which words are reported: shorter words first, then
+    by the text of their letters."""
+    return len(word), tuple(map(str, word))
 
 
 def parikh_vector(word: Word) -> frozenset:
@@ -455,7 +400,9 @@ def _swappable(first: Interaction, second: Interaction) -> bool:
 
 def _swap_variants(a: TraceAutomaton) -> TraceAutomaton:
     """Accepts every word obtained from a word of `a` by
-    swapping exactly one adjacent independent pair."""
+    swapping exactly one adjacent independent pair.  Not trim: a state
+    with no swap ahead of it cannot reach acceptance, which `includes`
+    does not mind."""
     n = a.n_states
     delta: list[list[tuple[Interaction, int]]] = [[] for _ in range(2 * n)]
     mids: dict[tuple[Interaction, int], int] = {}
@@ -477,7 +424,7 @@ def _swap_variants(a: TraceAutomaton) -> TraceAutomaton:
                 if _swappable(alpha, beta):
                     delta[q].append((beta, mid(alpha, s)))
     accepts = frozenset(n + f for f in a.accepts)
-    return TraceAutomaton(delta, a.start, accepts)
+    return TraceAutomaton(delta, accepts)
 
 
 def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:
@@ -486,9 +433,7 @@ def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:
 
     Closure under one swap implies closure under any number of swaps, so
     checking the one-swap variants suffices."""
-    a = compile_traces(g).trim()
-    if not a.accepts:
-        return WellFormed()
+    a = compile_traces(g)
     counterexample = includes(_swap_variants(a), a)
     if counterexample is None:
         return WellFormed()

@@ -52,6 +52,7 @@ from .tracelang import (
     enumerate_traces,
     parikh_vector,
     well_formed,
+    word_key,
 )
 
 PROJECTABLE = "Projectable"
@@ -95,7 +96,7 @@ class Classification:
 
 
 def _shortest(words: list[Word]) -> Word | None:
-    return min(words, key=lambda w: (len(w), tuple(map(str, w))), default=None)
+    return min(words, key=word_key, default=None)
 
 
 def _conformance(

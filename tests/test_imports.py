@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private function or class a module defines is used in that module.
 
-`mpst/__init__.py` is left out: it imports names to re-export them."""
+`mpst/__init__.py` is left out of the import check: it imports names to
+re-export them."""
 
 from __future__ import annotations
 
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mpst"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +38,37 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_definitions(source: str) -> list[str]:
+    """The `_`-prefixed module-level functions and classes that nothing in
+    the module but their own body refers to by name."""
+    tree = ast.parse(source)
+    defined = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+    ]
+    used: set[str] = set()
+    for statement in tree.body:
+        names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
+        used |= names - {getattr(statement, "name", None)}
+    return [name for name in defined if name not in used]
+
+
+def test_the_check_sees_an_unused_private_definition():
+    source = (
+        "def _used(n):\n    return _Kept() if n else _used(n - 1)\n"
+        "class _Kept:\n    pass\n"
+        "def _dead():\n    return 1\n"
+        "class _Gone:\n    pass\n"
+        "def _loop(n):\n    return _loop(n)\n"
+        "def public():\n    return _used(2)\n"
+    )
+    assert unused_private_definitions(source) == ["_dead", "_Gone", "_loop"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_private_definition_is_used(path):
+    assert unused_private_definitions(path.read_text(encoding="utf-8")) == []

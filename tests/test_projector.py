@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpst import projector
 from mpst.machine import session_type_equal
 from mpst.projector import (
     AND_ELIMINATION_EXHAUSTED,
@@ -15,6 +16,7 @@ from mpst.projector import (
     NO_DECISION_MAKER,
     OUTPUT_MISMATCH,
     ProjectionError,
+    _action_shuffles,
     _contains_both,
     _dedup_by_language,
     eliminate_and,
@@ -28,6 +30,7 @@ from mpst.syntax import (
     TEnd,
     parse_global_type,
     parse_session_type,
+    print_global_type,
     print_session_type,
     roles_of,
 )
@@ -179,6 +182,42 @@ def test_eliminate_and_candidates_stay_within_the_language():
 def test_eliminate_and_respects_its_budget():
     protocol = g("(p -> q : a & q -> r : b) & (r -> s : c & s -> p : d)")
     assert len(eliminate_and(protocol, budget=5)) <= 5
+
+
+def chain(sender: str, receiver: str, n: int) -> str:
+    return " ; ".join(f"{sender} -> {receiver} : m{k}" for k in range(n))
+
+
+def test_action_shuffles_come_one_at_a_time_in_order():
+    shuffles = _action_shuffles(g(f"({chain('p', 'q', 3)}) & ({chain('r', 's', 3)})"))
+    first = [print_global_type(next(shuffles)) for _ in range(5)]
+    assert first == [
+        "p -> q : m0 ; p -> q : m1 ; p -> q : m2 ; r -> s : m0 ; r -> s : m1 ; r -> s : m2",
+        "p -> q : m0 ; p -> q : m1 ; r -> s : m0 ; p -> q : m2 ; r -> s : m1 ; r -> s : m2",
+        "p -> q : m0 ; p -> q : m1 ; r -> s : m0 ; r -> s : m1 ; p -> q : m2 ; r -> s : m2",
+        "p -> q : m0 ; p -> q : m1 ; r -> s : m0 ; r -> s : m1 ; r -> s : m2 ; p -> q : m2",
+        "p -> q : m0 ; r -> s : m0 ; p -> q : m1 ; p -> q : m2 ; r -> s : m1 ; r -> s : m2",
+    ]
+    rest = list(shuffles)
+    assert len(rest) == 20 - 5
+    assert print_global_type(rest[-1]) == (
+        "r -> s : m0 ; r -> s : m1 ; r -> s : m2 ; p -> q : m0 ; p -> q : m1 ; p -> q : m2"
+    )
+
+
+def test_eliminate_and_draws_no_more_shuffles_than_its_budget(monkeypatch):
+    protocol = g(f"({chain('p', 'q', 10)}) & ({chain('r', 's', 10)})")
+    draws = 0
+
+    def counted(t):
+        nonlocal draws
+        for shuffle in _action_shuffles(t):
+            draws += 1
+            yield shuffle
+
+    monkeypatch.setattr(projector, "_action_shuffles", counted)
+    assert len(eliminate_and(protocol, budget=8)) <= 8
+    assert 0 < draws <= 8
 
 
 def test_eliminate_and_keeps_one_candidate_per_language():

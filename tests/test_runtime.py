@@ -8,12 +8,14 @@ from mpst.runtime import (
     Session,
     Unknown,
     buffer_normalize,
+    explore,
     is_live,
     session_traces,
 )
 from mpst.projector import project_top
 from mpst.syntax import parse_global_type, parse_session_env
 from mpst.tracelang import compile_traces, enumerate_traces
+from test_tracelang import is_trim
 
 LOOP_UNTIL_DONE = "p : rec X . (q!a.X (+) q!b.end)\nq : rec Y . (p?a.Y + p?b.end)"
 NEVER_ENDS = "p : rec X . q!a.X\nq : rec Y . p?a.Y"
@@ -76,6 +78,20 @@ def test_truncated_exploration_reports_unknown():
     verdict = is_live(parse_session_env(LOOP_UNTIL_DONE), depth_bound=2)
     assert isinstance(verdict, Unknown)
     assert verdict.explored == 2
+
+
+def test_truncated_exploration_yields_a_trim_automaton():
+    # cut off inside the long branch, whose configurations cannot reach
+    # success yet: they are left out of the automaton
+    env = parse_session_env(
+        "p : q!b.end (+) q!a.q!c.q!c.q!c.end\n"
+        "q : p?b.end + p?a.p?c.p?c.p?c.end"
+    )
+    verdict, auto = explore(env, buf_bound=1, depth_bound=7)
+    assert isinstance(verdict, Unknown)
+    assert is_trim(auto) and auto.n_states == 2
+    bail = parse_global_type("p -> q : b").interaction
+    assert session_traces(env, 6, buf_bound=1, depth_bound=7) == {(bail,)}
 
 
 def test_join_input_waits_for_every_sender():

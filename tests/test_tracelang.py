@@ -90,6 +90,61 @@ def test_compiled_automata_have_no_epsilon_moves():
         assert all(isinstance(lab, Interaction) for lab in labels(shuffled))
 
 
+def reachable(roots, successors) -> set:
+    seen, work = set(roots), list(roots)
+    while work:
+        for r in successors(work.pop()):
+            if r not in seen:
+                seen.add(r)
+                work.append(r)
+    return seen
+
+
+def is_trim(auto) -> bool:
+    """Every state is reachable from state 0 and can reach acceptance."""
+    states = set(range(auto.n_states))
+    forward = reachable({0}, lambda q: [r for _, r in auto.delta[q]])
+    backward = reachable(
+        auto.accepts, lambda q: [p for p in states if any(r == q for _, r in auto.delta[p])]
+    )
+    return forward == backward == states
+
+
+def test_compiled_automata_are_trim_and_no_move_enters_the_start():
+    """The pinned compositions, the two-phase loop and the samples of
+    acceptance criterion 8, and the shuffles of neighbouring samples."""
+    sources = [g(src) for src in PINNED]
+    sources.append(g("loop2 (p -> q : handover, q -> p : handover) exit (p -> q : bailout, q -> p : bailout)"))
+    sources += [random_global_type(20260814 + i) for i in range(200)]
+    autos = [compile_traces(s) for s in sources]
+    autos += [shuffle_automata(x, y) for x, y in zip(autos[-200:], autos[-199:])]
+    for auto in autos:
+        assert is_trim(auto)
+        assert all(r != 0 for edges in auto.delta for _, r in edges)
+    for src, auto in zip(PINNED, autos):
+        assert auto.member(()) == (() in trace_set(g(src), 0))
+
+
+def shortlex(w):
+    return len(w), [(sorted(i.senders), i.receiver, i.message) for i in w]
+
+
+def test_inclusion_counterexample_is_shortlex_least():
+    """On criterion 8's neighbouring samples, the counterexample is the
+    least word of the oracle's difference of the two trace sets, shorter
+    words first and then letters by (senders, receiver, message)."""
+    samples = [random_global_type(20260814 + i) for i in range(200)]
+    longest = 0
+    for x, y in zip(samples, samples[1:]):
+        for left, right in ((x, y), (y, x)):
+            cex = includes(compile_traces(left), compile_traces(right))
+            bound = 4 if cex is None else len(cex)
+            gap = trace_set(left, bound) - trace_set(right, bound)
+            assert cex == min(gap, key=shortlex, default=None)
+            longest = max(longest, bound)
+    assert longest >= 5
+
+
 def test_shuffle_is_commutative_and_preserves_operand_order():
     left = lang("(p -> q : a ; q -> r : b) & r -> s : c", 4)
     right = lang("r -> s : c & (p -> q : a ; q -> r : b)", 4)
