@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -72,6 +73,17 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     else:
         for line in lines:
             click.echo(line)
+
+
+@contextmanager
+def _bound_exhausted(report: dict, as_json: bool):
+    """Report an enumeration that ran out of budget in the block as a
+    BoundExhausted finding with the fields of `report`, and exit 1."""
+    try:
+        yield
+    except tracelang.BudgetExceededError as exc:
+        _emit({**report, "error": "BoundExhausted", "detail": str(exc)}, as_json, [f"BoundExhausted: {exc}"])
+        sys.exit(1)
 
 
 def _read(path: str) -> str:
@@ -220,10 +232,8 @@ def simulate(path, trace_count, max_len, buf_bound, depth_bound, as_json):
         steps = len(verdict.witness) - 1
         report["witness_steps"] = steps
         lines.append(f"witness: {steps} step(s) to a configuration that cannot succeed")
-    samples = sorted(
-        tracelang.enumerate_traces(automaton, bound),
-        key=tracelang.word_key,
-    )
+    with _bound_exhausted({"command": "simulate", "input": path}, as_json):
+        samples = sorted(tracelang.enumerate_traces(automaton, bound), key=tracelang.word_key)
     report["traces"] = [_word_json(w) for w in samples[:trace_count]]
     report["trace_count"] = len(samples)
     lines.append(f"traces up to length {bound}: {len(samples)}")
@@ -257,21 +267,15 @@ def verify(gt_path, env_path, max_len, buf_bound, depth_bound, budget, as_json):
             )
             sys.exit(1)
     bound = max_len or default_max_len(g)
-    try:
+    with _bound_exhausted({"command": "verify", "input": gt_path}, as_json):
         report = verifier.check_preorder(g, env, bound, buf_bound, depth_bound)
-    except tracelang.BudgetExceededError as exc:
-        _emit(
-            {"command": "verify", "input": gt_path, "error": "BoundExhausted", "detail": str(exc)},
-            as_json,
-            [f"BoundExhausted: {exc}"],
-        )
-        sys.exit(1)
     payload = {
         "command": "verify",
         "input": gt_path,
         "environment_input": env_path,
         "sound": report.sound,
         "complete": report.complete,
+        "liveness": report.liveness,
         "max_len": report.max_len,
         "buf_bound": report.buf_bound,
         "basis": report.basis,
@@ -285,6 +289,7 @@ def verify(gt_path, env_path, max_len, buf_bound, depth_bound, budget, as_json):
     lines = [
         f"sound: {'yes' if report.sound else 'no'}",
         f"complete: {'yes' if report.complete else 'no'}",
+        f"liveness: {report.liveness}",
         f"bounds: max_len={report.max_len} buf_bound={report.buf_bound} ({report.basis})",
     ]
     if report.sound_counterexample is not None:
@@ -326,18 +331,8 @@ def trace(path, dot, max_len, as_json):
     if dot:
         _dump_dot(auto, dot)
     bound = max_len or default_max_len(g)
-    try:
-        words = sorted(
-            tracelang.enumerate_traces(auto, bound),
-            key=tracelang.word_key,
-        )
-    except tracelang.BudgetExceededError as exc:
-        _emit(
-            {"command": "trace", "input": path, "error": "BoundExhausted", "detail": str(exc)},
-            as_json,
-            [f"BoundExhausted: {exc}"],
-        )
-        sys.exit(1)
+    with _bound_exhausted({"command": "trace", "input": path}, as_json):
+        words = sorted(tracelang.enumerate_traces(auto, bound), key=tracelang.word_key)
     _emit(
         {
             "command": "trace",
@@ -362,9 +357,10 @@ def trace(path, dot, max_len, as_json):
 def crosscheck(samples, max_size, role_count, star_depth, seed, buf_bound, depth_bound, as_json):
     """Cross-check projection soundness/completeness/liveness on random
     global types."""
-    report = verifier.cross_check_theorems(
-        samples, seed, max_size, role_count, star_depth, buf_bound, depth_bound
-    )
+    with _bound_exhausted({"command": "crosscheck", "seed": seed}, as_json):
+        report = verifier.cross_check_theorems(
+            samples, seed, max_size, role_count, star_depth, buf_bound, depth_bound
+        )
     violations = report["violations"]
     payload = {
         "command": "crosscheck",

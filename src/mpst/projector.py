@@ -106,17 +106,6 @@ def merge(t: SessionType, s: SessionType) -> SessionType:
         raise ProjectionError(INCOMPATIBLE_MERGE, str(exc)) from None
 
 
-def merge_env(e1: SessionEnv, e2: SessionEnv) -> SessionEnv:
-    """Pointwise merge; roles bound on one side only keep their type."""
-    out: SessionEnv = {}
-    for role in sorted(set(e1) | set(e2)):
-        if role in e1 and role in e2:
-            out[role] = merge(e1[role], e2[role])
-        else:
-            out[role] = e1.get(role, e2.get(role))
-    return out
-
-
 def _merge_terms(
     t: SessionType,
     s: SessionType,

@@ -47,7 +47,7 @@ DEFAULT_ENUM_CAP = 100000
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration produced more traces than the allowed budget."""
+    """An enumeration visited more prefixes than the allowed budget."""
 
 
 def _ikey(i: Interaction):
@@ -238,17 +238,20 @@ def enumerate_traces(
     a: TraceAutomaton, max_len: int, cap: int = DEFAULT_ENUM_CAP
 ) -> set[Word]:
     """All traces of `a` of length <= max_len, as a set of words.  Raises
-    BudgetExceededError when more than `cap` traces would be produced."""
+    BudgetExceededError when the search visits more than `cap` prefixes,
+    saying whether more than `cap` of them were traces."""
     words: set[Word] = set()
     queue: deque[tuple[frozenset[int], Word]] = deque([(frozenset({0}), ())])
+    visited = 0
     while queue:
         states, word = queue.popleft()
+        visited += 1
         if not a.accepts.isdisjoint(states):
             words.add(word)
-            if len(words) > cap:
-                raise BudgetExceededError(
-                    f"more than {cap} traces of length <= {max_len}"
-                )
+        if len(words) > cap:
+            raise BudgetExceededError(f"more than {cap} traces of length <= {max_len}")
+        if visited > cap:
+            raise BudgetExceededError(f"visited more than {cap} prefixes of length <= {max_len}")
         if len(word) < max_len:
             for letter, nxt in _successors(a, states).items():
                 queue.append((nxt, word + (letter,)))

@@ -2,9 +2,11 @@
 
 A session environment implements a global type when it is sound (every
 session trace is a trace of the global type) and complete (every trace
-of the global type is a permutation of some session trace).  Both checks
-are bounded: they compare trace sets up to a length bound, so a passing
-report certifies conformance for all behaviours within the bound.
+of the global type is a permutation of some session trace).  Soundness
+is decided as a language inclusion of automata; completeness holds when
+the inclusion also holds the other way, and is otherwise checked on the
+traces up to a length bound.  A report says whether its verdicts are
+exact or bounded (by that length or by the session's exploration).
 
 `classify` diagnoses why a global type resists projection, reproducing
 the standard failure taxonomy: sequentiality violations (an implicit
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from . import machine as _machine
 from .projector import DEFAULT_AND_BUDGET, ProjectionError, project_top
-from .runtime import DEFAULT_BUF_BOUND, DEFAULT_DEPTH_BOUND, NotLive, explore
+from .runtime import DEFAULT_BUF_BOUND, DEFAULT_DEPTH_BOUND, Live, NotLive, Unknown, explore
 from .syntax import (
     GAction,
     GBoth,
@@ -50,6 +52,7 @@ from .tracelang import (
     Word,
     compile_traces,
     enumerate_traces,
+    includes,
     parikh_vector,
     well_formed,
     word_key,
@@ -74,8 +77,10 @@ DEFAULT_CANDIDATE_CAP = 64
 
 @dataclass(frozen=True, slots=True)
 class ConformanceReport:
-    """Outcome of a bounded soundness/completeness check.  The report is
-    truthy iff both checks passed within the recorded bounds."""
+    """Outcome of a soundness/completeness check; truthy iff both passed.
+    `liveness` names the exploration verdict (Live, NotLive or Unknown).
+    `basis` is "exact" when both verdicts hold for traces of every length
+    under `buf_bound`, else "bounded" (by `max_len` or the exploration)."""
 
     sound: bool
     sound_counterexample: Word | None
@@ -83,7 +88,8 @@ class ConformanceReport:
     completeness_gap: Word | None
     max_len: int
     buf_bound: int
-    basis: str = "bounded"
+    basis: str
+    liveness: str
 
     def __bool__(self) -> bool:
         return self.sound and self.complete
@@ -95,27 +101,30 @@ class Classification:
     detail: str
 
 
-def _shortest(words: list[Word]) -> Word | None:
-    return min(words, key=word_key, default=None)
-
-
 def _conformance(
-    g: GlobalType, session_automaton: TraceAutomaton, max_len: int, buf_bound: int
+    g: GlobalType, session_automaton: TraceAutomaton, verdict: Live | NotLive | Unknown,
+    max_len: int, buf_bound: int,
 ) -> ConformanceReport:
-    """Soundness and completeness of a session's traces (up to max_len)
-    for `g`.  Sound: every session trace is a trace of `g`.  Complete:
-    every trace of `g` is a permutation of some session trace, that is,
-    has the Parikh vector of one.  The report names the shortest
-    violating session trace and the shortest uncovered trace of `g`."""
+    """Soundness and completeness of the traces of a session, explored with
+    `verdict`, for `g`.  The soundness counterexample is the shortlex-least
+    one (see `includes`), the gap the shortest uncovered trace of `g` up to
+    `max_len`.  An `Unknown` exploration under-approximates the session's
+    traces, so then only a counterexample is definitive; a gap found after
+    a finished one is definitive too, as a permutation has its word's length."""
     auto = compile_traces(g)
-    words = enumerate_traces(session_automaton, max_len)
-    outside = [w for w in words if not auto.member(w)]
-    covered = {parikh_vector(w) for w in words}
-    missing = [
-        w for w in enumerate_traces(auto, max_len) if parikh_vector(w) not in covered
-    ]
+    outside = includes(session_automaton, auto)
+    finished = not isinstance(verdict, Unknown)
+    missing = None
+    complete_exact = includes(auto, session_automaton) is None  # identity is a permutation
+    if not complete_exact:
+        covered = {parikh_vector(w) for w in enumerate_traces(session_automaton, max_len)}
+        gaps = [w for w in enumerate_traces(auto, max_len) if parikh_vector(w) not in covered]
+        missing = min(gaps, key=word_key, default=None)
+        complete_exact = missing is not None and finished
+    basis = "exact" if complete_exact and (outside is not None or finished) else "bounded"
     return ConformanceReport(
-        not outside, _shortest(outside), not missing, _shortest(missing), max_len, buf_bound
+        outside is None, outside, missing is None, missing,
+        max_len, buf_bound, basis, type(verdict).__name__,
     )
 
 
@@ -126,11 +135,11 @@ def check_preorder(
     buf_bound: int = DEFAULT_BUF_BOUND,
     depth_bound: int = DEFAULT_DEPTH_BOUND,
 ) -> ConformanceReport:
-    """Bounded check that `env` implements `g`: sound and complete."""
+    """Check that `env` implements `g`: sound and complete."""
     if max_len is None:
         max_len = default_max_len(g)
-    _, session_automaton = explore(env, buf_bound, depth_bound)
-    return _conformance(g, session_automaton, max_len, buf_bound)
+    verdict, session_automaton = explore(env, buf_bound, depth_bound)
+    return _conformance(g, session_automaton, verdict, max_len, buf_bound)
 
 
 # --- candidate implementations for diagnosis --------------------------------
@@ -451,21 +460,6 @@ def random_global_type(
     return gen(rng.randint(1, max_size), star_depth)
 
 
-def _bounded_preorder(
-    g: GlobalType, session_automaton: TraceAutomaton, max_len: int, buf_bound: int
-) -> ConformanceReport:
-    """_conformance, shrinking the length bound on enumeration overflow so
-    large random samples still get checked at a smaller, recorded bound."""
-    length = max_len
-    while True:
-        try:
-            return _conformance(g, session_automaton, length, buf_bound)
-        except BudgetExceededError:
-            if length <= 4:
-                raise
-            length = max(4, length // 2)
-
-
 def cross_check_theorems(
     sample_count: int = 200,
     seed: int = 0,
@@ -476,8 +470,8 @@ def cross_check_theorems(
     depth_bound: int = DEFAULT_DEPTH_BOUND,
 ) -> dict:
     """Check, over random samples, that every well-formed projectable
-    global type has a live projection that is bounded-sound and
-    bounded-complete.  Returns counters and the list of violations (empty
+    global type has a live projection that is sound and complete (see
+    `_conformance`).  Returns counters and the list of violations (empty
     on success)."""
     report = {
         "samples": sample_count,
@@ -503,8 +497,8 @@ def cross_check_theorems(
         if isinstance(verdict, NotLive):
             report["violations"].append((i, "liveness", None))
             continue
-        conformance = _bounded_preorder(
-            g, session_automaton, default_max_len(g), buf_bound
+        conformance = _conformance(
+            g, session_automaton, verdict, default_max_len(g), buf_bound
         )
         if not conformance.sound:
             report["violations"].append(

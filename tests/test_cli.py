@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mpst import cli, projector, runtime, verifier
+from mpst import cli, projector, runtime, tracelang, verifier
 
 SALE = (
     "seller -> buyer : descr ;\n"
@@ -137,6 +137,75 @@ def test_verify_rejects_an_incomplete_environment(sale, tmp_path):
     result = run("verify", sale, str(env))
     assert result.returncode == 1
     assert "complete: no" in result.stdout
+
+
+LATE = "p -> q : a ; p -> q : a ; p -> q : a ; r -> s : b\n"
+
+
+def test_verify_finds_a_reordering_longer_than_max_len(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "late.gt"
+    path.write_text(LATE)
+    assert run_in_process(monkeypatch, "verify", str(path), "--max-len", "3", "--json") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sound"] is False and payload["complete"] is True
+    assert payload["sound_counterexample"] == ["p -> q : a", "p -> q : a", "r -> s : b", "p -> q : a"]
+    assert payload["basis"] == "exact" and payload["liveness"] == "Live"
+
+
+def test_verify_reports_a_deadlocking_environment_as_not_live(monkeypatch, capsys, tmp_path):
+    protocol = tmp_path / "loop.gt"
+    protocol.write_text("(p -> q : a)*\n")
+    env = tmp_path / "env.mps"
+    env.write_text(NEVER_ENDS)
+    assert run_in_process(monkeypatch, "verify", str(protocol), str(env), "--json") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["liveness"] == "NotLive" and payload["basis"] == "exact"
+    assert payload["complete"] is False and payload["completeness_gap"] == []
+    assert run_in_process(monkeypatch, "verify", str(protocol), str(env)) == 1
+    assert "liveness: NotLive" in capsys.readouterr().out.splitlines()
+
+
+def test_verify_under_a_small_depth_is_unknown_and_bounded(monkeypatch, capsys, sale):
+    assert run_in_process(monkeypatch, "verify", sale, "--depth", "2", "--json") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["liveness"] == "Unknown" and payload["basis"] == "bounded"
+
+
+def test_verify_decides_four_parallel_pairs(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "pairs4.gt"
+    path.write_text(
+        " & ".join(f"(a{i} -> b{i} : m ; b{i} -> a{i} : k ; a{i} -> b{i} : z)" for i in range(4))
+    )
+    assert run_in_process(monkeypatch, "verify", str(path), "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sound"] and payload["complete"]
+    assert payload["basis"] == "exact" and payload["liveness"] == "Live"
+
+
+def test_simulate_reports_an_exhausted_bound_without_a_traceback(tmp_path):
+    path = tmp_path / "many.mps"
+    path.write_text(
+        "p : rec X . (q!a.X (+) q!b.X (+) q!c.end)\nq : rec Y . (p?a.Y + p?b.Y + p?c.end)\n"
+    )
+    # one-place buffers keep the session automaton small, so the
+    # enumeration reaches its budget quickly
+    result = run("simulate", str(path), "--max-len", "40", "--buf-bound", "1", "--json")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["error"] == "BoundExhausted"
+    assert "prefixes" in payload["detail"]
+
+
+def test_crosscheck_reports_an_exhausted_bound(monkeypatch, capsys):
+    def overflow(*args):
+        raise tracelang.BudgetExceededError("more than 1 traces of length <= 4")
+
+    monkeypatch.setattr(verifier, "_conformance", overflow)
+    assert run_in_process(monkeypatch, "crosscheck", "--samples", "15", "--seed", "3", "--json") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "BoundExhausted"
+    assert payload["detail"] == "more than 1 traces of length <= 4"
 
 
 def test_classify_prints_the_category(tmp_path):

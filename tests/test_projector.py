@@ -21,7 +21,6 @@ from mpst.projector import (
     _dedup_by_language,
     eliminate_and,
     merge,
-    merge_env,
     project_alg,
     project_top,
 )
@@ -122,12 +121,6 @@ def test_merge_rejects_confusable_input_branches():
     with pytest.raises(ProjectionError) as err:
         merge(t("p?a.q?b.end"), t("q?b.end"))
     assert err.value.kind == INCOMPATIBLE_MERGE
-
-
-def test_merge_env_keeps_one_sided_roles():
-    out = merge_env({"p": t("q!a.end")}, {"p": t("q!a.end"), "r": t("q?c.end")})
-    assert session_type_equal(out["p"], t("q!a.end"))
-    assert session_type_equal(out["r"], t("q?c.end"))
 
 
 def test_alternative_needs_a_unique_decision_maker():

@@ -250,6 +250,16 @@ def test_enumeration_cap_is_enforced():
         enumerate_traces(compile_traces(g("(p -> q : a | p -> q : b)*")), 20, cap=100)
 
 
+def test_enumeration_budget_counts_visited_prefixes():
+    # 2**18 - 1 prefixes shorter than 18 letters, none of them a trace
+    eighteen = " ; ".join(["(p -> q : a | p -> q : b)"] * 18)
+    with pytest.raises(BudgetExceededError, match="visited more than 1000 prefixes"):
+        enumerate_traces(compile_traces(g(eighteen)), 17, cap=1000)
+    # every prefix of a word of (a | b)* is a trace
+    with pytest.raises(BudgetExceededError, match="more than 100 traces"):
+        enumerate_traces(compile_traces(g("(p -> q : a | p -> q : b)*")), 20, cap=100)
+
+
 def test_parikh_vector_identifies_permutations():
     u = word("p -> q : a", "q -> r : b", "p -> q : a")
     v = word("q -> r : b", "p -> q : a", "p -> q : a")

@@ -2,29 +2,37 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpst.machine import session_type_equal
-from mpst.projector import project_top
+from mpst.projector import DEFAULT_AND_BUDGET, ProjectionError, project_top
+from mpst.runtime import DEFAULT_BUF_BOUND, explore
 from mpst.syntax import (
     GAction,
     GBoth,
     GEither,
     GSeq,
     GStar,
+    default_max_len,
     interaction_count,
     parse_global_type,
     parse_session_env,
     parse_session_type,
     roles_of,
 )
+from mpst.tracelang import compile_traces, enumerate_traces, parikh_vector, word_key
 from mpst.verifier import (
+    DEFAULT_CANDIDATE_CAP,
     NO_KNOWLEDGE_FOR_CHOICE,
     NO_KNOWLEDGE_NO_CHOICE,
     NO_SEQUENTIALITY,
     PROJECTABLE,
     UNCLASSIFIED,
+    _candidate_envs,
+    _conformance,
     check_preorder,
     classify,
     cross_check_theorems,
@@ -35,12 +43,94 @@ from mpst.verifier import (
 g = parse_global_type
 t = parse_session_type
 
+PROPERTY_SEED = 20260814  # criterion 8's samples
+UNKNOWABLE_CHOICE = (
+    "(p -> q : a ; q -> r : a ; r -> p : a) | (p -> q : b ; q -> r : a ; r -> p : b)"
+)
+
+
+def word(*srcs: str):
+    return tuple(g(src).interaction for src in srcs)
+
 
 def test_projection_of_a_sequence_is_sound_and_complete():
     protocol = g("p -> q : a ; q -> r : b")
     report = check_preorder(protocol, project_top(protocol))
     assert report.sound and report.complete and bool(report)
-    assert report.basis == "bounded"
+    assert report.basis == "exact"
+
+
+def test_a_reordering_longer_than_the_length_bound_is_unsound():
+    protocol = g("p -> q : a ; p -> q : a ; p -> q : a ; r -> s : b")
+    report = check_preorder(protocol, project_top(protocol), max_len=3)
+    assert not report.sound and report.complete
+    assert report.sound_counterexample == word(
+        "p -> q : a", "p -> q : a", "r -> s : b", "p -> q : a"
+    )
+    assert report.basis == "exact" and report.liveness == "Live"
+
+
+def bounded_reference(protocol, session_automaton, max_len: int):
+    """The enumerate-then-member check: the shortest session trace up to
+    `max_len` that is not a trace of `protocol`, and the shortest trace of
+    `protocol` up to `max_len` with the Parikh vector of no session trace
+    (None when there is none)."""
+    auto = compile_traces(protocol)
+    words = enumerate_traces(session_automaton, max_len)
+    outside = [w for w in words if not auto.member(w)]
+    covered = {parikh_vector(w) for w in words}
+    missing = [
+        w for w in enumerate_traces(auto, max_len) if parikh_vector(w) not in covered
+    ]
+    return min(outside, key=word_key, default=None), min(missing, key=word_key, default=None)
+
+
+def conformance_cases():
+    """(global type, environment) pairs: the projection of every
+    projectable criterion-8 sample, well formed or not; the classify
+    candidates of every well-formed one that does not project, and of the
+    unknowable choice; and, role by role, each projection with one role's
+    type taken from the next sample's projection."""
+    projected = []
+    failed = [g(UNKNOWABLE_CHOICE)]
+    for i in range(200):
+        sample = random_global_type(PROPERTY_SEED + i)
+        try:
+            projected.append((sample, project_top(sample)))
+        except ProjectionError:
+            failed.append(sample)
+    yield from projected
+    for protocol in failed:
+        for env in _candidate_envs(protocol, DEFAULT_CANDIDATE_CAP, DEFAULT_AND_BUDGET):
+            yield protocol, env
+    for (protocol, env), (_, other) in zip(projected, projected[1:]):
+        for role in sorted(env.keys() & other.keys()):
+            if env[role] != other[role]:
+                yield protocol, {**env, role: other[role]}
+
+
+def test_exact_conformance_agrees_with_the_bounded_reference():
+    seen = Counter()
+    for protocol, env in conformance_cases():
+        verdict, session_automaton = explore(env)
+        max_len = default_max_len(protocol)
+        report = _conformance(protocol, session_automaton, verdict, max_len, DEFAULT_BUF_BOUND)
+        outside, missing = bounded_reference(protocol, session_automaton, max_len)
+        cex = report.sound_counterexample
+        if outside is not None:
+            assert cex is not None and len(cex) <= len(outside)
+        if cex is not None:
+            assert session_automaton.member(cex)
+            assert not compile_traces(protocol).member(cex)
+            if len(cex) <= max_len:
+                assert outside is not None
+        assert report.complete == (missing is None)
+        assert report.completeness_gap == missing
+        seen[report.liveness, report.sound, report.complete] += 1
+    assert seen["Live", False, True] > 0  # unsound
+    assert seen["Live", True, False] > 0  # incomplete
+    assert seen["NotLive", True, False] > 0  # no traces at all
+    assert seen["Live", True, True] > 0
 
 
 def test_soundness_rejects_extra_behaviours():
