@@ -26,6 +26,7 @@ resolved and fails conservatively.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -42,6 +43,8 @@ from .syntax import (
     TRec,
     TVar,
     UnguardedRecursionError,
+    parts,
+    with_parts,
 )
 from .tracelang import minimal_form
 
@@ -101,31 +104,17 @@ def _freshen(t: SessionType) -> tuple[SessionType, dict]:
 
     def go(node: SessionType, env: dict[str, str]) -> SessionType:
         nonlocal counter
-        match node:
-            case TEnd():
-                return node
-            case TVar(x):
-                if x not in env:
-                    raise ValueError(f"unbound recursion variable {x!r}")
-                return TVar(env[x])
-            case TOut(q, a, c):
-                return TOut(q, a, go(c, env))
-            case TIn(ps, a, c):
-                return TIn(ps, a, go(c, env))
-            case TInternal(bs):
-                return TInternal(tuple(go(b, env) for b in bs))
-            case TExternal(bs):
-                return TExternal(tuple(go(b, env) for b in bs))
-            case TRec(x, b):
-                fresh = f"r{counter}"
-                counter += 1
-                body = go(b, env | {x: fresh})
-                rec = TRec(fresh, body)
-                binders[fresh] = rec
-                return rec
-            case TMerge(l, r):
-                return TMerge(go(l, env), go(r, env))
-        raise TypeError(f"not a session type: {node!r}")
+        if type(node) is TVar:
+            if node.name not in env:
+                raise ValueError(f"unbound recursion variable {node.name!r}")
+            return TVar(env[node.name])
+        if type(node) is TRec:
+            fresh = f"r{counter}"
+            counter += 1
+            rec = TRec(fresh, go(node.body, env | {node.var: fresh}))
+            binders[fresh] = rec
+            return rec
+        return with_parts(node, tuple(map(go, parts(node), itertools.repeat(env))))
 
     return go(t, {}), binders
 

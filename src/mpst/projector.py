@@ -39,7 +39,6 @@ from .syntax import (
     SessionEnv,
     SessionType,
     TEnd,
-    TExternal,
     TIn,
     TInternal,
     TMerge,
@@ -47,8 +46,12 @@ from .syntax import (
     TRec,
     TVar,
     free_type_vars,
+    parts,
     print_global_type,
     roles_of,
+    subterms,
+    with_parts,
+    with_subterms,
 )
 from .tracelang import compile_traces, kexit_unfolding, language_key
 
@@ -106,6 +109,13 @@ def merge(t: SessionType, s: SessionType) -> SessionType:
         raise ProjectionError(INCOMPATIBLE_MERGE, str(exc)) from None
 
 
+def _normalized(t: SessionType, role: Role, loc: GlobalType | None) -> SessionType:
+    try:
+        return machine.normalize_session_type(t)
+    except ValueError as exc:
+        raise ProjectionError(INCOMPATIBLE_MERGE, f"role {role!r}: {exc}", loc) from None
+
+
 def _merge_terms(
     t: SessionType,
     s: SessionType,
@@ -126,12 +136,7 @@ def _merge_terms(
             loc,
         )
     if _is_closed(t) and _is_closed(s):
-        try:
-            return machine.normalize_session_type(TMerge(t, s))
-        except ValueError as exc:
-            raise ProjectionError(
-                INCOMPATIBLE_MERGE, f"role {role!r}: {exc}", loc
-            ) from None
+        return _normalized(TMerge(t, s), role, loc)
     return TMerge(t, s)
 
 
@@ -218,17 +223,15 @@ def _kexit(
     ctx: _Ctx,
 ) -> SessionEnv:
     k = len(bodies)
-    parts: set[Role] = set()
-    for x in bodies + exits:
-        parts |= roles_of(x)
-    if not parts:
+    roles = sorted(roles_of(g))
+    if not roles:
         # no interactions at all: the loop can only be exited immediately
         return _project(exits[0], env, ctx)
     exit_envs = [_project(exits[i], env, ctx) for i in range(k)]
 
     candidates: list[list[Role]] = []
     for i in range(k):
-        diffs = [r for r in sorted(parts) if exit_envs[i][r] != env[r]]
+        diffs = [r for r in roles if exit_envs[i][r] != env[r]]
         if diffs:
             outs = [r for r in diffs if machine.root_kind(exit_envs[i][r]) == "out"]
             if not outs:
@@ -244,18 +247,18 @@ def _kexit(
             # the exit does not discriminate (e.g. skip): look at who opens
             # the body with outputs
             trial_env = {
-                r: TVar(ctx.fresh()) if r in parts else env[r] for r in env
+                r: TVar(ctx.fresh()) if r in roles else env[r] for r in env
             }
             try:
                 trial = _project(bodies[i], trial_env, ctx)
                 outs = [
                     r
-                    for r in sorted(parts)
+                    for r in roles
                     if machine.root_kind(trial[r]) == "out"
                 ]
             except ProjectionError:
                 outs = []
-            candidates.append(outs if outs else sorted(parts))
+            candidates.append(outs if outs else roles)
 
     last_error: ProjectionError | None = None
     for assignment in itertools.islice(
@@ -282,13 +285,13 @@ def _kexit_build(
     ctx: _Ctx,
 ) -> SessionEnv:
     k = len(bodies)
-    parts = sorted(set().union(*(roles_of(x) for x in bodies + exits)))
+    roles = sorted(roles_of(g))
     dvar = [ctx.fresh() for _ in range(k)]
-    rvar = {r: ctx.fresh() for r in parts}
+    rvar = {r: ctx.fresh() for r in roles}
 
     def phase_env(i: int) -> SessionEnv:
         out = dict(env)
-        for r in parts:
+        for r in roles:
             out[r] = TVar(rvar[r])
         out[deciders[i]] = TVar(dvar[i])
         return out
@@ -302,7 +305,7 @@ def _kexit_build(
         p = deciders[i]
         go_on, leave = body_envs[i][p], exit_envs[i][p]
         defs[dvar[i]] = go_on if go_on == leave else TInternal((go_on, leave))
-    for r in parts:
+    for r in roles:
         pieces = []
         for i in range(k):
             if deciders[i] != r:
@@ -323,38 +326,18 @@ def _kexit_build(
         return body
 
     def _subst(t: SessionType, stack: frozenset[str]) -> SessionType:
-        match t:
-            case TVar(x) if x in defs:
-                return t if x in stack else close(x, stack)
-            case TEnd() | TVar(_):
-                return t
-            case TOut(q, a, c):
-                return TOut(q, a, _subst(c, stack))
-            case TIn(ps, a, c):
-                return TIn(ps, a, _subst(c, stack))
-            case TInternal(bs):
-                return TInternal(tuple(_subst(b, stack) for b in bs))
-            case TExternal(bs):
-                return TExternal(tuple(_subst(b, stack) for b in bs))
-            case TRec(x, b):
-                return TRec(x, _subst(b, stack))
-            case TMerge(l, r):
-                return TMerge(_subst(l, stack), _subst(r, stack))
-        raise TypeError(f"not a session type: {t!r}")
+        if type(t) is TVar and t.name in defs:
+            return t if t.name in stack else close(t.name, stack)
+        return with_parts(t, tuple(map(_subst, parts(t), itertools.repeat(stack))))
 
     result = dict(env)
-    for r in parts:
+    for r in roles:
         result[r] = close(rvar[r], frozenset())
     result[deciders[0]] = close(dvar[0], frozenset())
 
-    for r in parts:
+    for r in roles:
         if _is_closed(result[r]):
-            try:
-                result[r] = machine.normalize_session_type(result[r])
-            except ValueError as exc:
-                raise ProjectionError(
-                    INCOMPATIBLE_MERGE, f"role {r!r}: {exc}", g
-                ) from None
+            result[r] = _normalized(result[r], r, g)
     return result
 
 
@@ -379,12 +362,7 @@ def project_alg(g: GlobalType, cont: SessionEnv) -> SessionEnv:
     for role in sorted(env):
         t = env[role]
         assert _is_closed(t), f"projection left {role!r} open"
-        try:
-            out[role] = machine.normalize_session_type(t)
-        except ValueError as exc:
-            raise ProjectionError(
-                INCOMPATIBLE_MERGE, f"role {role!r}: {exc}", g
-            ) from None
+        out[role] = _normalized(t, role, g)
     return out
 
 
@@ -417,17 +395,12 @@ def project_top(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> SessionEnv:
 
 
 def _contains_both(g: GlobalType) -> bool:
-    match g:
-        case GBoth(_, _):
+    if type(g) is GBoth:
+        return True
+    for x in subterms(g):
+        if _contains_both(x):
             return True
-        case GSeq(l, r) | GEither(l, r):
-            return _contains_both(l) or _contains_both(r)
-        case GStar(b):
-            return _contains_both(b)
-        case GKExit(bodies, exits):
-            return any(_contains_both(x) for x in bodies + exits)
-        case _:
-            return False
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -481,23 +454,10 @@ def eliminate_and(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> list[Globa
 
 def _serialize_all(g: GlobalType, left_first: bool) -> GlobalType:
     def go(t: GlobalType) -> GlobalType:
-        match t:
-            case GSkip() | GAction(_):
-                return t
-            case GSeq(l, r):
-                return GSeq(go(l), go(r))
-            case GEither(l, r):
-                return GEither(go(l), go(r))
-            case GBoth(l, r):
-                a, b = go(l), go(r)
-                return GSeq(a, b) if left_first else GSeq(b, a)
-            case GStar(b):
-                return GStar(go(b))
-            case GKExit(bodies, exits):
-                return GKExit(
-                    tuple(go(x) for x in bodies), tuple(go(x) for x in exits)
-                )
-        raise TypeError(f"not a global type: {t!r}")
+        if type(t) is GBoth:
+            a, b = go(t.left), go(t.right)
+            return GSeq(a, b) if left_first else GSeq(b, a)
+        return with_subterms(t, tuple(map(go, subterms(t))))
 
     return go(g)
 
@@ -532,29 +492,10 @@ def _rewrites(g: GlobalType) -> list[GlobalType]:
             out.append(l)
         case GEither(GSeq(a, b), GSeq(a2, c)) if a == a2:
             out.append(GSeq(a, GEither(b, c)))
-    match g:
-        case GSeq(l, r):
-            out.extend(GSeq(l2, r) for l2 in _rewrites(l))
-            out.extend(GSeq(l, r2) for r2 in _rewrites(r))
-        case GEither(l, r):
-            out.extend(GEither(l2, r) for l2 in _rewrites(l))
-            out.extend(GEither(l, r2) for r2 in _rewrites(r))
-        case GBoth(l, r):
-            out.extend(GBoth(l2, r) for l2 in _rewrites(l))
-            out.extend(GBoth(l, r2) for r2 in _rewrites(r))
-        case GStar(b):
-            out.extend(GStar(b2) for b2 in _rewrites(b))
-        case GKExit(bodies, exits):
-            for i, x in enumerate(bodies):
-                for x2 in _rewrites(x):
-                    out.append(
-                        GKExit(bodies[:i] + (x2,) + bodies[i + 1 :], exits)
-                    )
-            for i, x in enumerate(exits):
-                for x2 in _rewrites(x):
-                    out.append(
-                        GKExit(bodies, exits[:i] + (x2,) + exits[i + 1 :])
-                    )
+    subs = subterms(g)
+    for i, x in enumerate(subs):
+        for x2 in _rewrites(x):
+            out.append(with_subterms(g, subs[:i] + (x2,) + subs[i + 1 :]))
     return out
 
 

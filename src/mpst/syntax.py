@@ -14,6 +14,14 @@ Operator tightness in the global grammar, tightest first: postfix ``*``/``?``,
 then ``&``, then ``;``, then ``|``.  Binary operators associate to the left.
 ``A?`` is parsed as ``A | skip``.
 
+Which fields of a constructor are subterms is known here only:
+``subterms``/``with_subterms`` (global types) and ``parts``/``with_parts``
+(session types) list and replace the immediate subterms, so a structural
+walk spells out just the constructors it treats specially.  Walks recurse
+through ``map`` or a ``for`` loop, not a comprehension: on Python 3.11 a
+comprehension is a frame of its own and would halve the nesting depth a
+walk survives.
+
 Comments run from ``//`` to end of line in both languages.
 """
 
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 Role = str
 Message = str
@@ -155,27 +163,47 @@ class GKExit:
 GlobalType = Union[GSkip, GAction, GSeq, GBoth, GEither, GStar, GKExit]
 
 
+def subterms(g: GlobalType) -> tuple[GlobalType, ...]:
+    """The immediate subterms of `g` in field order; a loop's bodies come
+    first, then its exits."""
+    k = type(g)
+    if k is GSeq or k is GBoth or k is GEither:
+        return (g.left, g.right)
+    if k is GAction or k is GSkip:
+        return ()
+    if k is GStar:
+        return (g.body,)
+    if k is GKExit:
+        return g.bodies + g.exits
+    raise TypeError(f"not a global type: {g!r}")
+
+
+def with_subterms(g: GlobalType, new: Sequence[GlobalType]) -> GlobalType:
+    """`g` with its immediate subterms replaced by `new`, given in the
+    order `subterms` lists them."""
+    k = type(g)
+    if k is GSeq or k is GBoth or k is GEither:
+        return k(new[0], new[1])
+    if k is GAction or k is GSkip:
+        return g
+    if k is GStar:
+        return GStar(new[0])
+    if k is GKExit:
+        n = len(g.bodies)
+        return GKExit(tuple(new[:n]), tuple(new[n:]))
+    raise TypeError(f"not a global type: {g!r}")
+
+
 def roles_of(g: GlobalType) -> frozenset[Role]:
     """All roles that take part in some interaction of `g`."""
     out: set[Role] = set()
 
     def walk(node: GlobalType) -> None:
-        match node:
-            case GSkip():
-                pass
-            case GAction(i):
-                out.update(i.senders)
-                out.add(i.receiver)
-            case GSeq(l, r) | GBoth(l, r) | GEither(l, r):
-                walk(l)
-                walk(r)
-            case GStar(b):
-                walk(b)
-            case GKExit(bodies, exits):
-                for b in bodies:
-                    walk(b)
-                for e in exits:
-                    walk(e)
+        if type(node) is GAction:
+            out.update(node.interaction.senders)
+            out.add(node.interaction.receiver)
+        for x in subterms(node):
+            walk(x)
 
     walk(g)
     return frozenset(out)
@@ -183,18 +211,9 @@ def roles_of(g: GlobalType) -> frozenset[Role]:
 
 def interaction_count(g: GlobalType) -> int:
     """Number of interaction occurrences in `g`."""
-    match g:
-        case GSkip():
-            return 0
-        case GAction(_):
-            return 1
-        case GSeq(l, r) | GBoth(l, r) | GEither(l, r):
-            return interaction_count(l) + interaction_count(r)
-        case GStar(b):
-            return interaction_count(b)
-        case GKExit(bodies, exits):
-            return sum(interaction_count(x) for x in bodies + exits)
-    raise TypeError(f"not a global type: {g!r}")
+    if type(g) is GAction:
+        return 1
+    return sum(map(interaction_count, subterms(g)))
 
 
 def default_max_len(g: GlobalType) -> int:
@@ -290,27 +309,52 @@ SessionType = Union[TEnd, TVar, TOut, TIn, TInternal, TExternal, TRec, TMerge]
 SessionEnv = dict  # dict[Role, SessionType]
 
 
+def parts(t: SessionType) -> tuple[SessionType, ...]:
+    """The immediate session-type subterms of `t`, in field order."""
+    k = type(t)
+    if k is TOut or k is TIn:
+        return (t.cont,)
+    if k is TInternal or k is TExternal:
+        return t.branches
+    if k is TEnd or k is TVar:
+        return ()
+    if k is TRec:
+        return (t.body,)
+    if k is TMerge:
+        return (t.left, t.right)
+    raise TypeError(f"not a session type: {t!r}")
+
+
+def with_parts(t: SessionType, new: Sequence[SessionType]) -> SessionType:
+    """`t` with its immediate subterms replaced by `new`, given in the
+    order `parts` lists them."""
+    k = type(t)
+    if k is TOut:
+        return TOut(t.partner, t.message, new[0])
+    if k is TIn:
+        return TIn(t.partners, t.message, new[0])
+    if k is TInternal or k is TExternal:
+        return k(tuple(new))
+    if k is TEnd or k is TVar:
+        return t
+    if k is TRec:
+        return TRec(t.var, new[0])
+    if k is TMerge:
+        return TMerge(new[0], new[1])
+    raise TypeError(f"not a session type: {t!r}")
+
+
 def free_type_vars(t: SessionType) -> frozenset[str]:
     """Recursion variables of `t` not bound by an enclosing `rec`."""
     out: set[str] = set()
 
     def walk(node: SessionType, bound: frozenset[str]) -> None:
-        match node:
-            case TEnd():
-                pass
-            case TVar(x):
-                if x not in bound:
-                    out.add(x)
-            case TOut(_, _, c) | TIn(_, _, c):
-                walk(c, bound)
-            case TInternal(bs) | TExternal(bs):
-                for b in bs:
-                    walk(b, bound)
-            case TRec(x, b):
-                walk(b, bound | {x})
-            case TMerge(l, r):
-                walk(l, bound)
-                walk(r, bound)
+        if type(node) is TVar and node.name not in bound:
+            out.add(node.name)
+        elif type(node) is TRec:
+            bound = bound | {node.var}
+        for x in parts(node):
+            walk(x, bound)
 
     walk(t, frozenset())
     return frozenset(out)
@@ -321,24 +365,17 @@ def check_guarded(t: SessionType) -> None:
     without an input/output prefix between it and its binder."""
 
     def walk(node: SessionType, exposed: frozenset[str]) -> None:
-        match node:
-            case TEnd():
-                pass
-            case TVar(x):
-                if x in exposed:
-                    raise UnguardedRecursionError(
-                        f"recursion variable {x!r} is not guarded by a prefix"
-                    )
-            case TOut(_, _, c) | TIn(_, _, c):
-                walk(c, frozenset())
-            case TInternal(bs) | TExternal(bs):
-                for b in bs:
-                    walk(b, exposed)
-            case TRec(x, b):
-                walk(b, exposed | {x})
-            case TMerge(l, r):
-                walk(l, exposed)
-                walk(r, exposed)
+        k = type(node)
+        if k is TVar and node.name in exposed:
+            raise UnguardedRecursionError(
+                f"recursion variable {node.name!r} is not guarded by a prefix"
+            )
+        if k is TRec:
+            exposed = exposed | {node.var}
+        elif k is TOut or k is TIn:
+            exposed = frozenset()
+        for x in parts(node):
+            walk(x, exposed)
 
     walk(t, frozenset())
 

@@ -242,6 +242,7 @@ def enumerate_traces(
     saying whether more than `cap` of them were traces."""
     words: set[Word] = set()
     queue: deque[tuple[frozenset[int], Word]] = deque([(frozenset({0}), ())])
+    moves: dict[frozenset[int], dict] = {}
     visited = 0
     while queue:
         states, word = queue.popleft()
@@ -253,7 +254,9 @@ def enumerate_traces(
         if visited > cap:
             raise BudgetExceededError(f"visited more than {cap} prefixes of length <= {max_len}")
         if len(word) < max_len:
-            for letter, nxt in _successors(a, states).items():
+            if states not in moves:
+                moves[states] = _successors(a, states)
+            for letter, nxt in moves[states].items():
                 queue.append((nxt, word + (letter,)))
     return words
 

@@ -30,9 +30,7 @@ from .syntax import (
     GAction,
     GBoth,
     GEither,
-    GKExit,
     GSeq,
-    GSkip,
     GStar,
     GlobalType,
     Interaction,
@@ -45,6 +43,8 @@ from .syntax import (
     TInternal,
     TOut,
     default_max_len,
+    subterms,
+    with_subterms,
 )
 from .tracelang import (
     BudgetExceededError,
@@ -261,7 +261,7 @@ def forced_join_env(envs: list[SessionEnv]) -> SessionEnv | None:
         return None
 
 
-def _candidate_envs(g: GlobalType, cap: int, budget: int) -> list[SessionEnv]:
+def _candidate_envs(g: GlobalType, budget: int) -> list[SessionEnv]:
     """Candidate implementations of an alternative whose projection
     failed: each branch's own projection, plus their forced join."""
     branches = _either_branches(g)
@@ -281,48 +281,38 @@ def _candidate_envs(g: GlobalType, cap: int, budget: int) -> list[SessionEnv]:
     seen: set = set()
     unique = []
     for env in out:
-        key = tuple(sorted((r, _machine.normalize_session_type(t)) for r, t in env.items()))
+        key = tuple(sorted(env.items()))
         if key not in seen:
             seen.add(key)
             unique.append(env)
-    return unique[:cap]
+    return unique[:DEFAULT_CANDIDATE_CAP]
 
 
 def _relaxations(g: GlobalType) -> list[GlobalType]:
     """Variants of `g` with sequential compositions relaxed to unordered
     ones: all at once, then one at a time."""
 
-    def rebuild(t: GlobalType, flips: set[int], counter: list[int]) -> GlobalType:
-        match t:
-            case GSkip() | GAction(_):
-                return t
-            case GSeq(l, r):
-                i = counter[0]
-                counter[0] += 1
-                left = rebuild(l, flips, counter)
-                right = rebuild(r, flips, counter)
-                return GBoth(left, right) if i in flips else GSeq(left, right)
-            case GBoth(l, r):
-                return GBoth(rebuild(l, flips, counter), rebuild(r, flips, counter))
-            case GEither(l, r):
-                return GEither(rebuild(l, flips, counter), rebuild(r, flips, counter))
-            case GStar(b):
-                return GStar(rebuild(b, flips, counter))
-            case GKExit(bodies, exits):
-                return GKExit(
-                    tuple(rebuild(b, flips, counter) for b in bodies),
-                    tuple(rebuild(e, flips, counter) for e in exits),
-                )
-        raise AssertionError(f"unhandled global type {t!r}")
+    def relax(flips: set[int]) -> tuple[GlobalType, int]:
+        """`g` with the `;` nodes numbered in `flips` (pre-order) relaxed,
+        and the number of `;` nodes."""
+        counter = 0
 
-    count = [0]
-    rebuild(g, set(), count)
-    total = count[0]
+        def rebuild(t: GlobalType) -> GlobalType:
+            nonlocal counter
+            if type(t) is GSeq:
+                i = counter
+                counter += 1
+                left, right = rebuild(t.left), rebuild(t.right)
+                return GBoth(left, right) if i in flips else GSeq(left, right)
+            return with_subterms(t, tuple(map(rebuild, subterms(t))))
+
+        return rebuild(g), counter
+
+    total = relax(set())[1]
     if total == 0 or total > 16:
         return []
-    variants = [rebuild(g, set(range(total)), [0])]
-    for i in range(total):
-        variants.append(rebuild(g, {i}, [0]))
+    variants = [relax(set(range(total)))[0]]
+    variants += [relax({i})[0] for i in range(total)]
     return [v for v in variants if v != g]
 
 
@@ -331,7 +321,6 @@ def classify(
     max_len: int | None = None,
     buf_bound: int = DEFAULT_BUF_BOUND,
     depth_bound: int = DEFAULT_DEPTH_BOUND,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     budget: int = DEFAULT_AND_BUDGET,
 ) -> Classification:
     """Diagnose a global type.
@@ -377,7 +366,7 @@ def classify(
             UNCLASSIFIED,
             "not well formed, and no sequentiality relaxation is implementable",
         )
-    candidates = _candidate_envs(g, candidate_cap, budget)
+    candidates = _candidate_envs(g, budget)
     if not candidates:
         return Classification(
             UNCLASSIFIED, "projection failed and no candidate implementations arise"

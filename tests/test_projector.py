@@ -177,6 +177,40 @@ def test_eliminate_and_respects_its_budget():
     assert len(eliminate_and(protocol, budget=5)) <= 5
 
 
+IN_CONTEXT_CANDIDATES = {
+    "loop2 (p -> q : a & r -> s : b, q -> p : c) exit (p -> q : d, (r -> s : e ; s -> r : f) & p -> q : g)": [
+        "loop2 (p -> q : a ; r -> s : b, q -> p : c) exit (p -> q : d, r -> s : e ; s -> r : f ; p -> q : g)",
+        "loop2 (r -> s : b ; p -> q : a, q -> p : c) exit (p -> q : d, p -> q : g ; (r -> s : e ; s -> r : f))",
+        "loop2 (p -> q : a ; r -> s : b, q -> p : c) exit (p -> q : d, p -> q : g ; (r -> s : e ; s -> r : f))",
+        "loop2 (r -> s : b ; p -> q : a, q -> p : c) exit (p -> q : d, r -> s : e ; s -> r : f ; p -> q : g)",
+        "loop2 (p -> q : a ; r -> s : b, q -> p : c) exit (p -> q : d, r -> s : e ; p -> q : g ; s -> r : f)",
+        "loop2 (r -> s : b ; p -> q : a, q -> p : c) exit (p -> q : d, r -> s : e ; p -> q : g ; s -> r : f)",
+    ],
+    "loop1 ((p -> q : a | q -> p : b) & r -> s : c) exit (p -> r : d & q -> s : e)": [
+        "loop1 ((p -> q : a | q -> p : b) ; r -> s : c) exit (p -> r : d ; q -> s : e)",
+        "loop1 (r -> s : c ; (p -> q : a | q -> p : b)) exit (q -> s : e ; p -> r : d)",
+        "loop1 ((p -> q : a | q -> p : b) ; r -> s : c) exit (q -> s : e ; p -> r : d)",
+        "loop1 (r -> s : c ; (p -> q : a | q -> p : b)) exit (p -> r : d ; q -> s : e)",
+        "loop1 (p -> q : a ; r -> s : c | r -> s : c ; q -> p : b) exit (p -> r : d ; q -> s : e)",
+        "loop1 (p -> q : a ; r -> s : c | r -> s : c ; q -> p : b) exit (q -> s : e ; p -> r : d)",
+        "loop1 (r -> s : c ; p -> q : a | q -> p : b ; r -> s : c) exit (p -> r : d ; q -> s : e)",
+        "loop1 (r -> s : c ; p -> q : a | q -> p : b ; r -> s : c) exit (q -> s : e ; p -> r : d)",
+    ],
+    "(p -> q : a & r -> s : b)* ; q -> p : c": [
+        "(p -> q : a ; r -> s : b)* ; q -> p : c",
+        "(r -> s : b ; p -> q : a)* ; q -> p : c",
+    ],
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(IN_CONTEXT_CANDIDATES))
+def test_eliminate_and_rewrites_inside_loops_in_order(protocol):
+    """`&` inside loop bodies, loop exits and `*` is rewritten in context,
+    bodies before exits; the candidate list is pinned in full."""
+    candidates = [print_global_type(c) for c in eliminate_and(g(protocol))]
+    assert candidates == IN_CONTEXT_CANDIDATES[protocol]
+
+
 def chain(sender: str, receiver: str, n: int) -> str:
     return " ; ".join(f"{sender} -> {receiver} : m{k}" for k in range(n))
 

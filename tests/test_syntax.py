@@ -19,7 +19,10 @@ from mpst.syntax import (
     ParseError,
     SelfMessageError,
     TEnd,
+    TExternal,
     TIn,
+    TInternal,
+    TMerge,
     TOut,
     TRec,
     TVar,
@@ -29,10 +32,14 @@ from mpst.syntax import (
     parse_global_type,
     parse_session_env,
     parse_session_type,
+    parts,
     print_global_type,
     print_session_env,
     print_session_type,
     roles_of,
+    subterms,
+    with_parts,
+    with_subterms,
 )
 from mpst.verifier import random_global_type
 
@@ -98,6 +105,35 @@ def test_global_roles_and_counts():
     assert roles_of(g) == {"p", "q", "r", "s"}
     assert interaction_count(g) == 2
     assert default_max_len(g) == 2 * 2 + 4
+
+
+def test_subterm_helpers_round_trip_every_constructor():
+    a, b, c = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "abc")
+    loop = GKExit((a, b), (c, GSkip()))
+    for g in [GSkip(), a, GSeq(a, b), GBoth(a, b), GEither(a, b), GStar(a), loop]:
+        assert with_subterms(g, subterms(g)) == g
+    assert subterms(loop) == (a, b, c, GSkip())
+    assert with_subterms(loop, (b, a, GSkip(), c)) == GKExit((b, a), (GSkip(), c))
+    out, into = TOut("q", "a", TVar("X")), TIn(frozenset({"p", "r"}), "b", TEnd())
+    for t in [
+        TEnd(),
+        TVar("X"),
+        out,
+        into,
+        TInternal((out, TOut("q", "c", TEnd()))),
+        TExternal((into, TIn(frozenset({"p"}), "c", TEnd()))),
+        TRec("X", out),
+        TMerge(out, into),
+    ]:
+        assert with_parts(t, parts(t)) == t
+    assert with_parts(TRec("X", out), (into,)) == TRec("X", into)
+    for helper in (subterms, parts):
+        with pytest.raises(TypeError):
+            helper("p -> q : a")
+    with pytest.raises(TypeError):
+        with_subterms(TEnd(), ())
+    with pytest.raises(TypeError):
+        with_parts(GSkip(), ())
 
 
 def test_print_parse_round_trip_on_nested_type():

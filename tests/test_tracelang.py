@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import parikh, swap_violations, swappable, trace_set
+from mpst import tracelang
 from mpst.syntax import GAction, GEither, GSeq, GSkip, Interaction, parse_global_type
 from mpst.tracelang import (
     BudgetExceededError,
@@ -258,6 +259,22 @@ def test_enumeration_budget_counts_visited_prefixes():
     # every prefix of a word of (a | b)* is a trace
     with pytest.raises(BudgetExceededError, match="more than 100 traces"):
         enumerate_traces(compile_traces(g("(p -> q : a | p -> q : b)*")), 20, cap=100)
+
+
+def test_enumeration_steps_each_state_set_once(monkeypatch):
+    """Many prefixes reach the same state set; it is stepped once."""
+    stepped = []
+    successors = tracelang._successors
+
+    def counting(a, states):
+        stepped.append(states)
+        return successors(a, states)
+
+    monkeypatch.setattr(tracelang, "_successors", counting)
+    auto = compile_traces(g("(p -> q : a | p -> q : b ; q -> p : c)* ; p -> q : d"))
+    words = enumerate_traces(auto, 8)
+    assert len(words) > len(set(stepped))
+    assert len(stepped) == len(set(stepped))
 
 
 def test_parikh_vector_identifies_permutations():

@@ -25,7 +25,6 @@ from mpst.syntax import (
 )
 from mpst.tracelang import compile_traces, enumerate_traces, parikh_vector, word_key
 from mpst.verifier import (
-    DEFAULT_CANDIDATE_CAP,
     NO_KNOWLEDGE_FOR_CHOICE,
     NO_KNOWLEDGE_NO_CHOICE,
     NO_SEQUENTIALITY,
@@ -101,7 +100,7 @@ def conformance_cases():
             failed.append(sample)
     yield from projected
     for protocol in failed:
-        for env in _candidate_envs(protocol, DEFAULT_CANDIDATE_CAP, DEFAULT_AND_BUDGET):
+        for env in _candidate_envs(protocol, DEFAULT_AND_BUDGET):
             yield protocol, env
     for (protocol, env), (_, other) in zip(projected, projected[1:]):
         for role in sorted(env.keys() & other.keys()):
