@@ -22,8 +22,6 @@ import click
 from . import machine, projector, runtime, tracelang, verifier
 from .syntax import (
     DuplicateRoleError,
-    GAction,
-    Interaction,
     NotSessionTypeError,
     ParseError,
     SelfMessageError,
@@ -46,10 +44,6 @@ _INPUT_ERRORS = (
 )
 
 
-def _fmt_letter(letter: Interaction) -> str:
-    return print_global_type(GAction(letter))
-
-
 def _fmt_location(location) -> str | None:
     if location is None:
         return None
@@ -60,11 +54,12 @@ def _fmt_location(location) -> str | None:
 
 
 def _fmt_word(word) -> str:
-    return " ; ".join(_fmt_letter(x) for x in word) if word else "(empty)"
+    # a letter's str is its concrete syntax, as print_global_type writes it
+    return " ; ".join(map(str, word)) if word else "(empty)"
 
 
 def _word_json(word):
-    return [_fmt_letter(x) for x in word]
+    return list(map(str, word))
 
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:

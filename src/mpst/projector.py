@@ -16,14 +16,18 @@ state-machine normalizer once the enclosing recursions are closed.
 Unordered composition has no projection rule of its own: `project_top`
 rewrites `&` away (serializations first, then distributing rewrites
 breadth-first, then raw interleavings of action sequences) and projects the
-first rewrite that succeeds.
+first rewrite that succeeds.  The candidates are generated lazily and
+deduplicated by trace language as they are yielded, so none is built or
+compiled after the first that projects.  Within one elimination the
+rewrites of each subterm are computed once, and each subterm is compiled
+once, however many candidates contain it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from . import machine
 from .syntax import (
@@ -369,14 +373,15 @@ def project_alg(g: GlobalType, cont: SessionEnv) -> SessionEnv:
 def project_top(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> SessionEnv:
     """Project `g` with every role ending afterwards.  When `g` contains
     unordered composition, or plain projection fails, rewrite candidates
-    from eliminate_and are tried in order and the first success wins."""
+    from eliminate_and are tried in order and the first success wins; the
+    candidates after it are never built."""
     cont = {r: TEnd() for r in sorted(roles_of(g))}
     try:
         return project_alg(g, cont)
     except ProjectionError as exc:
         direct_error = exc
     tried = 0
-    for cand in eliminate_and(g, budget):
+    for cand in _dedup_by_language(_sequential_rewrites(g, budget)):
         if cand == g:
             continue
         tried += 1
@@ -415,24 +420,35 @@ def eliminate_and(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> list[Globa
     rewrites, then (for `&` of plain action sequences) every interleaving.
     Deduplicated by trace-language equality.  At most `budget` types are
     explored."""
-    ordered: list[GlobalType] = []
+    return list(_dedup_by_language(_sequential_rewrites(g, budget)))
+
+
+def _sequential_rewrites(g: GlobalType, budget: int) -> Iterator[GlobalType]:
+    """The candidates of `eliminate_and` before language deduplication,
+    built one at a time, each yielded once.  The rewrites of a subterm are
+    computed once and shared by every term of the search that contains it."""
     seen: set[GlobalType] = set()
+    rewrites: dict[GlobalType, list[GlobalType]] = {}
 
-    def emit(t: GlobalType) -> None:
-        if t not in seen and not _contains_both(t):
-            seen.add(t)
-            ordered.append(t)
+    def fresh(t: GlobalType) -> bool:
+        if t in seen or _contains_both(t):
+            return False
+        seen.add(t)
+        return True
 
-    emit(_serialize_all(g, left_first=True))
-    emit(_serialize_all(g, left_first=False))
+    for left_first in (True, False):
+        t = _serialize_all(g, left_first)
+        if fresh(t):
+            yield t
 
     frontier = [g]
     visited: set[GlobalType] = {g}
     while frontier and len(visited) < budget:
         nxt: list[GlobalType] = []
         for t in frontier:
-            emit(t)
-            for t2 in _rewrites(t):
+            if fresh(t):
+                yield t
+            for t2 in _rewrites(t, rewrites):
                 if t2 not in visited:
                     visited.add(t2)
                     nxt.append(t2)
@@ -442,14 +458,14 @@ def eliminate_and(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> list[Globa
                 break
         frontier = nxt
     for t in frontier:
-        emit(t)
+        if fresh(t):
+            yield t
 
     for t in _action_shuffles(g):
         if len(seen) >= budget:
             break
-        emit(t)
-
-    return _dedup_by_language(ordered)
+        if fresh(t):
+            yield t
 
 
 def _serialize_all(g: GlobalType, left_first: bool) -> GlobalType:
@@ -462,11 +478,15 @@ def _serialize_all(g: GlobalType, left_first: bool) -> GlobalType:
     return go(g)
 
 
-def _rewrites(g: GlobalType) -> list[GlobalType]:
+def _rewrites(g: GlobalType, memo: dict[GlobalType, list[GlobalType]]) -> list[GlobalType]:
     """All single-step rewrites of `g`: at the root, the serializations and
     distributions of `&` plus factoring of a common alternative prefix; in
-    context, the rewrites of every immediate subterm."""
-    out: list[GlobalType] = []
+    context, the rewrites of every immediate subterm.  `memo` holds the
+    rewrites of the terms seen so far."""
+    out = memo.get(g)
+    if out is not None:
+        return out
+    out = memo[g] = []
     match g:
         case GBoth(l, r):
             out.append(GSeq(l, r))
@@ -494,7 +514,7 @@ def _rewrites(g: GlobalType) -> list[GlobalType]:
             out.append(GSeq(a, GEither(b, c)))
     subs = subterms(g)
     for i, x in enumerate(subs):
-        for x2 in _rewrites(x):
+        for x2 in _rewrites(x, memo):
             out.append(with_subterms(g, subs[:i] + (x2,) + subs[i + 1 :]))
     return out
 
@@ -528,13 +548,14 @@ def _action_shuffles(g: GlobalType) -> Iterator[GlobalType]:
         yield functools.reduce(GSeq, actions)
 
 
-def _dedup_by_language(candidates: list[GlobalType]) -> list[GlobalType]:
-    """Keep the first representative of every trace language."""
-    seen: set[tuple] = set()
-    out: list[GlobalType] = []
+def _dedup_by_language(candidates: Iterable[GlobalType]) -> Iterator[GlobalType]:
+    """Yield the first representative of every trace language, as the
+    candidates come.  The candidates share one compilation memo, so a
+    subterm they have in common is compiled once."""
+    keys: set[tuple] = set()
+    compiled: dict = {}
     for cand in candidates:
-        key = language_key(compile_traces(cand))
-        if key not in seen:
-            seen.add(key)
-            out.append(cand)
-    return out
+        key = language_key(compile_traces(cand, compiled))
+        if key not in keys:
+            keys.add(key)
+            yield cand

@@ -22,13 +22,19 @@ through ``map`` or a ``for`` loop, not a comprehension: on Python 3.11 a
 comprehension is a frame of its own and would halve the nesting depth a
 walk survives.
 
+Global-type terms hash in O(1): each constructor hashes its fields once,
+when it is built, to the value the generated dataclass hash would give,
+and keeps it.  The elimination of ``&`` keys sets and dicts by whole
+terms, so a lookup walks no tree, and hashing a term of any depth cannot
+overflow the stack.
+
 Comments run from ``//`` to end of line in both languages.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 Role = str
@@ -99,6 +105,11 @@ class Interaction:
         return f"{left} -> {self.receiver} : {self.message}"
 
 
+def _stored_hash(self) -> int:
+    """The hash a global-type constructor computed when it built `self`."""
+    return self._hash
+
+
 @dataclass(frozen=True, slots=True)
 class GSkip:
     """The empty choreography (unit of sequencing)."""
@@ -109,6 +120,12 @@ class GAction:
     """A single interaction."""
 
     interaction: Interaction
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.interaction,)))
+
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,6 +134,12 @@ class GSeq:
 
     left: GlobalType
     right: GlobalType
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +148,12 @@ class GBoth:
 
     left: GlobalType
     right: GlobalType
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +162,12 @@ class GEither:
 
     left: GlobalType
     right: GlobalType
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +175,12 @@ class GStar:
     """`body` happens zero or more times."""
 
     body: GlobalType
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.body,)))
+
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,12 +193,16 @@ class GKExit:
 
     bodies: tuple[GlobalType, ...]
     exits: tuple[GlobalType, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bodies", tuple(self.bodies))
         object.__setattr__(self, "exits", tuple(self.exits))
         if not self.bodies or len(self.bodies) != len(self.exits):
             raise ValueError("loopk needs k >= 1 bodies and k exits")
+        object.__setattr__(self, "_hash", hash((self.bodies, self.exits)))
+
+    __hash__ = _stored_hash
 
 
 GlobalType = Union[GSkip, GAction, GSeq, GBoth, GEither, GStar, GKExit]

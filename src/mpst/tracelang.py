@@ -209,24 +209,42 @@ def kexit_unfolding(
     return GSeq(GStar(chain), alt)
 
 
-def compile_traces(g: GlobalType) -> TraceAutomaton:
-    """An automaton accepting exactly the traces of `g`."""
+def compile_traces(g: GlobalType, memo: dict | None = None) -> TraceAutomaton:
+    """An automaton accepting exactly the traces of `g`.
+
+    With `memo`, a dict the caller passes to every call that may meet a
+    common subterm and drops when done, each subterm object is compiled
+    once and its automaton is shared: the operations above never change
+    an operand.  `memo` maps the `id` of each term compiled so far to the
+    term and its automaton.  Lookups go by identity because comparing two
+    deep equal terms takes about three stack frames per level, more than
+    compiling them.  Without `memo` nothing is kept: holding every
+    intermediate automaton of one long `;` chain costs more than it
+    saves."""
+    if memo is not None:
+        hit = memo.get(id(g))
+        if hit is not None:
+            return hit[1]
     match g:
         case GSkip():
-            return _empty_word()
+            a = _empty_word()
         case GAction(i):
-            return _letter(i)
+            a = _letter(i)
         case GSeq(l, r):
-            return _seq(compile_traces(l), compile_traces(r))
+            a = _seq(compile_traces(l, memo), compile_traces(r, memo))
         case GEither(l, r):
-            return _alt(compile_traces(l), compile_traces(r))
+            a = _alt(compile_traces(l, memo), compile_traces(r, memo))
         case GBoth(l, r):
-            return shuffle_automata(compile_traces(l), compile_traces(r))
+            a = shuffle_automata(compile_traces(l, memo), compile_traces(r, memo))
         case GStar(b):
-            return _star(compile_traces(b))
+            a = _star(compile_traces(b, memo))
         case GKExit(bodies, exits):
-            return compile_traces(kexit_unfolding(bodies, exits))
-    raise TypeError(f"not a global type: {g!r}")
+            a = compile_traces(kexit_unfolding(bodies, exits), memo)
+        case _:
+            raise TypeError(f"not a global type: {g!r}")
+    if memo is not None:
+        memo[id(g)] = (g, a)
+    return a
 
 
 # ---------------------------------------------------------------------------

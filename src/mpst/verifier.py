@@ -110,15 +110,26 @@ def _conformance(
     one (see `includes`), the gap the shortest uncovered trace of `g` up to
     `max_len`.  An `Unknown` exploration under-approximates the session's
     traces, so then only a counterexample is definitive; a gap found after
-    a finished one is definitive too, as a permutation has its word's length."""
+    a finished one is definitive too, as a permutation has its word's length.
+    When that bounded check runs out of budget after an `Unknown`
+    exploration, the BudgetExceededError says how many configurations the
+    exploration visited."""
     auto = compile_traces(g)
     outside = includes(session_automaton, auto)
     finished = not isinstance(verdict, Unknown)
     missing = None
     complete_exact = includes(auto, session_automaton) is None  # identity is a permutation
     if not complete_exact:
-        covered = {parikh_vector(w) for w in enumerate_traces(session_automaton, max_len)}
-        gaps = [w for w in enumerate_traces(auto, max_len) if parikh_vector(w) not in covered]
+        try:
+            covered = {parikh_vector(w) for w in enumerate_traces(session_automaton, max_len)}
+            gaps = [w for w in enumerate_traces(auto, max_len) if parikh_vector(w) not in covered]
+        except BudgetExceededError as exc:
+            if finished:
+                raise
+            raise BudgetExceededError(
+                f"{exc}; the session exploration stopped at its bound after "
+                f"{verdict.explored} configurations"
+            ) from None
         missing = min(gaps, key=word_key, default=None)
         complete_exact = missing is not None and finished
     basis = "exact" if complete_exact and (outside is not None or finished) else "bounded"

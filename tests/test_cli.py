@@ -171,6 +171,21 @@ def test_verify_under_a_small_depth_is_unknown_and_bounded(monkeypatch, capsys, 
     assert payload["liveness"] == "Unknown" and payload["basis"] == "bounded"
 
 
+def test_verify_says_where_a_cut_exploration_stopped(monkeypatch, capsys, sale):
+    """After an `Unknown` exploration the completeness fallback enumerates;
+    when that runs out of budget, the report names the configurations
+    explored.  A small cap stands in for the default budget."""
+    enumerate_traces = verifier.enumerate_traces
+    monkeypatch.setattr(verifier, "enumerate_traces", lambda a, n: enumerate_traces(a, n, cap=3))
+    assert run_in_process(monkeypatch, "verify", sale, "--depth", "2", "--json") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "BoundExhausted"
+    assert payload["detail"] == (
+        "visited more than 3 prefixes of length <= 12; "
+        "the session exploration stopped at its bound after 2 configurations"
+    )
+
+
 def test_verify_decides_four_parallel_pairs(monkeypatch, capsys, tmp_path):
     path = tmp_path / "pairs4.gt"
     path.write_text(

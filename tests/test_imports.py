@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private function or class a module defines is used in that module.
+"""Every name a module of the package imports is used in that module,
+every private function or class a module defines is used in that module,
+and no memo table outlives the call that fills it.
 
 `mpst/__init__.py` is left out of the import check: it imports names to
 re-export them."""
@@ -72,3 +73,68 @@ def test_the_check_sees_an_unused_private_definition():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_private_definition_is_used(path):
     assert unused_private_definitions(path.read_text(encoding="utf-8")) == []
+
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+DICT_WRITERS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}
+
+
+def process_wide_memos(source: str) -> list[str]:
+    """Memo tables that outlive the call that fills them: any use of
+    `functools.lru_cache` or `functools.cache`, and module-level dicts that
+    a function writes to."""
+    tree = ast.parse(source)
+    found: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name in CACHE_DECORATORS]
+        elif isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS:
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                found.append(f"functools.{node.attr} (line {node.lineno})")
+    tables: set[str] = set()
+    for statement in tree.body:
+        value = getattr(statement, "value", None)
+        is_dict = isinstance(value, (ast.Dict, ast.DictComp)) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "defaultdict", "OrderedDict")
+        )
+        if is_dict and isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            tables |= {t.id for t in targets if isinstance(t, ast.Name)}
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    for function in functions:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                table = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in DICT_WRITERS:
+                table = node.func.value
+            else:
+                continue
+            if isinstance(table, ast.Name) and table.id in tables:
+                found.append(f"{table.id} (line {node.lineno})")
+    return found
+
+
+def test_the_check_sees_a_process_wide_memo():
+    source = (
+        "import functools\n"
+        "from functools import cache, reduce\n"
+        "_MEMO = {}\n"
+        "_TABLE: dict = dict()\n"
+        "_CONST = {'a': 1}\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(x):\n    _MEMO[x] = x\n    return _CONST[x]\n"
+        "def g(x):\n    memo = {}\n    memo[x] = 1\n    return _TABLE.setdefault(x, memo)\n"
+    )
+    assert process_wide_memos(source) == [
+        "cache (line 2)",
+        "functools.lru_cache (line 6)",
+        "_MEMO (line 8)",
+        "_TABLE (line 13)",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_memo_tables_live_for_one_call(path):
+    assert process_wide_memos(path.read_text(encoding="utf-8")) == []

@@ -33,7 +33,7 @@ from mpst.syntax import (
     print_session_type,
     roles_of,
 )
-from mpst.tracelang import compile_traces, includes
+from mpst.tracelang import compile_traces, includes, language_key
 from mpst.verifier import check_preorder, random_global_type
 
 g = parse_global_type
@@ -269,7 +269,27 @@ def test_language_dedup_keeps_the_first_of_each_language():
     first = g("p -> q : a ; (q -> r : b | q -> r : c)")
     same = g("p -> q : a ; q -> r : b | p -> q : a ; q -> r : c")
     other = g("p -> q : a ; q -> r : b")
-    assert _dedup_by_language([first, other, same, other]) == [first, other]
+    assert list(_dedup_by_language([first, other, same, other])) == [first, other]
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        "p -> q : a & r -> s : b",
+        " & ".join(f"(a{i} -> b{i} : m ; b{i} -> a{i} : k ; a{i} -> b{i} : z)" for i in range(4)),
+    ],
+)
+def test_projection_keys_no_candidate_after_the_first_that_projects(monkeypatch, protocol):
+    keyed = 0
+
+    def counted(auto):
+        nonlocal keyed
+        keyed += 1
+        return language_key(auto)
+
+    monkeypatch.setattr(projector, "language_key", counted)
+    assert project_top(g(protocol))
+    assert keyed == 1
 
 
 @settings(max_examples=60, deadline=None)

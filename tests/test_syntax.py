@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +137,43 @@ def test_subterm_helpers_round_trip_every_constructor():
         with_subterms(TEnd(), ())
     with pytest.raises(TypeError):
         with_parts(GSkip(), ())
+
+
+def test_global_terms_hash_as_their_field_tuples():
+    """A term's stored hash is the generated dataclass hash, so sets and
+    dicts of terms behave as before; repr and replace are untouched."""
+    a, b = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "ab")
+    cases = [
+        (lambda: GSkip(), (), "GSkip()"),
+        (
+            lambda: GAction(Interaction(frozenset({"p"}), "q", "a")),
+            (a.interaction,),
+            "GAction(interaction=Interaction(senders=frozenset({'p'}), receiver='q', message='a'))",
+        ),
+        (lambda: GSeq(a, b), (a, b), f"GSeq(left={a!r}, right={b!r})"),
+        (lambda: GBoth(a, b), (a, b), f"GBoth(left={a!r}, right={b!r})"),
+        (lambda: GEither(a, b), (a, b), f"GEither(left={a!r}, right={b!r})"),
+        (lambda: GStar(a), (a,), f"GStar(body={a!r})"),
+        (lambda: GKExit([a], [b]), ((a,), (b,)), f"GKExit(bodies=({a!r},), exits=({b!r},))"),
+    ]
+    for build, fields, text in cases:
+        term, twin = build(), build()
+        assert term is not twin and term == twin
+        assert hash(term) == hash(fields) == hash(twin)
+        assert repr(term) == text
+        assert dataclasses.replace(term) == term
+    replaced = dataclasses.replace(GSeq(a, b), right=a)
+    assert replaced == GSeq(a, a) and hash(replaced) == hash((a, a))
+    assert dataclasses.replace(GKExit((a,), (b,)), exits=[a]) == GKExit((a,), (a,))
+    assert GSeq.__match_args__ == ("left", "right")
+    assert GKExit.__match_args__ == ("bodies", "exits")
+
+
+def test_hashing_a_deep_sequence_needs_no_stack():
+    steps = [GAction(Interaction(frozenset({"p"}), "q", f"m{k % 3}")) for k in range(20000)]
+    chain = functools.reduce(GSeq, steps)
+    assert hash(chain) == hash((chain.left, chain.right))
+    assert chain in {chain}
 
 
 def test_print_parse_round_trip_on_nested_type():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import parikh, swap_violations, swappable, trace_set
 from mpst import tracelang
-from mpst.syntax import GAction, GEither, GSeq, GSkip, Interaction, parse_global_type
+from mpst.syntax import GAction, GEither, GSeq, GSkip, GStar, Interaction, parse_global_type
 from mpst.tracelang import (
     BudgetExceededError,
     NotWellFormed,
@@ -74,6 +74,22 @@ def test_compiled_traces_match_recursive_semantics(src, bound):
 def test_compiled_traces_match_recursive_semantics_randomly(seed):
     sample = random_global_type(seed, max_size=5, role_count=4, star_depth=1)
     assert enumerate_traces(compile_traces(sample), 5) == trace_set(sample, 5)
+
+
+def test_shared_subterms_compile_once_and_stay_unchanged():
+    """`x` occurs three times in `(x | x) ; (x)*`; all three share the
+    automaton compiled for `x` first, and building around it leaves that
+    automaton as it was."""
+    x = g("p -> q : a ; q -> p : b")
+    whole = GSeq(GEither(x, x), GStar(x))
+    memo: dict = {}
+    shared = compile_traces(x, memo)
+    before = ([list(edges) for edges in shared.delta], shared.accepts)
+    auto = compile_traces(whole, memo)
+    assert compile_traces(x, memo) is shared
+    assert ([list(edges) for edges in shared.delta], shared.accepts) == before
+    assert enumerate_traces(auto, 8) == trace_set(whole, 8)
+    assert enumerate_traces(compile_traces(whole), 8) == trace_set(whole, 8)
 
 
 def labels(auto):
