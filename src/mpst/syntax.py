@@ -26,7 +26,11 @@ Global-type terms hash in O(1): each constructor hashes its fields once,
 when it is built, to the value the generated dataclass hash would give,
 and keeps it.  The elimination of ``&`` keys sets and dicts by whole
 terms, so a lookup walks no tree, and hashing a term of any depth cannot
-overflow the stack.
+overflow the stack.  Equality of terms in either language is structural
+and walks both terms with an explicit stack (global types compare their
+stored hashes first), so comparing two deep terms cannot overflow it
+either; the generated dataclass equality takes about three frames per
+level.
 
 Comments run from ``//`` to end of line in both languages.
 """
@@ -110,6 +114,47 @@ def _stored_hash(self) -> int:
     return self._hash
 
 
+def _same_global(self, other) -> bool:
+    """Structural equality of global types, pair by pair off a stack."""
+    if type(other) is not type(self):
+        return NotImplemented
+    work: list[tuple] = []
+    a, b = self, other
+    while True:
+        k = type(a)
+        # `;`, `|` and `&` hash alike, so the sets of rewritten terms in
+        # `&`-elimination compare many terms that differ only in one of
+        # them: their sides go on the stack without a `subterms` call, and
+        # a pair of children built by different constructors never does
+        if k is GSeq or k is GEither or k is GBoth:
+            if a._hash != b._hash:
+                return False
+            x, y = a.left, b.left
+            if x is not y:
+                if type(x) is not type(y):
+                    return False
+                work.append((x, y))
+            x, y = a.right, b.right
+            if x is not y:
+                if type(x) is not type(y):
+                    return False
+                work.append((x, y))
+        elif k is GAction:
+            if a.interaction != b.interaction:
+                return False
+        elif k is not GSkip:
+            if a._hash != b._hash or k is GKExit and len(a.bodies) != len(b.bodies):
+                return False
+            for x, y in zip(subterms(a), subterms(b)):
+                if x is not y:
+                    if type(x) is not type(y):
+                        return False
+                    work.append((x, y))
+        if not work:
+            return True
+        a, b = work.pop()
+
+
 @dataclass(frozen=True, slots=True)
 class GSkip:
     """The empty choreography (unit of sequencing)."""
@@ -139,6 +184,7 @@ class GSeq:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
+    __eq__ = _same_global
     __hash__ = _stored_hash
 
 
@@ -153,6 +199,7 @@ class GBoth:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
+    __eq__ = _same_global
     __hash__ = _stored_hash
 
 
@@ -167,6 +214,7 @@ class GEither:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
+    __eq__ = _same_global
     __hash__ = _stored_hash
 
 
@@ -180,6 +228,7 @@ class GStar:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.body,)))
 
+    __eq__ = _same_global
     __hash__ = _stored_hash
 
 
@@ -202,6 +251,7 @@ class GKExit:
             raise ValueError("loopk needs k >= 1 bodies and k exits")
         object.__setattr__(self, "_hash", hash((self.bodies, self.exits)))
 
+    __eq__ = _same_global
     __hash__ = _stored_hash
 
 
@@ -271,6 +321,40 @@ def default_max_len(g: GlobalType) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _leaves(t: SessionType) -> tuple:
+    """The fields of `t` that are not session types, in field order."""
+    k = type(t)
+    if k is TOut:
+        return (t.partner, t.message)
+    if k is TIn:
+        return (t.partners, t.message)
+    if k is TVar:
+        return (t.name,)
+    if k is TRec:
+        return (t.var,)
+    return ()
+
+
+def _same_session(self, other) -> bool:
+    """Structural equality of session types, pair by pair off a stack."""
+    if type(other) is not type(self):
+        return NotImplemented
+    work: list[tuple] = []
+    a, b = self, other
+    while True:
+        xs, ys = parts(a), parts(b)
+        if _leaves(a) != _leaves(b) or len(xs) != len(ys):
+            return False
+        for x, y in zip(xs, ys):
+            if x is not y:
+                if type(x) is not type(y):
+                    return False
+                work.append((x, y))
+        if not work:
+            return True
+        a, b = work.pop()
+
+
 @dataclass(frozen=True, slots=True)
 class TEnd:
     """Successfully terminated behaviour."""
@@ -291,6 +375,8 @@ class TOut:
     message: Message
     cont: SessionType
 
+    __eq__ = _same_session
+
 
 @dataclass(frozen=True, slots=True)
 class TIn:
@@ -306,6 +392,8 @@ class TIn:
         if not self.partners:
             raise ValueError("input needs at least one partner")
 
+    __eq__ = _same_session
+
 
 @dataclass(frozen=True, slots=True)
 class TInternal:
@@ -317,6 +405,8 @@ class TInternal:
         object.__setattr__(self, "branches", tuple(self.branches))
         if len(self.branches) < 2:
             raise ValueError("choice needs at least two branches")
+
+    __eq__ = _same_session
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,6 +420,8 @@ class TExternal:
         if len(self.branches) < 2:
             raise ValueError("choice needs at least two branches")
 
+    __eq__ = _same_session
+
 
 @dataclass(frozen=True, slots=True)
 class TRec:
@@ -337,6 +429,8 @@ class TRec:
 
     var: str
     body: SessionType
+
+    __eq__ = _same_session
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,6 +441,8 @@ class TMerge:
 
     left: SessionType
     right: SessionType
+
+    __eq__ = _same_session
 
 
 SessionType = Union[TEnd, TVar, TOut, TIn, TInternal, TExternal, TRec, TMerge]

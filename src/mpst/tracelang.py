@@ -22,6 +22,11 @@ the fly inside `includes`, during enumeration and membership, and in
 `language_key`, the one place that determinizes a whole automaton: it
 gives the minimal form (`minimal_form`) of its subset construction, so two
 automata accept the same language iff their keys are equal.
+`minimal_form` merges states by Hopcroft partition refinement, in
+O(m log n) for m moves between n states.  The deterministic automata it
+minimizes are partial, so every initial block (the states of one kind)
+starts as a splitter, which does the work of a sink state for the missing
+letters.
 """
 
 from __future__ import annotations
@@ -309,20 +314,72 @@ def includes(a1: TraceAutomaton, a2: TraceAutomaton) -> Word | None:
     return None
 
 
+def _refine(labels: list, moves: list[list[tuple]]) -> list[int]:
+    """The coarsest partition of states `0..n-1` that separates states of
+    different `labels` and is stable under the moves: two states in one
+    block move by the same letters, each into one block.  Returns the block
+    of each state.
+
+    Hopcroft refinement over inverse moves (Hopcroft, *An n log n algorithm
+    for minimizing states in a finite automaton*, 1971).  The initial blocks
+    group states by label, and every one of them is a splitter: the moves
+    are partial, and refining by every block splits states that lack a
+    letter from those that have it, which a sink state would do in a
+    complete automaton (Valmari & Lehtinen, STACS 2008).  A splitter splits
+    each block that the sources of its incoming moves by one letter touch
+    but do not cover; the larger part keeps the old id and the smaller one
+    becomes a splitter.  Each state is thus in a splitter at most
+    log2(n) + 1 times, so the refinement takes O(m log n) for m moves."""
+    inverse: list[list[tuple]] = [[] for _ in labels]
+    for s, row in enumerate(moves):
+        for letter, t in row:
+            inverse[t].append((letter, s))
+    ids: dict = {}
+    block = [ids.setdefault(k, len(ids)) for k in labels]
+    members: list[set[int]] = [set() for _ in ids]
+    for s, b in enumerate(block):
+        members[b].add(s)
+    work = list(range(len(members)))
+    while work:
+        sources: dict = {}
+        for t in members[work.pop()]:
+            for letter, s in inverse[t]:
+                sources.setdefault(letter, []).append(s)
+        for into in sources.values():
+            touched: dict[int, list[int]] = {}
+            for s in into:
+                touched.setdefault(block[s], []).append(s)
+            for b, inside in touched.items():
+                part = members[b]
+                if len(inside) == len(part):
+                    continue
+                # the smaller part moves to a new block; when `inside` is
+                # the larger, the rest costs no more than `inside` did
+                small = set(inside) if 2 * len(inside) <= len(part) else part.difference(inside)
+                part -= small
+                for s in small:
+                    block[s] = len(members)
+                work.append(len(members))
+                members.append(small)
+    return block
+
+
 def minimal_form(root, kind, edges, order) -> tuple[list, list[dict]]:
     """The minimal deterministic automaton of the states reachable from
     `root`, numbered canonically.
 
     `kind(s)` labels state `s` (its acceptance, its session-type kind),
     `edges(s)` gives its moves as (letter, successor) pairs, at most one
-    per letter, and `order` is a sort key on letters.  Moore refinement
-    (Moore, *Gedanken-experiments on sequential machines*, 1956) starts from
-    one block and splits blocks by (kind, {(letter, block of successor)})
-    until no block splits.  The blocks are numbered depth-first from the
-    root's, taking letters in `order`.  Returns `(kinds, rows)`: block `n`
-    has kind `kinds[n]`, and `rows[n]` maps its letters, in `order`, to the
-    numbers of their successors.  Two states have the same behaviour iff
-    their minimal forms are equal."""
+    per letter, and `order` is a sort key on letters.  The states are
+    indexed breadth-first from the root and merged by Hopcroft refinement
+    (`_refine`) in O(m log n) for m moves between n states.  The moves are
+    partial, so every initial block, the states of one kind, starts as a
+    splitter instead of adding a sink state for the missing letters.  The
+    blocks are numbered depth-first from the root's, taking letters in
+    `order`.  Returns `(kinds, rows)`: block `n` has kind `kinds[n]`, and
+    `rows[n]` maps its letters, in `order`, to the numbers of their
+    successors.  Two states have the same behaviour iff their minimal forms
+    are equal."""
     index = {root: 0}
     states = [root]
     moves: list[list[tuple]] = []
@@ -335,18 +392,7 @@ def minimal_form(root, kind, edges, order) -> tuple[list, list[dict]]:
             row.append((letter, index[t]))
         moves.append(row)
     labels = [kind(s) for s in states]
-
-    block = [0] * len(states)
-    count = 1
-    while True:
-        sigs: dict[tuple, int] = {}
-        split = [
-            sigs.setdefault((k, frozenset((a, block[t]) for a, t in row)), len(sigs))
-            for k, row in zip(labels, moves)
-        ]
-        if len(sigs) == count:
-            break
-        block, count = split, len(sigs)
+    block = _refine(labels, moves)
 
     rep: dict[int, int] = {}
     for s, b in enumerate(block):

@@ -2,15 +2,25 @@
 
 Prints a one-line pass/fail verdict per acceptance criterion at the end
 of the run, derived from the outcomes of tests/test_acceptance.py.
+
+`pyproject.toml` puts `src` on the path of the test process; the
+`PYTHONPATH` set here puts it on the path of the `python -m mpst.cli`
+processes the tests start, so a checkout runs its tests without
+installing the package.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])
+)
 
 CRITERIA = {
     1: "sale choreography projects to the pinned seller/buyer environment",

@@ -91,6 +91,17 @@ def test_too_deep_inputs_exit_with_usage_code(tmp_path, name, command):
     assert "Traceback" not in result.stderr
 
 
+def test_deep_equal_alternatives_project(tmp_path):
+    """`_rewrites` compares the two sides of the `|`, each an 800-interaction
+    chain; comparing them took more stack than projecting either."""
+    path = tmp_path / "g.gt"
+    chain = DEEP_INPUTS["chain1500"].split(" ;\n")[:800]
+    path.write_text(f"(({' ; '.join(chain)}) | ({' ; '.join(chain)})) & r -> s : b\n")
+    result = run("project", str(path))
+    assert result.returncode == 0
+    assert result.stderr == ""
+
+
 def test_project_prints_the_environment(sale):
     result = run("project", sale)
     assert result.returncode == 0

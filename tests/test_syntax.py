@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,93 @@ def test_hashing_a_deep_sequence_needs_no_stack():
     chain = functools.reduce(GSeq, steps)
     assert hash(chain) == hash((chain.left, chain.right))
     assert chain in {chain}
+
+
+def assert_equal_when_built_alike(builds, deep):
+    """Every two terms from `builds`, and `deep` of them, each built apart,
+    are equal exactly when they come from the same build."""
+    left = [(build(), deep(build)) for build in builds]
+    right = [(build(), deep(build)) for build in builds]
+    for (i, (x, deep_x)), (j, (y, deep_y)) in itertools.product(enumerate(left), enumerate(right)):
+        assert (x == y) == (i == j) != (x != y)
+        assert (deep_x == deep_y) == (i == j) != (deep_x != deep_y)
+
+
+def test_equal_global_terms_compare_at_any_depth():
+    """Terms built apart are equal exactly when they are built alike, also
+    at the bottom of a 1,000-deep `;` chain: the generated dataclass
+    equality overflowed the stack at about 335 levels."""
+    a, b = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "ab")
+    bottoms = [
+        lambda: GSkip(),
+        lambda: a,
+        lambda: b,
+        lambda: GSeq(a, b),
+        lambda: GSeq(b, a),
+        lambda: GBoth(a, b),
+        lambda: GEither(a, b),
+        lambda: GStar(a),
+        lambda: GStar(b),
+        lambda: GKExit([a], [b]),
+        lambda: GKExit([a], [a]),
+        lambda: GKExit([a, b], [b, a]),
+    ]
+
+    def deep(bottom):
+        return functools.reduce(GSeq, [bottom()] + [a] * 1000)
+
+    assert_equal_when_built_alike(bottoms, deep)
+    assert a != "p -> q : a" and GSeq(a, b) != (a, b)
+
+
+def test_global_equality_does_not_stop_at_equal_hashes():
+    """Terms that differ in an interaction, in a subterm's hash or in a
+    loop's arity stay unequal when their stored hashes are made equal."""
+    a, b = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "ab")
+    cases = [
+        (GSeq(a, b), GSeq(a, a)),
+        (GStar(a), GStar(b)),
+        (GKExit([a], [a]), GKExit([a, a], [a, a])),
+        (GSeq(GSeq(a, b), a), GSeq(GSeq(a, a), a)),
+    ]
+    for x, y in cases:
+        object.__setattr__(y, "_hash", x._hash)
+        assert hash(x) == hash(y)
+        assert x != y and y != x
+
+
+def test_equal_session_terms_compare_at_any_depth():
+    """As above, for session types under 1,000 outputs."""
+    end = TEnd()
+    bottoms = [
+        lambda: end,
+        lambda: TVar("X"),
+        lambda: TVar("Y"),
+        lambda: TOut("q", "a", end),
+        lambda: TOut("q", "b", end),
+        lambda: TOut("r", "a", end),
+        lambda: TOut("q", "a", TVar("X")),
+        lambda: TIn({"q"}, "a", end),
+        lambda: TIn({"q", "r"}, "a", end),
+        lambda: TIn({"q"}, "b", end),
+        lambda: TInternal((TOut("q", "a", end), TOut("q", "b", end))),
+        lambda: TInternal((TOut("q", "b", end), TOut("q", "a", end))),
+        lambda: TInternal((TOut("q", "a", end), TOut("q", "b", end), TOut("r", "c", end))),
+        lambda: TExternal((TIn({"q"}, "a", end), TIn({"q"}, "b", end))),
+        lambda: TRec("X", TOut("q", "a", TVar("X"))),
+        lambda: TRec("Y", TOut("q", "a", TVar("X"))),
+        lambda: TMerge(TOut("q", "a", end), end),
+        lambda: TMerge(end, TOut("q", "a", end)),
+    ]
+
+    def deep(bottom):
+        t = bottom()
+        for _ in range(1000):
+            t = TOut("p", "m", t)
+        return t
+
+    assert_equal_when_built_alike(bottoms, deep)
+    assert end != "end" and TVar("X") != ("X",)
 
 
 def test_print_parse_round_trip_on_nested_type():

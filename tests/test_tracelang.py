@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from collections import defaultdict
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import parikh, swap_violations, swappable, trace_set
-from mpst import tracelang
+from mpst import machine, tracelang
 from mpst.syntax import GAction, GEither, GSeq, GSkip, GStar, Interaction, parse_global_type
 from mpst.tracelang import (
     BudgetExceededError,
@@ -24,7 +25,7 @@ from mpst.tracelang import (
     shuffle_automata,
     well_formed,
 )
-from mpst.verifier import random_global_type
+from mpst.verifier import cross_check_theorems, random_global_type
 
 
 def g(src: str):
@@ -221,6 +222,101 @@ def test_minimal_form_merges_equivalent_states_and_numbers_them_in_order():
     assert kinds == [False, True, False]
     assert rows == [{"x": 1, "y": 2}, {}, {"y": 2}]
     assert [list(row) for row in rows] == [["x", "y"], [], ["y"]]
+
+
+def moore_refine(labels, moves):
+    """The reference for `tracelang._refine`: Moore refinement (Moore,
+    *Gedanken-experiments on sequential machines*, 1956), which
+    `minimal_form` ran before Hopcroft's.  It starts from one block and
+    splits blocks by (label, {(letter, block of successor)}) until no block
+    splits, one round per split."""
+    block = [0] * len(labels)
+    count = 1
+    while True:
+        sigs: dict[tuple, int] = {}
+        split = [
+            sigs.setdefault((k, frozenset((a, block[t]) for a, t in row)), len(sigs))
+            for k, row in zip(labels, moves)
+        ]
+        if len(sigs) == count:
+            return block
+        block, count = split, len(sigs)
+
+
+def same_partition(x, y) -> bool:
+    """Two block assignments of the same states differ only by renaming."""
+    return len(set(zip(x, y))) == len(set(x)) == len(set(y))
+
+
+HOPCROFT = tracelang._refine
+
+
+def minimal_form_both_ways(*args):
+    """`minimal_form(*args)`, after checking that Moore refinement gives
+    the same partition of its states and the same `(kinds, rows)`."""
+
+    def checked(labels, moves):
+        blocks = HOPCROFT(labels, moves)
+        assert same_partition(blocks, moore_refine(labels, moves))
+        return blocks
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tracelang, "_refine", checked)
+        fast = minimal_form(*args)
+        patch.setattr(tracelang, "_refine", moore_refine)
+        assert minimal_form(*args) == fast
+    return fast
+
+
+@st.composite
+def partial_automata(draw):
+    """1-12 states, each with a kind out of 1-3 and at most one move for
+    each of 1-3 letters; state 0 is the root."""
+    n = draw(st.integers(1, 12))
+    letters = "abc"[: draw(st.integers(1, 3))]
+    kinds = draw(st.lists(st.integers(0, draw(st.integers(0, 2))), min_size=n, max_size=n))
+    moves = st.dictionaries(st.sampled_from(letters), st.integers(0, n - 1))
+    return kinds, draw(st.lists(moves, min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(partial_automata())
+def test_refinement_matches_moore_on_partial_automata(automaton):
+    kinds, edges = automaton
+    minimal_form_both_ways(0, kinds.__getitem__, lambda s: edges[s].items(), str)
+
+
+def test_refinement_matches_moore_on_criterion_8_automata(monkeypatch):
+    """Every automaton `language_key` and `type_machine` minimize while
+    the samples are keyed, projected and checked."""
+    sizes = []
+
+    def both_ways(*args):
+        kinds, rows = minimal_form_both_ways(*args)
+        sizes.append(len(kinds))
+        return kinds, rows
+
+    monkeypatch.setattr(tracelang, "minimal_form", both_ways)
+    monkeypatch.setattr(machine, "minimal_form", both_ways)
+    for i in range(200):
+        language_key(compile_traces(random_global_type(20260814 + i)))
+    assert cross_check_theorems(sample_count=200, seed=20260814)["violations"] == []
+    assert len(sizes) > 1000 and max(sizes) > 10
+
+
+def test_minimal_form_scales_to_long_chains_and_rings():
+    """A chain of 20,000 moves keeps its 20,001 states apart, and so does a
+    ring of 20,000 states with one accepting state.  Moore rounds took
+    seconds on a tenth of that."""
+    n = 20000
+    chain = {s: [("a", s + 1)] for s in range(n)}
+    chain[n] = []
+    ring = {s: [("a", (s + 1) % n)] for s in range(n)}
+    for edges, final, blocks in ((chain, n, n + 1), (ring, 0, n)):
+        start = time.perf_counter()
+        kinds, rows = minimal_form(0, lambda s: s == final, edges.__getitem__, str)
+        assert time.perf_counter() - start < 2
+        assert len(kinds) == blocks and kinds.count(True) == 1
 
 
 def test_language_key_decides_equality_on_pinned_compositions():
