@@ -22,15 +22,18 @@ through ``map`` or a ``for`` loop, not a comprehension: on Python 3.11 a
 comprehension is a frame of its own and would halve the nesting depth a
 walk survives.
 
-Global-type terms hash in O(1): each constructor hashes its fields once,
-when it is built, to the value the generated dataclass hash would give,
-and keeps it.  The elimination of ``&`` keys sets and dicts by whole
-terms, so a lookup walks no tree, and hashing a term of any depth cannot
-overflow the stack.  Equality of terms in either language is structural
-and walks both terms with an explicit stack (global types compare their
-stored hashes first), so comparing two deep terms cannot overflow it
-either; the generated dataclass equality takes about three frames per
-level.
+Interactions and compound terms of both languages (every constructor but
+``GSkip``, ``TEnd`` and ``TVar``) hash in O(1): each hashes its fields
+once, when it is built, to the value the generated dataclass hash would
+give, and keeps it.  The elimination of ``&`` keys sets and dicts by whole
+terms and the subset steps of trace automata by interactions, so a lookup
+walks no tree and rebuilds no field tuple, and hashing a term of any depth
+cannot overflow the stack.  Equality of terms in either language is
+structural and walks both terms with an explicit stack (global types
+compare their stored hashes first), so comparing two deep terms cannot
+overflow it either; the generated dataclass equality takes about three
+frames per level.  The session-type printer takes terms and text off an
+explicit stack too.
 
 Comments run from ``//`` to end of line in both languages.
 """
@@ -79,6 +82,11 @@ class NotSessionTypeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _stored_hash(self) -> int:
+    """The hash a constructor computed when it built `self`."""
+    return self._hash
+
+
 @dataclass(frozen=True, slots=True)
 class Interaction:
     """One message exchange: every role in `senders` sends `message`, and
@@ -91,6 +99,7 @@ class Interaction:
     senders: frozenset[Role]
     receiver: Role
     message: Message
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "senders", frozenset(self.senders))
@@ -100,6 +109,9 @@ class Interaction:
             raise SelfMessageError(
                 f"role {self.receiver!r} cannot send a message to itself"
             )
+        object.__setattr__(self, "_hash", hash((self.senders, self.receiver, self.message)))
+
+    __hash__ = _stored_hash
 
     def __str__(self) -> str:
         if len(self.senders) == 1:
@@ -107,11 +119,6 @@ class Interaction:
         else:
             left = "{" + ",".join(sorted(self.senders)) + "}"
         return f"{left} -> {self.receiver} : {self.message}"
-
-
-def _stored_hash(self) -> int:
-    """The hash a global-type constructor computed when it built `self`."""
-    return self._hash
 
 
 def _same_global(self, other) -> bool:
@@ -374,8 +381,13 @@ class TOut:
     partner: Role
     message: Message
     cont: SessionType
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.partner, self.message, self.cont)))
 
     __eq__ = _same_session
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -386,13 +398,16 @@ class TIn:
     partners: frozenset[Role]
     message: Message
     cont: SessionType
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "partners", frozenset(self.partners))
         if not self.partners:
             raise ValueError("input needs at least one partner")
+        object.__setattr__(self, "_hash", hash((self.partners, self.message, self.cont)))
 
     __eq__ = _same_session
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -400,13 +415,16 @@ class TInternal:
     """Internal choice between output-rooted branches (this role decides)."""
 
     branches: tuple[SessionType, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
         if len(self.branches) < 2:
             raise ValueError("choice needs at least two branches")
+        object.__setattr__(self, "_hash", hash((self.branches,)))
 
     __eq__ = _same_session
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -414,13 +432,16 @@ class TExternal:
     """External choice between input-rooted branches (the context decides)."""
 
     branches: tuple[SessionType, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
         if len(self.branches) < 2:
             raise ValueError("choice needs at least two branches")
+        object.__setattr__(self, "_hash", hash((self.branches,)))
 
     __eq__ = _same_session
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -429,8 +450,13 @@ class TRec:
 
     var: str
     body: SessionType
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.var, self.body)))
 
     __eq__ = _same_session
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -441,8 +467,13 @@ class TMerge:
 
     left: SessionType
     right: SessionType
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
     __eq__ = _same_session
+    __hash__ = _stored_hash
 
 
 SessionType = Union[TEnd, TVar, TOut, TIn, TInternal, TExternal, TRec, TMerge]
@@ -874,38 +905,52 @@ def print_global_type(g: GlobalType) -> str:
 
 
 def print_session_type(t: SessionType) -> str:
-    """Render `t`; inverse of parse_session_type up to structural equality."""
+    """Render `t`; inverse of parse_session_type up to structural equality.
 
-    def unit(node: SessionType) -> str:
+    Terms and the text between them are taken off an explicit stack, so a
+    type of any depth prints without running out of stack frames."""
+    out: list[str] = []
+    work: list = [t]  # session types still to render, and text, last first
+
+    def unit(node: SessionType) -> None:
         if isinstance(node, (TInternal, TExternal, TRec, TMerge)):
-            return f"({render(node)})"
-        return render(node)
+            work.extend((")", node, "("))
+        else:
+            work.append(node)
 
-    def render(node: SessionType) -> str:
+    while work:
+        node = work.pop()
         match node:
+            case str():
+                out.append(node)
             case TEnd():
-                return "end"
+                out.append("end")
             case TVar(x):
-                return x
+                out.append(x)
             case TOut(q, a, c):
-                return f"{q}!{a}.{unit(c)}"
+                out.append(f"{q}!{a}.")
+                unit(c)
             case TIn(ps, a, c):
                 if len(ps) == 1:
                     left = next(iter(ps))
                 else:
                     left = "{" + ",".join(sorted(ps)) + "}"
-                return f"{left}?{a}.{unit(c)}"
-            case TInternal(bs):
-                return " (+) ".join(unit(b) for b in bs)
-            case TExternal(bs):
-                return " + ".join(unit(b) for b in bs)
+                out.append(f"{left}?{a}.")
+                unit(c)
+            case TInternal(bs) | TExternal(bs):
+                sep = " (+) " if type(node) is TInternal else " + "
+                for i, b in enumerate(reversed(bs)):
+                    if i:
+                        work.append(sep)
+                    unit(b)
             case TRec(x, b):
-                return f"rec {x} . {render(b)}"
+                out.append(f"rec {x} . ")
+                work.append(b)
             case TMerge(l, r):
-                return f"merge({render(l)}, {render(r)})"
-        raise TypeError(f"not a session type: {node!r}")
-
-    return render(t)
+                work.extend((")", r, ", ", l, "merge("))
+            case _:
+                raise TypeError(f"not a session type: {node!r}")
+    return "".join(out)
 
 
 def print_session_env(env: SessionEnv) -> str:

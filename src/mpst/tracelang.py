@@ -15,18 +15,29 @@ accepting states of `a` in `a ; b` take the moves of `b`'s start, the
 start of `a` in `a | b` takes them too, and in `a*` the start of `a`
 accepts and every accepting state takes its moves.  No consumer cleans an
 automaton up first.  The one automaton that is not trim is the one-swap
-automaton `well_formed` builds, which only `includes` reads.
+automaton `well_formed` builds for a type that is not well formed, which
+only `includes` reads.
 
-Automata stay nondeterministic; `_successors` takes every subset step, on
-the fly inside `includes`, during enumeration and membership, and in
-`language_key`, the one place that determinizes a whole automaton: it
-gives the minimal form (`minimal_form`) of its subset construction, so two
-automata accept the same language iff their keys are equal.
+Automata stay nondeterministic; `_successors` takes subset steps on the
+fly inside `includes`, during enumeration and membership, and in
+`language_key`, which determinizes a whole automaton: it gives the minimal
+form (`minimal_form`) of its subset construction, so two automata accept
+the same language iff their keys are equal.
 `minimal_form` merges states by Hopcroft partition refinement, in
 O(m log n) for m moves between n states.  The deterministic automata it
 minimizes are partial, so every initial block (the states of one kind)
 starts as a splitter, which does the work of a sink state for the missing
 letters.
+
+`well_formed` determinizes the compiled automaton too (`_subset_automaton`,
+over numbered letters) and decides closure under swaps by swap diamonds on
+it (`_swap_closed`): from every state, each independent pair read in one
+order must be readable in the other, and whatever follows the first order
+must follow the second.  Most diamonds close on one state; the rest seed
+one inclusion search between states of the same deterministic automaton.
+Only a type that is not well formed builds the one-swap automaton
+(`_swap_variants`) and runs `includes` on it, to find the shortlex-least
+witness.
 """
 
 from __future__ import annotations
@@ -70,8 +81,9 @@ class TraceAutomaton:
     from state 0 and can reach an accepting state, and the empty language
     is the single state 0 with no moves.  Compiled automata are also
     standard: no move enters state 0.  The one automaton that is not trim
-    is `_swap_variants`' one-swap automaton inside `well_formed`, which
-    only ever serves as the left operand of `includes`.
+    is `_swap_variants`' one-swap automaton, which `well_formed` builds
+    only for a type that is not well formed and which only ever serves as
+    the left operand of `includes`.
     """
 
     def __init__(
@@ -497,17 +509,97 @@ def _swap_variants(a: TraceAutomaton) -> TraceAutomaton:
     return TraceAutomaton(delta, accepts)
 
 
+def _subset_automaton(a: TraceAutomaton) -> tuple[list, list[dict], list[bool]]:
+    """The subset construction of `a`: the state sets reachable from {0},
+    numbered breadth-first, over the letters of `a` numbered as they first
+    occur in its moves.  Returns `(letters, rows, accepting)`: letter `x`
+    is `letters[x]`, `rows[s]` maps each letter number of state `s` to the
+    number of its successor, and `accepting[s]` says whether `s` accepts.
+    Numbering the letters first hashes each interaction once per move of
+    `a`, not once per move of every state set it is in.  Every state of
+    the subset automaton of a trim automaton accepts some word."""
+    ids: dict[Interaction, int] = {}
+    moves = [[(ids.setdefault(lab, len(ids)), r) for lab, r in edges] for edges in a.delta]
+    index = {frozenset({0}): 0}
+    sets = [frozenset({0})]
+    rows: list[dict] = []
+    for s in sets:  # grows while it is read: a breadth-first search
+        succ: dict[int, set[int]] = {}
+        for q in s:
+            for x, r in moves[q]:
+                succ.setdefault(x, set()).add(r)
+        row = {}
+        for x, rs in succ.items():
+            t = frozenset(rs)
+            n = index.get(t)
+            if n is None:
+                n = index[t] = len(sets)
+                sets.append(t)
+            row[x] = n
+        rows.append(row)
+    return list(ids), rows, [not a.accepts.isdisjoint(s) for s in sets]
+
+
+def _swap_closed(a: TraceAutomaton) -> bool:
+    """Whether the language of the trim automaton `a` is closed under
+    swapping one adjacent independent pair, decided by swap diamonds on
+    its subset automaton D.
+
+    It is closed iff, for every state S of D and letters α, β with
+    `_swappable(α, β)` and T = δ(S, αβ) defined, T' = δ(S, βα) is defined
+    and L(T) ⊆ L(T').  T is not empty, as no state of D is, so an undefined
+    T' already breaks closure.  Most diamonds close on one state (T == T'),
+    which needs nothing more; the other pairs seed one search over pairs of
+    states of D, which fails at a pair whose left state accepts while the
+    right one does not, or has a letter the right one lacks."""
+    letters, rows, accepting = _subset_automaton(a)
+    independent: dict[tuple[int, int], bool] = {}
+    pending: set[tuple[int, int]] = set()
+    for row in rows:
+        for alpha, r in row.items():
+            for beta, t in rows[r].items():
+                swappable = independent.get((alpha, beta))
+                if swappable is None:
+                    swappable = _swappable(letters[alpha], letters[beta])
+                    independent[alpha, beta] = swappable
+                if not swappable:
+                    continue
+                r2 = row.get(beta)
+                t2 = None if r2 is None else rows[r2].get(alpha)
+                if t2 is None:
+                    return False
+                if t2 != t:
+                    pending.add((t, t2))
+    work = list(pending)
+    while work:
+        t, t2 = work.pop()
+        if accepting[t] and not accepting[t2]:
+            return False
+        row2 = rows[t2]
+        for x, u in rows[t].items():
+            u2 = row2.get(x)
+            if u2 is None:
+                return False
+            if u2 != u and (u, u2) not in pending:
+                pending.add((u, u2))
+                work.append((u, u2))
+    return True
+
+
 def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:
     """Decide whether the traces of `g` are closed under reordering of
     adjacent independent interactions.
 
     Closure under one swap implies closure under any number of swaps, so
-    checking the one-swap variants suffices."""
+    checking the one-swap variants suffices.  `_swap_closed` decides it on
+    the subset automaton; only a type that is not well formed builds the
+    one-swap automaton, whose shortlex-least word outside the traces,
+    swapped back, is the witness."""
     a = compile_traces(g)
-    counterexample = includes(_swap_variants(a), a)
-    if counterexample is None:
+    if _swap_closed(a):
         return WellFormed()
-    w2 = counterexample
+    w2 = includes(_swap_variants(a), a)
+    assert w2 is not None, "an open swap diamond with every swap variant a trace"
     for i in range(len(w2) - 1):
         beta, alpha = w2[i], w2[i + 1]
         if _swappable(alpha, beta):

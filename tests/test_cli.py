@@ -102,6 +102,17 @@ def test_deep_equal_alternatives_project(tmp_path):
     assert result.stderr == ""
 
 
+def test_project_prints_long_two_role_chains(tmp_path):
+    """800 interactions between two roles give each of them 800 prefixes,
+    which the printer takes one after another, not one frame each."""
+    path = tmp_path / "g.gt"
+    path.write_text(" ;\n".join("p -> q : a" if i % 2 else "q -> p : b" for i in range(800)))
+    result = run("project", str(path))
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.splitlines() == ["p : " + "q?b.q!a." * 400 + "end", "q : " + "p!b.p?a." * 400 + "end"]
+
+
 def test_project_prints_the_environment(sale):
     result = run("project", sale)
     assert result.returncode == 0

@@ -45,6 +45,7 @@ from mpst.syntax import (
     with_parts,
     with_subterms,
 )
+from mpst.projector import ProjectionError, project_top
 from mpst.verifier import random_global_type
 
 
@@ -145,6 +146,11 @@ def test_global_terms_hash_as_their_field_tuples():
     dicts of terms behave as before; repr and replace are untouched."""
     a, b = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "ab")
     cases = [
+        (
+            lambda: Interaction(frozenset({"p"}), "q", "a"),
+            (frozenset({"p"}), "q", "a"),
+            "Interaction(senders=frozenset({'p'}), receiver='q', message='a')",
+        ),
         (lambda: GSkip(), (), "GSkip()"),
         (
             lambda: GAction(Interaction(frozenset({"p"}), "q", "a")),
@@ -167,6 +173,7 @@ def test_global_terms_hash_as_their_field_tuples():
     assert replaced == GSeq(a, a) and hash(replaced) == hash((a, a))
     assert dataclasses.replace(GKExit((a,), (b,)), exits=[a]) == GKExit((a,), (a,))
     assert GSeq.__match_args__ == ("left", "right")
+    assert Interaction.__match_args__ == ("senders", "receiver", "message")
     assert GKExit.__match_args__ == ("bodies", "exits")
 
 
@@ -262,6 +269,63 @@ def test_equal_session_terms_compare_at_any_depth():
 
     assert_equal_when_built_alike(bottoms, deep)
     assert end != "end" and TVar("X") != ("X",)
+
+
+SESSION_CONSTRUCTORS = (TEnd, TVar, TOut, TIn, TInternal, TExternal, TRec, TMerge)
+# frozen dataclasses with the compared fields of each session-type
+# constructor and the generated hash
+GENERATED = {
+    k: dataclasses.make_dataclass(
+        k.__name__, [f.name for f in dataclasses.fields(k) if f.compare], frozen=True
+    )
+    for k in SESSION_CONSTRUCTORS
+}
+
+
+def generated_twin(value):
+    """`value` rebuilt from the classes of GENERATED, so that its hash is
+    the one the generated dataclass hash gives the original."""
+    if isinstance(value, tuple):
+        return tuple(map(generated_twin, value))
+    twin = GENERATED.get(type(value))
+    if twin is None:
+        return value
+    return twin(*(generated_twin(getattr(value, f.name)) for f in dataclasses.fields(twin)))
+
+
+def test_session_terms_hash_as_generated_on_random_projections():
+    """A session term's stored hash is the generated dataclass hash, so
+    sets and dicts of terms behave as before; repr is untouched."""
+    end = TEnd()
+    terms = [
+        TVar("X"),
+        TIn({"q", "r"}, "a", end),
+        TRec("X", TInternal((TOut("q", "a", TVar("X")), TOut("q", "b", end)))),
+        TExternal((TIn({"q"}, "a", end), TIn({"q"}, "b", end))),
+        TMerge(TOut("q", "a", end), end),
+    ]
+    projected = 0
+    seed = 20261018
+    while projected < 300:
+        try:
+            env = project_top(random_global_type(seed, max_size=6, role_count=4, star_depth=2))
+        except ProjectionError:
+            env = {}
+        seed += 1
+        projected += bool(env)
+        terms += env.values()
+    for t in terms:
+        assert hash(t) == hash(generated_twin(t))
+        assert repr(t) == repr(generated_twin(t))
+    assert {type(t) for t in terms} >= {TOut, TIn, TInternal, TExternal, TRec}
+
+
+def test_hashing_a_deep_session_type_needs_no_stack():
+    chain = TEnd()
+    for k in range(20000):
+        chain = TOut("q", f"m{k % 3}", chain)
+    assert hash(chain) == hash((chain.partner, chain.message, chain.cont))
+    assert chain in {chain}
 
 
 def test_print_parse_round_trip_on_nested_type():

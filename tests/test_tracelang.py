@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from oracles import parikh, swap_violations, swappable, trace_set
 from mpst import machine, tracelang
-from mpst.syntax import GAction, GEither, GSeq, GSkip, GStar, Interaction, parse_global_type
+from mpst.syntax import GAction, GBoth, GEither, GSeq, GSkip, GStar, Interaction, parse_global_type
 from mpst.tracelang import (
     BudgetExceededError,
     NotWellFormed,
+    WellFormed,
     compile_traces,
     enumerate_traces,
     includes,
@@ -428,3 +429,118 @@ def test_well_formedness_matches_swap_closure_oracle(seed):
     sample = random_global_type(seed, max_size=4, role_count=4, star_depth=0)
     words = enumerate_traces(compile_traces(sample), 4)
     assert bool(well_formed(sample)) == (not swap_violations(words))
+
+
+def one_swap_well_formed(sample):
+    """The reference for `well_formed`: the decision it made before swap
+    diamonds, inclusion of the one-swap variants of the traces in the
+    traces, with the same swap-back witness."""
+    auto = compile_traces(sample)
+    cex = includes(tracelang._swap_variants(auto), auto)
+    if cex is None:
+        return WellFormed()
+    for i in range(len(cex) - 1):
+        if swappable(cex[i + 1], cex[i]):
+            witness = cex[:i] + (cex[i + 1], cex[i]) + cex[i + 2 :]
+            if auto.member(witness):
+                return NotWellFormed(witness, i)
+    raise AssertionError("no source trace for the swap counterexample")
+
+
+LETTERS = [
+    letter(src)
+    for src in ("p -> q : a", "q -> p : a", "r -> s : b", "s -> r : b", "p -> r : a", "q -> s : b", "{p,q} -> r : a")
+]
+
+
+def global_types():
+    leaves = st.one_of(st.just(GSkip()), st.builds(GAction, st.sampled_from(LETTERS)))
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.builds(GSeq, kids, kids),
+            st.builds(GEither, kids, kids),
+            st.builds(GBoth, kids, kids),
+            st.builds(GStar, kids),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(global_types())
+def test_swap_diamonds_match_one_swap_inclusion_on_generated_types(sample):
+    assert well_formed(sample) == one_swap_well_formed(sample)
+
+
+@pytest.mark.parametrize("size, roles, star_depth", [(4, 3, 0), (6, 4, 1), (8, 5, 2), (12, 4, 2)])
+def test_swap_diamonds_match_one_swap_inclusion_on_random_types(size, roles, star_depth):
+    verdicts = []
+    for seed in range(150):
+        sample = random_global_type(20261018 + seed, max_size=size, role_count=roles, star_depth=star_depth)
+        verdict = well_formed(sample)
+        assert verdict == one_swap_well_formed(sample)
+        verdicts.append(bool(verdict))
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+A, B, C = "p -> q : a", "r -> p : b", "p -> q : c"
+
+
+@pytest.mark.parametrize(
+    "src, verdict",
+    [
+        (
+            "(p -> q : a ; r -> p : b) | (r -> p : b ; p -> q : a) | (r -> p : b ; p -> q : a ; q -> s : c)",
+            WellFormed(),
+        ),
+        ("(p -> q : a ; r -> p : b ; p -> q : c) | r -> p : b ; p -> q : a", NotWellFormed(word(A, B, C), 0)),
+        ("p -> q : a ; r -> p : b ; (p -> q : c)? | r -> p : b ; p -> q : a ; p -> q : c", NotWellFormed(word(A, B), 0)),
+    ],
+)
+def test_swap_diamonds_that_close_on_two_states(src, verdict):
+    """`p -> q : a` then `r -> p : b` may swap, not the other way round,
+    and every diamond is defined, but `a b` and `b a` lead to two states.
+    The language after `a b` is strictly included in the one after `b a`
+    in the first type; in the others it has a letter (`p -> q : c`) or
+    the empty word that the one after `b a` lacks."""
+    sample = g(src)
+    assert well_formed(sample) == one_swap_well_formed(sample) == verdict
+    assert bool(verdict) == (not swap_violations(enumerate_traces(compile_traces(sample), 4)))
+
+
+def pairs(n: int) -> str:
+    """The width-n parallel pairs, n three-message exchanges side by side."""
+    return " & ".join(f"(a{i} -> b{i} : m ; b{i} -> a{i} : k ; a{i} -> b{i} : z)" for i in range(n))
+
+
+def test_well_formed_types_build_no_swap_automaton(monkeypatch):
+    samples = [g(src) for src in PINNED] + [g(pairs(4))]
+    well = [sample for sample in samples if one_swap_well_formed(sample)]
+    assert len(well) == len(samples) - 1
+    built = []
+    variants = tracelang._swap_variants
+
+    def counting(auto):
+        built.append(auto)
+        return variants(auto)
+
+    def unexpected(*args):
+        raise AssertionError("inclusion used on a well-formed type")
+
+    monkeypatch.setattr(tracelang, "_swap_variants", counting)
+    monkeypatch.setattr(tracelang, "includes", unexpected)
+    for sample in well:
+        assert well_formed(sample)
+    assert built == []
+    monkeypatch.setattr(tracelang, "includes", includes)
+    assert not well_formed(g("p -> q : a ; r -> s : b"))
+    assert len(built) == 1
+
+
+def test_width_6_pairs_are_well_formed_within_2_seconds():
+    """4,096 states of the subset automaton, each a singleton."""
+    sample = g(pairs(6))
+    start = time.perf_counter()
+    assert well_formed(sample) == WellFormed()
+    assert time.perf_counter() - start < 2
