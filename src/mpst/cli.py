@@ -53,13 +53,34 @@ def _fmt_location(location) -> str | None:
         return str(location)
 
 
-def _fmt_word(word) -> str:
+def _word_json(word) -> list[str]:
     # a letter's str is its concrete syntax, as print_global_type writes it
-    return " ; ".join(map(str, word)) if word else "(empty)"
-
-
-def _word_json(word):
     return list(map(str, word))
+
+
+def _fmt_word(texts: list[str]) -> str:
+    """A word given by the texts of its letters (see `_word_json`)."""
+    return " ; ".join(texts) if texts else "(empty)"
+
+
+def _sorted_words(words) -> list[list[str]]:
+    """`words` as the texts of their letters, in report order.  Each
+    distinct letter is formatted once, and a letter object met before is
+    found by its id, without an equality test: a session's words hold
+    many equal letters built apart."""
+    by_id: dict[int, str] = {}
+    by_letter: dict = {}
+
+    def text(x) -> str:
+        t = by_letter.get(x)
+        if t is None:
+            t = by_letter[x] = str(x)
+        by_id[id(x)] = t
+        return t
+
+    out = [[by_id.get(id(x)) or text(x) for x in w] for w in words]
+    out.sort(key=tracelang.word_key)  # the str of a text is the text itself
+    return out
 
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
@@ -147,18 +168,19 @@ def check(path, dot, as_json):
             ["WellFormed"],
         )
         sys.exit(0)
+    witness = _word_json(verdict.witness)
     _emit(
         {
             "command": "check",
             "input": path,
             "well_formed": False,
-            "witness": _word_json(verdict.witness),
+            "witness": witness,
             "position": verdict.position,
         },
         as_json,
         [
             "NotWellFormed",
-            f"witness: {_fmt_word(verdict.witness)}",
+            f"witness: {_fmt_word(witness)}",
             f"swap at position: {verdict.position}",
         ],
     )
@@ -228,11 +250,12 @@ def simulate(path, trace_count, max_len, buf_bound, depth_bound, as_json):
         report["witness_steps"] = steps
         lines.append(f"witness: {steps} step(s) to a configuration that cannot succeed")
     with _bound_exhausted({"command": "simulate", "input": path}, as_json):
-        samples = sorted(tracelang.enumerate_traces(automaton, bound), key=tracelang.word_key)
-    report["traces"] = [_word_json(w) for w in samples[:trace_count]]
+        samples = _sorted_words(tracelang.enumerate_traces(automaton, bound))
+    report["traces"] = samples[:trace_count]
     report["trace_count"] = len(samples)
     lines.append(f"traces up to length {bound}: {len(samples)}")
-    lines.extend(f"  {_fmt_word(w)}" for w in samples[:trace_count])
+    if not as_json:
+        lines.extend(f"  {_fmt_word(w)}" for w in samples[:trace_count])
     if len(samples) > trace_count:
         lines.append(f"  ... ({len(samples) - trace_count} more; raise --traces to list them)")
     _emit(report, as_json, lines)
@@ -288,9 +311,9 @@ def verify(gt_path, env_path, max_len, buf_bound, depth_bound, budget, as_json):
         f"bounds: max_len={report.max_len} buf_bound={report.buf_bound} ({report.basis})",
     ]
     if report.sound_counterexample is not None:
-        lines.append(f"session trace outside the global type: {_fmt_word(report.sound_counterexample)}")
+        lines.append(f"session trace outside the global type: {_fmt_word(payload['sound_counterexample'])}")
     if report.completeness_gap is not None:
-        lines.append(f"global trace not covered: {_fmt_word(report.completeness_gap)}")
+        lines.append(f"global trace not covered: {_fmt_word(payload['completeness_gap'])}")
     _emit(payload, as_json, lines)
     sys.exit(0 if report else 1)
 
@@ -327,17 +350,18 @@ def trace(path, dot, max_len, as_json):
         _dump_dot(auto, dot)
     bound = max_len or default_max_len(g)
     with _bound_exhausted({"command": "trace", "input": path}, as_json):
-        words = sorted(tracelang.enumerate_traces(auto, bound), key=tracelang.word_key)
+        words = _sorted_words(tracelang.enumerate_traces(auto, bound))
     _emit(
         {
             "command": "trace",
             "input": path,
             "max_len": bound,
             "count": len(words),
-            "traces": [_word_json(w) for w in words],
+            "traces": words,
         },
         as_json,
-        [f"{len(words)} trace(s) up to length {bound}"] + [f"  {_fmt_word(w)}" for w in words],
+        [f"{len(words)} trace(s) up to length {bound}"]
+        + ([] if as_json else [f"  {_fmt_word(w)}" for w in words]),
     )
     sys.exit(0)
 

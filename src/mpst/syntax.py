@@ -129,10 +129,9 @@ def _same_global(self, other) -> bool:
     a, b = self, other
     while True:
         k = type(a)
-        # `;`, `|` and `&` hash alike, so the sets of rewritten terms in
-        # `&`-elimination compare many terms that differ only in one of
-        # them: their sides go on the stack without a `subterms` call, and
-        # a pair of children built by different constructors never does
+        # the sides of `;`, `|` and `&` go on the stack without a
+        # `subterms` call, and a pair of children built by different
+        # constructors never does
         if k is GSeq or k is GEither or k is GBoth:
             if a._hash != b._hash:
                 return False
@@ -162,6 +161,11 @@ def _same_global(self, other) -> bool:
         a, b = work.pop()
 
 
+# The tag each binary constructor hashes with its two sides, so that `;`,
+# `|` and `&` of the same two sides hash apart.
+_SEQ, _BOTH, _EITHER = range(3)
+
+
 @dataclass(frozen=True, slots=True)
 class GSkip:
     """The empty choreography (unit of sequencing)."""
@@ -189,7 +193,7 @@ class GSeq:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+        object.__setattr__(self, "_hash", hash((_SEQ, self.left, self.right)))
 
     __eq__ = _same_global
     __hash__ = _stored_hash
@@ -204,7 +208,7 @@ class GBoth:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+        object.__setattr__(self, "_hash", hash((_BOTH, self.left, self.right)))
 
     __eq__ = _same_global
     __hash__ = _stored_hash
@@ -219,7 +223,7 @@ class GEither:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+        object.__setattr__(self, "_hash", hash((_EITHER, self.left, self.right)))
 
     __eq__ = _same_global
     __hash__ = _stored_hash

@@ -35,9 +35,10 @@ it (`_swap_closed`): from every state, each independent pair read in one
 order must be readable in the other, and whatever follows the first order
 must follow the second.  Most diamonds close on one state; the rest seed
 one inclusion search between states of the same deterministic automaton.
-Only a type that is not well formed builds the one-swap automaton
-(`_swap_variants`) and runs `includes` on it, to find the shortlex-least
-witness.
+`is_well_formed` stops there, with a boolean.  Only `well_formed`, which
+`check` uses, finds a witness: for a type that is not well formed it builds
+the one-swap automaton (`_swap_variants`) and runs `includes` on it, to
+find the shortlex-least word outside the traces.
 """
 
 from __future__ import annotations
@@ -584,6 +585,11 @@ def _swap_closed(a: TraceAutomaton) -> bool:
                 pending.add((u, u2))
                 work.append((u, u2))
     return True
+
+
+def is_well_formed(g: GlobalType) -> bool:
+    """Whether `g` is well formed (see `well_formed`), without a witness."""
+    return _swap_closed(compile_traces(g))
 
 
 def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:

@@ -13,7 +13,9 @@ the standard failure taxonomy: sequentiality violations (an implicit
 ordering between interactions that no participant can enforce), choices
 whose outcome some participant cannot learn but could implement by
 over-approximation, and choices that admit no covering implementation at
-all.  The diagnosis is a bounded search over candidate implementations,
+all.  Well-formedness is decided first, and only a well-formed type is
+projected; a type that is not well formed is diagnosed by its relaxations
+alone.  The diagnosis is a bounded search over candidate implementations,
 so inconclusive outcomes are reported as Unclassified rather than
 guessed.
 """
@@ -53,8 +55,8 @@ from .tracelang import (
     compile_traces,
     enumerate_traces,
     includes,
+    is_well_formed,
     parikh_vector,
-    well_formed,
     word_key,
 )
 
@@ -348,21 +350,14 @@ def classify(
       of a sound and complete candidate: then `g` is implementable and only
       the projection algorithm falls short).
 
+    Well-formedness is decided first, and only a well-formed type is
+    projected: a type that is not well formed goes straight to the
+    relaxations, each of which is projected only when it is well formed.
     Every projection tried along the way uses `budget` (see `project_top`).
     """
-    if max_len is None:
-        max_len = default_max_len(g)
-    wf = well_formed(g)
-    env = None
-    try:
-        env = project_top(g, budget)
-    except ProjectionError:
-        pass
-    if wf and env is not None:
-        return Classification(PROJECTABLE, "well formed and projectable")
-    if not wf:
+    if not is_well_formed(g):
         for variant in _relaxations(g):
-            if not well_formed(variant):
+            if not is_well_formed(variant):
                 continue
             try:
                 project_top(variant, budget)
@@ -377,11 +372,19 @@ def classify(
             UNCLASSIFIED,
             "not well formed, and no sequentiality relaxation is implementable",
         )
+    try:
+        project_top(g, budget)
+    except ProjectionError:
+        pass
+    else:
+        return Classification(PROJECTABLE, "well formed and projectable")
     candidates = _candidate_envs(g, budget)
     if not candidates:
         return Classification(
             UNCLASSIFIED, "projection failed and no candidate implementations arise"
         )
+    if max_len is None:
+        max_len = default_max_len(g)
     found_complete = False
     for cand in candidates:
         try:
@@ -482,7 +485,7 @@ def cross_check_theorems(
     }
     for i in range(sample_count):
         g = random_global_type(seed + i, max_size, role_count, star_depth)
-        wf = bool(well_formed(g))
+        wf = is_well_formed(g)
         if wf:
             report["well_formed"] += 1
         try:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from mpst import cli, projector, runtime, tracelang, verifier
+from mpst.syntax import Interaction
 
 SALE = (
     "seller -> buyer : descr ;\n"
@@ -354,6 +355,40 @@ def test_simulate_announces_truncated_trace_listings(tmp_path):
     result = run("simulate", str(path), "--traces", "2")
     assert result.returncode == 0
     assert "(10 more; raise --traces to list them)" in result.stdout
+
+
+def test_trace_and_simulate_format_each_letter_once(monkeypatch, tmp_path, capsys):
+    """Each distinct letter is formatted once per command, in either mode,
+    and the words still come in `tracelang.word_key` order."""
+    protocol = tmp_path / "pairs.gt"
+    protocol.write_text("(p -> q : a ; q -> p : b) & (r -> s : c ; s -> r : d)")
+    env = tmp_path / "loop.mps"
+    env.write_text(LOOP_UNTIL_DONE)
+    words = tracelang.enumerate_traces(
+        tracelang.compile_traces(cli._load_global(str(protocol))), 8
+    )
+    expected = [list(map(str, w)) for w in sorted(words, key=tracelang.word_key)]
+    formatted = []
+    fmt = Interaction.__str__
+
+    def counting(self):
+        formatted.append(self)
+        return fmt(self)
+
+    monkeypatch.setattr(Interaction, "__str__", counting)
+    for mode in (["--json"], []):
+        formatted.clear()
+        assert run_in_process(monkeypatch, "trace", str(protocol), *mode) == 0
+        assert len(formatted) == 4
+        out = capsys.readouterr().out
+        if mode:
+            assert json.loads(out)["traces"] == expected
+        else:
+            assert out.splitlines()[1:] == [f"  {' ; '.join(w)}" for w in expected]
+        formatted.clear()
+        assert run_in_process(monkeypatch, "simulate", str(env), *mode) == 0
+        assert len(formatted) == 2
+        capsys.readouterr()
 
 
 def test_dot_dumps_have_no_epsilon_edges(tmp_path):

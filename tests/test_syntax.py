@@ -11,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpst.syntax import (
+    _BOTH,
+    _EITHER,
+    _SEQ,
     DuplicateRoleError,
     GAction,
     GBoth,
@@ -142,8 +145,9 @@ def test_subterm_helpers_round_trip_every_constructor():
 
 
 def test_global_terms_hash_as_their_field_tuples():
-    """A term's stored hash is the generated dataclass hash, so sets and
-    dicts of terms behave as before; repr and replace are untouched."""
+    """A term's stored hash is the hash of its field tuple, behind a tag of
+    its own for `;`, `|` and `&` (the generated dataclass hash, for the
+    other terms); repr and replace are untouched."""
     a, b = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "ab")
     cases = [
         (
@@ -157,9 +161,9 @@ def test_global_terms_hash_as_their_field_tuples():
             (a.interaction,),
             "GAction(interaction=Interaction(senders=frozenset({'p'}), receiver='q', message='a'))",
         ),
-        (lambda: GSeq(a, b), (a, b), f"GSeq(left={a!r}, right={b!r})"),
-        (lambda: GBoth(a, b), (a, b), f"GBoth(left={a!r}, right={b!r})"),
-        (lambda: GEither(a, b), (a, b), f"GEither(left={a!r}, right={b!r})"),
+        (lambda: GSeq(a, b), (_SEQ, a, b), f"GSeq(left={a!r}, right={b!r})"),
+        (lambda: GBoth(a, b), (_BOTH, a, b), f"GBoth(left={a!r}, right={b!r})"),
+        (lambda: GEither(a, b), (_EITHER, a, b), f"GEither(left={a!r}, right={b!r})"),
         (lambda: GStar(a), (a,), f"GStar(body={a!r})"),
         (lambda: GKExit([a], [b]), ((a,), (b,)), f"GKExit(bodies=({a!r},), exits=({b!r},))"),
     ]
@@ -170,7 +174,7 @@ def test_global_terms_hash_as_their_field_tuples():
         assert repr(term) == text
         assert dataclasses.replace(term) == term
     replaced = dataclasses.replace(GSeq(a, b), right=a)
-    assert replaced == GSeq(a, a) and hash(replaced) == hash((a, a))
+    assert replaced == GSeq(a, a) and hash(replaced) == hash((_SEQ, a, a))
     assert dataclasses.replace(GKExit((a,), (b,)), exits=[a]) == GKExit((a,), (a,))
     assert GSeq.__match_args__ == ("left", "right")
     assert Interaction.__match_args__ == ("senders", "receiver", "message")
@@ -180,8 +184,18 @@ def test_global_terms_hash_as_their_field_tuples():
 def test_hashing_a_deep_sequence_needs_no_stack():
     steps = [GAction(Interaction(frozenset({"p"}), "q", f"m{k % 3}")) for k in range(20000)]
     chain = functools.reduce(GSeq, steps)
-    assert hash(chain) == hash((chain.left, chain.right))
+    assert hash(chain) == hash((_SEQ, chain.left, chain.right))
     assert chain in {chain}
+
+
+def test_sequence_parallel_and_choice_of_the_same_sides_hash_apart():
+    """Sets of terms next to their `&` -> `;` rewrites then need no
+    equality walk to tell them apart."""
+    a, b = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "ab")
+    for left, right in ((a, b), (b, a), (a, a), (GSeq(a, b), GBoth(a, b))):
+        terms = [GSeq(left, right), GBoth(left, right), GEither(left, right)]
+        assert len({hash(t) for t in terms}) == 3
+        assert len(set(terms)) == 3
 
 
 def assert_equal_when_built_alike(builds, deep):

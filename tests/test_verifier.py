@@ -23,15 +23,25 @@ from mpst.syntax import (
     parse_session_type,
     roles_of,
 )
-from mpst.tracelang import compile_traces, enumerate_traces, parikh_vector, word_key
+from mpst import tracelang, verifier
+from mpst.tracelang import (
+    BudgetExceededError,
+    compile_traces,
+    enumerate_traces,
+    parikh_vector,
+    well_formed,
+    word_key,
+)
 from mpst.verifier import (
     NO_KNOWLEDGE_FOR_CHOICE,
     NO_KNOWLEDGE_NO_CHOICE,
     NO_SEQUENTIALITY,
     PROJECTABLE,
     UNCLASSIFIED,
+    Classification,
     _candidate_envs,
     _conformance,
+    _relaxations,
     check_preorder,
     classify,
     cross_check_theorems,
@@ -194,6 +204,104 @@ def test_classify_is_honest_when_only_the_algorithm_falls_short():
     assert "sound and complete" in outcome.detail
 
 
+def test_classify_does_not_project_a_type_that_is_not_well_formed(monkeypatch):
+    protocol = g("p -> q : a ; r -> s : b")
+    projected = []
+
+    def counting(t, *args):
+        projected.append(t)
+        return project_top(t, *args)
+
+    monkeypatch.setattr(verifier, "project_top", counting)
+    assert classify(protocol).category == NO_SEQUENTIALITY
+    assert projected and all(t != protocol for t in projected)
+
+
+def test_classify_and_crosscheck_find_no_swap_witness(monkeypatch):
+    """Both read only whether a type is well formed, so neither builds the
+    one-swap automaton that `well_formed`'s witness comes from."""
+
+    def unexpected(auto):
+        raise AssertionError("a swap witness was searched for")
+
+    monkeypatch.setattr(tracelang, "_swap_variants", unexpected)
+    for src in ("p -> q : a ; r -> s : b", UNKNOWABLE_CHOICE, "p -> q : a | q -> p : a"):
+        classify(g(src))
+    report = cross_check_theorems(sample_count=30, seed=7)
+    assert 0 < report["well_formed"] < report["samples"]
+
+
+def classify_projecting_first(protocol):
+    """`classify` with its former order of work, as a reference: it projects
+    `protocol` before it looks at well-formedness, which it asks of
+    `well_formed`, witness and all."""
+    wf = well_formed(protocol)
+    env = None
+    try:
+        env = project_top(protocol, DEFAULT_AND_BUDGET)
+    except ProjectionError:
+        pass
+    if wf and env is not None:
+        return Classification(PROJECTABLE, "well formed and projectable")
+    if not wf:
+        for variant in _relaxations(protocol):
+            if not well_formed(variant):
+                continue
+            try:
+                project_top(variant, DEFAULT_AND_BUDGET)
+            except ProjectionError:
+                continue
+            return Classification(
+                NO_SEQUENTIALITY,
+                "the specified ordering of independent interactions cannot be"
+                " enforced; the unordered variant is implementable",
+            )
+        return Classification(
+            UNCLASSIFIED,
+            "not well formed, and no sequentiality relaxation is implementable",
+        )
+    candidates = _candidate_envs(protocol, DEFAULT_AND_BUDGET)
+    if not candidates:
+        return Classification(
+            UNCLASSIFIED, "projection failed and no candidate implementations arise"
+        )
+    found_complete = False
+    for cand in candidates:
+        try:
+            report = check_preorder(protocol, cand, default_max_len(protocol))
+        except BudgetExceededError:
+            continue
+        if not report.complete:
+            continue
+        found_complete = True
+        if report.sound:
+            return Classification(
+                UNCLASSIFIED,
+                "a sound and complete implementation exists; only the"
+                " projection algorithm falls short",
+            )
+    if found_complete:
+        return Classification(
+            NO_KNOWLEDGE_FOR_CHOICE,
+            "participants cannot learn the outcome of a choice; covering"
+            " implementations exhibit behaviours outside the specification",
+        )
+    return Classification(
+        NO_KNOWLEDGE_NO_CHOICE,
+        "no candidate implementation covers the specified behaviours",
+    )
+
+
+def test_classify_agrees_with_projecting_first():
+    categories = Counter()
+    for seed in range(PROPERTY_SEED, PROPERTY_SEED + 300):
+        protocol = random_global_type(seed)
+        outcome = classify(protocol)
+        assert outcome == classify_projecting_first(protocol), seed
+        categories[outcome.category] += 1
+    assert len(categories) >= 4
+
+
 def test_forced_join_announces_the_choice_then_converges():
     joined = forced_join(t("q!a.r?a.end"), t("q!b.r?b.end"))
     assert joined is not None
@@ -265,9 +373,6 @@ def test_cross_check_accepts_a_small_pinned_batch():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_projections_of_well_formed_samples_conform(seed):
-    from mpst.projector import ProjectionError
-    from mpst.tracelang import well_formed
-
     sample = random_global_type(seed, max_size=5, role_count=3, star_depth=1)
     if not well_formed(sample):
         return
