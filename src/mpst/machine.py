@@ -22,6 +22,16 @@ fixpoint, so recursive types whose merge only closes through a loop (the
 deferred merges produced when projecting nested iterations) resolve here.
 A merge whose kind depends on itself before crossing a prefix cannot be
 resolved and fails conservatively.
+
+Each term is resolved at most once.  `normalize_session_type` keeps on the
+term it returns the minimized machine it read that term back from, and a
+canonical term is its own canonical form: normalizing it returns it
+unchanged, and `type_machine` returns the machine it keeps.  A prefix
+chain (outputs and inputs down to ``end``) is canonical when it is built,
+since it counts its prefixes from its continuation's count; its machine is
+the chain itself, read off in one pass without the resolver and kept on it
+too.  No two states of a chain are bisimilar, as their distances to
+``end`` differ, and a state with one branch is input-deterministic.
 """
 
 from __future__ import annotations
@@ -57,6 +67,14 @@ class MergeError(NotSessionTypeError):
     """Two behaviours that cannot be merged into one session type."""
 
 
+def _check_size(states: int) -> None:
+    if states > _STATE_CAP:
+        raise NotSessionTypeError(
+            "session type is too large to resolve "
+            f"(more than {_STATE_CAP} states)"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class Machine:
     """A minimized session-type automaton.
@@ -66,7 +84,9 @@ class Machine:
     successor states.  State 0 is the root, and the other states are
     numbered depth-first from it.  Every `branches[s]` iterates in canonical
     order: outputs before inputs, then by message, then by partners.  End
-    states have no branches; out/in states have at least one.
+    states have no branches; out/in states have at least one.  The machine
+    of a canonical term is shared by every caller that asks for it, so no
+    caller may change it.
     """
 
     kinds: tuple[str, ...]
@@ -162,25 +182,27 @@ class _Resolver:
             return cached
         cl = _Closure()
         seen: set = set()
-
-        def visit_key(k: tuple) -> None:
-            if k in seen:
-                return
-            seen.add(k)
-            if k[0] == "m":
-                cl.subs.append(k)
-            elif k[0] == "j":
-                for member in k[1]:
-                    visit_key(member)
-            else:
-                visit_node(self.nodes[k[1]])
-
-        def visit_node(node: SessionType) -> None:
-            nid = ("n", id(node))
+        # State keys (tuples) and term nodes still to visit, next one last:
+        # a depth-first walk in the order of the branches.
+        work: list = [key]
+        while work:
+            item = work.pop()
+            if type(item) is tuple:
+                if item in seen:
+                    continue
+                seen.add(item)
+                if item[0] == "m":
+                    cl.subs.append(item)
+                elif item[0] == "j":
+                    work.extend(reversed(tuple(item[1])))
+                else:
+                    work.append(self.nodes[item[1]])
+                continue
+            nid = ("n", id(item))
             if nid in seen:
-                return
+                continue
             seen.add(nid)
-            match node:
+            match item:
                 case TEnd():
                     cl.atoms.append((END,))
                 case TOut(q, a, c):
@@ -189,22 +211,18 @@ class _Resolver:
                     cl.atoms.append((IN, ps, a, c))
                 case TInternal(bs):
                     cl.flavors.append((OUT, tuple(self._pkey(b) for b in bs)))
-                    for b in bs:
-                        visit_node(b)
+                    work.extend(reversed(bs))
                 case TExternal(bs):
                     cl.flavors.append((IN, tuple(self._pkey(b) for b in bs)))
-                    for b in bs:
-                        visit_node(b)
+                    work.extend(reversed(bs))
                 case TRec(_, b):
-                    visit_node(b)
+                    work.append(b)
                 case TVar(x):
-                    visit_node(self.binders[x])
+                    work.append(self.binders[x])
                 case TMerge(l, r):
                     cl.subs.append(self._mkey(self._pkey(l), self._pkey(r)))
                 case _:
-                    raise TypeError(f"not a session type: {node!r}")
-
-        visit_key(key)
+                    raise TypeError(f"not a session type: {item!r}")
         self.closures[key] = cl
         return cl
 
@@ -298,11 +316,7 @@ class _Resolver:
             kind, keys = self.kind_keys(k)
             branches = {bk: self.target(k, bk) for bk in keys}
             self.states[k] = _State(kind, branches)
-            if len(self.states) > _STATE_CAP:
-                raise NotSessionTypeError(
-                    "session type is too large to resolve "
-                    f"(more than {_STATE_CAP} states)"
-                )
+            _check_size(len(self.states))
             work.extend(branches.values())
 
     def prepare(self) -> None:
@@ -465,20 +479,91 @@ def machine_to_type(m: Machine) -> SessionType:
     return build(m.root, {})
 
 
+def _chain_length(t: SessionType) -> int | None:
+    """The number of prefixes of `t` when it is `end` or a prefix chain
+    (TOut/TIn nodes down to `end`), else None.  O(1): prefixes count their
+    chain when they are built."""
+    k = type(t)
+    if k is TEnd:
+        return 0
+    if (k is TOut or k is TIn) and t._chain:
+        return t._chain
+    return None
+
+
+def _chain_machine(t: SessionType, n: int) -> Machine:
+    """The minimal machine of the chain `t` of `n` prefixes, read off in one
+    pass: state i is the i-th prefix and state n is `end`.  It is minimal
+    as it stands, since states at different distances from `end` are not
+    bisimilar, and a state with one branch is input-deterministic."""
+    _check_size(n + 1)
+    kinds: list[str] = []
+    branches: list[dict] = []
+    for i in range(1, n + 1):
+        if type(t) is TOut:
+            kinds.append(OUT)
+            branches.append({(OUT, t.partner, t.message): i})
+        else:
+            kinds.append(IN)
+            branches.append({(IN, t.partners, t.message): i})
+        t = t.cont
+    kinds.append(END)
+    branches.append({})
+    return Machine(tuple(kinds), tuple(branches), 0)
+
+
+def _kept_machine(t: SessionType) -> Machine | None:
+    """The machine that normalization (or an earlier chain read) kept on
+    `t`, or None."""
+    k = type(t)
+    if k is TOut or k is TIn or k is TInternal or k is TExternal or k is TRec:
+        return t._machine
+    return None
+
+
+def is_canonical(t: SessionType) -> bool:
+    """Whether `t` is known to be in canonical form without resolving it:
+    `end`, a prefix chain, or a term returned by normalize_session_type.
+    A canonical term is closed."""
+    return _chain_length(t) is not None or _kept_machine(t) is not None
+
+
 def type_machine(t: SessionType) -> Machine:
     """Resolve a closed session type (merges allowed) to its minimized
     machine.  Raises NotSessionTypeError/MergeError/UnguardedRecursionError
-    when `t` does not denote a session type."""
-    r = _Resolver(t)
-    r.prepare()
-    return r.minimized()
+    when `t` does not denote a session type.  A canonical term gives the
+    machine it carries, a prefix chain its own chain read off once."""
+    m = _kept_machine(t)
+    if m is not None:
+        return m
+    n = _chain_length(t)
+    if n is None:
+        r = _Resolver(t)
+        r.prepare()
+        return r.minimized()
+    m = _chain_machine(t, n)
+    if n:
+        object.__setattr__(t, "_machine", m)
+    return m
 
 
 def normalize_session_type(t: SessionType) -> SessionType:
     """Canonical form of `t`: recursion unfolded to the minimal machine and
     read back with sorted branches and deterministic binder names.  Two
-    types denote the same behaviour iff their canonical forms are equal."""
-    return machine_to_type(type_machine(t))
+    types denote the same behaviour iff their canonical forms are equal.
+    The result keeps its machine (see type_machine), and a canonical `t`
+    is its own canonical form."""
+    n = _chain_length(t)
+    if n is not None:
+        _check_size(n + 1)
+        return t
+    if _kept_machine(t) is not None:
+        return t
+    m = type_machine(t)
+    out = machine_to_type(m)
+    if type(out) is not TEnd:
+        object.__setattr__(out, "_machine", m)
+    return out
 
 
 def session_type_equal(a: SessionType, b: SessionType) -> bool:

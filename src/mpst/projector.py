@@ -75,14 +75,19 @@ class ProjectionError(Exception):
 
     `kind` is one of NoDecisionMaker, IncompatibleMerge, OutputMismatch,
     UnboundContinuation, AndEliminationExhausted; `location` is the subterm
-    at fault when known."""
+    at fault when known.  The message, which prints `location`, is built
+    only when asked for: most errors are caught and dropped unread while
+    `&`-elimination candidates are tried."""
 
     def __init__(self, kind: str, detail: str, location: GlobalType | None = None):
+        super().__init__(kind, detail, location)
         self.kind = kind
         self.detail = detail
         self.location = location
-        where = f" in: {print_global_type(location)}" if location is not None else ""
-        super().__init__(f"{kind}: {detail}{where}")
+
+    def __str__(self) -> str:
+        where = f" in: {print_global_type(self.location)}" if self.location is not None else ""
+        return f"{self.kind}: {self.detail}{where}"
 
 
 class _Ctx:
@@ -99,7 +104,7 @@ class _Ctx:
 
 
 def _is_closed(t: SessionType) -> bool:
-    return not free_type_vars(t)
+    return machine.is_canonical(t) or not free_type_vars(t)
 
 
 def merge(t: SessionType, s: SessionType) -> SessionType:

@@ -91,6 +91,16 @@ class Session:
         self.roles: tuple[Role, ...] = tuple(sorted(env))
         self.machines = [_machine.type_machine(env[r]) for r in self.roles]
         self.buf_bound = buf_bound
+        # The label of every input a role can take, built once: all moves
+        # that take one input share one letter, so the automata built from
+        # the moves find their letters by identity.
+        self.letters: dict[tuple, Interaction] = {}
+        for role, m in zip(self.roles, self.machines):
+            for branches in m.branches:
+                for kind, partners, msg in branches:
+                    key = (partners, role, msg)
+                    if kind == "in" and key not in self.letters:
+                        self.letters[key] = Interaction(partners, role, msg)
 
     def initial(self) -> Config:
         return Config(tuple(m.root for m in self.machines), ())
@@ -134,7 +144,7 @@ class Session:
                             c.locations[:i] + (target,) + c.locations[i + 1 :],
                             buffer_normalize(nb),
                         )
-                        out.append((Interaction(partners, role, msg), nxt))
+                        out.append((self.letters[partners, role, msg], nxt))
         return out
 
 

@@ -35,6 +35,12 @@ overflow it either; the generated dataclass equality takes about three
 frames per level.  The session-type printer takes terms and text off an
 explicit stack too.
 
+Compound session terms have two more slots, which equality, hashing,
+``repr`` and pattern matching ignore: ``_machine``, the minimal machine
+that ``mpst.machine`` keeps on a term in canonical form, and, on prefixes,
+``_chain``, the number of prefixes down to ``end`` (0 when the term is not
+such a chain), set from the continuation's count when the prefix is built.
+
 Comments run from ``//`` to end of line in both languages.
 """
 
@@ -366,6 +372,23 @@ def _same_session(self, other) -> bool:
         a, b = work.pop()
 
 
+def _mark_chain(t) -> None:
+    """Set the two slots a prefix `t` gets when it is built: `_chain`, the
+    number of prefixes down to `end` when `t` is a prefix chain (0 when it
+    is not), read off its continuation in O(1); and `_machine`, which
+    `mpst.machine` fills in when it knows the minimal machine of `t`."""
+    c = t.cont
+    k = type(c)
+    if k is TEnd:
+        n = 1
+    elif k is TOut or k is TIn:
+        n = c._chain + 1 if c._chain else 0
+    else:
+        n = 0
+    object.__setattr__(t, "_chain", n)
+    object.__setattr__(t, "_machine", None)
+
+
 @dataclass(frozen=True, slots=True)
 class TEnd:
     """Successfully terminated behaviour."""
@@ -386,9 +409,12 @@ class TOut:
     message: Message
     cont: SessionType
     _hash: int = field(init=False, repr=False, compare=False)
+    _chain: int = field(init=False, repr=False, compare=False)
+    _machine: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.partner, self.message, self.cont)))
+        _mark_chain(self)
 
     __eq__ = _same_session
     __hash__ = _stored_hash
@@ -403,12 +429,15 @@ class TIn:
     message: Message
     cont: SessionType
     _hash: int = field(init=False, repr=False, compare=False)
+    _chain: int = field(init=False, repr=False, compare=False)
+    _machine: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "partners", frozenset(self.partners))
         if not self.partners:
             raise ValueError("input needs at least one partner")
         object.__setattr__(self, "_hash", hash((self.partners, self.message, self.cont)))
+        _mark_chain(self)
 
     __eq__ = _same_session
     __hash__ = _stored_hash
@@ -420,12 +449,14 @@ class TInternal:
 
     branches: tuple[SessionType, ...]
     _hash: int = field(init=False, repr=False, compare=False)
+    _machine: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
         if len(self.branches) < 2:
             raise ValueError("choice needs at least two branches")
         object.__setattr__(self, "_hash", hash((self.branches,)))
+        object.__setattr__(self, "_machine", None)
 
     __eq__ = _same_session
     __hash__ = _stored_hash
@@ -437,12 +468,14 @@ class TExternal:
 
     branches: tuple[SessionType, ...]
     _hash: int = field(init=False, repr=False, compare=False)
+    _machine: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
         if len(self.branches) < 2:
             raise ValueError("choice needs at least two branches")
         object.__setattr__(self, "_hash", hash((self.branches,)))
+        object.__setattr__(self, "_machine", None)
 
     __eq__ = _same_session
     __hash__ = _stored_hash
@@ -455,9 +488,11 @@ class TRec:
     var: str
     body: SessionType
     _hash: int = field(init=False, repr=False, compare=False)
+    _machine: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.var, self.body)))
+        object.__setattr__(self, "_machine", None)
 
     __eq__ = _same_session
     __hash__ = _stored_hash
@@ -858,14 +893,15 @@ def parse_session_env(text: str) -> SessionEnv:
 
 
 def _validate(t: SessionType) -> None:
-    free = free_type_vars(t)
-    if free:
-        raise ParseError(
-            f"unbound recursion variable {sorted(free)[0]!r}", 1, 1
-        )
-    check_guarded(t)
     from . import machine
 
+    if not machine.is_canonical(t):  # a prefix chain is closed and guarded
+        free = free_type_vars(t)
+        if free:
+            raise ParseError(
+                f"unbound recursion variable {sorted(free)[0]!r}", 1, 1
+            )
+        check_guarded(t)
     machine.normalize_session_type(t)  # raises NotSessionTypeError on bad choices
 
 

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import functools
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpst import machine
 from mpst.machine import (
     _bk_order,
+    machine_to_type,
     normalize_session_type,
     root_kind,
     session_type_equal,
@@ -16,10 +22,22 @@ from mpst.machine import (
 from mpst.projector import ProjectionError, project_top
 from mpst.syntax import (
     NotSessionTypeError,
+    TEnd,
+    TExternal,
+    TIn,
+    TInternal,
+    TMerge,
+    TOut,
+    TRec,
+    TVar,
+    parse_global_type,
+    parse_session_env,
     parse_session_type,
+    parts,
     print_session_type,
+    with_parts,
 )
-from mpst.verifier import random_global_type
+from mpst.verifier import check_preorder, random_global_type
 
 
 def t(src: str):
@@ -138,3 +156,211 @@ def test_projected_types_normalize_idempotently(seed):
         n1 = normalize_session_type(ty)
         assert n1 == normalize_session_type(n1)
         assert session_type_equal(ty, n1)
+
+
+# --- canonical terms and the chain reader, against the resolver ------------
+
+
+def resolved(ty):
+    """The minimized machine of `ty` by the resolver alone, which knows no
+    canonical terms and no chains."""
+    r = machine._Resolver(ty)
+    r.prepare()
+    return r.minimized()
+
+
+def rows(m):
+    """A machine with the order of every state's branches."""
+    return m.kinds, [list(b.items()) for b in m.branches], m.root
+
+
+def rebuilt(ty):
+    """A structurally equal copy of `ty` that carries no machine (a prefix
+    chain is a chain again)."""
+    return with_parts(ty, tuple(map(rebuilt, parts(ty))))
+
+
+def assert_agrees_with_resolver(ty) -> bool:
+    """`type_machine` and `normalize_session_type` give what the resolver
+    gives, or fail as it fails; the canonical form is its own canonical
+    form and carries the resolver's machine.  Returns whether `ty` is a
+    session type."""
+    try:
+        ref = resolved(ty)
+    except ValueError:
+        # Which fault the resolver reports, when a term has several, depends
+        # on the order of its sets, so only the failure itself is compared.
+        for f in (type_machine, normalize_session_type):
+            with pytest.raises(ValueError):
+                f(ty)
+        return False
+    assert rows(type_machine(ty)) == rows(ref)
+    n = normalize_session_type(ty)
+    assert n == machine_to_type(ref)
+    assert print_session_type(n) == print_session_type(machine_to_type(ref))
+    assert machine.is_canonical(n)
+    assert normalize_session_type(n) is n
+    if type(n) is not TEnd:  # `end` keeps nothing: its machine is one state
+        assert type_machine(n) is type_machine(n)
+    assert rows(type_machine(n)) == rows(ref)
+    assert rows(resolved(n)) == rows(ref)
+    return True
+
+
+ROLE_SETS = (frozenset("p"), frozenset("q"), frozenset("pq"))
+
+
+def outputs(kid):
+    return st.builds(TOut, st.sampled_from("pq"), st.sampled_from("abc"), kid)
+
+
+def inputs(kid):
+    return st.builds(TIn, st.sampled_from(ROLE_SETS), st.sampled_from("abc"), kid)
+
+
+def chains():
+    return st.recursive(st.just(TEnd()), lambda kid: outputs(kid) | inputs(kid), max_leaves=12)
+
+
+def session_terms(depth: int = 4, bound: tuple = ()):
+    """Closed terms over every constructor.  About a third are session
+    types; the rest have a choice with a branch of the wrong kind, an
+    ambiguous input choice, unguarded recursion or a failing merge."""
+    leaves = [st.just(TEnd())] + ([st.sampled_from([TVar(x) for x in bound])] if bound else [])
+    if depth == 0:
+        return st.one_of(leaves)
+    kid = session_terms(depth - 1, bound)
+    var = f"X{depth}"
+    outs, ins = outputs(kid), inputs(kid)
+    rec = st.builds(functools.partial(TRec, var), session_terms(depth - 1, bound + (var,)))
+    internal = st.builds(TInternal, st.lists(outs, min_size=2, max_size=3))
+    external = st.builds(TExternal, st.lists(ins, min_size=2, max_size=3))
+    # A merge's operands are closed: a merge that its own recursion reaches
+    # again can unfold into ever larger states until memory runs out.
+    closed = session_terms(depth - 1)
+    faulty = st.one_of(st.builds(TMerge, closed, closed), st.builds(TInternal, st.lists(kid, min_size=2, max_size=2)))
+    return st.one_of(*leaves, outs, ins, rec, rec, internal, internal, external, external, faulty)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(chains(), session_terms()))
+def test_generated_terms_agree_with_the_resolver(ty):
+    assert_agrees_with_resolver(ty)
+    assert_agrees_with_resolver(rebuilt(ty))
+
+
+def test_projected_random_role_types_agree_with_the_resolver():
+    """Every role type of the projectable `random_global_type(i)`, i < 700
+    (307 of them), as projected and as a copy that carries no machine."""
+    projected = 0
+    for i in range(700):
+        try:
+            env = project_top(random_global_type(i))
+        except ProjectionError:
+            continue
+        projected += 1
+        for ty in env.values():
+            assert machine.is_canonical(ty)
+            assert normalize_session_type(ty) is ty
+            assert assert_agrees_with_resolver(ty)
+            assert assert_agrees_with_resolver(rebuilt(ty))
+    assert projected >= 300
+
+
+def ring(k: int) -> str:
+    """A loop passing `m` once round k roles, then `t` once round them."""
+    body = " ; ".join(f"n{i} -> n{(i + 1) % k} : m" for i in range(k))
+    stop = " ; ".join(f"n{i} -> n{(i + 1) % k} : t" for i in range(k))
+    return f"({body})* ; {stop}"
+
+
+CORPUS_GLOBAL = [
+    "seller -> buyer : descr ; seller -> buyer : price ; (buyer -> seller : accept | buyer -> seller : quit)",
+    "(p -> q : a)* ; p -> q : b",
+    "loop2 (p -> q : handover, q -> p : handover) exit (p -> q : bailout, q -> p : bailout)",
+    "p -> q : a ; r -> s : b",
+    "(p -> q1 : a & p -> q2 : a) ; {q1,q2} -> q : b",
+    "(p -> q1 : a & p -> q2 : a) ; (q1 -> q : b & q2 -> q : b)",
+    *map(ring, range(3, 14)),
+    " ; ".join(f"n{j % 4} -> n{(j + 1) % 4} : {'abc'[j % 3]}" for j in range(500)),
+]
+CORPUS_SESSIONS = [
+    "p : rec X . (q!a.X (+) q!b.end)\nq : rec Y . (p?a.Y + p?b.end)",
+    "p : rec X . q!a.X\nq : rec Y . p?a.Y",
+    "p : rec X . q!a.q!b.X\nq : rec Y . (p?a.p?b.Y + p?b.r!c.end)\nr : q?c.end",
+    *(
+        "\n".join(f"a{i} : b{i}!m.b{i}?k.b{i}!z.end\nb{i} : a{i}?m.a{i}!k.a{i}?z.end" for i in range(n))
+        for n in range(2, 6)
+    ),
+]
+
+
+def test_corpus_role_types_agree_with_the_resolver():
+    """The role types of the benchmark corpus's protocols (its ring loops
+    of 3 to 13 roles and its 500-interaction chain among them), projected
+    and parsed from `.mps` text."""
+    types = []
+    for src in CORPUS_GLOBAL:
+        types.extend(project_top(parse_global_type(src)).values())
+    for src in CORPUS_SESSIONS:
+        types.extend(parse_session_env(src).values())
+    assert max(machine._chain_length(ty) or 0 for ty in types) == 250
+    for ty in types:
+        assert assert_agrees_with_resolver(ty)
+        assert assert_agrees_with_resolver(rebuilt(ty))
+
+
+def test_a_chain_past_the_state_cap_fails_as_the_resolver_fails(monkeypatch):
+    monkeypatch.setattr(machine, "_STATE_CAP", 8)
+
+    def chain(n):
+        ty = TEnd()
+        for k in range(n):
+            ty = TOut("q", "a", ty) if k % 2 else TIn(frozenset("p"), "b", ty)
+        return ty
+
+    assert assert_agrees_with_resolver(chain(7))  # 8 states
+    too_long = chain(8)
+    assert machine.is_canonical(too_long)
+    for f in (resolved, type_machine, normalize_session_type):
+        with pytest.raises(NotSessionTypeError) as info:
+            f(too_long)
+        assert str(info.value) == "session type is too large to resolve (more than 8 states)"
+
+
+def test_projecting_and_verifying_a_long_chain_resolves_nothing(monkeypatch):
+    """A two-role chain of 800 interactions projects to one prefix chain
+    per role, which is canonical when it is built."""
+    g = parse_global_type(" ; ".join("p -> q : a" if i % 2 else "q -> p : b" for i in range(800)))
+
+    def no_resolver(ty):
+        raise AssertionError("a chain was resolved")
+
+    monkeypatch.setattr(machine, "_Resolver", no_resolver)
+    env = project_top(g)
+    assert {machine._chain_length(ty) for ty in env.values()} == {800}
+    report = check_preorder(g, env)
+    assert report.sound and report.complete
+
+
+def test_a_resolver_is_freed_without_the_cycle_collector(monkeypatch):
+    """Resolving builds no reference cycle that holds the resolver, so it
+    is freed when `type_machine` returns."""
+    refs = []
+
+    class Recorded(machine._Resolver):
+        def __init__(self, ty):
+            super().__init__(ty)
+            refs.append(weakref.ref(self))
+
+    loop = parse_session_type("rec X . (p?a.(q!b.X (+) q!c.end) + p?d.end)")
+    merged = TMerge(parse_session_type("p?a.end + p?b.q!c.end"), parse_session_type("p?a.end"))
+    monkeypatch.setattr(machine, "_Resolver", Recorded)
+    gc.disable()
+    try:
+        for ty in (loop, merged):
+            type_machine(ty)
+            assert refs[-1]() is None
+    finally:
+        gc.enable()
+    assert len(refs) == 2

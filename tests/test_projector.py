@@ -321,3 +321,57 @@ def test_merge_is_commutative_when_defined(seed):
                 merge(e2[role], e1[role])
             continue
         assert session_type_equal(one, merge(e2[role], e1[role]))
+
+
+PINNED_ERRORS = {
+    "(p -> q : a ; q -> r : a ; r -> p : a) | (p -> q : b ; q -> r : a ; r -> p : b)":
+        "IncompatibleMerge: role 'r': cannot merge internal choices offering different outputs"
+        " in: p -> q : a ; q -> r : a ; r -> p : a | p -> q : b ; q -> r : a ; r -> p : b",
+    "p -> q : a | q -> p : a":
+        "NoDecisionMaker: no role starts with outputs in both branches; differing roles: 'p', 'q'"
+        " in: p -> q : a | q -> p : a",
+    "{q,s} -> r : d & ({q,r} -> s : e | r -> p : b)":
+        "AndEliminationExhausted: no sequential rewrite projects (4 candidates tried);"
+        " plain projection says: AndEliminationExhausted: unordered composition has no direct"
+        " projection rule in: {q,s} -> r : d & ({q,r} -> s : e | r -> p : b)"
+        " in: {q,s} -> r : d & ({q,r} -> s : e | r -> p : b)",
+}
+
+
+@pytest.mark.parametrize("protocol", PINNED_ERRORS)
+def test_projection_error_text_is_pinned(protocol):
+    with pytest.raises(ProjectionError) as info:
+        project_top(g(protocol))
+    assert str(info.value) == PINNED_ERRORS[protocol]
+
+
+def test_projection_error_text_is_built_from_its_fields():
+    """The message, built when it is read, is the kind, the detail and the
+    printed location, on every failure of `random_global_type(i)`, i < 700,
+    and of the benchmark corpus's two unprojectable choices."""
+    kinds = set()
+    samples = [g(p) for p in PINNED_ERRORS] + [random_global_type(i) for i in range(700)]
+    for sample in samples:
+        try:
+            project_top(sample)
+        except ProjectionError as exc:
+            assert exc.location is not None
+            assert str(exc) == f"{exc.kind}: {exc.detail} in: {print_global_type(exc.location)}"
+            assert exc.args == (exc.kind, exc.detail, exc.location)
+            kinds.add(exc.kind)
+    assert kinds == {AND_ELIMINATION_EXHAUSTED, INCOMPATIBLE_MERGE, NO_DECISION_MAKER}
+    bare = ProjectionError(OUTPUT_MISMATCH, "no location")
+    assert str(bare) == "OutputMismatch: no location"
+
+
+def test_a_dropped_projection_error_prints_nothing(monkeypatch):
+    """`&`-elimination drops the errors of the candidates it tries without
+    reading them, so it prints no global type for them."""
+    printed = []
+    monkeypatch.setattr(projector, "print_global_type", lambda x: printed.append(x) or "")
+    with pytest.raises(ProjectionError) as info:
+        project_top(g("{q,s} -> r : d & ({q,r} -> s : e | r -> p : b)"))
+    # the plain projection's message, inside the final detail
+    assert len(printed) == 1
+    str(info.value)
+    assert len(printed) == 2

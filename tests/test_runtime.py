@@ -158,3 +158,20 @@ def test_buffer_normalize_sorts_and_drops_empty_queues():
         (("q", "p"), ("c",)),
     )
     assert buffer_normalize({}) == ()
+
+
+def test_a_session_builds_each_letter_once():
+    """Width-3 parallel pairs: the session automaton takes its 9 letters,
+    each as one object, however many moves take it."""
+    env = parse_session_env(
+        "\n".join(
+            f"a{i} : b{i}!m.b{i}?k.b{i}!z.end\nb{i} : a{i}?m.a{i}!k.a{i}?z.end"
+            for i in range(3)
+        )
+    )
+    verdict, automaton = explore(env)
+    assert isinstance(verdict, Live)
+    labels = [label for row in automaton.delta for label, _ in row]
+    assert len(labels) > 400
+    assert len({id(label) for label in labels}) == 9
+    assert len(set(labels)) == 9
