@@ -23,9 +23,9 @@ deferred merges produced when projecting nested iterations) resolve here.
 A merge whose kind depends on itself before crossing a prefix cannot be
 resolved and fails conservatively.
 
-Each term is resolved at most once.  `normalize_session_type` keeps on the
-term it returns the minimized machine it read that term back from, and a
-canonical term is its own canonical form: normalizing it returns it
+A canonical term is never resolved again.  `normalize_session_type` keeps
+on the term it returns the minimized machine it read that term back from,
+and a canonical term is its own canonical form: normalizing it returns it
 unchanged, and `type_machine` returns the machine it keeps.  A prefix
 chain (outputs and inputs down to ``end``) is canonical when it is built,
 since it counts its prefixes from its continuation's count; its machine is
