@@ -21,7 +21,12 @@ Merges are evaluated coinductively: the memo table realizes the greatest
 fixpoint, so recursive types whose merge only closes through a loop (the
 deferred merges produced when projecting nested iterations) resolve here.
 A merge whose kind depends on itself before crossing a prefix cannot be
-resolved and fails conservatively.
+resolved and fails conservatively.  Resolution is budgeted by its work as
+well as by its size: past `_STATE_CAP` states or `_STEP_CAP` successor
+computations it fails with NotSessionTypeError.  It visits branch keys in
+canonical order and the parts of a join in the order they were first
+joined, so the fault it reports for a type with several does not depend on
+hash order.
 
 A canonical term is never resolved again.  `normalize_session_type` keeps
 on the term it returns the minimized machine it read that term back from,
@@ -61,6 +66,10 @@ from .tracelang import minimal_form
 END, OUT, IN = "end", "out", "in"
 
 _STATE_CAP = 20000
+# Successor computations one resolution may make.  A merge of merges can
+# make new states ever more costly to reach while their number stays small,
+# so the state count alone does not bound the work.
+_STEP_CAP = 10 * _STATE_CAP
 
 
 class MergeError(NotSessionTypeError):
@@ -118,25 +127,48 @@ class _State:
 
 def _freshen(t: SessionType) -> tuple[SessionType, dict]:
     """Rebuild `t` with globally unique recursion-variable names; return the
-    new term and the binder map name -> TRec node."""
+    new term and the binder map name -> TRec node.  Binders are numbered in
+    preorder, and the term is rebuilt off an explicit stack."""
     binders: dict[str, TRec] = {}
     counter = 0
-
-    def go(node: SessionType, env: dict[str, str]) -> SessionType:
-        nonlocal counter
-        if type(node) is TVar:
+    built: list[SessionType] = []  # rebuilt subterms, last built last
+    # Subterms to rebuild, with the names their free variables get, and
+    # nodes whose rebuilt parts are the last `n` of `built`, with their
+    # binder's fresh name (None but for a `rec`), to assemble.
+    work: list[tuple] = [(t, {})]
+    while work:
+        item = work.pop()
+        node = item[0]
+        if len(item) == 3:
+            _, n, fresh = item
+            new = built[len(built) - n :]
+            del built[len(built) - n :]
+            if fresh is None:
+                built.append(with_parts(node, new))
+            else:
+                rec = TRec(fresh, new[0])
+                binders[fresh] = rec
+                built.append(rec)
+            continue
+        env = item[1]
+        k = type(node)
+        if k is TVar:
             if node.name not in env:
                 raise ValueError(f"unbound recursion variable {node.name!r}")
-            return TVar(env[node.name])
-        if type(node) is TRec:
+            built.append(TVar(env[node.name]))
+        elif k is TRec:
             fresh = f"r{counter}"
             counter += 1
-            rec = TRec(fresh, go(node.body, env | {node.var: fresh}))
-            binders[fresh] = rec
-            return rec
-        return with_parts(node, tuple(map(go, parts(node), itertools.repeat(env))))
-
-    return go(t, {}), binders
+            work.append((node, 1, fresh))
+            work.append((node.body, env | {node.var: fresh}))
+        else:
+            kids = parts(node)
+            if kids:
+                work.append((node, len(kids), None))
+                work.extend(zip(reversed(kids), itertools.repeat(env)))
+            else:
+                built.append(node)
+    return built[0], binders
 
 
 class _Resolver:
@@ -147,7 +179,9 @@ class _Resolver:
         self.kk: dict[tuple, tuple] = {}  # key -> (kind, frozenset of branch keys)
         self.kk_busy: set[tuple] = set()
         self.mops: dict[tuple, tuple] = {}  # merge key -> (x, y)
+        self.joins: dict[tuple, tuple] = {}  # join key -> its parts, first seen order
         self.states: dict[tuple, _State] = {}
+        self.steps = 0  # calls of `target`, budgeted by _STEP_CAP
         self.root_key = self._pkey(self.term)
 
     # -- state expression keys ------------------------------------------
@@ -164,15 +198,17 @@ class _Resolver:
         return key
 
     def _jkey(self, parts: Iterable[tuple]) -> tuple:
-        flat: set[tuple] = set()
+        flat: dict[tuple, None] = {}
         for p in parts:
             if p[0] == "j":
-                flat |= p[1]
+                flat.update(dict.fromkeys(self.joins[p]))
             else:
-                flat.add(p)
+                flat[p] = None
         if len(flat) == 1:
             return next(iter(flat))
-        return ("j", frozenset(flat))
+        key = ("j", frozenset(flat))
+        self.joins.setdefault(key, tuple(flat))
+        return key
 
     # -- epsilon closure --------------------------------------------------
 
@@ -194,7 +230,7 @@ class _Resolver:
                 if item[0] == "m":
                     cl.subs.append(item)
                 elif item[0] == "j":
-                    work.extend(reversed(tuple(item[1])))
+                    work.extend(reversed(self.joins[item]))
                 else:
                     work.append(self.nodes[item[1]])
                 continue
@@ -283,6 +319,12 @@ class _Resolver:
     # -- successor states ---------------------------------------------------
 
     def target(self, key: tuple, bk: tuple) -> tuple:
+        self.steps += 1
+        if self.steps > _STEP_CAP:
+            raise NotSessionTypeError(
+                "session type is too large to resolve "
+                f"(more than {_STEP_CAP} resolution steps)"
+            )
         if key[0] == "m":
             x, y = self.mops[key]
             _, skx = self.kind_keys(x)
@@ -314,7 +356,7 @@ class _Resolver:
             if k in self.states:
                 continue
             kind, keys = self.kind_keys(k)
-            branches = {bk: self.target(k, bk) for bk in keys}
+            branches = {bk: self.target(k, bk) for bk in sorted(keys, key=_bk_order)}
             self.states[k] = _State(kind, branches)
             _check_size(len(self.states))
             work.extend(branches.values())
@@ -368,7 +410,7 @@ class _Resolver:
     def _check_merge_compat(self, x: tuple, y: tuple) -> None:
         _, skx = self.kind_keys(x)
         _, sky = self.kind_keys(y)
-        for bk in skx - sky:
+        for bk in sorted(skx - sky, key=_bk_order):
             _, partners, message = bk
             if not self.compatible_set(partners, message, y):
                 raise MergeError(
@@ -439,44 +481,51 @@ _NAMES = ("X", "Y", "Z", "W", "V", "U")
 def machine_to_type(m: Machine) -> SessionType:
     """Read back the canonical term of a minimized machine.  Recursion
     binders are introduced exactly at states reached by a cycle, named in
-    first-use order."""
+    first-use order.  The walk is depth-first in branch order, off an
+    explicit stack."""
+    names: dict[int, str | None] = {}  # states on the path -> binder name, once used
     counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        name = _NAMES[counter] if counter < len(_NAMES) else f"X{counter}"
-        counter += 1
-        return name
-
-    def build(s: int, stack: dict[int, str | None]) -> SessionType:
-        if s in stack:
-            if stack[s] is None:
-                stack[s] = fresh()
-            return TVar(stack[s])
-        stack[s] = None
-        kind = m.kinds[s]
-        if kind == END:
-            body: SessionType = TEnd()
+    # Per state on the path, innermost last: the state, its remaining
+    # branches, the branch key being read back, and the prefixes read so far.
+    frames: list[list] = []
+    s = m.root
+    while True:
+        if s in names:
+            if names[s] is None:
+                names[s] = _NAMES[counter] if counter < len(_NAMES) else f"X{counter}"
+                counter += 1
+            t: SessionType = TVar(names[s])
+        elif m.kinds[s] == END:
+            t = TEnd()
         else:
-            parts = []
-            for bk, target in m.branches[s].items():
-                cont = build(target, stack)
-                if bk[0] == OUT:
-                    parts.append(TOut(bk[1], bk[2], cont))
-                else:
-                    parts.append(TIn(bk[1], bk[2], cont))
-            if len(parts) == 1:
-                body = parts[0]
-            elif kind == OUT:
-                body = TInternal(tuple(parts))
+            names[s] = None
+            branches = iter(m.branches[s].items())
+            bk, target = next(branches)
+            frames.append([s, branches, bk, []])
+            s = target
+            continue
+        # `t` continues the branch that the innermost frame reads back
+        while frames:
+            frame = frames[-1]
+            bk = frame[2]
+            frame[3].append(TOut(bk[1], bk[2], t) if bk[0] == OUT else TIn(bk[1], bk[2], t))
+            step = next(frame[1], None)
+            if step is not None:
+                frame[2], s = step
+                break
+            frames.pop()
+            state, _, _, prefixes = frame
+            if len(prefixes) == 1:
+                t = prefixes[0]
+            elif m.kinds[state] == OUT:
+                t = TInternal(tuple(prefixes))
             else:
-                body = TExternal(tuple(parts))
-        name = stack.pop(s)
-        if name is not None:
-            return TRec(name, body)
-        return body
-
-    return build(m.root, {})
+                t = TExternal(tuple(prefixes))
+            name = names.pop(state)
+            if name is not None:
+                t = TRec(name, t)
+        else:
+            return t
 
 
 def _chain_length(t: SessionType) -> int | None:

@@ -35,6 +35,15 @@ overflow it either; the generated dataclass equality takes about three
 frames per level.  The session-type printer takes terms and text off an
 explicit stack too.
 
+Both parsers read a text in one linear pass and nest no calls: one regex
+pass splits it into parallel lists of token kinds and texts, the global
+parser reduces operators by precedence off an operand and an operator
+stack, and the session parser folds prefixes, ``rec`` binders and choices
+off a stack of open constructs, so inputs parse at any depth.  Where a
+token starts, and so the line and column of an error, is worked out only
+when an error is raised.  ``free_type_vars`` and ``check_guarded`` walk
+off explicit stacks as well.
+
 Compound session terms have two more slots, which equality, hashing,
 ``repr`` and pattern matching ignore: ``_machine``, the minimal machine
 that ``mpst.machine`` keeps on a term in canonical form, and, on prefixes,
@@ -46,6 +55,7 @@ Comments run from ``//`` to end of line in both languages.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -558,24 +568,26 @@ def with_parts(t: SessionType, new: Sequence[SessionType]) -> SessionType:
 def free_type_vars(t: SessionType) -> frozenset[str]:
     """Recursion variables of `t` not bound by an enclosing `rec`."""
     out: set[str] = set()
-
-    def walk(node: SessionType, bound: frozenset[str]) -> None:
+    work: list[tuple] = [(t, frozenset())]  # subterms with the names bound above them
+    while work:
+        node, bound = work.pop()
         if type(node) is TVar and node.name not in bound:
             out.add(node.name)
         elif type(node) is TRec:
             bound = bound | {node.var}
         for x in parts(node):
-            walk(x, bound)
-
-    walk(t, frozenset())
+            work.append((x, bound))
     return frozenset(out)
 
 
 def check_guarded(t: SessionType) -> None:
     """Raise UnguardedRecursionError if some recursion variable occurs
-    without an input/output prefix between it and its binder."""
-
-    def walk(node: SessionType, exposed: frozenset[str]) -> None:
+    without an input/output prefix between it and its binder; the first
+    such occurrence in preorder is reported."""
+    # subterms with the variables bound since the last prefix, next one last
+    work: list[tuple] = [(t, frozenset())]
+    while work:
+        node, exposed = work.pop()
         k = type(node)
         if k is TVar and node.name in exposed:
             raise UnguardedRecursionError(
@@ -585,94 +597,94 @@ def check_guarded(t: SessionType) -> None:
             exposed = exposed | {node.var}
         elif k is TOut or k is TIn:
             exposed = frozenset()
-        for x in parts(node):
-            walk(x, exposed)
-
-    walk(t, frozenset())
+        for x in reversed(parts(node)):
+            work.append((x, exposed))
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer (shared by both languages)
 # ---------------------------------------------------------------------------
 
+# One match per token: the whitespace and comments before it, then the
+# token in group 1 (an identifier or an operator), or a character that
+# starts no token, or the end of the text (both with group 1 empty).
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+|//[^\n]*)
-    | (?P<op>\(\+\)|->|[;&|*?(){},:!+.])
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    \s* (?: //[^\n]* \s* )*
+    (?: ( [A-Za-z_][A-Za-z0-9_]* | \(\+\) | -> | [;&|*?(){},:!+.] ) | \S | \Z )
     """,
     re.VERBOSE,
 )
+# The kind of each token text that is not an identifier: an operator is its
+# own kind, and the empty text ends the tokens.
+_KINDS = {op: op for op in ("(+)", "->", *";&|*?(){},:!+.")}
+_KINDS[""] = "eof"
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # an operator spelling, "ident", or "eof"
-    text: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of `offset` in `text`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup == "op":
-            toks.append(_Token(lexeme, lexeme, line, col))
-        elif m.lastgroup == "ident":
-            toks.append(_Token("ident", lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    toks.append(_Token("eof", "", line, col))
-    return toks
+class _Tokens:
+    """The tokens of a text, read in one pass of `_TOKEN_RE`, as parallel
+    lists: `kinds` (an operator's spelling, "ident", or "eof" for the end
+    marker that closes the lists) and `texts` ("" for the end marker).
+    Where a token starts is worked out only for an error, by matching the
+    text again up to that token."""
 
+    __slots__ = ("text", "kinds", "texts")
 
-class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        # After a newline the last match always runs to the end of the text
+        # and one more, empty, match follows it: drop that one.
+        self.texts = texts = _TOKEN_RE.findall(text + "\n")
+        texts.pop()
+        self.kinds = list(map(_KINDS.get, texts, itertools.repeat("ident")))
+        bad = texts.index("")
+        if bad < len(texts) - 1:
+            offset = self.offset(bad)
+            raise ParseError(
+                f"unexpected character {text[offset]!r}", *_position(text, offset)
+            )
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def offset(self, i: int) -> int:
+        """Where token `i` starts in the text."""
+        if i == len(self.texts) - 1:
+            return len(self.text)
+        m = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None))
+        # a character that starts no token is the last of its match
+        return m.start(1) if m.group(1) else m.end() - 1
 
-    def next(self) -> _Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def where(self, i: int) -> str:
+        """The "line:col" of token `i` that a located message starts with."""
+        return "%d:%d" % _position(self.text, self.offset(i))
 
-    def eat(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
+    def error(self, i: int, message: str) -> ParseError:
+        return ParseError(message, *_position(self.text, self.offset(i)))
 
-    def at_ident(self, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and (text is None or tok.text == text)
+    def expected(self, i: int, kind: str) -> ParseError:
+        return self.error(
+            i, f"expected {kind!r}, found {self.texts[i] or 'end of input'!r}"
+        )
 
-    def fail(self, message: str) -> None:
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def role_set(self) -> frozenset[Role]:
-        """`{r1, ..., rn}`: the senders of a join, the partners of an input."""
-        self.eat("{")
-        names = [self.eat("ident").text]
-        while self.peek().kind == ",":
-            self.next()
-            names.append(self.eat("ident").text)
-        self.eat("}")
-        return frozenset(names)
+    def role_set(self, i: int) -> tuple[frozenset[Role], int]:
+        """`{r1, ..., rn}` from token `i` (a "{"), the senders of a join or
+        the partners of an input; and the index of the token after it."""
+        kinds, texts = self.kinds, self.texts
+        names = []
+        while True:
+            i += 1
+            if kinds[i] != "ident":
+                raise self.expected(i, "ident")
+            names.append(texts[i])
+            i += 1
+            if kinds[i] != ",":
+                break
+        if kinds[i] != "}":
+            raise self.expected(i, "}")
+        return frozenset(names), i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -680,201 +692,278 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 _LOOP_RE = re.compile(r"loop([0-9]+)$")
+# Each binary operator's constructor and how tightly it binds.  The
+# operator stack holds such pairs; `_OPEN` marks where a group opens on it,
+# and nothing reduces past it.
+_BINARY = {"|": (GEither, 0), ";": (GSeq, 1), "&": (GBoth, 2)}
+_OPEN = (None, -1)
 
 
-class _GlobalParser(_Parser):
-    def parse(self) -> GlobalType:
-        g = self.either()
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected {self.peek().text!r} after global type")
-        return g
+class _LoopGroup:
+    """An open group of `loopk (..) exit (..)`: `k` parts are due, `bodies`
+    holds the loop group's once the exit group is open."""
 
-    def either(self) -> GlobalType:
-        g = self.seq()
-        while self.peek().kind == "|":
-            self.next()
-            g = GEither(g, self.seq())
-        return g
+    __slots__ = ("k", "items", "bodies")
 
-    def seq(self) -> GlobalType:
-        g = self.both()
-        while self.peek().kind == ";":
-            self.next()
-            g = GSeq(g, self.both())
-        return g
-
-    def both(self) -> GlobalType:
-        g = self.postfix()
-        while self.peek().kind == "&":
-            self.next()
-            g = GBoth(g, self.postfix())
-        return g
-
-    def postfix(self) -> GlobalType:
-        g = self.atom()
-        while True:
-            if self.peek().kind == "*":
-                self.next()
-                g = GStar(g)
-            elif self.peek().kind == "?":
-                self.next()
-                g = GEither(g, GSkip())
-            else:
-                return g
-
-    def atom(self) -> GlobalType:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            g = self.either()
-            self.eat(")")
-            return g
-        if tok.kind == "{":
-            senders = self.role_set()
-            return self.interaction_tail(senders, tok)
-        if tok.kind == "ident":
-            if tok.text == "skip":
-                self.next()
-                return GSkip()
-            m = _LOOP_RE.match(tok.text)
-            if m and self.peek(1).kind == "(":
-                return self.loopk(int(m.group(1)))
-            self.next()
-            return self.interaction_tail(frozenset({tok.text}), tok)
-        self.fail(f"expected a global type, found {tok.text or 'end of input'!r}")
-        raise AssertionError  # unreachable
-
-    def interaction_tail(self, senders: frozenset[Role], at: _Token) -> GAction:
-        self.eat("->")
-        receiver = self.eat("ident").text
-        self.eat(":")
-        message = self.eat("ident").text
-        try:
-            return GAction(Interaction(senders, receiver, message))
-        except SelfMessageError as exc:
-            raise SelfMessageError(f"{at.line}:{at.col}: {exc}") from None
-
-    def loopk(self, k: int) -> GKExit:
-        if k < 1:
-            self.fail("loopk needs k >= 1")
-        self.next()  # the loopN ident
-        bodies = self.group(k, "loop")
-        if not self.at_ident("exit"):
-            self.fail("expected 'exit'")
-        self.next()
-        exits = self.group(k, "exit")
-        return GKExit(tuple(bodies), tuple(exits))
-
-    def group(self, k: int, what: str) -> list[GlobalType]:
-        self.eat("(")
-        items = [self.either()]
-        while self.peek().kind == ",":
-            self.next()
-            items.append(self.either())
-        self.eat(")")
-        if len(items) != k:
-            self.fail(f"{what} group has {len(items)} parts, expected {k}")
-        return items
+    def __init__(self, k: int):
+        self.k = k
+        self.items: list[GlobalType] = []
+        self.bodies: tuple[GlobalType, ...] | None = None
 
 
 def parse_global_type(text: str) -> GlobalType:
-    """Parse the body of a ``.gt`` file."""
-    return _GlobalParser(text).parse()
+    """Parse the body of a ``.gt`` file.
+
+    Operators are reduced by precedence off two explicit stacks, one of
+    operands and one of operators, so nesting costs no stack frames.  A
+    parenthesis or a loop group pushes `_OPEN` on the operator stack and is
+    closed by reducing down to it.  Equal tightness reduces first, so
+    binary operators nest to the left."""
+    toks = _Tokens(text)
+    kinds, texts = toks.kinds, toks.texts
+    operands: list[GlobalType] = []
+    ops: list[tuple] = [_OPEN]
+    groups: list = []  # open groups, innermost last: None for "(", else a _LoopGroup
+    i = 0
+    while True:
+        # an operand starts at token i
+        kind = kinds[i]
+        if kind == "(":
+            groups.append(None)
+            ops.append(_OPEN)
+            i += 1
+            continue
+        if kind == "ident" and texts[i] == "skip":
+            operands.append(GSkip())
+            i += 1
+        elif kind == "ident" or kind == "{":
+            at = i
+            if kind == "{":
+                senders, i = toks.role_set(i)
+            else:
+                name = texts[i]
+                if kinds[i + 1] == "(" and (m := _LOOP_RE.match(name)):
+                    k = int(m.group(1))
+                    if k < 1:
+                        raise toks.error(i, "loopk needs k >= 1")
+                    groups.append(_LoopGroup(k))
+                    ops.append(_OPEN)
+                    i += 2
+                    continue
+                senders = frozenset((name,))
+                i += 1
+            if kinds[i] != "->":
+                raise toks.expected(i, "->")
+            if kinds[i + 1] != "ident":
+                raise toks.expected(i + 1, "ident")
+            if kinds[i + 2] != ":":
+                raise toks.expected(i + 2, ":")
+            if kinds[i + 3] != "ident":
+                raise toks.expected(i + 3, "ident")
+            try:
+                operands.append(GAction(Interaction(senders, texts[i + 1], texts[i + 3])))
+            except SelfMessageError as exc:
+                raise SelfMessageError(f"{toks.where(at)}: {exc}") from None
+            i += 4
+        else:
+            raise toks.error(
+                i, f"expected a global type, found {texts[i] or 'end of input'!r}"
+            )
+        # an operand ends before token i
+        while True:
+            kind = kinds[i]
+            if kind == "*":
+                operands[-1] = GStar(operands[-1])
+                i += 1
+                continue
+            if kind == "?":
+                operands[-1] = GEither(operands[-1], GSkip())
+                i += 1
+                continue
+            op = _BINARY.get(kind)
+            tight = 0 if op is None else op[1]
+            while ops[-1][1] >= tight:
+                right = operands.pop()
+                operands[-1] = ops.pop()[0](operands[-1], right)
+            if op is not None:
+                ops.append(op)
+                i += 1
+                break
+            # the operand ends the innermost group, or the whole type
+            if not groups:
+                if kind != "eof":
+                    raise toks.error(i, f"unexpected {texts[i]!r} after global type")
+                return operands[0]
+            group = groups[-1]
+            if group is None:
+                if kind != ")":
+                    raise toks.expected(i, ")")
+                groups.pop()
+                ops.pop()
+                i += 1
+                continue
+            if kind != "," and kind != ")":
+                raise toks.expected(i, ")")
+            group.items.append(operands.pop())
+            i += 1
+            if kind == ",":
+                break
+            items = group.items
+            if len(items) != group.k:
+                what = "loop" if group.bodies is None else "exit"
+                raise toks.error(
+                    i, f"{what} group has {len(items)} parts, expected {group.k}"
+                )
+            if group.bodies is None:
+                if kinds[i] != "ident" or texts[i] != "exit":
+                    raise toks.error(i, "expected 'exit'")
+                if kinds[i + 1] != "(":
+                    raise toks.expected(i + 1, "(")
+                group.bodies = tuple(items)
+                group.items = []
+                i += 2
+                break
+            groups.pop()
+            ops.pop()
+            operands.append(GKExit(group.bodies, tuple(items)))
 
 
 # ---------------------------------------------------------------------------
 # Session-type parsing
 # ---------------------------------------------------------------------------
 
+_PAREN = (None,)
 
-class _SessionParser(_Parser):
-    def parse_type(self) -> SessionType:
-        t = self.expr()
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected {self.peek().text!r} after session type")
-        return t
 
-    def parse_env(self) -> SessionEnv:
-        env: SessionEnv = {}
-        while self.peek().kind != "eof":
-            at = self.peek()
-            role = self.eat("ident").text
-            self.eat(":")
-            t = self.expr()
-            if role in env:
-                raise DuplicateRoleError(
-                    f"{at.line}:{at.col}: role {role!r} bound twice"
-                )
-            env[role] = t
-        if not env:
-            self.fail("expected at least one 'role : type' binding")
-        return env
-
-    def expr(self) -> SessionType:
-        if self.at_ident("rec"):
-            return self.rec()
-        first = self.unit()
-        op = self.peek().kind
-        if op not in ("(+)", "+"):
-            return first
-        branches = [first]
-        while self.peek().kind == op:
-            self.next()
-            branches.append(self.unit())
-        if self.peek().kind in ("(+)", "+"):
-            self.fail("cannot mix '(+)' and '+' without parentheses")
-        if op == "(+)":
-            return TInternal(tuple(branches))
-        return TExternal(tuple(branches))
-
-    def rec(self) -> TRec:
-        self.next()  # 'rec'
-        var = self.eat("ident").text
-        self.eat(".")
-        return TRec(var, self.expr())
-
-    def unit(self) -> SessionType:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            t = self.expr()
-            self.eat(")")
-            return t
-        if tok.kind == "{":
-            partners = self.role_set()
-            self.eat("?")
-            return self.prefix_tail(partners, is_input=True)
-        if tok.kind == "ident":
-            if tok.text == "end":
-                self.next()
-                return TEnd()
-            if tok.text == "rec":
-                return self.rec()
-            name = self.next().text
-            if self.peek().kind == "!":
-                self.next()
-                return self.prefix_tail(frozenset({name}), is_input=False)
-            if self.peek().kind == "?":
-                self.next()
-                return self.prefix_tail(frozenset({name}), is_input=True)
-            return TVar(name)
-        self.fail(f"expected a session type, found {tok.text or 'end of input'!r}")
-        raise AssertionError  # unreachable
-
-    def prefix_tail(self, partners: frozenset[Role], is_input: bool) -> SessionType:
-        message = self.eat("ident").text
-        self.eat(".")
-        cont = self.rec() if self.at_ident("rec") else self.unit()
-        if is_input:
-            return TIn(partners, message, cont)
-        if len(partners) != 1:
-            self.fail("an output has exactly one partner")
-        return TOut(next(iter(partners)), message, cont)
+def _parse_session(text: str, env: bool):
+    """Parse one session type, or with `env` the `role : type` bindings of
+    a ``.mps`` text into a dict, off one explicit stack of open constructs,
+    so nesting costs no stack frames.  The stack holds, innermost last, a
+    prefix waiting for its continuation (``(TOut, partner, message)`` or
+    ``(TIn, partners, message)``), a ``rec`` waiting for its body
+    (``(TRec, var)``), a parenthesis (``_PAREN``), and expressions in
+    progress as lists ``[op, branch, ...]``, `op` the choice operator or
+    None before the first one.  A prefix takes one unit (an atom, a prefix
+    or a parenthesized type) as its continuation; ``rec`` takes a whole
+    expression as its body, so it reaches as far right as it can."""
+    toks = _Tokens(text)
+    kinds, texts = toks.kinds, toks.texts
+    bindings: SessionEnv = {}
+    frames: list = []
+    i = 0
+    while True:
+        if not frames:
+            # a binding starts at token i, or without `env` the one type
+            if env:
+                if kinds[i] == "eof":  # only before the first binding
+                    raise toks.error(i, "expected at least one 'role : type' binding")
+                if kinds[i] != "ident":
+                    raise toks.expected(i, "ident")
+                if kinds[i + 1] != ":":
+                    raise toks.expected(i + 1, ":")
+                at = i
+                i += 2
+            frames.append([None])
+        # a unit starts at token i
+        kind = kinds[i]
+        cls = None
+        if kind == "ident":
+            name = texts[i]
+            if name == "end":
+                t = TEnd()
+                i += 1
+            elif name == "rec":
+                if kinds[i + 1] != "ident":
+                    raise toks.expected(i + 1, "ident")
+                if kinds[i + 2] != ".":
+                    raise toks.expected(i + 2, ".")
+                frames.append((TRec, texts[i + 1]))
+                frames.append([None])
+                i += 3
+                continue
+            elif kinds[i + 1] == "!":
+                cls, partners = TOut, name
+                i += 2
+            elif kinds[i + 1] == "?":
+                cls, partners = TIn, frozenset((name,))
+                i += 2
+            else:
+                t = TVar(name)
+                i += 1
+        elif kind == "{":
+            partners, i = toks.role_set(i)
+            if kinds[i] != "?":
+                raise toks.expected(i, "?")
+            cls = TIn
+            i += 1
+        elif kind == "(":
+            frames.append(_PAREN)
+            frames.append([None])
+            i += 1
+            continue
+        else:
+            raise toks.error(
+                i, f"expected a session type, found {texts[i] or 'end of input'!r}"
+            )
+        if cls is not None:
+            if kinds[i] != "ident":
+                raise toks.expected(i, "ident")
+            if kinds[i + 1] != ".":
+                raise toks.expected(i + 1, ".")
+            frames.append((cls, partners, texts[i]))
+            i += 2
+            continue
+        # the unit `t` ends before token i
+        while True:
+            top = frames[-1]
+            if type(top) is tuple:  # a prefix: `t` is its continuation
+                frames.pop()
+                t = top[0](top[1], top[2], t)
+                continue
+            # `t` is a branch of the innermost expression
+            kind = kinds[i]
+            op = top[0]
+            if op is None:
+                if kind == "(+)" or kind == "+":
+                    top[0] = kind
+                    top.append(t)
+                    i += 1
+                    break
+            else:
+                top.append(t)
+                if kind == op:
+                    i += 1
+                    break
+                if kind == "(+)" or kind == "+":
+                    raise toks.error(i, "cannot mix '(+)' and '+' without parentheses")
+                t = (TInternal if op == "(+)" else TExternal)(tuple(top[1:]))
+            # the expression `t` ends before token i
+            frames.pop()
+            if frames:
+                top = frames.pop()
+                if top is _PAREN:
+                    if kind != ")":
+                        raise toks.expected(i, ")")
+                    i += 1
+                else:
+                    t = TRec(top[1], t)
+                continue
+            if not env:
+                if kind != "eof":
+                    raise toks.error(i, f"unexpected {texts[i]!r} after session type")
+                return t
+            role = texts[at]
+            if role in bindings:
+                raise DuplicateRoleError(f"{toks.where(at)}: role {role!r} bound twice")
+            bindings[role] = t
+            if kind == "eof":
+                return bindings
+            break
 
 
 def parse_session_type(text: str) -> SessionType:
     """Parse a single session type (no role binding)."""
-    t = _SessionParser(text).parse_type()
+    t = _parse_session(text, env=False)
     _validate(t)
     return t
 
@@ -883,7 +972,7 @@ def parse_session_env(text: str) -> SessionEnv:
     """Parse the body of a ``.mps`` file: one or more `role : type` bindings.
 
     Every parsed type is validated: closed, guarded, and normalizable."""
-    env = _SessionParser(text).parse_env()
+    env = _parse_session(text, env=True)
     for role, t in env.items():
         try:
             _validate(t)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import functools
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -30,6 +33,8 @@ from mpst.syntax import (
     TOut,
     TRec,
     TVar,
+    check_guarded,
+    free_type_vars,
     parse_global_type,
     parse_session_env,
     parse_session_type,
@@ -187,12 +192,11 @@ def assert_agrees_with_resolver(ty) -> bool:
     session type."""
     try:
         ref = resolved(ty)
-    except ValueError:
-        # Which fault the resolver reports, when a term has several, depends
-        # on the order of its sets, so only the failure itself is compared.
+    except ValueError as exc:
         for f in (type_machine, normalize_session_type):
-            with pytest.raises(ValueError):
+            with pytest.raises(type(exc)) as info:
                 f(ty)
+            assert str(info.value) == str(exc)
         return False
     assert rows(type_machine(ty)) == rows(ref)
     n = normalize_session_type(ty)
@@ -364,3 +368,75 @@ def test_a_resolver_is_freed_without_the_cycle_collector(monkeypatch):
     finally:
         gc.enable()
     assert len(refs) == 2
+
+
+def test_walks_leave_no_garbage_for_the_cycle_collector():
+    """The walks over session terms and machines keep their state on
+    explicit stacks, not in closures that refer to themselves, so a call
+    leaves no reference cycle behind."""
+    ty = parse_session_type("rec X . (q!a.X (+) q!b.rec Y . (p?c.Y + p?d.end))")
+    m = type_machine(ty)
+    calls = [
+        lambda: free_type_vars(ty),
+        lambda: check_guarded(ty),
+        lambda: machine._freshen(ty),
+        lambda: machine_to_type(m),
+    ]
+    for call in calls:
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# A type with several faults; which one the resolver met first used to
+# depend on the order of string hashes.
+SEVERAL_FAULTS = (
+    "r : p?b.q!c.(p!b.(p!b.end (+) q!c.end) (+) p!b.end) + {p,q}?c.(p!a.end (+) "
+    "p!a.((p?a.end + {p,q}?a.end + q?c.end) (+) {p,q}?a.end) (+) p!c.({p,q}?c.(p!a.end "
+    "(+) q!c.end (+) p!a.end) + p?c.end + q?b.p!c.end)) + {p,q}?c.q!a.(q!c.(q!a.end "
+    "(+) p!b.end) (+) q!c.({p,q}?b.end + {p,q}?a.end))\n"
+)
+
+
+def test_a_type_with_several_faults_reports_one_under_every_hash_seed(tmp_path):
+    path = tmp_path / "faults.mps"
+    path.write_text(SEVERAL_FAULTS)
+    errors = set()
+    for seed in range(6):
+        result = subprocess.run(
+            [sys.executable, "-m", "mpst.cli", "simulate", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert result.returncode == 2
+        errors.add(result.stderr)
+    assert len(errors) == 1
+    (error,) = errors
+    assert error.startswith("error: in binding for role 'r': one state mixes ")
+    assert len(error.splitlines()) == 1
+
+
+def test_a_merge_that_never_repeats_runs_out_of_steps():
+    """Each state of `rec X . merge(p!a.X, p!a.p!a.X)` is a merge of merges
+    that never repeats, and each costs more to reach than the last, so the
+    resolver gives up on its step budget long before the state cap.  It
+    runs in a process of its own, which a resolver without that budget
+    would not leave."""
+    code = (
+        "from mpst.machine import type_machine\n"
+        "from mpst.syntax import NotSessionTypeError, TMerge, TOut, TRec, TVar\n"
+        "x = TVar('X')\n"
+        "try:\n"
+        "    type_machine(TRec('X', TMerge(TOut('p', 'a', x), TOut('p', 'a', TOut('p', 'a', x)))))\n"
+        "except NotSessionTypeError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert result.stdout.strip() == (
+        f"session type is too large to resolve (more than {machine._STEP_CAP} resolution steps)"
+    )

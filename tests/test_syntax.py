@@ -5,11 +5,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_parsers
+from mpst import syntax
 from mpst.syntax import (
     _BOTH,
     _EITHER,
@@ -402,3 +407,137 @@ def test_environment_allows_comments():
 
 def test_session_var_equality_is_structural():
     assert parse_session_type("rec X . p!a.X") == TRec("X", TOut("p", "a", TVar("X")))
+
+
+# ---------------------------------------------------------------------------
+# The explicit-stack parsers against the recursive-descent reference
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+LEXEME = re.compile(r"\(\+\)|->|[;&|*?(){},:!+.]|\w+")
+# tokens a mutation may insert: every operator, the keywords of both
+# languages, names, and characters that start no token
+INSERTABLE = [*";&|*?(){},:!+.", "(+)", "->", "skip", "loop0", "loop1", "loop2", "exit",
+              "rec", "end", "p", "q", "X", "#", "1", "/", "-", "// note\n"]
+SEPARATORS = ["", " ", "\n", "\t", "  // c\n", "\r\n"]
+
+senders = st.sampled_from(["p", "q", "{p, q}", "{q,r}", "{p}"])
+interactions = st.builds("{} -> {} : {}".format, senders, st.sampled_from("pqr"), st.sampled_from("ab"))
+
+
+def extend_global(inner):
+    groups = st.lists(inner, min_size=1, max_size=3).map(", ".join)
+    return st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from(";&|"), inner),
+        st.builds("{}{}".format, inner, st.sampled_from("*?")),
+        inner.map("({})".format),
+        st.builds("loop{} ({}) exit ({})".format, st.integers(0, 3), groups, groups),
+    )
+
+
+global_texts = st.recursive(interactions | st.just("skip"), extend_global, max_leaves=10)
+
+
+def extend_session(inner):
+    prefixes = st.sampled_from(["q!", "r!", "p?", "{p,q}?", "{q}?"])
+    return st.one_of(
+        st.builds("{}{}.{}".format, prefixes, st.sampled_from("ab"), inner),
+        st.builds("rec {} . {}".format, st.sampled_from("XY"), inner),
+        inner.map("({})".format),
+        st.builds(
+            lambda op, branches: f" {op} ".join(branches),
+            st.sampled_from(["(+)", "+"]),
+            st.lists(inner, min_size=2, max_size=3),
+        ),
+    )
+
+
+session_texts = st.recursive(st.sampled_from(["end", "X", "Y"]), extend_session, max_leaves=8)
+env_texts = st.lists(
+    st.builds("{} : {}".format, st.sampled_from("pqr"), session_texts), min_size=1, max_size=3
+).map("\n".join)
+
+
+@st.composite
+def mutated(draw, texts):
+    """A text from `texts`, or one of its tokens deleted, a token inserted
+    or two tokens swapped, laid out with random whitespace and comments."""
+    tokens = LEXEME.findall(draw(texts))
+    edit = draw(st.sampled_from(["none", "delete", "insert", "swap"]))
+    if edit == "delete" and tokens:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    elif edit == "insert":
+        at = draw(st.integers(0, len(tokens)))
+        tokens.insert(at, draw(st.sampled_from(INSERTABLE + tokens)))
+    elif edit == "swap" and len(tokens) > 1:
+        i, j = (draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    gaps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
+    return "".join(map(str.__add__, tokens, gaps))
+
+
+def outcome(parse, text):
+    """What `parse` makes of `text`: the term, or the class, message and
+    position of the error; None when the text nests too deeply for it."""
+    try:
+        return parse(text)
+    except RecursionError:
+        return None
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+PARSERS = {
+    "global": (parse_global_type, reference_parsers.parse_global_type),
+    "type": (functools.partial(syntax._parse_session, env=False), reference_parsers.parse_session_type),
+    "env": (functools.partial(syntax._parse_session, env=True), reference_parsers.parse_session_env),
+}
+
+
+def assert_parsed_as_by_reference(language, text):
+    new, reference = PARSERS[language]
+    expected = outcome(reference, text)
+    if expected is None:
+        return
+    assert outcome(new, text) == expected, text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated(global_texts))
+def test_global_parser_agrees_with_recursive_descent(text):
+    assert_parsed_as_by_reference("global", text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated(session_texts))
+def test_session_type_parser_agrees_with_recursive_descent(text):
+    assert_parsed_as_by_reference("type", text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated(env_texts))
+def test_session_env_parser_agrees_with_recursive_descent(text):
+    assert_parsed_as_by_reference("env", text)
+
+
+def test_parsers_agree_with_recursive_descent_on_the_readme():
+    """Every code block of the README, and each of its lines, read as each
+    of the three inputs."""
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    texts = blocks + [line for block in blocks for line in block.splitlines()]
+    assert "seller -> buyer : descr ; seller -> buyer : price ;" in texts
+    assert "p : rec X . (q!a.X (+) q!b.end)" in texts
+    for text in texts:
+        for language in PARSERS:
+            assert_parsed_as_by_reference(language, text)
+
+
+def test_deep_inputs_parse_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() < 5000
+    g = parse_global_type("(" * 5000 + "p -> q : a" + ")" * 5000 + "*")
+    assert g == GStar(GAction(Interaction(frozenset({"p"}), "q", "a")))
+    env = parse_session_env("p : " + "q!a.q?b." * 2500 + "end\nq : " + "(p?a.p!b." * 2500 + "end" + ")" * 2500)
+    assert print_session_env(env) == "p : " + "q!a.q?b." * 2500 + "end\nq : " + "p?a.p!b." * 2500 + "end"
+    # not a chain: validation walks it, resolves it and reads it back
+    loop = "p : rec X . " + "q!a.q!b." * 2500 + "X"
+    assert print_session_env(parse_session_env(loop)) == loop
