@@ -130,7 +130,7 @@ _OPTIONS = {
     "max_len": click.option("--max-len", type=_POSITIVE, default=None, help="Trace length bound (default: 2·interactions + 4)."),
     "buf_bound": click.option("--buf-bound", type=_POSITIVE, default=runtime.DEFAULT_BUF_BOUND, show_default=True, help="Buffer capacity per channel."),
     "depth_bound": click.option("--depth", "depth_bound", type=_POSITIVE, default=runtime.DEFAULT_DEPTH_BOUND, show_default=True, help="Configuration exploration bound."),
-    "budget": click.option("--budget", type=_POSITIVE, default=projector.DEFAULT_AND_BUDGET, show_default=True, help="Rewrite candidates for unordered-composition elimination."),
+    "budget": click.option("--budget", type=_POSITIVE, default=projector.DEFAULT_AND_BUDGET, show_default=True, help="Terms the unordered-composition rewrite search visits, and interleavings it draws."),
     "as_json": click.option("--json", "as_json", is_flag=True, help="Emit a JSON report."),
 }
 

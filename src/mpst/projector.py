@@ -17,17 +17,16 @@ Unordered composition has no projection rule of its own: `project_top`
 rewrites `&` away (serializations first, then distributing rewrites
 breadth-first, then raw interleavings of action sequences) and projects the
 first rewrite that succeeds.  The candidates are generated lazily and
-deduplicated by trace language as they are yielded, so none is built or
-compiled after the first that projects.  Within one elimination the
-rewrites of each subterm are computed once, and each subterm is compiled
-once, however many candidates contain it.
+tried in the order they are generated, so none is built after the first
+that projects.  Within one elimination the rewrites of each subterm are
+computed once, however many candidates contain it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from . import machine
 from .syntax import (
@@ -57,7 +56,7 @@ from .syntax import (
     with_parts,
     with_subterms,
 )
-from .tracelang import compile_traces, kexit_unfolding, language_key
+from .tracelang import kexit_unfolding
 
 NO_DECISION_MAKER = "NoDecisionMaker"
 INCOMPATIBLE_MERGE = "IncompatibleMerge"
@@ -269,19 +268,20 @@ def _kexit(
                 outs = []
             candidates.append(outs if outs else roles)
 
-    last_error: ProjectionError | None = None
-    for assignment in itertools.islice(
-        itertools.product(*candidates), _KEXIT_ASSIGNMENT_CAP
-    ):
-        try:
-            return _kexit_build(g, bodies, exits, exit_envs, assignment, env, ctx)
-        except ProjectionError as exc:
-            last_error = exc
-    if last_error is None:
+    assignments = list(
+        itertools.islice(itertools.product(*candidates), _KEXIT_ASSIGNMENT_CAP)
+    )
+    if not assignments:
         raise ProjectionError(
             NO_DECISION_MAKER, "no role can decide whether to iterate", g
         )
-    raise last_error
+    # the error of the last assignment tried is the one reported
+    for assignment in assignments[:-1]:
+        try:
+            return _kexit_build(g, bodies, exits, exit_envs, assignment, env, ctx)
+        except ProjectionError:
+            continue
+    return _kexit_build(g, bodies, exits, exit_envs, assignments[-1], env, ctx)
 
 
 def _kexit_build(
@@ -328,26 +328,32 @@ def _kexit_build(
             combined = _merge_terms(combined, t, r, g)
         defs[rvar[r]] = combined
 
-    def close(name: str, stack: frozenset[str]) -> SessionType:
-        body = _subst(defs[name], stack | {name})
-        if name in free_type_vars(body):
-            return TRec(name, body)
-        return body
-
-    def _subst(t: SessionType, stack: frozenset[str]) -> SessionType:
-        if type(t) is TVar and t.name in defs:
-            return t if t.name in stack else close(t.name, stack)
-        return with_parts(t, tuple(map(_subst, parts(t), itertools.repeat(stack))))
-
     result = dict(env)
     for r in roles:
-        result[r] = close(rvar[r], frozenset())
-    result[deciders[0]] = close(dvar[0], frozenset())
+        result[r] = _close(rvar[r], defs, frozenset())
+    result[deciders[0]] = _close(dvar[0], defs, frozenset())
 
     for r in roles:
         if _is_closed(result[r]):
             result[r] = _normalized(result[r], r, g)
     return result
+
+
+def _close(name: str, defs: dict[str, SessionType], stack: frozenset[str]) -> SessionType:
+    """The definition of the unknown `name` with every unknown it uses
+    substituted in turn, bound by `rec` where it refers back to itself.
+    `stack` holds the unknowns being closed around it."""
+    body = _subst(defs[name], defs, stack | {name})
+    if name in free_type_vars(body):
+        return TRec(name, body)
+    return body
+
+
+def _subst(t: SessionType, defs: dict[str, SessionType], stack: frozenset[str]) -> SessionType:
+    if type(t) is TVar and t.name in defs:
+        return t if t.name in stack else _close(t.name, defs, stack)
+    subs = map(_subst, parts(t), itertools.repeat(defs), itertools.repeat(stack))
+    return with_parts(t, tuple(subs))
 
 
 # ---------------------------------------------------------------------------
@@ -377,31 +383,31 @@ def project_alg(g: GlobalType, cont: SessionEnv) -> SessionEnv:
 
 def project_top(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> SessionEnv:
     """Project `g` with every role ending afterwards.  When `g` contains
-    unordered composition, or plain projection fails, rewrite candidates
-    from eliminate_and are tried in order and the first success wins; the
-    candidates after it are never built."""
+    unordered composition, or plain projection fails, the sequential
+    rewrites of `g` are tried in the order they are generated and the first
+    success wins; the candidates after it are never built."""
     cont = {r: TEnd() for r in sorted(roles_of(g))}
     try:
         return project_alg(g, cont)
-    except ProjectionError as exc:
-        direct_error = exc
-    tried = 0
-    for cand in _dedup_by_language(_sequential_rewrites(g, budget)):
-        if cand == g:
-            continue
-        tried += 1
-        try:
-            return project_alg(cand, cont)
-        except ProjectionError:
-            continue
-    if _contains_both(g):
+    except ProjectionError as direct_error:
+        # the search runs inside the handler, which unbinds `direct_error`
+        # when it ends: this frame, held by the error's traceback, must not
+        # hold the error too, or the two would form a reference cycle
+        tried = 0
+        for cand in _sequential_rewrites(g, budget):
+            tried += 1
+            try:
+                return project_alg(cand, cont)
+            except ProjectionError:
+                continue
+        if not _contains_both(g):
+            raise
         raise ProjectionError(
             AND_ELIMINATION_EXHAUSTED,
             f"no sequential rewrite projects ({tried} candidates tried); "
             f"plain projection says: {direct_error}",
             g,
-        )
-    raise direct_error
+        ) from None
 
 
 def _contains_both(g: GlobalType) -> bool:
@@ -418,21 +424,17 @@ def _contains_both(g: GlobalType) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def eliminate_and(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> list[GlobalType]:
-    """An ordered list of `&`-free rewrites of `g`, each denoting a sublanguage
-    of (or the same language as) `g`'s traces: the two whole-type
-    serializations first, then breadth-first closure under the distributing
-    rewrites, then (for `&` of plain action sequences) every interleaving.
-    Deduplicated by trace-language equality.  At most `budget` types are
-    explored."""
-    return list(_dedup_by_language(_sequential_rewrites(g, budget)))
-
-
 def _sequential_rewrites(g: GlobalType, budget: int) -> Iterator[GlobalType]:
-    """The candidates of `eliminate_and` before language deduplication,
-    built one at a time, each yielded once.  The rewrites of a subterm are
-    computed once and shared by every term of the search that contains it."""
-    seen: set[GlobalType] = set()
+    """`&`-free rewrites of `g` other than `g` itself, built one at a time,
+    each yielded once, each denoting a sublanguage of (or the same language
+    as) `g`'s traces: the two whole-type serializations first, then the
+    breadth-first closure under the distributing rewrites, then (for `&` of
+    plain action sequences) every interleaving.  The rewrite search visits
+    at most `budget` terms, and interleavings are drawn only while `g` and
+    the terms yielded number fewer than `budget`.  The rewrites of a subterm
+    are computed once and shared by every term of the search that contains
+    it."""
+    seen: set[GlobalType] = {g}
     rewrites: dict[GlobalType, list[GlobalType]] = {}
 
     def fresh(t: GlobalType) -> bool:
@@ -474,13 +476,11 @@ def _sequential_rewrites(g: GlobalType, budget: int) -> Iterator[GlobalType]:
 
 
 def _serialize_all(g: GlobalType, left_first: bool) -> GlobalType:
-    def go(t: GlobalType) -> GlobalType:
-        if type(t) is GBoth:
-            a, b = go(t.left), go(t.right)
-            return GSeq(a, b) if left_first else GSeq(b, a)
-        return with_subterms(t, tuple(map(go, subterms(t))))
-
-    return go(g)
+    if type(g) is GBoth:
+        a, b = _serialize_all(g.left, left_first), _serialize_all(g.right, left_first)
+        return GSeq(a, b) if left_first else GSeq(b, a)
+    subs = map(_serialize_all, subterms(g), itertools.repeat(left_first))
+    return with_subterms(g, tuple(subs))
 
 
 def _rewrites(g: GlobalType, memo: dict[GlobalType, list[GlobalType]]) -> list[GlobalType]:
@@ -551,16 +551,3 @@ def _action_shuffles(g: GlobalType) -> Iterator[GlobalType]:
         chosen = set(places)
         actions = [next(us) if k in chosen else next(vs) for k in range(n)]
         yield functools.reduce(GSeq, actions)
-
-
-def _dedup_by_language(candidates: Iterable[GlobalType]) -> Iterator[GlobalType]:
-    """Yield the first representative of every trace language, as the
-    candidates come.  The candidates share one compilation memo, so a
-    subterm they have in common is compiled once."""
-    keys: set[tuple] = set()
-    compiled: dict = {}
-    for cand in candidates:
-        key = language_key(compile_traces(cand, compiled))
-        if key not in keys:
-            keys.add(key)
-            yield cand

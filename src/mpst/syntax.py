@@ -319,15 +319,14 @@ def with_subterms(g: GlobalType, new: Sequence[GlobalType]) -> GlobalType:
 def roles_of(g: GlobalType) -> frozenset[Role]:
     """All roles that take part in some interaction of `g`."""
     out: set[Role] = set()
-
-    def walk(node: GlobalType) -> None:
+    work = [g]
+    while work:
+        node = work.pop()
         if type(node) is GAction:
             out.update(node.interaction.senders)
             out.add(node.interaction.receiver)
-        for x in subterms(node):
-            walk(x)
-
-    walk(g)
+        else:
+            work.extend(subterms(node))
     return frozenset(out)
 
 
@@ -1003,34 +1002,42 @@ _G_OP = {GEither: "|", GSeq: ";", GBoth: "&"}
 
 
 def print_global_type(g: GlobalType) -> str:
-    """Render `g` so that parse_global_type(print_global_type(g)) == g."""
+    """Render `g` so that parse_global_type(print_global_type(g)) == g.
 
-    def prec(node: GlobalType) -> int:
-        return _G_PREC.get(type(node), 4)
-
-    def render(node: GlobalType, level: int, right: bool = False) -> str:
-        p = prec(node)
+    Terms, each with the precedence level it is printed at and whether it
+    is a right operand, and the text between them are taken off an
+    explicit stack, so a type of any depth prints."""
+    out: list[str] = []
+    work: list = [(g, 0, False)]  # (term, level, right) and text, last first
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, level, right = item
+        p = _G_PREC.get(type(node), 4)
         match node:
             case GSkip():
-                s = "skip"
+                pieces: list = ["skip"]
             case GAction(i):
-                s = str(i)
+                pieces = [str(i)]
             case GSeq(l, r) | GBoth(l, r) | GEither(l, r):
-                op = _G_OP[type(node)]
-                s = f"{render(l, p)} {op} {render(r, p, right=True)}"
+                pieces = [(l, p, False), f" {_G_OP[type(node)]} ", (r, p, True)]
             case GStar(b):
-                s = f"{render(b, p)}*"
+                pieces = [(b, p, False), "*"]
             case GKExit(bodies, exits):
-                bs = ", ".join(render(b, 0) for b in bodies)
-                es = ", ".join(render(e, 0) for e in exits)
-                s = f"loop{len(bodies)} ({bs}) exit ({es})"
+                pieces = [f"loop{len(bodies)} ("]
+                for i, x in enumerate(bodies + exits):
+                    if i:
+                        pieces.append(") exit (" if i == len(bodies) else ", ")
+                    pieces.append((x, 0, False))
+                pieces.append(")")
             case _:
                 raise TypeError(f"not a global type: {node!r}")
         if p < level or (p == level and right):
-            return f"({s})"
-        return s
-
-    return render(g, 0)
+            pieces = ["(", *pieces, ")"]
+        work.extend(reversed(pieces))
+    return "".join(out)
 
 
 def print_session_type(t: SessionType) -> str:

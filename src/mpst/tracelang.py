@@ -19,15 +19,12 @@ automaton `well_formed` builds for a type that is not well formed, which
 only `includes` reads.
 
 Automata stay nondeterministic; `_successors` takes subset steps on the
-fly inside `includes`, during enumeration and membership, and in
-`language_key`, which determinizes a whole automaton: it gives the minimal
-form (`minimal_form`) of its subset construction, so two automata accept
-the same language iff their keys are equal.
-`minimal_form` merges states by Hopcroft partition refinement, in
-O(m log n) for m moves between n states.  The deterministic automata it
-minimizes are partial, so every initial block (the states of one kind)
-starts as a splitter, which does the work of a sink state for the missing
-letters.
+fly inside `includes`, during enumeration and membership.
+`minimal_form`, with which `machine` minimizes session machines, merges
+states by Hopcroft partition refinement, in O(m log n) for m moves between
+n states.  The deterministic automata it minimizes are partial, so every
+initial block (the states of one kind) starts as a splitter, which does
+the work of a sink state for the missing letters.
 
 `well_formed` determinizes the compiled automaton too (`_subset_automaton`,
 over numbered letters) and decides closure under swaps by swap diamonds on
@@ -227,42 +224,24 @@ def kexit_unfolding(
     return GSeq(GStar(chain), alt)
 
 
-def compile_traces(g: GlobalType, memo: dict | None = None) -> TraceAutomaton:
-    """An automaton accepting exactly the traces of `g`.
-
-    With `memo`, a dict the caller passes to every call that may meet a
-    common subterm and drops when done, each subterm object is compiled
-    once and its automaton is shared: the operations above never change
-    an operand.  `memo` maps the `id` of each term compiled so far to the
-    term and its automaton.  Lookups go by identity because comparing two
-    deep equal terms takes about three stack frames per level, more than
-    compiling them.  Without `memo` nothing is kept: holding every
-    intermediate automaton of one long `;` chain costs more than it
-    saves."""
-    if memo is not None:
-        hit = memo.get(id(g))
-        if hit is not None:
-            return hit[1]
+def compile_traces(g: GlobalType) -> TraceAutomaton:
+    """An automaton accepting exactly the traces of `g`."""
     match g:
         case GSkip():
-            a = _empty_word()
+            return _empty_word()
         case GAction(i):
-            a = _letter(i)
+            return _letter(i)
         case GSeq(l, r):
-            a = _seq(compile_traces(l, memo), compile_traces(r, memo))
+            return _seq(compile_traces(l), compile_traces(r))
         case GEither(l, r):
-            a = _alt(compile_traces(l, memo), compile_traces(r, memo))
+            return _alt(compile_traces(l), compile_traces(r))
         case GBoth(l, r):
-            a = shuffle_automata(compile_traces(l, memo), compile_traces(r, memo))
+            return shuffle_automata(compile_traces(l), compile_traces(r))
         case GStar(b):
-            a = _star(compile_traces(b, memo))
+            return _star(compile_traces(b))
         case GKExit(bodies, exits):
-            a = compile_traces(kexit_unfolding(bodies, exits), memo)
-        case _:
-            raise TypeError(f"not a global type: {g!r}")
-    if memo is not None:
-        memo[id(g)] = (g, a)
-    return a
+            return compile_traces(kexit_unfolding(bodies, exits))
+    raise TypeError(f"not a global type: {g!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +401,6 @@ def minimal_form(root, kind, edges, order) -> tuple[list, list[dict]]:
         [labels[rep[b]] for b in number],
         [{a: number[block[t]] for a, t in ordered[b]} for b in number],
     )
-
-
-def language_key(a: TraceAutomaton) -> tuple:
-    """A canonical key of the language of the trim automaton `a`: the
-    minimal form of its subset construction, letters ordered by `_ikey`.
-    Two trim automata accept the same language iff their keys are equal."""
-    kinds, rows = minimal_form(
-        frozenset({0}),
-        lambda s: not a.accepts.isdisjoint(s),
-        lambda s: _successors(a, s).items(),
-        _ikey,
-    )
-    return tuple(kinds), tuple(tuple(row.items()) for row in rows)
 
 
 def word_key(word: Word) -> tuple:

@@ -22,7 +22,9 @@ guessed.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import machine as _machine
@@ -37,6 +39,7 @@ from .syntax import (
     GlobalType,
     Interaction,
     NotSessionTypeError,
+    Role,
     SessionEnv,
     SessionType,
     TEnd,
@@ -304,29 +307,25 @@ def _candidate_envs(g: GlobalType, budget: int) -> list[SessionEnv]:
 def _relaxations(g: GlobalType) -> list[GlobalType]:
     """Variants of `g` with sequential compositions relaxed to unordered
     ones: all at once, then one at a time."""
-
-    def relax(flips: set[int]) -> tuple[GlobalType, int]:
-        """`g` with the `;` nodes numbered in `flips` (pre-order) relaxed,
-        and the number of `;` nodes."""
-        counter = 0
-
-        def rebuild(t: GlobalType) -> GlobalType:
-            nonlocal counter
-            if type(t) is GSeq:
-                i = counter
-                counter += 1
-                left, right = rebuild(t.left), rebuild(t.right)
-                return GBoth(left, right) if i in flips else GSeq(left, right)
-            return with_subterms(t, tuple(map(rebuild, subterms(t))))
-
-        return rebuild(g), counter
-
-    total = relax(set())[1]
+    numbers = itertools.count()
+    _relaxed(g, set(), numbers)
+    total = next(numbers)  # the number of `;` nodes
     if total == 0 or total > 16:
         return []
-    variants = [relax(set(range(total)))[0]]
-    variants += [relax({i})[0] for i in range(total)]
+    variants = [_relaxed(g, set(range(total)), itertools.count())]
+    variants += [_relaxed(g, {i}, itertools.count()) for i in range(total)]
     return [v for v in variants if v != g]
+
+
+def _relaxed(t: GlobalType, flips: set[int], numbers: Iterator[int]) -> GlobalType:
+    """`t` with the `;` nodes relaxed whose pre-order numbers, drawn from
+    `numbers`, are in `flips`."""
+    if type(t) is GSeq:
+        i = next(numbers)
+        left, right = _relaxed(t.left, flips, numbers), _relaxed(t.right, flips, numbers)
+        return GBoth(left, right) if i in flips else GSeq(left, right)
+    subs = map(_relaxed, subterms(t), itertools.repeat(flips), itertools.repeat(numbers))
+    return with_subterms(t, tuple(subs))
 
 
 def classify(
@@ -436,31 +435,35 @@ def random_global_type(
         else tuple(f"p{i}" for i in range(role_count))
     )
 
-    def action() -> GlobalType:
-        receiver = rng.choice(roles)
-        rest = [x for x in roles if x != receiver]
-        k = 2 if len(rest) >= 2 and rng.random() < 0.15 else 1
-        senders = frozenset(rng.sample(rest, k))
-        return GAction(Interaction(senders, receiver, rng.choice(_MESSAGE_POOL)))
+    return _random_term(rng, roles, rng.randint(1, max_size), star_depth)
 
-    def gen(size: int, depth: int) -> GlobalType:
-        if size <= 1:
-            return action()
-        roll = rng.random()
-        if roll < 0.15 and depth > 0:
-            return GStar(gen(size - 1, depth - 1))
-        if roll < 0.45:
-            cut = rng.randint(1, size - 1)
-            return GSeq(gen(cut, depth), gen(size - cut, depth))
-        if roll < 0.60:
-            cut = rng.randint(1, size - 1)
-            return GBoth(gen(cut, depth), gen(size - cut, depth))
-        if roll < 0.85:
-            cut = rng.randint(1, size - 1)
-            return GEither(gen(cut, depth), gen(size - cut, depth))
-        return action()
 
-    return gen(rng.randint(1, max_size), star_depth)
+def _random_action(rng: random.Random, roles: tuple[Role, ...]) -> GlobalType:
+    receiver = rng.choice(roles)
+    rest = [x for x in roles if x != receiver]
+    k = 2 if len(rest) >= 2 and rng.random() < 0.15 else 1
+    senders = frozenset(rng.sample(rest, k))
+    return GAction(Interaction(senders, receiver, rng.choice(_MESSAGE_POOL)))
+
+
+def _random_term(
+    rng: random.Random, roles: tuple[Role, ...], size: int, depth: int
+) -> GlobalType:
+    if size <= 1:
+        return _random_action(rng, roles)
+    roll = rng.random()
+    if roll < 0.15 and depth > 0:
+        return GStar(_random_term(rng, roles, size - 1, depth - 1))
+    if roll < 0.45:
+        cut = rng.randint(1, size - 1)
+        return GSeq(_random_term(rng, roles, cut, depth), _random_term(rng, roles, size - cut, depth))
+    if roll < 0.60:
+        cut = rng.randint(1, size - 1)
+        return GBoth(_random_term(rng, roles, cut, depth), _random_term(rng, roles, size - cut, depth))
+    if roll < 0.85:
+        cut = rng.randint(1, size - 1)
+        return GEither(_random_term(rng, roles, cut, depth), _random_term(rng, roles, size - cut, depth))
+    return _random_action(rng, roles)
 
 
 def cross_check_theorems(

@@ -39,10 +39,12 @@ from mpst.syntax import (
     parse_session_env,
     parse_session_type,
     parts,
+    print_global_type,
     print_session_type,
+    roles_of,
     with_parts,
 )
-from mpst.verifier import check_preorder, random_global_type
+from mpst.verifier import check_preorder, classify, random_global_type
 
 
 def t(src: str):
@@ -371,16 +373,25 @@ def test_a_resolver_is_freed_without_the_cycle_collector(monkeypatch):
 
 
 def test_walks_leave_no_garbage_for_the_cycle_collector():
-    """The walks over session terms and machines keep their state on
-    explicit stacks, not in closures that refer to themselves, so a call
-    leaves no reference cycle behind."""
+    """The walks over terms and machines keep their state on explicit
+    stacks or in module-level functions, not in closures that refer to
+    themselves, and no frame keeps a caught projection error that holds
+    the frame, so a call leaves no reference cycle behind."""
     ty = parse_session_type("rec X . (q!a.X (+) q!b.rec Y . (p?c.Y + p?d.end))")
     m = type_machine(ty)
+    loop = parse_global_type("(p -> q : a ; q -> r : b)* ; r -> p : c")
+    starred = parse_global_type("(p -> q : a & p -> r : b)* ; p -> q : c ; p -> r : c")
+    unordered = parse_global_type("p -> q : a ; r -> s : b")
     calls = [
         lambda: free_type_vars(ty),
         lambda: check_guarded(ty),
         lambda: machine._freshen(ty),
         lambda: machine_to_type(m),
+        lambda: roles_of(loop),
+        lambda: print_global_type(loop),
+        lambda: project_top(starred),
+        lambda: classify(unordered),
+        lambda: random_global_type(7),
     ]
     for call in calls:
         gc.collect()

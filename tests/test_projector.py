@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +10,13 @@ from mpst import projector
 from mpst.machine import session_type_equal
 from mpst.projector import (
     AND_ELIMINATION_EXHAUSTED,
+    DEFAULT_AND_BUDGET,
     INCOMPATIBLE_MERGE,
     NO_DECISION_MAKER,
     OUTPUT_MISMATCH,
     ProjectionError,
     _action_shuffles,
-    _contains_both,
-    _dedup_by_language,
-    eliminate_and,
+    _sequential_rewrites,
     merge,
     project_alg,
     project_top,
@@ -33,7 +30,7 @@ from mpst.syntax import (
     print_session_type,
     roles_of,
 )
-from mpst.tracelang import compile_traces, includes, language_key
+from mpst.tracelang import compile_traces, includes
 from mpst.verifier import check_preorder, random_global_type
 
 g = parse_global_type
@@ -165,7 +162,7 @@ def test_projection_requires_bound_continuations():
 def test_eliminate_and_candidates_stay_within_the_language():
     protocol = g("(p -> q : a ; q -> r : b) & (r -> s : c | s -> r : d)")
     whole = compile_traces(protocol)
-    candidates = eliminate_and(protocol)
+    candidates = list(_sequential_rewrites(protocol, DEFAULT_AND_BUDGET))
     assert candidates
     for cand in candidates:
         assert not isinstance(cand, GBoth)
@@ -174,7 +171,7 @@ def test_eliminate_and_candidates_stay_within_the_language():
 
 def test_eliminate_and_respects_its_budget():
     protocol = g("(p -> q : a & q -> r : b) & (r -> s : c & s -> p : d)")
-    assert len(eliminate_and(protocol, budget=5)) <= 5
+    assert len(list(_sequential_rewrites(protocol, 5))) <= 5
 
 
 IN_CONTEXT_CANDIDATES = {
@@ -184,17 +181,27 @@ IN_CONTEXT_CANDIDATES = {
         "loop2 (p -> q : a ; r -> s : b, q -> p : c) exit (p -> q : d, p -> q : g ; (r -> s : e ; s -> r : f))",
         "loop2 (r -> s : b ; p -> q : a, q -> p : c) exit (p -> q : d, r -> s : e ; s -> r : f ; p -> q : g)",
         "loop2 (p -> q : a ; r -> s : b, q -> p : c) exit (p -> q : d, r -> s : e ; p -> q : g ; s -> r : f)",
+        "loop2 (p -> q : a ; r -> s : b, q -> p : c) exit (p -> q : d, p -> q : g ; r -> s : e ; s -> r : f)",
+        "loop2 (p -> q : a ; r -> s : b, q -> p : c) exit (p -> q : d, r -> s : e ; (s -> r : f ; p -> q : g))",
+        "loop2 (p -> q : a ; r -> s : b, q -> p : c) exit (p -> q : d, r -> s : e ; (p -> q : g ; s -> r : f))",
         "loop2 (r -> s : b ; p -> q : a, q -> p : c) exit (p -> q : d, r -> s : e ; p -> q : g ; s -> r : f)",
+        "loop2 (r -> s : b ; p -> q : a, q -> p : c) exit (p -> q : d, p -> q : g ; r -> s : e ; s -> r : f)",
+        "loop2 (r -> s : b ; p -> q : a, q -> p : c) exit (p -> q : d, r -> s : e ; (s -> r : f ; p -> q : g))",
+        "loop2 (r -> s : b ; p -> q : a, q -> p : c) exit (p -> q : d, r -> s : e ; (p -> q : g ; s -> r : f))",
     ],
     "loop1 ((p -> q : a | q -> p : b) & r -> s : c) exit (p -> r : d & q -> s : e)": [
         "loop1 ((p -> q : a | q -> p : b) ; r -> s : c) exit (p -> r : d ; q -> s : e)",
         "loop1 (r -> s : c ; (p -> q : a | q -> p : b)) exit (q -> s : e ; p -> r : d)",
         "loop1 ((p -> q : a | q -> p : b) ; r -> s : c) exit (q -> s : e ; p -> r : d)",
         "loop1 (r -> s : c ; (p -> q : a | q -> p : b)) exit (p -> r : d ; q -> s : e)",
+        "loop1 (p -> q : a ; r -> s : c | q -> p : b ; r -> s : c) exit (p -> r : d ; q -> s : e)",
+        "loop1 (p -> q : a ; r -> s : c | q -> p : b ; r -> s : c) exit (q -> s : e ; p -> r : d)",
         "loop1 (p -> q : a ; r -> s : c | r -> s : c ; q -> p : b) exit (p -> r : d ; q -> s : e)",
         "loop1 (p -> q : a ; r -> s : c | r -> s : c ; q -> p : b) exit (q -> s : e ; p -> r : d)",
         "loop1 (r -> s : c ; p -> q : a | q -> p : b ; r -> s : c) exit (p -> r : d ; q -> s : e)",
         "loop1 (r -> s : c ; p -> q : a | q -> p : b ; r -> s : c) exit (q -> s : e ; p -> r : d)",
+        "loop1 (r -> s : c ; p -> q : a | r -> s : c ; q -> p : b) exit (p -> r : d ; q -> s : e)",
+        "loop1 (r -> s : c ; p -> q : a | r -> s : c ; q -> p : b) exit (q -> s : e ; p -> r : d)",
     ],
     "(p -> q : a & r -> s : b)* ; q -> p : c": [
         "(p -> q : a ; r -> s : b)* ; q -> p : c",
@@ -207,7 +214,7 @@ IN_CONTEXT_CANDIDATES = {
 def test_eliminate_and_rewrites_inside_loops_in_order(protocol):
     """`&` inside loop bodies, loop exits and `*` is rewritten in context,
     bodies before exits; the candidate list is pinned in full."""
-    candidates = [print_global_type(c) for c in eliminate_and(g(protocol))]
+    candidates = [print_global_type(c) for c in _sequential_rewrites(g(protocol), DEFAULT_AND_BUDGET)]
     assert candidates == IN_CONTEXT_CANDIDATES[protocol]
 
 
@@ -243,33 +250,8 @@ def test_eliminate_and_draws_no_more_shuffles_than_its_budget(monkeypatch):
             yield shuffle
 
     monkeypatch.setattr(projector, "_action_shuffles", counted)
-    assert len(eliminate_and(protocol, budget=8)) <= 8
+    assert len(list(_sequential_rewrites(protocol, 8))) <= 8
     assert 0 < draws <= 8
-
-
-def test_eliminate_and_keeps_one_candidate_per_language():
-    """Two-way inclusion tells every two kept candidates apart, for the
-    `&`-protocols above and the criterion-8 samples that use `&`."""
-    protocols = [
-        g("(p -> q : a ; q -> r : b) & (r -> s : c | s -> r : d)"),
-        g("(p -> q : a & q -> r : b) & (r -> s : c & s -> p : d)"),
-        g("p -> q : a & (r -> s : b)*"),
-    ]
-    protocols += [s for s in map(random_global_type, range(20260814, 20260814 + 200)) if _contains_both(s)]
-    kept = 0
-    for protocol in protocols:
-        autos = [compile_traces(c) for c in eliminate_and(protocol)]
-        kept += len(autos)
-        for x, y in itertools.combinations(autos, 2):
-            assert includes(x, y) is not None or includes(y, x) is not None
-    assert kept > 2 * len(protocols)
-
-
-def test_language_dedup_keeps_the_first_of_each_language():
-    first = g("p -> q : a ; (q -> r : b | q -> r : c)")
-    same = g("p -> q : a ; q -> r : b | p -> q : a ; q -> r : c")
-    other = g("p -> q : a ; q -> r : b")
-    assert list(_dedup_by_language([first, other, same, other])) == [first, other]
 
 
 @pytest.mark.parametrize(
@@ -280,16 +262,17 @@ def test_language_dedup_keeps_the_first_of_each_language():
     ],
 )
 def test_projection_keys_no_candidate_after_the_first_that_projects(monkeypatch, protocol):
-    keyed = 0
+    drawn = 0
 
-    def counted(auto):
-        nonlocal keyed
-        keyed += 1
-        return language_key(auto)
+    def counted(t, budget):
+        nonlocal drawn
+        for cand in _sequential_rewrites(t, budget):
+            drawn += 1
+            yield cand
 
-    monkeypatch.setattr(projector, "language_key", counted)
+    monkeypatch.setattr(projector, "_sequential_rewrites", counted)
     assert project_top(g(protocol))
-    assert keyed == 1
+    assert drawn == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,7 +314,7 @@ PINNED_ERRORS = {
         "NoDecisionMaker: no role starts with outputs in both branches; differing roles: 'p', 'q'"
         " in: p -> q : a | q -> p : a",
     "{q,s} -> r : d & ({q,r} -> s : e | r -> p : b)":
-        "AndEliminationExhausted: no sequential rewrite projects (4 candidates tried);"
+        "AndEliminationExhausted: no sequential rewrite projects (6 candidates tried);"
         " plain projection says: AndEliminationExhausted: unordered composition has no direct"
         " projection rule in: {q,s} -> r : d & ({q,r} -> s : e | r -> p : b)"
         " in: {q,s} -> r : d & ({q,r} -> s : e | r -> p : b)",

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 import time
-from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import parikh, swap_violations, swappable, trace_set
 from mpst import machine, tracelang
+from mpst.projector import DEFAULT_AND_BUDGET, _sequential_rewrites
 from mpst.syntax import GAction, GBoth, GEither, GSeq, GSkip, GStar, Interaction, parse_global_type
 from mpst.tracelang import (
     BudgetExceededError,
@@ -20,7 +19,6 @@ from mpst.tracelang import (
     compile_traces,
     enumerate_traces,
     includes,
-    language_key,
     minimal_form,
     parikh_vector,
     shuffle_automata,
@@ -79,18 +77,10 @@ def test_compiled_traces_match_recursive_semantics_randomly(seed):
 
 
 def test_shared_subterms_compile_once_and_stay_unchanged():
-    """`x` occurs three times in `(x | x) ; (x)*`; all three share the
-    automaton compiled for `x` first, and building around it leaves that
-    automaton as it was."""
+    """`x`, one term object, occurs three times in `(x | x) ; (x)*`, and
+    each occurrence contributes its own traces."""
     x = g("p -> q : a ; q -> p : b")
     whole = GSeq(GEither(x, x), GStar(x))
-    memo: dict = {}
-    shared = compile_traces(x, memo)
-    before = ([list(edges) for edges in shared.delta], shared.accepts)
-    auto = compile_traces(whole, memo)
-    assert compile_traces(x, memo) is shared
-    assert ([list(edges) for edges in shared.delta], shared.accepts) == before
-    assert enumerate_traces(auto, 8) == trace_set(whole, 8)
     assert enumerate_traces(compile_traces(whole), 8) == trace_set(whole, 8)
 
 
@@ -205,16 +195,6 @@ def test_inclusion_counterexample_is_shortest():
     assert includes(big, small) == word("p -> q : a", "p -> q : b")
 
 
-def same_language(x, y) -> bool:
-    return includes(x, y) is None and includes(y, x) is None
-
-
-def assert_keys_decide_equality(pairs):
-    """Equal language keys exactly when inclusion holds both ways."""
-    for x, y in pairs:
-        assert (language_key(x) == language_key(y)) == same_language(x, y)
-
-
 def test_minimal_form_merges_equivalent_states_and_numbers_them_in_order():
     # a ring of four equivalent states, entered through a root that also
     # moves by a letter that sorts first
@@ -288,8 +268,9 @@ def test_refinement_matches_moore_on_partial_automata(automaton):
 
 
 def test_refinement_matches_moore_on_criterion_8_automata(monkeypatch):
-    """Every automaton `language_key` and `type_machine` minimize while
-    the samples are keyed, projected and checked."""
+    """The subset automata of the samples and of their `&`-elimination
+    candidates, and every automaton `type_machine` minimizes while the
+    samples are projected and checked."""
     sizes = []
 
     def both_ways(*args):
@@ -297,10 +278,12 @@ def test_refinement_matches_moore_on_criterion_8_automata(monkeypatch):
         sizes.append(len(kinds))
         return kinds, rows
 
-    monkeypatch.setattr(tracelang, "minimal_form", both_ways)
     monkeypatch.setattr(machine, "minimal_form", both_ways)
     for i in range(200):
-        language_key(compile_traces(random_global_type(20260814 + i)))
+        sample = random_global_type(20260814 + i)
+        for term in (sample, *_sequential_rewrites(sample, DEFAULT_AND_BUDGET)):
+            _, rows, accepting = tracelang._subset_automaton(compile_traces(term))
+            both_ways(0, accepting.__getitem__, lambda s: rows[s].items(), int)
     assert cross_check_theorems(sample_count=200, seed=20260814)["violations"] == []
     assert len(sizes) > 1000 and max(sizes) > 10
 
@@ -318,45 +301,6 @@ def test_minimal_form_scales_to_long_chains_and_rings():
         kinds, rows = minimal_form(0, lambda s: s == final, edges.__getitem__, str)
         assert time.perf_counter() - start < 2
         assert len(kinds) == blocks and kinds.count(True) == 1
-
-
-def test_language_key_decides_equality_on_pinned_compositions():
-    autos = [compile_traces(g(src)) for src in PINNED]
-    assert_keys_decide_equality(itertools.combinations(autos, 2))
-    assert len({language_key(a) for a in autos}) == len(PINNED)
-
-
-@pytest.mark.parametrize(
-    "left, right",
-    [
-        ("p -> q : a ; (q -> r : b | q -> r : c)", "p -> q : a ; q -> r : b | p -> q : a ; q -> r : c"),
-        ("(p -> q : a)*", "(p -> q : a)* ; (p -> q : a)*"),
-        ("skip ; p -> q : a", "p -> q : a"),
-    ],
-)
-def test_language_key_equates_known_equal_languages(left, right):
-    x, y = compile_traces(g(left)), compile_traces(g(right))
-    assert language_key(x) == language_key(y)
-    assert same_language(x, y)
-
-
-def test_language_key_decides_equality_on_criterion_8_samples():
-    """Neighbouring samples, each sample against rewrites of it that keep
-    its language, and every two samples that share a key."""
-    samples = [random_global_type(20260814 + i) for i in range(200)]
-    autos = [compile_traces(s) for s in samples]
-    assert_keys_decide_equality(zip(autos, autos[1:]))
-    assert_keys_decide_equality(
-        (auto, compile_traces(variant))
-        for s, auto in zip(samples, autos)
-        for variant in (GEither(s, s), GSeq(GSkip(), s), GSeq(s, GSkip()))
-    )
-    classes = defaultdict(list)
-    for auto in autos:
-        classes[language_key(auto)].append(auto)
-    assert len(classes) > 150
-    for members in classes.values():
-        assert all(same_language(x, y) for x, y in itertools.combinations(members, 2))
 
 
 def test_enumeration_cap_is_enforced():
