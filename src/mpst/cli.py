@@ -45,12 +45,7 @@ _INPUT_ERRORS = (
 
 
 def _fmt_location(location) -> str | None:
-    if location is None:
-        return None
-    try:
-        return print_global_type(location)
-    except Exception:
-        return str(location)
+    return None if location is None else print_global_type(location)
 
 
 def _word_json(word) -> list[str]:
@@ -130,7 +125,7 @@ _OPTIONS = {
     "max_len": click.option("--max-len", type=_POSITIVE, default=None, help="Trace length bound (default: 2·interactions + 4)."),
     "buf_bound": click.option("--buf-bound", type=_POSITIVE, default=runtime.DEFAULT_BUF_BOUND, show_default=True, help="Buffer capacity per channel."),
     "depth_bound": click.option("--depth", "depth_bound", type=_POSITIVE, default=runtime.DEFAULT_DEPTH_BOUND, show_default=True, help="Configuration exploration bound."),
-    "budget": click.option("--budget", type=_POSITIVE, default=projector.DEFAULT_AND_BUDGET, show_default=True, help="Terms the unordered-composition rewrite search visits, and interleavings it draws."),
+    "budget": click.option("--budget", type=_POSITIVE, default=projector.DEFAULT_AND_BUDGET, show_default=True, help="Terms the unordered-composition rewrite search visits (not the candidates tried)."),
     "as_json": click.option("--json", "as_json", is_flag=True, help="Emit a JSON report."),
 }
 

@@ -11,20 +11,22 @@ internal choice, everyone else's are merged.  Iterations (`*` and `loopk`)
 introduce one recursion unknown per decision point and per spectating role;
 since a spectator's merge may involve the still-open recursion unknowns,
 such merges are deferred (kept as symbolic merge nodes) and resolved by the
-state-machine normalizer once the enclosing recursions are closed.
+state-machine normalizer once the enclosing recursions are closed.  Each
+loop body is projected once, against fresh unknowns for what follows it;
+every choice of decision roles tried renames those unknowns and assembles
+the recursion from the same projections.
 
 Unordered composition has no projection rule of its own: `project_top`
 rewrites `&` away (serializations first, then distributing rewrites
-breadth-first, then raw interleavings of action sequences) and projects the
-first rewrite that succeeds.  The candidates are generated lazily and
-tried in the order they are generated, so none is built after the first
-that projects.  Within one elimination the rewrites of each subterm are
-computed once, however many candidates contain it.
+breadth-first) and projects the first rewrite that succeeds.  The
+candidates are generated lazily and tried in the order they are generated,
+so none is built after the first that projects.  Within one elimination
+the rewrites of each subterm are computed once, however many candidates
+contain it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Iterator
 
@@ -237,88 +239,81 @@ def _kexit(
         return _project(exits[0], env, ctx)
     exit_envs = [_project(exits[i], env, ctx) for i in range(k)]
 
-    candidates: list[list[Role]] = []
+    exit_outs: list[list[Role]] = []
     for i in range(k):
         diffs = [r for r in roles if exit_envs[i][r] != env[r]]
-        if diffs:
-            outs = [r for r in diffs if machine.root_kind(exit_envs[i][r]) == "out"]
-            if not outs:
-                raise ProjectionError(
-                    NO_DECISION_MAKER,
-                    f"no role can signal the exit of phase {i + 1}: roles "
-                    f"{', '.join(map(repr, diffs))} act in the exit but none "
-                    "starts with an output",
-                    g,
-                )
-            candidates.append(outs)
-        else:
-            # the exit does not discriminate (e.g. skip): look at who opens
-            # the body with outputs
-            trial_env = {
-                r: TVar(ctx.fresh()) if r in roles else env[r] for r in env
-            }
-            try:
-                trial = _project(bodies[i], trial_env, ctx)
-                outs = [
-                    r
-                    for r in roles
-                    if machine.root_kind(trial[r]) == "out"
-                ]
-            except ProjectionError:
-                outs = []
-            candidates.append(outs if outs else roles)
+        outs = [r for r in diffs if machine.root_kind(exit_envs[i][r]) == "out"]
+        if diffs and not outs:
+            raise ProjectionError(
+                NO_DECISION_MAKER,
+                f"no role can signal the exit of phase {i + 1}: roles "
+                f"{', '.join(map(repr, diffs))} act in the exit but none "
+                "starts with an output",
+                g,
+            )
+        exit_outs.append(outs)
+
+    # each body once, against a fresh unknown for what each role does after
+    # it; every decider assignment renames these unknowns its own way
+    after = [{r: ctx.fresh() for r in roles} for _ in range(k)]
+    body_envs = [
+        _project(bodies[i], env | {r: TVar(after[i][r]) for r in roles}, ctx)
+        for i in range(k)
+    ]
+    # a phase whose exit does not discriminate (e.g. skip) is decided by the
+    # roles that open its body with outputs, or by any role if none does
+    candidates = [
+        outs
+        or [r for r in roles if machine.root_kind(body_envs[i][r]) == "out"]
+        or roles
+        for i, outs in enumerate(exit_outs)
+    ]
 
     assignments = list(
         itertools.islice(itertools.product(*candidates), _KEXIT_ASSIGNMENT_CAP)
     )
-    if not assignments:
-        raise ProjectionError(
-            NO_DECISION_MAKER, "no role can decide whether to iterate", g
-        )
     # the error of the last assignment tried is the one reported
-    for assignment in assignments[:-1]:
+    for deciders in assignments[:-1]:
         try:
-            return _kexit_build(g, bodies, exits, exit_envs, assignment, env, ctx)
+            return _kexit_build(g, roles, exit_envs, body_envs, after, deciders, env, ctx)
         except ProjectionError:
             continue
-    return _kexit_build(g, bodies, exits, exit_envs, assignments[-1], env, ctx)
+    return _kexit_build(g, roles, exit_envs, body_envs, after, assignments[-1], env, ctx)
 
 
 def _kexit_build(
     g: GlobalType,
-    bodies: tuple[GlobalType, ...],
-    exits: tuple[GlobalType, ...],
+    roles: list[Role],
     exit_envs: list[SessionEnv],
+    body_envs: list[SessionEnv],
+    after: list[dict[Role, str]],
     deciders: tuple[Role, ...],
     env: SessionEnv,
     ctx: _Ctx,
 ) -> SessionEnv:
-    k = len(bodies)
-    roles = sorted(roles_of(g))
+    k = len(deciders)
     dvar = [ctx.fresh() for _ in range(k)]
     rvar = {r: ctx.fresh() for r in roles}
 
-    def phase_env(i: int) -> SessionEnv:
-        out = dict(env)
-        for r in roles:
-            out[r] = TVar(rvar[r])
-        out[deciders[i]] = TVar(dvar[i])
-        return out
-
-    body_envs = [
-        _project(bodies[i], phase_env((i + 1) % k), ctx) for i in range(k)
-    ]
+    # body i continues into phase i + 1, which that phase's decider opens
+    renamed: list[SessionEnv] = []
+    for i in range(k):
+        nxt = (i + 1) % k
+        names: dict[str, SessionType] = {
+            after[i][r]: TVar(dvar[nxt] if r == deciders[nxt] else rvar[r]) for r in roles
+        }
+        renamed.append({r: _subst(body_envs[i][r], names, frozenset()) for r in roles})
 
     defs: dict[str, SessionType] = {}
     for i in range(k):
         p = deciders[i]
-        go_on, leave = body_envs[i][p], exit_envs[i][p]
+        go_on, leave = renamed[i][p], exit_envs[i][p]
         defs[dvar[i]] = go_on if go_on == leave else TInternal((go_on, leave))
     for r in roles:
         pieces = []
         for i in range(k):
             if deciders[i] != r:
-                pieces.extend((exit_envs[i][r], body_envs[i][r]))
+                pieces.extend((exit_envs[i][r], renamed[i][r]))
         pieces = [t for t in pieces if t != TVar(rvar[r])]
         if not pieces:
             defs[rvar[r]] = TEnd()  # r decides every phase; never referenced
@@ -428,12 +423,9 @@ def _sequential_rewrites(g: GlobalType, budget: int) -> Iterator[GlobalType]:
     """`&`-free rewrites of `g` other than `g` itself, built one at a time,
     each yielded once, each denoting a sublanguage of (or the same language
     as) `g`'s traces: the two whole-type serializations first, then the
-    breadth-first closure under the distributing rewrites, then (for `&` of
-    plain action sequences) every interleaving.  The rewrite search visits
-    at most `budget` terms, and interleavings are drawn only while `g` and
-    the terms yielded number fewer than `budget`.  The rewrites of a subterm
-    are computed once and shared by every term of the search that contains
-    it."""
+    breadth-first closure under the distributing rewrites.  The rewrite
+    search visits at most `budget` terms.  The rewrites of a subterm are
+    computed once and shared by every term of the search that contains it."""
     seen: set[GlobalType] = {g}
     rewrites: dict[GlobalType, list[GlobalType]] = {}
 
@@ -465,12 +457,6 @@ def _sequential_rewrites(g: GlobalType, budget: int) -> Iterator[GlobalType]:
                 break
         frontier = nxt
     for t in frontier:
-        if fresh(t):
-            yield t
-
-    for t in _action_shuffles(g):
-        if len(seen) >= budget:
-            break
         if fresh(t):
             yield t
 
@@ -522,32 +508,3 @@ def _rewrites(g: GlobalType, memo: dict[GlobalType, list[GlobalType]]) -> list[G
         for x2 in _rewrites(x, memo):
             out.append(with_subterms(g, subs[:i] + (x2,) + subs[i + 1 :]))
     return out
-
-
-def _action_sequence(g: GlobalType) -> list[GAction] | None:
-    match g:
-        case GAction(_):
-            return [g]
-        case GSeq(l, r):
-            a = _action_sequence(l)
-            b = _action_sequence(r)
-            return a + b if a is not None and b is not None else None
-        case _:
-            return None
-
-
-def _action_shuffles(g: GlobalType) -> Iterator[GlobalType]:
-    """Every interleaving of the two action sequences of `g = l & r`, one
-    at a time, those that take `l`'s actions earlier coming first."""
-    if not isinstance(g, GBoth):
-        return
-    left = _action_sequence(g.left)
-    right = _action_sequence(g.right)
-    if left is None or right is None:
-        return
-    n = len(left) + len(right)
-    for places in itertools.combinations(range(n), len(left)):
-        us, vs = iter(left), iter(right)
-        chosen = set(places)
-        actions = [next(us) if k in chosen else next(vs) for k in range(n)]
-        yield functools.reduce(GSeq, actions)

@@ -308,22 +308,22 @@ def _relaxations(g: GlobalType) -> list[GlobalType]:
     """Variants of `g` with sequential compositions relaxed to unordered
     ones: all at once, then one at a time."""
     numbers = itertools.count()
-    _relaxed(g, set(), numbers)
+    variants = [_relaxed(g, None, numbers)]
     total = next(numbers)  # the number of `;` nodes
     if total == 0 or total > 16:
         return []
-    variants = [_relaxed(g, set(range(total)), itertools.count())]
     variants += [_relaxed(g, {i}, itertools.count()) for i in range(total)]
     return [v for v in variants if v != g]
 
 
-def _relaxed(t: GlobalType, flips: set[int], numbers: Iterator[int]) -> GlobalType:
+def _relaxed(t: GlobalType, flips: set[int] | None, numbers: Iterator[int]) -> GlobalType:
     """`t` with the `;` nodes relaxed whose pre-order numbers, drawn from
-    `numbers`, are in `flips`."""
+    `numbers`, are in `flips`, or with every `;` relaxed if `flips` is
+    None."""
     if type(t) is GSeq:
         i = next(numbers)
         left, right = _relaxed(t.left, flips, numbers), _relaxed(t.right, flips, numbers)
-        return GBoth(left, right) if i in flips else GSeq(left, right)
+        return GBoth(left, right) if flips is None or i in flips else GSeq(left, right)
     subs = map(_relaxed, subterms(t), itertools.repeat(flips), itertools.repeat(numbers))
     return with_subterms(t, tuple(subs))
 

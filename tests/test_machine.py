@@ -372,6 +372,15 @@ def test_a_resolver_is_freed_without_the_cycle_collector(monkeypatch):
     assert len(refs) == 2
 
 
+def _fails_to_project(g) -> None:
+    """Project `g`, which must fail, and drop the error."""
+    try:
+        project_top(g)
+    except ProjectionError:
+        return
+    raise AssertionError("expected a projection error")
+
+
 def test_walks_leave_no_garbage_for_the_cycle_collector():
     """The walks over terms and machines keep their state on explicit
     stacks or in module-level functions, not in closures that refer to
@@ -382,6 +391,7 @@ def test_walks_leave_no_garbage_for_the_cycle_collector():
     loop = parse_global_type("(p -> q : a ; q -> r : b)* ; r -> p : c")
     starred = parse_global_type("(p -> q : a & p -> r : b)* ; p -> q : c ; p -> r : c")
     unordered = parse_global_type("p -> q : a ; r -> s : b")
+    failing_loop = parse_global_type("(p -> q : a | r -> s : b)* ; p -> q : c")
     calls = [
         lambda: free_type_vars(ty),
         lambda: check_guarded(ty),
@@ -390,6 +400,7 @@ def test_walks_leave_no_garbage_for_the_cycle_collector():
         lambda: roles_of(loop),
         lambda: print_global_type(loop),
         lambda: project_top(starred),
+        lambda: _fails_to_project(failing_loop),
         lambda: classify(unordered),
         lambda: random_global_type(7),
     ]

@@ -15,7 +15,6 @@ from mpst.projector import (
     NO_DECISION_MAKER,
     OUTPUT_MISMATCH,
     ProjectionError,
-    _action_shuffles,
     _sequential_rewrites,
     merge,
     project_alg,
@@ -222,38 +221,6 @@ def chain(sender: str, receiver: str, n: int) -> str:
     return " ; ".join(f"{sender} -> {receiver} : m{k}" for k in range(n))
 
 
-def test_action_shuffles_come_one_at_a_time_in_order():
-    shuffles = _action_shuffles(g(f"({chain('p', 'q', 3)}) & ({chain('r', 's', 3)})"))
-    first = [print_global_type(next(shuffles)) for _ in range(5)]
-    assert first == [
-        "p -> q : m0 ; p -> q : m1 ; p -> q : m2 ; r -> s : m0 ; r -> s : m1 ; r -> s : m2",
-        "p -> q : m0 ; p -> q : m1 ; r -> s : m0 ; p -> q : m2 ; r -> s : m1 ; r -> s : m2",
-        "p -> q : m0 ; p -> q : m1 ; r -> s : m0 ; r -> s : m1 ; p -> q : m2 ; r -> s : m2",
-        "p -> q : m0 ; p -> q : m1 ; r -> s : m0 ; r -> s : m1 ; r -> s : m2 ; p -> q : m2",
-        "p -> q : m0 ; r -> s : m0 ; p -> q : m1 ; p -> q : m2 ; r -> s : m1 ; r -> s : m2",
-    ]
-    rest = list(shuffles)
-    assert len(rest) == 20 - 5
-    assert print_global_type(rest[-1]) == (
-        "r -> s : m0 ; r -> s : m1 ; r -> s : m2 ; p -> q : m0 ; p -> q : m1 ; p -> q : m2"
-    )
-
-
-def test_eliminate_and_draws_no_more_shuffles_than_its_budget(monkeypatch):
-    protocol = g(f"({chain('p', 'q', 10)}) & ({chain('r', 's', 10)})")
-    draws = 0
-
-    def counted(t):
-        nonlocal draws
-        for shuffle in _action_shuffles(t):
-            draws += 1
-            yield shuffle
-
-    monkeypatch.setattr(projector, "_action_shuffles", counted)
-    assert len(list(_sequential_rewrites(protocol, 8))) <= 8
-    assert 0 < draws <= 8
-
-
 @pytest.mark.parametrize(
     "protocol",
     [
@@ -273,6 +240,39 @@ def test_projection_keys_no_candidate_after_the_first_that_projects(monkeypatch,
     monkeypatch.setattr(projector, "_sequential_rewrites", counted)
     assert project_top(g(protocol))
     assert drawn == 1
+
+
+@pytest.mark.parametrize(
+    ("protocol", "assignments"),
+    [
+        ("(p -> q : a)* ; p -> q : b", 1),
+        # the body opens with outputs of p and of r: both are tried as decider
+        ("(p -> q : a ; r -> s : b)* ; p -> q : c", 2),
+    ],
+)
+def test_each_loop_body_is_projected_once(monkeypatch, protocol, assignments):
+    protocol = g(protocol)
+    body = protocol.left.body
+    projections = builds = 0
+    project, build = projector._project, projector._kexit_build
+
+    def counted_project(term, env, ctx):
+        nonlocal projections
+        projections += term is body
+        return project(term, env, ctx)
+
+    def counted_build(*args):
+        nonlocal builds
+        builds += 1
+        return build(*args)
+
+    monkeypatch.setattr(projector, "_project", counted_project)
+    monkeypatch.setattr(projector, "_kexit_build", counted_build)
+    try:
+        project_top(protocol)
+    except ProjectionError:
+        pass
+    assert (projections, builds) == (1, assignments)
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,6 +318,13 @@ PINNED_ERRORS = {
         " plain projection says: AndEliminationExhausted: unordered composition has no direct"
         " projection rule in: {q,s} -> r : d & ({q,r} -> s : e | r -> p : b)"
         " in: {q,s} -> r : d & ({q,r} -> s : e | r -> p : b)",
+    # loops whose bodies fail: the body's error, whoever decides
+    "(p -> q : a | r -> s : b)* ; p -> q : c":
+        "NoDecisionMaker: no role starts with outputs in both branches; differing roles:"
+        " 'p', 'q', 'r', 's' in: p -> q : a | r -> s : b",
+    "loop2 (p -> q : a, p -> q : b | r -> s : b) exit (q -> p : c, p -> q : d)":
+        "NoDecisionMaker: no role starts with outputs in both branches; differing roles:"
+        " 'p', 'q', 'r', 's' in: p -> q : b | r -> s : b",
 }
 
 
