@@ -273,10 +273,13 @@ def verify(gt_path, env_path, max_len, buf_bound, depth_bound, budget, as_json):
         try:
             env = projector.project_top(g, budget=budget)
         except projector.ProjectionError as exc:
+            # the JSON report has no location, so only the text prints it
+            where = None if as_json else _fmt_location(exc.location)
             _emit(
                 {"command": "verify", "input": gt_path, "projected": False, "error": exc.kind},
                 as_json,
-                [f"ProjectionError: {exc.kind}", f"detail: {exc.detail}"],
+                [f"ProjectionError: {exc.kind}", f"detail: {exc.detail}"]
+                + ([f"at: {where}"] if where else []),
             )
             sys.exit(1)
     bound = max_len or default_max_len(g)

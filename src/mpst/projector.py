@@ -22,13 +22,18 @@ breadth-first) and projects the first rewrite that succeeds.  The
 candidates are generated lazily and tried in the order they are generated,
 so none is built after the first that projects.  Within one elimination
 the rewrites of each subterm are computed once, however many candidates
-contain it.
+contain it, and so is the projection of each subterm against each
+environment of closed types it meets (outside loop bodies): the
+candidates share one memo of projections, and `project_first` shares it
+across the searches of several types, such as the relaxations one
+`classify` tries.  The memo is built only once the direct projection has
+failed, so a type that projects directly pays nothing for it.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from . import machine
 from .syntax import (
@@ -92,11 +97,21 @@ class ProjectionError(Exception):
 
 
 class _Ctx:
-    """Per-projection counter for recursion unknowns.  The '$' prefix keeps
-    generated names disjoint from anything the source syntax can produce."""
+    """Per-projection state.  `counter` numbers the recursion unknowns; the
+    '$' prefix keeps generated names disjoint from anything the source
+    syntax can produce.  `memo`, None until an `&`-elimination search
+    starts, maps (subterm, environment) to the environment or the error
+    fields `(kind, detail, location)` that projecting the subterm gave.
+    It is read only where `loops` is 0, i.e. outside loop bodies: there
+    every value of the environment is closed, while a loop body's
+    environment holds unknowns that are fresh on every call.  Names in a
+    memoized result cannot meet the same name later, since one context
+    serves every candidate of a search."""
 
     def __init__(self) -> None:
         self.counter = 0
+        self.memo: dict[tuple[GlobalType, frozenset], SessionEnv | tuple] | None = None
+        self.loops = 0
 
     def fresh(self) -> str:
         name = f"${self.counter}"
@@ -156,30 +171,49 @@ def _merge_terms(
 
 
 def _project(g: GlobalType, env: SessionEnv, ctx: _Ctx) -> SessionEnv:
-    match g:
-        case GSkip():
-            return env
-        case GAction(i):
-            out = dict(env)
-            for s in i.senders:
-                out[s] = TOut(i.receiver, i.message, env[s])
-            out[i.receiver] = TIn(i.senders, i.message, env[i.receiver])
-            return out
-        case GSeq(l, r):
-            return _project(l, _project(r, env, ctx), ctx)
-        case GEither(l, r):
-            return _alternative(g, _project(l, env, ctx), _project(r, env, ctx))
-        case GStar(b):
-            return _kexit(g, (b,), (GSkip(),), env, ctx)
-        case GKExit(bodies, exits):
-            return _kexit(g, bodies, exits, env, ctx)
-        case GBoth(_, _):
-            raise ProjectionError(
-                AND_ELIMINATION_EXHAUSTED,
-                "unordered composition has no direct projection rule",
-                g,
-            )
-    raise TypeError(f"not a global type: {g!r}")
+    # the memo is read and written here, not in a wrapper, which would
+    # cost a frame per level of `g`
+    key = None
+    if ctx.memo is not None and not ctx.loops:
+        key = (g, frozenset(env.items()))
+        hit = ctx.memo.get(key)
+        if type(hit) is tuple:
+            raise ProjectionError(*hit)
+        if hit is not None:
+            return hit
+    try:
+        match g:
+            case GSkip():
+                out = env
+            case GAction(i):
+                out = dict(env)
+                for s in i.senders:
+                    out[s] = TOut(i.receiver, i.message, env[s])
+                out[i.receiver] = TIn(i.senders, i.message, env[i.receiver])
+            case GSeq(l, r):
+                out = _project(l, _project(r, env, ctx), ctx)
+            case GEither(l, r):
+                out = _alternative(g, _project(l, env, ctx), _project(r, env, ctx))
+            case GStar(b):
+                out = _kexit(g, (b,), (GSkip(),), env, ctx)
+            case GKExit(bodies, exits):
+                out = _kexit(g, bodies, exits, env, ctx)
+            case GBoth(_, _):
+                raise ProjectionError(
+                    AND_ELIMINATION_EXHAUSTED,
+                    "unordered composition has no direct projection rule",
+                    g,
+                )
+            case _:
+                raise TypeError(f"not a global type: {g!r}")
+    except ProjectionError as exc:
+        # the fields, not the error: its traceback would hold these frames
+        if key is not None:
+            ctx.memo[key] = (exc.kind, exc.detail, exc.location)
+        raise
+    if key is not None:
+        ctx.memo[key] = out
+    return out
 
 
 def _alternative(g: GlobalType, e1: SessionEnv, e2: SessionEnv) -> SessionEnv:
@@ -256,10 +290,14 @@ def _kexit(
     # each body once, against a fresh unknown for what each role does after
     # it; every decider assignment renames these unknowns its own way
     after = [{r: ctx.fresh() for r in roles} for _ in range(k)]
-    body_envs = [
-        _project(bodies[i], env | {r: TVar(after[i][r]) for r in roles}, ctx)
-        for i in range(k)
-    ]
+    ctx.loops += 1
+    try:
+        body_envs = [
+            _project(bodies[i], env | {r: TVar(after[i][r]) for r in roles}, ctx)
+            for i in range(k)
+        ]
+    finally:
+        ctx.loops -= 1
     # a phase whose exit does not discriminate (e.g. skip) is decided by the
     # roles that open its body with outputs, or by any role if none does
     candidates = [
@@ -360,6 +398,10 @@ def project_alg(g: GlobalType, cont: SessionEnv) -> SessionEnv:
     """Project `g` against the continuation environment `cont` (which must
     bind every role of `g` to a closed session type).  Returns one session
     type per role of `cont`, each fully resolved and normalized."""
+    return _project_alg(g, cont, _Ctx())
+
+
+def _project_alg(g: GlobalType, cont: SessionEnv, ctx: _Ctx) -> SessionEnv:
     missing = sorted(roles_of(g) - set(cont))
     if missing:
         raise ProjectionError(
@@ -367,7 +409,7 @@ def project_alg(g: GlobalType, cont: SessionEnv) -> SessionEnv:
             f"no continuation for roles {', '.join(map(repr, missing))}",
             g,
         )
-    env = _project(g, dict(cont), _Ctx())
+    env = _project(g, dict(cont), ctx)
     out: SessionEnv = {}
     for role in sorted(env):
         t = env[role]
@@ -380,19 +422,40 @@ def project_top(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> SessionEnv:
     """Project `g` with every role ending afterwards.  When `g` contains
     unordered composition, or plain projection fails, the sequential
     rewrites of `g` are tried in the order they are generated and the first
-    success wins; the candidates after it are never built."""
+    success wins; the candidates after it are never built.  The candidates
+    share one memo of the projections of their subterms."""
+    return _project_top(g, budget, _Ctx())
+
+
+def project_first(gs: Iterable[GlobalType], budget: int = DEFAULT_AND_BUDGET) -> SessionEnv | None:
+    """The projection, as `project_top` gives it, of the first of `gs` that
+    projects, or None if none does.  The searches of all of `gs` share one
+    memo of projections, so types that differ in one place reuse the
+    projections of what they have in common."""
+    ctx = _Ctx()
+    for g in gs:
+        try:
+            return _project_top(g, budget, ctx)
+        except ProjectionError:
+            continue
+    return None
+
+
+def _project_top(g: GlobalType, budget: int, ctx: _Ctx) -> SessionEnv:
     cont = {r: TEnd() for r in sorted(roles_of(g))}
     try:
-        return project_alg(g, cont)
+        return _project_alg(g, cont, ctx)
     except ProjectionError as direct_error:
         # the search runs inside the handler, which unbinds `direct_error`
         # when it ends: this frame, held by the error's traceback, must not
         # hold the error too, or the two would form a reference cycle
+        if ctx.memo is None:
+            ctx.memo = {}
         tried = 0
         for cand in _sequential_rewrites(g, budget):
             tried += 1
             try:
-                return project_alg(cand, cont)
+                return _project_alg(cand, cont, ctx)
             except ProjectionError:
                 continue
         if not _contains_both(g):

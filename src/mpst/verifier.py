@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import machine as _machine
-from .projector import DEFAULT_AND_BUDGET, ProjectionError, project_top
+from .projector import DEFAULT_AND_BUDGET, ProjectionError, project_first, project_top
 from .runtime import DEFAULT_BUF_BOUND, DEFAULT_DEPTH_BOUND, Live, NotLive, Unknown, explore
 from .syntax import (
     GAction,
@@ -306,7 +306,8 @@ def _candidate_envs(g: GlobalType, budget: int) -> list[SessionEnv]:
 
 def _relaxations(g: GlobalType) -> list[GlobalType]:
     """Variants of `g` with sequential compositions relaxed to unordered
-    ones: all at once, then one at a time."""
+    ones: all at once, then one at a time.  A type with more than 16 `;`
+    nodes (or none) has no variants."""
     numbers = itertools.count()
     variants = [_relaxed(g, None, numbers)]
     total = next(numbers)  # the number of `;` nodes
@@ -351,17 +352,16 @@ def classify(
 
     Well-formedness is decided first, and only a well-formed type is
     projected: a type that is not well formed goes straight to the
-    relaxations, each of which is projected only when it is well formed.
-    Every projection tried along the way uses `budget` (see `project_top`).
+    relaxations, each of which is projected only when it is well formed,
+    all of them sharing one memo of projections (see `project_first`).
+    Relaxations are tried only for a type with at most 16 `;` nodes: a
+    type that is not well formed and has more goes straight to
+    Unclassified.  Every projection tried along the way uses `budget` (see
+    `project_top`).
     """
     if not is_well_formed(g):
-        for variant in _relaxations(g):
-            if not is_well_formed(variant):
-                continue
-            try:
-                project_top(variant, budget)
-            except ProjectionError:
-                continue
+        variants = (v for v in _relaxations(g) if is_well_formed(v))
+        if project_first(variants, budget) is not None:
             return Classification(
                 NO_SEQUENTIALITY,
                 "the specified ordering of independent interactions cannot be"

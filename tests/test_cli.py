@@ -187,6 +187,25 @@ def test_verify_rejects_an_incomplete_environment(sale, tmp_path):
     assert "complete: no" in result.stdout
 
 
+def test_verify_reports_a_projection_failure_as_project_does(monkeypatch, capsys, tmp_path):
+    """The text names the subterm at fault; the JSON report does not."""
+    path = tmp_path / "choice.gt"
+    path.write_text(UNKNOWABLE_CHOICE)
+    assert run_in_process(monkeypatch, "project", str(path)) == 1
+    projected = capsys.readouterr().out
+    assert projected.splitlines()[2].startswith("at: ")
+    assert run_in_process(monkeypatch, "verify", str(path)) == 1
+    assert capsys.readouterr().out == projected
+    assert run_in_process(monkeypatch, "verify", str(path), "--json") == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": 1,
+        "command": "verify",
+        "input": str(path),
+        "projected": False,
+        "error": "IncompatibleMerge",
+    }
+
+
 LATE = "p -> q : a ; p -> q : a ; p -> q : a ; r -> s : b\n"
 
 

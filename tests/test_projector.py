@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +30,20 @@ from mpst.syntax import (
     parse_global_type,
     parse_session_type,
     print_global_type,
+    print_session_env,
     print_session_type,
     roles_of,
+    subterms,
 )
-from mpst.tracelang import compile_traces, includes
-from mpst.verifier import check_preorder, random_global_type
+from mpst.tracelang import compile_traces, includes, is_well_formed
+from mpst.verifier import (
+    NO_SEQUENTIALITY,
+    UNCLASSIFIED,
+    _relaxations,
+    check_preorder,
+    classify,
+    random_global_type,
+)
 
 g = parse_global_type
 t = parse_session_type
@@ -365,3 +378,138 @@ def test_a_dropped_projection_error_prints_nothing(monkeypatch):
     assert len(printed) == 1
     str(info.value)
     assert len(printed) == 2
+
+
+def has_both(x) -> bool:
+    return type(x) is GBoth or any(map(has_both, subterms(x)))
+
+
+def reference_project_top(protocol):
+    """`project_top` without the memo: every candidate is projected on its
+    own by the public `project_alg`, with a fresh context."""
+    cont = {r: TEnd() for r in sorted(roles_of(protocol))}
+    try:
+        return project_alg(protocol, cont)
+    except ProjectionError as exc:
+        direct_error = exc
+    tried = 0
+    for cand in _sequential_rewrites(protocol, DEFAULT_AND_BUDGET):
+        tried += 1
+        try:
+            return project_alg(cand, cont)
+        except ProjectionError:
+            continue
+    if not has_both(protocol):
+        raise direct_error
+    raise ProjectionError(
+        AND_ELIMINATION_EXHAUSTED,
+        f"no sequential rewrite projects ({tried} candidates tried); "
+        f"plain projection says: {direct_error}",
+        protocol,
+    )
+
+
+def outcome(project, protocol) -> str:
+    try:
+        return print_session_env(project(protocol))
+    except ProjectionError as exc:
+        return f"error: {exc}"
+
+
+def reference_relaxed_classification(protocol) -> tuple[str, str]:
+    """What `classify` says of a type that is not well formed, each
+    relaxation projected on its own."""
+    for variant in _relaxations(protocol):
+        if is_well_formed(variant) and not outcome(reference_project_top, variant).startswith("error: "):
+            return (
+                NO_SEQUENTIALITY,
+                "the specified ordering of independent interactions cannot be"
+                " enforced; the unordered variant is implementable",
+            )
+    return (UNCLASSIFIED, "not well formed, and no sequentiality relaxation is implementable")
+
+
+# random's generator at its defaults, with longer bodies and nested loops,
+# and with more interactions and no loops
+DIFFERENTIAL_SAMPLES = [
+    *(random_global_type(i) for i in range(300)),
+    *(random_global_type(i, 10, 4, 2) for i in range(300)),
+    *(random_global_type(i, 12, 4, 0) for i in range(150)),
+]
+
+
+def test_memoized_search_agrees_with_a_search_of_fresh_projections():
+    """The memo changes no projection, no error text and no candidate
+    count, on every sample, whether its search succeeds or is exhausted."""
+    kinds = set()
+    for protocol in DIFFERENTIAL_SAMPLES:
+        got = outcome(project_top, protocol)
+        assert got == outcome(reference_project_top, protocol), print_global_type(protocol)
+        kinds.add(got.split(": ")[1] if got.startswith("error: ") else "projected")
+    assert {"projected", AND_ELIMINATION_EXHAUSTED, NO_DECISION_MAKER, INCOMPATIBLE_MERGE} <= kinds
+
+
+def test_classify_shares_projections_across_relaxations_without_changing_them():
+    relaxed = 0
+    for protocol in DIFFERENTIAL_SAMPLES:
+        if is_well_formed(protocol):
+            continue
+        relaxed += bool(_relaxations(protocol))
+        result = classify(protocol)
+        assert (result.category, result.detail) == reference_relaxed_classification(protocol)
+    assert relaxed > 50
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("other", ["r -> s : b", "r -> s : b | s -> r : c"])
+def test_a_search_projects_in_one_frame_per_level(other):
+    """The memo is read inside `_project`, not in a wrapper, so a search
+    takes one frame per level of a 1,000-interaction chain, as the direct
+    projection does: with the recursion limit 50 frames above that, it
+    still decides `(C) & other`, whose direct attempt fails at once."""
+    n = 1000
+    protocol = g(f"({chain('p', 'q', n)}) & ({other})")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + n + 50)
+    try:
+        got = outcome(project_top, protocol)
+    finally:
+        sys.setrecursionlimit(limit)
+    if "|" in other:
+        assert got.startswith(f"error: {AND_ELIMINATION_EXHAUSTED}: no sequential rewrite projects")
+    else:
+        assert got.splitlines()[2:] == ["r : s!b.end", "s : r?b.end"]
+
+
+EXHAUSTED = "{q,s} -> r : d & ({q,r} -> s : e | r -> p : b)"
+RELAXATIONS_FAIL = "p -> q : e ; (r -> q : c | p -> r : e)"
+
+
+def test_a_search_memo_is_freed_without_the_cycle_collector(monkeypatch):
+    """The memo keeps the fields of the errors it meets, not the errors,
+    whose tracebacks hold the frames that hold the memo; so a failing
+    search and a classify whose relaxations fail leave no reference cycle,
+    and their contexts are freed when the calls return."""
+    refs = []
+
+    class Recorded(projector._Ctx):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(projector, "_Ctx", Recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        assert outcome(project_top, g(EXHAUSTED)).startswith(f"error: {AND_ELIMINATION_EXHAUSTED}")
+        assert classify(g(RELAXATIONS_FAIL)).category == UNCLASSIFIED
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert refs and all(ref() is None for ref in refs)

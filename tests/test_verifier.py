@@ -23,7 +23,7 @@ from mpst.syntax import (
     parse_session_type,
     roles_of,
 )
-from mpst import tracelang, verifier
+from mpst import projector, tracelang
 from mpst.tracelang import (
     BudgetExceededError,
     compile_traces,
@@ -207,12 +207,14 @@ def test_classify_is_honest_when_only_the_algorithm_falls_short():
 def test_classify_does_not_project_a_type_that_is_not_well_formed(monkeypatch):
     protocol = g("p -> q : a ; r -> s : b")
     projected = []
+    search = projector._project_top
 
+    # every search, whether `project_top` or `project_first` starts it
     def counting(t, *args):
         projected.append(t)
-        return project_top(t, *args)
+        return search(t, *args)
 
-    monkeypatch.setattr(verifier, "project_top", counting)
+    monkeypatch.setattr(projector, "_project_top", counting)
     assert classify(protocol).category == NO_SEQUENTIALITY
     assert projected and all(t != protocol for t in projected)
 
