@@ -18,30 +18,33 @@ automaton up first.  The one automaton that is not trim is the one-swap
 automaton `well_formed` builds for a type that is not well formed, which
 only `includes` reads.
 
-Automata stay nondeterministic; `_successors` takes subset steps on the
-fly inside `includes`, during enumeration and membership.
+Automata stay nondeterministic.  Each keeps the one subset automaton
+(`_Subset`) that all its language questions read, filled in row by row:
+`_swap_closed` reads every row, the other questions only those they reach.
+
 `minimal_form`, with which `machine` minimizes session machines, merges
 states by Hopcroft partition refinement, in O(m log n) for m moves between
 n states.  The deterministic automata it minimizes are partial, so every
 initial block (the states of one kind) starts as a splitter, which does
 the work of a sink state for the missing letters.
 
-`well_formed` determinizes the compiled automaton too (`_subset_automaton`,
-over numbered letters) and decides closure under swaps by swap diamonds on
-it (`_swap_closed`): from every state, each independent pair read in one
-order must be readable in the other, and whatever follows the first order
-must follow the second.  Most diamonds close on one state; the rest seed
-one inclusion search between states of the same deterministic automaton.
-`is_well_formed` stops there, with a boolean.  Only `well_formed`, which
-`check` uses, finds a witness: for a type that is not well formed it builds
-the one-swap automaton (`_swap_variants`) and runs `includes` on it, to
-find the shortlex-least word outside the traces.
+`well_formed` decides closure under swaps by swap diamonds on the subset
+automaton of the compiled automaton (`_swap_closed`): from every state,
+each independent pair read in one order must be readable in the other,
+and whatever follows the first order must follow the second.  Most
+diamonds close on one state; the rest seed one inclusion search between
+states of the same deterministic automaton.  `is_well_formed` stops there,
+with a boolean.  Only `well_formed`, which `check` uses, finds a witness:
+for a type that is not well formed it builds the one-swap automaton
+(`_swap_variants`) and runs `includes` on it, to find the shortlex-least
+word outside the traces.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .syntax import (
     GAction,
@@ -73,7 +76,8 @@ class TraceAutomaton:
 
     `delta[q]` is a list of (label, target) pairs; every label is an
     interaction, so there are no epsilon moves.  State 0 is the start
-    state, and `accepts` is the set of accepting states.
+    state, and `accepts` is the set of accepting states.  Every language
+    question reads its one subset automaton, `_subset`, built by the first.
 
     Every automaton the package builds is trim: every state is reachable
     from state 0 and can reach an accepting state, and the empty language
@@ -96,13 +100,17 @@ class TraceAutomaton:
     def n_states(self) -> int:
         return len(self.delta)
 
+    @cached_property
+    def _subset(self) -> _Subset:
+        return _Subset(self)
+
     def member(self, word: Word) -> bool:
-        states = frozenset({0})
+        dfa, s = self._subset, 0
         for letter in word:
-            states = _successors(self, states).get(letter)
-            if not states:
+            s = dfa[s].get(dfa.ids.get(letter))
+            if s is None:
                 return False
-        return not self.accepts.isdisjoint(states)
+        return dfa.accepting[s]
 
     def to_dot(self) -> str:
         """The automaton in DOT graph format (for debugging dumps)."""
@@ -118,16 +126,38 @@ class TraceAutomaton:
         return "\n".join(lines)
 
 
-def _successors(
-    a: TraceAutomaton, states: frozenset[int]
-) -> dict[Interaction, frozenset[int]]:
-    """The subset step: every letter some state in `states` moves by,
-    mapped to the set of states those moves lead to."""
-    succ: dict[Interaction, set[int]] = {}
-    for q in states:
-        for lab, r in a.delta[q]:
-            succ.setdefault(lab, set()).add(r)
-    return {lab: frozenset(rs) for lab, rs in succ.items()}
+class _Subset(dict):
+    """The subset automaton of a `TraceAutomaton`, whose moves must not
+    change once this is built: the state sets reachable from {0}, numbered
+    as they are found, over letters numbered in `_ikey` order (letter `x`
+    is `letters[x]`, and `ids` maps it back).  `self[s]` maps each letter
+    of state `s` to its successor, computed when first read (`__missing__`),
+    and `accepting[s]` says whether `s` accepts.  Every state of the subset
+    automaton of a trim automaton accepts some word."""
+
+    def __init__(self, a: TraceAutomaton):
+        letters = sorted({lab for edges in a.delta for lab, _ in edges}, key=_ikey)
+        ids = {lab: x for x, lab in enumerate(letters)}
+        self.letters, self.ids, self.accepting = letters, ids, [0 in a.accepts]
+        self._moves = [[(ids[lab], r) for lab, r in edges] for edges in a.delta]
+        self._accepts, self._sets, self._index = a.accepts, [frozenset({0})], {frozenset({0}): 0}
+
+    def __missing__(self, s: int) -> dict[int, int]:
+        moves, sets, index = self._moves, self._sets, self._index
+        succ: dict[int, set[int]] = {}
+        for q in sets[s]:
+            for x, r in moves[q]:
+                succ.setdefault(x, set()).add(r)
+        row = self[s] = {}
+        for x, rs in succ.items():
+            t = frozenset(rs)
+            n = index.get(t)
+            if n is None:
+                n = index[t] = len(sets)
+                sets.append(t)
+                self.accepting.append(not self._accepts.isdisjoint(t))
+            row[x] = n
+        return row
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +285,22 @@ def enumerate_traces(
     """All traces of `a` of length <= max_len, as a set of words.  Raises
     BudgetExceededError when the search visits more than `cap` prefixes,
     saying whether more than `cap` of them were traces."""
+    dfa = a._subset
     words: set[Word] = set()
-    queue: deque[tuple[frozenset[int], Word]] = deque([(frozenset({0}), ())])
-    moves: dict[frozenset[int], dict] = {}
+    queue: deque[tuple[int, Word]] = deque([(0, ())])
     visited = 0
     while queue:
-        states, word = queue.popleft()
+        s, word = queue.popleft()
         visited += 1
-        if not a.accepts.isdisjoint(states):
+        if dfa.accepting[s]:
             words.add(word)
         if len(words) > cap:
             raise BudgetExceededError(f"more than {cap} traces of length <= {max_len}")
         if visited > cap:
             raise BudgetExceededError(f"visited more than {cap} prefixes of length <= {max_len}")
         if len(word) < max_len:
-            if states not in moves:
-                moves[states] = _successors(a, states)
-            for letter, nxt in moves[states].items():
-                queue.append((nxt, word + (letter,)))
+            for x, t in dfa[s].items():
+                queue.append((t, word + (dfa.letters[x],)))
     return words
 
 
@@ -280,28 +308,29 @@ def includes(a1: TraceAutomaton, a2: TraceAutomaton) -> Word | None:
     """None if the language of `a1` is included in that of `a2`; otherwise
     the shortlex-least word (letters ordered by `_ikey`) accepted by `a1`
     and rejected by `a2`.  Neither automaton needs to be trim: the
-    breadth-first search over pairs of state sets finds that word all the
-    same."""
-    start = (frozenset({0}), frozenset({0}))
-    parent: dict = {start: None}
-    queue = deque([start])
+    breadth-first search over pairs of states of their subset automata
+    (-1 for no state of `a2`) finds that word all the same."""
+    d1, d2 = a1._subset, a2._subset
+    into = [d2.ids.get(letter, -1) for letter in d1.letters]
+    parent: dict = {(0, 0): None}
+    queue = deque([(0, 0)])
     while queue:
         pair = queue.popleft()
         s1, s2 = pair
-        if not a1.accepts.isdisjoint(s1) and a2.accepts.isdisjoint(s2):
+        if d1.accepting[s1] and (s2 < 0 or not d2.accepting[s2]):
             word: list[Interaction] = []
             node = pair
             while parent[node] is not None:
-                node, letter = parent[node]
-                word.append(letter)
+                node, x = parent[node]
+                word.append(d1.letters[x])
             return tuple(reversed(word))
         # words outside L(a1) can never be counterexamples, so only the
         # letters of `a1` are followed
-        succ1, succ2 = _successors(a1, s1), _successors(a2, s2)
-        for letter in sorted(succ1, key=_ikey):
-            nxt = (succ1[letter], succ2.get(letter, frozenset()))
+        row1, row2 = d1[s1], d2[s2] if s2 >= 0 else {}
+        for x in sorted(row1):
+            nxt = (row1[x], row2.get(into[x], -1))
             if nxt not in parent:
-                parent[nxt] = (pair, letter)
+                parent[nxt] = (pair, x)
                 queue.append(nxt)
     return None
 
@@ -476,37 +505,6 @@ def _swap_variants(a: TraceAutomaton) -> TraceAutomaton:
     return TraceAutomaton(delta, accepts)
 
 
-def _subset_automaton(a: TraceAutomaton) -> tuple[list, list[dict], list[bool]]:
-    """The subset construction of `a`: the state sets reachable from {0},
-    numbered breadth-first, over the letters of `a` numbered as they first
-    occur in its moves.  Returns `(letters, rows, accepting)`: letter `x`
-    is `letters[x]`, `rows[s]` maps each letter number of state `s` to the
-    number of its successor, and `accepting[s]` says whether `s` accepts.
-    Numbering the letters first hashes each interaction once per move of
-    `a`, not once per move of every state set it is in.  Every state of
-    the subset automaton of a trim automaton accepts some word."""
-    ids: dict[Interaction, int] = {}
-    moves = [[(ids.setdefault(lab, len(ids)), r) for lab, r in edges] for edges in a.delta]
-    index = {frozenset({0}): 0}
-    sets = [frozenset({0})]
-    rows: list[dict] = []
-    for s in sets:  # grows while it is read: a breadth-first search
-        succ: dict[int, set[int]] = {}
-        for q in s:
-            for x, r in moves[q]:
-                succ.setdefault(x, set()).add(r)
-        row = {}
-        for x, rs in succ.items():
-            t = frozenset(rs)
-            n = index.get(t)
-            if n is None:
-                n = index[t] = len(sets)
-                sets.append(t)
-            row[x] = n
-        rows.append(row)
-    return list(ids), rows, [not a.accepts.isdisjoint(s) for s in sets]
-
-
 def _swap_closed(a: TraceAutomaton) -> bool:
     """Whether the language of the trim automaton `a` is closed under
     swapping one adjacent independent pair, decided by swap diamonds on
@@ -519,7 +517,9 @@ def _swap_closed(a: TraceAutomaton) -> bool:
     which needs nothing more; the other pairs seed one search over pairs of
     states of D, which fails at a pair whose left state accepts while the
     right one does not, or has a letter the right one lacks."""
-    letters, rows, accepting = _subset_automaton(a)
+    dfa = a._subset
+    rows = [dfa[s] for s, _ in enumerate(dfa.accepting)]  # grows while it is read
+    letters, accepting = dfa.letters, dfa.accepting
     independent: dict[tuple[int, int], bool] = {}
     pending: set[tuple[int, int]] = set()
     for row in rows:

@@ -107,19 +107,18 @@ class Classification:
 
 
 def _conformance(
-    g: GlobalType, session_automaton: TraceAutomaton, verdict: Live | NotLive | Unknown,
+    auto: TraceAutomaton, verdict: Live | NotLive | Unknown, session_automaton: TraceAutomaton,
     max_len: int, buf_bound: int,
 ) -> ConformanceReport:
     """Soundness and completeness of the traces of a session, explored with
-    `verdict`, for `g`.  The soundness counterexample is the shortlex-least
-    one (see `includes`), the gap the shortest uncovered trace of `g` up to
-    `max_len`.  An `Unknown` exploration under-approximates the session's
-    traces, so then only a counterexample is definitive; a gap found after
-    a finished one is definitive too, as a permutation has its word's length.
+    `verdict`, for the type compiled to `auto`.  The soundness counterexample
+    is the shortlex-least one (see `includes`), the gap the shortest uncovered
+    trace up to `max_len`.  An `Unknown` exploration under-approximates the
+    session's traces, so then only a counterexample is definitive; a gap
+    found after a finished one is definitive too (permutations keep length).
     When that bounded check runs out of budget after an `Unknown`
     exploration, the BudgetExceededError says how many configurations the
     exploration visited."""
-    auto = compile_traces(g)
     outside = includes(session_automaton, auto)
     finished = not isinstance(verdict, Unknown)
     missing = None
@@ -154,8 +153,7 @@ def check_preorder(
     """Check that `env` implements `g`: sound and complete."""
     if max_len is None:
         max_len = default_max_len(g)
-    verdict, session_automaton = explore(env, buf_bound, depth_bound)
-    return _conformance(g, session_automaton, verdict, max_len, buf_bound)
+    return _conformance(compile_traces(g), *explore(env, buf_bound, depth_bound), max_len, buf_bound)
 
 
 # --- candidate implementations for diagnosis --------------------------------
@@ -384,10 +382,11 @@ def classify(
         )
     if max_len is None:
         max_len = default_max_len(g)
+    auto = compile_traces(g)
     found_complete = False
     for cand in candidates:
         try:
-            report = check_preorder(g, cand, max_len, buf_bound, depth_bound)
+            report = _conformance(auto, *explore(cand, buf_bound, depth_bound), max_len, buf_bound)
         except BudgetExceededError:
             continue
         if not report.complete:
@@ -504,7 +503,7 @@ def cross_check_theorems(
             report["violations"].append((i, "liveness", None))
             continue
         conformance = _conformance(
-            g, session_automaton, verdict, default_max_len(g), buf_bound
+            compile_traces(g), verdict, session_automaton, default_max_len(g), buf_bound
         )
         if not conformance.sound:
             report["violations"].append(

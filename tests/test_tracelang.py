@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +11,19 @@ from hypothesis import strategies as st
 
 from oracles import parikh, swap_violations, swappable, trace_set
 from mpst import machine, tracelang
-from mpst.projector import DEFAULT_AND_BUDGET, _sequential_rewrites
+from mpst.projector import DEFAULT_AND_BUDGET, ProjectionError, _sequential_rewrites, project_top
+from mpst.runtime import explore
 from mpst.syntax import GAction, GBoth, GEither, GSeq, GSkip, GStar, Interaction, parse_global_type
 from mpst.tracelang import (
+    DEFAULT_ENUM_CAP,
     BudgetExceededError,
     NotWellFormed,
+    TraceAutomaton,
     WellFormed,
     compile_traces,
     enumerate_traces,
     includes,
+    is_well_formed,
     minimal_form,
     parikh_vector,
     shuffle_automata,
@@ -195,6 +200,123 @@ def test_inclusion_counterexample_is_shortest():
     assert includes(big, small) == word("p -> q : a", "p -> q : b")
 
 
+def reference_successors(a, states):
+    """The subset step: every letter some state in `states` moves by,
+    mapped to the set of states those moves lead to."""
+    succ = {}
+    for q in states:
+        for lab, r in a.delta[q]:
+            succ.setdefault(lab, set()).add(r)
+    return {lab: frozenset(rs) for lab, rs in succ.items()}
+
+
+def reference_member(a, word):
+    """The reference for `TraceAutomaton.member`: subset steps taken on
+    the fly, as it ran before the subset automaton was kept."""
+    states = frozenset({0})
+    for letter in word:
+        states = reference_successors(a, states).get(letter)
+        if not states:
+            return False
+    return not a.accepts.isdisjoint(states)
+
+
+def reference_enumerate_traces(a, max_len, cap=DEFAULT_ENUM_CAP):
+    """The reference for `enumerate_traces`: a breadth-first search over
+    (state set, word) with its own memo of subset steps."""
+    words = set()
+    queue = deque([(frozenset({0}), ())])
+    moves = {}
+    visited = 0
+    while queue:
+        states, word = queue.popleft()
+        visited += 1
+        if not a.accepts.isdisjoint(states):
+            words.add(word)
+        if len(words) > cap:
+            raise BudgetExceededError(f"more than {cap} traces of length <= {max_len}")
+        if visited > cap:
+            raise BudgetExceededError(f"visited more than {cap} prefixes of length <= {max_len}")
+        if len(word) < max_len:
+            if states not in moves:
+                moves[states] = reference_successors(a, states)
+            for letter, nxt in moves[states].items():
+                queue.append((nxt, word + (letter,)))
+    return words
+
+
+def reference_includes(a1, a2):
+    """The reference for `includes`: a breadth-first search over pairs of
+    state sets, taking letters in `_ikey` order at every pair."""
+    start = (frozenset({0}), frozenset({0}))
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        s1, s2 = pair
+        if not a1.accepts.isdisjoint(s1) and a2.accepts.isdisjoint(s2):
+            found = []
+            node = pair
+            while parent[node] is not None:
+                node, letter = parent[node]
+                found.append(letter)
+            return tuple(reversed(found))
+        succ1, succ2 = reference_successors(a1, s1), reference_successors(a2, s2)
+        for letter in sorted(succ1, key=tracelang._ikey):
+            nxt = (succ1[letter], succ2.get(letter, frozenset()))
+            if nxt not in parent:
+                parent[nxt] = (pair, letter)
+                queue.append(nxt)
+    return None
+
+
+def enumeration(enumerate_, auto, max_len, cap):
+    """The words `enumerate_` finds, or the text of the budget it exceeds."""
+    try:
+        return enumerate_(auto, max_len, cap)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def test_subset_automata_answer_as_the_reference_algorithms():
+    """Criterion 8's samples and their `&`-elimination candidates compiled,
+    the session automata of the samples that project, the one-swap
+    automata (not trim) of the samples that are not well formed, and the
+    automaton that accepts nothing.  Each automaton keeps the rows one
+    question computed for the next, so the questions are asked in turns:
+    inclusion first, then membership, then enumeration, then budgets."""
+    samples = [random_global_type(20260814 + i) for i in range(200)]
+    compiled = [compile_traces(t) for s in samples for t in (s, *_sequential_rewrites(s, DEFAULT_AND_BUDGET))]
+    sessions, swaps = [], []
+    for sample in samples:
+        try:
+            sessions.append(explore(project_top(sample))[1])
+        except ProjectionError:
+            pass
+        if not is_well_formed(sample):
+            auto = compile_traces(sample)
+            swaps.append((tracelang._swap_variants(auto), auto))
+    empty = TraceAutomaton([[]], frozenset())
+    autos = [*compiled, *sessions, *(swap for swap, _ in swaps), empty]
+    assert len(sessions) > 50 and len(swaps) > 50 and len(compiled) > 1000
+
+    operands = [*zip(autos, autos[1:]), *zip(autos[1:], autos), *swaps, (empty, autos[0]), (autos[0], empty)]
+    counterexamples = 0
+    for left, right in operands:
+        cex = includes(left, right)
+        assert cex == reference_includes(left, right)
+        counterexamples += cex is not None
+    assert 0 < counterexamples < len(operands)
+
+    for auto, other in zip(autos, autos[::-1]):
+        words = reference_enumerate_traces(auto, 4) | reference_enumerate_traces(other, 4)
+        words |= {w[:-1] + w[-1:] * 2 for w in words if w}
+        assert all(auto.member(w) == reference_member(auto, w) for w in words)
+        assert enumerate_traces(auto, 5) == reference_enumerate_traces(auto, 5)
+        for cap in (1, 3, 10):
+            assert enumeration(enumerate_traces, auto, 8, cap) == enumeration(reference_enumerate_traces, auto, 8, cap)
+
+
 def test_minimal_form_merges_equivalent_states_and_numbers_them_in_order():
     # a ring of four equivalent states, entered through a root that also
     # moves by a letter that sorts first
@@ -267,10 +389,18 @@ def test_refinement_matches_moore_on_partial_automata(automaton):
     minimal_form_both_ways(0, kinds.__getitem__, lambda s: edges[s].items(), str)
 
 
+def expanded(auto):
+    """The subset automaton of `auto` with every row computed."""
+    dfa = auto._subset
+    for s, _ in enumerate(dfa.accepting):  # grows while it is read
+        dfa[s]
+    return dfa
+
+
 def test_refinement_matches_moore_on_criterion_8_automata(monkeypatch):
     """The subset automata of the samples and of their `&`-elimination
-    candidates, and every automaton `type_machine` minimizes while the
-    samples are projected and checked."""
+    candidates, every row computed, and every automaton `type_machine`
+    minimizes while the samples are projected and checked."""
     sizes = []
 
     def both_ways(*args):
@@ -282,8 +412,9 @@ def test_refinement_matches_moore_on_criterion_8_automata(monkeypatch):
     for i in range(200):
         sample = random_global_type(20260814 + i)
         for term in (sample, *_sequential_rewrites(sample, DEFAULT_AND_BUDGET)):
-            _, rows, accepting = tracelang._subset_automaton(compile_traces(term))
-            both_ways(0, accepting.__getitem__, lambda s: rows[s].items(), int)
+            dfa = expanded(compile_traces(term))
+            assert len(dfa) == len(dfa.accepting)
+            both_ways(0, dfa.accepting.__getitem__, lambda s: dfa[s].items(), int)
     assert cross_check_theorems(sample_count=200, seed=20260814)["violations"] == []
     assert len(sizes) > 1000 and max(sizes) > 10
 
@@ -319,19 +450,44 @@ def test_enumeration_budget_counts_visited_prefixes():
 
 
 def test_enumeration_steps_each_state_set_once(monkeypatch):
-    """Many prefixes reach the same state set; it is stepped once."""
-    stepped = []
-    successors = tracelang._successors
+    """Many prefixes reach the same state set, a state of the subset
+    automaton; its row is computed once, and a second enumeration computes
+    none."""
+    computed = []
+    compute = tracelang._Subset.__missing__
 
-    def counting(a, states):
-        stepped.append(states)
-        return successors(a, states)
+    def counting(dfa, s):
+        computed.append(s)
+        return compute(dfa, s)
 
-    monkeypatch.setattr(tracelang, "_successors", counting)
+    monkeypatch.setattr(tracelang._Subset, "__missing__", counting)
     auto = compile_traces(g("(p -> q : a | p -> q : b ; q -> p : c)* ; p -> q : d"))
     words = enumerate_traces(auto, 8)
-    assert len(words) > len(set(stepped))
-    assert len(stepped) == len(set(stepped))
+    assert len(words) > len(computed)
+    assert sorted(computed) == list(range(len(auto._subset.accepting)))
+    assert enumerate_traces(auto, 8) == words
+    assert len(computed) == len(set(computed))
+
+
+def test_an_automaton_is_determinized_once_across_questions(monkeypatch):
+    """`well_formed` on criterion 4's join type builds two subset automata:
+    the compiled automaton's, which the swap diamonds, the inclusion and
+    the witness's `member` call share, and the one-swap automaton's."""
+    built = []
+    init = tracelang._Subset.__init__
+
+    def counting(dfa, auto):
+        built.append(auto)
+        init(dfa, auto)
+
+    monkeypatch.setattr(tracelang._Subset, "__init__", counting)
+    verdict = well_formed(g("(p -> q1 : a & p -> q2 : a) ; (q1 -> q : b & q2 -> q : b)"))
+    assert isinstance(verdict, NotWellFormed)
+    assert len(built) == 2 and len(set(map(id, built))) == 2
+    auto = built[0]
+    assert auto.member(verdict.witness) and enumerate_traces(auto, 4)
+    assert includes(auto, auto) is None
+    assert len(built) == 2
 
 
 def test_parikh_vector_identifies_permutations():

@@ -23,7 +23,7 @@ from mpst.syntax import (
     parse_session_type,
     roles_of,
 )
-from mpst import projector, tracelang
+from mpst import projector, tracelang, verifier
 from mpst.tracelang import (
     BudgetExceededError,
     compile_traces,
@@ -123,7 +123,8 @@ def test_exact_conformance_agrees_with_the_bounded_reference():
     for protocol, env in conformance_cases():
         verdict, session_automaton = explore(env)
         max_len = default_max_len(protocol)
-        report = _conformance(protocol, session_automaton, verdict, max_len, DEFAULT_BUF_BOUND)
+        auto = compile_traces(protocol)
+        report = _conformance(auto, verdict, session_automaton, max_len, DEFAULT_BUF_BOUND)
         outside, missing = bounded_reference(protocol, session_automaton, max_len)
         cex = report.sound_counterexample
         if outside is not None:
@@ -188,6 +189,50 @@ def test_classify_unknowable_choice():
         "(p -> q : a ; q -> r : a ; r -> p : a) | (p -> q : b ; q -> r : a ; r -> p : b)"
     )
     assert classify(protocol).category == NO_KNOWLEDGE_FOR_CHOICE
+
+
+def counting_subset_automata(monkeypatch) -> list:
+    """The automata whose subset automata are built from now on, in order."""
+    built = []
+    init = tracelang._Subset.__init__
+
+    def counting(dfa, auto):
+        built.append(auto)
+        init(dfa, auto)
+
+    monkeypatch.setattr(tracelang._Subset, "__init__", counting)
+    return built
+
+
+def test_conformance_determinizes_each_automaton_once(monkeypatch):
+    """Cut at depth 2, the sale protocol's check asks both inclusions and
+    then enumerates both languages; the type's and the session's automata
+    are determinized once each for all four questions."""
+    protocol = g(
+        "seller -> buyer : descr ; seller -> buyer : price ;"
+        " (buyer -> seller : accept | buyer -> seller : quit)"
+    )
+    env = project_top(protocol)
+    enumerated = []
+    enumerate_ = verifier.enumerate_traces
+    monkeypatch.setattr(verifier, "enumerate_traces", lambda a, n: enumerated.append(a) or enumerate_(a, n))
+    built = counting_subset_automata(monkeypatch)
+    report = check_preorder(protocol, env, depth_bound=2)
+    assert report.basis == "bounded" and report.liveness == "Unknown"
+    assert len(enumerated) == 2 and enumerated[0] is not enumerated[1]
+    assert len(built) == 2 and {id(a) for a in built} == {id(a) for a in enumerated}
+
+
+def test_classify_determinizes_the_type_once_for_every_candidate(monkeypatch):
+    protocol = g(UNKNOWABLE_CHOICE)
+    assert len(_candidate_envs(protocol, DEFAULT_AND_BUDGET)) >= 2
+    compiled = []
+    compile_ = verifier.compile_traces
+    monkeypatch.setattr(verifier, "compile_traces", lambda t: compiled.append(compile_(t)) or compiled[-1])
+    built = counting_subset_automata(monkeypatch)
+    assert classify(protocol).category == NO_KNOWLEDGE_FOR_CHOICE
+    assert len(compiled) == 1
+    assert sum(auto is compiled[0] for auto in built) == 1
 
 
 def test_classify_choice_without_any_cover():
