@@ -20,7 +20,7 @@ only `includes` reads.
 
 Automata stay nondeterministic.  Each keeps the one subset automaton
 (`_Subset`) that all its language questions read, filled in row by row:
-`_swap_closed` reads every row, the other questions only those they reach.
+`swap_closed` reads every row, the other questions only those they reach.
 
 `minimal_form`, with which `machine` minimizes session machines, merges
 states by Hopcroft partition refinement, in O(m log n) for m moves between
@@ -29,7 +29,7 @@ initial block (the states of one kind) starts as a splitter, which does
 the work of a sink state for the missing letters.
 
 `well_formed` decides closure under swaps by swap diamonds on the subset
-automaton of the compiled automaton (`_swap_closed`): from every state,
+automaton of the compiled automaton (`swap_closed`): from every state,
 each independent pair read in one order must be readable in the other,
 and whatever follows the first order must follow the second.  Most
 diamonds close on one state; the rest seed one inclusion search between
@@ -38,13 +38,21 @@ with a boolean.  Only `well_formed`, which `check` uses, finds a witness:
 for a type that is not well formed it builds the one-swap automaton
 (`_swap_variants`) and runs `includes` on it, to find the shortlex-least
 word outside the traces.
+
+A type whose root is an `&` of parts with disjoint roles is decided one
+part at a time.  The operands of the root `&` spine are grouped by shared
+roles, transitively (`role_groups`); with more than one group, the type is
+well formed iff each group is, so each group is compiled alone and the
+product of the groups, whose states multiply, is never built for a
+well-formed type.  Only the witness of a type that is not well formed is
+found on the product, as for any type.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .syntax import (
     GAction,
@@ -56,6 +64,7 @@ from .syntax import (
     GSkip,
     GStar,
     Interaction,
+    roles_of,
 )
 
 Word = tuple[Interaction, ...]
@@ -505,7 +514,7 @@ def _swap_variants(a: TraceAutomaton) -> TraceAutomaton:
     return TraceAutomaton(delta, accepts)
 
 
-def _swap_closed(a: TraceAutomaton) -> bool:
+def swap_closed(a: TraceAutomaton) -> bool:
     """Whether the language of the trim automaton `a` is closed under
     swapping one adjacent independent pair, decided by swap diamonds on
     its subset automaton D.
@@ -553,9 +562,60 @@ def _swap_closed(a: TraceAutomaton) -> bool:
     return True
 
 
+def role_groups(g: GlobalType) -> list[GlobalType]:
+    """The operands of the root `&` spine of `g`, grouped by shared roles,
+    transitively: two operands are in one group when a chain of operands,
+    each sharing a role with the next, joins them.  A group of several
+    operands is their `&`, and an operand with no role, such as `skip`, is
+    a group of its own.  When there is one group, it is `g` itself.
+
+    `g` is well formed iff every group is, so with more than one group the
+    groups are decided one at a time and the product of their automata,
+    whose states multiply, is not needed.  The traces of `g` are the
+    shuffle of the groups' traces, and:
+
+    - letters of different groups are distinct, as their roles are, so a
+      word of the shuffle splits into one trace per group in one way only;
+    - letters of different groups are independent both ways under
+      `_swappable`, and swapping two of them leaves every group's trace
+      as it was, so the swapped word is in the shuffle;
+    - a swap of two letters of one group swaps them in that group's trace,
+      so it stays in the shuffle when that group is well formed;
+    - every global type has a non-empty language, so a group that is not
+      well formed, with a trace `u` whose swap is not its trace, gives the
+      word `u` followed by one trace of each other group, whose swap is
+      not in the shuffle.
+
+    This is the commutation of letters over disjoint alphabets in
+    Mazurkiewicz trace theory (Diekert & Rozenberg, *The Book of Traces*,
+    1995)."""
+    operands, work = [], [g]
+    while work:
+        node = work.pop()
+        if type(node) is GBoth:
+            work += (node.right, node.left)
+        else:
+            operands.append(node)
+    groups: list[tuple[frozenset, list[GlobalType]]] = []
+    for operand in operands:
+        roles, members, apart = roles_of(operand), [], []
+        for group in groups:
+            if group[0].isdisjoint(roles):
+                apart.append(group)
+            else:
+                roles |= group[0]
+                members += group[1]
+        groups = apart + [(roles, members + [operand])]
+    if len(groups) == 1:
+        return [g]
+    return [reduce(GBoth, members) for _, members in groups]
+
+
 def is_well_formed(g: GlobalType) -> bool:
-    """Whether `g` is well formed (see `well_formed`), without a witness."""
-    return _swap_closed(compile_traces(g))
+    """Whether `g` is well formed (see `well_formed`), without a witness:
+    whether each of its role groups (see `role_groups`), compiled alone,
+    is closed under swaps."""
+    return all(swap_closed(compile_traces(group)) for group in role_groups(g))
 
 
 def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:
@@ -563,13 +623,15 @@ def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:
     adjacent independent interactions.
 
     Closure under one swap implies closure under any number of swaps, so
-    checking the one-swap variants suffices.  `_swap_closed` decides it on
-    the subset automaton; only a type that is not well formed builds the
-    one-swap automaton, whose shortlex-least word outside the traces,
+    checking the one-swap variants suffices.  `swap_closed` decides it on
+    the subset automaton of each role group of `g` (see `role_groups`).
+    Only a type that is not well formed builds the one-swap automaton, of
+    `g` compiled whole, whose shortlex-least word outside the traces,
     swapped back, is the witness."""
-    a = compile_traces(g)
-    if _swap_closed(a):
+    autos = [compile_traces(group) for group in role_groups(g)]
+    if all(map(swap_closed, autos)):
         return WellFormed()
+    a = autos[0] if len(autos) == 1 else compile_traces(g)
     w2 = includes(_swap_variants(a), a)
     assert w2 is not None, "an open swap diamond with every swap variant a trace"
     for i in range(len(w2) - 1):

@@ -60,6 +60,8 @@ from .tracelang import (
     includes,
     is_well_formed,
     parikh_vector,
+    role_groups,
+    swap_closed,
     word_key,
 )
 
@@ -154,6 +156,14 @@ def check_preorder(
     if max_len is None:
         max_len = default_max_len(g)
     return _conformance(compile_traces(g), *explore(env, buf_bound, depth_bound), max_len, buf_bound)
+
+
+def _well_formed(g: GlobalType) -> tuple[bool, TraceAutomaton | None]:
+    """Whether `g` is well formed, decided as `is_well_formed` does, and the
+    automaton of `g` compiled to decide it: None when `g` has several role
+    groups (see `role_groups`), each compiled alone."""
+    autos = [compile_traces(group) for group in role_groups(g)]
+    return all(map(swap_closed, autos)), autos[0] if len(autos) == 1 else None
 
 
 # --- candidate implementations for diagnosis --------------------------------
@@ -355,9 +365,12 @@ def classify(
     Relaxations are tried only for a type with at most 16 `;` nodes: a
     type that is not well formed and has more goes straight to
     Unclassified.  Every projection tried along the way uses `budget` (see
-    `project_top`).
+    `project_top`).  The candidates are checked against the automaton of
+    `g` that deciding well-formedness compiled, or against one compiled
+    then if only the role groups of `g` were (see `role_groups`).
     """
-    if not is_well_formed(g):
+    well, auto = _well_formed(g)
+    if not well:
         variants = (v for v in _relaxations(g) if is_well_formed(v))
         if project_first(variants, budget) is not None:
             return Classification(
@@ -382,7 +395,8 @@ def classify(
         )
     if max_len is None:
         max_len = default_max_len(g)
-    auto = compile_traces(g)
+    if auto is None:
+        auto = compile_traces(g)
     found_complete = False
     for cand in candidates:
         try:
@@ -487,7 +501,7 @@ def cross_check_theorems(
     }
     for i in range(sample_count):
         g = random_global_type(seed + i, max_size, role_count, star_depth)
-        wf = is_well_formed(g)
+        wf, auto = _well_formed(g)
         if wf:
             report["well_formed"] += 1
         try:
@@ -502,9 +516,9 @@ def cross_check_theorems(
         if isinstance(verdict, NotLive):
             report["violations"].append((i, "liveness", None))
             continue
-        conformance = _conformance(
-            compile_traces(g), verdict, session_automaton, default_max_len(g), buf_bound
-        )
+        if auto is None:
+            auto = compile_traces(g)
+        conformance = _conformance(auto, verdict, session_automaton, default_max_len(g), buf_bound)
         if not conformance.sound:
             report["violations"].append(
                 (i, "soundness", conformance.sound_counterexample)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -339,6 +340,35 @@ def test_json_check_reports_carry_the_witness(tmp_path):
     assert payload["schema"] == 1
     assert payload["well_formed"] is False
     assert payload["witness"] == ["p -> q : a", "r -> s : b"]
+    assert payload["position"] == 0
+
+
+@pytest.mark.parametrize("width", [10, 12])
+def test_check_decides_wide_parallel_pairs(monkeypatch, capsys, tmp_path, width):
+    """Each pair is decided alone; their product would have 4**width states."""
+    path = tmp_path / "pairs.gt"
+    path.write_text(
+        " &\n".join(f"(a{i} -> b{i} : m ; b{i} -> a{i} : k ; a{i} -> b{i} : z)" for i in range(width)) + "\n"
+    )
+    start = time.perf_counter()
+    assert run_in_process(monkeypatch, "check", str(path), "--json") == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["well_formed"] is True
+
+
+def test_check_finds_the_product_witness_on_a_role_disjoint_spine(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "g.gt"
+    path.write_text("(p -> q : a ; r -> s : b) & t -> u : c\n")
+    outputs = []
+    for one_group in (False, True):
+        if one_group:  # the whole type is one group, decided on the product
+            monkeypatch.setattr(tracelang, "role_groups", lambda g: [g])
+        for flags in ((), ("--json",)):
+            assert run_in_process(monkeypatch, "check", str(path), *flags) == 1
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+    payload = json.loads(outputs[1])
+    assert payload["witness"] == ["p -> q : a", "r -> s : b", "t -> u : c"]
     assert payload["position"] == 0
 
 

@@ -13,7 +13,19 @@ from oracles import parikh, swap_violations, swappable, trace_set
 from mpst import machine, tracelang
 from mpst.projector import DEFAULT_AND_BUDGET, ProjectionError, _sequential_rewrites, project_top
 from mpst.runtime import explore
-from mpst.syntax import GAction, GBoth, GEither, GSeq, GSkip, GStar, Interaction, parse_global_type
+from mpst.syntax import (
+    GAction,
+    GBoth,
+    GEither,
+    GSeq,
+    GSkip,
+    GStar,
+    Interaction,
+    parse_global_type,
+    roles_of,
+    subterms,
+    with_subterms,
+)
 from mpst.tracelang import (
     DEFAULT_ENUM_CAP,
     BudgetExceededError,
@@ -26,7 +38,9 @@ from mpst.tracelang import (
     is_well_formed,
     minimal_form,
     parikh_vector,
+    role_groups,
     shuffle_automata,
+    swap_closed,
     well_formed,
 )
 from mpst.verifier import cross_check_theorems, random_global_type
@@ -584,6 +598,52 @@ def test_swap_diamonds_match_one_swap_inclusion_on_random_types(size, roles, sta
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def renamed(sample, suffix: str):
+    """`sample` with `suffix` appended to every role."""
+    if type(sample) is GAction:
+        i = sample.interaction
+        return GAction(Interaction(frozenset(r + suffix for r in i.senders), i.receiver + suffix, i.message))
+    return with_subterms(sample, [renamed(t, suffix) for t in subterms(sample)])
+
+
+@st.composite
+def and_spines(draw):
+    """The `&`, in a drawn association, of 2 to 4 generated types.  Operand
+    k has its roles renamed with a suffix drawn from 0..k, so operands with
+    distinct suffixes share no role, and those with one suffix may."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    parts = [renamed(draw(global_types()), str(draw(st.integers(0, k)))) for k in range(n)]
+
+    def joined(parts):
+        if len(parts) == 1:
+            return parts[0]
+        cut = draw(st.integers(1, len(parts) - 1))
+        return GBoth(joined(parts[:cut]), joined(parts[cut:]))
+
+    return joined(parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(and_spines())
+def test_role_groups_decide_well_formedness_as_the_product_does(sample):
+    verdict = one_swap_well_formed(sample)
+    assert well_formed(sample) == verdict
+    assert is_well_formed(sample) == bool(verdict)
+    roles = [roles_of(group) for group in role_groups(sample)]
+    assert all(a.isdisjoint(b) for i, a in enumerate(roles) for b in roles[i + 1 :])
+
+
+def test_role_groups_join_operands_that_share_a_role_transitively():
+    sample = g("p -> q : a & r -> s : b & skip & q -> r : c & t -> u : d")
+    assert role_groups(sample) == [
+        GSkip(),
+        g("(p -> q : a & r -> s : b) & q -> r : c"),
+        g("t -> u : d"),
+    ]
+    for one in ("p -> q : a & q -> r : b", "p -> q : a ; r -> s : b", "skip"):
+        assert role_groups(g(one)) == [g(one)]
+
+
 A, B, C = "p -> q : a", "r -> p : b", "p -> q : c"
 
 
@@ -643,4 +703,13 @@ def test_width_6_pairs_are_well_formed_within_2_seconds():
     sample = g(pairs(6))
     start = time.perf_counter()
     assert well_formed(sample) == WellFormed()
+    assert time.perf_counter() - start < 2
+
+
+def test_the_product_of_width_6_pairs_closes_its_swap_diamonds_within_2_seconds():
+    """Well-formed pairs are decided one pair at a time; the diamonds of
+    their product, 4,096 states of the subset automaton, each a
+    singleton, are still closed within the bound."""
+    start = time.perf_counter()
+    assert swap_closed(compile_traces(g(pairs(6))))
     assert time.perf_counter() - start < 2

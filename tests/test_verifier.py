@@ -235,6 +235,47 @@ def test_classify_determinizes_the_type_once_for_every_candidate(monkeypatch):
     assert sum(auto is compiled[0] for auto in built) == 1
 
 
+def test_classify_determinizes_the_type_on_its_candidate_path_once(monkeypatch):
+    """The type's 7-state subset automaton, built to decide well-formedness,
+    serves every candidate; then each candidate's session has its own."""
+    built = counting_subset_automata(monkeypatch)
+    assert classify(g(UNKNOWABLE_CHOICE)).category == NO_KNOWLEDGE_FOR_CHOICE
+    assert [len(auto._subset.accepting) for auto in built] == [7, 4, 4, 4]
+
+
+def pairs(n: int) -> str:
+    return " & ".join(f"(a{i} -> b{i} : m ; b{i} -> a{i} : k ; a{i} -> b{i} : z)" for i in range(n))
+
+
+def test_classify_compiles_only_the_role_groups_of_a_projectable_spine(monkeypatch):
+    protocol = g(pairs(5))
+    compiled = []
+    compile_ = verifier.compile_traces
+    monkeypatch.setattr(verifier, "compile_traces", lambda t: compiled.append(t) or compile_(t))
+    built = counting_subset_automata(monkeypatch)
+    assert classify(protocol).category == PROJECTABLE
+    assert compiled == tracelang.role_groups(protocol) and len(compiled) == 5
+    assert [auto.n_states for auto in built] == [4] * 5
+
+
+def test_crosscheck_determinizes_only_the_automata_it_compiles_and_explores(monkeypatch):
+    """Every checked type is checked on the automaton its well-formedness
+    was decided on, unless its role groups were compiled alone."""
+    compiled, sessions = [], []
+    compile_ = verifier.compile_traces
+    monkeypatch.setattr(verifier, "compile_traces", lambda t: compiled.append(compile_(t)) or compiled[-1])
+    conformance = verifier._conformance
+    monkeypatch.setattr(
+        verifier, "_conformance",
+        lambda auto, verdict, session, *rest: sessions.append(session) or conformance(auto, verdict, session, *rest),
+    )
+    built = counting_subset_automata(monkeypatch)
+    report = cross_check_theorems(sample_count=30, seed=7)
+    assert report["checked"] == len(sessions) > 0
+    assert len({id(a) for a in built}) == len(built)
+    assert {id(a) for a in built} <= {id(a) for a in compiled + sessions}
+
+
 def test_classify_choice_without_any_cover():
     assert classify(g("p -> q : a | q -> p : a")).category == NO_KNOWLEDGE_NO_CHOICE
 
