@@ -61,8 +61,8 @@ def _fmt_word(texts: list[str]) -> str:
 def _sorted_words(words) -> list[list[str]]:
     """`words` as the texts of their letters, in report order.  Each
     distinct letter is formatted once, and a letter object met before is
-    found by its id, without an equality test: a session's words hold
-    many equal letters built apart."""
+    found by its id, without an equality test: the words hold many equal
+    letters built apart."""
     by_id: dict[int, str] = {}
     by_letter: dict = {}
 
@@ -226,7 +226,10 @@ def project(path, budget, as_json):
 @click.option("--max-len", type=_POSITIVE, default=None, help="Trace length bound (default: 2·roles + 8).")
 @_options("buf_bound", "depth_bound")
 def simulate(path, trace_count, max_len, buf_bound, depth_bound, as_json):
-    """Run the session environment in PATH and report liveness."""
+    """Run the session environment in PATH and report liveness, the number
+    of traces up to the length bound, and the first of them.  The traces
+    are counted on the session's trace automaton, not enumerated: only the
+    sample printed is built."""
     env = _load_env(path)
     bound = max_len or 2 * len(env) + 8
     verdict, automaton = runtime.explore(env, buf_bound, depth_bound)
@@ -245,14 +248,14 @@ def simulate(path, trace_count, max_len, buf_bound, depth_bound, as_json):
         report["witness_steps"] = steps
         lines.append(f"witness: {steps} step(s) to a configuration that cannot succeed")
     with _bound_exhausted({"command": "simulate", "input": path}, as_json):
-        samples = _sorted_words(tracelang.enumerate_traces(automaton, bound))
-    report["traces"] = samples[:trace_count]
-    report["trace_count"] = len(samples)
-    lines.append(f"traces up to length {bound}: {len(samples)}")
+        count, samples = tracelang.count_traces(automaton, bound, trace_count)
+    report["traces"] = samples
+    report["trace_count"] = count
+    lines.append(f"traces up to length {bound}: {count}")
     if not as_json:
-        lines.extend(f"  {_fmt_word(w)}" for w in samples[:trace_count])
-    if len(samples) > trace_count:
-        lines.append(f"  ... ({len(samples) - trace_count} more; raise --traces to list them)")
+        lines.extend(f"  {_fmt_word(w)}" for w in samples)
+    if count > trace_count:
+        lines.append(f"  ... ({count - trace_count} more; raise --traces to list them)")
     _emit(report, as_json, lines)
     sys.exit(0 if isinstance(verdict, runtime.Live) else 1)
 
@@ -401,6 +404,10 @@ def crosscheck(samples, max_size, role_count, star_depth, seed, buf_bound, depth
 
 
 def main() -> None:
+    # trace counts are exact, and a count may have more digits than Python
+    # converts to text by default (a limit Python has had since 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         cli(standalone_mode=False)
     except click.exceptions.Exit as exc:

@@ -12,11 +12,19 @@ A session is live when every reachable configuration can still reach
 success: all roles ended with all buffers drained.  The traces of a
 session are the sequences of input labels along runs that reach success;
 a session that is not live has no traces at all.
+
+`explore` numbers the configurations breadth-first as it finds them, and
+works on those numbers from then on: the configuration graph is a list of
+rows of (label, number), one backward reachability pass from success
+serves both the liveness verdict and the trace automaton, and `Config`
+objects are built only for a NotLive witness.  A configuration's moves are
+read off a move table that `Session` builds once per role and machine
+state, and a move rebuilds only the canonical entry of each channel it
+changes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +47,16 @@ def buffer_normalize(buffers: dict) -> Buffer:
     )
 
 
+def _put(buffers: Buffer, chan: tuple, msgs: tuple) -> Buffer:
+    """The canonical buffer map `buffers` with the queue of `chan` set to
+    `msgs`, which drops the channel when `msgs` is empty."""
+    for j, entry in enumerate(buffers):
+        if entry[0] >= chan:
+            rest = buffers[j + 1 :] if entry[0] == chan else buffers[j:]
+            return buffers[:j] + ((chan, msgs),) + rest if msgs else buffers[:j] + rest
+    return buffers + ((chan, msgs),) if msgs else buffers
+
+
 @dataclass(frozen=True, slots=True)
 class Config:
     """A snapshot of a running session: one machine state per role (in the
@@ -51,8 +69,10 @@ class Config:
 # A move: the input it performs, or None for an output, which is silent;
 # and the configuration it leads to.  Only this module sees silent moves.
 Move = tuple[Optional[Interaction], Config]
-Graph = dict[Config, list[Move]]
-Parents = dict[Config, Optional[Config]]
+# A configuration as `explore` keys it: the fields of its `Config`.
+Key = tuple[tuple[int, ...], Buffer]
+# The moves of a numbered configuration: (label, number of the target).
+Row = list[tuple[Optional[Interaction], int]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,167 +105,186 @@ class Unknown:
 
 
 class Session:
-    """A session environment compiled to per-role machines, ready to run."""
+    """A session environment compiled to per-role machines, ready to run.
+
+    `moves[i][s]` lists, in branch order, what role i can do in state s
+    of its machine: (None, channel, message, target) for an output, and
+    (letter, channels, message, target) for an input, whose channels run
+    from each partner to the role.  The label of every input is built
+    once: all moves that take one input share one letter, so the automata
+    built from the moves find their letters by identity."""
 
     def __init__(self, env: SessionEnv, buf_bound: int = DEFAULT_BUF_BOUND):
         self.roles: tuple[Role, ...] = tuple(sorted(env))
         self.machines = [_machine.type_machine(env[r]) for r in self.roles]
         self.buf_bound = buf_bound
-        # The label of every input a role can take, built once: all moves
-        # that take one input share one letter, so the automata built from
-        # the moves find their letters by identity.
         self.letters: dict[tuple, Interaction] = {}
+        self.moves: list[list[list[tuple]]] = []
         for role, m in zip(self.roles, self.machines):
+            table = []
             for branches in m.branches:
-                for kind, partners, msg in branches:
-                    key = (partners, role, msg)
-                    if kind == "in" and key not in self.letters:
-                        self.letters[key] = Interaction(partners, role, msg)
+                entries = []
+                # the peer of an output is its partner, of an input the
+                # set of its partners
+                for (kind, peer, msg), target in branches.items():
+                    if kind == "out":
+                        entries.append((None, (role, peer), msg, target))
+                        continue
+                    letter = self.letters.get((peer, role, msg))
+                    if letter is None:
+                        letter = self.letters[peer, role, msg] = Interaction(peer, role, msg)
+                    entries.append((letter, tuple((s, role) for s in peer), msg, target))
+                table.append(entries)
+            self.moves.append(table)
 
     def initial(self) -> Config:
         return Config(tuple(m.root for m in self.machines), ())
 
     def is_success(self, c: Config) -> bool:
-        return not c.buffers and all(
-            m.kinds[s] == "end" for m, s in zip(self.machines, c.locations)
+        return self._succeeds((c.locations, c.buffers))
+
+    def _succeeds(self, key: Key) -> bool:
+        locations, buffers = key
+        return not buffers and all(
+            m.kinds[s] == "end" for m, s in zip(self.machines, locations)
         )
 
     def step(self, c: Config) -> list[Move]:
         """All moves from `c`: (None, c') for outputs, (label, c') for
         inputs."""
-        buffers = {chan: list(msgs) for chan, msgs in c.buffers}
-        out: list[Move] = []
-        for i, (role, m) in enumerate(zip(self.roles, self.machines)):
-            state = c.locations[i]
-            for bk, target in m.branches[state].items():
-                if bk[0] == "out":
-                    _, partner, msg = bk
-                    chan = (role, partner)
-                    queue = buffers.get(chan, [])
-                    if len(queue) >= self.buf_bound:
+        return [(label, Config(*key)) for label, key in self._step((c.locations, c.buffers))]
+
+    def _step(self, key: Key) -> list[tuple[Optional[Interaction], Key]]:
+        """`step` on keys: the moves of role 0 first, each role's in
+        branch order."""
+        locations, buffers = key
+        queues = dict(buffers)
+        bound = self.buf_bound
+        out = []
+        for i, table in enumerate(self.moves):
+            for letter, chans, msg, target in table[locations[i]]:
+                if letter is None:
+                    queue = queues.get(chans, ())
+                    if len(queue) >= bound:
                         continue
-                    nb = dict(buffers)
-                    nb[chan] = queue + [msg]
-                    nxt = Config(
-                        c.locations[:i] + (target,) + c.locations[i + 1 :],
-                        buffer_normalize(nb),
-                    )
-                    out.append((None, nxt))
+                    nb = _put(buffers, chans, queue + (msg,))
                 else:
-                    _, partners, msg = bk
-                    if all(
-                        buffers.get((s, role), [None])[0:1] == [msg]
-                        for s in partners
-                    ):
-                        nb = dict(buffers)
-                        for s in partners:
-                            nb[(s, role)] = buffers[(s, role)][1:]
-                        nxt = Config(
-                            c.locations[:i] + (target,) + c.locations[i + 1 :],
-                            buffer_normalize(nb),
-                        )
-                        out.append((self.letters[partners, role, msg], nxt))
+                    # the input fires when the head of every partner's
+                    # channel is the message, and takes each of them
+                    nb = buffers
+                    for chan in chans:
+                        queue = queues.get(chan)
+                        if not queue or queue[0] != msg:
+                            break
+                        nb = _put(nb, chan, queue[1:])
+                    else:
+                        out.append((letter, (locations[:i] + (target,) + locations[i + 1 :], nb)))
+                    continue
+                out.append((letter, (locations[:i] + (target,) + locations[i + 1 :], nb)))
         return out
 
 
-def _explore(session: Session, depth_bound: int) -> tuple[Graph, bool, Parents]:
-    """Breadth-first reachable configuration graph, capped at `depth_bound`
-    configurations.  Returns (graph, truncated, parents): configurations
-    discovered but not expanded are absent from the graph's key set, and
-    `parents` maps every discovered configuration to the one that
-    discovered it (None for the initial one)."""
-    init = session.initial()
-    graph: Graph = {}
-    parents: Parents = {init: None}
-    queue = deque([init])
-    truncated = False
-    while queue:
-        c = queue.popleft()
-        if len(graph) >= depth_bound:
-            truncated = True
-            break
-        succs = session.step(c)
-        graph[c] = succs
-        for _, c2 in succs:
-            if c2 not in parents:
-                parents[c2] = c
-                queue.append(c2)
-    return graph, truncated, parents
+def _explore(session: Session, depth_bound: int) -> tuple[list[Key], list[Row], list[int], bool]:
+    """Breadth-first reachable configuration graph, expanding at most
+    `depth_bound` configurations.  Returns (configs, rows, parents,
+    truncated): configuration n is `configs[n]`, numbered in the order it
+    was found, so the initial one is 0; `rows[n]` holds its moves for
+    every expanded n, and since configurations are expanded in the order
+    they are numbered, the ones discovered but not expanded are those
+    from `len(rows)` on; `parents[n]` is the number of the configuration
+    that discovered n (-1 for the initial one)."""
+    m0 = session.initial()
+    configs: list[Key] = [(m0.locations, m0.buffers)]
+    number = {configs[0]: 0}
+    parents = [-1]
+    rows: list[Row] = []
+    step = session._step
+    while len(rows) < len(configs):
+        if len(rows) >= depth_bound:
+            return configs, rows, parents, True
+        n = len(rows)
+        row: Row = []
+        for label, key in step(configs[n]):
+            m = number.setdefault(key, len(configs))
+            if m == len(configs):
+                configs.append(key)
+                parents.append(n)
+            row.append((label, m))
+        rows.append(row)
+    return configs, rows, parents, False
 
 
-def _can_reach(graph: Graph, targets: set[Config]) -> set[Config]:
-    reverse: dict[Config, list[Config]] = {}
-    for c, succs in graph.items():
-        for _, c2 in succs:
-            reverse.setdefault(c2, []).append(c)
-    closure = set(targets)
+def _can_reach(rows: list[Row], size: int, targets: list[int]) -> bytearray:
+    """Which of the `size` numbered configurations can reach `targets`:
+    a flag per number."""
+    reverse: list[list[int]] = [[] for _ in range(size)]
+    for n, row in enumerate(rows):
+        for _, m in row:
+            reverse[m].append(n)
+    reach = bytearray(size)
+    for t in targets:
+        reach[t] = 1
     work = list(targets)
     while work:
-        c = work.pop()
-        for p in reverse.get(c, ()):
-            if p not in closure:
-                closure.add(p)
+        for p in reverse[work.pop()]:
+            if not reach[p]:
+                reach[p] = 1
                 work.append(p)
-    return closure
+    return reach
 
 
 def _liveness(
-    graph: Graph, truncated: bool, parents: Parents, success: set[Config]
+    configs: list[Key], rows: list[Row], truncated: bool, parents: list[int], promising: bytearray
 ) -> Live | NotLive | Unknown:
-    """Can every reachable configuration still reach `success`?  Exact when
-    the bounded configuration graph is fully explored; a configuration
-    whose whole future was explored and never succeeds yields a definitive
-    NotLive even under truncation.  The witness is the BFS path to the
-    first such configuration in exploration order, hence a shortest one."""
-    frontier: set[Config] = {
-        c2 for succs in graph.values() for _, c2 in succs if c2 not in graph
-    }
-    promising = _can_reach(graph, success | frontier if truncated else success)
-    bad = next((c for c in graph if c not in promising), None)
-    if bad is None:
-        return Unknown(len(graph)) if truncated else Live()
+    """Can every reachable configuration still reach success?  `promising`
+    flags the configurations that can reach success, or the frontier of
+    a truncated exploration.  Exact when the bounded configuration graph
+    is fully explored; a configuration whose whole future was explored
+    and never succeeds yields a definitive NotLive even under truncation.
+    The witness is the BFS path to the first such configuration in
+    exploration order, hence a shortest one."""
+    bad = promising.find(0, 0, len(rows))
+    if bad < 0:
+        return Unknown(len(rows)) if truncated else Live()
     path = [bad]
-    while parents[path[-1]] is not None:
+    while parents[path[-1]] >= 0:
         path.append(parents[path[-1]])
-    return NotLive(tuple(reversed(path)))
+    return NotLive(tuple(Config(*configs[n]) for n in reversed(path)))
 
 
-def _trace_automaton(
-    session: Session, graph: Graph, success: set[Config]
-) -> TraceAutomaton:
+def _trace_automaton(rows: list[Row], live: bytearray, success: bytearray) -> TraceAutomaton:
     """The explored graph as a trim automaton over input labels.  Only
-    configurations that can reach `success` are kept.  Outputs are silent,
-    so each state takes the inputs of every configuration its outputs lead
-    to, and accepts when those outputs reach success."""
-    live = _can_reach(graph, success)
-    init = session.initial()
-    if init not in live:
+    configurations that can reach success (flagged in `live`) are kept.  Outputs are
+    silent, so each state takes the inputs of every configuration its
+    outputs lead to, and accepts when those outputs reach success."""
+    if not live[0]:
         return TraceAutomaton([[]], frozenset())
-    index = {init: 0}
+    index = {0: 0}
     delta: list[list[tuple[Interaction, int]]] = [[]]
     accepts = set()
-    work = [init]
+    work = [0]
     while work:
-        c = work.pop()
-        q = index[c]
+        n = work.pop()
+        q = index[n]
         edges: dict[tuple[Interaction, int], None] = {}
-        silent, todo = {c}, [c]
+        silent, todo = {n}, [n]
         while todo:
-            c1 = todo.pop()
-            if c1 in success:
+            n1 = todo.pop()
+            if success[n1]:
                 accepts.add(q)
-            for label, c2 in graph[c1]:
-                if c2 not in live:
+            for label, n2 in rows[n1]:
+                if not live[n2]:
                     continue
                 if label is not None:
-                    if c2 not in index:
-                        index[c2] = len(delta)
+                    q2 = index.get(n2)
+                    if q2 is None:
+                        q2 = index[n2] = len(delta)
                         delta.append([])
-                        work.append(c2)
-                    edges[(label, index[c2])] = None
-                elif c2 not in silent:
-                    silent.add(c2)
-                    todo.append(c2)
+                        work.append(n2)
+                    edges[(label, q2)] = None
+                elif n2 not in silent:
+                    silent.add(n2)
+                    todo.append(n2)
         delta[q] = list(edges)
     return TraceAutomaton(delta, frozenset(accepts))
 
@@ -260,12 +299,16 @@ def explore(
     (over input labels, accepting runs that reach success), which accepts
     nothing when the session is not live."""
     session = Session(env, buf_bound)
-    graph, truncated, parents = _explore(session, depth_bound)
-    success = {c for c in graph if session.is_success(c)}
-    verdict = _liveness(graph, truncated, parents, success)
+    configs, rows, parents, truncated = _explore(session, depth_bound)
+    success = bytearray(map(session._succeeds, configs[: len(rows)]))
+    goals = [n for n, s in enumerate(success) if s]
+    live = _can_reach(rows, len(configs), goals)
+    frontier = range(len(rows), len(configs))
+    promising = _can_reach(rows, len(configs), [*goals, *frontier]) if truncated else live
+    verdict = _liveness(configs, rows, truncated, parents, promising)
     if isinstance(verdict, NotLive):
         return verdict, TraceAutomaton([[]], frozenset())
-    return verdict, _trace_automaton(session, graph, success)
+    return verdict, _trace_automaton(rows, live, success)
 
 
 def is_live(

@@ -313,6 +313,73 @@ def enumerate_traces(
     return words
 
 
+def count_traces(
+    a: TraceAutomaton, max_len: int, first: int, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[int, list[list[str]]]:
+    """The number of traces of `a` of length <= max_len, and the first
+    `first` of them in `word_key` order, each given by the texts of its
+    letters (every letter is formatted once).
+
+    Only that sample is enumerated.  The count is a dynamic program over
+    the rows of the subset automaton: ways[n][s], the number of words of
+    length n that state s accepts, is the sum of ways[n - 1][t] over the
+    moves s -> t.  It is kept for the states within max_len - n moves of
+    the start, the only ones a trace passes through with n letters left,
+    and it stops at a length that no state accepts a word of, since no
+    state accepts a longer one either.  The sample is built
+    by a depth-first search that takes letters in the order of their texts
+    and enters only states that accept a word of the length left.  Raises
+    BudgetExceededError when the program fills more than `cap` (length,
+    state) cells or the search visits more than `cap` prefixes."""
+    dfa = a._subset
+    states, depth = [0], {0: 0}  # the states within max_len moves, breadth first
+    for s in states:
+        if depth[s] < max_len:
+            for t in dfa[s].values():
+                if t not in depth:
+                    depth[t] = depth[s] + 1
+                    states.append(t)
+    ways = {s: int(dfa.accepting[s]) for s in states}
+    total, cells = ways[0], len(states)
+    able = [{s for s, w in ways.items() if w}]  # able[n]: the states with ways[n] > 0
+    while able[-1] and len(able) <= max_len:
+        # a word of this length from a state deeper than these is too long
+        while depth[states[-1]] + len(able) > max_len:
+            states.pop()
+        cells += len(states)
+        if cells > cap:
+            raise BudgetExceededError(f"filled more than {cap} (length, state) cells counting traces of length <= {max_len}")
+        prev = ways
+        ways = {s: sum(prev[t] for t in dfa[s].values()) for s in states}
+        total += ways[0]
+        able.append({s for s, w in ways.items() if w})
+
+    texts = [str(letter) for letter in dfa.letters]
+    order = {x: r for r, x in enumerate(sorted(range(len(texts)), key=texts.__getitem__))}
+    samples: list[list[str]] = []
+    visited = 0
+    for n in range(len(able)):
+        if len(samples) >= first:
+            break
+        if 0 not in able[n]:
+            continue
+        stack = [(0, n, [])]
+        while stack and len(samples) < first:
+            s, left, word = stack.pop()
+            visited += 1
+            if visited > cap:
+                raise BudgetExceededError(f"visited more than {cap} prefixes of length <= {max_len}")
+            if not left:
+                samples.append(word)
+                continue
+            row = dfa[s]
+            # pushed greatest first, so that the least is taken first
+            for x in sorted(row, key=order.__getitem__, reverse=True):
+                if row[x] in able[left - 1]:
+                    stack.append((row[x], left - 1, [*word, texts[x]]))
+    return total, samples
+
+
 def includes(a1: TraceAutomaton, a2: TraceAutomaton) -> Word | None:
     """None if the language of `a1` is included in that of `a2`; otherwise
     the shortlex-least word (letters ordered by `_ikey`) accepted by `a1`

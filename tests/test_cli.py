@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpst import cli, projector, runtime, tracelang, verifier
-from mpst.syntax import Interaction
+from mpst.syntax import Interaction, parse_session_env
+from test_runtime import STARVING_OBSERVER, pairs_text
 
 SALE = (
     "seller -> buyer : descr ;\n"
@@ -265,19 +270,41 @@ def test_verify_decides_four_parallel_pairs(monkeypatch, capsys, tmp_path):
     assert payload["basis"] == "exact" and payload["liveness"] == "Live"
 
 
-def test_simulate_reports_an_exhausted_bound_without_a_traceback(tmp_path):
+ABC_LOOP = "p : rec X . (q!a.X (+) q!b.X (+) q!c.end)\nq : rec Y . (p?a.Y + p?b.Y + p?c.end)\n"
+
+
+def test_simulate_counts_the_traces_of_a_long_loop(tmp_path):
     path = tmp_path / "many.mps"
-    path.write_text(
-        "p : rec X . (q!a.X (+) q!b.X (+) q!c.end)\nq : rec Y . (p?a.Y + p?b.Y + p?c.end)\n"
-    )
-    # one-place buffers keep the session automaton small, so the
-    # enumeration reaches its budget quickly
+    path.write_text(ABC_LOOP)
+    # every word of a's and b's, then c: 2**n traces of length n + 1
     result = run("simulate", str(path), "--max-len", "40", "--buf-bound", "1", "--json")
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["trace_count"] == 2**40 - 1
+    a, b, c = (f"p -> q : {m}" for m in "abc")
+    assert payload["traces"] == [
+        [c], [a, c], [b, c], [a, a, c], [a, b, c], [b, a, c], [b, b, c], [a, a, a, c], [a, a, b, c], [a, b, a, c]
+    ]
+
+
+def test_simulate_prints_counts_of_any_length(tmp_path):
+    path = tmp_path / "many.mps"
+    path.write_text(ABC_LOOP)
+    result = run("simulate", str(path), "--max-len", "20000", "--buf-bound", "1", "--traces", "0", "--json")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["trace_count"] == 2**20000 - 1
+
+
+def test_simulate_reports_an_exhausted_count_without_a_traceback(tmp_path):
+    path = tmp_path / "many.mps"
+    path.write_text(ABC_LOOP)
+    result = run("simulate", str(path), "--max-len", "1000000", "--buf-bound", "1", "--json")
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     payload = json.loads(result.stdout)
     assert payload["error"] == "BoundExhausted"
-    assert "prefixes" in payload["detail"]
+    assert "cells" in payload["detail"]
 
 
 def test_crosscheck_reports_an_exhausted_bound(monkeypatch, capsys):
@@ -575,3 +602,62 @@ def test_crosscheck_explores_one_session_per_checked_sample(monkeypatch, capsys,
     checked = json.loads(capsys.readouterr().out)["checked"]
     assert checked > 0
     assert len(built) == checked and explored == built
+
+
+def test_simulate_decides_four_parallel_pairs(monkeypatch, capsys, tmp_path):
+    """All 12!/(3!)**4 traces of width-4 pairs are counted, in under two
+    seconds of CPU."""
+    path = tmp_path / "pairs4.mps"
+    path.write_text(pairs_text(4))
+    start = time.process_time()
+    assert run_in_process(monkeypatch, "simulate", str(path), "--json") == 0
+    assert time.process_time() - start < 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "Live" and payload["trace_count"] == 369600
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """The three sessions of the benchmark corpus and width-2 and width-3
+    pairs, each written to a file."""
+    root = tmp_path_factory.mktemp("simulate")
+    texts = {
+        "live-loop": LOOP_UNTIL_DONE,
+        "never-ends": NEVER_ENDS,
+        "starving": STARVING_OBSERVER,
+        "pairs2": pairs_text(2),
+        "pairs3": pairs_text(3),
+    }
+    for name, text in texts.items():
+        (root / f"{name}.mps").write_text(text)
+    return {str(root / f"{name}.mps"): parse_session_env(text) for name, text in texts.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    trace_count=st.integers(0, 12),
+    max_len=st.integers(1, 24),
+    buf_bound=st.integers(1, 4),
+    depth_bound=st.integers(1, 200),
+)
+def test_simulate_keeps_its_contract(simulated, data, trace_count, max_len, buf_bound, depth_bound):
+    """Exit 0 for a live session and 1 otherwise, a report that parses,
+    and the count and first traces of the reference enumeration."""
+    path = data.draw(st.sampled_from(sorted(simulated)))
+    argv = ["mpst", "simulate", path, "--json", "--traces", str(trace_count), "--max-len", str(max_len),
+            "--buf-bound", str(buf_bound), "--depth", str(depth_bound)]
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.argv = sys.argv, argv
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
+            cli.main()
+    finally:
+        sys.argv = saved
+    assert "Traceback" not in err.getvalue()
+    payload = json.loads(out.getvalue())
+    assert stop.value.code == (0 if payload["verdict"] == "Live" else 1)
+    automaton = runtime.explore(simulated[path], buf_bound, depth_bound)[1]
+    words = sorted(tracelang.enumerate_traces(automaton, max_len, cap=10**6), key=tracelang.word_key)
+    assert payload["trace_count"] == len(words)
+    assert payload["traces"] == [list(map(str, w)) for w in words[:trace_count]]

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import time
+from collections import deque
+
+import pytest
+
+from mpst import runtime
 from mpst.runtime import (
+    DEFAULT_DEPTH_BOUND,
+    Config,
     Live,
     NotLive,
     Session,
@@ -12,9 +20,10 @@ from mpst.runtime import (
     is_live,
     session_traces,
 )
-from mpst.projector import project_top
+from mpst.projector import ProjectionError, project_top
 from mpst.syntax import parse_global_type, parse_session_env
-from mpst.tracelang import compile_traces, enumerate_traces
+from mpst.tracelang import TraceAutomaton, compile_traces, enumerate_traces, includes
+from mpst.verifier import random_global_type
 from test_tracelang import is_trim
 
 LOOP_UNTIL_DONE = "p : rec X . (q!a.X (+) q!b.end)\nq : rec Y . (p?a.Y + p?b.end)"
@@ -175,3 +184,235 @@ def test_a_session_builds_each_letter_once():
     assert len(labels) > 400
     assert len({id(label) for label in labels}) == 9
     assert len(set(labels)) == 9
+
+
+def pairs_text(width: int) -> str:
+    """The session of width-n parallel pairs: a_i sends m, b_i answers k,
+    a_i sends z, for i < n."""
+    return "\n".join(
+        f"a{i} : b{i}!m.b{i}?k.b{i}!z.end\nb{i} : a{i}?m.a{i}!k.a{i}?z.end" for i in range(width)
+    )
+
+
+def pairs_env(width: int):
+    return parse_session_env(pairs_text(width))
+
+
+# ---------------------------------------------------------------------------
+# The exploration as it ran on `Config` objects, before configurations were
+# numbered: the reference for `explore`.
+# ---------------------------------------------------------------------------
+
+
+def reference_step(session: Session, c: Config) -> list:
+    buffers = {chan: list(msgs) for chan, msgs in c.buffers}
+    out = []
+    for i, (role, m) in enumerate(zip(session.roles, session.machines)):
+        state = c.locations[i]
+        for bk, target in m.branches[state].items():
+            if bk[0] == "out":
+                _, partner, msg = bk
+                chan = (role, partner)
+                queue = buffers.get(chan, [])
+                if len(queue) >= session.buf_bound:
+                    continue
+                nb = dict(buffers)
+                nb[chan] = queue + [msg]
+                nxt = Config(
+                    c.locations[:i] + (target,) + c.locations[i + 1 :],
+                    buffer_normalize(nb),
+                )
+                out.append((None, nxt))
+            else:
+                _, partners, msg = bk
+                if all(
+                    buffers.get((s, role), [None])[0:1] == [msg]
+                    for s in partners
+                ):
+                    nb = dict(buffers)
+                    for s in partners:
+                        nb[(s, role)] = buffers[(s, role)][1:]
+                    nxt = Config(
+                        c.locations[:i] + (target,) + c.locations[i + 1 :],
+                        buffer_normalize(nb),
+                    )
+                    out.append((session.letters[partners, role, msg], nxt))
+    return out
+
+
+def reference_explore_graph(session: Session, depth_bound: int):
+    init = session.initial()
+    graph = {}
+    parents = {init: None}
+    queue = deque([init])
+    truncated = False
+    while queue:
+        c = queue.popleft()
+        if len(graph) >= depth_bound:
+            truncated = True
+            break
+        succs = reference_step(session, c)
+        graph[c] = succs
+        for _, c2 in succs:
+            if c2 not in parents:
+                parents[c2] = c
+                queue.append(c2)
+    return graph, truncated, parents
+
+
+def reference_can_reach(graph, targets):
+    reverse = {}
+    for c, succs in graph.items():
+        for _, c2 in succs:
+            reverse.setdefault(c2, []).append(c)
+    closure = set(targets)
+    work = list(targets)
+    while work:
+        c = work.pop()
+        for p in reverse.get(c, ()):
+            if p not in closure:
+                closure.add(p)
+                work.append(p)
+    return closure
+
+
+def reference_liveness(graph, truncated, parents, success):
+    frontier = {
+        c2 for succs in graph.values() for _, c2 in succs if c2 not in graph
+    }
+    promising = reference_can_reach(graph, success | frontier if truncated else success)
+    bad = next((c for c in graph if c not in promising), None)
+    if bad is None:
+        return Unknown(len(graph)) if truncated else Live()
+    path = [bad]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return NotLive(tuple(reversed(path)))
+
+
+def reference_trace_automaton(session, graph, success):
+    live = reference_can_reach(graph, success)
+    init = session.initial()
+    if init not in live:
+        return TraceAutomaton([[]], frozenset())
+    index = {init: 0}
+    delta = [[]]
+    accepts = set()
+    work = [init]
+    while work:
+        c = work.pop()
+        q = index[c]
+        edges = {}
+        silent, todo = {c}, [c]
+        while todo:
+            c1 = todo.pop()
+            if c1 in success:
+                accepts.add(q)
+            for label, c2 in graph[c1]:
+                if c2 not in live:
+                    continue
+                if label is not None:
+                    if c2 not in index:
+                        index[c2] = len(delta)
+                        delta.append([])
+                        work.append(c2)
+                    edges[(label, index[c2])] = None
+                elif c2 not in silent:
+                    silent.add(c2)
+                    todo.append(c2)
+        delta[q] = list(edges)
+    return TraceAutomaton(delta, frozenset(accepts))
+
+
+def reference_explore(env, buf_bound, depth_bound):
+    """The verdict and trace automaton of the reference exploration, its
+    graph and whether it was truncated."""
+    session = Session(env, buf_bound)
+    graph, truncated, parents = reference_explore_graph(session, depth_bound)
+    success = {c for c in graph if session.is_success(c)}
+    verdict = reference_liveness(graph, truncated, parents, success)
+    if isinstance(verdict, NotLive):
+        return verdict, TraceAutomaton([[]], frozenset()), graph, truncated
+    return verdict, reference_trace_automaton(session, graph, success), graph, truncated
+
+
+# q never takes b: p's first choice is stuck at once, and its other choice
+# is long, so a truncated exploration can still find it stuck
+STUCK_OR_LONG = "p : q!b.end (+) q!a.q!c.q!c.q!c.end\nq : p?a.p?c.p?c.p?c.end"
+
+
+def differential_envs():
+    """Projections of criterion 8's random samples, the three sessions of
+    the benchmark corpus, one that is stuck under truncation, and width-2
+    to width-4 pairs."""
+    envs = []
+    for i in range(200):
+        try:
+            envs.append(project_top(random_global_type(20260814 + i)))
+        except ProjectionError:
+            pass
+    texts = (LOOP_UNTIL_DONE, NEVER_ENDS, STARVING_OBSERVER, STUCK_OR_LONG)
+    return envs + [*map(parse_session_env, texts), *map(pairs_env, (2, 3, 4))]
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """How often `_can_reach` and `Session._step` run."""
+    calls = {"reach": 0, "step": 0}
+    can_reach, step = runtime._can_reach, Session._step
+
+    def counting_reach(*args):
+        calls["reach"] += 1
+        return can_reach(*args)
+
+    def counting_step(self, key):
+        calls["step"] += 1
+        return step(self, key)
+
+    monkeypatch.setattr(runtime, "_can_reach", counting_reach)
+    monkeypatch.setattr(Session, "_step", counting_step)
+    return calls
+
+
+def test_numbered_exploration_answers_as_the_reference(counted):
+    """Same verdict, same NotLive witness, same number explored, and trace
+    automata of one language, under every buffer bound from 1 to 4 and
+    depth bounds that truncate; one backward pass when nothing is
+    truncated, and one step per expanded configuration."""
+    envs = differential_envs()
+    assert len(envs) > 60
+    seen = set()
+    for env in envs:
+        for buf_bound in (1, 2, 3, 4):
+            for depth_bound in (1, 2, 7, 50, DEFAULT_DEPTH_BOUND):
+                expected, reference, graph, truncated = reference_explore(env, buf_bound, depth_bound)
+                counted.update(reach=0, step=0)
+                verdict, automaton = explore(env, buf_bound, depth_bound)
+                assert verdict == expected
+                assert includes(automaton, reference) is None and includes(reference, automaton) is None
+                assert counted["step"] == len(graph)
+                assert counted["reach"] == 1 + truncated
+                seen.add((type(verdict), truncated))
+    assert seen == {(Live, False), (NotLive, False), (NotLive, True), (Unknown, True)}
+
+
+def test_step_takes_the_moves_of_the_reference_step():
+    """`step` on every configuration the reference explores: the same
+    moves, in the same order, to equal configurations."""
+    texts = (LOOP_UNTIL_DONE, STARVING_OBSERVER, "p : r!a.end\nq : r!a.end\nr : {p,q}?a.end")
+    for env in (pairs_env(3), *map(parse_session_env, texts)):
+        for buf_bound in (1, 2):
+            session = Session(env, buf_bound)
+            graph, _, _ = reference_explore_graph(session, DEFAULT_DEPTH_BOUND)
+            assert len(graph) > 3
+            assert all(session.step(c) == moves for c, moves in graph.items())
+
+
+def test_width_five_pairs_are_explored_to_a_live_verdict():
+    """Width-5 pairs have 16,807 configurations, and 15,784 states in
+    their trace automaton; explored whole, in under two seconds of CPU."""
+    start = time.process_time()
+    verdict, automaton = explore(pairs_env(5), depth_bound=20000)
+    assert isinstance(verdict, Live)
+    assert automaton.n_states == 15784
+    assert time.process_time() - start < 2

@@ -33,6 +33,7 @@ from mpst.tracelang import (
     TraceAutomaton,
     WellFormed,
     compile_traces,
+    count_traces,
     enumerate_traces,
     includes,
     is_well_formed,
@@ -42,6 +43,7 @@ from mpst.tracelang import (
     shuffle_automata,
     swap_closed,
     well_formed,
+    word_key,
 )
 from mpst.verifier import cross_check_theorems, random_global_type
 
@@ -292,13 +294,12 @@ def enumeration(enumerate_, auto, max_len, cap):
         return str(exc)
 
 
-def test_subset_automata_answer_as_the_reference_algorithms():
+def language_question_automata():
     """Criterion 8's samples and their `&`-elimination candidates compiled,
     the session automata of the samples that project, the one-swap
     automata (not trim) of the samples that are not well formed, and the
-    automaton that accepts nothing.  Each automaton keeps the rows one
-    question computed for the next, so the questions are asked in turns:
-    inclusion first, then membership, then enumeration, then budgets."""
+    automaton that accepts nothing.  Returns every automaton, and each
+    one-swap automaton paired with the automaton it swaps."""
     samples = [random_global_type(20260814 + i) for i in range(200)]
     compiled = [compile_traces(t) for s in samples for t in (s, *_sequential_rewrites(s, DEFAULT_AND_BUDGET))]
     sessions, swaps = [], []
@@ -311,9 +312,17 @@ def test_subset_automata_answer_as_the_reference_algorithms():
             auto = compile_traces(sample)
             swaps.append((tracelang._swap_variants(auto), auto))
     empty = TraceAutomaton([[]], frozenset())
-    autos = [*compiled, *sessions, *(swap for swap, _ in swaps), empty]
     assert len(sessions) > 50 and len(swaps) > 50 and len(compiled) > 1000
+    return [*compiled, *sessions, *(swap for swap, _ in swaps), empty], swaps
 
+
+def test_subset_automata_answer_as_the_reference_algorithms():
+    """The automata of `language_question_automata`.  Each automaton keeps
+    the rows one question computed for the next, so the questions are
+    asked in turns: inclusion first, then membership, then enumeration,
+    then budgets."""
+    autos, swaps = language_question_automata()
+    empty = autos[-1]
     operands = [*zip(autos, autos[1:]), *zip(autos[1:], autos), *swaps, (empty, autos[0]), (autos[0], empty)]
     counterexamples = 0
     for left, right in operands:
@@ -329,6 +338,39 @@ def test_subset_automata_answer_as_the_reference_algorithms():
         assert enumerate_traces(auto, 5) == reference_enumerate_traces(auto, 5)
         for cap in (1, 3, 10):
             assert enumeration(enumerate_traces, auto, 8, cap) == enumeration(reference_enumerate_traces, auto, 8, cap)
+
+
+def test_counting_answers_as_sorted_enumeration():
+    """`count_traces` against `enumerate_traces` then `word_key` order, on
+    the automata of `language_question_automata`, explored sessions among
+    them: the same count, and the same first words, at every length bound
+    from 0 to 8."""
+    autos, _ = language_question_automata()
+    compared = 0
+    for auto in autos:
+        try:
+            every = [list(map(str, w)) for w in sorted(enumerate_traces(auto, 8), key=word_key)]
+        except BudgetExceededError:
+            continue
+        for max_len in range(9):
+            words = [w for w in every if len(w) <= max_len]
+            for first in (0, 1, 3, 10):
+                assert count_traces(auto, max_len, first) == (len(words), words[:first])
+            compared += len(words) > 10
+    assert compared > 500
+
+
+def test_counting_is_budgeted_by_work():
+    """A loop of two letters has 2**n words of length n: they are counted,
+    without a budget error, until the table of counts outgrows the cap."""
+    loop = compile_traces(g("(p -> q : a | p -> q : b)*"))
+    count, sample = count_traces(loop, 60, 3)
+    assert count == 2**61 - 1
+    assert sample == [[], ["p -> q : a"], ["p -> q : b"]]
+    with pytest.raises(BudgetExceededError, match="cells"):
+        count_traces(loop, 10**6, 3, cap=1000)
+    with pytest.raises(BudgetExceededError, match="prefixes"):
+        count_traces(loop, 60, 100, cap=190)
 
 
 def test_minimal_form_merges_equivalent_states_and_numbers_them_in_order():
