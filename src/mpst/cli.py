@@ -58,26 +58,6 @@ def _fmt_word(texts: list[str]) -> str:
     return " ; ".join(texts) if texts else "(empty)"
 
 
-def _sorted_words(words) -> list[list[str]]:
-    """`words` as the texts of their letters, in report order.  Each
-    distinct letter is formatted once, and a letter object met before is
-    found by its id, without an equality test: the words hold many equal
-    letters built apart."""
-    by_id: dict[int, str] = {}
-    by_letter: dict = {}
-
-    def text(x) -> str:
-        t = by_letter.get(x)
-        if t is None:
-            t = by_letter[x] = str(x)
-        by_id[id(x)] = t
-        return t
-
-    out = [[by_id.get(id(x)) or text(x) for x in w] for w in words]
-    out.sort(key=tracelang.word_key)  # the str of a text is the text itself
-    return out
-
-
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         click.echo(json.dumps({"schema": 1, **report}, sort_keys=True, indent=2))
@@ -344,14 +324,19 @@ def classify(path, max_len, buf_bound, depth_bound, budget, as_json):
 @click.option("--dot", type=click.Path(dir_okay=False), default=None, help="Write the trace automaton in DOT format.")
 @_options("max_len")
 def trace(path, dot, max_len, as_json):
-    """Enumerate the bounded trace language of the global type in PATH."""
+    """List the traces of the global type in PATH up to the length bound,
+    shortest first, then in the order of their letters' texts.  The list
+    comes out of one breadth-first pass over the trace automaton already
+    in that order, and a listing that visits more than 100,000 prefixes,
+    or holds more than 100,000 traces or letters, is reported as
+    BoundExhausted."""
     g = _load_global(path)
     auto = tracelang.compile_traces(g)
     if dot:
         _dump_dot(auto, dot)
     bound = max_len or default_max_len(g)
     with _bound_exhausted({"command": "trace", "input": path}, as_json):
-        words = _sorted_words(tracelang.enumerate_traces(auto, bound))
+        words = tracelang.list_traces(auto, bound)
     _emit(
         {
             "command": "trace",

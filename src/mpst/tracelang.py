@@ -3,8 +3,9 @@
 A global type denotes a regular language of interactions.  This module
 compiles global types to nondeterministic finite automata over interaction
 letters, and provides the operations the rest of the package needs:
-bounded enumeration, language inclusion with shortest counterexamples,
-shuffle products, Parikh vectors, and the well-formedness check.
+bounded enumeration, listing and counting of traces, language inclusion
+with shortest counterexamples, shuffle products, Parikh vectors, and the
+well-formedness check.
 
 Automata have no epsilon moves, start at state 0 and are trim: every state
 is reachable from state 0 and can reach acceptance.  Compilation builds
@@ -21,6 +22,16 @@ only `includes` reads.
 Automata stay nondeterministic.  Each keeps the one subset automaton
 (`_Subset`) that all its language questions read, filled in row by row:
 `swap_closed` reads every row, the other questions only those they reach.
+
+Traces up to a length come three ways.  `enumerate_traces` gives them as
+a set of words, for the verifier and the runtime.  `list_traces` gives
+them as the texts of their letters in `word_key` order, the order `trace`
+reports: one breadth-first pass takes each row's letters in the order of
+their texts, so nothing is sorted, and keeps each prefix as a link to the
+prefix it extends, so only the traces are built.  `count_traces` counts
+them for `simulate` by a dynamic program over the non-zero (length, state)
+cells, and builds only the first few.  Each is budgeted by its work and
+raises `BudgetExceededError` past it.
 
 `minimal_form`, with which `machine` minimizes session machines, merges
 states by Hopcroft partition refinement, in O(m log n) for m moves between
@@ -313,6 +324,64 @@ def enumerate_traces(
     return words
 
 
+def _text_order(dfa: _Subset) -> tuple[list[str], dict[int, int]]:
+    """The text of each letter of `dfa`, formatted once, and the rank of
+    each letter in the order of those texts, the order of `word_key`."""
+    texts = [str(letter) for letter in dfa.letters]
+    return texts, {x: r for r, x in enumerate(sorted(range(len(texts)), key=texts.__getitem__))}
+
+
+def list_traces(
+    a: TraceAutomaton, max_len: int, cap: int = DEFAULT_ENUM_CAP
+) -> list[list[str]]:
+    """All traces of `a` of length <= max_len in `word_key` order, each
+    given by the texts of its letters (every letter is formatted once).
+
+    One breadth-first pass over the rows of the subset automaton takes
+    each row's letters in the order of their texts, so each length comes
+    out in lexicographic order and nothing is sorted.  A prefix is kept
+    as a link to the prefix it extends, and only the traces are built as
+    words.  Raises BudgetExceededError, checked in this order at every
+    prefix visited, when more than `cap` of them are traces, when more
+    than `cap` are visited, or when the traces built hold more than `cap`
+    letters."""
+    dfa = a._subset
+    texts, order = _text_order(dfa)
+    accepting, rows = dfa.accepting, {}
+    words: list[list[str]] = []
+    level: list[tuple[int, tuple | None]] = [(0, None)]  # (state, prefix) of one length
+    visited = letters = n = 0
+    while level:
+        below: list[tuple[int, tuple]] = []
+        append, longer = below.append, n < max_len
+        for s, prefix in level:
+            visited += 1
+            if accepting[s]:
+                word, link = [], prefix
+                while link:
+                    text, link = link
+                    word.append(text)
+                word.reverse()
+                words.append(word)
+                letters += n
+                if len(words) > cap:
+                    raise BudgetExceededError(f"more than {cap} traces of length <= {max_len}")
+            if visited > cap:
+                raise BudgetExceededError(f"visited more than {cap} prefixes of length <= {max_len}")
+            if letters > cap:
+                raise BudgetExceededError(f"more than {cap} letters in the traces of length <= {max_len}")
+            if longer:
+                row = rows.get(s)
+                if row is None:
+                    moves = dfa[s]
+                    ranked = sorted(moves, key=order.__getitem__) if len(moves) > 1 else moves
+                    row = rows[s] = [(texts[x], moves[x]) for x in ranked]
+                for text, t in row:
+                    append((t, (text, prefix)))
+        level, n = below, n + 1
+    return words
+
+
 def count_traces(
     a: TraceAutomaton, max_len: int, first: int, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[int, list[list[str]]]:
@@ -323,39 +392,47 @@ def count_traces(
     Only that sample is enumerated.  The count is a dynamic program over
     the rows of the subset automaton: ways[n][s], the number of words of
     length n that state s accepts, is the sum of ways[n - 1][t] over the
-    moves s -> t.  It is kept for the states within max_len - n moves of
-    the start, the only ones a trace passes through with n letters left,
-    and it stops at a length that no state accepts a word of, since no
-    state accepts a longer one either.  The sample is built
-    by a depth-first search that takes letters in the order of their texts
-    and enters only states that accept a word of the length left.  Raises
-    BudgetExceededError when the program fills more than `cap` (length,
-    state) cells or the search visits more than `cap` prefixes."""
+    moves s -> t.  Only its non-zero cells are filled: ways[n] is summed
+    over the predecessors of the states with ways[n - 1] > 0, recorded by
+    the breadth-first search that finds the states within max_len moves
+    of the start.  A cell is kept only for a state within max_len - n
+    moves of the start, the only ones a trace passes through with n
+    letters left, and the program stops at a length that no state accepts
+    a word of, since no state accepts a longer one either.  The sample is
+    built by a depth-first search that takes letters in the order of their
+    texts and enters only states that accept a word of the length left.
+    Raises BudgetExceededError when the search for the states and the
+    program together fill more than `cap` (length, state) cells, or the
+    sample's search visits more than `cap` prefixes."""
     dfa = a._subset
     states, depth = [0], {0: 0}  # the states within max_len moves, breadth first
+    preds: dict[int, list[int]] = {0: []}  # one entry per move s -> t
     for s in states:
         if depth[s] < max_len:
             for t in dfa[s].values():
                 if t not in depth:
                     depth[t] = depth[s] + 1
                     states.append(t)
-    ways = {s: int(dfa.accepting[s]) for s in states}
-    total, cells = ways[0], len(states)
-    able = [{s for s, w in ways.items() if w}]  # able[n]: the states with ways[n] > 0
-    while able[-1] and len(able) <= max_len:
-        # a word of this length from a state deeper than these is too long
-        while depth[states[-1]] + len(able) > max_len:
-            states.pop()
-        cells += len(states)
+                    preds[t] = []
+                preds[t].append(s)
+    ways = {s: 1 for s in states if dfa.accepting[s]}  # the non-zero cells of ways[n]
+    total, cells = ways.get(0, 0), len(states)
+    able = [ways.keys()]  # able[n]: the states with ways[n] > 0
+    while ways and len(able) <= max_len:
+        # a word of this length from a state deeper than this is too long
+        deepest = max_len - len(able)
+        prev, ways = ways, {}
+        for t, w in prev.items():
+            for s in preds[t]:
+                if depth[s] <= deepest:
+                    ways[s] = ways.get(s, 0) + w
+        cells += len(ways)
         if cells > cap:
             raise BudgetExceededError(f"filled more than {cap} (length, state) cells counting traces of length <= {max_len}")
-        prev = ways
-        ways = {s: sum(prev[t] for t in dfa[s].values()) for s in states}
-        total += ways[0]
-        able.append({s for s, w in ways.items() if w})
+        total += ways.get(0, 0)
+        able.append(ways.keys())
 
-    texts = [str(letter) for letter in dfa.letters]
-    order = {x: r for r, x in enumerate(sorted(range(len(texts)), key=texts.__getitem__))}
+    texts, order = _text_order(dfa)
     samples: list[list[str]] = []
     visited = 0
     for n in range(len(able)):

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from mpst import cli, projector, runtime, tracelang, verifier
 from mpst.syntax import Interaction, parse_session_env
+from test_machine import CORPUS_GLOBAL
 from test_runtime import STARVING_OBSERVER, pairs_text
+from test_tracelang import pairs, reference_enumerate_traces
 
 SALE = (
     "seller -> buyer : descr ;\n"
@@ -340,6 +342,23 @@ def test_trace_enumerates_the_bounded_language(sale):
     assert any("buyer -> seller : accept" in line for line in lines)
 
 
+TWO_LETTER_LOOP = "(p -> q : a | p -> q : b)*"
+
+
+def test_trace_lists_a_long_loop_in_bounded_memory(monkeypatch, capsys, tmp_path):
+    """Each prefix is a link to the one it extends, and the letters of the
+    traces listed are budgeted: the loop's listing, whose words would hold
+    some 128 million letters, ends at once."""
+    path = tmp_path / "loop2.gt"
+    path.write_text("loop2 (p -> q : handover, q -> p : handover) exit (p -> q : bailout, q -> p : bailout)")
+    start = time.process_time()
+    assert run_in_process(monkeypatch, "trace", str(path), "--max-len", "16000", "--json") == 1
+    assert time.process_time() - start < 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "BoundExhausted"
+    assert payload["detail"] == "more than 100000 letters in the traces of length <= 16000"
+
+
 def test_trace_writes_dot_dumps(sale, tmp_path):
     dot = tmp_path / "auto.dot"
     result = run("trace", sale, "--dot", str(dot))
@@ -661,3 +680,54 @@ def test_simulate_keeps_its_contract(simulated, data, trace_count, max_len, buf_
     words = sorted(tracelang.enumerate_traces(automaton, max_len, cap=10**6), key=tracelang.word_key)
     assert payload["trace_count"] == len(words)
     assert payload["traces"] == [list(map(str, w)) for w in words[:trace_count]]
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """The global types of the benchmark corpus, width-2 and width-3 pairs
+    and a loop of two letters, whose listings run out of budget, each
+    written to a file."""
+    root = tmp_path_factory.mktemp("trace")
+    texts = [*CORPUS_GLOBAL, pairs(2), pairs(3), TWO_LETTER_LOOP]
+    protocols = {}
+    for i, text in enumerate(texts):
+        path = root / f"protocol{i}.gt"
+        path.write_text(text)
+        protocols[str(path)] = tracelang.compile_traces(cli._load_global(str(path)))
+    return protocols
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), max_len=st.integers(0, 24))
+def test_trace_keeps_its_contract(traced, data, max_len):
+    """Exit 2 with one line of error for a length bound of 0.  Otherwise a
+    report that parses, with no traceback: exit 0 and the traces of the
+    reference enumeration, sorted, or exit 1 for BoundExhausted exactly
+    when the reference runs out of budget or its traces hold more letters
+    than the cap."""
+    path = data.draw(st.sampled_from(sorted(traced)))
+    argv = ["mpst", "trace", path, "--json", "--max-len", str(max_len)]
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.argv = sys.argv, argv
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
+            cli.main()
+    finally:
+        sys.argv = saved
+    assert stop.value.code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1
+    if max_len == 0:
+        assert stop.value.code == 2 and not out.getvalue()
+        return
+    payload = json.loads(out.getvalue())
+    try:
+        words = sorted(reference_enumerate_traces(traced[path], max_len), key=tracelang.word_key)
+    except tracelang.BudgetExceededError:
+        words = None
+    if words is None or sum(map(len, words)) > tracelang.DEFAULT_ENUM_CAP:
+        assert stop.value.code == 1 and payload["error"] == "BoundExhausted"
+        return
+    assert stop.value.code == 0
+    assert payload["count"] == len(payload["traces"]) == len(words)
+    assert payload["traces"] == [list(map(str, w)) for w in words]

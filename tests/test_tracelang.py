@@ -37,6 +37,7 @@ from mpst.tracelang import (
     enumerate_traces,
     includes,
     is_well_formed,
+    list_traces,
     minimal_form,
     parikh_vector,
     role_groups,
@@ -341,23 +342,36 @@ def test_subset_automata_answer_as_the_reference_algorithms():
 
 
 def test_counting_answers_as_sorted_enumeration():
-    """`count_traces` against `enumerate_traces` then `word_key` order, on
-    the automata of `language_question_automata`, explored sessions among
-    them: the same count, and the same first words, at every length bound
-    from 0 to 8."""
+    """`count_traces` and `list_traces` against `enumerate_traces` then
+    `word_key` order, on the automata of `language_question_automata`,
+    explored sessions among them: the same count, the same first words and
+    the same listing, at every length bound from 0 to 8.  At small caps,
+    the listing runs out of budget exactly when the reference enumeration
+    does or the traces it finds hold more letters than the cap."""
     autos, _ = language_question_automata()
-    compared = 0
+    compared = exhausted = 0
     for auto in autos:
+        for cap in (1, 3, 10):
+            reference = enumeration(reference_enumerate_traces, auto, 8, cap)
+            over = isinstance(reference, str) or sum(map(len, reference)) > cap
+            assert isinstance(enumeration(list_traces, auto, 8, cap), str) == over
+            exhausted += over
         try:
             every = [list(map(str, w)) for w in sorted(enumerate_traces(auto, 8), key=word_key)]
         except BudgetExceededError:
             continue
         for max_len in range(9):
             words = [w for w in every if len(w) <= max_len]
+            if sum(map(len, words)) > DEFAULT_ENUM_CAP:
+                with pytest.raises(BudgetExceededError, match="letters"):
+                    list_traces(auto, max_len)
+            else:
+                assert list_traces(auto, max_len) == words
             for first in (0, 1, 3, 10):
                 assert count_traces(auto, max_len, first) == (len(words), words[:first])
             compared += len(words) > 10
     assert compared > 500
+    assert 0 < exhausted < 3 * len(autos)
 
 
 def test_counting_is_budgeted_by_work():
@@ -371,6 +385,32 @@ def test_counting_is_budgeted_by_work():
         count_traces(loop, 10**6, 3, cap=1000)
     with pytest.raises(BudgetExceededError, match="prefixes"):
         count_traces(loop, 60, 100, cap=190)
+
+
+def test_counting_a_long_chain_fills_only_its_non_zero_cells():
+    """A chain of 500 interactions has one trace, and each length has one
+    state that accepts a word of it: about a thousand cells, where every
+    state within reach at every length would be about 250,000."""
+    letters = [f"n{j % 4} -> n{(j + 1) % 4} : {'abc'[j % 3]}" for j in range(500)]
+    chain = compile_traces(g(" ; ".join(letters)))
+    assert count_traces(chain, 1004, 1, cap=2000) == (1, [letters])
+
+
+def test_listing_is_budgeted_by_traces_prefixes_and_letters():
+    """The budgets of `list_traces`, checked in this order at every prefix:
+    traces, prefixes visited, then the letters of the traces listed."""
+    loop = compile_traces(g("(p -> q : a | p -> q : b)*"))
+    # three traces, the empty one and two of one letter, hold two letters
+    with pytest.raises(BudgetExceededError, match="more than 2 traces of length <= 20"):
+        list_traces(loop, 20, cap=2)
+    eighteen = " ; ".join(["(p -> q : a | p -> q : b)"] * 18)
+    with pytest.raises(BudgetExceededError, match="visited more than 1000 prefixes of length <= 17"):
+        list_traces(compile_traces(g(eighteen)), 17, cap=1000)
+    # 2**n traces of length n: 11 * 2**13 + 2 letters up to length 12,
+    # 12 * 2**14 + 2 up to length 13
+    assert len(list_traces(loop, 12)) == 2**13 - 1
+    with pytest.raises(BudgetExceededError, match="more than 100000 letters in the traces of length <= 13"):
+        list_traces(loop, 13)
 
 
 def test_minimal_form_merges_equivalent_states_and_numbers_them_in_order():
