@@ -342,9 +342,6 @@ def test_trace_enumerates_the_bounded_language(sale):
     assert any("buyer -> seller : accept" in line for line in lines)
 
 
-TWO_LETTER_LOOP = "(p -> q : a | p -> q : b)*"
-
-
 def test_trace_lists_a_long_loop_in_bounded_memory(monkeypatch, capsys, tmp_path):
     """Each prefix is a link to the one it extends, and the letters of the
     traces listed are budgeted: the loop's listing, whose words would hold
@@ -688,7 +685,7 @@ def traced(tmp_path_factory):
     and a loop of two letters, whose listings run out of budget, each
     written to a file."""
     root = tmp_path_factory.mktemp("trace")
-    texts = [*CORPUS_GLOBAL, pairs(2), pairs(3), TWO_LETTER_LOOP]
+    texts = [*CORPUS_GLOBAL, pairs(2), pairs(3), "(p -> q : a | p -> q : b)*"]
     protocols = {}
     for i, text in enumerate(texts):
         path = root / f"protocol{i}.gt"
