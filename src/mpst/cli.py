@@ -66,6 +66,18 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             click.echo(line)
 
 
+def _projection_failed(exc: projector.ProjectionError, fields: dict, as_json: bool, detailed: bool = False) -> None:
+    """Report the failed projection `exc` with the caller's JSON `fields`, and
+    its detail and location when `detailed` (the text names both); exit 1."""
+    where = _fmt_location(exc.location) if detailed or not as_json else None
+    report = {**fields, "projected": False, "error": exc.kind}
+    if detailed:
+        report.update(detail=exc.detail, location=where)
+    lines = [f"ProjectionError: {exc.kind}", f"detail: {exc.detail}"]
+    _emit(report, as_json, lines + ([f"at: {where}"] if where else []))
+    sys.exit(1)
+
+
 @contextmanager
 def _bound_exhausted(report: dict, as_json: bool):
     """Report an enumeration that ran out of budget in the block as a
@@ -171,21 +183,7 @@ def project(path, budget, as_json):
     try:
         env = projector.project_top(g, budget=budget)
     except projector.ProjectionError as exc:
-        where = _fmt_location(exc.location)
-        _emit(
-            {
-                "command": "project",
-                "input": path,
-                "projected": False,
-                "error": exc.kind,
-                "detail": exc.detail,
-                "location": where,
-            },
-            as_json,
-            [f"ProjectionError: {exc.kind}", f"detail: {exc.detail}"]
-            + ([f"at: {where}"] if where else []),
-        )
-        sys.exit(1)
+        _projection_failed(exc, {"command": "project", "input": path}, as_json, detailed=True)
     text = print_session_env(env)
     _emit(
         {
@@ -256,15 +254,7 @@ def verify(gt_path, env_path, max_len, buf_bound, depth_bound, budget, as_json):
         try:
             env = projector.project_top(g, budget=budget)
         except projector.ProjectionError as exc:
-            # the JSON report has no location, so only the text prints it
-            where = None if as_json else _fmt_location(exc.location)
-            _emit(
-                {"command": "verify", "input": gt_path, "projected": False, "error": exc.kind},
-                as_json,
-                [f"ProjectionError: {exc.kind}", f"detail: {exc.detail}"]
-                + ([f"at: {where}"] if where else []),
-            )
-            sys.exit(1)
+            _projection_failed(exc, {"command": "verify", "input": gt_path}, as_json)
     bound = max_len or default_max_len(g)
     with _bound_exhausted({"command": "verify", "input": gt_path}, as_json):
         report = verifier.check_preorder(g, env, bound, buf_bound, depth_bound)

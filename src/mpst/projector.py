@@ -59,6 +59,7 @@ from .syntax import (
     parts,
     print_global_type,
     roles_of,
+    spine,
     subterms,
     with_parts,
     with_subterms,
@@ -190,8 +191,11 @@ def _project(g: GlobalType, env: SessionEnv, ctx: _Ctx) -> SessionEnv:
                 for s in i.senders:
                     out[s] = TOut(i.receiver, i.message, env[s])
                 out[i.receiver] = TIn(i.senders, i.message, env[i.receiver])
-            case GSeq(l, r):
-                out = _project(l, _project(r, env, ctx), ctx)
+            case GSeq():
+                # the whole `;` spine, right to left, in this one frame
+                out = env
+                for x in reversed(spine(g)):
+                    out = _project(x, out, ctx)
             case GEither(l, r):
                 out = _alternative(g, _project(l, env, ctx), _project(r, env, ctx))
             case GStar(b):
@@ -398,10 +402,6 @@ def project_alg(g: GlobalType, cont: SessionEnv) -> SessionEnv:
     """Project `g` against the continuation environment `cont` (which must
     bind every role of `g` to a closed session type).  Returns one session
     type per role of `cont`, each fully resolved and normalized."""
-    return _project_alg(g, cont, _Ctx())
-
-
-def _project_alg(g: GlobalType, cont: SessionEnv, ctx: _Ctx) -> SessionEnv:
     missing = sorted(roles_of(g) - set(cont))
     if missing:
         raise ProjectionError(
@@ -409,6 +409,12 @@ def _project_alg(g: GlobalType, cont: SessionEnv, ctx: _Ctx) -> SessionEnv:
             f"no continuation for roles {', '.join(map(repr, missing))}",
             g,
         )
+    return _project_alg(g, cont, _Ctx())
+
+
+def _project_alg(g: GlobalType, cont: SessionEnv, ctx: _Ctx) -> SessionEnv:
+    # `cont` binds every role of `g`: `_project_top` builds it from the roles
+    # of the type, and no `&`-elimination rewrite adds a role
     env = _project(g, dict(cont), ctx)
     out: SessionEnv = {}
     for role in sorted(env):

@@ -20,7 +20,8 @@ Which fields of a constructor are subterms is known here only:
 walk spells out just the constructors it treats specially.  Walks recurse
 through ``map`` or a ``for`` loop, not a comprehension: on Python 3.11 a
 comprehension is a frame of its own and would halve the nesting depth a
-walk survives.
+walk survives.  ``spine`` lists a ``;``, ``|`` or ``&`` spine's operands
+off a stack, so a walk that folds a spine spends one frame on all of it.
 
 Interactions and compound terms of both languages (every constructor but
 ``GSkip``, ``TEnd`` and ``TVar``) hash in O(1): each hashes its fields
@@ -330,11 +331,30 @@ def roles_of(g: GlobalType) -> frozenset[Role]:
     return frozenset(out)
 
 
+def spine(g: GlobalType) -> list[GlobalType]:
+    """The operands, left to right, of the root `;`, `|` or `&` spine of
+    `g`, however it is parenthesized, taken off a stack; `[g]` for any
+    other root."""
+    k = type(g) if type(g) in (GSeq, GEither, GBoth) else None
+    out: list[GlobalType] = []
+    work = [g]
+    while work:
+        node = work.pop()
+        if type(node) is k:
+            work += (node.right, node.left)
+        else:
+            out.append(node)
+    return out
+
+
 def interaction_count(g: GlobalType) -> int:
     """Number of interaction occurrences in `g`."""
-    if type(g) is GAction:
-        return 1
-    return sum(map(interaction_count, subterms(g)))
+    n, work = 0, [g]
+    while work:
+        node = work.pop()
+        n += type(node) is GAction
+        work += subterms(node)
+    return n
 
 
 def default_max_len(g: GlobalType) -> int:

@@ -14,7 +14,9 @@ construction and standard (Caron & Ziadi, TCS 2000): no move enters the
 start state.  So `;`, `|` and `*` never copy an operand's start: the
 accepting states of `a` in `a ; b` take the moves of `b`'s start, the
 start of `a` in `a | b` takes them too, and in `a*` the start of `a`
-accepts and every accepting state takes its moves.  No consumer cleans an
+accepts and every accepting state takes its moves.  A `;` or `|` spine
+(`spine`) is one fold of `_seq` or `_alt`, which numbers states as nested
+calls would, in one frame; `&` stays binary.  No consumer cleans an
 automaton up first.  The one automaton that is not trim is the one-swap
 automaton `well_formed` builds for a type that is not well formed, which
 only `includes` reads.
@@ -76,6 +78,7 @@ from .syntax import (
     GStar,
     Interaction,
     roles_of,
+    spine,
 )
 
 Word = tuple[Interaction, ...]
@@ -261,17 +264,12 @@ def kexit_unfolding(
 ) -> GlobalType:
     """loopk (B1..Bk) exit (E1..Ek) has the same traces as
     (B1;..;Bk)* ; (E1 | B1;E2 | .. | B1;..;B(k-1);Ek)."""
-    chain = bodies[0]
-    for b in bodies[1:]:
-        chain = GSeq(chain, b)
-    alt: GlobalType | None = None
-    for i, e in enumerate(exits):
-        arm: GlobalType = e
+    arms = []
+    for i, arm in enumerate(exits):
         for b in reversed(bodies[:i]):
             arm = GSeq(b, arm)
-        alt = arm if alt is None else GEither(alt, arm)
-    assert alt is not None
-    return GSeq(GStar(chain), alt)
+        arms.append(arm)
+    return GSeq(GStar(reduce(GSeq, bodies)), reduce(GEither, arms))
 
 
 def compile_traces(g: GlobalType) -> TraceAutomaton:
@@ -281,10 +279,8 @@ def compile_traces(g: GlobalType) -> TraceAutomaton:
             return _empty_word()
         case GAction(i):
             return _letter(i)
-        case GSeq(l, r):
-            return _seq(compile_traces(l), compile_traces(r))
-        case GEither(l, r):
-            return _alt(compile_traces(l), compile_traces(r))
+        case GSeq() | GEither():
+            return reduce(_seq if type(g) is GSeq else _alt, map(compile_traces, spine(g)))
         case GBoth(l, r):
             return shuffle_automata(compile_traces(l), compile_traces(r))
         case GStar(b):
@@ -707,11 +703,11 @@ def swap_closed(a: TraceAutomaton) -> bool:
 
 
 def role_groups(g: GlobalType) -> list[GlobalType]:
-    """The operands of the root `&` spine of `g`, grouped by shared roles,
-    transitively: two operands are in one group when a chain of operands,
-    each sharing a role with the next, joins them.  A group of several
-    operands is their `&`, and an operand with no role, such as `skip`, is
-    a group of its own.  When there is one group, it is `g` itself.
+    """The operands of the root `&` spine of `g` (`spine`), grouped by
+    shared roles, transitively: two operands are in one group when a chain
+    of operands, each sharing a role with the next, joins them.  A group of
+    several operands is their `&`, and an operand with no role, such as
+    `skip`, is a group of its own.  When there is one group, it is `g`.
 
     `g` is well formed iff every group is, so with more than one group the
     groups are decided one at a time and the product of their automata,
@@ -733,15 +729,8 @@ def role_groups(g: GlobalType) -> list[GlobalType]:
     This is the commutation of letters over disjoint alphabets in
     Mazurkiewicz trace theory (Diekert & Rozenberg, *The Book of Traces*,
     1995)."""
-    operands, work = [], [g]
-    while work:
-        node = work.pop()
-        if type(node) is GBoth:
-            work += (node.right, node.left)
-        else:
-            operands.append(node)
     groups: list[tuple[frozenset, list[GlobalType]]] = []
-    for operand in operands:
+    for operand in spine(g) if type(g) is GBoth else [g]:
         roles, members, apart = roles_of(operand), [], []
         for group in groups:
             if group[0].isdisjoint(roles):
@@ -755,11 +744,20 @@ def role_groups(g: GlobalType) -> list[GlobalType]:
     return [reduce(GBoth, members) for _, members in groups]
 
 
+def _well_formed(g: GlobalType) -> tuple[bool, TraceAutomaton | None]:
+    """Whether each role group of `g` (see `role_groups`), compiled alone,
+    is closed under swaps, stopping at the first that is not; and the
+    automaton of `g` when it is one group, None when it is several."""
+    groups = role_groups(g)
+    if len(groups) == 1:
+        a = compile_traces(g)
+        return swap_closed(a), a
+    return all(swap_closed(compile_traces(group)) for group in groups), None
+
+
 def is_well_formed(g: GlobalType) -> bool:
-    """Whether `g` is well formed (see `well_formed`), without a witness:
-    whether each of its role groups (see `role_groups`), compiled alone,
-    is closed under swaps."""
-    return all(swap_closed(compile_traces(group)) for group in role_groups(g))
+    """Whether `g` is well formed (see `well_formed`), without a witness."""
+    return _well_formed(g)[0]
 
 
 def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:
@@ -772,10 +770,11 @@ def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:
     Only a type that is not well formed builds the one-swap automaton, of
     `g` compiled whole, whose shortlex-least word outside the traces,
     swapped back, is the witness."""
-    autos = [compile_traces(group) for group in role_groups(g)]
-    if all(map(swap_closed, autos)):
+    well, a = _well_formed(g)
+    if well:
         return WellFormed()
-    a = autos[0] if len(autos) == 1 else compile_traces(g)
+    if a is None:
+        a = compile_traces(g)
     w2 = includes(_swap_variants(a), a)
     assert w2 is not None, "an open swap diamond with every swap variant a trace"
     for i in range(len(w2) - 1):

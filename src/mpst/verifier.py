@@ -48,6 +48,7 @@ from .syntax import (
     TInternal,
     TOut,
     default_max_len,
+    spine,
     subterms,
     with_subterms,
 )
@@ -55,13 +56,12 @@ from .tracelang import (
     BudgetExceededError,
     TraceAutomaton,
     Word,
+    _well_formed,
     compile_traces,
     enumerate_traces,
     includes,
     is_well_formed,
     parikh_vector,
-    role_groups,
-    swap_closed,
     word_key,
 )
 
@@ -158,14 +158,6 @@ def check_preorder(
     return _conformance(compile_traces(g), *explore(env, buf_bound, depth_bound), max_len, buf_bound)
 
 
-def _well_formed(g: GlobalType) -> tuple[bool, TraceAutomaton | None]:
-    """Whether `g` is well formed, decided as `is_well_formed` does, and the
-    automaton of `g` compiled to decide it: None when `g` has several role
-    groups (see `role_groups`), each compiled alone."""
-    autos = [compile_traces(group) for group in role_groups(g)]
-    return all(map(swap_closed, autos)), autos[0] if len(autos) == 1 else None
-
-
 # --- candidate implementations for diagnosis --------------------------------
 
 
@@ -258,14 +250,6 @@ def _converge(cont: SessionType, others: list[SessionType]) -> SessionType:
     return acc
 
 
-def _either_branches(g: GlobalType) -> list[GlobalType]:
-    match g:
-        case GEither(l, r):
-            return _either_branches(l) + _either_branches(r)
-        case _:
-            return [g]
-
-
 def forced_join_env(envs: list[SessionEnv]) -> SessionEnv | None:
     """Role-wise forced join of alternative environments; roles absent
     from an alternative are taken to be ended there."""
@@ -287,12 +271,12 @@ def forced_join_env(envs: list[SessionEnv]) -> SessionEnv | None:
 
 def _candidate_envs(g: GlobalType, budget: int) -> list[SessionEnv]:
     """Candidate implementations of an alternative whose projection
-    failed: each branch's own projection, plus their forced join."""
-    branches = _either_branches(g)
-    if len(branches) < 2:
+    failed: the projection of each operand of its root `|` spine, plus
+    their forced join."""
+    if type(g) is not GEither:
         return []
     projections: list[SessionEnv] = []
-    for b in branches:
+    for b in spine(g):
         try:
             projections.append(project_top(b, budget))
         except ProjectionError:

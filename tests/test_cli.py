@@ -92,22 +92,73 @@ DEEP_INPUTS = {
 @pytest.mark.parametrize("command", ["check", "project"])
 @pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
 def test_too_deep_inputs_exit_with_usage_code(tmp_path, name, command):
-    """Only a long `;` spine is still too deep, for the trace compiler and
-    the projector.  Parentheses parse off an explicit stack, so 1,200 of
-    them decide as the interaction they enclose does."""
+    """Neither input is too deep any more.  A long `;` spine is compiled and
+    projected in one frame, so the 1,500-interaction chain decides.
+    Parentheses parse off an explicit stack, so 1,200 of them decide as
+    the interaction they enclose does."""
     path = tmp_path / f"{name}.gt"
     path.write_text(DEEP_INPUTS[name])
     result = run(command, str(path))
     assert "Traceback" not in result.stderr
     if name == "chain1500":
-        assert result.returncode == 2
-        assert result.stderr.strip() == "error: input nests too deeply"
+        assert (result.returncode, result.stderr) == (0, "")
+        if command == "check":
+            assert result.stdout == "WellFormed\n"
+        else:
+            assert result.stdout.splitlines() == [
+                f"{role} : {rounds * 375}end"
+                for role, rounds in zip(ROLES, ("q!m.s?m.", "p?m.r!m.", "q?m.s!m.", "r?m.p!m."))
+            ]
     else:
         bare = tmp_path / "bare.gt"
         bare.write_text("p -> q : a")
         expected = run(command, str(bare))
         assert expected.returncode == 0
         assert (result.returncode, result.stdout, result.stderr) == (0, expected.stdout, "")
+
+
+def right_nested(links: list[str]) -> str:
+    """`a ; (b ; (c ; ...))`: the chain of `links` nested to the right."""
+    return " ; (".join(links) + ")" * (len(links) - 1)
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_long_chains_decide_at_the_default_recursion_limit(tmp_path, monkeypatch, capsys, nesting):
+    """A 1,500-interaction chain, parsed nested to the left (the parser's
+    own associativity) or written nested to the right, gets the answers of
+    a short chain from every command, in this process: `;` spines are
+    compiled, projected and counted in one frame."""
+    assert sys.getrecursionlimit() <= 1000
+    text = DEEP_INPUTS["chain1500"]
+    if nesting == "right":
+        text = right_nested(text.split(" ;\n"))
+    path = tmp_path / "chain.gt"
+    path.write_text(text)
+    reports = {}
+    for command in ("check", "project", "trace", "classify", "verify"):
+        assert run_in_process(monkeypatch, command, str(path), "--json") == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        reports[command] = json.loads(out)
+    assert reports["check"]["well_formed"] is True
+    assert reports["project"]["projected"] is True
+    assert sorted(reports["project"]["environment"]) == list(ROLES)
+    assert reports["trace"]["count"] == 1
+    assert len(reports["trace"]["traces"][0]) == 1500
+    assert reports["classify"]["category"] == verifier.PROJECTABLE
+    assert (reports["verify"]["sound"], reports["verify"]["complete"]) == (True, True)
+
+
+@pytest.mark.parametrize("command", ["check", "project"])
+def test_stacked_stars_still_exit_with_usage_code(tmp_path, command):
+    """Iteration is not a spine: each of 1,500 stacked `*` is a frame of
+    the trace compiler and of the projector, so the input is reported as
+    nesting too deeply, with no traceback."""
+    path = tmp_path / "stars.gt"
+    path.write_text("p -> q : a" + "*" * 1500)
+    result = run(command, str(path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: input nests too deeply\n"
 
 
 def test_deep_equal_alternatives_project(tmp_path):

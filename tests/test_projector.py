@@ -171,6 +171,17 @@ def test_projection_requires_bound_continuations():
     assert err.value.kind == "UnboundContinuation"
 
 
+def test_no_rewrite_adds_a_role():
+    """`project_top` binds a continuation for the roles of the type alone
+    and projects every `&`-elimination candidate against it, which holds
+    only because no candidate has a role the type lacks."""
+    for i in range(300):
+        sample = random_global_type(20260814 + i, 8, 4, 1)
+        roles = roles_of(sample)
+        for cand in _sequential_rewrites(sample, DEFAULT_AND_BUDGET):
+            assert roles_of(cand) <= roles
+
+
 def test_eliminate_and_candidates_stay_within_the_language():
     protocol = g("(p -> q : a ; q -> r : b) & (r -> s : c | s -> r : d)")
     whole = compile_traces(protocol)

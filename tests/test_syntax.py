@@ -49,6 +49,7 @@ from mpst.syntax import (
     print_session_env,
     print_session_type,
     roles_of,
+    spine,
     subterms,
     with_parts,
     with_subterms,
@@ -147,6 +148,38 @@ def test_subterm_helpers_round_trip_every_constructor():
         with_subterms(TEnd(), ())
     with pytest.raises(TypeError):
         with_parts(GSkip(), ())
+
+
+def test_spine_lists_the_same_operands_however_parenthesized():
+    """`;`, `|` and `&` are associative: a spine nested to the left, to the
+    right or both ways has the same operands, in order, and a subterm
+    built by another constructor is one operand."""
+    a, b, c, d = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "abcd")
+    for op in (GSeq, GEither, GBoth):
+        other = GBoth(b, c) if op is GSeq else GSeq(b, c)
+        for g in (
+            op(op(op(a, other), c), d),
+            op(a, op(other, op(c, d))),
+            op(op(a, op(other, c)), d),
+        ):
+            assert spine(g) == [a, other, c, d]
+    assert spine(parse_global_type("p -> q : a ; (p -> q : b ; p -> q : c) | p -> q : d")) == [
+        parse_global_type("p -> q : a ; (p -> q : b ; p -> q : c)"),
+        d,
+    ]
+
+
+def test_spine_of_any_other_root_is_the_term_itself():
+    a, b = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "ab")
+    for g in (GSkip(), a, GStar(GSeq(a, b)), GKExit((GSeq(a, b),), (b,))):
+        assert spine(g) == [g]
+
+
+def test_spine_of_a_deep_chain_needs_no_stack():
+    links = [GAction(Interaction(frozenset({"p"}), "q", f"m{i}")) for i in range(20000)]
+    assert spine(functools.reduce(GSeq, links)) == links
+    assert spine(functools.reduce(lambda rest, x: GSeq(x, rest), reversed(links))) == links
+    assert interaction_count(functools.reduce(GEither, links)) == 20000
 
 
 def test_global_terms_hash_as_their_field_tuples():

@@ -204,6 +204,26 @@ def counting_subset_automata(monkeypatch) -> list:
     return built
 
 
+def counting_compiles(monkeypatch, record) -> None:
+    """Call `record(term, automaton)` for every type compiled from now on,
+    by the verifier or by the well-formedness routine of `tracelang`; the
+    compiler's own calls on the operands of a type are not counted."""
+    compile_, depth = tracelang.compile_traces, [0]
+
+    def counting(t):
+        depth[0] += 1
+        try:
+            auto = compile_(t)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            record(t, auto)
+        return auto
+
+    monkeypatch.setattr(tracelang, "compile_traces", counting)
+    monkeypatch.setattr(verifier, "compile_traces", counting)
+
+
 def test_conformance_determinizes_each_automaton_once(monkeypatch):
     """Cut at depth 2, the sale protocol's check asks both inclusions and
     then enumerates both languages; the type's and the session's automata
@@ -227,8 +247,7 @@ def test_classify_determinizes_the_type_once_for_every_candidate(monkeypatch):
     protocol = g(UNKNOWABLE_CHOICE)
     assert len(_candidate_envs(protocol, DEFAULT_AND_BUDGET)) >= 2
     compiled = []
-    compile_ = verifier.compile_traces
-    monkeypatch.setattr(verifier, "compile_traces", lambda t: compiled.append(compile_(t)) or compiled[-1])
+    counting_compiles(monkeypatch, lambda t, auto: compiled.append(auto))
     built = counting_subset_automata(monkeypatch)
     assert classify(protocol).category == NO_KNOWLEDGE_FOR_CHOICE
     assert len(compiled) == 1
@@ -250,8 +269,7 @@ def pairs(n: int) -> str:
 def test_classify_compiles_only_the_role_groups_of_a_projectable_spine(monkeypatch):
     protocol = g(pairs(5))
     compiled = []
-    compile_ = verifier.compile_traces
-    monkeypatch.setattr(verifier, "compile_traces", lambda t: compiled.append(t) or compile_(t))
+    counting_compiles(monkeypatch, lambda t, auto: compiled.append(t))
     built = counting_subset_automata(monkeypatch)
     assert classify(protocol).category == PROJECTABLE
     assert compiled == tracelang.role_groups(protocol) and len(compiled) == 5
@@ -262,8 +280,7 @@ def test_crosscheck_determinizes_only_the_automata_it_compiles_and_explores(monk
     """Every checked type is checked on the automaton its well-formedness
     was decided on, unless its role groups were compiled alone."""
     compiled, sessions = [], []
-    compile_ = verifier.compile_traces
-    monkeypatch.setattr(verifier, "compile_traces", lambda t: compiled.append(compile_(t)) or compiled[-1])
+    counting_compiles(monkeypatch, lambda t, auto: compiled.append(auto))
     conformance = verifier._conformance
     monkeypatch.setattr(
         verifier, "_conformance",
