@@ -13,13 +13,13 @@ session environment (`role : type` lines); both allow `//` comments.
 
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
 import sys
 from contextlib import contextmanager
 
-import click
-
-from . import machine, projector, runtime, tracelang, verifier
+from . import projector, runtime, tracelang, verifier
 from .syntax import (
     DuplicateRoleError,
     NotSessionTypeError,
@@ -33,13 +33,21 @@ from .syntax import (
     print_session_env,
 )
 
+
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error for `main` to report, where argparse would exit."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 _INPUT_ERRORS = (
+    argparse.ArgumentError,
     ParseError,
     SelfMessageError,
     DuplicateRoleError,
     UnguardedRecursionError,
     NotSessionTypeError,
-    machine.MergeError,
     OSError,
 )
 
@@ -60,10 +68,10 @@ def _fmt_word(texts: list[str]) -> str:
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        click.echo(json.dumps({"schema": 1, **report}, sort_keys=True, indent=2))
+        print(json.dumps({"schema": 1, **report}, sort_keys=True, indent=2))
     else:
         for line in lines:
-            click.echo(line)
+            print(line)
 
 
 def _projection_failed(exc: projector.ProjectionError, fields: dict, as_json: bool, detailed: bool = False) -> None:
@@ -109,39 +117,6 @@ def _dump_dot(automaton: tracelang.TraceAutomaton, path: str) -> None:
         fh.write(automaton.to_dot())
 
 
-_POSITIVE = click.IntRange(min=1)
-
-# The options shared by several commands; each command attaches only those
-# it reads (see `_options`).
-_OPTIONS = {
-    "max_len": click.option("--max-len", type=_POSITIVE, default=None, help="Trace length bound (default: 2·interactions + 4)."),
-    "buf_bound": click.option("--buf-bound", type=_POSITIVE, default=runtime.DEFAULT_BUF_BOUND, show_default=True, help="Buffer capacity per channel."),
-    "depth_bound": click.option("--depth", "depth_bound", type=_POSITIVE, default=runtime.DEFAULT_DEPTH_BOUND, show_default=True, help="Configuration exploration bound."),
-    "budget": click.option("--budget", type=_POSITIVE, default=projector.DEFAULT_AND_BUDGET, show_default=True, help="Terms the unordered-composition rewrite search visits (not the candidates tried)."),
-    "as_json": click.option("--json", "as_json", is_flag=True, help="Emit a JSON report."),
-}
-
-
-def _options(*names: str):
-    """Attach the named shared options, then --json, to a command."""
-
-    def attach(cmd):
-        for name in reversed((*names, "as_json")):
-            cmd = _OPTIONS[name](cmd)
-        return cmd
-
-    return attach
-
-
-@click.group()
-def cli() -> None:
-    """Parse, check, project, simulate, and verify multiparty protocols."""
-
-
-@cli.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
-@click.option("--dot", type=click.Path(dir_okay=False), default=None, help="Write the trace automaton in DOT format.")
-@_options()
 def check(path, dot, as_json):
     """Decide well-formedness of the global type in PATH."""
     g = _load_global(path)
@@ -174,9 +149,6 @@ def check(path, dot, as_json):
     sys.exit(1)
 
 
-@cli.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
-@_options("budget")
 def project(path, budget, as_json):
     """Project the global type in PATH onto each participant."""
     g = _load_global(path)
@@ -198,18 +170,13 @@ def project(path, budget, as_json):
     sys.exit(0)
 
 
-@cli.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
-@click.option("--traces", "trace_count", type=click.IntRange(min=0), default=10, show_default=True, help="How many sample traces to print.")
-@click.option("--max-len", type=_POSITIVE, default=None, help="Trace length bound (default: 2·roles + 8).")
-@_options("buf_bound", "depth_bound")
-def simulate(path, trace_count, max_len, buf_bound, depth_bound, as_json):
+def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
     """Run the session environment in PATH and report liveness, the number
     of traces up to the length bound, and the first of them.  The traces
     are counted on the session's trace automaton, not enumerated: only the
     sample printed is built."""
     env = _load_env(path)
-    bound = max_len or 2 * len(env) + 8
+    bound = length_bound or 2 * len(env) + 8
     verdict, automaton = runtime.explore(env, buf_bound, depth_bound)
     name = type(verdict).__name__
     report: dict = {
@@ -238,21 +205,19 @@ def simulate(path, trace_count, max_len, buf_bound, depth_bound, as_json):
     sys.exit(0 if isinstance(verdict, runtime.Live) else 1)
 
 
-@cli.command()
-@click.argument("gt_path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
-@click.argument("env_path", type=click.Path(exists=True, dir_okay=False, allow_dash=True), required=False)
-@_options("max_len", "buf_bound", "depth_bound", "budget")
-def verify(gt_path, env_path, max_len, buf_bound, depth_bound, budget, as_json):
+def verify(gt_path, env_path=None, *, max_len, buf_bound, depth_bound, projection_budget, as_json):
     """Check that an environment implements the global type in GT_PATH.
 
-    With ENV_PATH the environment is read from file; otherwise the global
-    type is projected first."""
+    With ENV_PATH the environment is read from file, and --budget is a
+    usage error; otherwise the global type is projected first."""
+    if env_path is not None and projection_budget is not None:
+        raise argparse.ArgumentError(None, "--budget is read only when ENV_PATH is omitted")
     g = _load_global(gt_path)
-    if env_path:
+    if env_path is not None:
         env = _load_env(env_path)
     else:
         try:
-            env = projector.project_top(g, budget=budget)
+            env = projector.project_top(g, budget=projection_budget or projector.DEFAULT_AND_BUDGET)
         except projector.ProjectionError as exc:
             _projection_failed(exc, {"command": "verify", "input": gt_path}, as_json)
     bound = max_len or default_max_len(g)
@@ -289,9 +254,6 @@ def verify(gt_path, env_path, max_len, buf_bound, depth_bound, budget, as_json):
     sys.exit(0 if report else 1)
 
 
-@cli.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
-@_options("max_len", "buf_bound", "depth_bound", "budget")
 def classify(path, max_len, buf_bound, depth_bound, budget, as_json):
     """Diagnose why the global type in PATH resists projection."""
     g = _load_global(path)
@@ -309,10 +271,6 @@ def classify(path, max_len, buf_bound, depth_bound, budget, as_json):
     sys.exit(0 if outcome.category == verifier.PROJECTABLE else 1)
 
 
-@cli.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
-@click.option("--dot", type=click.Path(dir_okay=False), default=None, help="Write the trace automaton in DOT format.")
-@_options("max_len")
 def trace(path, dot, max_len, as_json):
     """List the traces of the global type in PATH up to the length bound,
     shortest first, then in the order of their letters' texts.  The list
@@ -342,13 +300,6 @@ def trace(path, dot, max_len, as_json):
     sys.exit(0)
 
 
-@cli.command()
-@click.option("--samples", type=click.IntRange(min=0), default=200, show_default=True, help="Number of random global types.")
-@click.option("--max-size", type=_POSITIVE, default=8, show_default=True, help="Interactions per sample.")
-@click.option("--roles", "role_count", type=click.IntRange(min=2), default=4, show_default=True, help="Roles per sample.")
-@click.option("--star-depth", type=click.IntRange(min=0), default=1, show_default=True, help="Star nesting per sample.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed of the first sample; sample i uses seed + i.")
-@_options("buf_bound", "depth_bound")
 def crosscheck(samples, max_size, role_count, star_depth, seed, buf_bound, depth_bound, as_json):
     """Cross-check projection soundness/completeness/liveness on random
     global types."""
@@ -378,23 +329,72 @@ def crosscheck(samples, max_size, role_count, star_depth, seed, buf_bound, depth
     sys.exit(0 if not violations else 1)
 
 
+# The parameters of the commands: name -> (option, lower bound, default, help);
+# `main` rejects a value below the lower bound.
+_PARAMETERS = {
+    "dot": ("--dot", None, None, "Write the trace automaton in DOT format."),
+    "max_len": ("--max-len", 1, None, "Trace length bound (default: 2·interactions + 4)."),
+    "length_bound": ("--max-len", 1, None, "Trace length bound (default: 2·roles + 8)."),
+    "buf_bound": ("--buf-bound", 1, runtime.DEFAULT_BUF_BOUND, "Buffer capacity per channel (default: %(default)s)."),
+    "depth_bound": ("--depth", 1, runtime.DEFAULT_DEPTH_BOUND, "Configuration exploration bound (default: %(default)s)."),
+    "budget": ("--budget", 1, projector.DEFAULT_AND_BUDGET, "Terms the unordered-composition rewrite search visits, not the candidates tried (default: %(default)s)."),
+    "projection_budget": ("--budget", 1, None, f"As for project, without ENV_PATH only (default: {projector.DEFAULT_AND_BUDGET})."),
+    "trace_count": ("--traces", 0, 10, "How many sample traces to print (default: %(default)s)."),
+    "samples": ("--samples", 0, 200, "Number of random global types (default: %(default)s)."),
+    "max_size": ("--max-size", 1, 8, "Interactions per sample (default: %(default)s)."),
+    "role_count": ("--roles", 2, 4, "Roles per sample (default: %(default)s)."),
+    "star_depth": ("--star-depth", 0, 1, "Star nesting per sample (default: %(default)s)."),
+    "seed": ("--seed", None, 0, "Seed of the first sample; sample i uses seed + i (default: %(default)s)."),
+    "as_json": ("--json", None, False, "Emit a JSON report."),
+}
+
+_COMMANDS = (check, project, simulate, verify, classify, trace, crosscheck)
+
+
+def _parser() -> _Parser:
+    """The parser of the command line.  A command takes the options its parameters
+    name in `_PARAMETERS`; the others are PATHs, optional when they default to None."""
+    parser = _Parser(prog="mpst", description="Parse, check, project, simulate, and verify multiparty protocols.", add_help=False, allow_abbrev=False)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for function in _COMMANDS:
+        summary = function.__doc__.split(".")[0] + "."
+        command = commands.add_parser(function.__name__, help=summary, description=function.__doc__, add_help=False, allow_abbrev=False)
+        command.set_defaults(function=function)
+        for name, parameter in inspect.signature(function).parameters.items():
+            if name not in _PARAMETERS:
+                command.add_argument(name, metavar=name.upper(), nargs=None if parameter.default is parameter.empty else "?")
+                continue
+            flag, _, default, text = _PARAMETERS[name]
+            if default is False:
+                command.add_argument(flag, dest=name, action="store_true", help=text)
+            else:  # --dot names a file, the others take integers
+                kind = {"metavar": "FILE"} if name == "dot" else {"metavar": "N", "type": int, "default": default}
+                command.add_argument(flag, dest=name, help=text, **kind)
+        command.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+_PARSER = _parser()
+
+
 def main() -> None:
     # trace counts are exact, and a count may have more digits than Python
     # converts to text by default (a limit Python has had since 3.10.7)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        cli(standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(2)
+        arguments = vars(_PARSER.parse_args(sys.argv[1:]))
+        for name, (flag, low, _, _) in _PARAMETERS.items():
+            value = arguments.get(name)
+            if value is not None and low is not None and value < low:
+                raise argparse.ArgumentError(None, f"Invalid value for '{flag}': {value} is not in the range x>={low}.")
+        arguments.pop("function")(**arguments)
     except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     except RecursionError:
-        click.echo("error: input nests too deeply", err=True)
+        print("error: input nests too deeply", file=sys.stderr)
         sys.exit(2)
 
 

@@ -108,6 +108,18 @@ class Classification:
     detail: str
 
 
+def _has_trace_longer_than(auto: TraceAutomaton, n: int) -> bool:
+    """Whether the trim automaton `auto` has a trace longer than `n`.  Every
+    path from the start state of a trim automaton leads on to an accepting
+    state, so that is whether some path from it takes n + 1 moves."""
+    level = {0}
+    for _ in range(n + 1):
+        level = {target for state in level for _, target in auto.delta[state]}
+        if not level:
+            return False
+    return True
+
+
 def _conformance(
     auto: TraceAutomaton, verdict: Live | NotLive | Unknown, session_automaton: TraceAutomaton,
     max_len: int, buf_bound: int,
@@ -120,7 +132,10 @@ def _conformance(
     found after a finished one is definitive too (permutations keep length).
     When that bounded check runs out of budget after an `Unknown`
     exploration, the BudgetExceededError says how many configurations the
-    exploration visited."""
+    exploration visited.  No gap is definitive too after a finished
+    exploration when no trace of the type is longer than `max_len`: every
+    trace of the type has then been checked, against every session trace
+    of its length."""
     outside = includes(session_automaton, auto)
     finished = not isinstance(verdict, Unknown)
     missing = None
@@ -137,7 +152,7 @@ def _conformance(
                 f"{verdict.explored} configurations"
             ) from None
         missing = min(gaps, key=word_key, default=None)
-        complete_exact = missing is not None and finished
+        complete_exact = finished and (missing is not None or not _has_trace_longer_than(auto, max_len))
     basis = "exact" if complete_exact and (outside is not None or finished) else "bounded"
     return ConformanceReport(
         outside is None, outside, missing is None, missing,

@@ -278,6 +278,22 @@ def test_verify_finds_a_reordering_longer_than_max_len(monkeypatch, capsys, tmp_
     assert payload["basis"] == "exact" and payload["liveness"] == "Live"
 
 
+NO_JOIN = "(p -> q1 : a & p -> q2 : a) ; (q1 -> q : b & q2 -> q : b)\n"
+
+
+def test_verify_decides_completeness_of_a_star_free_type_exactly(monkeypatch, capsys, tmp_path):
+    """Under the default bound the bounded check has seen every trace of a
+    star-free type, so a complete verdict is exact.  A bound below its
+    longest trace leaves it bounded."""
+    path = tmp_path / "no_join.gt"
+    path.write_text(NO_JOIN)
+    verdicts = ["sound: no", "complete: yes", "liveness: Live"]
+    assert run_in_process(monkeypatch, "verify", str(path)) == 1
+    assert capsys.readouterr().out.splitlines()[:4] == [*verdicts, "bounds: max_len=12 buf_bound=4 (exact)"]
+    assert run_in_process(monkeypatch, "verify", str(path), "--max-len", "3") == 1
+    assert capsys.readouterr().out.splitlines()[:4] == [*verdicts, "bounds: max_len=3 buf_bound=4 (bounded)"]
+
+
 def test_verify_reports_a_deadlocking_environment_as_not_live(monkeypatch, capsys, tmp_path):
     protocol = tmp_path / "loop.gt"
     protocol.write_text("(p -> q : a)*\n")
@@ -590,6 +606,67 @@ def test_commands_take_only_the_options_they_read(monkeypatch, tmp_path, command
     path.write_text(NEVER_ENDS if command == "simulate" else SALE)
     files = [] if command == "crosscheck" else [str(path)]
     assert run_in_process(monkeypatch, command, *files, option, "1") == 2
+
+
+def test_verify_takes_a_budget_only_to_project(monkeypatch, capsys, sale, tmp_path):
+    """`--budget` bounds the projection, so with ENV_PATH it is a usage
+    error."""
+    env = tmp_path / "env.mps"
+    env.write_text(
+        "seller : buyer!descr.buyer!price.buyer?accept.end\n"
+        "buyer : seller?descr.seller?price.seller!accept.end\n"
+    )
+    assert run_in_process(monkeypatch, "verify", sale, str(env), "--budget", "5") == 2
+    assert capsys.readouterr() == ("", "error: --budget is read only when ENV_PATH is omitted\n")
+    assert run_in_process(monkeypatch, "verify", sale, "--budget", "5") == 0
+    assert run_in_process(monkeypatch, "verify", sale, str(env)) == 1
+
+
+# (command, PATHs it takes, one of its integer options with a value below range)
+COMMAND_LINES = [
+    ("check", 1, None),
+    ("project", 1, ("--budget", "0")),
+    ("simulate", 1, ("--traces", "-1")),
+    ("verify", 2, ("--depth", "0")),
+    ("classify", 1, ("--buf-bound", "0")),
+    ("trace", 1, ("--max-len", "0")),
+    ("crosscheck", 0, ("--roles", "1")),
+]
+
+
+def usage_errors():
+    yield "no command", []
+    yield "unknown command", ["frob"]
+    for command, paths, integer in COMMAND_LINES:
+        files = ["INPUT"] * min(paths, 1)
+        yield f"{command}: unknown option", [command, *files, "--frob"]
+        yield f"{command}: extra positional", [command, *["INPUT"] * (paths + 1)]
+        if integer is not None:
+            option, below = integer
+            yield f"{command}: non-integer value", [command, *files, option, "x"]
+            yield f"{command}: value below range", [command, *files, option, below]
+        if paths:
+            yield f"{command}: missing PATH", [command]
+            yield f"{command}: missing file", [command, "ABSENT"]
+            yield f"{command}: directory as PATH", [command, "DIR"]
+
+
+@pytest.mark.parametrize(("case", "args"), list(usage_errors()), ids=[case for case, _ in usage_errors()])
+def test_usage_errors_are_one_line_with_exit_2(monkeypatch, capsys, tmp_path, case, args):
+    (tmp_path / "input.gt").write_text(SALE)
+    places = {"INPUT": tmp_path / "input.gt", "ABSENT": tmp_path / "absent.gt", "DIR": tmp_path}
+    assert run_in_process(monkeypatch, *(str(places.get(a, a)) for a in args)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", [None] + [command for command, _, _ in COMMAND_LINES])
+def test_every_command_has_help(monkeypatch, capsys, command):
+    args = ["--help"] if command is None else [command, "--help"]
+    assert run_in_process(monkeypatch, *args) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: mpst {command or ''}".rstrip()) and err == ""
 
 
 def test_classify_forwards_its_budget_to_projection(monkeypatch, tmp_path, capsys):

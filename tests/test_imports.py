@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
 every private function or class a module defines is used in that module,
-and no memo table outlives the call that fills it.
+no memo table outlives the call that fills it, and the package imports
+nothing from outside the standard library.
 
 `mpst/__init__.py` is left out of the import check: it imports names to
 re-export them."""
@@ -8,6 +9,7 @@ re-export them."""
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,3 +140,36 @@ def test_the_check_sees_a_process_wide_memo():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_memo_tables_live_for_one_call(path):
     assert process_wide_memos(path.read_text(encoding="utf-8")) == []
+
+
+def non_standard_imports(source: str) -> list[str]:
+    """The absolute imports of modules outside the standard library."""
+    imports: list[tuple[str, int]] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imports += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imports.append((node.module, node.lineno))
+    return [
+        f"{name} (line {line})"
+        for name, line in imports
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
+
+
+def test_the_check_sees_a_non_standard_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import click\n"
+        "import os.path, yaml.loader\n"
+        "from . import syntax\n"
+        "from .syntax import parse_global_type\n"
+        "from collections import deque\n"
+        "from hypothesis import given\n"
+    )
+    assert non_standard_imports(source) == ["click (line 2)", "yaml.loader (line 3)", "hypothesis (line 7)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_package_imports_only_the_standard_library(path):
+    assert non_standard_imports(path.read_text(encoding="utf-8")) == []

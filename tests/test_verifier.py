@@ -14,6 +14,7 @@ from mpst.syntax import (
     GAction,
     GBoth,
     GEither,
+    GKExit,
     GSeq,
     GStar,
     default_max_len,
@@ -22,12 +23,14 @@ from mpst.syntax import (
     parse_session_env,
     parse_session_type,
     roles_of,
+    subterms,
 )
 from mpst import projector, tracelang, verifier
 from mpst.tracelang import (
     BudgetExceededError,
     compile_traces,
     enumerate_traces,
+    includes,
     parikh_vector,
     well_formed,
     word_key,
@@ -118,7 +121,21 @@ def conformance_cases():
                 yield protocol, {**env, role: other[role]}
 
 
+def star_free(protocol) -> bool:
+    """Whether `protocol` has no `*` and no `loopk`."""
+    work = [protocol]
+    while work:
+        node = work.pop()
+        if isinstance(node, (GStar, GKExit)):
+            return False
+        work += subterms(node)
+    return True
+
+
 def test_exact_conformance_agrees_with_the_bounded_reference():
+    """After a finished exploration, a star-free type under the default
+    bound has no trace longer than the bound, so its verdicts are exact and
+    a longer bound changes neither."""
     seen = Counter()
     for protocol, env in conformance_cases():
         verdict, session_automaton = explore(env)
@@ -137,10 +154,29 @@ def test_exact_conformance_agrees_with_the_bounded_reference():
         assert report.complete == (missing is None)
         assert report.completeness_gap == missing
         seen[report.liveness, report.sound, report.complete] += 1
+        if report.liveness == "Unknown":
+            continue
+        if star_free(protocol):
+            assert report.basis == "exact"
+            outside, missing = bounded_reference(protocol, session_automaton, max_len + 4)
+            assert (report.sound, report.complete) == (outside is None, missing is None)
+            seen["star-free"] += 1
     assert seen["Live", False, True] > 0  # unsound
     assert seen["Live", True, False] > 0  # incomplete
     assert seen["NotLive", True, False] > 0  # no traces at all
     assert seen["Live", True, True] > 0
+    assert seen["star-free"] > 0
+
+
+def test_a_starred_type_complete_up_to_permutation_stays_bounded():
+    """The session's traces cover the type's only up to permutation, and
+    the starred type has traces of every length: completeness is bounded."""
+    protocol = g("p -> s : a & s -> r : a* ; s -> r : c")
+    env = project_top(protocol)
+    assert includes(compile_traces(protocol), explore(env)[1]) is not None
+    report = check_preorder(protocol, env)
+    assert report.sound and report.complete and report.liveness == "Live"
+    assert report.basis == "bounded"
 
 
 def test_soundness_rejects_extra_behaviours():
