@@ -120,9 +120,10 @@ def _dump_dot(automaton: tracelang.TraceAutomaton, path: str) -> None:
 def check(path, dot, as_json):
     """Decide well-formedness of the global type in PATH."""
     g = _load_global(path)
-    if dot:
-        _dump_dot(tracelang.compile_traces(g), dot)
-    verdict = tracelang.well_formed(g)
+    with _bound_exhausted({"command": "check", "input": path}, as_json):
+        if dot:
+            _dump_dot(tracelang.compile_traces(g), dot)
+        verdict = tracelang.well_formed(g)
     if verdict:
         _emit(
             {"command": "check", "input": path, "well_formed": True},
@@ -174,10 +175,15 @@ def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
     """Run the session environment in PATH and report liveness, the number
     of traces up to the length bound, and the first of them.  The traces
     are counted on the session's trace automaton, not enumerated: only the
-    sample printed is built."""
+    sample printed is built.  Roles that fall into groups with no partner
+    outside their group are explored and counted group by group, when
+    that gives what the whole session would."""
     env = _load_env(path)
     bound = length_bound or 2 * len(env) + 8
-    verdict, automaton = runtime.explore(env, buf_bound, depth_bound)
+    session = runtime.Session(env, buf_bound)
+    groups = session.components()
+    parts = runtime.explore_parts(session, groups, depth_bound) if len(groups) > 1 else None
+    verdict, automaton = (runtime.Live(), None) if parts is not None else session.explore(depth_bound)
     name = type(verdict).__name__
     report: dict = {
         "command": "simulate",
@@ -193,7 +199,10 @@ def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
         report["witness_steps"] = steps
         lines.append(f"witness: {steps} step(s) to a configuration that cannot succeed")
     with _bound_exhausted({"command": "simulate", "input": path}, as_json):
-        count, samples = tracelang.count_traces(automaton, bound, trace_count)
+        if parts is not None:
+            count, samples = tracelang.count_shuffle(parts, bound, trace_count)
+        else:
+            count, samples = tracelang.count_traces(automaton, bound, trace_count)
     report["traces"] = samples
     report["trace_count"] = count
     lines.append(f"traces up to length {bound}: {count}")
@@ -257,7 +266,8 @@ def verify(gt_path, env_path=None, *, max_len, buf_bound, depth_bound, projectio
 def classify(path, max_len, buf_bound, depth_bound, budget, as_json):
     """Diagnose why the global type in PATH resists projection."""
     g = _load_global(path)
-    outcome = verifier.classify(g, max_len, buf_bound, depth_bound, budget=budget)
+    with _bound_exhausted({"command": "classify", "input": path}, as_json):
+        outcome = verifier.classify(g, max_len, buf_bound, depth_bound, budget=budget)
     _emit(
         {
             "command": "classify",
@@ -279,11 +289,11 @@ def trace(path, dot, max_len, as_json):
     or holds more than 100,000 traces or letters, is reported as
     BoundExhausted."""
     g = _load_global(path)
-    auto = tracelang.compile_traces(g)
-    if dot:
-        _dump_dot(auto, dot)
     bound = max_len or default_max_len(g)
     with _bound_exhausted({"command": "trace", "input": path}, as_json):
+        auto = tracelang.compile_traces(g)
+        if dot:
+            _dump_dot(auto, dot)
         words = tracelang.list_traces(auto, bound)
     _emit(
         {

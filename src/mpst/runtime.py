@@ -21,10 +21,18 @@ objects are built only for a NotLive witness.  A configuration's moves are
 read off a move table that `Session` builds once per role and machine
 state, and a move rebuilds only the canonical entry of each channel it
 changes.
+
+A session whose roles fall into groups that name no partner outside
+their group is the product of the groups' sessions.  `explore_parts`
+explores each group alone, n1 + n2 + ... configurations where the whole
+has n1 · n2 · ..., and gives up, for the whole exploration, unless that
+decides the session as the whole would: every group Live and n1 · n2 · ...
+within the depth bound.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,6 +144,42 @@ class Session:
                     entries.append((letter, tuple((s, role) for s in peer), msg, target))
                 table.append(entries)
             self.moves.append(table)
+
+    def partners(self, i: int) -> set[Role]:
+        """The roles that the machine of role i sends to or receives from."""
+        named: set[Role] = set()
+        for branches in self.machines[i].branches:
+            for kind, peer, _ in branches:
+                named |= {peer} if kind == "out" else peer
+        return named
+
+    def components(self) -> list[set[Role]]:
+        """The roles, in groups that name no partner outside the group: the
+        connected components of the partner relation, which may hold
+        partners that are not roles of the session."""
+        groups: list[set[Role]] = []
+        for i, role in enumerate(self.roles):
+            joined, apart = {role} | self.partners(i), []
+            for group in groups:
+                if group.isdisjoint(joined):
+                    apart.append(group)
+                else:
+                    joined |= group
+            groups = apart + [joined]
+        return groups
+
+    def explore(self, depth_bound: int) -> tuple[Live | NotLive | Unknown, TraceAutomaton]:
+        """`explore` on this session."""
+        configs, rows, parents, truncated = _explore(self, depth_bound)
+        success = bytearray(map(self._succeeds, configs[: len(rows)]))
+        goals = [n for n, s in enumerate(success) if s]
+        live = _can_reach(rows, len(configs), goals)
+        frontier = range(len(rows), len(configs))
+        promising = _can_reach(rows, len(configs), [*goals, *frontier]) if truncated else live
+        verdict = _liveness(configs, rows, truncated, parents, promising)
+        if isinstance(verdict, NotLive):
+            return verdict, TraceAutomaton([[]], frozenset())
+        return verdict, _trace_automaton(rows, live, success)
 
     def initial(self) -> Config:
         return Config(tuple(m.root for m in self.machines), ())
@@ -252,16 +296,21 @@ def _liveness(
     return NotLive(tuple(Config(*configs[n]) for n in reversed(path)))
 
 
-def _trace_automaton(rows: list[Row], live: bytearray, success: bytearray) -> TraceAutomaton:
+def _trace_automaton(
+    rows: list[Row], live: bytearray, success: bytearray, closures: list[frozenset[int]] | None = None
+) -> TraceAutomaton:
     """The explored graph as a trim automaton over input labels.  Only
     configurations that can reach success (flagged in `live`) are kept.  Outputs are
     silent, so each state takes the inputs of every configuration its
-    outputs lead to, and accepts when those outputs reach success."""
+    outputs lead to, and accepts when those outputs reach success.  Given
+    `closures`, appends to it the configurations each state's outputs lead
+    to, numbered as `explore_parts` says."""
     if not live[0]:
         return TraceAutomaton([[]], frozenset())
     index = {0: 0}
     delta: list[list[tuple[Interaction, int]]] = [[]]
     accepts = set()
+    spans: dict[int, set[int]] = {}
     work = [0]
     while work:
         n = work.pop()
@@ -286,6 +335,11 @@ def _trace_automaton(rows: list[Row], live: bytearray, success: bytearray) -> Tr
                     silent.add(n2)
                     todo.append(n2)
         delta[q] = list(edges)
+        if closures is not None:
+            spans[q] = silent
+    if closures is not None:
+        number = dict(index)  # the states first, then the others as found
+        closures += [frozenset(number.setdefault(n, len(number)) for n in spans[q]) for q in range(len(delta))]
     return TraceAutomaton(delta, frozenset(accepts))
 
 
@@ -298,17 +352,70 @@ def explore(
     once.  Returns the liveness verdict and the session's trace automaton
     (over input labels, accepting runs that reach success), which accepts
     nothing when the session is not live."""
-    session = Session(env, buf_bound)
-    configs, rows, parents, truncated = _explore(session, depth_bound)
-    success = bytearray(map(session._succeeds, configs[: len(rows)]))
-    goals = [n for n, s in enumerate(success) if s]
-    live = _can_reach(rows, len(configs), goals)
-    frontier = range(len(rows), len(configs))
-    promising = _can_reach(rows, len(configs), [*goals, *frontier]) if truncated else live
-    verdict = _liveness(configs, rows, truncated, parents, promising)
-    if isinstance(verdict, NotLive):
-        return verdict, TraceAutomaton([[]], frozenset())
-    return verdict, _trace_automaton(rows, live, success)
+    return Session(env, buf_bound).explore(depth_bound)
+
+
+def explore_parts(
+    session: Session, groups: list[set[Role]], depth_bound: int
+) -> list[tuple[TraceAutomaton, list[frozenset[int]]]] | None:
+    """Explore the roles of each group as a session of its own, when that
+    decides the whole `session` as its own exploration would.
+
+    Suppose every role names partners in its own group only.  Then the
+    groups share no channel, and a move of one changes nothing another
+    reads, so:
+
+    - the configuration graph of the session is the product of the
+      groups' graphs: its reachable configurations are the tuples of the
+      groups' reachable configurations, n1 · n2 · ... of them, so its
+      exploration finishes iff that product is at most `depth_bound`;
+    - the session is Live iff every group is, as a tuple can reach success
+      iff each of its entries can;
+    - its traces are the shuffle of the groups' traces, over disjoint
+      alphabets, as letters name the roles that take them (see
+      `tracelang.role_groups`);
+    - so, every group being Live and so having a trace, the session's
+      traces are included in a shuffle of languages over the same groups
+      iff each group's traces are included in its own: a word of a shuffle
+      read on one group's letters is a word of that group's language, and
+      any trace of a group, followed by one trace of each other, is a
+      trace of the session;
+    - and its traces of length n number N(n) = sum over k of C(n, k)
+      N1(k) N2(n - k) for two groups, the binomial convolution of the
+      groups' counts, as a trace is a choice of the positions that hold
+      the first group's letters.
+
+    Returns, for each group, its trace automaton and `closures`: for each
+    state q, the configurations its outputs reach, numbered so that the
+    configuration of state q is q and the others follow the states.  Once
+    another group moves, the session's automaton holds a group at all the
+    configurations its outputs reach, so `tracelang.count_shuffle` needs
+    them to number the session's subset states as its own count does.  None,
+    having explored no further, when some role in a group names a partner
+    outside it, when a group is not Live or its exploration does not
+    finish, or when the product of the groups' sizes passes
+    `depth_bound`."""
+    parts: list[tuple[TraceAutomaton, list[frozenset[int]]]] = []
+    size = 1
+    for group in groups:
+        keep = [i for i, role in enumerate(session.roles) if role in group]
+        if any(not session.partners(i) <= group for i in keep):
+            return None
+        part = copy.copy(session)  # shares the machines and move tables
+        part.roles = tuple(session.roles[i] for i in keep)
+        part.machines = [session.machines[i] for i in keep]
+        part.moves = [session.moves[i] for i in keep]
+        configs, rows, _, truncated = _explore(part, depth_bound)
+        size *= len(configs)
+        if truncated or size > depth_bound:
+            return None
+        success = bytearray(map(part._succeeds, configs))
+        live = _can_reach(rows, len(configs), [n for n, s in enumerate(success) if s])
+        if 0 in live:
+            return None
+        closures: list[frozenset[int]] = []
+        parts.append((_trace_automaton(rows, live, success, closures), closures))
+    return parts
 
 
 def is_live(

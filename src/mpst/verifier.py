@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import machine as _machine
 from .projector import DEFAULT_AND_BUDGET, ProjectionError, project_first, project_top
-from .runtime import DEFAULT_BUF_BOUND, DEFAULT_DEPTH_BOUND, Live, NotLive, Unknown, explore
+from .runtime import DEFAULT_BUF_BOUND, DEFAULT_DEPTH_BOUND, Live, NotLive, Session, Unknown, explore, explore_parts
 from .syntax import (
     GAction,
     GBoth,
@@ -48,6 +48,7 @@ from .syntax import (
     TInternal,
     TOut,
     default_max_len,
+    roles_of,
     spine,
     subterms,
     with_subterms,
@@ -62,6 +63,7 @@ from .tracelang import (
     includes,
     is_well_formed,
     parikh_vector,
+    role_groups,
     word_key,
 )
 
@@ -167,9 +169,28 @@ def check_preorder(
     buf_bound: int = DEFAULT_BUF_BOUND,
     depth_bound: int = DEFAULT_DEPTH_BOUND,
 ) -> ConformanceReport:
-    """Check that `env` implements `g`: sound and complete."""
+    """Check that `env` implements `g`: sound and complete.
+
+    A type whose root `&` spine has several role groups with roles (see
+    `tracelang.role_groups`) is first checked group by group, when `env`
+    has exactly the roles of `g` and splits along the groups (see
+    `runtime.explore_parts`).  If every group's session is Live, the
+    whole exploration would finish, and every group's session has the
+    traces of its group, then the session's traces and those of `g` are
+    shuffles of the same languages, and the report is the one the whole
+    product gives: sound, complete, Live and exact.  Otherwise, or if some
+    group's inclusion fails, the product is checked, so counterexamples,
+    witnesses and bounds are its own."""
     if max_len is None:
         max_len = default_max_len(g)
+    groups = [group for group in role_groups(g) if roles_of(group)] if type(g) is GBoth else []
+    if len(groups) > 1 and set(env) == roles_of(g):
+        parts = explore_parts(Session(env, buf_bound), [roles_of(group) for group in groups], depth_bound)
+        if parts is not None and all(
+            includes(a, auto) is None and includes(auto, a) is None
+            for (a, _), auto in zip(parts, map(compile_traces, groups))
+        ):
+            return ConformanceReport(True, None, True, None, max_len, buf_bound, "exact", "Live")
     return _conformance(compile_traces(g), *explore(env, buf_bound, depth_bound), max_len, buf_bound)
 
 

@@ -5,19 +5,30 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
+import resource
 import subprocess
 import sys
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpst import cli, projector, runtime, tracelang, verifier
-from mpst.syntax import Interaction, parse_session_env
+from mpst.syntax import (
+    GBoth,
+    Interaction,
+    parse_global_type,
+    parse_session_env,
+    print_global_type,
+    print_session_env,
+    roles_of,
+)
 from test_machine import CORPUS_GLOBAL
 from test_runtime import STARVING_OBSERVER, pairs_text
-from test_tracelang import pairs, reference_enumerate_traces
+from test_tracelang import and_spines, pairs, reference_enumerate_traces, renamed
 
 SALE = (
     "seller -> buyer : descr ;\n"
@@ -856,3 +867,298 @@ def test_trace_keeps_its_contract(traced, data, max_len):
     assert stop.value.code == 0
     assert payload["count"] == len(payload["traces"]) == len(words)
     assert payload["traces"] == [list(map(str, w)) for w in words]
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of `mpst.cli.main` on `argv`."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.argv = sys.argv, ["mpst", *argv]
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
+            cli.main()
+    finally:
+        sys.argv = saved
+    return stop.value.code, out.getvalue(), err.getvalue()
+
+
+def verify_reference(g, env, max_len, buf_bound, depth_bound) -> dict:
+    """The fields of a `verify --json` report as the product path gives
+    them: the whole environment explored once, against the whole type."""
+    try:
+        report = verifier._conformance(
+            tracelang.compile_traces(g), *runtime.explore(env, buf_bound, depth_bound), max_len, buf_bound
+        )
+    except tracelang.BudgetExceededError as exc:
+        return {"error": "BoundExhausted", "detail": str(exc)}
+    words = (report.sound_counterexample, report.completeness_gap)
+    return {
+        "sound": report.sound,
+        "complete": report.complete,
+        "liveness": report.liveness,
+        "max_len": max_len,
+        "buf_bound": buf_bound,
+        "basis": report.basis,
+        "sound_counterexample": None if words[0] is None else list(map(str, words[0])),
+        "completeness_gap": None if words[1] is None else list(map(str, words[1])),
+    }
+
+
+def simulate_reference(env, max_len, trace_count, buf_bound, depth_bound) -> dict:
+    """The fields of a `simulate --json` report as the product path gives
+    them."""
+    verdict, automaton = runtime.explore(env, buf_bound, depth_bound)
+    try:
+        count, samples = tracelang.count_traces(automaton, max_len, trace_count)
+    except tracelang.BudgetExceededError as exc:
+        return {"error": "BoundExhausted", "detail": str(exc)}
+    return {"verdict": type(verdict).__name__, "trace_count": count, "traces": samples}
+
+
+@pytest.fixture(scope="module")
+def verified(tmp_path_factory):
+    """The global types of the benchmark corpus, width-2 and width-3 pairs,
+    and `&`s of corpus types with renamed roles, each written to a file."""
+    root = tmp_path_factory.mktemp("verify")
+    corpus = [parse_global_type(text) for text in CORPUS_GLOBAL]
+    sale, starred, loop2, hidden, join, no_join = corpus[:6]
+    ring3 = corpus[6]
+    joined = [
+        (sale, renamed(starred, "1")),
+        (renamed(hidden, "1"), renamed(join, "2")),
+        (loop2, renamed(ring3, "1"), renamed(sale, "2")),
+        (renamed(no_join, "1"), renamed(no_join, "2")),
+    ]
+    types = corpus + [parse_global_type(pairs(2)), parse_global_type(pairs(3))]
+    types += [reduce(GBoth, parts) for parts in joined]
+    protocols = {}
+    for i, g in enumerate(types):
+        path = root / f"protocol{i}.gt"
+        path.write_text(print_global_type(g))
+        protocols[str(path)] = cli._load_global(str(path))
+    return protocols
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    max_len=st.integers(1, 24),
+    buf_bound=st.integers(1, 4),
+    depth_bound=st.integers(1, 400),
+)
+def test_verify_keeps_its_contract(verified, data, max_len, buf_bound, depth_bound):
+    """Exit 0 when sound and complete and 1 otherwise, a report that
+    parses, no traceback, and the report the product path gives: the
+    projection's failure, or the whole environment explored once and
+    checked against the whole type (width-3 pairs have 343
+    configurations, so the depth falls on both sides of them)."""
+    path = data.draw(st.sampled_from(sorted(verified)))
+    code, out, err = run_main(["verify", path, "--json", "--max-len", str(max_len),
+                               "--buf-bound", str(buf_bound), "--depth", str(depth_bound)])
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    g = verified[path]
+    try:
+        env = projector.project_top(g)
+    except projector.ProjectionError as exc:
+        assert code == 1 and payload["projected"] is False and payload["error"] == exc.kind
+        return
+    expected = verify_reference(g, env, max_len, buf_bound, depth_bound)
+    assert {key: payload.get(key) for key in expected} == expected
+    assert code == (0 if expected.get("sound") and expected.get("complete") else 1)
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("groups") / "session.mps"
+
+
+def projectable_types() -> list:
+    """The random types of criterion 8's samples that project."""
+    types = []
+    for i in range(200):
+        sample = verifier.random_global_type(20260814 + i)
+        try:
+            projector.project_top(sample)
+        except projector.ProjectionError:
+            continue
+        types.append(sample)
+    return types
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample=and_spines(st.sampled_from(projectable_types())), data=st.data())
+def test_role_groups_report_as_the_product_does(scratch_file, sample, data):
+    """On an `&` of projectable random types with renamed roles whose role
+    groups each project, with the depth drawn on both sides of the
+    product's configurations, `verify` reports what the product path
+    reports, and `simulate` gives the product's verdict, count and traces,
+    or the same BoundExhausted."""
+    groups = [group for group in tracelang.role_groups(sample) if roles_of(group)]
+    if not groups:
+        return
+    envs = []
+    for group in groups:
+        try:
+            envs.append(projector.project_top(group))
+        except projector.ProjectionError:
+            return
+    env = {role: t for part in envs for role, t in part.items()}
+    scratch_file.write_text(print_session_env(env))
+    env = cli._load_env(str(scratch_file))
+    size = 1
+    for part in envs:
+        size *= len(runtime._explore(runtime.Session(part), 10**9)[0])
+    if size > 3000:
+        return
+    depth_bound = data.draw(st.sampled_from([size - 1, size, size + 1]) | st.integers(1, 2 * size + 2), "depth")
+    depth_bound = max(depth_bound, 1)
+    buf_bound = data.draw(st.integers(1, 3), "buf_bound")
+    max_len = data.draw(st.integers(1, 8), "max_len")
+    trace_count = data.draw(st.integers(0, 6), "traces")
+
+    try:
+        report = verifier.check_preorder(sample, env, max_len, buf_bound, depth_bound)
+    except tracelang.BudgetExceededError as exc:
+        report = str(exc)
+    try:
+        expected = verifier._conformance(
+            tracelang.compile_traces(sample), *runtime.explore(env, buf_bound, depth_bound), max_len, buf_bound
+        )
+    except tracelang.BudgetExceededError as exc:
+        expected = str(exc)
+    assert report == expected
+
+    code, out, err = run_main(["simulate", str(scratch_file), "--json", "--traces", str(trace_count),
+                               "--max-len", str(max_len), "--buf-bound", str(buf_bound), "--depth", str(depth_bound)])
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    expected = simulate_reference(env, max_len, trace_count, buf_bound, depth_bound)
+    assert {key: payload.get(key) for key in expected} == expected
+    assert code == (0 if expected.get("verdict") == "Live" else 1)
+
+
+@pytest.fixture()
+def steps(monkeypatch):
+    """How many configurations `Session._step` expands."""
+    calls = [0]
+    step = runtime.Session._step
+
+    def counting(self, key):
+        calls[0] += 1
+        return step(self, key)
+
+    monkeypatch.setattr(runtime.Session, "_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("width", [2, 3, 5, 8, 12])
+def test_verify_and_simulate_expand_seven_configurations_per_pair(monkeypatch, capsys, tmp_path, steps, width):
+    """With the depth unbounded, width-n pairs are explored pair by pair:
+    7 configurations each, where their product has 7**n.  Past width 6,
+    counting the product's traces would fill more than 100,000 cells."""
+    protocol, session = tmp_path / "pairs.gt", tmp_path / "pairs.mps"
+    protocol.write_text(pairs(width) + "\n")
+    session.write_text(pairs_text(width) + "\n")
+    assert run_in_process(monkeypatch, "verify", str(protocol), "--depth", str(10**12), "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["sound"], payload["complete"], payload["liveness"], payload["basis"]) == (True, True, "Live", "exact")
+    assert steps[0] == 7 * width
+    steps[0] = 0
+    code = run_in_process(monkeypatch, "simulate", str(session), "--depth", str(10**12), "--json")
+    payload = json.loads(capsys.readouterr().out)
+    assert steps[0] == 7 * width
+    if width <= 6:
+        assert code == 0 and payload["verdict"] == "Live"
+        assert payload["trace_count"] == math.factorial(3 * width) // 6**width
+    else:
+        assert code == 1 and payload["error"] == "BoundExhausted"
+        assert payload["detail"] == (
+            f"filled more than 100000 (length, state) cells counting traces of length <= {4 * width + 8}"
+        )
+
+
+def test_width_five_pairs_report_as_before_at_the_default_depth(monkeypatch, capsys, tmp_path):
+    """16,807 configurations pass the default depth, so the product is
+    explored, and cut, as it always was."""
+    protocol, session = tmp_path / "pairs5.gt", tmp_path / "pairs5.mps"
+    protocol.write_text(pairs(5) + "\n")
+    session.write_text(pairs_text(5) + "\n")
+    assert run_in_process(monkeypatch, "verify", str(protocol), "--json") == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "verify",
+        "detail": "visited more than 100000 prefixes of length <= 34; "
+        "the session exploration stopped at its bound after 10000 configurations",
+        "error": "BoundExhausted",
+        "input": str(protocol),
+        "schema": 1,
+    }
+    assert run_in_process(monkeypatch, "simulate", str(session), "--json") == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "buf_bound": 4,
+        "command": "simulate",
+        "depth_bound": 10000,
+        "input": str(session),
+        "max_len": 28,
+        "schema": 1,
+        "trace_count": 0,
+        "traces": [],
+        "verdict": "Unknown",
+    }
+
+
+def run_capped(*args: str):
+    """`mpst` in a child process whose address space is capped at 1 GiB."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "mpst.cli", *args], capture_output=True, text=True, preexec_fn=cap, timeout=300)
+
+
+def test_width_ten_pairs_end_bound_exhausted_or_decide_in_bounded_memory(tmp_path):
+    """The product of width-10 pairs has 4**10 states: compiling it ends
+    BoundExhausted, within seconds and one line of stderr at most.  With
+    the depth past 7**10, `verify` decides pair by pair, compiling no
+    product."""
+    path = tmp_path / "pairs10.gt"
+    path.write_text(pairs(10) + "\n")
+    for command in ("trace", "verify"):
+        start = time.perf_counter()
+        proc = run_capped(command, str(path), "--json")
+        assert time.perf_counter() - start < 60
+        assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) <= 1
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        assert payload["error"] == "BoundExhausted"
+        assert payload["detail"] == "more than 100000 states in the shuffle product of an `&`"
+    proc = run_capped("verify", str(path), "--depth", "1000000000", "--json")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["sound"], payload["complete"], payload["liveness"], payload["basis"]) == (True, True, "Live", "exact")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "--dot", "{dot}"),
+        ("classify",),
+        ("trace",),
+        ("trace", "--dot", "{dot}"),
+    ],
+)
+def test_a_shuffle_past_its_budget_is_reported_by_every_command(monkeypatch, capsys, tmp_path, args):
+    """Each command that compiles `p -> q : a & q -> p : b`, whose product
+    has four states, reports a budget of three as BoundExhausted."""
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 3)
+    path = tmp_path / "both.gt"
+    path.write_text("p -> q : a & q -> p : b\n")
+    command, *options = (arg.format(dot=tmp_path / "out.dot") for arg in args)
+    assert run_in_process(monkeypatch, command, str(path), *options, "--json") == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": command,
+        "detail": "more than 3 states in the shuffle product of an `&`",
+        "error": "BoundExhausted",
+        "input": str(path),
+        "schema": 1,
+    }

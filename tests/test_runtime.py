@@ -17,12 +17,21 @@ from mpst.runtime import (
     Unknown,
     buffer_normalize,
     explore,
+    explore_parts,
     is_live,
     session_traces,
 )
 from mpst.projector import ProjectionError, project_top
 from mpst.syntax import parse_global_type, parse_session_env
-from mpst.tracelang import TraceAutomaton, compile_traces, enumerate_traces, includes
+from mpst.tracelang import (
+    BudgetExceededError,
+    TraceAutomaton,
+    compile_traces,
+    count_shuffle,
+    count_traces,
+    enumerate_traces,
+    includes,
+)
 from mpst.verifier import random_global_type
 from test_tracelang import is_trim
 
@@ -416,3 +425,51 @@ def test_width_five_pairs_are_explored_to_a_live_verdict():
     assert isinstance(verdict, Live)
     assert automaton.n_states == 15784
     assert time.process_time() - start < 2
+
+
+TWO_LOOPS_AND_A_PAIR = "\n".join([
+    LOOP_UNTIL_DONE,
+    "u : rec X . (v!a.X (+) v!b.end)\nv : rec Y . (u?a.Y + u?b.end)",
+    pairs_text(1),
+])
+
+
+def test_parts_are_explored_only_when_they_decide_the_whole():
+    """Width-3 pairs have 7**3 configurations: each pair is explored alone
+    from a depth of 343 on.  A partner outside a group, or a group that is
+    not live, sends the session back to its whole exploration."""
+    session = Session(pairs_env(3))
+    groups = session.components()
+    assert sorted(map(sorted, groups)) == [["a0", "b0"], ["a1", "b1"], ["a2", "b2"]]
+    assert explore_parts(session, groups, 342) is None
+    parts = explore_parts(session, groups, 343)
+    assert [automaton.n_states for automaton, _ in parts] == [4, 4, 4]
+    assert explore_parts(session, [{"a0", "b0", "a1"}, {"b1", "a2", "b2"}], 343) is None
+    starving = Session(parse_session_env(STARVING_OBSERVER + "\n" + pairs_text(1)))
+    assert len(starving.components()) == 2
+    assert explore_parts(starving, starving.components(), DEFAULT_DEPTH_BOUND) is None
+
+
+def test_counting_parts_answers_as_the_whole_under_every_budget():
+    """`count_shuffle` on the parts gives the count and traces that
+    `count_traces` gives on the whole session's automaton, or fails with
+    the same error, at every length bound tried and every budget from 1 to
+    149, which between them count, run out of cells and run out of
+    prefixes."""
+    outcomes = set()
+    for text in (pairs_text(2), LOOP_UNTIL_DONE + "\n" + pairs_text(1), TWO_LOOPS_AND_A_PAIR):
+        env = parse_session_env(text)
+        session = Session(env)
+        parts = explore_parts(session, session.components(), DEFAULT_DEPTH_BOUND)
+        automaton = explore(env)[1]
+        for max_len in (0, 1, 4, 9):
+            for cap in range(1, 150):
+                found = []
+                for count in (lambda: count_shuffle(parts, max_len, 60, cap), lambda: count_traces(automaton, max_len, 60, cap)):
+                    try:
+                        found.append(count())
+                    except BudgetExceededError as exc:
+                        found.append(str(exc))
+                assert found[0] == found[1], (text, max_len, cap)
+                outcomes.add(found[0].split(" ")[0] if isinstance(found[0], str) else "counted")
+    assert outcomes == {"counted", "filled", "visited"}

@@ -689,12 +689,14 @@ def renamed(sample, suffix: str):
 
 
 @st.composite
-def and_spines(draw):
-    """The `&`, in a drawn association, of 2 to 4 generated types.  Operand
-    k has its roles renamed with a suffix drawn from 0..k, so operands with
-    distinct suffixes share no role, and those with one suffix may."""
+def and_spines(draw, operands=None):
+    """The `&`, in a drawn association, of 2 to 4 types drawn from
+    `operands` (generated types by default).  Operand k has its roles
+    renamed with a suffix drawn from 0..k, so operands with distinct
+    suffixes share no role, and those with one suffix may."""
     n = draw(st.integers(min_value=2, max_value=4))
-    parts = [renamed(draw(global_types()), str(draw(st.integers(0, k)))) for k in range(n)]
+    operands = global_types() if operands is None else operands
+    parts = [renamed(draw(operands), str(draw(st.integers(0, k)))) for k in range(n)]
 
     def joined(parts):
         if len(parts) == 1:
@@ -795,3 +797,13 @@ def test_the_product_of_width_6_pairs_closes_its_swap_diamonds_within_2_seconds(
     start = time.perf_counter()
     assert swap_closed(compile_traces(g(pairs(6))))
     assert time.perf_counter() - start < 2
+
+
+def test_a_shuffle_product_is_budgeted_by_the_states_it_numbers(monkeypatch):
+    """Width-2 pairs have 16 states: they compile under a budget of 16, and
+    numbering the 16th state passes a budget of 15."""
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 16)
+    assert compile_traces(g(pairs(2))).n_states == 16
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 15)
+    with pytest.raises(BudgetExceededError, match="more than 15 states in the shuffle product of an `&`"):
+        compile_traces(g(pairs(2)))
