@@ -2,7 +2,8 @@
 
 One command per invocation, reproducible by construction: every verdict
 is a function of the input files, the bounds, and the seed, and JSON
-reports are emitted with sorted keys so identical runs are byte-identical.
+reports are emitted with sorted keys so identical runs are byte-identical
+(in the bytes of `json.dumps(report, sort_keys=True, indent=2)`).
 Exit codes: 0 the check passed, 1 the check produced a finding (not well
 formed, projection failed, not live, unsound/incomplete, flawed class,
 bound exhausted), 2 the input could not be parsed or the usage was wrong.
@@ -15,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 
 from . import projector, runtime, tracelang, verifier
 from .syntax import (
@@ -66,12 +67,86 @@ def _fmt_word(texts: list[str]) -> str:
     return " ; ".join(texts) if texts else "(empty)"
 
 
-def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps({"schema": 1, **report}, sort_keys=True, indent=2))
+class _Encoded(dict):
+    """The JSON text of each string looked up, encoded on its first lookup."""
+
+    def __missing__(self, text: str) -> str:
+        encoded = self[text] = encode_basestring_ascii(text)
+        return encoded
+
+
+def _json(report: dict) -> str:
+    """`report` as `json.dumps(report, sort_keys=True, indent=2)` writes it,
+    byte for byte, without the pure-Python encoder that an indent selects.
+    It holds what reports hold: strings, ints, booleans, None, lists,
+    tuples and dicts keyed by strings."""
+    out: list[str] = []
+    _write(report, "\n", _Encoded(), out)
+    return "".join(out)
+
+
+def _write(value, newline: str, texts: _Encoded, out: list[str]) -> None:
+    """Append the JSON text of `value` to `out`, each of its lines after the
+    first starting with `newline` (a line break and the value's indent).
+    The strings in lists are looked up in `texts`, so each is encoded once
+    per report; a list of strings is written with one join of their texts,
+    and so is each item of a list of non-empty such lists (a listing of
+    words)."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, text = newline + "  ", texts.__getitem__
+        try:
+            out.append("[" + inner + ("," + inner).join(map(text, value)) + newline + "]")
+            return
+        except TypeError:  # an item that is not a string
+            pass
+        if all([item and isinstance(item, (list, tuple)) for item in value]):
+            deeper = inner + "  "
+            separator = "," + deeper
+            try:
+                words = [separator.join(map(text, item)) for item in value]
+            except TypeError:  # an item of an item that is not a string
+                pass
+            else:  # the words' brackets go into the join between them
+                between = inner + "]," + inner + "[" + deeper
+                out.extend(("[" + inner + "[" + deeper, between.join(words), inner + "]" + newline + "]"))
+                return
+        lead, between = "[" + inner, "," + inner
+        for item in value:
+            out.append(lead)
+            lead = between
+            _write(item, inner, texts, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead, between = "{" + inner, "," + inner
+        for key in sorted(value):
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            lead = between
+            _write(value[key], inner, texts, out)
+        out.append(newline + "}")
     else:
-        for line in lines:
-            print(line)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
+    """Print `report` as JSON, or `lines` as text, in one call."""
+    print(_json({"schema": 1, **report}) if as_json else "\n".join(lines))
 
 
 def _projection_failed(exc: projector.ProjectionError, fields: dict, as_json: bool, detailed: bool = False) -> None:

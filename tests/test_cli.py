@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import time
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mpst import cli, projector, runtime, tracelang, verifier
@@ -28,6 +29,7 @@ from mpst.syntax import (
 )
 from test_machine import CORPUS_GLOBAL
 from test_runtime import STARVING_OBSERVER, pairs_text
+from test_syntax import global_texts, mutated
 from test_tracelang import and_spines, pairs, reference_enumerate_traces, renamed
 
 SALE = (
@@ -1162,3 +1164,181 @@ def test_a_shuffle_past_its_budget_is_reported_by_every_command(monkeypatch, cap
         "input": str(path),
         "schema": 1,
     }
+
+
+# ---------------------------------------------------------------------------
+# The report writer, the contract of the other commands, and text output
+# ---------------------------------------------------------------------------
+
+# strings that need escapes (quote, backslash, control characters, non-ASCII,
+# an astral character and a lone surrogate), drawn often, so that a report
+# holds the same string many times
+SPECIAL_STRINGS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "a\u2028b", "\U0001F600", "\ud800", "", "a0 -> b0 : m"]
+json_strings = st.sampled_from(SPECIAL_STRINGS) | st.text(max_size=6)
+json_ints = st.integers() | st.integers(10**4300, 10**4400) | st.integers(-(10**4400), -(10**4300))
+json_leaves = json_strings | json_ints | st.sampled_from([True, False, None])
+
+
+def extend_json(inner):
+    return st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(json_strings, inner, max_size=4),
+        # strings first, then an item that is not a string
+        st.builds(lambda head, tail: [*head, tail], st.lists(json_strings, min_size=1, max_size=3), inner),
+        # lists of words, some of them empty
+        st.lists(st.lists(json_strings, max_size=4), min_size=1, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+    )
+
+
+json_values = st.recursive(json_leaves, extend_json, max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_the_report_writer_writes_what_json_dumps_writes(value):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as `cli.main` sets it
+    try:
+        assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A file for the generated protocol and one for a DOT dump."""
+    root = tmp_path_factory.mktemp("generated")
+    return root / "protocol.gt", root / "protocol.dot"
+
+
+# for each option, values at and above its lower bound (None leaves the
+# default), and values below it
+BOUNDS = {
+    "--budget": (st.sampled_from([None, "1", "2", "16"]), st.sampled_from(["0", "-1"])),
+    "--max-len": (st.sampled_from([None, "1", "2", "8"]), st.sampled_from(["0", "-1"])),
+    "--buf-bound": (st.sampled_from([None, "1", "2"]), st.sampled_from(["0", "-3"])),
+    "--depth": (st.sampled_from([None, "1", "2", "60"]), st.sampled_from(["0", "-1"])),
+    "--samples": (st.sampled_from(["0", "1", "3"]), st.just("-1")),
+    "--max-size": (st.sampled_from(["1", "2", "4"]), st.just("0")),
+    "--roles": (st.sampled_from(["2", "3"]), st.just("1")),
+    "--star-depth": (st.sampled_from(["0", "1"]), st.just("-1")),
+}
+OPTIONS = {
+    "check": [],
+    "project": ["--budget"],
+    "classify": ["--max-len", "--buf-bound", "--depth", "--budget"],
+    "crosscheck": ["--samples", "--max-size", "--roles", "--star-depth", "--buf-bound", "--depth"],
+}
+
+
+def draw_options(data, command: str) -> list[str]:
+    """The options of `command`; in one draw of four, one of them below its
+    bound."""
+    options = OPTIONS[command]
+    below = options and data.draw(st.integers(0, 3), label="one below its bound") == 0
+    past = data.draw(st.sampled_from(options), label="below its bound") if below else None
+    argv = []
+    for option in options:
+        valid, invalid = BOUNDS[option]
+        value = data.draw(invalid if option == past else valid, label=option)
+        argv += [] if value is None else [option, value]
+    return argv
+
+
+def assert_contract(code: int, out: str, err: str, as_json: bool) -> dict | None:
+    """Exit 0, 1 or 2, at most one line of stderr and no traceback; on exit
+    2 nothing on stdout, otherwise, with `--json`, the report as
+    `json.dumps(sort_keys=True, indent=2)` writes it, which is returned."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1
+    if code == 2:
+        assert not out and err.startswith("error: ")
+        return None
+    if not as_json:
+        return None
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return payload
+
+
+PASSED = {
+    "check": lambda payload: payload["well_formed"],
+    "project": lambda payload: payload["projected"],
+    "classify": lambda payload: payload["category"] == verifier.PROJECTABLE,
+    "crosscheck": lambda payload: not payload["violations"],
+}
+
+
+def assert_exit_one_only_on_a_finding(command: str, code: int, payload: dict | None) -> None:
+    if payload is None:
+        return
+    if payload.get("error") == "BoundExhausted":
+        assert code == 1
+    else:
+        assert code == (0 if PASSED[command](payload) else 1)
+
+
+random_texts = st.builds(
+    lambda seed, size, roles: print_global_type(verifier.random_global_type(seed, size, roles, 1)),
+    st.integers(0, 10**6), st.integers(1, 8), st.integers(2, 4),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=mutated(global_texts | random_texts) | random_texts | st.sampled_from([*CORPUS_GLOBAL, pairs(2)]),
+       command=st.sampled_from(["check", "project", "classify"]),
+       as_json=st.booleans(), dot=st.booleans(), data=st.data())
+def test_check_project_and_classify_keep_their_contract(generated, text, command, as_json, dot, data):
+    """On the corpus types and generated global types, some of them mutated
+    past parsing, and option values on both sides of their bounds: the exit
+    code contract, and exit 1 only with a finding or BoundExhausted."""
+    path, dot_path = generated
+    path.write_text(text)
+    argv = [command, str(path), *draw_options(data, command)] + (["--json"] if as_json else [])
+    if command == "check" and dot:
+        argv += ["--dot", str(dot_path)]
+    code, out, err = run_main(argv)
+    event(f"{command} exit {code}")
+    assert_exit_one_only_on_a_finding(command, code, assert_contract(code, out, err, as_json))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), as_json=st.booleans(), data=st.data())
+def test_crosscheck_keeps_its_contract(seed, as_json, data):
+    argv = ["crosscheck", "--seed", str(seed), *draw_options(data, "crosscheck")] + (["--json"] if as_json else [])
+    code, out, err = run_main(argv)
+    event(f"crosscheck exit {code}")
+    assert_exit_one_only_on_a_finding("crosscheck", code, assert_contract(code, out, err, as_json))
+
+
+# sha256 of the text output of each command line, pinned from the output of
+# `print` called once per line, with its line count and first and last lines
+TEXT_OUTPUTS = [
+    (["trace", "pairs2.gt"], 21, "20 trace(s) up to length 16",
+     "  a1 -> b1 : m ; b1 -> a1 : k ; a1 -> b1 : z ; a0 -> b0 : m ; b0 -> a0 : k ; a0 -> b0 : z",
+     "7b240dd7a5689b1e085075c8bbc76e7a343c0ad965240e4470d652a2200f9bda"),
+    (["trace", "pairs3.gt"], 1681, "1680 trace(s) up to length 22",
+     "  a2 -> b2 : m ; b2 -> a2 : k ; a2 -> b2 : z ; a1 -> b1 : m ; b1 -> a1 : k ; a1 -> b1 : z"
+     " ; a0 -> b0 : m ; b0 -> a0 : k ; a0 -> b0 : z",
+     "7a106abe504a35748e4a67916779e5f9678fb82ba640c5442e6818f3a4554dc7"),
+    (["simulate", "pairs3.mps"], 13, "Live", "  ... (1670 more; raise --traces to list them)",
+     "b21db32b0f790a2af751d9f3d7a52c7dea287151a34ff5020c484661d7fd38f6"),
+    (["verify", "pairs3.gt", "pairs3.mps"], 4, "sound: yes", "bounds: max_len=22 buf_bound=4 (exact)",
+     "8027ae18a8f181865a2b9ec3d39729c3e2732809318372226f5db23d7b631a3a"),
+]
+
+
+@pytest.mark.parametrize(("argv", "count", "first", "last", "sha256"), TEXT_OUTPUTS,
+                         ids=["-".join(case[0]) for case in TEXT_OUTPUTS])
+def test_text_output_is_unchanged(monkeypatch, capsys, tmp_path, argv, count, first, last, sha256):
+    (tmp_path / "pairs2.gt").write_text(pairs(2))
+    (tmp_path / "pairs3.gt").write_text(pairs(3))
+    (tmp_path / "pairs3.mps").write_text(pairs_text(3))
+    monkeypatch.chdir(tmp_path)
+    assert run_in_process(monkeypatch, *argv) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert (len(lines), lines[0], lines[-1]) == (count, first, last)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every private function or class a module defines is used in that module,
-no memo table outlives the call that fills it, and the package imports
-nothing from outside the standard library.
+no memo table outlives the call that fills it, the package imports
+nothing from outside the standard library, and no call of `json` passes
+an indent, which would select its pure-Python encoder.
 
 `mpst/__init__.py` is left out of the import check: it imports names to
 re-export them."""
@@ -173,3 +174,40 @@ def test_the_check_sees_a_non_standard_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_the_package_imports_only_the_standard_library(path):
     assert non_standard_imports(path.read_text(encoding="utf-8")) == []
+
+
+JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def indented_json_calls(source: str) -> list[str]:
+    """Calls of `json.dump`, `json.dumps` or `json.JSONEncoder` (by any of
+    these names, qualified or not) that pass `indent=`: with an indent,
+    Python's `json` writes with its pure-Python encoder instead of the C one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in JSON_WRITERS and any(keyword.arg == "indent" for keyword in node.keywords):
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_the_check_sees_an_indented_json_call():
+    source = (
+        "import json\n"
+        "from json import dumps\n"
+        "a = json.dumps(x, sort_keys=True, indent=2)\n"
+        "b = json.dumps(x, sort_keys=True)\n"
+        "json.dump(x, fh, indent=None)\n"
+        "c = dumps(x, indent=4)\n"
+        "d = json.JSONEncoder(indent=1).encode(x)\n"
+        "e = print(x, sep='')\n"
+    )
+    assert indented_json_calls(source) == ["dumps (line 3)", "dump (line 5)", "dumps (line 6)", "JSONEncoder (line 7)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_json_call_selects_the_pure_python_encoder(path):
+    assert indented_json_calls(path.read_text(encoding="utf-8")) == []
