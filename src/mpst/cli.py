@@ -18,6 +18,7 @@ import argparse
 import inspect
 import sys
 from contextlib import contextmanager
+from functools import reduce
 from json.encoder import encode_basestring_ascii
 
 from . import projector, runtime, tracelang, verifier
@@ -251,8 +252,10 @@ def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
     of traces up to the length bound, and the first of them.  The traces
     are counted on the session's trace automaton, not enumerated: only the
     sample printed is built.  Roles that fall into groups with no partner
-    outside their group are explored and counted group by group, when
-    that gives what the whole session would."""
+    outside their group are explored group by group, when that decides
+    the session as the whole would, and the traces are counted on the
+    shuffle of the groups' trace automata, whose subset automaton is the
+    product of the groups' ones."""
     env = _load_env(path)
     bound = length_bound or 2 * len(env) + 8
     session = runtime.Session(env, buf_bound)
@@ -275,9 +278,8 @@ def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
         lines.append(f"witness: {steps} step(s) to a configuration that cannot succeed")
     with _bound_exhausted({"command": "simulate", "input": path}, as_json):
         if parts is not None:
-            count, samples = tracelang.count_shuffle(parts, bound, trace_count)
-        else:
-            count, samples = tracelang.count_traces(automaton, bound, trace_count)
+            automaton = reduce(tracelang.shuffle_automata, parts)
+        count, samples = tracelang.count_traces(automaton, bound, trace_count)
     report["traces"] = samples
     report["trace_count"] = count
     lines.append(f"traces up to length {bound}: {count}")

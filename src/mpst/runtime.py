@@ -296,21 +296,16 @@ def _liveness(
     return NotLive(tuple(Config(*configs[n]) for n in reversed(path)))
 
 
-def _trace_automaton(
-    rows: list[Row], live: bytearray, success: bytearray, closures: list[frozenset[int]] | None = None
-) -> TraceAutomaton:
+def _trace_automaton(rows: list[Row], live: bytearray, success: bytearray) -> TraceAutomaton:
     """The explored graph as a trim automaton over input labels.  Only
     configurations that can reach success (flagged in `live`) are kept.  Outputs are
     silent, so each state takes the inputs of every configuration its
-    outputs lead to, and accepts when those outputs reach success.  Given
-    `closures`, appends to it the configurations each state's outputs lead
-    to, numbered as `explore_parts` says."""
+    outputs lead to, and accepts when those outputs reach success."""
     if not live[0]:
         return TraceAutomaton([[]], frozenset())
     index = {0: 0}
     delta: list[list[tuple[Interaction, int]]] = [[]]
     accepts = set()
-    spans: dict[int, set[int]] = {}
     work = [0]
     while work:
         n = work.pop()
@@ -335,11 +330,6 @@ def _trace_automaton(
                     silent.add(n2)
                     todo.append(n2)
         delta[q] = list(edges)
-        if closures is not None:
-            spans[q] = silent
-    if closures is not None:
-        number = dict(index)  # the states first, then the others as found
-        closures += [frozenset(number.setdefault(n, len(number)) for n in spans[q]) for q in range(len(delta))]
     return TraceAutomaton(delta, frozenset(accepts))
 
 
@@ -355,9 +345,7 @@ def explore(
     return Session(env, buf_bound).explore(depth_bound)
 
 
-def explore_parts(
-    session: Session, groups: list[set[Role]], depth_bound: int
-) -> list[tuple[TraceAutomaton, list[frozenset[int]]]] | None:
+def explore_parts(session: Session, groups: list[set[Role]], depth_bound: int) -> list[TraceAutomaton] | None:
     """Explore the roles of each group as a session of its own, when that
     decides the whole `session` as its own exploration would.
 
@@ -385,17 +373,13 @@ def explore_parts(
       groups' counts, as a trace is a choice of the positions that hold
       the first group's letters.
 
-    Returns, for each group, its trace automaton and `closures`: for each
-    state q, the configurations its outputs reach, numbered so that the
-    configuration of state q is q and the others follow the states.  Once
-    another group moves, the session's automaton holds a group at all the
-    configurations its outputs reach, so `tracelang.count_shuffle` needs
-    them to number the session's subset states as its own count does.  None,
-    having explored no further, when some role in a group names a partner
-    outside it, when a group is not Live or its exploration does not
-    finish, or when the product of the groups' sizes passes
-    `depth_bound`."""
-    parts: list[tuple[TraceAutomaton, list[frozenset[int]]]] = []
+    Returns the trace automaton of each group, which has at most as many
+    states as the group has configurations, so their shuffle has at most
+    `depth_bound`.  None, having explored no further, when some role in a
+    group names a partner outside it, when a group is not Live or its
+    exploration does not finish, or when the product of the groups' sizes
+    passes `depth_bound`."""
+    parts: list[TraceAutomaton] = []
     size = 1
     for group in groups:
         keep = [i for i, role in enumerate(session.roles) if role in group]
@@ -413,8 +397,7 @@ def explore_parts(
         live = _can_reach(rows, len(configs), [n for n, s in enumerate(success) if s])
         if 0 in live:
             return None
-        closures: list[frozenset[int]] = []
-        parts.append((_trace_automaton(rows, live, success, closures), closures))
+        parts.append(_trace_automaton(rows, live, success))
     return parts
 
 

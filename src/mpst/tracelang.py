@@ -32,11 +32,9 @@ reports: one breadth-first pass takes each row's letters in the order of
 their texts, so nothing is sorted, and keeps each prefix as a link to the
 prefix it extends, so only the traces are built.  `count_traces` counts
 them for `simulate` by a dynamic program over the non-zero (length, state)
-cells, and builds only the first few.  `count_shuffle` gives the same for
-a session of independent parts from the parts' automata, without the
-product's.  Each is budgeted by its work and raises `BudgetExceededError`
-past it, and so is the shuffle product of an `&`, by the states it
-numbers.
+cells, and builds only the first few.  Each is budgeted by its work and
+raises `BudgetExceededError` past it, and so is the shuffle product of an
+`&`, by its states, before it builds any.
 
 `minimal_form`, with which `machine` minimizes session machines, merges
 states by Hopcroft partition refinement, in O(m log n) for m moves between
@@ -242,8 +240,11 @@ def _star(a: TraceAutomaton) -> TraceAutomaton:
 def shuffle_automata(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
     """The automaton of all interleavings of one trace of `a` with one
     trace of `b`: the reachable pairs of their states, starting at (0, 0).
-    Raises BudgetExceededError once it numbers more than `DEFAULT_ENUM_CAP`
-    pairs, as the states of a product multiply."""
+    Every state of each is reachable, so every pair is, and the product
+    has `a.n_states * b.n_states` states.  Raises BudgetExceededError,
+    before building any, when that passes `DEFAULT_ENUM_CAP`."""
+    if a.n_states * b.n_states > DEFAULT_ENUM_CAP:
+        raise BudgetExceededError(f"more than {DEFAULT_ENUM_CAP} states in the shuffle product of an `&`")
     index = {(0, 0): 0}
     delta: list[list[tuple[Interaction, int]]] = [[]]
     work = [(0, 0)]
@@ -254,8 +255,6 @@ def shuffle_automata(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
         moves += [(lab, (p, r)) for lab, r in b.delta[q]]
         for lab, t in moves:
             if t not in index:
-                if len(delta) >= DEFAULT_ENUM_CAP:
-                    raise BudgetExceededError(f"more than {DEFAULT_ENUM_CAP} states in the shuffle product of an `&`")
                 index[t] = len(delta)
                 delta.append([])
                 work.append(t)
@@ -407,16 +406,7 @@ def count_traces(
     Raises BudgetExceededError when the search for the states and the
     program together fill more than `cap` (length, state) cells, or the
     sample's search visits more than `cap` prefixes."""
-    return _count(a._subset, max_len, first, cap)
-
-
-def _cells_exceeded(cap: int, max_len: int) -> BudgetExceededError:
-    return BudgetExceededError(f"filled more than {cap} (length, state) cells counting traces of length <= {max_len}")
-
-
-def _count(dfa, max_len: int, first: int, cap: int) -> tuple[int, list[list[str]]]:
-    """`count_traces` on the subset automaton `dfa`: a `_Subset`, or a
-    `_Shuffle`, which is read the same way."""
+    dfa = a._subset
     states, depth = [0], {0: 0}  # the states within max_len moves, breadth first
     preds: dict[int, list[int]] = {0: []}  # one entry per move s -> t
     for s in states:
@@ -440,7 +430,7 @@ def _count(dfa, max_len: int, first: int, cap: int) -> tuple[int, list[list[str]
                     ways[s] = ways.get(s, 0) + w
         cells += len(ways)
         if cells > cap:
-            raise _cells_exceeded(cap, max_len)
+            raise BudgetExceededError(f"filled more than {cap} (length, state) cells counting traces of length <= {max_len}")
         total += ways.get(0, 0)
         able.append(ways.keys())
 
@@ -467,125 +457,6 @@ def _count(dfa, max_len: int, first: int, cap: int) -> tuple[int, list[list[str]
                 if row[x] in able[left - 1]:
                     stack.append((row[x], left - 1, [*word, texts[x]]))
     return total, samples
-
-
-class _Shuffle(dict):
-    """The subset automaton of a session of independent parts, as
-    `count_shuffle` describes it, built from the parts' own subset
-    automata and read as a `_Subset` is.  Its letters are the parts'
-    letters, part by part.  A state is a tuple with one entry per part:
-    the number of a set of that part's states, either a state S of its
-    subset automaton or the closure of S, the union of `closures[q]` over
-    the members q of S.  A letter of part j takes entry j to its successor
-    in part j, and every other entry to its closure; a closure moves and
-    accepts as its state does.  It numbers its states as they are found,
-    and raises BudgetExceededError, the one `_count` raises on filling
-    more than `cap` cells, once it has numbered more than `cap`."""
-
-    def __init__(self, parts: list[tuple[TraceAutomaton, list[frozenset[int]]]], cap: int, max_len: int):
-        self._dfas = [a._subset for a, _ in parts]
-        self._closures = [closures for _, closures in parts]
-        self.letters: list[Interaction] = []
-        self._offsets = []
-        for dfa in self._dfas:
-            self._offsets.append(len(self.letters))
-            self.letters += dfa.letters
-        # per part: the number of each set found, and for each number the
-        # subset state it stands for, whether it accepts, its moves and the
-        # number of its closure
-        self._numbers: list[dict[frozenset[int], int]] = [{} for _ in parts]
-        self._states: list[list[int]] = [[] for _ in parts]
-        self._final: list[list[bool]] = [[] for _ in parts]
-        self._moves: list[dict[int, list[tuple[int, int]]]] = [{} for _ in parts]
-        self._shut: list[dict[int, int]] = [{} for _ in parts]
-        start = tuple(self._number(j, dfa._sets[0], 0) for j, dfa in enumerate(self._dfas))
-        self._tuples, self._index = [start], {start: 0}
-        self.accepting = [self._accepts(start)]
-        self._cap, self._max_len = cap, max_len
-
-    def _number(self, j: int, key: frozenset[int], s: int) -> int:
-        """The number of the set `key` of part `j`, a subset state `s` or
-        its closure."""
-        n = self._numbers[j].get(key)
-        if n is None:
-            n = self._numbers[j][key] = len(self._states[j])
-            self._states[j].append(s)
-            self._final[j].append(self._dfas[j].accepting[s])
-        return n
-
-    def _accepts(self, t: tuple[int, ...]) -> bool:
-        return all(final[n] for final, n in zip(self._final, t))
-
-    def _closure(self, j: int, n: int) -> int:
-        shut = self._shut[j].get(n)
-        if shut is None:
-            s = self._states[j][n]
-            closures = self._closures[j]
-            key = frozenset().union(*(closures[q] for q in self._dfas[j]._sets[s]))
-            shut = self._shut[j][n] = self._number(j, key, s)
-        return shut
-
-    def _successors(self, j: int, n: int) -> list[tuple[int, int]]:
-        """The moves of number `n` of part `j`: (letter, number) pairs."""
-        moves = self._moves[j].get(n)
-        if moves is None:
-            dfa, offset = self._dfas[j], self._offsets[j]
-            moves = self._moves[j][n] = [
-                (offset + x, self._number(j, dfa._sets[s], s)) for x, s in dfa[self._states[j][n]].items()
-            ]
-        return moves
-
-    def __missing__(self, m: int) -> dict[int, int]:
-        t = self._tuples[m]
-        shut = tuple(map(self._closure, range(len(t)), t))
-        index, tuples = self._index, self._tuples
-        row = self[m] = {}
-        for j, n in enumerate(t):
-            head, tail = shut[:j], shut[j + 1 :]
-            for x, u in self._successors(j, n):
-                succ = head + (u,) + tail
-                k = index.get(succ)
-                if k is None:
-                    if len(tuples) >= self._cap:
-                        raise _cells_exceeded(self._cap, self._max_len)
-                    k = index[succ] = len(tuples)
-                    tuples.append(succ)
-                    self.accepting.append(self._accepts(succ))
-                row[x] = k
-        return row
-
-
-def _shortest(a: TraceAutomaton) -> int:
-    """The length of the shortest trace of `a`, which must have one."""
-    dfa, level, seen, n = a._subset, [0], {0}, 0
-    while not any(dfa.accepting[s] for s in level):
-        level = [t for s in level for t in dfa[s].values() if t not in seen and not seen.add(t)]
-        n += 1
-    return n
-
-
-def count_shuffle(
-    parts: list[tuple[TraceAutomaton, list[frozenset[int]]]], max_len: int, first: int, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[int, list[list[str]]]:
-    """What `count_traces` gives for a session of independent parts, found
-    from the parts alone: the trace automaton of each part, which has a
-    trace, and its `closures`, where `closures[q]` is a set of numbers
-    that holds q and names the configurations that state q stands for once
-    another part has moved (see `runtime.explore_parts`).
-
-    The subset automaton of the whole session is the product `_Shuffle`
-    of the parts' subset automata, so `_count` reads it and fills the same
-    cells, visits the same prefixes and raises at the same point.  Its
-    count by length is the binomial convolution of the parts' counts, as
-    their alphabets are disjoint: N(n) = sum over k of C(n, k) N1(k)
-    N2(n - k).  `_count` numbers only the states within max_len letters
-    of the start, and when some trace is that short, more than `cap` of
-    them fill more than `cap` cells, so `_Shuffle` fails as soon as it has
-    numbered that many.  The shortest trace is the sum of the parts'
-    shortest traces; with none that short, there is nothing to count."""
-    if sum(_shortest(a) for a, _ in parts) > max_len:
-        return 0, []
-    return _count(_Shuffle(parts, cap, max_len), max_len, first, cap)
 
 
 def includes(a1: TraceAutomaton, a2: TraceAutomaton) -> Word | None:

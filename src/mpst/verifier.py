@@ -188,7 +188,7 @@ def check_preorder(
         parts = explore_parts(Session(env, buf_bound), [roles_of(group) for group in groups], depth_bound)
         if parts is not None and all(
             includes(a, auto) is None and includes(auto, a) is None
-            for (a, _), auto in zip(parts, map(compile_traces, groups))
+            for a, auto in zip(parts, map(compile_traces, groups))
         ):
             return ConformanceReport(True, None, True, None, max_len, buf_bound, "exact", "Live")
     return _conformance(compile_traces(g), *explore(env, buf_bound, depth_bound), max_len, buf_bound)
@@ -510,8 +510,10 @@ def cross_check_theorems(
 ) -> dict:
     """Check, over random samples, that every well-formed projectable
     global type has a live projection that is sound and complete (see
-    `_conformance`).  Returns counters and the list of violations (empty
-    on success)."""
+    `_conformance`).  A completeness gap is a violation only when the
+    exploration finished: one cut at `depth_bound` (`Unknown`) explored
+    part of the session, whose traces may hold the missing word.  Returns
+    counters and the list of violations (empty on success)."""
     report = {
         "samples": sample_count,
         "well_formed": 0,
@@ -543,7 +545,7 @@ def cross_check_theorems(
             report["violations"].append(
                 (i, "soundness", conformance.sound_counterexample)
             )
-        if not conformance.complete:
+        if not conformance.complete and not isinstance(verdict, Unknown):
             report["violations"].append(
                 (i, "completeness", conformance.completeness_gap)
             )

@@ -799,6 +799,23 @@ def test_the_product_of_width_6_pairs_closes_its_swap_diamonds_within_2_seconds(
     assert time.perf_counter() - start < 2
 
 
+def test_a_shuffle_product_is_refused_iff_its_states_pass_the_budget(monkeypatch):
+    """The operands are trim, so every pair of their states is reachable:
+    the shuffle has exactly the product of their state counts, and is
+    refused, with the text of its budget, iff that product passes it."""
+    autos = [compile_traces(random_global_type(20260814 + i)) for i in range(40)]
+    for left, right in zip(autos, autos[1:]):
+        size = left.n_states * right.n_states
+        for cap in (size - 1, size, size + 1):
+            monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", cap)
+            if size > cap:
+                with pytest.raises(BudgetExceededError) as exc:
+                    shuffle_automata(left, right)
+                assert str(exc.value) == f"more than {cap} states in the shuffle product of an `&`"
+            else:
+                assert shuffle_automata(left, right).n_states == size
+
+
 def test_a_shuffle_product_is_budgeted_by_the_states_it_numbers(monkeypatch):
     """Width-2 pairs have 16 states: they compile under a budget of 16, and
     numbering the 16th state passes a budget of 15."""
