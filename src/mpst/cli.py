@@ -18,7 +18,6 @@ import argparse
 import inspect
 import sys
 from contextlib import contextmanager
-from functools import reduce
 from json.encoder import encode_basestring_ascii
 
 from . import projector, runtime, tracelang, verifier
@@ -251,16 +250,13 @@ def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
     """Run the session environment in PATH and report liveness, the number
     of traces up to the length bound, and the first of them.  The traces
     are counted on the session's trace automaton, not enumerated: only the
-    sample printed is built.  Roles that fall into groups with no partner
-    outside their group are explored group by group, when that decides
-    the session as the whole would, and the traces are counted on the
-    shuffle of the groups' trace automata, whose subset automaton is the
-    product of the groups' ones."""
+    sample printed is built.  A session that its components decide (see
+    `runtime.explore_parts`) is counted on the shuffle of their automata,
+    whose subset automaton is the product of theirs."""
     env = _load_env(path)
     bound = length_bound or 2 * len(env) + 8
     session = runtime.Session(env, buf_bound)
-    groups = session.components()
-    parts = runtime.explore_parts(session, groups, depth_bound) if len(groups) > 1 else None
+    parts = runtime.explore_parts(session, depth_bound)
     verdict, automaton = (runtime.Live(), None) if parts is not None else session.explore(depth_bound)
     name = type(verdict).__name__
     report: dict = {
@@ -278,7 +274,7 @@ def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
         lines.append(f"witness: {steps} step(s) to a configuration that cannot succeed")
     with _bound_exhausted({"command": "simulate", "input": path}, as_json):
         if parts is not None:
-            automaton = reduce(tracelang.shuffle_automata, parts)
+            automaton = tracelang.shuffle_automata(*parts.values())
         count, samples = tracelang.count_traces(automaton, bound, trace_count)
     report["traces"] = samples
     report["trace_count"] = count

@@ -145,21 +145,16 @@ class Session:
                 table.append(entries)
             self.moves.append(table)
 
-    def partners(self, i: int) -> set[Role]:
-        """The roles that the machine of role i sends to or receives from."""
-        named: set[Role] = set()
-        for branches in self.machines[i].branches:
-            for kind, peer, _ in branches:
-                named |= {peer} if kind == "out" else peer
-        return named
-
     def components(self) -> list[set[Role]]:
         """The roles, in groups that name no partner outside the group: the
-        connected components of the partner relation, which may hold
-        partners that are not roles of the session."""
+        connected components of the relation between a role and those its
+        machine sends to or receives from, which may not be session roles."""
         groups: list[set[Role]] = []
-        for i, role in enumerate(self.roles):
-            joined, apart = {role} | self.partners(i), []
+        for role, m in zip(self.roles, self.machines):
+            joined, apart = {role}, []
+            for branches in m.branches:
+                for kind, peer, _ in branches:
+                    joined |= {peer} if kind == "out" else peer
             for group in groups:
                 if group.isdisjoint(joined):
                     apart.append(group)
@@ -345,13 +340,12 @@ def explore(
     return Session(env, buf_bound).explore(depth_bound)
 
 
-def explore_parts(session: Session, groups: list[set[Role]], depth_bound: int) -> list[TraceAutomaton] | None:
-    """Explore the roles of each group as a session of its own, when that
-    decides the whole `session` as its own exploration would.
+def explore_parts(session: Session, depth_bound: int) -> dict[frozenset[Role], TraceAutomaton] | None:
+    """Explore each of the session's `components` as a session of its own,
+    when that decides the whole `session` as its own exploration would.
 
-    Suppose every role names partners in its own group only.  Then the
-    groups share no channel, and a move of one changes nothing another
-    reads, so:
+    No role names a partner outside its group.  So the groups share no
+    channel, and a move of one changes nothing another reads, so:
 
     - the configuration graph of the session is the product of the
       groups' graphs: its reachable configurations are the tuples of the
@@ -373,18 +367,18 @@ def explore_parts(session: Session, groups: list[set[Role]], depth_bound: int) -
       groups' counts, as a trace is a choice of the positions that hold
       the first group's letters.
 
-    Returns the trace automaton of each group, which has at most as many
-    states as the group has configurations, so their shuffle has at most
-    `depth_bound`.  None, having explored no further, when some role in a
-    group names a partner outside it, when a group is not Live or its
-    exploration does not finish, or when the product of the groups' sizes
-    passes `depth_bound`."""
-    parts: list[TraceAutomaton] = []
+    Returns the trace automaton of each group, keyed by its roles, with at
+    most as many states as the group has configurations.  None, having
+    explored nothing, when there is one group, and having explored no
+    further when a group is not Live or its exploration does not finish,
+    or when the product of the groups' sizes passes `depth_bound`."""
+    groups = session.components()
+    if len(groups) < 2:
+        return None
+    parts: dict[frozenset[Role], TraceAutomaton] = {}
     size = 1
     for group in groups:
         keep = [i for i, role in enumerate(session.roles) if role in group]
-        if any(not session.partners(i) <= group for i in keep):
-            return None
         part = copy.copy(session)  # shares the machines and move tables
         part.roles = tuple(session.roles[i] for i in keep)
         part.machines = [session.machines[i] for i in keep]
@@ -397,7 +391,7 @@ def explore_parts(session: Session, groups: list[set[Role]], depth_bound: int) -
         live = _can_reach(rows, len(configs), [n for n, s in enumerate(success) if s])
         if 0 in live:
             return None
-        parts.append(_trace_automaton(rows, live, success))
+        parts[frozenset(group)] = _trace_automaton(rows, live, success)
     return parts
 
 

@@ -14,10 +14,10 @@ construction and standard (Caron & Ziadi, TCS 2000): no move enters the
 start state.  So `;`, `|` and `*` never copy an operand's start: the
 accepting states of `a` in `a ; b` take the moves of `b`'s start, the
 start of `a` in `a | b` takes them too, and in `a*` the start of `a`
-accepts and every accepting state takes its moves.  A `;` or `|` spine
-(`spine`) is one fold of `_seq` or `_alt`, which numbers states as nested
-calls would, in one frame; `&` stays binary.  No consumer cleans an
-automaton up first.  The one automaton that is not trim is the one-swap
+accepts and every accepting state takes its moves.  A `;`, `|` or `&`
+spine (`spine`) is one fold of `_seq` or `_alt`, or one `shuffle_automata`,
+numbering states as nested calls would, in one frame.  No consumer cleans
+an automaton up first.  The one automaton that is not trim is the one-swap
 automaton `well_formed` builds for a type that is not well formed, which
 only `includes` reads.
 
@@ -157,7 +157,8 @@ class _Subset(dict):
     is `letters[x]`, and `ids` maps it back).  `self[s]` maps each letter
     of state `s` to its successor, computed when first read (`__missing__`),
     and `accepting[s]` says whether `s` accepts.  Every state of the subset
-    automaton of a trim automaton accepts some word."""
+    automaton of a trim automaton accepts some word.  Numbering a set past
+    `DEFAULT_ENUM_CAP` raises BudgetExceededError, so every reader is budgeted."""
 
     def __init__(self, a: TraceAutomaton):
         letters = sorted({lab for edges in a.delta for lab, _ in edges}, key=_ikey)
@@ -172,15 +173,18 @@ class _Subset(dict):
         for q in sets[s]:
             for x, r in moves[q]:
                 succ.setdefault(x, set()).add(r)
-        row = self[s] = {}
+        row = {}  # kept only once whole
         for x, rs in succ.items():
             t = frozenset(rs)
             n = index.get(t)
             if n is None:
+                if len(sets) >= DEFAULT_ENUM_CAP:
+                    raise BudgetExceededError(f"more than {DEFAULT_ENUM_CAP} states in the subset automaton")
                 n = index[t] = len(sets)
                 sets.append(t)
                 self.accepting.append(not self._accepts.isdisjoint(t))
             row[x] = n
+        self[s] = row
         return row
 
 
@@ -237,32 +241,35 @@ def _star(a: TraceAutomaton) -> TraceAutomaton:
     return TraceAutomaton(delta, a.accepts | {0})
 
 
-def shuffle_automata(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
-    """The automaton of all interleavings of one trace of `a` with one
-    trace of `b`: the reachable pairs of their states, starting at (0, 0).
-    Every state of each is reachable, so every pair is, and the product
-    has `a.n_states * b.n_states` states.  Raises BudgetExceededError,
-    before building any, when that passes `DEFAULT_ENUM_CAP`."""
-    if a.n_states * b.n_states > DEFAULT_ENUM_CAP:
-        raise BudgetExceededError(f"more than {DEFAULT_ENUM_CAP} states in the shuffle product of an `&`")
-    index = {(0, 0): 0}
+def shuffle_automata(*parts: TraceAutomaton) -> TraceAutomaton:
+    """All interleavings of one trace of each of `parts`: every tuple of
+    their states (each one number, in mixed radix), numbered depth-first
+    from (0, ..., 0) taking each part's moves in turn, as nested binary
+    products number them.  Raises BudgetExceededError, before building
+    any, when their number passes `DEFAULT_ENUM_CAP`."""
+    radix, size = [], 1
+    for part in parts:
+        moves = [[(lab, (r - q) * size) for lab, r in edges] for q, edges in enumerate(part.delta)]
+        radix.append((size, part.n_states, moves, part.accepts))
+        size *= part.n_states
+        if size > DEFAULT_ENUM_CAP:
+            raise BudgetExceededError(f"more than {DEFAULT_ENUM_CAP} states in the shuffle product of an `&`")
+    index = {0: 0}
     delta: list[list[tuple[Interaction, int]]] = [[]]
-    work = [(0, 0)]
+    work = [0]
     while work:
-        p, q = work.pop()
-        edges = delta[index[p, q]]
-        moves = [(lab, (r, q)) for lab, r in a.delta[p]]
-        moves += [(lab, (p, r)) for lab, r in b.delta[q]]
-        for lab, t in moves:
-            if t not in index:
-                index[t] = len(delta)
-                delta.append([])
-                work.append(t)
-            edges.append((lab, index[t]))
-    accepts = frozenset(
-        s for (p, q), s in index.items() if p in a.accepts and q in b.accepts
-    )
-    return TraceAutomaton(delta, accepts)
+        t = work.pop()
+        edges = delta[index[t]]
+        for stride, n, moves, _ in radix:
+            for lab, shift in moves[t // stride % n]:
+                s = index.get(t + shift)
+                if s is None:
+                    s = index[t + shift] = len(delta)
+                    delta.append([])
+                    work.append(t + shift)
+                edges.append((lab, s))
+    accepts = (s for t, s in index.items() if all(t // stride % n in f for stride, n, _, f in radix))
+    return TraceAutomaton(delta, frozenset(accepts))
 
 
 def kexit_unfolding(
@@ -287,8 +294,8 @@ def compile_traces(g: GlobalType) -> TraceAutomaton:
             return _letter(i)
         case GSeq() | GEither():
             return reduce(_seq if type(g) is GSeq else _alt, map(compile_traces, spine(g)))
-        case GBoth(l, r):
-            return shuffle_automata(compile_traces(l), compile_traces(r))
+        case GBoth():
+            return shuffle_automata(*map(compile_traces, spine(g)))
         case GStar(b):
             return _star(compile_traces(b))
         case GKExit(bodies, exits):

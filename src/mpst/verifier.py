@@ -64,6 +64,7 @@ from .tracelang import (
     is_well_formed,
     parikh_vector,
     role_groups,
+    shuffle_automata,
     word_key,
 )
 
@@ -171,27 +172,28 @@ def check_preorder(
 ) -> ConformanceReport:
     """Check that `env` implements `g`: sound and complete.
 
-    A type whose root `&` spine has several role groups with roles (see
-    `tracelang.role_groups`) is first checked group by group, when `env`
-    has exactly the roles of `g` and splits along the groups (see
-    `runtime.explore_parts`).  If every group's session is Live, the
-    whole exploration would finish, and every group's session has the
-    traces of its group, then the session's traces and those of `g` are
-    shuffles of the same languages, and the report is the one the whole
-    product gives: sound, complete, Live and exact.  Otherwise, or if some
-    group's inclusion fails, the product is checked, so counterexamples,
-    witnesses and bounds are its own."""
+    The session is explored once: by its components when they decide it
+    (see `runtime.explore_parts`), and whole otherwise.  Components that
+    decide are Live, and the session's traces are the shuffle of theirs.
+    When they have the roles of the role groups of `g` (see
+    `tracelang.role_groups`) and each has its group's traces, the report
+    is the whole product's: sound, complete, Live and exact.  Otherwise
+    their shuffle is checked against `g`, or against the shuffle of its
+    groups; every field of the report depends on the two languages alone,
+    so counterexamples and bounds are the product's."""
     if max_len is None:
         max_len = default_max_len(g)
-    groups = [group for group in role_groups(g) if roles_of(group)] if type(g) is GBoth else []
-    if len(groups) > 1 and set(env) == roles_of(g):
-        parts = explore_parts(Session(env, buf_bound), [roles_of(group) for group in groups], depth_bound)
-        if parts is not None and all(
-            includes(a, auto) is None and includes(auto, a) is None
-            for a, auto in zip(parts, map(compile_traces, groups))
-        ):
-            return ConformanceReport(True, None, True, None, max_len, buf_bound, "exact", "Live")
-    return _conformance(compile_traces(g), *explore(env, buf_bound, depth_bound), max_len, buf_bound)
+    session = Session(env, buf_bound)
+    parts = explore_parts(session, depth_bound)
+    if parts is None:
+        return _conformance(compile_traces(g), *session.explore(depth_bound), max_len, buf_bound)
+    groups = {roles_of(group): group for group in role_groups(g)}
+    if groups.keys() != parts.keys():
+        return _conformance(compile_traces(g), Live(), shuffle_automata(*parts.values()), max_len, buf_bound)
+    autos = [compile_traces(groups[roles]) for roles in parts]
+    if all(includes(a, auto) is None and includes(auto, a) is None for a, auto in zip(parts.values(), autos)):
+        return ConformanceReport(True, None, True, None, max_len, buf_bound, "exact", "Live")
+    return _conformance(shuffle_automata(*autos), Live(), shuffle_automata(*parts.values()), max_len, buf_bound)
 
 
 # --- candidate implementations for diagnosis --------------------------------

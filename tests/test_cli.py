@@ -21,6 +21,7 @@ from mpst import cli, projector, runtime, tracelang, verifier
 from mpst.syntax import (
     GBoth,
     Interaction,
+    default_max_len,
     parse_global_type,
     parse_session_env,
     print_global_type,
@@ -99,21 +100,32 @@ DEEP_INPUTS = {
     # each interaction is sent by the receiver of the one before
     "chain1500": " ;\n".join(f"{ROLES[i % 4]} -> {ROLES[(i + 1) % 4]} : m" for i in range(1500)),
     "nesting1200": "(" * 1200 + "p -> q : a" + ")" * 1200,
+    "and1500": " & ".join(f"p -> q : m{i}" for i in range(1500)),
 }
+AND_REFUSED = "more than 100000 states in the shuffle product of an `&`"
 
 
 @pytest.mark.parametrize("command", ["check", "project"])
 @pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
 def test_too_deep_inputs_exit_with_usage_code(tmp_path, name, command):
-    """Neither input is too deep any more.  A long `;` spine is compiled and
-    projected in one frame, so the 1,500-interaction chain decides.
-    Parentheses parse off an explicit stack, so 1,200 of them decide as
-    the interaction they enclose does."""
+    """Only one input is too deep: the projector still takes an `&` spine
+    one frame per operand, so the 1,500-operand spine exits 2 in
+    `project`, while `check` compiles it in one frame and refuses its
+    product of 2**1500 states.  A long `;` spine is compiled and projected
+    in one frame, so the 1,500-interaction chain decides.  Parentheses
+    parse off an explicit stack, so 1,200 of them decide as the
+    interaction they enclose does."""
     path = tmp_path / f"{name}.gt"
     path.write_text(DEEP_INPUTS[name])
     result = run(command, str(path))
     assert "Traceback" not in result.stderr
-    if name == "chain1500":
+    if name == "and1500":
+        if command == "check":
+            assert (result.returncode, result.stdout, result.stderr) == (1, f"BoundExhausted: {AND_REFUSED}\n", "")
+        else:
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == "error: input nests too deeply\n"
+    elif name == "chain1500":
         assert (result.returncode, result.stderr) == (0, "")
         if command == "check":
             assert result.stdout == "WellFormed\n"
@@ -128,6 +140,28 @@ def test_too_deep_inputs_exit_with_usage_code(tmp_path, name, command):
         expected = run(command, str(bare))
         assert expected.returncode == 0
         assert (result.returncode, result.stdout, result.stderr) == (0, expected.stdout, "")
+
+
+@pytest.mark.parametrize("command", ["trace", "classify", "verify"])
+def test_a_long_and_spine_is_refused_unless_it_is_projected(tmp_path, command):
+    """`trace` and `classify` compile the 1,500-operand `&` spine in one
+    frame and report its product as BoundExhausted; `verify` projects it
+    first, which takes a frame per operand, so it exits 2."""
+    path = tmp_path / "and1500.gt"
+    path.write_text(DEEP_INPUTS["and1500"])
+    result = run(command, str(path), "--json")
+    if command == "verify":
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: input nests too deeply\n"
+        return
+    assert (result.returncode, result.stderr) == (1, "")
+    assert json.loads(result.stdout) == {
+        "command": command,
+        "detail": AND_REFUSED,
+        "error": "BoundExhausted",
+        "input": str(path),
+        "schema": 1,
+    }
 
 
 def right_nested(links: list[str]) -> str:
@@ -778,6 +812,52 @@ def test_crosscheck_explores_one_session_per_checked_sample(monkeypatch, capsys,
     assert len(built) == checked and explored == built
 
 
+FAULTY_PAIR = (
+    "p : q!a.q?b.end\n"
+    "q : p?a.p!b.end\n"
+    "r : s!c.end (+) s!d.end\n"
+    "s : r?c.end + r?d.end\n"
+)
+
+
+@pytest.mark.parametrize(
+    "protocol, env_text, components",
+    [
+        ("(p -> q : a ; q -> p : b) & r -> s : c", FAULTY_PAIR, [["p", "q"], ["r", "s"]]),
+        ("(p -> q : a ; r -> s : b) & t -> u : c", None, [["p", "q"], ["r", "s"], ["t", "u"]]),
+    ],
+    ids=["faulty-pair", "coarse-groups"],
+)
+def test_verify_explores_each_component_once(monkeypatch, tmp_path, capsys, sessions, protocol, env_text, components):
+    """`verify` explores each component of a role-disjoint session once,
+    and never the whole session, even when a part's traces differ from
+    its role group's (the faulty pair can also send `d`) or when the
+    type's groups are coarser than the session's components (`p`, `q`,
+    `r` and `s` are one group of the type).  It reports what the whole
+    session, explored once against the whole type, gives: both sessions
+    have a trace that the type lacks."""
+    built, explored = sessions
+    path = tmp_path / "g.gt"
+    path.write_text(protocol + "\n")
+    args = ["verify", str(path)]
+    if env_text is not None:
+        args.append(str(tmp_path / "env.mps"))
+        (tmp_path / "env.mps").write_text(env_text)
+    code = run_in_process(monkeypatch, *args, "--json")
+    payload = json.loads(capsys.readouterr().out)
+    assert len(built) == 1
+    assert [sorted(session.roles) for session in explored] == components
+    g = parse_global_type(protocol)
+    env = projector.project_top(g) if env_text is None else parse_session_env(env_text)
+    expected = verify_reference(g, env, default_max_len(g), runtime.DEFAULT_BUF_BOUND, runtime.DEFAULT_DEPTH_BOUND)
+    assert {key: payload[key] for key in expected} == expected
+    assert code == 1 and (payload["sound"], payload["complete"], payload["basis"]) == (False, True, "exact")
+    if env_text is None:  # nothing orders `r -> s : b` after `p -> q : a`
+        assert payload["sound_counterexample"] == ["r -> s : b", "p -> q : a", "t -> u : c"]
+    else:
+        assert payload["sound_counterexample"] == ["p -> q : a", "q -> p : b", "r -> s : d"]
+
+
 def test_simulate_decides_four_parallel_pairs(monkeypatch, capsys, tmp_path):
     """All 12!/(3!)**4 traces of width-4 pairs are counted, in under two
     seconds of CPU."""
@@ -1165,6 +1245,27 @@ def test_width_ten_pairs_end_bound_exhausted_or_decide_in_bounded_memory(tmp_pat
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert (payload["sound"], payload["complete"], payload["liveness"], payload["basis"]) == (True, True, "Live", "exact")
+
+
+def test_a_subset_automaton_past_its_budget_ends_bound_exhausted(tmp_path):
+    """`(p -> q : a | p -> q : b)* ; p -> q : a` followed by 22 choices
+    between the same two letters has about 2**23 sets of states to tell
+    apart.  `check` and `classify` stop before the 100,001st, with one
+    BoundExhausted report and nothing on stderr."""
+    path = tmp_path / "choices.gt"
+    path.write_text("(p -> q : a | p -> q : b)* ; p -> q : a ; " + " ; ".join(["(p -> q : a | p -> q : b)"] * 22))
+    for command in ("check", "classify"):
+        start = time.perf_counter()
+        proc = run_capped(command, str(path), "--json")
+        assert time.perf_counter() - start < 60
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout) == {
+            "command": command,
+            "detail": "more than 100000 states in the subset automaton",
+            "error": "BoundExhausted",
+            "input": str(path),
+            "schema": 1,
+        }
 
 
 @pytest.mark.parametrize(

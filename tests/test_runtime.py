@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from functools import reduce
 
 import pytest
 
@@ -437,18 +436,17 @@ TWO_LOOPS_AND_A_PAIR = "\n".join([
 
 def test_parts_are_explored_only_when_they_decide_the_whole():
     """Width-3 pairs have 7**3 configurations: each pair is explored alone
-    from a depth of 343 on.  A partner outside a group, or a group that is
-    not live, sends the session back to its whole exploration."""
+    from a depth of 343 on.  A component that is not live sends the
+    session back to its whole exploration."""
     session = Session(pairs_env(3))
-    groups = session.components()
-    assert sorted(map(sorted, groups)) == [["a0", "b0"], ["a1", "b1"], ["a2", "b2"]]
-    assert explore_parts(session, groups, 342) is None
-    parts = explore_parts(session, groups, 343)
-    assert [automaton.n_states for automaton in parts] == [4, 4, 4]
-    assert explore_parts(session, [{"a0", "b0", "a1"}, {"b1", "a2", "b2"}], 343) is None
+    assert sorted(map(sorted, session.components())) == [["a0", "b0"], ["a1", "b1"], ["a2", "b2"]]
+    assert explore_parts(session, 342) is None
+    parts = explore_parts(session, 343)
+    assert sorted(map(sorted, parts)) == [["a0", "b0"], ["a1", "b1"], ["a2", "b2"]]
+    assert [automaton.n_states for automaton in parts.values()] == [4, 4, 4]
     starving = Session(parse_session_env(STARVING_OBSERVER + "\n" + pairs_text(1)))
     assert len(starving.components()) == 2
-    assert explore_parts(starving, starving.components(), DEFAULT_DEPTH_BOUND) is None
+    assert explore_parts(starving, DEFAULT_DEPTH_BOUND) is None
 
 
 def test_counting_parts_answers_as_the_whole_under_every_budget():
@@ -465,7 +463,7 @@ def test_counting_parts_answers_as_the_whole_under_every_budget():
     for text in (pairs_text(2), LOOP_UNTIL_DONE + "\n" + pairs_text(1), TWO_LOOPS_AND_A_PAIR):
         env = parse_session_env(text)
         session = Session(env)
-        shuffle = reduce(shuffle_automata, explore_parts(session, session.components(), DEFAULT_DEPTH_BOUND))
+        shuffle = shuffle_automata(*explore_parts(session, DEFAULT_DEPTH_BOUND).values())
         automaton = explore(env)[1]
         for max_len in (0, 1, 4, 9):
             spared = count_traces(automaton, max_len, 60, 10**6)

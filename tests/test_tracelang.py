@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from collections import deque
 
@@ -17,12 +19,15 @@ from mpst.syntax import (
     GAction,
     GBoth,
     GEither,
+    GKExit,
     GSeq,
     GSkip,
     GStar,
     Interaction,
     parse_global_type,
+    print_global_type,
     roles_of,
+    spine,
     subterms,
     with_subterms,
 )
@@ -800,20 +805,86 @@ def test_the_product_of_width_6_pairs_closes_its_swap_diamonds_within_2_seconds(
 
 
 def test_a_shuffle_product_is_refused_iff_its_states_pass_the_budget(monkeypatch):
-    """The operands are trim, so every pair of their states is reachable:
-    the shuffle has exactly the product of their state counts, and is
-    refused, with the text of its budget, iff that product passes it."""
+    """The operands are trim, so every tuple of their states is reachable:
+    the shuffle of 2, 3 or 4 of them has exactly the product of their
+    state counts, and is refused, with the text of its budget, iff that
+    product passes it."""
     autos = [compile_traces(random_global_type(20260814 + i)) for i in range(40)]
-    for left, right in zip(autos, autos[1:]):
-        size = left.n_states * right.n_states
+    for operands in (autos[k : k + width] for width in (2, 3, 4) for k in range(len(autos) - width + 1)):
+        size = math.prod(a.n_states for a in operands)
         for cap in (size - 1, size, size + 1):
             monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", cap)
             if size > cap:
                 with pytest.raises(BudgetExceededError) as exc:
-                    shuffle_automata(left, right)
+                    shuffle_automata(*operands)
                 assert str(exc.value) == f"more than {cap} states in the shuffle product of an `&`"
             else:
-                assert shuffle_automata(left, right).n_states == size
+                assert shuffle_automata(*operands).n_states == size
+
+
+def binary_shuffle(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
+    """The reference for `shuffle_automata`: the product of two automata,
+    numbering pairs of states depth-first as they are found, `a`'s moves
+    before `b`'s."""
+    index = {(0, 0): 0}
+    delta: list = [[]]
+    work = [(0, 0)]
+    while work:
+        p, q = work.pop()
+        edges = delta[index[p, q]]
+        moves = [(lab, (r, q)) for lab, r in a.delta[p]]
+        moves += [(lab, (p, r)) for lab, r in b.delta[q]]
+        for lab, t in moves:
+            if t not in index:
+                index[t] = len(delta)
+                delta.append([])
+                work.append(t)
+            edges.append((lab, index[t]))
+    accepts = frozenset(s for (p, q), s in index.items() if p in a.accepts and q in b.accepts)
+    return TraceAutomaton(delta, accepts)
+
+
+def binary_compile(sample) -> TraceAutomaton:
+    """`compile_traces` with every `&` taken as the binary product of its
+    two sides, as the term nests them."""
+    if type(sample) is GBoth:
+        return binary_shuffle(binary_compile(sample.left), binary_compile(sample.right))
+    if type(sample) in (GSeq, GEither):
+        join = tracelang._seq if type(sample) is GSeq else tracelang._alt
+        return functools.reduce(join, map(binary_compile, spine(sample)))
+    if type(sample) is GStar:
+        return tracelang._star(binary_compile(sample.body))
+    if type(sample) is GKExit:
+        return binary_compile(tracelang.kexit_unfolding(sample.bodies, sample.exits))
+    return compile_traces(sample)
+
+
+def test_an_and_spine_compiles_as_nested_binary_products_do():
+    """`compile_traces` folds an `&` spine into one product, which numbers
+    the states of left-, right- and mixed-nested spines as the nested
+    binary products do: the same moves, acceptance and DOT text, on
+    spines of up to six operands and on random samples."""
+    operands = [g(f"p{i} -> q{i} : a ; (q{i} -> p{i} : b | q{i} -> p{i} : c)") for i in range(6)]
+    operands[2] = g("p2 -> q2 : a*")
+    for n in range(2, 7):
+        spines = [
+            functools.reduce(GBoth, operands[:n]),
+            functools.reduce(lambda rest, x: GBoth(x, rest), reversed(operands[:n])),
+        ]
+        if n > 3:
+            spines.append(GBoth(GBoth(operands[0], functools.reduce(GBoth, operands[1 : n - 1])), operands[n - 1]))
+            half = n // 2
+            spines.append(GBoth(functools.reduce(GBoth, operands[:half]), functools.reduce(GBoth, operands[half:n])))
+        for sample in spines:
+            a, b = compile_traces(sample), binary_compile(sample)
+            assert (a.delta, a.accepts, a.to_dot()) == (b.delta, b.accepts, b.to_dot())
+    both = 0
+    for i in range(600):
+        sample = random_global_type(20260814 + i, max_size=10)
+        both += "&" in print_global_type(sample)
+        a, b = compile_traces(sample), binary_compile(sample)
+        assert (a.delta, a.accepts, a.to_dot()) == (b.delta, b.accepts, b.to_dot())
+    assert both > 100
 
 
 def test_a_shuffle_product_is_budgeted_by_the_states_it_numbers(monkeypatch):
@@ -824,3 +895,22 @@ def test_a_shuffle_product_is_budgeted_by_the_states_it_numbers(monkeypatch):
     monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 15)
     with pytest.raises(BudgetExceededError, match="more than 15 states in the shuffle product of an `&`"):
         compile_traces(g(pairs(2)))
+
+
+def test_a_subset_automaton_is_budgeted_by_the_sets_it_numbers(monkeypatch):
+    """`(p -> q : a | p -> q : b)* ; p -> q : a` followed by three choices
+    between the same letters has 17 subset states: reading every row is
+    refused under a budget of 16, with the text of the budget.  A refused
+    row is not kept, so the same automaton, asked again under a budget of
+    17, answers as a fresh one."""
+    choice = "(p -> q : a | p -> q : b)"
+    sample = g(f"{choice}* ; p -> q : a ; " + " ; ".join([choice] * 3))
+    auto = compile_traces(sample)
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 16)
+    with pytest.raises(BudgetExceededError, match="^more than 16 states in the subset automaton$"):
+        swap_closed(auto)
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 17)
+    fresh = compile_traces(sample)
+    assert swap_closed(auto) == swap_closed(fresh)
+    assert list_traces(auto, 8) == list_traces(fresh, 8)
+    assert [auto._subset[s] for s in range(17)] == [fresh._subset[s] for s in range(17)]
