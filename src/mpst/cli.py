@@ -250,14 +250,12 @@ def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
     """Run the session environment in PATH and report liveness, the number
     of traces up to the length bound, and the first of them.  The traces
     are counted on the session's trace automaton, not enumerated: only the
-    sample printed is built.  A session that its components decide (see
-    `runtime.explore_parts`) is counted on the shuffle of their automata,
-    whose subset automaton is the product of theirs."""
+    sample printed is built.  They are counted on the shuffle of the parts
+    of one `runtime.explore_parts`, whose subset automaton is the product
+    of theirs."""
     env = _load_env(path)
     bound = length_bound or 2 * len(env) + 8
-    session = runtime.Session(env, buf_bound)
-    parts = runtime.explore_parts(session, depth_bound)
-    verdict, automaton = (runtime.Live(), None) if parts is not None else session.explore(depth_bound)
+    verdict, parts = runtime.explore_parts(runtime.Session(env, buf_bound), depth_bound)
     name = type(verdict).__name__
     report: dict = {
         "command": "simulate",
@@ -273,9 +271,7 @@ def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
         report["witness_steps"] = steps
         lines.append(f"witness: {steps} step(s) to a configuration that cannot succeed")
     with _bound_exhausted({"command": "simulate", "input": path}, as_json):
-        if parts is not None:
-            automaton = tracelang.shuffle_automata(*parts.values())
-        count, samples = tracelang.count_traces(automaton, bound, trace_count)
+        count, samples = tracelang.count_traces(tracelang.shuffle_automata(*parts.values()), bound, trace_count)
     report["traces"] = samples
     report["trace_count"] = count
     lines.append(f"traces up to length {bound}: {count}")

@@ -25,9 +25,10 @@ changes.
 A session whose roles fall into groups that name no partner outside
 their group is the product of the groups' sessions.  `explore_parts`
 explores each group alone, n1 + n2 + ... configurations where the whole
-has n1 · n2 · ..., and gives up, for the whole exploration, unless that
-decides the session as the whole would: every group Live and n1 · n2 · ...
-within the depth bound.
+has n1 · n2 · ..., and the whole only when that cannot decide the session
+(one group, a group not Live, or n1 · n2 · ... past the depth bound);
+either way it answers with a verdict and the trace automaton in parts
+keyed by their roles.
 """
 
 from __future__ import annotations
@@ -340,9 +341,9 @@ def explore(
     return Session(env, buf_bound).explore(depth_bound)
 
 
-def explore_parts(session: Session, depth_bound: int) -> dict[frozenset[Role], TraceAutomaton] | None:
-    """Explore each of the session's `components` as a session of its own,
-    when that decides the whole `session` as its own exploration would.
+def explore_parts(session: Session, depth_bound: int) -> tuple[Live | NotLive | Unknown, dict[frozenset[Role], TraceAutomaton]]:
+    """The verdict of `session.explore(depth_bound)` and the session's trace
+    automaton in parts keyed by their roles, one per group of `components`.
 
     No role names a partner outside its group.  So the groups share no
     channel, and a move of one changes nothing another reads, so:
@@ -351,8 +352,8 @@ def explore_parts(session: Session, depth_bound: int) -> dict[frozenset[Role], T
       groups' graphs: its reachable configurations are the tuples of the
       groups' reachable configurations, n1 · n2 · ... of them, so its
       exploration finishes iff that product is at most `depth_bound`;
-    - the session is Live iff every group is, as a tuple can reach success
-      iff each of its entries can;
+    - a tuple can reach success iff each of its entries can, so the
+      session is Live iff every group is;
     - its traces are the shuffle of the groups' traces, over disjoint
       alphabets, as letters name the roles that take them (see
       `tracelang.role_groups`);
@@ -367,32 +368,34 @@ def explore_parts(session: Session, depth_bound: int) -> dict[frozenset[Role], T
       groups' counts, as a trace is a choice of the positions that hold
       the first group's letters.
 
-    Returns the trace automaton of each group, keyed by its roles, with at
-    most as many states as the group has configurations.  None, having
-    explored nothing, when there is one group, and having explored no
-    further when a group is not Live or its exploration does not finish,
-    or when the product of the groups' sizes passes `depth_bound`."""
+    So two or more groups, each Live, whose sizes multiply to at most
+    `depth_bound` answer Live with each group's automaton (no larger than
+    its graph).  Otherwise the whole is explored, as one part keyed by all
+    its roles, for its NotLive witness or its Unknown count: a group whose
+    exploration is cut has more than `depth_bound` configurations."""
     groups = session.components()
-    if len(groups) < 2:
-        return None
-    parts: dict[frozenset[Role], TraceAutomaton] = {}
-    size = 1
-    for group in groups:
-        keep = [i for i, role in enumerate(session.roles) if role in group]
-        part = copy.copy(session)  # shares the machines and move tables
-        part.roles = tuple(session.roles[i] for i in keep)
-        part.machines = [session.machines[i] for i in keep]
-        part.moves = [session.moves[i] for i in keep]
-        configs, rows, _, truncated = _explore(part, depth_bound)
-        size *= len(configs)
-        if truncated or size > depth_bound:
-            return None
-        success = bytearray(map(part._succeeds, configs))
-        live = _can_reach(rows, len(configs), [n for n, s in enumerate(success) if s])
-        if 0 in live:
-            return None
-        parts[frozenset(group)] = _trace_automaton(rows, live, success)
-    return parts
+    if len(groups) > 1:
+        parts: dict[frozenset[Role], TraceAutomaton] = {}
+        size = 1
+        for group in groups:
+            keep = [i for i, role in enumerate(session.roles) if role in group]
+            part = copy.copy(session)  # shares the machines and move tables
+            part.roles = tuple(session.roles[i] for i in keep)
+            part.machines = [session.machines[i] for i in keep]
+            part.moves = [session.moves[i] for i in keep]
+            configs, rows, _, _ = _explore(part, depth_bound)
+            size *= len(configs)
+            if size > depth_bound:
+                break
+            success = bytearray(map(part._succeeds, configs))
+            live = _can_reach(rows, len(configs), [n for n, s in enumerate(success) if s])
+            if 0 in live:
+                break
+            parts[frozenset(group)] = _trace_automaton(rows, live, success)
+        else:
+            return Live(), parts
+    verdict, automaton = session.explore(depth_bound)
+    return verdict, {frozenset(session.roles): automaton}
 
 
 def is_live(

@@ -55,11 +55,11 @@ word outside the traces.
 
 A type whose root is an `&` of parts with disjoint roles is decided one
 part at a time.  The operands of the root `&` spine are grouped by shared
-roles, transitively (`role_groups`); with more than one group, the type is
-well formed iff each group is, so each group is compiled alone and the
-product of the groups, whose states multiply, is never built for a
-well-formed type.  Only the witness of a type that is not well formed is
-found on the product, as for any type.
+roles, transitively (`role_groups`), and compiled alone (`compile_parts`);
+the type is well formed iff each group is, so the product of the groups,
+whose states multiply, is never built for a well-formed type.  Only the
+witness of a type that is not well formed is found on the product, as
+for any type.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ from .syntax import (
     GSkip,
     GStar,
     Interaction,
+    Role,
     roles_of,
     spine,
 )
@@ -245,8 +246,11 @@ def shuffle_automata(*parts: TraceAutomaton) -> TraceAutomaton:
     """All interleavings of one trace of each of `parts`: every tuple of
     their states (each one number, in mixed radix), numbered depth-first
     from (0, ..., 0) taking each part's moves in turn, as nested binary
-    products number them.  Raises BudgetExceededError, before building
-    any, when their number passes `DEFAULT_ENUM_CAP`."""
+    products number them.  A lone part is returned as it is.  Raises
+    BudgetExceededError, before building any, when their number passes
+    `DEFAULT_ENUM_CAP`."""
+    if len(parts) == 1:
+        return parts[0]
     radix, size = [], 1
     for part in parts:
         moves = [[(lab, (r - q) * size) for lab, r in edges] for q, edges in enumerate(part.delta)]
@@ -471,12 +475,18 @@ def includes(a1: TraceAutomaton, a2: TraceAutomaton) -> Word | None:
     the shortlex-least word (letters ordered by `_ikey`) accepted by `a1`
     and rejected by `a2`.  Neither automaton needs to be trim: the
     breadth-first search over pairs of states of their subset automata
-    (-1 for no state of `a2`) finds that word all the same."""
+    (-1 for no state of `a2`) finds that word all the same.  Raises
+    BudgetExceededError when the search visits more than
+    `DEFAULT_ENUM_CAP` pairs."""
     d1, d2 = a1._subset, a2._subset
     into = [d2.ids.get(letter, -1) for letter in d1.letters]
     parent: dict = {(0, 0): None}
     queue = deque([(0, 0)])
+    visited = 0
     while queue:
+        visited += 1
+        if visited > DEFAULT_ENUM_CAP:
+            raise BudgetExceededError(f"visited more than {DEFAULT_ENUM_CAP} pairs of states comparing two languages")
         pair = queue.popleft()
         s1, s2 = pair
         if d1.accepting[s1] and (s2 < 0 or not d2.accepting[s2]):
@@ -742,8 +752,8 @@ def role_groups(g: GlobalType) -> list[GlobalType]:
     This is the commutation of letters over disjoint alphabets in
     Mazurkiewicz trace theory (Diekert & Rozenberg, *The Book of Traces*,
     1995).  The same facts let a session whose roles split along the
-    groups be explored, compared and counted group by group (see
-    `runtime.explore_parts`)."""
+    groups be explored, compared (`compile_parts` and
+    `runtime.explore_parts` key their parts alike) and counted group by group."""
     groups: list[tuple[frozenset, list[GlobalType]]] = []
     for operand in spine(g) if type(g) is GBoth else [g]:
         roles, members, apart = roles_of(operand), [], []
@@ -759,20 +769,19 @@ def role_groups(g: GlobalType) -> list[GlobalType]:
     return [reduce(GBoth, members) for _, members in groups]
 
 
-def _well_formed(g: GlobalType) -> tuple[bool, TraceAutomaton | None]:
-    """Whether each role group of `g` (see `role_groups`), compiled alone,
-    is closed under swaps, stopping at the first that is not; and the
-    automaton of `g` when it is one group, None when it is several."""
-    groups = role_groups(g)
-    if len(groups) == 1:
-        a = compile_traces(g)
-        return swap_closed(a), a
-    return all(swap_closed(compile_traces(group)) for group in groups), None
+def compile_parts(g: GlobalType) -> dict[frozenset[Role], TraceAutomaton]:
+    """The automaton of each role group of `g` (see `role_groups`), compiled
+    alone and keyed by the group's roles.  Their shuffle accepts the traces
+    of `g`, and has as many states as the automaton of `g`.  Groups with no
+    role accept the empty word alone, so they may share a key."""
+    return {roles_of(group): compile_traces(group) for group in role_groups(g)}
 
 
 def is_well_formed(g: GlobalType) -> bool:
-    """Whether `g` is well formed (see `well_formed`), without a witness."""
-    return _well_formed(g)[0]
+    """Whether `g` is well formed (see `well_formed`), without a witness:
+    each role group is compiled and decided in turn, stopping at the first
+    that is not."""
+    return all(swap_closed(compile_traces(group)) for group in role_groups(g))
 
 
 def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:
@@ -781,15 +790,14 @@ def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:
 
     Closure under one swap implies closure under any number of swaps, so
     checking the one-swap variants suffices.  `swap_closed` decides it on
-    the subset automaton of each role group of `g` (see `role_groups`).
+    the subset automaton of each role group of `g` (see `compile_parts`).
     Only a type that is not well formed builds the one-swap automaton, of
-    `g` compiled whole, whose shortlex-least word outside the traces,
-    swapped back, is the witness."""
-    well, a = _well_formed(g)
-    if well:
+    the shuffle of its groups, whose shortlex-least word outside the
+    traces, swapped back, is the witness."""
+    parts = compile_parts(g).values()
+    if all(map(swap_closed, parts)):
         return WellFormed()
-    if a is None:
-        a = compile_traces(g)
+    a = shuffle_automata(*parts)
     w2 = includes(_swap_variants(a), a)
     assert w2 is not None, "an open swap diamond with every swap variant a trace"
     for i in range(len(w2) - 1):

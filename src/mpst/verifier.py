@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import machine as _machine
 from .projector import DEFAULT_AND_BUDGET, ProjectionError, project_first, project_top
-from .runtime import DEFAULT_BUF_BOUND, DEFAULT_DEPTH_BOUND, Live, NotLive, Session, Unknown, explore, explore_parts
+from .runtime import DEFAULT_BUF_BOUND, DEFAULT_DEPTH_BOUND, Live, NotLive, Session, Unknown, explore_parts
 from .syntax import (
     GAction,
     GBoth,
@@ -48,7 +48,6 @@ from .syntax import (
     TInternal,
     TOut,
     default_max_len,
-    roles_of,
     spine,
     subterms,
     with_subterms,
@@ -57,14 +56,13 @@ from .tracelang import (
     BudgetExceededError,
     TraceAutomaton,
     Word,
-    _well_formed,
-    compile_traces,
+    compile_parts,
     enumerate_traces,
     includes,
     is_well_formed,
     parikh_vector,
-    role_groups,
     shuffle_automata,
+    swap_closed,
     word_key,
 )
 
@@ -172,28 +170,30 @@ def check_preorder(
 ) -> ConformanceReport:
     """Check that `env` implements `g`: sound and complete.
 
-    The session is explored once: by its components when they decide it
-    (see `runtime.explore_parts`), and whole otherwise.  Components that
-    decide are Live, and the session's traces are the shuffle of theirs.
-    When they have the roles of the role groups of `g` (see
-    `tracelang.role_groups`) and each has its group's traces, the report
-    is the whole product's: sound, complete, Live and exact.  Otherwise
-    their shuffle is checked against `g`, or against the shuffle of its
-    groups; every field of the report depends on the two languages alone,
-    so counterexamples and bounds are the product's."""
+    The type is compiled by its role groups (`tracelang.compile_parts`)
+    and the session explored once, by its components when they decide it
+    (`runtime.explore_parts`); see `_check`."""
     if max_len is None:
         max_len = default_max_len(g)
-    session = Session(env, buf_bound)
-    parts = explore_parts(session, depth_bound)
-    if parts is None:
-        return _conformance(compile_traces(g), *session.explore(depth_bound), max_len, buf_bound)
-    groups = {roles_of(group): group for group in role_groups(g)}
-    if groups.keys() != parts.keys():
-        return _conformance(compile_traces(g), Live(), shuffle_automata(*parts.values()), max_len, buf_bound)
-    autos = [compile_traces(groups[roles]) for roles in parts]
-    if all(includes(a, auto) is None and includes(auto, a) is None for a, auto in zip(parts.values(), autos)):
+    return _check(compile_parts(g), env, max_len, buf_bound, depth_bound)
+
+
+def _check(
+    groups: dict[frozenset[Role], TraceAutomaton], env: SessionEnv, max_len: int, buf_bound: int, depth_bound: int,
+) -> ConformanceReport:
+    """`check_preorder` of `env` against the type whose role groups are
+    compiled to `groups`.  When the session's parts are several, have the
+    groups' roles and each has its group's traces, the report is the whole
+    product's: sound, complete, Live and exact (see `runtime.explore_parts`).
+    Otherwise the shuffle of the parts is checked against the shuffle of
+    the groups; every field of the report depends on the two languages
+    alone, so counterexamples and bounds are the product's."""
+    verdict, parts = explore_parts(Session(env, buf_bound), depth_bound)
+    if len(parts) > 1 and parts.keys() == groups.keys() and all(
+        includes(a, groups[roles]) is None and includes(groups[roles], a) is None for roles, a in parts.items()
+    ):
         return ConformanceReport(True, None, True, None, max_len, buf_bound, "exact", "Live")
-    return _conformance(shuffle_automata(*autos), Live(), shuffle_automata(*parts.values()), max_len, buf_bound)
+    return _conformance(shuffle_automata(*groups.values()), verdict, shuffle_automata(*parts.values()), max_len, buf_bound)
 
 
 # --- candidate implementations for diagnosis --------------------------------
@@ -387,12 +387,12 @@ def classify(
     Relaxations are tried only for a type with at most 16 `;` nodes: a
     type that is not well formed and has more goes straight to
     Unclassified.  Every projection tried along the way uses `budget` (see
-    `project_top`).  The candidates are checked against the automaton of
-    `g` that deciding well-formedness compiled, or against one compiled
-    then if only the role groups of `g` were (see `role_groups`).
+    `project_top`).  Each candidate is checked (`_check`) against the
+    automata of the role groups of `g` that deciding well-formedness
+    compiled, and skipped when its check runs out of budget.
     """
-    well, auto = _well_formed(g)
-    if not well:
+    groups = compile_parts(g)
+    if not all(map(swap_closed, groups.values())):
         variants = (v for v in _relaxations(g) if is_well_formed(v))
         if project_first(variants, budget) is not None:
             return Classification(
@@ -417,12 +417,10 @@ def classify(
         )
     if max_len is None:
         max_len = default_max_len(g)
-    if auto is None:
-        auto = compile_traces(g)
     found_complete = False
     for cand in candidates:
         try:
-            report = _conformance(auto, *explore(cand, buf_bound, depth_bound), max_len, buf_bound)
+            report = _check(groups, cand, max_len, buf_bound, depth_bound)
         except BudgetExceededError:
             continue
         if not report.complete:
@@ -525,7 +523,8 @@ def cross_check_theorems(
     }
     for i in range(sample_count):
         g = random_global_type(seed + i, max_size, role_count, star_depth)
-        wf, auto = _well_formed(g)
+        groups = compile_parts(g).values()
+        wf = all(map(swap_closed, groups))
         if wf:
             report["well_formed"] += 1
         try:
@@ -536,13 +535,11 @@ def cross_check_theorems(
         if not wf:
             continue
         report["checked"] += 1
-        verdict, session_automaton = explore(env, buf_bound, depth_bound)
+        verdict, parts = explore_parts(Session(env, buf_bound), depth_bound)
         if isinstance(verdict, NotLive):
             report["violations"].append((i, "liveness", None))
             continue
-        if auto is None:
-            auto = compile_traces(g)
-        conformance = _conformance(auto, verdict, session_automaton, default_max_len(g), buf_bound)
+        conformance = _conformance(shuffle_automata(*groups), verdict, shuffle_automata(*parts.values()), default_max_len(g), buf_bound)
         if not conformance.sound:
             report["violations"].append(
                 (i, "soundness", conformance.sound_counterexample)

@@ -29,7 +29,7 @@ from mpst.syntax import (
     roles_of,
 )
 from test_machine import CORPUS_GLOBAL
-from test_runtime import STARVING_OBSERVER, pairs_text
+from test_runtime import STARVING_OBSERVER, disjoint_unions, pairs_text
 from test_syntax import global_texts, mutated
 from test_tracelang import and_spines, pairs, reference_enumerate_traces, renamed
 
@@ -872,8 +872,10 @@ def test_simulate_decides_four_parallel_pairs(monkeypatch, capsys, tmp_path):
 
 @pytest.fixture(scope="module")
 def simulated(tmp_path_factory):
-    """The three sessions of the benchmark corpus and width-2 and width-3
-    pairs, each written to a file."""
+    """The three sessions of the benchmark corpus, width-2 and width-3
+    pairs, and role-disjoint unions of sessions with Live and NotLive
+    components (see `test_runtime.disjoint_unions`), each written to a
+    file."""
     root = tmp_path_factory.mktemp("simulate")
     texts = {
         "live-loop": LOOP_UNTIL_DONE,
@@ -882,6 +884,7 @@ def simulated(tmp_path_factory):
         "pairs2": pairs_text(2),
         "pairs3": pairs_text(3),
     }
+    texts.update((f"union{i}", text) for i, text in enumerate(disjoint_unions()))
     for name, text in texts.items():
         (root / f"{name}.mps").write_text(text)
     return {str(root / f"{name}.mps"): parse_session_env(text) for name, text in texts.items()}
@@ -897,7 +900,11 @@ def simulated(tmp_path_factory):
 )
 def test_simulate_keeps_its_contract(simulated, data, trace_count, max_len, buf_bound, depth_bound):
     """Exit 0 for a live session and 1 otherwise, a report that parses,
-    and the count and first traces of the reference enumeration."""
+    the count and first traces of the reference enumeration, and a NotLive
+    witness as long as the whole session's exploration gives.  Where the
+    enumeration visits too many prefixes (a union of loops has hundreds of
+    thousands of traces), the count and traces are those of the whole
+    session's automaton (`simulate_reference`)."""
     path = data.draw(st.sampled_from(sorted(simulated)))
     argv = ["mpst", "simulate", path, "--json", "--traces", str(trace_count), "--max-len", str(max_len),
             "--buf-bound", str(buf_bound), "--depth", str(depth_bound)]
@@ -911,8 +918,16 @@ def test_simulate_keeps_its_contract(simulated, data, trace_count, max_len, buf_
     assert "Traceback" not in err.getvalue()
     payload = json.loads(out.getvalue())
     assert stop.value.code == (0 if payload["verdict"] == "Live" else 1)
-    automaton = runtime.explore(simulated[path], buf_bound, depth_bound)[1]
-    words = sorted(tracelang.enumerate_traces(automaton, max_len, cap=10**6), key=tracelang.word_key)
+    verdict, automaton = runtime.explore(simulated[path], buf_bound, depth_bound)
+    assert payload["verdict"] == type(verdict).__name__
+    if isinstance(verdict, runtime.NotLive):
+        assert payload["witness_steps"] == len(verdict.witness) - 1
+    try:
+        words = sorted(tracelang.enumerate_traces(automaton, max_len, cap=10**6), key=tracelang.word_key)
+    except tracelang.BudgetExceededError:
+        expected = simulate_reference(simulated[path], max_len, trace_count, buf_bound, depth_bound)
+        assert {key: payload[key] for key in expected} == expected
+        return
     assert payload["trace_count"] == len(words)
     assert payload["traces"] == [list(map(str, w)) for w in words[:trace_count]]
 

@@ -1,8 +1,10 @@
 """Every name a module of the package imports is used in that module,
 every private function or class a module defines is used in that module,
 no memo table outlives the call that fills it, the package imports
-nothing from outside the standard library, and no call of `json` passes
-an indent, which would select its pure-Python encoder.
+nothing from outside the standard library, no call of `json` passes
+an indent, which would select its pure-Python encoder, and neither the
+verifier nor the command line explores a session whole or compiles a
+type whole where the parts would do.
 
 `mpst/__init__.py` is left out of the import check: it imports names to
 re-export them."""
@@ -211,3 +213,46 @@ def test_the_check_sees_an_indented_json_call():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_json_call_selects_the_pure_python_encoder(path):
     assert indented_json_calls(path.read_text(encoding="utf-8")) == []
+
+
+def named(source: str, names: set[str]) -> list[str]:
+    """Where `source` refers to one of `names`: as a name, an imported name
+    or an attribute, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in names:
+            found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_check_sees_a_name():
+    source = (
+        "from .runtime import explore\n"
+        "from . import tracelang\n"
+        "v = explore(env)\n"
+        "w = session.explore(9)\n"
+        "x = tracelang.compile_traces(g)\n"
+        "y = explore_parts(session, 9)\n"
+        "z = 'explore'\n"
+    )
+    assert named(source, {"explore", "compile_traces"}) == [
+        "explore (line 1)", "explore (line 3)", "explore (line 4)", "compile_traces (line 5)"
+    ]
+
+
+# The whole-session exploration and the whole-type compilation live behind
+# `runtime.explore_parts` and `tracelang.compile_parts`.
+WHOLE = {"cli.py": {"explore"}, "verifier.py": {"explore", "compile_traces"}}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE))
+def test_no_caller_falls_back_to_the_whole(name):
+    assert named((PACKAGE / name).read_text(encoding="utf-8"), WHOLE[name]) == []

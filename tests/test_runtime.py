@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import re
 import time
 from collections import deque
 
@@ -9,6 +11,7 @@ import pytest
 
 from mpst import runtime
 from mpst.runtime import (
+    DEFAULT_BUF_BOUND,
     DEFAULT_DEPTH_BOUND,
     Config,
     Live,
@@ -44,10 +47,10 @@ STARVING_OBSERVER = (
 )
 
 
-def replay(env, verdict: NotLive) -> bool:
+def replay(env, verdict: NotLive, buf_bound: int = DEFAULT_BUF_BOUND) -> bool:
     """A NotLive witness must be a run: consecutive configurations related
     by the step relation, starting at the initial configuration."""
-    session = Session(env)
+    session = Session(env, buf_bound)
     if verdict.witness[0] != session.initial():
         return False
     return all(
@@ -436,17 +439,23 @@ TWO_LOOPS_AND_A_PAIR = "\n".join([
 
 def test_parts_are_explored_only_when_they_decide_the_whole():
     """Width-3 pairs have 7**3 configurations: each pair is explored alone
-    from a depth of 343 on.  A component that is not live sends the
-    session back to its whole exploration."""
+    from a depth of 343 on, and below it the whole session is, as one
+    part.  A component that is not live sends the session to its whole
+    exploration, for its NotLive witness."""
     session = Session(pairs_env(3))
     assert sorted(map(sorted, session.components())) == [["a0", "b0"], ["a1", "b1"], ["a2", "b2"]]
-    assert explore_parts(session, 342) is None
-    parts = explore_parts(session, 343)
+    verdict, parts = explore_parts(session, 342)
+    assert verdict == Unknown(342) and list(parts) == [frozenset(session.roles)]
+    verdict, parts = explore_parts(session, 343)
+    assert verdict == Live()
     assert sorted(map(sorted, parts)) == [["a0", "b0"], ["a1", "b1"], ["a2", "b2"]]
     assert [automaton.n_states for automaton in parts.values()] == [4, 4, 4]
-    starving = Session(parse_session_env(STARVING_OBSERVER + "\n" + pairs_text(1)))
+    env = parse_session_env(STARVING_OBSERVER + "\n" + pairs_text(1))
+    starving = Session(env)
     assert len(starving.components()) == 2
-    assert explore_parts(starving, DEFAULT_DEPTH_BOUND) is None
+    verdict, parts = explore_parts(starving, DEFAULT_DEPTH_BOUND)
+    assert verdict == explore(env)[0] and isinstance(verdict, NotLive)
+    assert list(parts) == [frozenset(starving.roles)] and not parts[frozenset(starving.roles)].accepts
 
 
 def test_counting_parts_answers_as_the_whole_under_every_budget():
@@ -463,7 +472,7 @@ def test_counting_parts_answers_as_the_whole_under_every_budget():
     for text in (pairs_text(2), LOOP_UNTIL_DONE + "\n" + pairs_text(1), TWO_LOOPS_AND_A_PAIR):
         env = parse_session_env(text)
         session = Session(env)
-        shuffle = shuffle_automata(*explore_parts(session, DEFAULT_DEPTH_BOUND).values())
+        shuffle = shuffle_automata(*explore_parts(session, DEFAULT_DEPTH_BOUND)[1].values())
         automaton = explore(env)[1]
         for max_len in (0, 1, 4, 9):
             spared = count_traces(automaton, max_len, 60, 10**6)
@@ -483,3 +492,54 @@ def test_counting_parts_answers_as_the_whole_under_every_budget():
                     assert parts == whole, (text, max_len, cap)
                     outcomes.add("visited" if isinstance(whole, str) else "counted")
     assert outcomes == {"counted", "filled", "visited", "spared"}
+
+
+def renamed_text(text: str, suffix: str) -> str:
+    """The session environment `text` with `suffix` appended to every role:
+    to each name before a `:` that opens a line, a `!` or a `?`, or inside
+    the braces of a set of partners."""
+    return re.sub(r"\b(\w+)(?=\s*[:!?,}])", lambda m: m.group(1) + suffix, text)
+
+
+def disjoint_unions() -> list[str]:
+    """Every union of two and of three of the corpus sessions,
+    `STUCK_OR_LONG` and width-1 pairs, renamed apart: sessions of two or
+    three components, each Live, NotLive, or stuck only past a short
+    depth."""
+    texts = (LOOP_UNTIL_DONE, NEVER_ENDS, STARVING_OBSERVER, STUCK_OR_LONG, pairs_text(1))
+    return [
+        "\n".join(renamed_text(text, str(k)) for k, text in enumerate(chosen))
+        for n in (2, 3)
+        for chosen in itertools.combinations_with_replacement(texts, n)
+    ]
+
+
+def test_parts_answer_as_the_whole_exploration(monkeypatch):
+    """`explore_parts` gives the verdict of the whole session's exploration,
+    with the same `Unknown.explored` and NotLive witness, and parts whose
+    shuffle has the whole's language, at depths on both sides of the
+    sessions' sizes and both buffer bounds.  Only a session whose parts
+    are all Live is decided by parts."""
+    explored = []
+    search = runtime._explore
+    monkeypatch.setattr(runtime, "_explore", lambda session, depth: explored.append(session.roles) or search(session, depth))
+    unions = [parse_session_env(text) for text in disjoint_unions()]
+    assert len(unions) == 50 and all(len(Session(env).components()) > 1 for env in unions)
+    seen = set()
+    for env in differential_envs() + unions:
+        for buf_bound in (1, 4):
+            for depth_bound in (1, 5, 30, 200, 10000):
+                session = Session(env, buf_bound)
+                explored.clear()
+                verdict, parts = explore_parts(session, depth_bound)
+                whole = session.roles in explored
+                expected, automaton = session.explore(depth_bound)
+                assert verdict == expected
+                if isinstance(verdict, NotLive):
+                    assert replay(env, verdict, buf_bound)
+                shuffle = shuffle_automata(*parts.values())
+                assert includes(shuffle, automaton) is None and includes(automaton, shuffle) is None
+                seen.add((type(verdict).__name__, "whole" if whole else "parts"))
+    assert seen == {
+        ("Live", "parts"), ("Live", "whole"), ("NotLive", "whole"), ("Unknown", "whole")
+    }

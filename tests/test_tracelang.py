@@ -37,6 +37,7 @@ from mpst.tracelang import (
     NotWellFormed,
     TraceAutomaton,
     WellFormed,
+    compile_parts,
     compile_traces,
     count_traces,
     enumerate_traces,
@@ -914,3 +915,44 @@ def test_a_subset_automaton_is_budgeted_by_the_sets_it_numbers(monkeypatch):
     assert swap_closed(auto) == swap_closed(fresh)
     assert list_traces(auto, 8) == list_traces(fresh, 8)
     assert [auto._subset[s] for s in range(17)] == [fresh._subset[s] for s in range(17)]
+
+
+def test_includes_is_budgeted_by_the_pairs_it_visits(monkeypatch):
+    """Two automata of one 12-letter chain have 13 subset states each, and
+    comparing them visits 13 pairs of states: within a budget of 13, and
+    refused, with the text of the budget, under one of 12.  Their subset
+    automata are filled first, under the default budget, so that only the
+    pairs are counted."""
+    chain = g(" ; ".join(["p -> q : a"] * 12))
+    left, right = compile_traces(chain), compile_traces(chain)
+    assert includes(left, left) is None and includes(right, right) is None
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 13)
+    assert includes(left, right) is None
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 12)
+    with pytest.raises(BudgetExceededError, match="^visited more than 12 pairs of states comparing two languages$"):
+        includes(left, right)
+
+
+def test_compiled_parts_are_the_role_groups_keyed_by_their_roles():
+    """Their shuffle has the language and the size of the type's automaton,
+    and a type of one group keeps its automaton, as the shuffle of one
+    part is that part."""
+    sample = g("(p -> q : a ; q -> p : b) & r -> s : c & skip & q -> p : d")
+    parts = compile_parts(sample)
+    assert list(parts) == [roles_of(group) for group in role_groups(sample)] == [
+        frozenset("rs"), frozenset(), frozenset("pq")
+    ]
+    whole, shuffle = compile_traces(sample), shuffle_automata(*parts.values())
+    assert includes(whole, shuffle) is None and includes(shuffle, whole) is None
+    assert shuffle.n_states == whole.n_states
+    (auto,) = compile_parts(g("p -> q : a ; q -> p : b")).values()
+    assert shuffle_automata(auto) is auto
+
+
+def test_well_formedness_stops_at_the_first_group_that_is_not():
+    """The second group's `&` product passes the budget, but the first
+    group is not well formed, so the answer is known before it is built."""
+    protocol = g("(p -> q : a ; r -> s : b) & (" + " & ".join(f"x -> y : m{i}" for i in range(17)) + ")")
+    assert is_well_formed(protocol) is False
+    with pytest.raises(BudgetExceededError):
+        compile_parts(protocol)
