@@ -179,6 +179,7 @@ class _Resolver:
         self.kk: dict[tuple, tuple] = {}  # key -> (kind, frozenset of branch keys)
         self.kk_busy: set[tuple] = set()
         self.mops: dict[tuple, tuple] = {}  # merge key -> (x, y)
+        self.merges: list[tuple] = []  # merge keys, in the order their kinds resolved
         self.joins: dict[tuple, tuple] = {}  # join key -> its parts, first seen order
         self.states: dict[tuple, _State] = {}
         self.steps = 0  # calls of `target`, budgeted by _STEP_CAP
@@ -314,6 +315,8 @@ class _Resolver:
         finally:
             self.kk_busy.discard(key)
         self.kk[key] = result
+        if key[0] == "m":
+            self.merges.append(key)
         return result
 
     # -- successor states ---------------------------------------------------
@@ -362,24 +365,17 @@ class _Resolver:
             work.extend(branches.values())
 
     def prepare(self) -> None:
-        """Build and validate the full state graph."""
+        """Build and validate the full state graph.  Each merge is checked
+        once, in the order its kind resolved: building its operands may
+        resolve more merges, which join the end of `self.merges`."""
         self._build_from(self.root_key)
-        checked: set[tuple] = set()
-        while True:
-            pending = [
-                k for k in self.kk if k[0] == "m" and k not in checked
-            ]
-            if not pending:
-                break
-            for mk in pending:
-                checked.add(mk)
-                x, y = self.mops[mk]
-                self._build_from(x)
-                self._build_from(y)
-                kind, _ = self.kk[mk]
-                if kind == IN:
-                    self._check_merge_compat(x, y)
-                    self._check_merge_compat(y, x)
+        for mk in self.merges:
+            x, y = self.mops[mk]
+            self._build_from(x)
+            self._build_from(y)
+            if self.kk[mk][0] == IN:
+                self._check_merge_compat(x, y)
+                self._check_merge_compat(y, x)
         for key, st in list(self.states.items()):
             self._check_input_determinism(st)
         for cl in list(self.closures.values()):
@@ -412,56 +408,31 @@ class _Resolver:
         _, sky = self.kind_keys(y)
         for bk in sorted(skx - sky, key=_bk_order):
             _, partners, message = bk
-            if not self.compatible_set(partners, message, y):
+            if not any(self._compatible(p, message, y) for p in partners):
                 raise MergeError(
                     f"input of {message!r} from "
                     f"{{{','.join(sorted(partners))}}} cannot be merged: "
                     "the other behaviour may consume it elsewhere"
                 )
 
-    def compatible_set(self, partners: frozenset, message: str, key: tuple) -> bool:
-        return any(
-            self._compat_one(p, message, key, set()) for p in sorted(partners)
-        )
-
-    def _compat_one(self, p: Role, a: str, key: tuple, seen: set) -> bool:
-        if key in seen:
-            return True
-        seen.add(key)
-        self._build_from(key)
-        if not self._occurs(p, a, key):
-            return True
-        st = self.states[key]
-        if st.kind == OUT:
-            return all(
-                self._compat_one(p, a, t, seen) for t in st.branches.values()
-            )
-        if st.kind == IN:
-            for bk, t in st.branches.items():
-                _, partners, message = bk
-                if p in partners:
-                    if message == a:
-                        return False
-                elif not self._compat_one(p, a, t, seen):
-                    return False
-            return True
-        return True
-
-    def _occurs(self, p: Role, a: str, key: tuple) -> bool:
-        seen: set = set()
+    def _compatible(self, p: Role, a: str, key: tuple) -> bool:
+        """Whether a message `a` from `p` cannot be consumed from the built
+        state `key` on: no path from `key` reaches an input of `a` from
+        partners that include `p`, where a path follows every branch but
+        the inputs from partners that include `p`.  One depth-first walk
+        over the built states, off an explicit stack, so each question
+        costs one pass over what `key` reaches."""
+        seen = {key}
         work = [key]
         while work:
-            k = work.pop()
-            if k in seen:
-                continue
-            seen.add(k)
-            self._build_from(k)
-            st = self.states[k]
-            for bk, t in st.branches.items():
-                if bk[0] == IN and bk[2] == a and p in bk[1]:
-                    return True
-                work.append(t)
-        return False
+            for bk, t in self.states[work.pop()].branches.items():
+                if bk[0] == IN and p in bk[1]:
+                    if bk[2] == a:
+                        return False
+                elif t not in seen:
+                    seen.add(t)
+                    work.append(t)
+        return True
 
     # -- minimization and readback ----------------------------------------------
 

@@ -491,10 +491,13 @@ def _contains_both(g: GlobalType) -> bool:
 def _sequential_rewrites(g: GlobalType, budget: int) -> Iterator[GlobalType]:
     """`&`-free rewrites of `g` other than `g` itself, built one at a time,
     each yielded once, each denoting a sublanguage of (or the same language
-    as) `g`'s traces: the two whole-type serializations first, then the
-    breadth-first closure under the distributing rewrites.  The rewrite
-    search visits at most `budget` terms.  The rewrites of a subterm are
-    computed once and shared by every term of the search that contains it."""
+    as) `g`'s traces: the two whole-type serializations first, then every
+    `&`-free term of the breadth-first search from `g` under the
+    distributing rewrites, in the order the search visits them.  The search
+    visits at most `budget` terms, `g` included: once it has, it stops
+    expanding, and the terms it has visited are still yielded.  The
+    rewrites of a subterm are computed once and shared by every term of the
+    search that contains it."""
     seen: set[GlobalType] = {g}
     rewrites: dict[GlobalType, list[GlobalType]] = {}
 
@@ -509,25 +512,19 @@ def _sequential_rewrites(g: GlobalType, budget: int) -> Iterator[GlobalType]:
         if fresh(t):
             yield t
 
-    frontier = [g]
+    queue = [g]  # the visited terms, in the order visited; grows as it is read
     visited: set[GlobalType] = {g}
-    while frontier and len(visited) < budget:
-        nxt: list[GlobalType] = []
-        for t in frontier:
-            if fresh(t):
-                yield t
-            for t2 in _rewrites(t, rewrites):
-                if t2 not in visited:
-                    visited.add(t2)
-                    nxt.append(t2)
-                    if len(visited) >= budget:
-                        break
-            if len(visited) >= budget:
-                break
-        frontier = nxt
-    for t in frontier:
+    for t in queue:
         if fresh(t):
             yield t
+        if len(queue) >= budget:
+            continue
+        for t2 in _rewrites(t, rewrites):
+            if t2 not in visited:
+                visited.add(t2)
+                queue.append(t2)
+                if len(queue) >= budget:
+                    break
 
 
 def _serialize_all(g: GlobalType, left_first: bool) -> GlobalType:

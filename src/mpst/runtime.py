@@ -180,9 +180,6 @@ class Session:
     def initial(self) -> Config:
         return Config(tuple(m.root for m in self.machines), ())
 
-    def is_success(self, c: Config) -> bool:
-        return self._succeeds((c.locations, c.buffers))
-
     def _succeeds(self, key: Key) -> bool:
         locations, buffers = key
         return not buffers and all(

@@ -509,8 +509,10 @@ def cross_check_theorems(
     depth_bound: int = DEFAULT_DEPTH_BOUND,
 ) -> dict:
     """Check, over random samples, that every well-formed projectable
-    global type has a live projection that is sound and complete (see
-    `_conformance`).  A completeness gap is a violation only when the
+    global type has a live projection that is sound and complete.  Each
+    checked sample is decided as `check_preorder` decides it (`_check`,
+    role-group shortcut included), so `crosscheck` and `verify` agree on
+    every sample.  A completeness gap is a violation only when the
     exploration finished: one cut at `depth_bound` (`Unknown`) explored
     part of the session, whose traces may hold the missing word.  Returns
     counters and the list of violations (empty on success)."""
@@ -523,8 +525,8 @@ def cross_check_theorems(
     }
     for i in range(sample_count):
         g = random_global_type(seed + i, max_size, role_count, star_depth)
-        groups = compile_parts(g).values()
-        wf = all(map(swap_closed, groups))
+        groups = compile_parts(g)
+        wf = all(map(swap_closed, groups.values()))
         if wf:
             report["well_formed"] += 1
         try:
@@ -535,16 +537,15 @@ def cross_check_theorems(
         if not wf:
             continue
         report["checked"] += 1
-        verdict, parts = explore_parts(Session(env, buf_bound), depth_bound)
-        if isinstance(verdict, NotLive):
+        conformance = _check(groups, env, default_max_len(g), buf_bound, depth_bound)
+        if conformance.liveness == "NotLive":
             report["violations"].append((i, "liveness", None))
             continue
-        conformance = _conformance(shuffle_automata(*groups), verdict, shuffle_automata(*parts.values()), default_max_len(g), buf_bound)
         if not conformance.sound:
             report["violations"].append(
                 (i, "soundness", conformance.sound_counterexample)
             )
-        if not conformance.complete and not isinstance(verdict, Unknown):
+        if not conformance.complete and conformance.liveness != "Unknown":
             report["violations"].append(
                 (i, "completeness", conformance.completeness_gap)
             )

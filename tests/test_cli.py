@@ -219,6 +219,21 @@ def test_deep_equal_alternatives_project(tmp_path):
     assert result.stderr == ""
 
 
+def test_a_merge_past_a_long_branch_projects(tmp_path):
+    """r's branch behaviours are merged: one takes 1,500 inputs from q
+    before it takes `a` from p, and the compatibility check walks them in
+    one loop, not one frame each."""
+    path = tmp_path / "g.gt"
+    inputs = " ; ".join(f"q -> r : c{i}" for i in range(1500))
+    path.write_text(
+        f"(s -> p : l ; s -> q : l ; p -> r : a) | (s -> p : k ; s -> q : k ; {inputs} ; p -> r : b ; p -> r : a)\n"
+    )
+    result = run("project", str(path))
+    assert (result.returncode, result.stderr) == (0, "")
+    chain = ".".join(f"q?c{i}" for i in range(1500))
+    assert f"r : p?a.end + {chain}.p?b.p?a.end" in result.stdout.splitlines()
+
+
 def test_project_prints_long_two_role_chains(tmp_path):
     """800 interactions between two roles give each of them 800 prefixes,
     which the printer takes one after another, not one frame each."""

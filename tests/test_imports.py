@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-every private function or class a module defines is used in that module,
+every private function, class or method a module defines is used in
+that module,
 no memo table outlives the call that fills it, the package imports
 nothing from outside the standard library, no call of `json` passes
 an indent, which would select its pure-Python encoder, and neither the
@@ -46,21 +47,46 @@ def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def unused_private_definitions(source: str) -> list[str]:
-    """The `_`-prefixed module-level functions and classes that nothing in
-    the module but their own body refers to by name."""
+    """The `_`-prefixed module-level functions and classes, and the
+    `_`-prefixed methods (dunders aside) of module-level classes, that
+    nothing in the module outside their own body refers to: a function or
+    class by name, a method as an attribute.  Methods are named
+    `Class._method`, and the list is in source order."""
     tree = ast.parse(source)
-    defined = [
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+    defined: list[tuple[str, ast.AST, bool]] = []  # (label, definition, is it a method)
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and node.name.startswith("_"):
+            defined.append((node.name, node, False))
+        if isinstance(node, ast.ClassDef):
+            defined += [
+                (f"{node.name}.{m.name}", m, True)
+                for m in node.body
+                if isinstance(m, FUNCTIONS) and m.name.startswith("_") and not m.name.endswith("__")
+            ]
+    # every reference, as (name, is it an attribute, the definitions around it)
+    references: list[tuple[str, bool, tuple]] = []
+    work: list[tuple[ast.AST, tuple]] = [(tree, ())]
+    while work:
+        node, around = work.pop()
+        if isinstance(node, ast.Name):
+            references.append((node.id, False, around))
+        elif isinstance(node, ast.Attribute):
+            references.append((node.attr, True, around))
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            around += (node,)
+        work += [(child, around) for child in ast.iter_child_nodes(node)]
+    return [
+        label
+        for label, node, is_method in defined
+        if not any(
+            ref == node.name and is_attribute == is_method and node not in around
+            for ref, is_attribute, around in references
+        )
     ]
-    used: set[str] = set()
-    for statement in tree.body:
-        names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
-        used |= names - {getattr(statement, "name", None)}
-    return [name for name in defined if name not in used]
 
 
 def test_the_check_sees_an_unused_private_definition():
@@ -73,6 +99,21 @@ def test_the_check_sees_an_unused_private_definition():
         "def public():\n    return _used(2)\n"
     )
     assert unused_private_definitions(source) == ["_dead", "_Gone", "_loop"]
+
+
+def test_the_check_sees_an_unused_private_method():
+    source = (
+        "class Walker:\n"
+        "    def __init__(self):\n        self._ready = self._start()\n"
+        "    def _start(self):\n        return True\n"
+        "    def _dead(self):\n        return self._start()\n"
+        "    def _loop(self, n):\n        return self._loop(n)\n"
+        "    def _named(self):\n        return 1\n"
+        "    def walk(self, other):\n        return other._helper()\n"
+        "    def _helper(self):\n        return _named()\n"
+        "def _named():\n    return 2\n"
+    )
+    assert unused_private_definitions(source) == ["Walker._dead", "Walker._loop", "Walker._named"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -22,7 +22,7 @@ from mpst.machine import (
     session_type_equal,
     type_machine,
 )
-from mpst.projector import ProjectionError, project_top
+from mpst.projector import INCOMPATIBLE_MERGE, ProjectionError, merge, project_top
 from mpst.syntax import (
     NotSessionTypeError,
     TEnd,
@@ -462,3 +462,76 @@ def test_a_merge_that_never_repeats_runs_out_of_steps():
     assert result.stdout.strip() == (
         f"session type is too large to resolve (more than {machine._STEP_CAP} resolution steps)"
     )
+
+
+def reference_compatible(resolver, p, a, key, seen) -> bool:
+    """The recursive compatibility walk over a built resolver: a state with
+    no input of `a` from `p` reachable by any branch is compatible; an
+    output state is when every successor is; an input state is not when it
+    takes `a` from partners that include `p`, and is when every successor
+    by an input without `p` is."""
+    if key in seen:
+        return True
+    seen.add(key)
+    if not reference_occurs(resolver, p, a, key):
+        return True
+    st = resolver.states[key]
+    if st.kind == machine.OUT:
+        return all(reference_compatible(resolver, p, a, t, seen) for t in st.branches.values())
+    if st.kind == machine.IN:
+        for (_, partners, message), t in st.branches.items():
+            if p in partners:
+                if message == a:
+                    return False
+            elif not reference_compatible(resolver, p, a, t, seen):
+                return False
+    return True
+
+
+def reference_occurs(resolver, p, a, key) -> bool:
+    """Whether any state reachable from `key` has an input of `a` from
+    partners that include `p`."""
+    seen, work = set(), [key]
+    while work:
+        k = work.pop()
+        if k not in seen:
+            seen.add(k)
+            for bk, t in resolver.states[k].branches.items():
+                if bk[0] == machine.IN and bk[2] == a and p in bk[1]:
+                    return True
+                work.append(t)
+    return False
+
+
+def test_the_compatibility_walk_agrees_with_the_recursive_one(monkeypatch):
+    """Every compatibility question asked while projecting
+    `random_global_type(i, 10, 4, 2)`, i < 1000, and classifying the 300
+    random-workload types gets the recursive walk's answer."""
+    answers = []
+    walk = machine._Resolver._compatible
+
+    def compared(self, p, a, key):
+        answer = walk(self, p, a, key)
+        answers.append((answer, reference_compatible(self, p, a, key, set())))
+        return answer
+
+    monkeypatch.setattr(machine._Resolver, "_compatible", compared)
+    for i in range(1000):
+        try:
+            project_top(random_global_type(i, 10, 4, 2))
+        except ProjectionError:
+            pass
+    for i in range(300):
+        classify(random_global_type(20260814 + i))
+    assert all(answer == expected for answer, expected in answers)
+    assert len(answers) > 500 and sum(not answer for answer, _ in answers) > 100
+
+
+def test_a_merge_past_a_long_input_chain_is_refused_without_recursing():
+    """The compatibility walk takes one loop, however long the chain
+    before the confusable input."""
+    chain = ".".join(f"q?c{i}" for i in range(3000))
+    with pytest.raises(ProjectionError) as err:
+        merge(t("p?a.end"), t(f"{chain}.p?a.end"))
+    assert err.value.kind == INCOMPATIBLE_MERGE
+    assert "input of 'a' from {p} cannot be merged: " in str(err.value)

@@ -197,6 +197,48 @@ def test_eliminate_and_respects_its_budget():
     assert len(list(_sequential_rewrites(protocol, 5))) <= 5
 
 
+def reference_sequential_rewrites(protocol, budget: int) -> list:
+    """The search `_sequential_rewrites` describes, level by level and
+    without its memo: the two whole-type serializations, then the
+    breadth-first search from `protocol`, visiting at most `budget` terms;
+    of these, each `&`-free term other than `protocol`, once, in order."""
+    visited = {protocol: None}
+    level = [protocol]
+    while level and len(visited) < budget:
+        below = []
+        for t in level:
+            for t2 in projector._rewrites(t, {}):
+                if len(visited) < budget and t2 not in visited:
+                    visited[t2] = None
+                    below.append(t2)
+        level = below
+    serialized = (projector._serialize_all(protocol, left_first) for left_first in (True, False))
+    terms = dict.fromkeys(t for t in (*serialized, *visited) if t != protocol and not has_both(t))
+    return list(terms)
+
+
+RANDOM_TYPES = [random_global_type(20260814 + i) for i in range(300)]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 17, 64, 256])
+def test_the_rewrite_search_tries_every_term_it_visits(budget):
+    for protocol in RANDOM_TYPES:
+        assert list(_sequential_rewrites(protocol, budget)) == reference_sequential_rewrites(protocol, budget)
+
+
+# Random-workload types whose search reaches its budget partway through a
+# level: the terms of that level past the budget's point are tried too.
+LEVEL_CUT = {26: 42, 45: 68, 80: 27, 191: 52, 207: 49, 208: 112, 264: 24}
+
+
+@pytest.mark.parametrize("i", sorted(LEVEL_CUT))
+def test_a_search_cut_at_its_budget_tries_the_rest_of_its_level(i):
+    with pytest.raises(ProjectionError) as error:
+        project_top(RANDOM_TYPES[i])
+    assert error.value.kind == AND_ELIMINATION_EXHAUSTED
+    assert f"({LEVEL_CUT[i]} candidates tried)" in str(error.value)
+
+
 IN_CONTEXT_CANDIDATES = {
     "loop2 (p -> q : a & r -> s : b, q -> p : c) exit (p -> q : d, (r -> s : e ; s -> r : f) & p -> q : g)": [
         "loop2 (p -> q : a ; r -> s : b, q -> p : c) exit (p -> q : d, r -> s : e ; s -> r : f ; p -> q : g)",
