@@ -475,11 +475,12 @@ def _project_top(g: GlobalType, budget: int, ctx: _Ctx) -> SessionEnv:
 
 
 def _contains_both(g: GlobalType) -> bool:
-    if type(g) is GBoth:
-        return True
-    for x in subterms(g):
-        if _contains_both(x):
+    work = [g]
+    while work:
+        t = work.pop()
+        if type(t) is GBoth:
             return True
+        work += subterms(t)
     return False
 
 
@@ -528,49 +529,68 @@ def _sequential_rewrites(g: GlobalType, budget: int) -> Iterator[GlobalType]:
 
 
 def _serialize_all(g: GlobalType, left_first: bool) -> GlobalType:
-    if type(g) is GBoth:
-        a, b = _serialize_all(g.left, left_first), _serialize_all(g.right, left_first)
-        return GSeq(a, b) if left_first else GSeq(b, a)
-    subs = map(_serialize_all, subterms(g), itertools.repeat(left_first))
-    return with_subterms(g, tuple(subs))
+    """`g` with every `&` made a `;`, its left operand first if
+    `left_first`.  The subterms are listed off an explicit stack, each
+    before its own subterms, and rebuilt in the reverse order."""
+    order, work = [], [g]
+    while work:
+        t = work.pop()
+        subs = subterms(t)
+        order.append((t, subs))
+        work += subs
+    built: dict[int, GlobalType] = {}  # by the id of the subterm rebuilt
+    for t, subs in reversed(order):
+        new = [built[id(x)] for x in subs]
+        if type(t) is GBoth:
+            a, b = new
+            built[id(t)] = GSeq(a, b) if left_first else GSeq(b, a)
+        else:
+            built[id(t)] = with_subterms(t, new)
+    return built[id(g)]
 
 
 def _rewrites(g: GlobalType, memo: dict[GlobalType, list[GlobalType]]) -> list[GlobalType]:
     """All single-step rewrites of `g`: at the root, the serializations and
     distributions of `&` plus factoring of a common alternative prefix; in
     context, the rewrites of every immediate subterm.  `memo` holds the
-    rewrites of the terms seen so far."""
-    out = memo.get(g)
-    if out is not None:
-        return out
-    out = memo[g] = []
-    match g:
-        case GBoth(l, r):
-            out.append(GSeq(l, r))
-            out.append(GSeq(r, l))
-            for a, b, flip in ((l, r, False), (r, l, True)):
-                def both(x: GlobalType, y: GlobalType) -> GlobalType:
-                    return GBoth(y, x) if flip else GBoth(x, y)
+    rewrites of the terms seen so far.  The subterms not in it are listed
+    off an explicit stack, each before its own subterms, and their
+    rewrites filled in the reverse order."""
+    order, work = [], [g]
+    while work:
+        t = work.pop()
+        if t not in memo:
+            subs = subterms(t)
+            order.append((t, subs))
+            work += subs
+    for t, subs in reversed(order):
+        out = memo[t] = []  # a term listed twice is filled twice, alike
+        match t:
+            case GBoth(l, r):
+                out.append(GSeq(l, r))
+                out.append(GSeq(r, l))
+                for a, b, flip in ((l, r, False), (r, l, True)):
+                    def both(x: GlobalType, y: GlobalType) -> GlobalType:
+                        return GBoth(y, x) if flip else GBoth(x, y)
 
-                match a:
-                    case GSkip():
-                        out.append(b)
-                    case GEither(x, y):
-                        out.append(GEither(both(x, b), both(y, b)))
-                    case GSeq(x, y):
-                        out.append(GSeq(both(x, b), y))
-                        out.append(GSeq(x, both(y, b)))
-                    case GStar(x):
-                        out.append(GEither(GSeq(both(x, b), GStar(x)), b))
-                        out.append(GEither(GSeq(GStar(x), both(x, b)), b))
-                    case GKExit(bodies, exits):
-                        out.append(both(kexit_unfolding(bodies, exits), b))
-        case GEither(l, r) if l == r:
-            out.append(l)
-        case GEither(GSeq(a, b), GSeq(a2, c)) if a == a2:
-            out.append(GSeq(a, GEither(b, c)))
-    subs = subterms(g)
-    for i, x in enumerate(subs):
-        for x2 in _rewrites(x, memo):
-            out.append(with_subterms(g, subs[:i] + (x2,) + subs[i + 1 :]))
-    return out
+                    match a:
+                        case GSkip():
+                            out.append(b)
+                        case GEither(x, y):
+                            out.append(GEither(both(x, b), both(y, b)))
+                        case GSeq(x, y):
+                            out.append(GSeq(both(x, b), y))
+                            out.append(GSeq(x, both(y, b)))
+                        case GStar(x):
+                            out.append(GEither(GSeq(both(x, b), GStar(x)), b))
+                            out.append(GEither(GSeq(GStar(x), both(x, b)), b))
+                        case GKExit(bodies, exits):
+                            out.append(both(kexit_unfolding(bodies, exits), b))
+            case GEither(l, r) if l == r:
+                out.append(l)
+            case GEither(GSeq(a, b), GSeq(a2, c)) if a == a2:
+                out.append(GSeq(a, GEither(b, c)))
+        for i, x in enumerate(subs):
+            for x2 in memo[x]:
+                out.append(with_subterms(t, subs[:i] + (x2,) + subs[i + 1 :]))
+    return memo[g]

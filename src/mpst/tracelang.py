@@ -24,17 +24,21 @@ only `includes` reads.
 Automata stay nondeterministic.  Each keeps the one subset automaton
 (`_Subset`) that all its language questions read, filled in row by row:
 `swap_closed` reads every row, the other questions only those they reach.
+Its letters are numbered, and its rows ordered, by the letters' texts, so
+every word a question picks is the least in one order, `word_key`'s: the
+counterexample of `includes`, the witness of `well_formed`, the gap of
+`first_uncovered` and the traces listed.
 
-Traces up to a length come three ways.  `enumerate_traces` gives them as
-a set of words, for the verifier and the runtime.  `list_traces` gives
-them as the texts of their letters in `word_key` order, the order `trace`
-reports: one breadth-first pass takes each row's letters in the order of
-their texts, so nothing is sorted, and keeps each prefix as a link to the
-prefix it extends, so only the traces are built.  `count_traces` counts
-them for `simulate` by a dynamic program over the non-zero (length, state)
-cells, and builds only the first few.  Each is budgeted by its work and
-raises `BudgetExceededError` past it, and so is the shuffle product of an
-`&`, by its states, before it builds any.
+Traces up to a length are listed by one breadth-first pass (`_traces`)
+that keeps each prefix as a link to the prefix it extends, so only the
+traces are built, in `word_key` order: as a set of words
+(`enumerate_traces`), as the texts of their letters (`list_traces`, for
+`trace`), or up to the first whose Parikh vector another language lacks
+(`first_uncovered`, for `verify`).  `count_traces` counts them for
+`simulate` by a dynamic program over the non-zero (length, state) cells,
+and builds only the first few.  Each is budgeted by its work and raises
+`BudgetExceededError` past it, and so is the shuffle product of an `&`,
+by its states, before it builds any.
 
 `minimal_form`, with which `machine` minimizes session machines, merges
 states by Hopcroft partition refinement, in O(m log n) for m moves between
@@ -50,8 +54,8 @@ diamonds close on one state; the rest seed one inclusion search between
 states of the same deterministic automaton.  `is_well_formed` stops there,
 with a boolean.  Only `well_formed`, which `check` uses, finds a witness:
 for a type that is not well formed it builds the one-swap automaton
-(`_swap_variants`) and runs `includes` on it, to find the shortlex-least
-word outside the traces.
+(`_swap_variants`) and runs `includes` on it, to find the least word
+outside the traces.
 
 A type whose root is an `&` of parts with disjoint roles is decided one
 part at a time.  The operands of the root `&` spine are grouped by shared
@@ -65,6 +69,7 @@ for any type.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -90,10 +95,6 @@ DEFAULT_ENUM_CAP = 100000
 
 class BudgetExceededError(RuntimeError):
     """An enumeration visited more prefixes than the allowed budget."""
-
-
-def _ikey(i: Interaction):
-    return (tuple(sorted(i.senders)), i.receiver, i.message)
 
 
 class TraceAutomaton:
@@ -154,17 +155,21 @@ class TraceAutomaton:
 class _Subset(dict):
     """The subset automaton of a `TraceAutomaton`, whose moves must not
     change once this is built: the state sets reachable from {0}, numbered
-    as they are found, over letters numbered in `_ikey` order (letter `x`
-    is `letters[x]`, and `ids` maps it back).  `self[s]` maps each letter
-    of state `s` to its successor, computed when first read (`__missing__`),
-    and `accepting[s]` says whether `s` accepts.  Every state of the subset
-    automaton of a trim automaton accepts some word.  Numbering a set past
-    `DEFAULT_ENUM_CAP` raises BudgetExceededError, so every reader is budgeted."""
+    as they are found, over letters numbered in the order of their texts,
+    the order of `word_key` (letter `x` is `letters[x]`, its text, formatted
+    once, is `texts[x]`, and `ids` maps the letter back).  `self[s]` maps
+    each letter of state `s`, in that order, to its successor, computed
+    when first read (`__missing__`), and `accepting[s]` says whether `s`
+    accepts.  Every state of the subset automaton of a trim automaton
+    accepts some word.  Numbering a set past `DEFAULT_ENUM_CAP` raises
+    BudgetExceededError, so every reader is budgeted."""
 
     def __init__(self, a: TraceAutomaton):
-        letters = sorted({lab for edges in a.delta for lab, _ in edges}, key=_ikey)
+        texts = {lab: str(lab) for lab in {lab for edges in a.delta for lab, _ in edges}}
+        letters = sorted(texts, key=texts.__getitem__)
         ids = {lab: x for x, lab in enumerate(letters)}
-        self.letters, self.ids, self.accepting = letters, ids, [0 in a.accepts]
+        self.letters, self.texts, self.ids = letters, [texts[lab] for lab in letters], ids
+        self.accepting = [0 in a.accepts]
         self._moves = [[(ids[lab], r) for lab, r in edges] for edges in a.delta]
         self._accepts, self._sets, self._index = a.accepts, [frozenset({0})], {frozenset({0}): 0}
 
@@ -175,8 +180,8 @@ class _Subset(dict):
             for x, r in moves[q]:
                 succ.setdefault(x, set()).add(r)
         row = {}  # kept only once whole
-        for x, rs in succ.items():
-            t = frozenset(rs)
+        for x in sorted(succ):
+            t = frozenset(succ[x])
             n = index.get(t)
             if n is None:
                 if len(sets) >= DEFAULT_ENUM_CAP:
@@ -312,36 +317,47 @@ def compile_traces(g: GlobalType) -> TraceAutomaton:
 # ---------------------------------------------------------------------------
 
 
+def _traces(dfa: _Subset, max_len: int, cap: int, names: list) -> Iterator[list]:
+    """The traces of length <= max_len of `dfa`'s automaton in `word_key`
+    order, each as the list of the `names` of its letters (`dfa.letters`
+    or `dfa.texts`).  One breadth-first pass takes each row's letters in
+    order and keeps a prefix as a link, (letter id, the link of the prefix
+    it extends), so only the traces are built.  Raises BudgetExceededError,
+    checked in this order at every prefix visited, when more than `cap` of
+    them are traces or more than `cap` are visited."""
+    accepting = dfa.accepting
+    level: list[tuple[int, tuple | None]] = [(0, None)]  # (state, prefix) of one length
+    visited = found = n = 0
+    while level:
+        below: list[tuple[int, tuple]] = []
+        append, longer = below.append, n < max_len
+        for s, prefix in level:
+            visited += 1
+            found += accepting[s]
+            if found > cap:
+                raise BudgetExceededError(f"more than {cap} traces of length <= {max_len}")
+            if visited > cap:
+                raise BudgetExceededError(f"visited more than {cap} prefixes of length <= {max_len}")
+            if accepting[s]:
+                word, link = [], prefix
+                while link:
+                    x, link = link
+                    word.append(names[x])
+                word.reverse()
+                yield word
+            if longer:
+                for x, t in dfa[s].items():
+                    append((t, (x, prefix)))
+        level, n = below, n + 1
+
+
 def enumerate_traces(
     a: TraceAutomaton, max_len: int, cap: int = DEFAULT_ENUM_CAP
 ) -> set[Word]:
     """All traces of `a` of length <= max_len, as a set of words.  Raises
-    BudgetExceededError when the search visits more than `cap` prefixes,
-    saying whether more than `cap` of them were traces."""
+    BudgetExceededError as `_traces` does."""
     dfa = a._subset
-    words: set[Word] = set()
-    queue: deque[tuple[int, Word]] = deque([(0, ())])
-    visited = 0
-    while queue:
-        s, word = queue.popleft()
-        visited += 1
-        if dfa.accepting[s]:
-            words.add(word)
-        if len(words) > cap:
-            raise BudgetExceededError(f"more than {cap} traces of length <= {max_len}")
-        if visited > cap:
-            raise BudgetExceededError(f"visited more than {cap} prefixes of length <= {max_len}")
-        if len(word) < max_len:
-            for x, t in dfa[s].items():
-                queue.append((t, word + (dfa.letters[x],)))
-    return words
-
-
-def _text_order(dfa: _Subset) -> tuple[list[str], dict[int, int]]:
-    """The text of each letter of `dfa`, formatted once, and the rank of
-    each letter in the order of those texts, the order of `word_key`."""
-    texts = [str(letter) for letter in dfa.letters]
-    return texts, {x: r for r, x in enumerate(sorted(range(len(texts)), key=texts.__getitem__))}
+    return set(map(tuple, _traces(dfa, max_len, cap, dfa.letters)))
 
 
 def list_traces(
@@ -349,50 +365,31 @@ def list_traces(
 ) -> list[list[str]]:
     """All traces of `a` of length <= max_len in `word_key` order, each
     given by the texts of its letters (every letter is formatted once).
-
-    One breadth-first pass over the rows of the subset automaton takes
-    each row's letters in the order of their texts, so each length comes
-    out in lexicographic order and nothing is sorted.  A prefix is kept
-    as a link to the prefix it extends, and only the traces are built as
-    words.  Raises BudgetExceededError, checked in this order at every
-    prefix visited, when more than `cap` of them are traces, when more
-    than `cap` are visited, or when the traces built hold more than `cap`
-    letters."""
+    Raises BudgetExceededError as `_traces` does, and, checked after its
+    budgets, when the traces listed hold more than `cap` letters."""
     dfa = a._subset
-    texts, order = _text_order(dfa)
-    accepting, rows = dfa.accepting, {}
     words: list[list[str]] = []
-    level: list[tuple[int, tuple | None]] = [(0, None)]  # (state, prefix) of one length
-    visited = letters = n = 0
-    while level:
-        below: list[tuple[int, tuple]] = []
-        append, longer = below.append, n < max_len
-        for s, prefix in level:
-            visited += 1
-            if accepting[s]:
-                word, link = [], prefix
-                while link:
-                    text, link = link
-                    word.append(text)
-                word.reverse()
-                words.append(word)
-                letters += n
-                if len(words) > cap:
-                    raise BudgetExceededError(f"more than {cap} traces of length <= {max_len}")
-            if visited > cap:
-                raise BudgetExceededError(f"visited more than {cap} prefixes of length <= {max_len}")
-            if letters > cap:
-                raise BudgetExceededError(f"more than {cap} letters in the traces of length <= {max_len}")
-            if longer:
-                row = rows.get(s)
-                if row is None:
-                    moves = dfa[s]
-                    ranked = sorted(moves, key=order.__getitem__) if len(moves) > 1 else moves
-                    row = rows[s] = [(texts[x], moves[x]) for x in ranked]
-                for text, t in row:
-                    append((t, (text, prefix)))
-        level, n = below, n + 1
+    letters = 0
+    for word in _traces(dfa, max_len, cap, dfa.texts):
+        letters += len(word)
+        if letters > cap:
+            raise BudgetExceededError(f"more than {cap} letters in the traces of length <= {max_len}")
+        words.append(word)
     return words
+
+
+def first_uncovered(
+    a: TraceAutomaton, b: TraceAutomaton, max_len: int, cap: int = DEFAULT_ENUM_CAP
+) -> Word | None:
+    """The first trace of `a` of length <= max_len in `word_key` order
+    with the Parikh vector of no trace of `b` of length <= max_len, or
+    None.  Lists `b`, then `a` up to that trace, each as `_traces` does."""
+    covered = {parikh_vector(w) for w in enumerate_traces(b, max_len, cap)}
+    dfa = a._subset
+    for word in _traces(dfa, max_len, cap, dfa.letters):
+        if parikh_vector(word) not in covered:
+            return tuple(word)
+    return None
 
 
 def count_traces(
@@ -445,7 +442,6 @@ def count_traces(
         total += ways.get(0, 0)
         able.append(ways.keys())
 
-    texts, order = _text_order(dfa)
     samples: list[list[str]] = []
     visited = 0
     for n in range(len(able)):
@@ -464,16 +460,16 @@ def count_traces(
                 continue
             row = dfa[s]
             # pushed greatest first, so that the least is taken first
-            for x in sorted(row, key=order.__getitem__, reverse=True):
+            for x in reversed(row):
                 if row[x] in able[left - 1]:
-                    stack.append((row[x], left - 1, [*word, texts[x]]))
+                    stack.append((row[x], left - 1, [*word, dfa.texts[x]]))
     return total, samples
 
 
 def includes(a1: TraceAutomaton, a2: TraceAutomaton) -> Word | None:
     """None if the language of `a1` is included in that of `a2`; otherwise
-    the shortlex-least word (letters ordered by `_ikey`) accepted by `a1`
-    and rejected by `a2`.  Neither automaton needs to be trim: the
+    the least word in `word_key` order accepted by `a1` and rejected by
+    `a2`.  Neither automaton needs to be trim: the
     breadth-first search over pairs of states of their subset automata
     (-1 for no state of `a2`) finds that word all the same.  Raises
     BudgetExceededError when the search visits more than
@@ -499,8 +495,8 @@ def includes(a1: TraceAutomaton, a2: TraceAutomaton) -> Word | None:
         # words outside L(a1) can never be counterexamples, so only the
         # letters of `a1` are followed
         row1, row2 = d1[s1], d2[s2] if s2 >= 0 else {}
-        for x in sorted(row1):
-            nxt = (row1[x], row2.get(into[x], -1))
+        for x, t in row1.items():
+            nxt = (t, row2.get(into[x], -1))
             if nxt not in parent:
                 parent[nxt] = (pair, x)
                 queue.append(nxt)

@@ -57,13 +57,11 @@ from .tracelang import (
     TraceAutomaton,
     Word,
     compile_parts,
-    enumerate_traces,
+    first_uncovered,
     includes,
     is_well_formed,
-    parikh_vector,
     shuffle_automata,
     swap_closed,
-    word_key,
 )
 
 PROJECTABLE = "Projectable"
@@ -127,13 +125,15 @@ def _conformance(
 ) -> ConformanceReport:
     """Soundness and completeness of the traces of a session, explored with
     `verdict`, for the type compiled to `auto`.  The soundness counterexample
-    is the shortlex-least one (see `includes`), the gap the shortest uncovered
-    trace up to `max_len`.  An `Unknown` exploration under-approximates the
-    session's traces, so then only a counterexample is definitive; a gap
-    found after a finished one is definitive too (permutations keep length).
-    When that bounded check runs out of budget after an `Unknown`
-    exploration, the BudgetExceededError says how many configurations the
-    exploration visited.  No gap is definitive too after a finished
+    is the least session trace outside the type's (see `includes`), the gap
+    the first trace of the type's listing up to `max_len` whose Parikh
+    vector no session trace has (see `first_uncovered`), both in `word_key`
+    order.  An `Unknown` exploration under-approximates the session's
+    traces, so then only a counterexample is definitive; a gap found after
+    a finished one is definitive too (permutations keep length).  When that
+    bounded check runs out of budget after an `Unknown` exploration, the
+    BudgetExceededError says how many configurations the exploration
+    visited.  No gap is definitive too after a finished
     exploration when no trace of the type is longer than `max_len`: every
     trace of the type has then been checked, against every session trace
     of its length."""
@@ -143,8 +143,7 @@ def _conformance(
     complete_exact = includes(auto, session_automaton) is None  # identity is a permutation
     if not complete_exact:
         try:
-            covered = {parikh_vector(w) for w in enumerate_traces(session_automaton, max_len)}
-            gaps = [w for w in enumerate_traces(auto, max_len) if parikh_vector(w) not in covered]
+            missing = first_uncovered(auto, session_automaton, max_len)
         except BudgetExceededError as exc:
             if finished:
                 raise
@@ -152,7 +151,6 @@ def _conformance(
                 f"{exc}; the session exploration stopped at its bound after "
                 f"{verdict.explored} configurations"
             ) from None
-        missing = min(gaps, key=word_key, default=None)
         complete_exact = finished and (missing is not None or not _has_trace_longer_than(auto, max_len))
     basis = "exact" if complete_exact and (outside is not None or finished) else "bounded"
     return ConformanceReport(

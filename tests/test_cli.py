@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -31,7 +32,7 @@ from mpst.syntax import (
 from test_machine import CORPUS_GLOBAL
 from test_runtime import STARVING_OBSERVER, disjoint_unions, pairs_text
 from test_syntax import global_texts, mutated
-from test_tracelang import and_spines, pairs, reference_enumerate_traces, renamed
+from test_tracelang import and_spines, pairs, reference_enumerate_traces, reference_first_uncovered, renamed
 
 SALE = (
     "seller -> buyer : descr ;\n"
@@ -108,10 +109,10 @@ AND_REFUSED = "more than 100000 states in the shuffle product of an `&`"
 @pytest.mark.parametrize("command", ["check", "project"])
 @pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
 def test_too_deep_inputs_exit_with_usage_code(tmp_path, name, command):
-    """Only one input is too deep: the projector still takes an `&` spine
-    one frame per operand, so the 1,500-operand spine exits 2 in
-    `project`, while `check` compiles it in one frame and refuses its
-    product of 2**1500 states.  A long `;` spine is compiled and projected
+    """No input is too deep.  `check` compiles the 1,500-operand `&` spine
+    in one frame and refuses its product of 2**1500 states, and `project`
+    serializes it off an explicit stack and projects the first
+    serialization, a chain.  A long `;` spine is compiled and projected
     in one frame, so the 1,500-interaction chain decides.  Parentheses
     parse off an explicit stack, so 1,200 of them decide as the
     interaction they enclose does."""
@@ -123,8 +124,10 @@ def test_too_deep_inputs_exit_with_usage_code(tmp_path, name, command):
         if command == "check":
             assert (result.returncode, result.stdout, result.stderr) == (1, f"BoundExhausted: {AND_REFUSED}\n", "")
         else:
-            assert (result.returncode, result.stdout) == (2, "")
-            assert result.stderr == "error: input nests too deeply\n"
+            assert (result.returncode, result.stderr) == (0, "")
+            assert result.stdout.splitlines() == [
+                f"{role} : {''.join(f'{io}m{i}.' for i in range(1500))}end" for role, io in (("p", "q!"), ("q", "p?"))
+            ]
     elif name == "chain1500":
         assert (result.returncode, result.stderr) == (0, "")
         if command == "check":
@@ -146,14 +149,10 @@ def test_too_deep_inputs_exit_with_usage_code(tmp_path, name, command):
 def test_a_long_and_spine_is_refused_unless_it_is_projected(tmp_path, command):
     """`trace` and `classify` compile the 1,500-operand `&` spine in one
     frame and report its product as BoundExhausted; `verify` projects it
-    first, which takes a frame per operand, so it exits 2."""
+    first, to a chain, and then refuses the product the same way."""
     path = tmp_path / "and1500.gt"
     path.write_text(DEEP_INPUTS["and1500"])
     result = run(command, str(path), "--json")
-    if command == "verify":
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr == "error: input nests too deeply\n"
-        return
     assert (result.returncode, result.stderr) == (1, "")
     assert json.loads(result.stdout) == {
         "command": command,
@@ -232,6 +231,22 @@ def test_a_merge_past_a_long_branch_projects(tmp_path):
     assert (result.returncode, result.stderr) == (0, "")
     chain = ".".join(f"q?c{i}" for i in range(1500))
     assert f"r : p?a.end + {chain}.p?b.p?a.end" in result.stdout.splitlines()
+
+
+def test_a_failed_merge_past_a_long_branch_is_reported(tmp_path):
+    """Without `p -> r : b`, r's two behaviours cannot be merged: direct
+    projection says so, and the `&`-elimination search that follows walks
+    the 1,500-interaction `;` chain off explicit stacks, finds no rewrite,
+    and lets that finding stand."""
+    path = tmp_path / "g.gt"
+    inputs = " ; ".join(f"q -> r : c{i}" for i in range(1500))
+    path.write_text(f"(s -> p : l ; s -> q : l ; p -> r : a) | (s -> p : k ; s -> q : k ; {inputs} ; p -> r : a)\n")
+    result = run("project", str(path))
+    assert (result.returncode, result.stderr) == (1, "")
+    assert result.stdout.splitlines()[:2] == [
+        "ProjectionError: IncompatibleMerge",
+        "detail: role 'r': input of 'a' from {p} cannot be merged: the other behaviour may consume it elsewhere",
+    ]
 
 
 def test_project_prints_long_two_role_chains(tmp_path):
@@ -340,6 +355,18 @@ def test_verify_finds_a_reordering_longer_than_max_len(monkeypatch, capsys, tmp_
     assert payload["basis"] == "exact" and payload["liveness"] == "Live"
 
 
+def test_verify_orders_a_counterexample_by_its_letters_texts(monkeypatch, capsys, tmp_path):
+    """The counterexample is the least in `word_key` order, the order every
+    listing takes: a join letter, whose text opens with `{`, comes after
+    the single-sender letters of its length."""
+    path = tmp_path / "join.gt"
+    path.write_text("{r,u} -> q : f & (t -> u : c ; r -> t : c)\n")
+    assert run_in_process(monkeypatch, "verify", str(path), "--json") == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sound_counterexample"] == ["r -> t : c", "t -> u : c", "{r,u} -> q : f"]
+    assert payload["complete"] is True and payload["basis"] == "exact"
+
+
 NO_JOIN = "(p -> q1 : a & p -> q2 : a) ; (q1 -> q : b & q2 -> q : b)\n"
 
 
@@ -376,11 +403,11 @@ def test_verify_under_a_small_depth_is_unknown_and_bounded(monkeypatch, capsys, 
 
 
 def test_verify_says_where_a_cut_exploration_stopped(monkeypatch, capsys, sale):
-    """After an `Unknown` exploration the completeness fallback enumerates;
-    when that runs out of budget, the report names the configurations
-    explored.  A small cap stands in for the default budget."""
-    enumerate_traces = verifier.enumerate_traces
-    monkeypatch.setattr(verifier, "enumerate_traces", lambda a, n: enumerate_traces(a, n, cap=3))
+    """After an `Unknown` exploration the completeness fallback lists
+    traces; when that runs out of budget, the report names the
+    configurations explored.  A small cap stands in for the default budget."""
+    first_uncovered = verifier.first_uncovered
+    monkeypatch.setattr(verifier, "first_uncovered", lambda a, b, n: first_uncovered(a, b, n, cap=3))
     assert run_in_process(monkeypatch, "verify", sale, "--depth", "2", "--json") == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "BoundExhausted"
@@ -1012,11 +1039,14 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
 
 def verify_reference(g, env, max_len, buf_bound, depth_bound) -> dict:
     """The fields of a `verify --json` report as the product path gives
-    them: the whole environment explored once, against the whole type."""
+    them: the whole environment explored once, against the whole type,
+    with the completeness gap found by the reference listings
+    (`test_tracelang.reference_first_uncovered`)."""
     try:
-        report = verifier._conformance(
-            tracelang.compile_traces(g), *runtime.explore(env, buf_bound, depth_bound), max_len, buf_bound
-        )
+        with mock.patch.object(verifier, "first_uncovered", reference_first_uncovered):
+            report = verifier._conformance(
+                tracelang.compile_traces(g), *runtime.explore(env, buf_bound, depth_bound), max_len, buf_bound
+            )
     except tracelang.BudgetExceededError as exc:
         return {"error": "BoundExhausted", "detail": str(exc)}
     words = (report.sound_counterexample, report.completeness_gap)
@@ -1067,6 +1097,27 @@ def verified(tmp_path_factory):
     return protocols
 
 
+@pytest.fixture(scope="module")
+def environments(verified, tmp_path_factory):
+    """The projections of the `verified` types that project, and the
+    role-disjoint unions of `test_runtime.disjoint_unions`, each written
+    to a file."""
+    root = tmp_path_factory.mktemp("environments")
+    envs = []
+    for g in verified.values():
+        try:
+            envs.append(projector.project_top(g))
+        except projector.ProjectionError:
+            continue
+    envs += [parse_session_env(text) for text in disjoint_unions()]
+    written = {}
+    for i, env in enumerate(envs):
+        path = root / f"env{i}.mps"
+        path.write_text(print_session_env(env))
+        written[str(path)] = cli._load_env(str(path))
+    return written
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),
@@ -1074,24 +1125,31 @@ def verified(tmp_path_factory):
     buf_bound=st.integers(1, 4),
     depth_bound=st.integers(1, 400),
 )
-def test_verify_keeps_its_contract(verified, data, max_len, buf_bound, depth_bound):
+def test_verify_keeps_its_contract(verified, environments, data, max_len, buf_bound, depth_bound):
     """Exit 0 when sound and complete and 1 otherwise, a report that
     parses, no traceback, and the report the product path gives: the
     projection's failure, or the whole environment explored once and
     checked against the whole type (width-3 pairs have 343
-    configurations, so the depth falls on both sides of them)."""
+    configurations, so the depth falls on both sides of them).  The
+    environment is the type's projection, or one drawn from
+    `environments`, which mostly implements another type, so that the
+    counterexample and the gap are both searched for."""
     path = data.draw(st.sampled_from(sorted(verified)))
-    code, out, err = run_main(["verify", path, "--json", "--max-len", str(max_len),
-                               "--buf-bound", str(buf_bound), "--depth", str(depth_bound)])
+    env_path = data.draw(st.none() | st.sampled_from(sorted(environments)))
+    code, out, err = run_main(["verify", path, *([] if env_path is None else [env_path]), "--json",
+                               "--max-len", str(max_len), "--buf-bound", str(buf_bound), "--depth", str(depth_bound)])
     assert code in (0, 1)
     assert "Traceback" not in err
     payload = json.loads(out)
     g = verified[path]
-    try:
-        env = projector.project_top(g)
-    except projector.ProjectionError as exc:
-        assert code == 1 and payload["projected"] is False and payload["error"] == exc.kind
-        return
+    if env_path is not None:
+        env = environments[env_path]
+    else:
+        try:
+            env = projector.project_top(g)
+        except projector.ProjectionError as exc:
+            assert code == 1 and payload["projected"] is False and payload["error"] == exc.kind
+            return
     expected = verify_reference(g, env, max_len, buf_bound, depth_bound)
     assert {key: payload.get(key) for key in expected} == expected
     assert code == (0 if expected.get("sound") and expected.get("complete") else 1)

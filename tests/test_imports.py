@@ -5,7 +5,7 @@ no memo table outlives the call that fills it, the package imports
 nothing from outside the standard library, no call of `json` passes
 an indent, which would select its pure-Python encoder, and neither the
 verifier nor the command line explores a session whole or compiles a
-type whole where the parts would do.
+type whole where the parts would do, or orders traces itself.
 
 `mpst/__init__.py` is left out of the import check: it imports names to
 re-export them."""
@@ -297,3 +297,12 @@ WHOLE = {"cli.py": {"explore"}, "verifier.py": {"explore", "compile_traces"}}
 @pytest.mark.parametrize("name", sorted(WHOLE))
 def test_no_caller_falls_back_to_the_whole(name):
     assert named((PACKAGE / name).read_text(encoding="utf-8"), WHOLE[name]) == []
+
+
+# The order in which traces are listed and picked lives in `tracelang`.
+ORDERED = {"word_key", "enumerate_traces"}
+
+
+@pytest.mark.parametrize("name", ["cli.py", "verifier.py"])
+def test_the_trace_order_lives_in_tracelang(name):
+    assert named((PACKAGE / name).read_text(encoding="utf-8"), ORDERED) == []

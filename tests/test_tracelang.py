@@ -41,6 +41,7 @@ from mpst.tracelang import (
     compile_traces,
     count_traces,
     enumerate_traces,
+    first_uncovered,
     includes,
     is_well_formed,
     list_traces,
@@ -163,13 +164,13 @@ def test_compiled_automata_are_trim_and_no_move_enters_the_start():
 
 
 def shortlex(w):
-    return len(w), [(sorted(i.senders), i.receiver, i.message) for i in w]
+    return len(w), [str(i) for i in w]
 
 
 def test_inclusion_counterexample_is_shortlex_least():
     """On criterion 8's neighbouring samples, the counterexample is the
     least word of the oracle's difference of the two trace sets, shorter
-    words first and then letters by (senders, receiver, message)."""
+    words first and then by the texts of their letters."""
     samples = [random_global_type(20260814 + i) for i in range(200)]
     longest = 0
     for x, y in zip(samples, samples[1:]):
@@ -244,33 +245,47 @@ def reference_member(a, word):
     return not a.accepts.isdisjoint(states)
 
 
-def reference_enumerate_traces(a, max_len, cap=DEFAULT_ENUM_CAP):
-    """The reference for `enumerate_traces`: a breadth-first search over
-    (state set, word) with its own memo of subset steps."""
-    words = set()
+def reference_traces(a, max_len, cap=DEFAULT_ENUM_CAP):
+    """The reference for the listing of traces: a breadth-first search over
+    (state set, word) with its own memo of subset steps, taking letters in
+    the order of their texts, so that it yields the traces in `word_key`
+    order."""
     queue = deque([(frozenset({0}), ())])
     moves = {}
-    visited = 0
+    visited = found = 0
     while queue:
         states, word = queue.popleft()
         visited += 1
-        if not a.accepts.isdisjoint(states):
-            words.add(word)
-        if len(words) > cap:
+        accepting = not a.accepts.isdisjoint(states)
+        found += accepting
+        if found > cap:
             raise BudgetExceededError(f"more than {cap} traces of length <= {max_len}")
         if visited > cap:
             raise BudgetExceededError(f"visited more than {cap} prefixes of length <= {max_len}")
+        if accepting:
+            yield word
         if len(word) < max_len:
             if states not in moves:
                 moves[states] = reference_successors(a, states)
-            for letter, nxt in moves[states].items():
+            for letter, nxt in sorted(moves[states].items(), key=lambda move: str(move[0])):
                 queue.append((nxt, word + (letter,)))
-    return words
+
+
+def reference_enumerate_traces(a, max_len, cap=DEFAULT_ENUM_CAP):
+    """The reference for `enumerate_traces`."""
+    return set(reference_traces(a, max_len, cap))
+
+
+def reference_first_uncovered(a, b, max_len, cap=DEFAULT_ENUM_CAP):
+    """The reference for `first_uncovered`: the reference listing of `a`
+    up to the first trace whose Parikh vector no trace of `b` has."""
+    covered = {parikh_vector(w) for w in reference_traces(b, max_len, cap)}
+    return next((w for w in reference_traces(a, max_len, cap) if parikh_vector(w) not in covered), None)
 
 
 def reference_includes(a1, a2):
     """The reference for `includes`: a breadth-first search over pairs of
-    state sets, taking letters in `_ikey` order at every pair."""
+    state sets, taking letters in the order of their texts at every pair."""
     start = (frozenset({0}), frozenset({0}))
     parent = {start: None}
     queue = deque([start])
@@ -285,7 +300,7 @@ def reference_includes(a1, a2):
                 found.append(letter)
             return tuple(reversed(found))
         succ1, succ2 = reference_successors(a1, s1), reference_successors(a2, s2)
-        for letter in sorted(succ1, key=tracelang._ikey):
+        for letter in sorted(succ1, key=str):
             nxt = (succ1[letter], succ2.get(letter, frozenset()))
             if nxt not in parent:
                 parent[nxt] = (pair, letter)
@@ -345,6 +360,25 @@ def test_subset_automata_answer_as_the_reference_algorithms():
         assert enumerate_traces(auto, 5) == reference_enumerate_traces(auto, 5)
         for cap in (1, 3, 10):
             assert enumeration(enumerate_traces, auto, 8, cap) == enumeration(reference_enumerate_traces, auto, 8, cap)
+
+
+def test_the_first_uncovered_trace_is_the_reference_listings():
+    """`first_uncovered` against `reference_first_uncovered` on neighbouring
+    automata of `language_question_automata`: the same trace, or the same
+    budget exceeded, at small caps and the default one.  Under the default
+    one, the trace is the least uncovered one of both whole listings in
+    `word_key` order."""
+    autos, _ = language_question_automata()
+    outcomes = set()
+    for a, b in [*zip(autos, autos[1:]), *zip(autos[1:], autos)]:
+        for cap in (3, 30, DEFAULT_ENUM_CAP):
+            found = enumeration(lambda a, n, c: first_uncovered(a, b, n, c), a, 6, cap)
+            assert found == enumeration(lambda a, n, c: reference_first_uncovered(a, b, n, c), a, 6, cap)
+            outcomes.add(type(found).__name__)
+        covered = {parikh_vector(w) for w in reference_enumerate_traces(b, 6)}
+        uncovered = [w for w in reference_enumerate_traces(a, 6) if parikh_vector(w) not in covered]
+        assert found == min(uncovered, key=word_key, default=None)
+    assert outcomes == {"tuple", "NoneType", "str"}
 
 
 def test_counting_answers_as_sorted_enumeration():

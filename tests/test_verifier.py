@@ -262,16 +262,19 @@ def counting_compiles(monkeypatch, record) -> None:
 
 def test_conformance_determinizes_each_automaton_once(monkeypatch):
     """Cut at depth 2, the sale protocol's check asks both inclusions and
-    then enumerates both languages; the type's and the session's automata
-    are determinized once each for all four questions."""
+    then lists both languages for the first uncovered trace; the type's
+    and the session's automata are determinized once each for all four
+    questions."""
     protocol = g(
         "seller -> buyer : descr ; seller -> buyer : price ;"
         " (buyer -> seller : accept | buyer -> seller : quit)"
     )
     env = project_top(protocol)
     enumerated = []
-    enumerate_ = verifier.enumerate_traces
-    monkeypatch.setattr(verifier, "enumerate_traces", lambda a, n: enumerated.append(a) or enumerate_(a, n))
+    first_uncovered = verifier.first_uncovered
+    monkeypatch.setattr(
+        verifier, "first_uncovered", lambda a, b, n: enumerated.extend((a, b)) or first_uncovered(a, b, n)
+    )
     built = counting_subset_automata(monkeypatch)
     report = check_preorder(protocol, env, depth_bound=2)
     assert report.basis == "bounded" and report.liveness == "Unknown"
