@@ -8,7 +8,7 @@ import time
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import parikh, swap_violations, swappable, trace_set
@@ -747,14 +747,43 @@ def and_spines(draw, operands=None):
     return joined(parts)
 
 
+# an `&` spine whose product has 262,144 states, past `DEFAULT_ENUM_CAP`,
+# though its role groups have 1,024, 16 and 16
+OVER_BUDGET = (
+    "(r0 -> s0 : b ; (s0 -> r0 : b ; r0 -> s0 : b)) & (p0 -> q0 : a & s0 -> r0 : b & ({p0,q0} -> r0 : a & r0 -> s0 : b))"
+    " & (p0 -> q0 : a & skip & (q0 -> p0 : a & q0 -> s0 : b & (skip | p0 -> q0 : a)))"
+    " & (p1 -> q1 : a & skip & (q1 -> p1 : a & q1 -> s1 : b & (skip | p1 -> q1 : a)))"
+    " & (p3 -> q3 : a & skip & (q3 -> p3 : a & q3 -> s3 : b & (skip | p3 -> q3 : a)))"
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(and_spines())
+@example(g(OVER_BUDGET))
+@example(g(OVER_BUDGET + " & (t -> u : a ; v -> w : b)"))
 def test_role_groups_decide_well_formedness_as_the_product_does(sample):
-    verdict = one_swap_well_formed(sample)
-    assert well_formed(sample) == verdict
-    assert is_well_formed(sample) == bool(verdict)
-    roles = [roles_of(group) for group in role_groups(sample)]
+    """`well_formed` gives the verdict of the reference on the product,
+    and `is_well_formed` and the reference on each role group agree with
+    it.  Past the budget of the product, where the reference raises
+    BudgetExceededError, a type whose groups are all well formed is still
+    decided, by its groups, and one that is not raises it too, as its
+    witness is sought on the product."""
+    groups = role_groups(sample)
+    roles = [roles_of(group) for group in groups]
     assert all(a.isdisjoint(b) for i, a in enumerate(roles) for b in roles[i + 1 :])
+    by_groups = all(one_swap_well_formed(group) for group in groups)
+    assert is_well_formed(sample) == by_groups
+    try:
+        verdict = one_swap_well_formed(sample)
+    except BudgetExceededError:
+        verdict = WellFormed() if by_groups else None
+    else:
+        assert bool(verdict) == by_groups
+    if verdict is None:
+        with pytest.raises(BudgetExceededError):
+            well_formed(sample)
+    else:
+        assert well_formed(sample) == verdict
 
 
 def test_role_groups_join_operands_that_share_a_role_transitively():
