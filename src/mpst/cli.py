@@ -163,8 +163,9 @@ def _projection_failed(exc: projector.ProjectionError, fields: dict, as_json: bo
 
 @contextmanager
 def _bound_exhausted(report: dict, as_json: bool):
-    """Report an enumeration that ran out of budget in the block as a
-    BoundExhausted finding with the fields of `report`, and exit 1."""
+    """Report a search that ran out of budget in the block (an enumeration,
+    a product, or the resolution of a session type) as a BoundExhausted
+    finding with the fields of `report`, and exit 1."""
     try:
         yield
     except tracelang.BudgetExceededError as exc:
@@ -228,10 +229,11 @@ def check(path, dot, as_json):
 def project(path, budget, as_json):
     """Project the global type in PATH onto each participant."""
     g = _load_global(path)
-    try:
-        env = projector.project_top(g, budget=budget)
-    except projector.ProjectionError as exc:
-        _projection_failed(exc, {"command": "project", "input": path}, as_json, detailed=True)
+    with _bound_exhausted({"command": "project", "input": path}, as_json):
+        try:
+            env = projector.project_top(g, budget=budget)
+        except projector.ProjectionError as exc:
+            _projection_failed(exc, {"command": "project", "input": path}, as_json, detailed=True)
     text = print_session_env(env)
     _emit(
         {
@@ -253,7 +255,8 @@ def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
     sample printed is built.  They are counted on the shuffle of the parts
     of one `runtime.explore_parts`, whose subset automaton is the product
     of theirs."""
-    env = _load_env(path)
+    with _bound_exhausted({"command": "simulate", "input": path}, as_json):
+        env = _load_env(path)
     bound = length_bound or 2 * len(env) + 8
     verdict, parts = runtime.explore_parts(runtime.Session(env, buf_bound), depth_bound)
     name = type(verdict).__name__
@@ -291,15 +294,15 @@ def verify(gt_path, env_path=None, *, max_len, buf_bound, depth_bound, projectio
     if env_path is not None and projection_budget is not None:
         raise argparse.ArgumentError(None, "--budget is read only when ENV_PATH is omitted")
     g = _load_global(gt_path)
-    if env_path is not None:
-        env = _load_env(env_path)
-    else:
-        try:
-            env = projector.project_top(g, budget=projection_budget or projector.DEFAULT_AND_BUDGET)
-        except projector.ProjectionError as exc:
-            _projection_failed(exc, {"command": "verify", "input": gt_path}, as_json)
     bound = max_len or default_max_len(g)
     with _bound_exhausted({"command": "verify", "input": gt_path}, as_json):
+        if env_path is not None:
+            env = _load_env(env_path)
+        else:
+            try:
+                env = projector.project_top(g, budget=projection_budget or projector.DEFAULT_AND_BUDGET)
+            except projector.ProjectionError as exc:
+                _projection_failed(exc, {"command": "verify", "input": gt_path}, as_json)
         report = verifier.check_preorder(g, env, bound, buf_bound, depth_bound)
     payload = {
         "command": "verify",

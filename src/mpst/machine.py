@@ -23,10 +23,10 @@ deferred merges produced when projecting nested iterations) resolve here.
 A merge whose kind depends on itself before crossing a prefix cannot be
 resolved and fails conservatively.  Resolution is budgeted by its work as
 well as by its size: past `_STATE_CAP` states or `_STEP_CAP` successor
-computations it fails with NotSessionTypeError.  It visits branch keys in
-canonical order and the parts of a join in the order they were first
-joined, so the fault it reports for a type with several does not depend on
-hash order.
+computations it raises `tracelang.BudgetExceededError`, a bound and not a
+finding about the type.  It visits branch keys in canonical order and the
+parts of a join in the order they were first joined, so the fault it
+reports for a type with several does not depend on hash order.
 
 A canonical term is never resolved again.  `normalize_session_type` keeps
 on the term it returns the minimized machine it read that term back from,
@@ -61,7 +61,7 @@ from .syntax import (
     parts,
     with_parts,
 )
-from .tracelang import minimal_form
+from .tracelang import BudgetExceededError, minimal_form
 
 END, OUT, IN = "end", "out", "in"
 
@@ -78,7 +78,7 @@ class MergeError(NotSessionTypeError):
 
 def _check_size(states: int) -> None:
     if states > _STATE_CAP:
-        raise NotSessionTypeError(
+        raise BudgetExceededError(
             "session type is too large to resolve "
             f"(more than {_STATE_CAP} states)"
         )
@@ -324,7 +324,7 @@ class _Resolver:
     def target(self, key: tuple, bk: tuple) -> tuple:
         self.steps += 1
         if self.steps > _STEP_CAP:
-            raise NotSessionTypeError(
+            raise BudgetExceededError(
                 "session type is too large to resolve "
                 f"(more than {_STEP_CAP} resolution steps)"
             )
@@ -551,8 +551,9 @@ def is_canonical(t: SessionType) -> bool:
 def type_machine(t: SessionType) -> Machine:
     """Resolve a closed session type (merges allowed) to its minimized
     machine.  Raises NotSessionTypeError/MergeError/UnguardedRecursionError
-    when `t` does not denote a session type.  A canonical term gives the
-    machine it carries, a prefix chain its own chain read off once."""
+    when `t` does not denote a session type, and BudgetExceededError past
+    the resolver's caps.  A canonical term gives the machine it carries, a
+    prefix chain its own chain read off once."""
     m = _kept_machine(t)
     if m is not None:
         return m

@@ -27,13 +27,18 @@ environment of closed types it meets (outside loop bodies): the
 candidates share one memo of projections, and `project_first` shares it
 across the searches of several types, such as the relaxations one
 `classify` tries.  The memo is built only once the direct projection has
-failed, so a type that projects directly pays nothing for it.
+failed, so a type that projects directly pays nothing for it.  Before the
+search of a type with `&` builds any candidate, the parts of the type that
+no rewrite changes are projected: when the tail of its root `;` spine, or
+the end of a `*` loop's body, fails there, every candidate fails, and the
+search is skipped (see `_kept_failure`).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
+from functools import reduce
 
 from . import machine
 from .syntax import (
@@ -429,7 +434,9 @@ def project_top(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> SessionEnv:
     unordered composition, or plain projection fails, the sequential
     rewrites of `g` are tried in the order they are generated and the first
     success wins; the candidates after it are never built.  The candidates
-    share one memo of the projections of their subterms."""
+    share one memo of the projections of their subterms.  A search that
+    parts of `g` no rewrite changes prove hopeless builds no candidate, and
+    its error says "0 candidates tried"."""
     return _project_top(g, budget, _Ctx())
 
 
@@ -457,14 +464,24 @@ def _project_top(g: GlobalType, budget: int, ctx: _Ctx) -> SessionEnv:
         # hold the error too, or the two would form a reference cycle
         if ctx.memo is None:
             ctx.memo = {}
+        rewrites: dict[GlobalType, list[GlobalType]] = {}
+        both = _contains_both(g)
+        kept = _kept_failure(g, cont, rewrites, ctx) if both else None
+        if kept is not None:
+            raise ProjectionError(
+                AND_ELIMINATION_EXHAUSTED,
+                f"no sequential rewrite projects (0 candidates tried): {kept}; "
+                f"plain projection says: {direct_error}",
+                g,
+            ) from None
         tried = 0
-        for cand in _sequential_rewrites(g, budget):
+        for cand in _sequential_rewrites(g, budget, rewrites):
             tried += 1
             try:
                 return _project_alg(cand, cont, ctx)
             except ProjectionError:
                 continue
-        if not _contains_both(g):
+        if not both:
             raise
         raise ProjectionError(
             AND_ELIMINATION_EXHAUSTED,
@@ -472,6 +489,121 @@ def _project_top(g: GlobalType, budget: int, ctx: _Ctx) -> SessionEnv:
             f"plain projection says: {direct_error}",
             g,
         ) from None
+
+
+def _kept_failure(
+    g: GlobalType,
+    cont: SessionEnv,
+    rewrites: dict[GlobalType, list[GlobalType]],
+    ctx: _Ctx,
+) -> str | None:
+    """Why no sequential rewrite of `g` projects against `cont`, found
+    from the parts of `g` that no rewrite changes, or None when these
+    parts prove nothing.  When `g` has a `;` root or a `*` loop, it
+    enters each kept subterm of `g` in `rewrites`, mapped to no rewrite,
+    as `_rewrites` would for the search that follows; it computes no
+    other rewrite.  Without either, no part is kept that every candidate
+    projects, and it returns None at once.
+
+    A term is *kept* when `_rewrites` gives it no rewrite: when neither it
+    nor any of its subterms has a root rewrite (`_root_rewrites`), so it
+    holds no `&`, and no `|` whose sides are equal or are two `;` with
+    equal left sides; nothing inside a kept term is ever rewritten.
+    The *kept suffix* of a term is the term itself when it is kept, and
+    otherwise the longest run of kept operands that ends its root `;`
+    spine (`spine`; empty when the root is not a `;`).  The candidates
+    are the two serializations and the terms the search reaches from `g`
+    by single rewrites, each at one node of the term.
+
+    (A) Kept tail.  Every candidate's root spine ends with the kept
+    suffix K of `g`.  No rewrite acts at a `;` node, so one that acts
+    inside the root spine acts inside one operand, which is not kept and
+    so lies before K; the new operand's own spine takes the old one's
+    place and K still ends the spine.  A serialization turns each `&`
+    into a `;`, which adds operands in place of one that is not kept.
+    `_project` folds a root spine from its right end, starting from the
+    environment it is given, and `_project_alg` gives every candidate
+    `cont`: so each candidate first projects K against `cont`, and if
+    that raises, so does the candidate.
+
+    (B) Dead loop.  Let L be a `*` loop in `g` and K the kept suffix of
+    its body.  Every candidate holds a `*` loop whose body ends with K.
+    A rewrite inside L's body keeps K as (A) shows; no rewrite acts at a
+    `*`; and every rewrite at a node above L, or beside it, keeps each of
+    its subterms whole in the term it builds, L included: a
+    serialization or distribution of `&` (an unrolling of a `*` operand
+    keeps the `*` beside its unrolled body, and a `loopk` operand
+    unfolds into a term that holds each of its bodies and exits), and
+    the merge or factoring of a `|`.  `_project` visits every subterm
+    of a candidate, short of the bodies of loops with no roles, whose
+    projection never fails.  At the loop, `_kexit` projects the body
+    against fresh unknowns for the loop's roles, whatever follows the
+    loop, without the memo; the body's projection folds K first, and
+    projecting K depends only on the entries of its roles, which are
+    fresh unknowns, and on which of them are equal, not on their names.
+    So if K raises against fresh unknowns here, every candidate raises.
+    A `loopk` gives no such proof, since an `&` above it unfolds it into
+    a different loop with other bodies.
+
+    Only `ProjectionError` is caught: a bound raised while checking
+    propagates, and is never taken for a proof."""
+    order, loops, work = [], {}, [g]
+    while work:
+        t = work.pop()
+        subs = subterms(t)
+        order.append((t, subs))
+        work += subs
+        if type(t) is GStar:
+            loops[t] = None
+    if type(g) is not GSeq and not loops:
+        return None  # no kept tail, and no loop
+    kept: set[GlobalType] = set()
+    for t, subs in reversed(order):  # each subterm after its own subterms
+        # only `&` and `|` have root rewrites, and an `&` always has
+        k = type(t)
+        if k is not GBoth and (k is not GEither or not _root_rewrites(t)) and kept.issuperset(subs):
+            kept.add(t)
+    rewrites.update((t, []) for t in kept)
+    tail = _kept_suffix(g, kept)
+    if tail is not None:
+        try:
+            _project(tail, dict(cont), ctx)
+        except ProjectionError as exc:
+            return f"every rewrite ends with {print_global_type(tail)}, whose projection says: {exc}"
+    ctx.loops += 1
+    try:
+        for loop in reversed(loops):  # inner loops first
+            tail = _kept_suffix(loop.body, kept)
+            if tail is None:
+                continue
+            unknowns = {r: TVar(ctx.fresh()) for r in sorted(roles_of(loop))}
+            try:
+                _project(tail, unknowns, ctx)
+            except ProjectionError as exc:
+                if tail is loop.body:
+                    return f"every rewrite keeps the loop {print_global_type(loop)}, whose body's projection says: {exc}"
+                return (
+                    f"every rewrite keeps {print_global_type(tail)} at the end of the body of the loop "
+                    f"{print_global_type(loop)}, whose projection there says: {exc}"
+                )
+    finally:
+        ctx.loops -= 1
+    return None
+
+
+def _kept_suffix(g: GlobalType, kept: set[GlobalType]) -> GlobalType | None:
+    """`g` when it is in `kept`; else the longest run of operands in `kept`
+    ending its root `;` spine, as one `;` term, or None when there is
+    none."""
+    if g in kept:
+        return g
+    if type(g) is not GSeq:
+        return None
+    ops = spine(g)
+    n = len(ops)
+    while n and ops[n - 1] in kept:
+        n -= 1
+    return reduce(GSeq, ops[n:]) if n < len(ops) else None
 
 
 def _contains_both(g: GlobalType) -> bool:
@@ -489,7 +621,11 @@ def _contains_both(g: GlobalType) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sequential_rewrites(g: GlobalType, budget: int) -> Iterator[GlobalType]:
+def _sequential_rewrites(
+    g: GlobalType,
+    budget: int,
+    rewrites: dict[GlobalType, list[GlobalType]] | None = None,
+) -> Iterator[GlobalType]:
     """`&`-free rewrites of `g` other than `g` itself, built one at a time,
     each yielded once, each denoting a sublanguage of (or the same language
     as) `g`'s traces: the two whole-type serializations first, then every
@@ -498,9 +634,10 @@ def _sequential_rewrites(g: GlobalType, budget: int) -> Iterator[GlobalType]:
     visits at most `budget` terms, `g` included: once it has, it stops
     expanding, and the terms it has visited are still yielded.  The
     rewrites of a subterm are computed once and shared by every term of the
-    search that contains it."""
+    search that contains it, in `rewrites` when it is given."""
     seen: set[GlobalType] = {g}
-    rewrites: dict[GlobalType, list[GlobalType]] = {}
+    if rewrites is None:
+        rewrites = {}
 
     def fresh(t: GlobalType) -> bool:
         if t in seen or _contains_both(t):
@@ -564,33 +701,41 @@ def _rewrites(g: GlobalType, memo: dict[GlobalType, list[GlobalType]]) -> list[G
             order.append((t, subs))
             work += subs
     for t, subs in reversed(order):
-        out = memo[t] = []  # a term listed twice is filled twice, alike
-        match t:
-            case GBoth(l, r):
-                out.append(GSeq(l, r))
-                out.append(GSeq(r, l))
-                for a, b, flip in ((l, r, False), (r, l, True)):
-                    def both(x: GlobalType, y: GlobalType) -> GlobalType:
-                        return GBoth(y, x) if flip else GBoth(x, y)
-
-                    match a:
-                        case GSkip():
-                            out.append(b)
-                        case GEither(x, y):
-                            out.append(GEither(both(x, b), both(y, b)))
-                        case GSeq(x, y):
-                            out.append(GSeq(both(x, b), y))
-                            out.append(GSeq(x, both(y, b)))
-                        case GStar(x):
-                            out.append(GEither(GSeq(both(x, b), GStar(x)), b))
-                            out.append(GEither(GSeq(GStar(x), both(x, b)), b))
-                        case GKExit(bodies, exits):
-                            out.append(both(kexit_unfolding(bodies, exits), b))
-            case GEither(l, r) if l == r:
-                out.append(l)
-            case GEither(GSeq(a, b), GSeq(a2, c)) if a == a2:
-                out.append(GSeq(a, GEither(b, c)))
+        out = memo[t] = _root_rewrites(t)  # a term listed twice is filled twice, alike
         for i, x in enumerate(subs):
             for x2 in memo[x]:
                 out.append(with_subterms(t, subs[:i] + (x2,) + subs[i + 1 :]))
     return memo[g]
+
+
+def _root_rewrites(g: GlobalType) -> list[GlobalType]:
+    """The rewrites of `g` at its root: the serializations and distributions
+    of an `&`, and the merge or factoring of a `|` whose sides are equal or
+    are two `;` with equal left sides."""
+    out: list[GlobalType] = []
+    match g:
+        case GBoth(l, r):
+            out.append(GSeq(l, r))
+            out.append(GSeq(r, l))
+            for a, b, flip in ((l, r, False), (r, l, True)):
+                def both(x: GlobalType, y: GlobalType) -> GlobalType:
+                    return GBoth(y, x) if flip else GBoth(x, y)
+
+                match a:
+                    case GSkip():
+                        out.append(b)
+                    case GEither(x, y):
+                        out.append(GEither(both(x, b), both(y, b)))
+                    case GSeq(x, y):
+                        out.append(GSeq(both(x, b), y))
+                        out.append(GSeq(x, both(y, b)))
+                    case GStar(x):
+                        out.append(GEither(GSeq(both(x, b), GStar(x)), b))
+                        out.append(GEither(GSeq(GStar(x), both(x, b)), b))
+                    case GKExit(bodies, exits):
+                        out.append(both(kexit_unfolding(bodies, exits), b))
+        case GEither(l, r) if l == r:
+            out.append(l)
+        case GEither(GSeq(a, b), GSeq(a2, c)) if a == a2:
+            out.append(GSeq(a, GEither(b, c)))
+    return out

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from mpst import cli, projector, runtime, tracelang, verifier
+from mpst import cli, machine, projector, runtime, tracelang, verifier
 from mpst.syntax import (
     GBoth,
     Interaction,
@@ -1354,6 +1354,55 @@ def test_a_subset_automaton_past_its_budget_ends_bound_exhausted(tmp_path):
             "input": str(path),
             "schema": 1,
         }
+
+
+def test_a_merge_past_the_resolver_cap_ends_bound_exhausted(tmp_path):
+    """`project` on `(p -> q : a | p -> q : b)* ; p -> q : a` followed by 14
+    choices between the same two letters meets a merge with more than
+    20,000 states to resolve.  It reports that bound as BoundExhausted, not
+    as a merge that fails, with nothing on stderr."""
+    path = tmp_path / "choices.gt"
+    path.write_text("(p -> q : a | p -> q : b)* ; p -> q : a ; " + " ; ".join(["(p -> q : a | p -> q : b)"] * 14))
+    proc = run_capped("project", str(path), "--json")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout) == {
+        "command": "project",
+        "detail": "session type is too large to resolve (more than 20000 states)",
+        "error": "BoundExhausted",
+        "input": str(path),
+        "schema": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("project", "{gt}"),
+        ("verify", "{gt}"),
+        ("classify", "{gt}"),
+        ("verify", "{gt}", "{env}"),
+        ("simulate", "{env}"),
+    ],
+)
+def test_a_session_type_past_the_resolver_cap_is_reported_by_every_command(monkeypatch, capsys, tmp_path, args):
+    """With the resolver capped at three states, a three-interaction chain
+    cannot be resolved, whether projection builds it or the parser reads it
+    from an ENV file: each command reports BoundExhausted with one report."""
+    monkeypatch.setattr(machine, "_STATE_CAP", 3)
+    gt, env = tmp_path / "chain.gt", tmp_path / "chain.mps"
+    gt.write_text("p -> q : a ; q -> p : b ; p -> q : c\n")
+    env.write_text("p : q!a.q?b.q!c.end\nq : p?a.p!b.p?c.end\n")
+    command, *paths = (arg.format(gt=gt, env=env) for arg in args)
+    assert run_in_process(monkeypatch, command, *paths, "--json") == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "command": command,
+        "detail": "session type is too large to resolve (more than 3 states)",
+        "error": "BoundExhausted",
+        "input": paths[0],
+        "schema": 1,
+    }
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ no memo table outlives the call that fills it, the package imports
 nothing from outside the standard library, no call of `json` passes
 an indent, which would select its pure-Python encoder, and neither the
 verifier nor the command line explores a session whole or compiles a
-type whole where the parts would do, or orders traces itself.
+type whole where the parts would do, or orders traces itself, and the
+projector catches no bound.
 
 `mpst/__init__.py` is left out of the import check: it imports names to
 re-export them."""
@@ -306,3 +307,44 @@ ORDERED = {"word_key", "enumerate_traces"}
 @pytest.mark.parametrize("name", ["cli.py", "verifier.py"])
 def test_the_trace_order_lives_in_tracelang(name):
     assert named((PACKAGE / name).read_text(encoding="utf-8"), ORDERED) == []
+
+
+# A bound is a `tracelang.BudgetExceededError`, which is a `RuntimeError`.
+BOUND_CATCHERS = {"BudgetExceededError", "RuntimeError", "Exception", "BaseException"}
+
+
+def handlers_of_bounds(source: str) -> list[str]:
+    """The `except` clauses of `source` that catch a bound: bare ones, and
+    those naming one of `BOUND_CATCHERS`, alone or in a tuple, plain or
+    qualified by a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            found.append(f"except (line {node.lineno})")
+            continue
+        for caught in node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]:
+            name = caught.attr if isinstance(caught, ast.Attribute) else getattr(caught, "id", None)
+            if name in BOUND_CATCHERS:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_the_check_sees_a_handler_of_bounds():
+    source = (
+        "try:\n    f()\nexcept ValueError:\n    pass\n"
+        "try:\n    f()\nexcept (ProjectionError, tracelang.BudgetExceededError):\n    pass\n"
+        "try:\n    f()\nexcept RuntimeError as exc:\n    pass\n"
+        "try:\n    f()\nexcept:\n    pass\n"
+        "try:\n    f()\nexcept Exception:\n    pass\n"
+    )
+    assert handlers_of_bounds(source) == [
+        "BudgetExceededError (line 7)", "RuntimeError (line 11)", "except (line 15)", "Exception (line 19)"
+    ]
+
+
+def test_the_projector_lets_every_bound_through():
+    """No search or check of the projector reads a bound as a failure to
+    project: a bound ends the projection and reaches the caller."""
+    assert handlers_of_bounds((PACKAGE / "projector.py").read_text(encoding="utf-8")) == []
