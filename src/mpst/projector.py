@@ -547,18 +547,13 @@ def _kept_failure(
 
     Only `ProjectionError` is caught: a bound raised while checking
     propagates, and is never taken for a proof."""
-    order, loops, work = [], {}, [g]
-    while work:
-        t = work.pop()
-        subs = subterms(t)
-        order.append((t, subs))
-        work += subs
-        if type(t) is GStar:
-            loops[t] = None
+    order = _postorder(g, ())
+    # by first discovery from the root, each loop before the loops inside it
+    loops = dict.fromkeys(t for t, _ in reversed(order) if type(t) is GStar)
     if type(g) is not GSeq and not loops:
         return None  # no kept tail, and no loop
     kept: set[GlobalType] = set()
-    for t, subs in reversed(order):  # each subterm after its own subterms
+    for t, subs in order:
         # only `&` and `|` have root rewrites, and an `&` always has
         k = type(t)
         if k is not GBoth and (k is not GEither or not _root_rewrites(t)) and kept.issuperset(subs):
@@ -667,16 +662,9 @@ def _sequential_rewrites(
 
 def _serialize_all(g: GlobalType, left_first: bool) -> GlobalType:
     """`g` with every `&` made a `;`, its left operand first if
-    `left_first`.  The subterms are listed off an explicit stack, each
-    before its own subterms, and rebuilt in the reverse order."""
-    order, work = [], [g]
-    while work:
-        t = work.pop()
-        subs = subterms(t)
-        order.append((t, subs))
-        work += subs
+    `left_first`, rebuilt in the order `_postorder` lists its subterms."""
     built: dict[int, GlobalType] = {}  # by the id of the subterm rebuilt
-    for t, subs in reversed(order):
+    for t, subs in _postorder(g, ()):
         new = [built[id(x)] for x in subs]
         if type(t) is GBoth:
             a, b = new
@@ -690,22 +678,30 @@ def _rewrites(g: GlobalType, memo: dict[GlobalType, list[GlobalType]]) -> list[G
     """All single-step rewrites of `g`: at the root, the serializations and
     distributions of `&` plus factoring of a common alternative prefix; in
     context, the rewrites of every immediate subterm.  `memo` holds the
-    rewrites of the terms seen so far.  The subterms not in it are listed
-    off an explicit stack, each before its own subterms, and their
-    rewrites filled in the reverse order."""
-    order, work = [], [g]
-    while work:
-        t = work.pop()
-        if t not in memo:
-            subs = subterms(t)
-            order.append((t, subs))
-            work += subs
-    for t, subs in reversed(order):
+    rewrites of the terms seen so far; those of the others are filled in
+    in the order `_postorder` lists them."""
+    for t, subs in _postorder(g, memo):
         out = memo[t] = _root_rewrites(t)  # a term listed twice is filled twice, alike
         for i, x in enumerate(subs):
             for x2 in memo[x]:
                 out.append(with_subterms(t, subs[:i] + (x2,) + subs[i + 1 :]))
     return memo[g]
+
+
+def _postorder(g: GlobalType, done) -> list[tuple[GlobalType, tuple[GlobalType, ...]]]:
+    """Each subterm of `g` that is not in `done`, with its immediate
+    subterms, listed after its own subterms and once per occurrence.  The
+    walk takes subterms off one explicit stack, so a term of any depth
+    is listed, and it enters no subterm of a term in `done`."""
+    order, work = [], [g]
+    while work:
+        t = work.pop()
+        if t not in done:
+            subs = subterms(t)
+            order.append((t, subs))
+            work += subs
+    order.reverse()
+    return order
 
 
 def _root_rewrites(g: GlobalType) -> list[GlobalType]:

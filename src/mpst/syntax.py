@@ -23,6 +23,11 @@ comprehension is a frame of its own and would halve the nesting depth a
 walk survives.  ``spine`` lists a ``;``, ``|`` or ``&`` spine's operands
 off a stack, so a walk that folds a spine spends one frame on all of it.
 
+Constructors that differ only in meaning share one definition: ``;``,
+``&`` and ``|`` are subclasses of ``_Pair``, each with its own hash tag,
+and the internal and external choice are subclasses of ``_Choice``.  A
+walk still tells them apart by ``type(t) is``.
+
 Interactions and compound terms of both languages (every constructor but
 ``GSkip``, ``TEnd`` and ``TVar``) hash in O(1): each hashes its fields
 once, when it is built, to the value the generated dataclass hash would
@@ -178,11 +183,6 @@ def _same_global(self, other) -> bool:
         a, b = work.pop()
 
 
-# The tag each binary constructor hashes with its two sides, so that `;`,
-# `|` and `&` of the same two sides hash apart.
-_SEQ, _BOTH, _EITHER = range(3)
-
-
 @dataclass(frozen=True, slots=True)
 class GSkip:
     """The empty choreography (unit of sequencing)."""
@@ -202,48 +202,41 @@ class GAction:
 
 
 @dataclass(frozen=True, slots=True)
-class GSeq:
+class _Pair:
+    """The shape of `;`, `&` and `|`: two sides, hashed behind the `_TAG`
+    of the constructor, so that the three of the same two sides hash
+    apart."""
+
+    left: GlobalType
+    right: GlobalType
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self._TAG, self.left, self.right)))
+
+    __eq__ = _same_global
+    __hash__ = _stored_hash
+
+
+class GSeq(_Pair):
     """`left` then `right`."""
 
-    left: GlobalType
-    right: GlobalType
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((_SEQ, self.left, self.right)))
-
-    __eq__ = _same_global
-    __hash__ = _stored_hash
+    __slots__ = ()
+    _TAG = 0
 
 
-@dataclass(frozen=True, slots=True)
-class GBoth:
+class GBoth(_Pair):
     """Both sides happen, in any interleaving."""
 
-    left: GlobalType
-    right: GlobalType
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((_BOTH, self.left, self.right)))
-
-    __eq__ = _same_global
-    __hash__ = _stored_hash
+    __slots__ = ()
+    _TAG = 1
 
 
-@dataclass(frozen=True, slots=True)
-class GEither:
+class GEither(_Pair):
     """Exactly one side happens."""
 
-    left: GlobalType
-    right: GlobalType
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((_EITHER, self.left, self.right)))
-
-    __eq__ = _same_global
-    __hash__ = _stored_hash
+    __slots__ = ()
+    _TAG = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -473,41 +466,34 @@ class TIn:
 
 
 @dataclass(frozen=True, slots=True)
-class TInternal:
+class _Choice:
+    """The shape of both choices: two or more branches."""
+
+    branches: tuple[SessionType, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    _machine: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "branches", tuple(self.branches))
+        if len(self.branches) < 2:
+            raise ValueError("choice needs at least two branches")
+        object.__setattr__(self, "_hash", hash((self.branches,)))
+        object.__setattr__(self, "_machine", None)
+
+    __eq__ = _same_session
+    __hash__ = _stored_hash
+
+
+class TInternal(_Choice):
     """Internal choice between output-rooted branches (this role decides)."""
 
-    branches: tuple[SessionType, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-    _machine: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if len(self.branches) < 2:
-            raise ValueError("choice needs at least two branches")
-        object.__setattr__(self, "_hash", hash((self.branches,)))
-        object.__setattr__(self, "_machine", None)
-
-    __eq__ = _same_session
-    __hash__ = _stored_hash
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class TExternal:
+class TExternal(_Choice):
     """External choice between input-rooted branches (the context decides)."""
 
-    branches: tuple[SessionType, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-    _machine: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if len(self.branches) < 2:
-            raise ValueError("choice needs at least two branches")
-        object.__setattr__(self, "_hash", hash((self.branches,)))
-        object.__setattr__(self, "_machine", None)
-
-    __eq__ = _same_session
-    __hash__ = _stored_hash
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -990,13 +976,18 @@ def parse_session_type(text: str) -> SessionType:
 def parse_session_env(text: str) -> SessionEnv:
     """Parse the body of a ``.mps`` file: one or more `role : type` bindings.
 
-    Every parsed type is validated: closed, guarded, and normalizable."""
+    Every parsed type is validated: closed, guarded, and normalizable.  An
+    error of validation, or a bound that normalizing runs past, names the
+    role whose type raised it, and keeps its class and fields."""
+    from .tracelang import BudgetExceededError
+
     env = _parse_session(text, env=True)
     for role, t in env.items():
         try:
             _validate(t)
-        except ValueError as exc:
-            raise type(exc)(f"in binding for role {role!r}: {exc}") from None
+        except (ValueError, BudgetExceededError) as exc:
+            exc.args = (f"in binding for role {role!r}: {exc}",)
+            raise
     return env
 
 

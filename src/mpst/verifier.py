@@ -332,15 +332,16 @@ def _candidate_envs(g: GlobalType, budget: int) -> list[SessionEnv]:
     return unique[:DEFAULT_CANDIDATE_CAP]
 
 
-def _relaxations(g: GlobalType) -> list[GlobalType]:
+def _relaxations(g: GlobalType) -> list[GlobalType] | None:
     """Variants of `g` with sequential compositions relaxed to unordered
-    ones: all at once, then one at a time.  A type with more than 16 `;`
-    nodes (or none) has no variants."""
+    ones: all at once, then one at a time.  A type with no `;` node has no
+    variants, and one with more than 16 has None: its variants are not
+    tried."""
     numbers = itertools.count()
     variants = [_relaxed(g, None, numbers)]
     total = next(numbers)  # the number of `;` nodes
-    if total == 0 or total > 16:
-        return []
+    if total > 16:
+        return None
     variants += [_relaxed(g, {i}, itertools.count()) for i in range(total)]
     return [v for v in variants if v != g]
 
@@ -384,15 +385,22 @@ def classify(
     all of them sharing one memo of projections (see `project_first`).
     Relaxations are tried only for a type with at most 16 `;` nodes: a
     type that is not well formed and has more goes straight to
-    Unclassified.  Every projection tried along the way uses `budget` (see
-    `project_top`).  Each candidate is checked (`_check`) against the
-    automata of the role groups of `g` that deciding well-formedness
-    compiled, and skipped when its check runs out of budget.
+    Unclassified, with a detail that says so.  Every projection tried
+    along the way uses `budget` (see `project_top`).  Each candidate is
+    checked (`_check`) against the automata of the role groups of `g`
+    that deciding well-formedness compiled.  A check that runs out of
+    budget ends the diagnosis with its BudgetExceededError: a candidate
+    left unchecked is no finding.
     """
     groups = compile_parts(g)
     if not all(map(swap_closed, groups.values())):
-        variants = (v for v in _relaxations(g) if is_well_formed(v))
-        if project_first(variants, budget) is not None:
+        variants = _relaxations(g)
+        if variants is None:
+            return Classification(
+                UNCLASSIFIED,
+                "not well formed, and relaxations are not tried past 16 `;` nodes",
+            )
+        if project_first((v for v in variants if is_well_formed(v)), budget) is not None:
             return Classification(
                 NO_SEQUENTIALITY,
                 "the specified ordering of independent interactions cannot be"
@@ -417,10 +425,7 @@ def classify(
         max_len = default_max_len(g)
     found_complete = False
     for cand in candidates:
-        try:
-            report = _check(groups, cand, max_len, buf_bound, depth_bound)
-        except BudgetExceededError:
-            continue
+        report = _check(groups, cand, max_len, buf_bound, depth_bound)
         if not report.complete:
             continue
         found_complete = True

@@ -767,6 +767,38 @@ def test_usage_errors_are_one_line_with_exit_2(monkeypatch, capsys, tmp_path, ca
     assert len(err.splitlines()) == 1 and err.startswith("error:") and err.endswith("\n")
 
 
+# (malformed ENV text, the one line `simulate` and `verify` print for it)
+MALFORMED_ENVS = {
+    "unbound variable": ("p : q!a.X\nq : p?a.end\n", "in binding for role 'p': 1:1: unbound recursion variable 'X'"),
+    "unguarded rec": ("p : rec X . X\nq : end\n", "in binding for role 'p': recursion variable 'X' is not guarded by a prefix"),
+    "mixed choice": (
+        "p : q!a.end + q?b.end\nq : p?a.end (+) p!b.end\n",
+        "in binding for role 'p': one state mixes in and out behaviours",
+    ),
+    "overlapping joins": (
+        "p : {q,r}?a.end + q?a.end\nq : p!a.end\nr : p!a.end\n",
+        "in binding for role 'p': ambiguous external choice: inputs of 'a' from {q} and {q,r} overlap",
+    ),
+    "duplicate role": ("p : q!a.end\np : q!a.end\nq : p?a.end\n", "2:1: role 'p' bound twice"),
+    "stray character": ("p : q!a.end $\nq : p?a.end\n", "1:13: unexpected character '$'"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENVS))
+def test_a_malformed_env_is_a_usage_error(monkeypatch, capsys, tmp_path, command, case):
+    """Every malformed ENV file exits 2 with one `error: ` line, whatever
+    the class of the error the parser raised and the fields it carries
+    (a ParseError, for an unbound variable, has a line and a column)."""
+    text, detail = MALFORMED_ENVS[case]
+    env = tmp_path / "env.mps"
+    env.write_text(text)
+    (tmp_path / "g.gt").write_text("p -> q : a\n")
+    gt = [str(tmp_path / "g.gt")] if command == "verify" else []
+    assert run_in_process(monkeypatch, command, *gt, str(env)) == 2
+    assert capsys.readouterr() == ("", f"error: {detail}\n")
+
+
 @pytest.mark.parametrize("command", [None] + [command for command, _, _ in COMMAND_LINES])
 def test_every_command_has_help(monkeypatch, capsys, command):
     args = ["--help"] if command is None else [command, "--help"]
@@ -825,6 +857,29 @@ def test_verify_and_simulate_explore_one_session(monkeypatch, tmp_path, sessions
     env.write_text(LOOP_UNTIL_DONE)
     assert run_in_process(monkeypatch, "simulate", str(env)) == 0
     assert len(built) == 2 and explored == built
+
+
+def test_classify_reports_a_candidate_check_past_its_bound(monkeypatch, capsys, tmp_path):
+    """A candidate whose check runs out of budget is left unchecked, so
+    `classify` ends BoundExhausted with one report, rather than reading
+    the candidate as one that covers nothing (NoKnowledgeNoChoice)."""
+
+    def overflow(*args):
+        raise tracelang.BudgetExceededError("more than 1 traces of length <= 4")
+
+    monkeypatch.setattr(verifier, "_conformance", overflow)
+    path = tmp_path / "g.gt"
+    path.write_text(UNKNOWABLE_CHOICE)
+    assert run_in_process(monkeypatch, "classify", str(path), "--json") == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "command": "classify",
+        "detail": "more than 1 traces of length <= 4",
+        "error": "BoundExhausted",
+        "input": str(path),
+        "schema": 1,
+    }
 
 
 def test_classify_explores_one_session_per_candidate(monkeypatch, tmp_path, capsys, sessions):
@@ -1387,7 +1442,8 @@ def test_a_merge_past_the_resolver_cap_ends_bound_exhausted(tmp_path):
 def test_a_session_type_past_the_resolver_cap_is_reported_by_every_command(monkeypatch, capsys, tmp_path, args):
     """With the resolver capped at three states, a three-interaction chain
     cannot be resolved, whether projection builds it or the parser reads it
-    from an ENV file: each command reports BoundExhausted with one report."""
+    from an ENV file: each command reports BoundExhausted with one report,
+    which names the role when the type was read from an ENV file."""
     monkeypatch.setattr(machine, "_STATE_CAP", 3)
     gt, env = tmp_path / "chain.gt", tmp_path / "chain.mps"
     gt.write_text("p -> q : a ; q -> p : b ; p -> q : c\n")
@@ -1396,9 +1452,10 @@ def test_a_session_type_past_the_resolver_cap_is_reported_by_every_command(monke
     assert run_in_process(monkeypatch, command, *paths, "--json") == 1
     out, err = capsys.readouterr()
     assert err == ""
+    role = "in binding for role 'p': " if "{env}" in args else ""
     assert json.loads(out) == {
         "command": command,
-        "detail": "session type is too large to resolve (more than 3 states)",
+        "detail": f"{role}session type is too large to resolve (more than 3 states)",
         "error": "BoundExhausted",
         "input": paths[0],
         "schema": 1,

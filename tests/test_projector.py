@@ -596,7 +596,10 @@ def outcome(project, protocol) -> str:
 def reference_relaxed_classification(protocol) -> tuple[str, str]:
     """What `classify` says of a type that is not well formed, each
     relaxation projected on its own."""
-    for variant in _relaxations(protocol):
+    variants = _relaxations(protocol)
+    if variants is None:
+        return (UNCLASSIFIED, "not well formed, and relaxations are not tried past 16 `;` nodes")
+    for variant in variants:
         if is_well_formed(variant) and not outcome(reference_project_top, variant).startswith("error: "):
             return (
                 NO_SEQUENTIALITY,
@@ -650,7 +653,7 @@ def well_formed_relaxations(protocols) -> list:
         variant
         for protocol in protocols
         if not is_well_formed(protocol)
-        for variant in _relaxations(protocol)
+        for variant in _relaxations(protocol) or ()
         if is_well_formed(variant)
     ]
 

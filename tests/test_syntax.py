@@ -16,9 +16,6 @@ from hypothesis import strategies as st
 import reference_parsers
 from mpst import syntax
 from mpst.syntax import (
-    _BOTH,
-    _EITHER,
-    _SEQ,
     DuplicateRoleError,
     GAction,
     GBoth,
@@ -199,9 +196,9 @@ def test_global_terms_hash_as_their_field_tuples():
             (a.interaction,),
             "GAction(interaction=Interaction(senders=frozenset({'p'}), receiver='q', message='a'))",
         ),
-        (lambda: GSeq(a, b), (_SEQ, a, b), f"GSeq(left={a!r}, right={b!r})"),
-        (lambda: GBoth(a, b), (_BOTH, a, b), f"GBoth(left={a!r}, right={b!r})"),
-        (lambda: GEither(a, b), (_EITHER, a, b), f"GEither(left={a!r}, right={b!r})"),
+        (lambda: GSeq(a, b), (GSeq._TAG, a, b), f"GSeq(left={a!r}, right={b!r})"),
+        (lambda: GBoth(a, b), (GBoth._TAG, a, b), f"GBoth(left={a!r}, right={b!r})"),
+        (lambda: GEither(a, b), (GEither._TAG, a, b), f"GEither(left={a!r}, right={b!r})"),
         (lambda: GStar(a), (a,), f"GStar(body={a!r})"),
         (lambda: GKExit([a], [b]), ((a,), (b,)), f"GKExit(bodies=({a!r},), exits=({b!r},))"),
     ]
@@ -212,7 +209,7 @@ def test_global_terms_hash_as_their_field_tuples():
         assert repr(term) == text
         assert dataclasses.replace(term) == term
     replaced = dataclasses.replace(GSeq(a, b), right=a)
-    assert replaced == GSeq(a, a) and hash(replaced) == hash((_SEQ, a, a))
+    assert replaced == GSeq(a, a) and hash(replaced) == hash((GSeq._TAG, a, a))
     assert dataclasses.replace(GKExit((a,), (b,)), exits=[a]) == GKExit((a,), (a,))
     assert GSeq.__match_args__ == ("left", "right")
     assert Interaction.__match_args__ == ("senders", "receiver", "message")
@@ -222,7 +219,7 @@ def test_global_terms_hash_as_their_field_tuples():
 def test_hashing_a_deep_sequence_needs_no_stack():
     steps = [GAction(Interaction(frozenset({"p"}), "q", f"m{k % 3}")) for k in range(20000)]
     chain = functools.reduce(GSeq, steps)
-    assert hash(chain) == hash((_SEQ, chain.left, chain.right))
+    assert hash(chain) == hash((GSeq._TAG, chain.left, chain.right))
     assert chain in {chain}
 
 
@@ -307,6 +304,7 @@ def test_equal_session_terms_compare_at_any_depth():
         lambda: TInternal((TOut("q", "b", end), TOut("q", "a", end))),
         lambda: TInternal((TOut("q", "a", end), TOut("q", "b", end), TOut("r", "c", end))),
         lambda: TExternal((TIn({"q"}, "a", end), TIn({"q"}, "b", end))),
+        lambda: TExternal((TOut("q", "a", end), TOut("q", "b", end))),
         lambda: TRec("X", TOut("q", "a", TVar("X"))),
         lambda: TRec("Y", TOut("q", "a", TVar("X"))),
         lambda: TMerge(TOut("q", "a", end), end),
@@ -321,8 +319,12 @@ def test_equal_session_terms_compare_at_any_depth():
 
     assert_equal_when_built_alike(bottoms, deep)
     assert end != "end" and TVar("X") != ("X",)
+    # the two choices over the same branches differ only in their class
+    branches = (TOut("q", "a", end), TOut("q", "b", end))
+    assert hash(TInternal(branches)) == hash(TExternal(branches))
 
 
+GLOBAL_CONSTRUCTORS = (GSkip, GAction, GSeq, GBoth, GEither, GStar, GKExit)
 SESSION_CONSTRUCTORS = (TEnd, TVar, TOut, TIn, TInternal, TExternal, TRec, TMerge)
 # frozen dataclasses with the compared fields of each session-type
 # constructor and the generated hash
@@ -332,6 +334,27 @@ GENERATED = {
     )
     for k in SESSION_CONSTRUCTORS
 }
+
+
+def test_terms_of_every_constructor_hold_no_attribute_dict():
+    """Every constructor, also one that shares its definition with others,
+    keeps its instances in slots: no `__dict__`, no field that can be
+    assigned and no attribute that can be added."""
+    a = GAction(Interaction(frozenset({"p"}), "q", "a"))
+    out = TOut("q", "a", TEnd())
+    terms = [
+        GSkip(), a, GSeq(a, a), GBoth(a, a), GEither(a, a), GStar(a), GKExit([a], [a]),
+        TEnd(), TVar("X"), out, TIn({"q"}, "a", TEnd()), TInternal((out, out)), TExternal((out, out)),
+        TRec("X", out), TMerge(out, out),
+    ]
+    assert {type(t) for t in terms} == {*GLOBAL_CONSTRUCTORS, *SESSION_CONSTRUCTORS}
+    for t in terms:
+        assert not hasattr(t, "__dict__"), type(t)
+        for f in dataclasses.fields(t):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, f.name, getattr(t, f.name))
+        with pytest.raises((AttributeError, TypeError)):
+            t.extra = None
 
 
 def generated_twin(value):

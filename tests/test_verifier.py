@@ -27,7 +27,6 @@ from mpst.syntax import (
 )
 from mpst import projector, tracelang, verifier
 from mpst.tracelang import (
-    BudgetExceededError,
     compile_traces,
     enumerate_traces,
     includes,
@@ -388,7 +387,13 @@ def classify_projecting_first(protocol):
     if wf and env is not None:
         return Classification(PROJECTABLE, "well formed and projectable")
     if not wf:
-        for variant in _relaxations(protocol):
+        variants = _relaxations(protocol)
+        if variants is None:
+            return Classification(
+                UNCLASSIFIED,
+                "not well formed, and relaxations are not tried past 16 `;` nodes",
+            )
+        for variant in variants:
             if not well_formed(variant):
                 continue
             try:
@@ -411,10 +416,7 @@ def classify_projecting_first(protocol):
         )
     found_complete = False
     for cand in candidates:
-        try:
-            report = check_preorder(protocol, cand, default_max_len(protocol))
-        except BudgetExceededError:
-            continue
+        report = check_preorder(protocol, cand, default_max_len(protocol))
         if not report.complete:
             continue
         found_complete = True
