@@ -112,7 +112,8 @@ def _bk_order(bk: tuple):
 @dataclass(slots=True)
 class _Closure:
     """What a state offers without crossing a prefix: immediate atoms,
-    opaque sub-behaviours (merges), and the choice nodes crossed."""
+    opaque sub-behaviours (merges), and the choice nodes crossed.  An atom
+    is a prefix's (branch key, continuation), or ``((END,), None)``."""
 
     atoms: list = field(default_factory=list)
     subs: list = field(default_factory=list)
@@ -241,11 +242,11 @@ class _Resolver:
             seen.add(nid)
             match item:
                 case TEnd():
-                    cl.atoms.append((END,))
+                    cl.atoms.append(((END,), None))
                 case TOut(q, a, c):
-                    cl.atoms.append((OUT, q, a, c))
+                    cl.atoms.append(((OUT, q, a), c))
                 case TIn(ps, a, c):
-                    cl.atoms.append((IN, ps, a, c))
+                    cl.atoms.append(((IN, ps, a), c))
                 case TInternal(bs):
                     cl.flavors.append((OUT, tuple(self._pkey(b) for b in bs)))
                     work.extend(reversed(bs))
@@ -293,12 +294,10 @@ class _Resolver:
                 cl = self._close(key)
                 kinds: set[str] = set()
                 keys: set[tuple] = set()
-                for atom in cl.atoms:
-                    kinds.add(atom[0])
-                    if atom[0] == OUT:
-                        keys.add((OUT, atom[1], atom[2]))
-                    elif atom[0] == IN:
-                        keys.add((IN, atom[1], atom[2]))
+                for bk, _ in cl.atoms:
+                    kinds.add(bk[0])
+                    if bk[0] != END:
+                        keys.add(bk)
                 for sub in cl.subs:
                     ks, sks = self.kind_keys(sub)
                     kinds.add(ks)
@@ -338,12 +337,7 @@ class _Resolver:
                 return self.target(x, bk)
             return self.target(y, bk)
         cl = self._close(key)
-        parts = []
-        for atom in cl.atoms:
-            if atom[0] == OUT and bk == (OUT, atom[1], atom[2]):
-                parts.append(self._pkey(atom[3]))
-            elif atom[0] == IN and bk == (IN, atom[1], atom[2]):
-                parts.append(self._pkey(atom[3]))
+        parts = [self._pkey(c) for k, c in cl.atoms if k == bk]
         for sub in cl.subs:
             _, sks = self.kind_keys(sub)
             if bk in sks:

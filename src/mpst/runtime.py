@@ -28,7 +28,7 @@ explores each group alone, n1 + n2 + ... configurations where the whole
 has n1 · n2 · ..., and the whole only when that cannot decide the session
 (one group, a group not Live, or n1 · n2 · ... past the depth bound);
 either way it answers with a verdict and the trace automaton in parts
-keyed by their roles.
+keyed by their roles.  Each part is decided by `_decide`, as the whole is.
 """
 
 from __future__ import annotations
@@ -166,16 +166,7 @@ class Session:
 
     def explore(self, depth_bound: int) -> tuple[Live | NotLive | Unknown, TraceAutomaton]:
         """`explore` on this session."""
-        configs, rows, parents, truncated = _explore(self, depth_bound)
-        success = bytearray(map(self._succeeds, configs[: len(rows)]))
-        goals = [n for n, s in enumerate(success) if s]
-        live = _can_reach(rows, len(configs), goals)
-        frontier = range(len(rows), len(configs))
-        promising = _can_reach(rows, len(configs), [*goals, *frontier]) if truncated else live
-        verdict = _liveness(configs, rows, truncated, parents, promising)
-        if isinstance(verdict, NotLive):
-            return verdict, TraceAutomaton([[]], frozenset())
-        return verdict, _trace_automaton(rows, live, success)
+        return _decide(self, depth_bound)[:2]
 
     def initial(self) -> Config:
         return Config(tuple(m.root for m in self.machines), ())
@@ -249,6 +240,21 @@ def _explore(session: Session, depth_bound: int) -> tuple[list[Key], list[Row], 
             row.append((label, m))
         rows.append(row)
     return configs, rows, parents, False
+
+
+def _decide(session: Session, depth_bound: int) -> tuple[Live | NotLive | Unknown, TraceAutomaton, int]:
+    """The verdict and trace automaton of `session.explore(depth_bound)`,
+    and the number of configurations its exploration found."""
+    configs, rows, parents, truncated = _explore(session, depth_bound)
+    success = bytearray(map(session._succeeds, configs[: len(rows)]))
+    goals = [n for n, s in enumerate(success) if s]
+    live = _can_reach(rows, len(configs), goals)
+    frontier = range(len(rows), len(configs))
+    promising = _can_reach(rows, len(configs), [*goals, *frontier]) if truncated else live
+    verdict = _liveness(configs, rows, truncated, parents, promising)
+    if isinstance(verdict, NotLive):
+        return verdict, TraceAutomaton([[]], frozenset()), len(configs)
+    return verdict, _trace_automaton(rows, live, success), len(configs)
 
 
 def _can_reach(rows: list[Row], size: int, targets: list[int]) -> bytearray:
@@ -365,6 +371,7 @@ def explore_parts(session: Session, depth_bound: int) -> tuple[Live | NotLive | 
       groups' counts, as a trace is a choice of the positions that hold
       the first group's letters.
 
+    Each group is decided by `_decide`, the routine that decides the whole.
     So two or more groups, each Live, whose sizes multiply to at most
     `depth_bound` answer Live with each group's automaton (no larger than
     its graph).  Otherwise the whole is explored, as one part keyed by all
@@ -380,15 +387,11 @@ def explore_parts(session: Session, depth_bound: int) -> tuple[Live | NotLive | 
             part.roles = tuple(session.roles[i] for i in keep)
             part.machines = [session.machines[i] for i in keep]
             part.moves = [session.moves[i] for i in keep]
-            configs, rows, _, _ = _explore(part, depth_bound)
-            size *= len(configs)
-            if size > depth_bound:
+            verdict, automaton, found = _decide(part, depth_bound)
+            size *= found
+            if size > depth_bound or not isinstance(verdict, Live):
                 break
-            success = bytearray(map(part._succeeds, configs))
-            live = _can_reach(rows, len(configs), [n for n, s in enumerate(success) if s])
-            if 0 in live:
-                break
-            parts[frozenset(group)] = _trace_automaton(rows, live, success)
+            parts[frozenset(group)] = automaton
         else:
             return Live(), parts
     verdict, automaton = session.explore(depth_bound)

@@ -47,7 +47,8 @@ parser reduces operators by precedence off an operand and an operator
 stack, and the session parser folds prefixes, ``rec`` binders and choices
 off a stack of open constructs, so inputs parse at any depth.  Where a
 token starts, and so the line and column of an error, is worked out only
-when an error is raised.  ``free_type_vars`` and ``check_guarded`` walk
+for an error: a variable that no open ``rec`` binds is noted where it is,
+and raised once the text has parsed.  ``free_type_vars`` and ``check_guarded`` walk
 off explicit stacks as well.
 
 Compound session terms have two more slots, which equality, hashing,
@@ -850,10 +851,16 @@ def _parse_session(text: str, env: bool):
     progress as lists ``[op, branch, ...]``, `op` the choice operator or
     None before the first one.  A prefix takes one unit (an atom, a prefix
     or a parenthesized type) as its continuation; ``rec`` takes a whole
-    expression as its body, so it reaches as far right as it can."""
+    expression as its body, so it reaches as far right as it can.
+
+    Returns the type (or the bindings) and the error naming its first
+    variable that no open ``rec`` binds, if any (or one per role): returned,
+    not raised, so that a syntax error after it is the one reported."""
     toks = _Tokens(text)
     kinds, texts = toks.kinds, toks.texts
     bindings: SessionEnv = {}
+    unbound: dict[Role, ParseError] = {}
+    recs: dict[str, int] = {}  # how many `rec`s of each name are open
     frames: list = []
     i = 0
     while True:
@@ -868,6 +875,7 @@ def _parse_session(text: str, env: bool):
                     raise toks.expected(i + 1, ":")
                 at = i
                 i += 2
+            note = None
             frames.append([None])
         # a unit starts at token i
         kind = kinds[i]
@@ -883,6 +891,7 @@ def _parse_session(text: str, env: bool):
                 if kinds[i + 2] != ".":
                     raise toks.expected(i + 2, ".")
                 frames.append((TRec, texts[i + 1]))
+                recs[texts[i + 1]] = recs.get(texts[i + 1], 0) + 1
                 frames.append([None])
                 i += 3
                 continue
@@ -893,6 +902,8 @@ def _parse_session(text: str, env: bool):
                 cls, partners = TIn, frozenset((name,))
                 i += 2
             else:
+                if note is None and not recs.get(name):
+                    note = toks.error(i, f"unbound recursion variable {name!r}")
                 t = TVar(name)
                 i += 1
         elif kind == "{":
@@ -952,23 +963,28 @@ def _parse_session(text: str, env: bool):
                     i += 1
                 else:
                     t = TRec(top[1], t)
+                    recs[top[1]] -= 1
                 continue
             if not env:
                 if kind != "eof":
                     raise toks.error(i, f"unexpected {texts[i]!r} after session type")
-                return t
+                return t, note
             role = texts[at]
             if role in bindings:
                 raise DuplicateRoleError(f"{toks.where(at)}: role {role!r} bound twice")
             bindings[role] = t
+            if note is not None:
+                unbound[role] = note
             if kind == "eof":
-                return bindings
+                return bindings, unbound
             break
 
 
 def parse_session_type(text: str) -> SessionType:
     """Parse a single session type (no role binding)."""
-    t = _parse_session(text, env=False)
+    t, unbound = _parse_session(text, env=False)
+    if unbound is not None:
+        raise unbound
     _validate(t)
     return t
 
@@ -981,9 +997,11 @@ def parse_session_env(text: str) -> SessionEnv:
     role whose type raised it, and keeps its class and fields."""
     from .tracelang import BudgetExceededError
 
-    env = _parse_session(text, env=True)
+    env, unbound = _parse_session(text, env=True)
     for role, t in env.items():
         try:
+            if role in unbound:
+                raise unbound[role]
             _validate(t)
         except (ValueError, BudgetExceededError) as exc:
             exc.args = (f"in binding for role {role!r}: {exc}",)
@@ -994,12 +1012,7 @@ def parse_session_env(text: str) -> SessionEnv:
 def _validate(t: SessionType) -> None:
     from . import machine
 
-    if not machine.is_canonical(t):  # a prefix chain is closed and guarded
-        free = free_type_vars(t)
-        if free:
-            raise ParseError(
-                f"unbound recursion variable {sorted(free)[0]!r}", 1, 1
-            )
+    if not machine.is_canonical(t):  # a prefix chain is guarded
         check_guarded(t)
     machine.normalize_session_type(t)  # raises NotSessionTypeError on bad choices
 

@@ -235,70 +235,54 @@ def forced_join(t: SessionType, s: SessionType) -> SessionType | None:
     """Combine two alternative behaviours of one role into a single type
     covering both, without the compatibility requirements of `merge`.
 
-    Inputs union their branches.  Outputs with a common branch join its
-    continuations; an output branch found on one side only first tries to
-    continue with the join of its own continuation and the other side's
-    continuations (so the choice is announced and both sides converge),
-    falling back to its own continuation.  The result over-approximates:
-    it can take either alternative's choices but may mix them, so it is a
-    candidate implementation to be validated, not a projection."""
+    Two inputs, or two outputs, union their branches (else None), and a
+    common branch joins its continuations.  An output branch found on one
+    side only continues with the join of its own continuation and the other
+    side's (so the choice is announced and both sides converge), or else
+    with its own.  The result over-approximates: it can take either
+    alternative's choices but may mix them, so it is a candidate
+    implementation to be validated, not a projection."""
     if t == s:
         return t
-    t_out, s_out = _branches(t, TOut, TInternal), _branches(s, TOut, TInternal)
-    if t_out is not None and s_out is not None:
+    for leaf, choice in ((TOut, TInternal), (TIn, TExternal)):
+        t_bs, s_bs = _branches(t, leaf, choice), _branches(s, leaf, choice)
+        if t_bs is None or s_bs is None:
+            continue
         joined: dict = {}
-        for k in t_out.keys() | s_out.keys():
-            if k in t_out and k in s_out:
-                c = forced_join(t_out[k], s_out[k])
+        for k in t_bs.keys() | s_bs.keys():
+            if k in t_bs and k in s_bs:
+                c = forced_join(t_bs[k], s_bs[k])
                 if c is None:
                     return None
-            elif k in t_out:
-                c = _converge(t_out[k], list(s_out.values()))
+            elif leaf is TIn:
+                c = t_bs.get(k, s_bs.get(k))
             else:
-                c = _converge(s_out[k], list(t_out.values()))
+                own, others = (t_bs[k], s_bs) if k in t_bs else (s_bs[k], t_bs)
+                c = _join_all([own, *others.values()]) or own
             joined[k] = c
-        return _build(joined, TOut, TInternal)
-    t_in, s_in = _branches(t, TIn, TExternal), _branches(s, TIn, TExternal)
-    if t_in is not None and s_in is not None:
-        joined = {}
-        for k in t_in.keys() | s_in.keys():
-            if k in t_in and k in s_in:
-                c = forced_join(t_in[k], s_in[k])
-                if c is None:
-                    return None
-                joined[k] = c
-            else:
-                joined[k] = t_in.get(k, s_in.get(k))
-        return _build(joined, TIn, TExternal)
+        return _build(joined, leaf, choice)
     return None
 
 
-def _converge(cont: SessionType, others: list[SessionType]) -> SessionType:
-    """Continuation for an output branch present on one side only: join it
-    with every continuation of the other side when possible, else keep it
-    as is."""
-    acc = cont
-    for other in others:
-        joined = forced_join(acc, other)
-        if joined is None:
-            return cont
-        acc = joined
+def _join_all(types: list[SessionType]) -> SessionType | None:
+    """The forced join of `types`, folded from the left, or None when one
+    step fails."""
+    acc = types[0]
+    for other in types[1:]:
+        acc = forced_join(acc, other)
+        if acc is None:
+            return None
     return acc
 
 
 def forced_join_env(envs: list[SessionEnv]) -> SessionEnv | None:
     """Role-wise forced join of alternative environments; roles absent
     from an alternative are taken to be ended there."""
-    roles = sorted(set().union(*envs))
     out: dict = {}
-    for r in roles:
-        acc: SessionType = envs[0].get(r, TEnd())
-        for e in envs[1:]:
-            joined = forced_join(acc, e.get(r, TEnd()))
-            if joined is None:
-                return None
-            acc = joined
-        out[r] = acc
+    for r in sorted(set().union(*envs)):
+        out[r] = _join_all([e.get(r, TEnd()) for e in envs])
+        if out[r] is None:
+            return None
     try:
         return {r: _machine.normalize_session_type(t) for r, t in out.items()}
     except (_machine.MergeError, NotSessionTypeError):
@@ -307,8 +291,9 @@ def forced_join_env(envs: list[SessionEnv]) -> SessionEnv | None:
 
 def _candidate_envs(g: GlobalType, budget: int) -> list[SessionEnv]:
     """Candidate implementations of an alternative whose projection
-    failed: the projection of each operand of its root `|` spine, plus
-    their forced join."""
+    failed: the forced join of the projections of the operands of its root
+    `|` spine, when it exists, then those projections, keeping the first of
+    equal environments and at most `DEFAULT_CANDIDATE_CAP` of them."""
     if type(g) is not GEither:
         return []
     projections: list[SessionEnv] = []
@@ -317,19 +302,11 @@ def _candidate_envs(g: GlobalType, budget: int) -> list[SessionEnv]:
             projections.append(project_top(b, budget))
         except ProjectionError:
             return []
-    out: list[SessionEnv] = []
     joined = forced_join_env(projections)
-    if joined is not None:
-        out.append(joined)
-    out.extend(projections)
-    seen: set = set()
-    unique = []
-    for env in out:
-        key = tuple(sorted(env.items()))
-        if key not in seen:
-            seen.add(key)
-            unique.append(env)
-    return unique[:DEFAULT_CANDIDATE_CAP]
+    unique: dict = {}
+    for env in ([] if joined is None else [joined]) + projections:
+        unique.setdefault(tuple(sorted(env.items())), env)
+    return list(unique.values())[:DEFAULT_CANDIDATE_CAP]
 
 
 def _relaxations(g: GlobalType) -> list[GlobalType] | None:

@@ -769,7 +769,8 @@ def test_usage_errors_are_one_line_with_exit_2(monkeypatch, capsys, tmp_path, ca
 
 # (malformed ENV text, the one line `simulate` and `verify` print for it)
 MALFORMED_ENVS = {
-    "unbound variable": ("p : q!a.X\nq : p?a.end\n", "in binding for role 'p': 1:1: unbound recursion variable 'X'"),
+    "unbound variable": ("p : q!a.X\nq : p?a.end\n", "in binding for role 'p': 1:9: unbound recursion variable 'X'"),
+    "unbound variable on line 2": ("p : q!a.end\nq : p?a.X\n", "in binding for role 'q': 2:9: unbound recursion variable 'X'"),
     "unguarded rec": ("p : rec X . X\nq : end\n", "in binding for role 'p': recursion variable 'X' is not guarded by a prefix"),
     "mixed choice": (
         "p : q!a.end + q?b.end\nq : p?a.end (+) p!b.end\n",

@@ -5,8 +5,9 @@ no memo table outlives the call that fills it, the package imports
 nothing from outside the standard library, no call of `json` passes
 an indent, which would select its pure-Python encoder, and neither the
 verifier nor the command line explores a session whole or compiles a
-type whole where the parts would do, or orders traces itself, and the
-projector catches no bound.
+type whole where the parts would do, or orders traces itself, the
+runtime decides liveness in one function only, and the projector
+catches no bound.
 
 `mpst/__init__.py` is left out of the import check: it imports names to
 re-export them."""
@@ -257,11 +258,22 @@ def test_no_json_call_selects_the_pure_python_encoder(path):
     assert indented_json_calls(path.read_text(encoding="utf-8")) == []
 
 
-def named(source: str, names: set[str]) -> list[str]:
+def named(source: str, names: set[str], outside: str = "") -> list[str]:
     """Where `source` refers to one of `names`: as a name, an imported name
-    or an attribute, in line order."""
+    or an attribute, in line order; with `outside`, only outside the body
+    of the module-level function of that name."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for definition in tree.body
+        if isinstance(definition, FUNCTIONS) and definition.name == outside
+        for statement in definition.body
+        for node in ast.walk(statement)
+    }
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
         if isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
@@ -307,6 +319,27 @@ ORDERED = {"word_key", "enumerate_traces"}
 @pytest.mark.parametrize("name", ["cli.py", "verifier.py"])
 def test_the_trace_order_lives_in_tracelang(name):
     assert named((PACKAGE / name).read_text(encoding="utf-8"), ORDERED) == []
+
+
+def test_the_check_sees_a_name_outside_its_owner():
+    source = (
+        "def _decide(s):\n    return _liveness(_can_reach(s))\n"
+        "def explore(s):\n    return _decide(s), _liveness(s)\n"
+        "def _can_reach(s):\n    return runtime._trace_automaton(s)\n"
+        "class Session:\n    def _decide(self):\n        return _can_reach(self)\n"
+    )
+    assert named(source, {"_can_reach", "_liveness", "_trace_automaton"}, outside="_decide") == [
+        "_liveness (line 4)", "_trace_automaton (line 6)", "_can_reach (line 9)"
+    ]
+
+
+# Whether a session, or a part of one, is live, and its trace automaton,
+# are decided in one place: `runtime._decide`.
+DECIDED = {"_can_reach", "_liveness", "_trace_automaton"}
+
+
+def test_the_liveness_decision_lives_in_decide():
+    assert named((PACKAGE / "runtime.py").read_text(encoding="utf-8"), DECIDED, outside="_decide") == []
 
 
 # A bound is a `tracelang.BudgetExceededError`, which is a `RuntimeError`.

@@ -548,3 +548,28 @@ def test_parts_answer_as_the_whole_exploration(monkeypatch):
     assert seen == {
         ("Live", "parts"), ("Live", "whole"), ("NotLive", "whole"), ("Unknown", "whole")
     }
+
+
+def test_every_part_is_its_component_explored_alone():
+    """A part's automaton is the one its roles' session gives when explored
+    alone, and a single part is the whole's: the parts and the whole are
+    decided by one routine."""
+    unions = [parse_session_env(text) for text in disjoint_unions()]
+    split = 0
+    for env in differential_envs() + unions:
+        for buf_bound in (1, 4):
+            for depth_bound in (1, 5, 30, 200, 10000):
+                _, parts = explore_parts(Session(env, buf_bound), depth_bound)
+                if len(parts) == 1:
+                    alone = {frozenset(env): Session(env, buf_bound).explore(depth_bound)[1]}
+                else:
+                    split += 1
+                    alone = {
+                        roles: Session({r: env[r] for r in roles if r in env}, buf_bound).explore(depth_bound)[1]
+                        for roles in parts
+                    }
+                assert parts.keys() == alone.keys()
+                for roles, automaton in parts.items():
+                    assert automaton.delta == alone[roles].delta
+                    assert automaton.accepts == alone[roles].accepts
+    assert split > 0

@@ -448,6 +448,22 @@ def test_free_variable_is_rejected():
         parse_session_type("p!a.X")
 
 
+def test_an_unbound_variable_is_reported_where_it_is():
+    """At its own line and column: the first in the text that no open `rec`
+    binds, a `rec` closing where its expression does."""
+    with pytest.raises(ParseError) as err:
+        parse_session_type("(rec X . q!a.X) (+) q!b.X")
+    assert (err.value.line, err.value.col, str(err.value)) == (1, 25, "1:25: unbound recursion variable 'X'")
+    with pytest.raises(ParseError, match="^1:5: unbound recursion variable 'Y'$"):
+        parse_session_type("q!a.Y (+) q!b.X")
+    # an inner `rec` of the same name leaves the outer one open
+    assert parse_session_type("rec X . q!a.((rec X . q!b.X) (+) q!c.X)")
+    with pytest.raises(ParseError) as err:
+        parse_session_env("p : q!a.end\nq : p?a.X\n")
+    assert (err.value.line, err.value.col) == (2, 9)
+    assert str(err.value) == "in binding for role 'q': 2:9: unbound recursion variable 'X'"
+
+
 def test_environment_round_trip_and_duplicate_roles():
     env = parse_session_env("p : q!a.end\nq : p?a.end\n")
     assert set(env) == {"p", "q"}
@@ -545,8 +561,8 @@ def outcome(parse, text):
 
 PARSERS = {
     "global": (parse_global_type, reference_parsers.parse_global_type),
-    "type": (functools.partial(syntax._parse_session, env=False), reference_parsers.parse_session_type),
-    "env": (functools.partial(syntax._parse_session, env=True), reference_parsers.parse_session_env),
+    "type": (lambda text: syntax._parse_session(text, env=False)[0], reference_parsers.parse_session_type),
+    "env": (lambda text: syntax._parse_session(text, env=True)[0], reference_parsers.parse_session_env),
 }
 
 

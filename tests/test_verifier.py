@@ -23,6 +23,7 @@ from mpst.syntax import (
     parse_session_env,
     parse_session_type,
     roles_of,
+    spine,
     subterms,
 )
 from mpst import projector, tracelang, verifier
@@ -48,6 +49,7 @@ from mpst.verifier import (
     classify,
     cross_check_theorems,
     forced_join,
+    forced_join_env,
     random_global_type,
 )
 
@@ -464,6 +466,31 @@ def test_forced_join_unions_exclusive_inputs():
 
 def test_forced_join_rejects_mixed_directions():
     assert forced_join(t("q!a.end"), t("q?a.end")) is None
+
+
+def test_an_output_branch_that_cannot_converge_keeps_its_continuation():
+    joined = forced_join(t("q!a.r!a.end"), t("q!b.s?b.end"))
+    assert joined == t("q!a.r!a.end (+) q!b.s?b.end")
+
+
+def test_an_env_join_fails_when_one_role_cannot_join():
+    assert forced_join_env([{"p": t("q!a.end")}, {"p": t("q?a.end")}]) is None
+    # q is absent from the second alternative, and an input cannot join `end`
+    assert forced_join_env([parse_session_env("p : q!a.end\nq : p?a.end"), {"p": t("q!a.end")}]) is None
+
+
+def test_candidates_are_the_join_then_the_projections_each_once():
+    same = g("(p -> q : a ; r -> s : b) | (p -> q : a ; r -> s : b)")
+    assert _candidate_envs(same, DEFAULT_AND_BUDGET) == [project_top(spine(same)[0])]
+    apart = g("(p -> q : a ; q -> r : b) | (r -> p : c)")
+    projections = [project_top(b) for b in spine(apart)]
+    assert forced_join_env(projections) is None
+    assert _candidate_envs(apart, DEFAULT_AND_BUDGET) == projections
+    unknowable = g(UNKNOWABLE_CHOICE)
+    projections = [project_top(b) for b in spine(unknowable)]
+    joined = forced_join_env(projections)
+    assert joined is not None
+    assert _candidate_envs(unknowable, DEFAULT_AND_BUDGET) == [joined, *projections]
 
 
 def test_random_global_type_is_deterministic_and_bounded():
