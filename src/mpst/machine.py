@@ -100,7 +100,6 @@ class Machine:
 
     kinds: tuple[str, ...]
     branches: tuple[dict, ...]
-    root: int
 
 
 def _bk_order(bk: tuple):
@@ -437,7 +436,7 @@ class _Resolver:
             lambda k: self.states[k].branches.items(),
             _bk_order,
         )
-        return Machine(tuple(kinds), tuple(branches), 0)
+        return Machine(tuple(kinds), tuple(branches))
 
 
 _NAMES = ("X", "Y", "Z", "W", "V", "U")
@@ -453,7 +452,7 @@ def machine_to_type(m: Machine) -> SessionType:
     # Per state on the path, innermost last: the state, its remaining
     # branches, the branch key being read back, and the prefixes read so far.
     frames: list[list] = []
-    s = m.root
+    s = 0
     while True:
         if s in names:
             if names[s] is None:
@@ -523,7 +522,7 @@ def _chain_machine(t: SessionType, n: int) -> Machine:
         t = t.cont
     kinds.append(END)
     branches.append({})
-    return Machine(tuple(kinds), tuple(branches), 0)
+    return Machine(tuple(kinds), tuple(branches))
 
 
 def _kept_machine(t: SessionType) -> Machine | None:

@@ -166,10 +166,10 @@ class Session:
 
     def explore(self, depth_bound: int) -> tuple[Live | NotLive | Unknown, TraceAutomaton]:
         """`explore` on this session."""
-        return _decide(self, depth_bound)[:2]
+        return _decide(self, _explore(self, depth_bound))
 
     def initial(self) -> Config:
-        return Config(tuple(m.root for m in self.machines), ())
+        return Config((0,) * len(self.machines), ())
 
     def _succeeds(self, key: Key) -> bool:
         locations, buffers = key
@@ -242,10 +242,10 @@ def _explore(session: Session, depth_bound: int) -> tuple[list[Key], list[Row], 
     return configs, rows, parents, False
 
 
-def _decide(session: Session, depth_bound: int) -> tuple[Live | NotLive | Unknown, TraceAutomaton, int]:
-    """The verdict and trace automaton of `session.explore(depth_bound)`,
-    and the number of configurations its exploration found."""
-    configs, rows, parents, truncated = _explore(session, depth_bound)
+def _decide(session: Session, graph: tuple[list[Key], list[Row], list[int], bool]) -> tuple[Live | NotLive | Unknown, TraceAutomaton]:
+    """The verdict and trace automaton of `session` from `graph`, what
+    `_explore` found of it."""
+    configs, rows, parents, truncated = graph
     success = bytearray(map(session._succeeds, configs[: len(rows)]))
     goals = [n for n, s in enumerate(success) if s]
     live = _can_reach(rows, len(configs), goals)
@@ -253,8 +253,8 @@ def _decide(session: Session, depth_bound: int) -> tuple[Live | NotLive | Unknow
     promising = _can_reach(rows, len(configs), [*goals, *frontier]) if truncated else live
     verdict = _liveness(configs, rows, truncated, parents, promising)
     if isinstance(verdict, NotLive):
-        return verdict, TraceAutomaton([[]], frozenset()), len(configs)
-    return verdict, _trace_automaton(rows, live, success), len(configs)
+        return verdict, TraceAutomaton([[]], frozenset())
+    return verdict, _trace_automaton(rows, live, success)
 
 
 def _can_reach(rows: list[Row], size: int, targets: list[int]) -> bytearray:
@@ -365,18 +365,20 @@ def explore_parts(session: Session, depth_bound: int) -> tuple[Live | NotLive | 
       iff each group's traces are included in its own: a word of a shuffle
       read on one group's letters is a word of that group's language, and
       any trace of a group, followed by one trace of each other, is a
-      trace of the session;
-    - and its traces of length n number N(n) = sum over k of C(n, k)
-      N1(k) N2(n - k) for two groups, the binomial convolution of the
-      groups' counts, as a trace is a choice of the positions that hold
-      the first group's letters.
+      trace of the session.
 
-    Each group is decided by `_decide`, the routine that decides the whole.
-    So two or more groups, each Live, whose sizes multiply to at most
-    `depth_bound` answer Live with each group's automaton (no larger than
-    its graph).  Otherwise the whole is explored, as one part keyed by all
-    its roles, for its NotLive witness or its Unknown count: a group whose
-    exploration is cut has more than `depth_bound` configurations."""
+    Each group is explored within the budget left, `depth_bound // size`,
+    `size` being the product of the counts of the groups before it, and
+    decided by `_decide`, as the whole is, only when that exploration
+    finishes.  A cut graph means more than `depth_bound // size`
+    configurations, which happens exactly when size · found > depth_bound
+    (for whole numbers, found > ⌊d / s⌋ iff found · s > d).  So the groups
+    decided, and the sessions that fall back to the whole, are those that
+    exploring each group under all of `depth_bound` gives.  Two or more
+    groups, each Live, whose sizes multiply to at most `depth_bound` answer
+    Live with each group's automaton (no larger than its graph).  Otherwise
+    the whole is explored, as one part keyed by all its roles, for its
+    NotLive witness or its Unknown count."""
     groups = session.components()
     if len(groups) > 1:
         parts: dict[frozenset[Role], TraceAutomaton] = {}
@@ -387,10 +389,13 @@ def explore_parts(session: Session, depth_bound: int) -> tuple[Live | NotLive | 
             part.roles = tuple(session.roles[i] for i in keep)
             part.machines = [session.machines[i] for i in keep]
             part.moves = [session.moves[i] for i in keep]
-            verdict, automaton, found = _decide(part, depth_bound)
-            size *= found
-            if size > depth_bound or not isinstance(verdict, Live):
+            configs, _, _, truncated = graph = _explore(part, depth_bound // size)
+            if truncated:
                 break
+            verdict, automaton = _decide(part, graph)
+            if not isinstance(verdict, Live):
+                break
+            size *= len(configs)
             parts[frozenset(group)] = automaton
         else:
             return Live(), parts

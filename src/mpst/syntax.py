@@ -29,17 +29,19 @@ and the internal and external choice are subclasses of ``_Choice``.  A
 walk still tells them apart by ``type(t) is``.
 
 Interactions and compound terms of both languages (every constructor but
-``GSkip``, ``TEnd`` and ``TVar``) hash in O(1): each hashes its fields
-once, when it is built, to the value the generated dataclass hash would
-give, and keeps it.  The elimination of ``&`` keys sets and dicts by whole
-terms and the subset steps of trace automata by interactions, so a lookup
-walks no tree and rebuilds no field tuple, and hashing a term of any depth
-cannot overflow the stack.  Equality of terms in either language is
-structural and walks both terms with an explicit stack (global types
-compare their stored hashes first), so comparing two deep terms cannot
-overflow it either; the generated dataclass equality takes about three
-frames per level.  The session-type printer takes terms and text off an
-explicit stack too.
+``GSkip``, ``TEnd`` and ``TVar``) hash in O(1): each derives from
+``_Term``, whose ``_hash`` slot holds the hash its constructor computes
+once, when it builds the term, to the value the generated dataclass hash
+would give.  The elimination of ``&`` keys sets and dicts by whole terms
+and the subset steps of trace automata by interactions, so a lookup walks
+no tree and rebuilds no field tuple, and hashing a term of any depth
+cannot overflow the stack.  Compound terms take their equality from their
+language's base, ``_GlobalTerm`` or ``_SessionTerm``: it is structural
+and walks both terms with an explicit stack (global types compare their
+stored hashes first), so comparing two deep terms cannot overflow it
+either; the generated dataclass equality takes about three frames per
+level.  The session-type printer takes terms and text off an explicit
+stack too.
 
 Both parsers read a text in one linear pass and nest no calls: one regex
 pass splits it into parallel lists of token kinds and texts, the global
@@ -52,10 +54,10 @@ and raised once the text has parsed.  ``free_type_vars`` and ``check_guarded`` w
 off explicit stacks as well.
 
 Compound session terms have two more slots, which equality, hashing,
-``repr`` and pattern matching ignore: ``_machine``, the minimal machine
-that ``mpst.machine`` keeps on a term in canonical form, and, on prefixes,
-``_chain``, the number of prefixes down to ``end`` (0 when the term is not
-such a chain), set from the continuation's count when the prefix is built.
+``repr`` and pattern matching ignore: ``_machine`` (``_SessionTerm``'s),
+the minimal machine that ``mpst.machine`` keeps on a canonical term, and,
+on prefixes, ``_chain``, the number of prefixes down to ``end`` (0 when
+the term is not such a chain), set from the continuation's when built.
 
 Comments run from ``//`` to end of line in both languages.
 """
@@ -105,13 +107,17 @@ class NotSessionTypeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _stored_hash(self) -> int:
-    """The hash a constructor computed when it built `self`."""
-    return self._hash
+class _Term:
+    """A term hashed once: `_hash` is set by the constructor that builds it."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
-class Interaction:
+class Interaction(_Term):
     """One message exchange: every role in `senders` sends `message`, and
     `receiver` consumes one copy from each sender.
 
@@ -122,7 +128,6 @@ class Interaction:
     senders: frozenset[Role]
     receiver: Role
     message: Message
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "senders", frozenset(self.senders))
@@ -134,7 +139,8 @@ class Interaction:
             )
         object.__setattr__(self, "_hash", hash((self.senders, self.receiver, self.message)))
 
-    __hash__ = _stored_hash
+    # keeps the generated `__eq__`, but not a hash of the fields per call
+    __hash__ = _Term.__hash__
 
     def __str__(self) -> str:
         if len(self.senders) == 1:
@@ -184,39 +190,40 @@ def _same_global(self, other) -> bool:
         a, b = work.pop()
 
 
+class _GlobalTerm(_Term):
+    """The compound global types: equal when `_same_global` says so."""
+
+    __slots__ = ()
+    __eq__ = _same_global
+    __hash__ = _Term.__hash__  # a class that sets `__eq__` alone is unhashable
+
+
 @dataclass(frozen=True, slots=True)
 class GSkip:
     """The empty choreography (unit of sequencing)."""
 
 
-@dataclass(frozen=True, slots=True)
-class GAction:
+@dataclass(frozen=True, slots=True, eq=False)
+class GAction(_GlobalTerm):
     """A single interaction."""
 
     interaction: Interaction
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.interaction,)))
 
-    __hash__ = _stored_hash
 
-
-@dataclass(frozen=True, slots=True)
-class _Pair:
+@dataclass(frozen=True, slots=True, eq=False)
+class _Pair(_GlobalTerm):
     """The shape of `;`, `&` and `|`: two sides, hashed behind the `_TAG`
     of the constructor, so that the three of the same two sides hash
     apart."""
 
     left: GlobalType
     right: GlobalType
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self._TAG, self.left, self.right)))
-
-    __eq__ = _same_global
-    __hash__ = _stored_hash
 
 
 class GSeq(_Pair):
@@ -240,22 +247,18 @@ class GEither(_Pair):
     _TAG = 2
 
 
-@dataclass(frozen=True, slots=True)
-class GStar:
+@dataclass(frozen=True, slots=True, eq=False)
+class GStar(_GlobalTerm):
     """`body` happens zero or more times."""
 
     body: GlobalType
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.body,)))
 
-    __eq__ = _same_global
-    __hash__ = _stored_hash
 
-
-@dataclass(frozen=True, slots=True)
-class GKExit:
+@dataclass(frozen=True, slots=True, eq=False)
+class GKExit(_GlobalTerm):
     """k-exit iteration: cycle through `bodies` in order, with the option
     before each round of phase i to leave through `exits[i]` instead.
 
@@ -264,7 +267,6 @@ class GKExit:
 
     bodies: tuple[GlobalType, ...]
     exits: tuple[GlobalType, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bodies", tuple(self.bodies))
@@ -272,9 +274,6 @@ class GKExit:
         if not self.bodies or len(self.bodies) != len(self.exits):
             raise ValueError("loopk needs k >= 1 bodies and k exits")
         object.__setattr__(self, "_hash", hash((self.bodies, self.exits)))
-
-    __eq__ = _same_global
-    __hash__ = _stored_hash
 
 
 GlobalType = Union[GSkip, GAction, GSeq, GBoth, GEither, GStar, GKExit]
@@ -412,6 +411,14 @@ def _mark_chain(t) -> None:
     object.__setattr__(t, "_machine", None)
 
 
+class _SessionTerm(_Term):
+    """The compound session types: `_same_session` equality, `_machine` slot."""
+
+    __slots__ = ("_machine",)
+    __eq__ = _same_session
+    __hash__ = _Term.__hash__
+
+
 @dataclass(frozen=True, slots=True)
 class TEnd:
     """Successfully terminated behaviour."""
@@ -424,36 +431,29 @@ class TVar:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class TOut:
+@dataclass(frozen=True, slots=True, eq=False)
+class TOut(_SessionTerm):
     """Send `message` to `partner`, then continue as `cont`."""
 
     partner: Role
     message: Message
     cont: SessionType
-    _hash: int = field(init=False, repr=False, compare=False)
     _chain: int = field(init=False, repr=False, compare=False)
-    _machine: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.partner, self.message, self.cont)))
         _mark_chain(self)
 
-    __eq__ = _same_session
-    __hash__ = _stored_hash
 
-
-@dataclass(frozen=True, slots=True)
-class TIn:
+@dataclass(frozen=True, slots=True, eq=False)
+class TIn(_SessionTerm):
     """Receive `message` from every role in `partners` (a join: one copy
     from each), then continue as `cont`."""
 
     partners: frozenset[Role]
     message: Message
     cont: SessionType
-    _hash: int = field(init=False, repr=False, compare=False)
     _chain: int = field(init=False, repr=False, compare=False)
-    _machine: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "partners", frozenset(self.partners))
@@ -462,17 +462,12 @@ class TIn:
         object.__setattr__(self, "_hash", hash((self.partners, self.message, self.cont)))
         _mark_chain(self)
 
-    __eq__ = _same_session
-    __hash__ = _stored_hash
 
-
-@dataclass(frozen=True, slots=True)
-class _Choice:
+@dataclass(frozen=True, slots=True, eq=False)
+class _Choice(_SessionTerm):
     """The shape of both choices: two or more branches."""
 
     branches: tuple[SessionType, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-    _machine: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
@@ -480,9 +475,6 @@ class _Choice:
             raise ValueError("choice needs at least two branches")
         object.__setattr__(self, "_hash", hash((self.branches,)))
         object.__setattr__(self, "_machine", None)
-
-    __eq__ = _same_session
-    __hash__ = _stored_hash
 
 
 class TInternal(_Choice):
@@ -497,38 +489,29 @@ class TExternal(_Choice):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class TRec:
+@dataclass(frozen=True, slots=True, eq=False)
+class TRec(_SessionTerm):
     """Recursive behaviour: `body` may refer back to this point as `var`."""
 
     var: str
     body: SessionType
-    _hash: int = field(init=False, repr=False, compare=False)
-    _machine: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.var, self.body)))
         object.__setattr__(self, "_machine", None)
 
-    __eq__ = _same_session
-    __hash__ = _stored_hash
 
-
-@dataclass(frozen=True, slots=True)
-class TMerge:
+@dataclass(frozen=True, slots=True, eq=False)
+class TMerge(_SessionTerm):
     """A merge of two behaviours whose resolution is deferred until the
     enclosing recursion is closed.  Produced only by the projector; never
     written in source and never survives normalization."""
 
     left: SessionType
     right: SessionType
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
-
-    __eq__ = _same_session
-    __hash__ = _stored_hash
 
 
 SessionType = Union[TEnd, TVar, TOut, TIn, TInternal, TExternal, TRec, TMerge]

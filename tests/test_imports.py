@@ -6,8 +6,9 @@ nothing from outside the standard library, no call of `json` passes
 an indent, which would select its pure-Python encoder, and neither the
 verifier nor the command line explores a session whole or compiles a
 type whole where the parts would do, or orders traces itself, the
-runtime decides liveness in one function only, and the projector
-catches no bound.
+runtime decides liveness in one function only, the projector
+catches no bound, and a term's equality and stored slots are defined
+once per language, in the bases of `syntax`.
 
 `mpst/__init__.py` is left out of the import check: it imports names to
 re-export them."""
@@ -381,3 +382,62 @@ def test_the_projector_lets_every_bound_through():
     """No search or check of the projector reads a bound as a failure to
     project: a bound ends the projection and reaches the caller."""
     assert handlers_of_bounds((PACKAGE / "projector.py").read_text(encoding="utf-8")) == []
+
+
+# A term's equality is its language base's, and its stored hash and kept
+# machine are slots of the bases, not fields of each constructor.
+EQUALITY_OWNERS = {"_GlobalTerm", "_SessionTerm"}
+BASE_SLOTS = {"_hash", "_machine"}
+
+
+def decorated_as_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def identity_redefinitions(source: str) -> list[str]:
+    """Where `source` defines term identity outside the language bases:
+    an `__eq__` that a class other than `EQUALITY_OWNERS` assigns or
+    defines in its body, or that is assigned as an attribute anywhere; and
+    a dataclass field named in `BASE_SLOTS`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for statement in node.body:
+                if isinstance(statement, ast.Assign):
+                    names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+                elif isinstance(statement, FUNCTIONS):
+                    names = [statement.name]
+                elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                    names = [statement.target.id]
+                else:
+                    continue
+                if "__eq__" in names and node.name not in EQUALITY_OWNERS:
+                    found.append(f"{node.name}.__eq__ (line {statement.lineno})")
+                if isinstance(statement, ast.AnnAssign) and decorated_as_dataclass(node):
+                    found += [f"{node.name}.{n} (line {statement.lineno})" for n in names if n in BASE_SLOTS]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                if isinstance(target, ast.Attribute) and target.attr == "__eq__":
+                    found.append(f"__eq__ (line {node.lineno})")
+    return found
+
+
+def test_the_check_sees_identity_outside_the_bases():
+    source = (
+        "class _GlobalTerm(_Term):\n    __eq__ = _same_global\n"
+        "@dataclass(frozen=True)\nclass A(_GlobalTerm):\n    x: int\n    _hash: int = field(init=False)\n"
+        "@dataclasses.dataclass\nclass B:\n    _machine: object\n    __eq__ = _same_session\n"
+        "class C:\n    _hash: int\n    def __eq__(self, other):\n        return True\n"
+        "D.__eq__ = _same_global\n"
+    )
+    assert identity_redefinitions(source) == [
+        "A._hash (line 6)", "B._machine (line 9)", "B.__eq__ (line 10)", "C.__eq__ (line 13)", "__eq__ (line 15)"
+    ]
+
+
+def test_term_identity_lives_in_the_language_bases():
+    assert identity_redefinitions((PACKAGE / "syntax.py").read_text(encoding="utf-8")) == []

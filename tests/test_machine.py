@@ -110,21 +110,21 @@ def test_machine_branches_iterate_in_canonical_order():
 
 def test_end_machine_is_single_state():
     m = type_machine(t("end"))
-    assert m.kinds[m.root] == "end"
-    assert m.branches[m.root] == {}
+    assert m.kinds[0] == "end"
+    assert m.branches[0] == {}
 
 
 def test_recursive_machine_folds_back():
     m = type_machine(t("rec X . q!a.X (+) q!b.end"))
-    assert m.kinds[m.root] == "out"
-    targets = dict(m.branches[m.root])
-    assert targets[("out", "q", "a")] == m.root
+    assert m.kinds[0] == "out"
+    targets = dict(m.branches[0])
+    assert targets[("out", "q", "a")] == 0
     assert m.kinds[targets[("out", "q", "b")]] == "end"
 
 
 def test_join_input_machine_keeps_partner_set():
     m = type_machine(t("{p,q}?b.end"))
-    (key,) = m.branches[m.root]
+    (key,) = m.branches[0]
     assert key == ("in", frozenset({"p", "q"}), "b")
 
 
@@ -135,8 +135,8 @@ def test_overlapping_input_partner_sets_same_message_rejected():
 
 def test_overlapping_partner_sets_different_messages_allowed():
     m = type_machine(t("p?a.end + {p,q}?b.end"))
-    assert m.kinds[m.root] == "in"
-    assert len(m.branches[m.root]) == 2
+    assert m.kinds[0] == "in"
+    assert len(m.branches[0]) == 2
 
 
 def test_root_kind_of_plain_terms():
@@ -148,7 +148,7 @@ def test_root_kind_of_plain_terms():
 def test_minimization_identifies_equivalent_states():
     # both branches continue identically, so the machine needs one such state
     m = type_machine(t("p?a.q!c.end + p?b.q!c.end"))
-    succ = set(m.branches[m.root].values())
+    succ = set(m.branches[0].values())
     assert len(succ) == 1
 
 
@@ -179,7 +179,7 @@ def resolved(ty):
 
 def rows(m):
     """A machine with the order of every state's branches."""
-    return m.kinds, [list(b.items()) for b in m.branches], m.root
+    return m.kinds, [list(b.items()) for b in m.branches], 0
 
 
 def rebuilt(ty):

@@ -463,6 +463,22 @@ def test_parts_are_explored_only_when_they_decide_the_whole():
     assert list(parts) == [frozenset(starving.roles)] and not parts[frozenset(starving.roles)].accepts
 
 
+def test_a_part_past_the_budget_left_is_not_decided(monkeypatch, counted):
+    """Width-2 pairs at depth 10: the first pair's 7 configurations leave a
+    budget of 10 // 7 = 1 to the second, whose exploration is cut after one
+    step and not decided, before the whole is explored and decided.  So
+    the backward passes and trace automata are the first pair's (one each)
+    and the whole's (two passes, as it is cut, and one automaton)."""
+    traced = []
+    trace_automaton = runtime._trace_automaton
+    monkeypatch.setattr(runtime, "_trace_automaton", lambda *args: traced.append(1) or trace_automaton(*args))
+    verdict, parts = explore_parts(Session(pairs_env(2)), 10)
+    assert verdict == Unknown(10) and len(parts) == 1
+    assert counted["reach"] == 1 + 2
+    assert len(traced) == 1 + 1
+    assert counted["step"] == 7 + 1 + 10
+
+
 def test_counting_parts_answers_as_the_whole_under_every_budget():
     """`count_traces` on the shuffle of the parts' automata gives the count
     and traces it gives on the whole session's automaton wherever the

@@ -357,6 +357,30 @@ def test_terms_of_every_constructor_hold_no_attribute_dict():
             t.extra = None
 
 
+def test_no_term_takes_an_assigned_hash_or_machine():
+    """Assigning the stored hash of an interaction or a term of any
+    constructor is refused, and so is assigning the kept machine of a
+    session term: as a frozen field, or as a slot of a frozen dataclass's
+    base, which Python 3.11 refuses with a TypeError."""
+    a = GAction(Interaction(frozenset({"p"}), "q", "a"))
+    out = TOut("q", "a", TEnd())
+    globals_ = [a.interaction, GSkip(), a, GSeq(a, a), GBoth(a, a), GEither(a, a), GStar(a), GKExit([a], [a])]
+    sessions = [
+        TEnd(), TVar("X"), out, TIn({"q"}, "a", TEnd()), TInternal((out, out)), TExternal((out, out)),
+        TRec("X", out), TMerge(out, out),
+    ]
+    assert {type(t) for t in globals_ + sessions} == {Interaction, *GLOBAL_CONSTRUCTORS, *SESSION_CONSTRUCTORS}
+    refused = (dataclasses.FrozenInstanceError, TypeError)
+    for t in globals_ + sessions:
+        before = hash(t)
+        with pytest.raises(refused):
+            t._hash = 0
+        assert hash(t) == before
+    for t in sessions:
+        with pytest.raises(refused):
+            t._machine = None
+
+
 def generated_twin(value):
     """`value` rebuilt from the classes of GENERATED, so that its hash is
     the one the generated dataclass hash gives the original."""
