@@ -8,6 +8,10 @@ Exit codes: 0 the check passed, 1 the check produced a finding (not well
 formed, projection failed, not live, unsound/incomplete, flawed class,
 bound exhausted), 2 the input could not be parsed or the usage was wrong.
 
+Each command returns its outcome: its report's fields, its text lines,
+and whether it passed.  `main` alone writes it, reports a bound met
+anywhere in a command as BoundExhausted, and picks the exit code.
+
 File formats: `.gt` files hold one global type, `.mps` files hold one
 session environment (`role : type` lines); both allow `//` comments.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from contextlib import contextmanager
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import projector, runtime, tracelang, verifier
@@ -51,10 +55,6 @@ _INPUT_ERRORS = (
     NotSessionTypeError,
     OSError,
 )
-
-
-def _fmt_location(location) -> str | None:
-    return None if location is None else print_global_type(location)
 
 
 def _word_json(word) -> list[str]:
@@ -144,33 +144,14 @@ def _write(value, newline: str, texts: _Encoded, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
-    """Print `report` as JSON, or `lines` as text, in one call."""
-    print(_json({"schema": 1, **report}) if as_json else "\n".join(lines))
-
-
-def _projection_failed(exc: projector.ProjectionError, fields: dict, as_json: bool, detailed: bool = False) -> None:
-    """Report the failed projection `exc` with the caller's JSON `fields`, and
-    its detail and location when `detailed` (the text names both); exit 1."""
-    where = _fmt_location(exc.location) if detailed or not as_json else None
-    report = {**fields, "projected": False, "error": exc.kind}
+def _projection_failed(exc: projector.ProjectionError, detailed: bool = False):
+    """The outcome of the failed projection `exc`: its kind, and its detail
+    and location when `detailed`; the text names all three."""
+    fields = {"projected": False, "error": exc.kind}
     if detailed:
-        report.update(detail=exc.detail, location=where)
-    lines = [f"ProjectionError: {exc.kind}", f"detail: {exc.detail}"]
-    _emit(report, as_json, lines + ([f"at: {where}"] if where else []))
-    sys.exit(1)
-
-
-@contextmanager
-def _bound_exhausted(report: dict, as_json: bool):
-    """Report a search that ran out of budget in the block (an enumeration,
-    a product, or the resolution of a session type) as a BoundExhausted
-    finding with the fields of `report`, and exit 1."""
-    try:
-        yield
-    except tracelang.BudgetExceededError as exc:
-        _emit({**report, "error": "BoundExhausted", "detail": str(exc)}, as_json, [f"BoundExhausted: {exc}"])
-        sys.exit(1)
+        fields.update(detail=exc.detail, location=None if exc.location is None else print_global_type(exc.location))
+    where = (f"at: {print_global_type(location)}" for location in [exc.location] if location is not None)
+    return fields, chain([f"ProjectionError: {exc.kind}", f"detail: {exc.detail}"], where), False
 
 
 def _read(path: str) -> str:
@@ -193,76 +174,60 @@ def _dump_dot(automaton: tracelang.TraceAutomaton, path: str) -> None:
         fh.write(automaton.to_dot())
 
 
-def check(path, dot, as_json):
+def check(path, dot):
     """Decide well-formedness of the global type in PATH."""
     g = _load_global(path)
-    with _bound_exhausted({"command": "check", "input": path}, as_json):
-        if dot:
-            _dump_dot(tracelang.compile_traces(g), dot)
-        verdict = tracelang.well_formed(g)
+    if dot:
+        _dump_dot(tracelang.compile_traces(g), dot)
+    verdict = tracelang.well_formed(g)
     if verdict:
-        _emit(
-            {"command": "check", "input": path, "well_formed": True},
-            as_json,
-            ["WellFormed"],
-        )
-        sys.exit(0)
+        return {"well_formed": True}, ["WellFormed"], True
     witness = _word_json(verdict.witness)
-    _emit(
+    return (
         {
-            "command": "check",
-            "input": path,
             "well_formed": False,
             "witness": witness,
             "position": verdict.position,
         },
-        as_json,
         [
             "NotWellFormed",
             f"witness: {_fmt_word(witness)}",
             f"swap at position: {verdict.position}",
         ],
+        False,
     )
-    sys.exit(1)
 
 
-def project(path, budget, as_json):
+def project(path, budget):
     """Project the global type in PATH onto each participant."""
     g = _load_global(path)
-    with _bound_exhausted({"command": "project", "input": path}, as_json):
-        try:
-            env = projector.project_top(g, budget=budget)
-        except projector.ProjectionError as exc:
-            _projection_failed(exc, {"command": "project", "input": path}, as_json, detailed=True)
+    try:
+        env = projector.project_top(g, budget=budget)
+    except projector.ProjectionError as exc:
+        return _projection_failed(exc, detailed=True)
     text = print_session_env(env)
-    _emit(
+    return (
         {
-            "command": "project",
-            "input": path,
             "projected": True,
             "environment": {r: line.split(" : ", 1)[1] for r, line in zip(sorted(env), text.splitlines())},
         },
-        as_json,
         [text],
+        True,
     )
-    sys.exit(0)
 
 
-def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
+def simulate(path, trace_count, length_bound, buf_bound, depth_bound):
     """Run the session environment in PATH and report liveness, the number
     of traces up to the length bound, and the first of them.  The traces
     are counted on the session's trace automaton, not enumerated: only the
     sample printed is built.  They are counted on the shuffle of the parts
     of one `runtime.explore_parts`, whose subset automaton is the product
     of theirs."""
-    with _bound_exhausted({"command": "simulate", "input": path}, as_json):
-        env = _load_env(path)
+    env = _load_env(path)
     bound = length_bound or 2 * len(env) + 8
     verdict, parts = runtime.explore_parts(runtime.Session(env, buf_bound), depth_bound)
     name = type(verdict).__name__
     report: dict = {
-        "command": "simulate",
-        "input": path,
         "verdict": name,
         "max_len": bound,
         "buf_bound": buf_bound,
@@ -273,20 +238,15 @@ def simulate(path, trace_count, length_bound, buf_bound, depth_bound, as_json):
         steps = len(verdict.witness) - 1
         report["witness_steps"] = steps
         lines.append(f"witness: {steps} step(s) to a configuration that cannot succeed")
-    with _bound_exhausted({"command": "simulate", "input": path}, as_json):
-        count, samples = tracelang.count_traces(tracelang.shuffle_automata(*parts.values()), bound, trace_count)
+    count, samples = tracelang.count_traces(tracelang.shuffle_automata(*parts.values()), bound, trace_count)
     report["traces"] = samples
     report["trace_count"] = count
     lines.append(f"traces up to length {bound}: {count}")
-    if not as_json:
-        lines.extend(f"  {_fmt_word(w)}" for w in samples)
-    if count > trace_count:
-        lines.append(f"  ... ({count - trace_count} more; raise --traces to list them)")
-    _emit(report, as_json, lines)
-    sys.exit(0 if isinstance(verdict, runtime.Live) else 1)
+    more = [f"  ... ({count - trace_count} more; raise --traces to list them)"] if count > trace_count else []
+    return report, chain(lines, (f"  {_fmt_word(w)}" for w in samples), more), isinstance(verdict, runtime.Live)
 
 
-def verify(gt_path, env_path=None, *, max_len, buf_bound, depth_bound, projection_budget, as_json):
+def verify(gt_path, env_path=None, *, max_len, buf_bound, depth_bound, projection_budget):
     """Check that an environment implements the global type in GT_PATH.
 
     With ENV_PATH the environment is read from file, and --budget is a
@@ -295,18 +255,15 @@ def verify(gt_path, env_path=None, *, max_len, buf_bound, depth_bound, projectio
         raise argparse.ArgumentError(None, "--budget is read only when ENV_PATH is omitted")
     g = _load_global(gt_path)
     bound = max_len or default_max_len(g)
-    with _bound_exhausted({"command": "verify", "input": gt_path}, as_json):
-        if env_path is not None:
-            env = _load_env(env_path)
-        else:
-            try:
-                env = projector.project_top(g, budget=projection_budget or projector.DEFAULT_AND_BUDGET)
-            except projector.ProjectionError as exc:
-                _projection_failed(exc, {"command": "verify", "input": gt_path}, as_json)
-        report = verifier.check_preorder(g, env, bound, buf_bound, depth_bound)
+    if env_path is not None:
+        env = _load_env(env_path)
+    else:
+        try:
+            env = projector.project_top(g, budget=projection_budget or projector.DEFAULT_AND_BUDGET)
+        except projector.ProjectionError as exc:
+            return _projection_failed(exc)
+    report = verifier.check_preorder(g, env, bound, buf_bound, depth_bound)
     payload = {
-        "command": "verify",
-        "input": gt_path,
         "environment_input": env_path,
         "sound": report.sound,
         "complete": report.complete,
@@ -331,29 +288,24 @@ def verify(gt_path, env_path=None, *, max_len, buf_bound, depth_bound, projectio
         lines.append(f"session trace outside the global type: {_fmt_word(payload['sound_counterexample'])}")
     if report.completeness_gap is not None:
         lines.append(f"global trace not covered: {_fmt_word(payload['completeness_gap'])}")
-    _emit(payload, as_json, lines)
-    sys.exit(0 if report else 1)
+    return payload, lines, bool(report)
 
 
-def classify(path, max_len, buf_bound, depth_bound, budget, as_json):
+def classify(path, max_len, buf_bound, depth_bound, budget):
     """Diagnose why the global type in PATH resists projection."""
     g = _load_global(path)
-    with _bound_exhausted({"command": "classify", "input": path}, as_json):
-        outcome = verifier.classify(g, max_len, buf_bound, depth_bound, budget=budget)
-    _emit(
+    outcome = verifier.classify(g, max_len, buf_bound, depth_bound, budget=budget)
+    return (
         {
-            "command": "classify",
-            "input": path,
             "category": outcome.category,
             "detail": outcome.detail,
         },
-        as_json,
         [outcome.category, outcome.detail],
+        outcome.category == verifier.PROJECTABLE,
     )
-    sys.exit(0 if outcome.category == verifier.PROJECTABLE else 1)
 
 
-def trace(path, dot, max_len, as_json):
+def trace(path, dot, max_len):
     """List the traces of the global type in PATH up to the length bound,
     shortest first, then in the order of their letters' texts.  The list
     comes out of one breadth-first pass over the trace automaton already
@@ -362,37 +314,29 @@ def trace(path, dot, max_len, as_json):
     BoundExhausted."""
     g = _load_global(path)
     bound = max_len or default_max_len(g)
-    with _bound_exhausted({"command": "trace", "input": path}, as_json):
-        auto = tracelang.compile_traces(g)
-        if dot:
-            _dump_dot(auto, dot)
-        words = tracelang.list_traces(auto, bound)
-    _emit(
+    auto = tracelang.compile_traces(g)
+    if dot:
+        _dump_dot(auto, dot)
+    words = tracelang.list_traces(auto, bound)
+    return (
         {
-            "command": "trace",
-            "input": path,
             "max_len": bound,
             "count": len(words),
             "traces": words,
         },
-        as_json,
-        [f"{len(words)} trace(s) up to length {bound}"]
-        + ([] if as_json else [f"  {_fmt_word(w)}" for w in words]),
+        chain([f"{len(words)} trace(s) up to length {bound}"], (f"  {_fmt_word(w)}" for w in words)),
+        True,
     )
-    sys.exit(0)
 
 
-def crosscheck(samples, max_size, role_count, star_depth, seed, buf_bound, depth_bound, as_json):
+def crosscheck(samples, max_size, role_count, star_depth, seed, buf_bound, depth_bound):
     """Cross-check projection soundness/completeness/liveness on random
     global types."""
-    with _bound_exhausted({"command": "crosscheck", "seed": seed}, as_json):
-        report = verifier.cross_check_theorems(
-            samples, seed, max_size, role_count, star_depth, buf_bound, depth_bound
-        )
+    report = verifier.cross_check_theorems(
+        samples, seed, max_size, role_count, star_depth, buf_bound, depth_bound
+    )
     violations = report["violations"]
     payload = {
-        "command": "crosscheck",
-        "seed": seed,
         "samples": report["samples"],
         "well_formed": report["well_formed"],
         "projected": report["projected"],
@@ -407,8 +351,7 @@ def crosscheck(samples, max_size, role_count, star_depth, seed, buf_bound, depth
         f"  projected: {report['projected']}  checked: {report['checked']}",
         f"violations: {len(violations)}",
     ]
-    _emit(payload, as_json, lines)
-    sys.exit(0 if not violations else 1)
+    return payload, lines, not violations
 
 
 # The parameters of the commands: name -> (option, lower bound, default, help);
@@ -427,7 +370,6 @@ _PARAMETERS = {
     "role_count": ("--roles", 2, 4, "Roles per sample (default: %(default)s)."),
     "star_depth": ("--star-depth", 0, 1, "Star nesting per sample (default: %(default)s)."),
     "seed": ("--seed", None, 0, "Seed of the first sample; sample i uses seed + i (default: %(default)s)."),
-    "as_json": ("--json", None, False, "Emit a JSON report."),
 }
 
 _COMMANDS = (check, project, simulate, verify, classify, trace, crosscheck)
@@ -435,7 +377,8 @@ _COMMANDS = (check, project, simulate, verify, classify, trace, crosscheck)
 
 def _parser() -> _Parser:
     """The parser of the command line.  A command takes the options its parameters
-    name in `_PARAMETERS`; the others are PATHs, optional when they default to None."""
+    name in `_PARAMETERS`, then `--json`; the others are PATHs, optional when they
+    default to None."""
     parser = _Parser(prog="mpst", description="Parse, check, project, simulate, and verify multiparty protocols.", add_help=False, allow_abbrev=False)
     parser.add_argument("--help", action="help", help="Show this message and exit.")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
@@ -448,11 +391,10 @@ def _parser() -> _Parser:
                 command.add_argument(name, metavar=name.upper(), nargs=None if parameter.default is parameter.empty else "?")
                 continue
             flag, _, default, text = _PARAMETERS[name]
-            if default is False:
-                command.add_argument(flag, dest=name, action="store_true", help=text)
-            else:  # --dot names a file, the others take integers
-                kind = {"metavar": "FILE"} if name == "dot" else {"metavar": "N", "type": int, "default": default}
-                command.add_argument(flag, dest=name, help=text, **kind)
+            # --dot names a file, the others take integers
+            kind = {"metavar": "FILE"} if name == "dot" else {"metavar": "N", "type": int, "default": default}
+            command.add_argument(flag, dest=name, help=text, **kind)
+        command.add_argument("--json", dest="as_json", action="store_true", help="Emit a JSON report.")
         command.add_argument("--help", action="help", help="Show this message and exit.")
     return parser
 
@@ -471,7 +413,22 @@ def main() -> None:
             value = arguments.get(name)
             if value is not None and low is not None and value < low:
                 raise argparse.ArgumentError(None, f"Invalid value for '{flag}': {value} is not in the range x>={low}.")
-        arguments.pop("function")(**arguments)
+        command, as_json = arguments.pop("function"), arguments.pop("as_json")
+        # every report starts with the command and what it read: its PATH,
+        # or the seed of crosscheck's samples
+        head = {"command": command.__name__}
+        if command is crosscheck:
+            head["seed"] = arguments["seed"]
+        else:
+            head["input"] = arguments["gt_path" if command is verify else "path"]
+        try:
+            fields, lines, passed = command(**arguments)
+        except tracelang.BudgetExceededError as exc:
+            # a search that ran out of budget: an enumeration, a product, a
+            # subset automaton, or the resolution of a session type
+            fields, lines, passed = {"error": "BoundExhausted", "detail": str(exc)}, [f"BoundExhausted: {exc}"], False
+        print(_json({"schema": 1, **head, **fields}) if as_json else "\n".join(lines))
+        sys.exit(0 if passed else 1)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)

@@ -69,7 +69,7 @@ from .syntax import (
     with_parts,
     with_subterms,
 )
-from .tracelang import kexit_unfolding
+from .tracelang import BudgetExceededError, kexit_unfolding
 
 NO_DECISION_MAKER = "NoDecisionMaker"
 INCOMPATIBLE_MERGE = "IncompatibleMerge"
@@ -316,8 +316,10 @@ def _kexit(
         for i, outs in enumerate(exit_outs)
     ]
 
+    # one assignment past the cap, to tell a loop with more from one with
+    # exactly as many
     assignments = list(
-        itertools.islice(itertools.product(*candidates), _KEXIT_ASSIGNMENT_CAP)
+        itertools.islice(itertools.product(*candidates), _KEXIT_ASSIGNMENT_CAP + 1)
     )
     # the error of the last assignment tried is the one reported
     for deciders in assignments[:-1]:
@@ -325,6 +327,10 @@ def _kexit(
             return _kexit_build(g, roles, exit_envs, body_envs, after, deciders, env, ctx)
         except ProjectionError:
             continue
+    if len(assignments) > _KEXIT_ASSIGNMENT_CAP:
+        raise BudgetExceededError(
+            f"more than {_KEXIT_ASSIGNMENT_CAP} assignments of deciding roles to the phases of a loop"
+        )
     return _kexit_build(g, roles, exit_envs, body_envs, after, assignments[-1], env, ctx)
 
 

@@ -686,8 +686,16 @@ def swap_closed(a: TraceAutomaton) -> bool:
     states of D, which fails at a pair whose left state accepts while the
     right one does not, or has a letter the right one lacks."""
     dfa = a._subset
-    rows = [dfa[s] for s, _ in enumerate(dfa.accepting)]  # grows while it is read
     letters, accepting = dfa.letters, dfa.accepting
+    # `_swappable(α, β)` needs α's receiver to be neither a sender nor the
+    # receiver of β.  So when every letter has every receiver of the
+    # alphabet among its roles, no pair of letters swaps, no diamond is
+    # asked for, and the language is closed; over two roles this always
+    # holds.  Deciding it reads no row of D.
+    receivers = {alpha.receiver for alpha in letters}
+    if all(receivers <= alpha.senders | {alpha.receiver} for alpha in letters):
+        return True
+    rows = [dfa[s] for s, _ in enumerate(accepting)]  # grows while it is read
     independent: dict[tuple[int, int], bool] = {}
     pending: set[tuple[int, int]] = set()
     for row in rows:

@@ -1391,13 +1391,18 @@ def test_width_ten_pairs_end_bound_exhausted_or_decide_in_bounded_memory(tmp_pat
     assert (payload["sound"], payload["complete"], payload["liveness"], payload["basis"]) == (True, True, "Live", "exact")
 
 
+# over two roles, with about 2**23 sets of states to tell apart
+TWO_ROLE_CHOICES = "(p -> q : a | p -> q : b)* ; p -> q : a ; " + " ; ".join(["(p -> q : a | p -> q : b)"] * 22)
+
+
 def test_a_subset_automaton_past_its_budget_ends_bound_exhausted(tmp_path):
     """`(p -> q : a | p -> q : b)* ; p -> q : a` followed by 22 choices
-    between the same two letters has about 2**23 sets of states to tell
-    apart.  `check` and `classify` stop before the 100,001st, with one
-    BoundExhausted report and nothing on stderr."""
+    between the same two letters, all in an `&` with `q -> r : c`, has
+    about 2**24 sets of states to tell apart.  `check` and `classify`
+    stop before the 100,001st, with one BoundExhausted report and nothing
+    on stderr."""
     path = tmp_path / "choices.gt"
-    path.write_text("(p -> q : a | p -> q : b)* ; p -> q : a ; " + " ; ".join(["(p -> q : a | p -> q : b)"] * 22))
+    path.write_text(f"({TWO_ROLE_CHOICES}) & q -> r : c")
     for command in ("check", "classify"):
         start = time.perf_counter()
         proc = run_capped(command, str(path), "--json")
@@ -1410,6 +1415,18 @@ def test_a_subset_automaton_past_its_budget_ends_bound_exhausted(tmp_path):
             "input": str(path),
             "schema": 1,
         }
+
+
+def test_two_role_types_are_well_formed_without_a_subset_automaton(tmp_path):
+    """No two letters over two roles swap, so `check` answers the input
+    above without its `&` at once, where its subset automaton would run
+    out of budget."""
+    path = tmp_path / "choices.gt"
+    path.write_text(TWO_ROLE_CHOICES)
+    start = time.perf_counter()
+    proc = run_capped("check", str(path))
+    assert time.perf_counter() - start < 30
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "WellFormed\n", "")
 
 
 def test_a_merge_past_the_resolver_cap_ends_bound_exhausted(tmp_path):
@@ -1483,6 +1500,35 @@ def test_a_shuffle_past_its_budget_is_reported_by_every_command(monkeypatch, cap
     assert json.loads(capsys.readouterr().out) == {
         "command": command,
         "detail": "more than 3 states in the shuffle product of an `&`",
+        "error": "BoundExhausted",
+        "input": str(path),
+        "schema": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    ("command", "owner", "name", "text"),
+    [
+        ("simulate", runtime, "explore_parts", "p : q!a.end\nq : p?a.end\n"),
+        ("project", cli, "print_session_env", "p -> q : a\n"),
+    ],
+)
+def test_a_bound_raised_anywhere_in_a_command_is_one_report(monkeypatch, capsys, tmp_path, command, owner, name, text):
+    """A bound is reported as BoundExhausted wherever the command meets it,
+    with the fields every report starts with and nothing else."""
+
+    def bound(*args, **kwargs):
+        raise tracelang.BudgetExceededError("x")
+
+    monkeypatch.setattr(owner, name, bound)
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run_in_process(monkeypatch, command, str(path), "--json") == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "command": command,
+        "detail": "x",
         "error": "BoundExhausted",
         "input": str(path),
         "schema": 1,

@@ -7,8 +7,9 @@ an indent, which would select its pure-Python encoder, and neither the
 verifier nor the command line explores a session whole or compiles a
 type whole where the parts would do, or orders traces itself, the
 runtime decides liveness in one function only, the projector
-catches no bound, and a term's equality and stored slots are defined
-once per language, in the bases of `syntax`.
+catches no bound, only the command line's `main` writes a report,
+and a term's equality and stored slots are defined once per language,
+in the bases of `syntax`.
 
 `mpst/__init__.py` is left out of the import check: it imports names to
 re-export them."""
@@ -341,6 +342,29 @@ DECIDED = {"_can_reach", "_liveness", "_trace_automaton"}
 
 def test_the_liveness_decision_lives_in_decide():
     assert named((PACKAGE / "runtime.py").read_text(encoding="utf-8"), DECIDED, outside="_decide") == []
+
+
+# A command returns its outcome; `cli.main` alone writes it, turns a bound
+# into a report and picks the exit code.
+REPORT_WRITERS = {"exit", "print", "BudgetExceededError"}
+
+
+def test_the_check_sees_a_report_written_outside_main():
+    source = (
+        "def _emit(report):\n    print(report)\n"
+        "def check(path):\n    try:\n        _emit(path)\n"
+        "    except tracelang.BudgetExceededError:\n        sys.exit(1)\n"
+        "def trace(path):\n    return {}, [print_global_type(path)], True\n"
+        "def main():\n    try:\n        print(check(p))\n"
+        "    except BudgetExceededError:\n        pass\n    sys.exit(0)\n"
+    )
+    assert named(source, REPORT_WRITERS, outside="main") == [
+        "print (line 2)", "BudgetExceededError (line 6)", "exit (line 7)"
+    ]
+
+
+def test_only_main_writes_a_report():
+    assert named((PACKAGE / "cli.py").read_text(encoding="utf-8"), REPORT_WRITERS, outside="main") == []
 
 
 # A bound is a `tracelang.BudgetExceededError`, which is a `RuntimeError`.

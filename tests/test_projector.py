@@ -465,6 +465,43 @@ def test_each_loop_body_is_projected_once(monkeypatch, protocol, assignments):
     assert (projections, builds) == (1, assignments)
 
 
+@pytest.mark.parametrize(
+    ("protocol", "error", "message"),
+    [
+        # three senders may decide each of three phases: 27 assignments
+        (
+            "loop3 ({a,b,c} -> d : m ; d -> a : x, {a,b,c} -> d : n ; d -> b : y, "
+            "{a,b,c} -> d : o ; d -> c : z) exit (skip, skip, skip)",
+            BudgetExceededError,
+            "^more than 16 assignments of deciding roles to the phases of a loop$",
+        ),
+        # four senders may decide each of two phases: 16 assignments
+        (
+            "loop2 ({a,b,c,e} -> d : m ; d -> e : x, {a,b,c,e} -> d : n) exit (skip, skip)",
+            ProjectionError,
+            "^IncompatibleMerge",
+        ),
+    ],
+)
+def test_a_loop_with_more_decider_assignments_than_the_cap_ends_at_a_bound(monkeypatch, protocol, error, message):
+    """Loop decision-role inference tries at most 16 assignments of deciding
+    roles to a loop's phases.  When all 16 fail and another is left, the
+    loop ends at that bound; when none is left, the last one's error is
+    the loop's."""
+    builds = 0
+    build = projector._kexit_build
+
+    def counted_build(*args):
+        nonlocal builds
+        builds += 1
+        return build(*args)
+
+    monkeypatch.setattr(projector, "_kexit_build", counted_build)
+    with pytest.raises(error, match=message):
+        project_top(g(protocol))
+    assert builds == 16
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_merge_is_idempotent_on_projected_types(seed):

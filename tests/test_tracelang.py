@@ -963,21 +963,21 @@ def test_a_shuffle_product_is_budgeted_by_the_states_it_numbers(monkeypatch):
 
 def test_a_subset_automaton_is_budgeted_by_the_sets_it_numbers(monkeypatch):
     """`(p -> q : a | p -> q : b)* ; p -> q : a` followed by three choices
-    between the same letters has 17 subset states: reading every row is
-    refused under a budget of 16, with the text of the budget.  A refused
-    row is not kept, so the same automaton, asked again under a budget of
-    17, answers as a fresh one."""
+    between the same letters, in an `&` with `q -> r : c`, has 34 subset
+    states: reading every row is refused under a budget of 33, with the
+    text of the budget.  A refused row is not kept, so the same automaton,
+    asked again under a budget of 34, answers as a fresh one."""
     choice = "(p -> q : a | p -> q : b)"
-    sample = g(f"{choice}* ; p -> q : a ; " + " ; ".join([choice] * 3))
+    sample = g(f"({choice}* ; p -> q : a ; " + " ; ".join([choice] * 3) + ") & q -> r : c")
     auto = compile_traces(sample)
-    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 16)
-    with pytest.raises(BudgetExceededError, match="^more than 16 states in the subset automaton$"):
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 33)
+    with pytest.raises(BudgetExceededError, match="^more than 33 states in the subset automaton$"):
         swap_closed(auto)
-    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 17)
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 34)
     fresh = compile_traces(sample)
     assert swap_closed(auto) == swap_closed(fresh)
     assert list_traces(auto, 8) == list_traces(fresh, 8)
-    assert [auto._subset[s] for s in range(17)] == [fresh._subset[s] for s in range(17)]
+    assert [auto._subset[s] for s in range(34)] == [fresh._subset[s] for s in range(34)]
 
 
 def test_includes_is_budgeted_by_the_pairs_it_visits(monkeypatch):
