@@ -7,147 +7,4 @@ over asynchronous buffered channels, and check — up to explicit bounds —
 that the implementation is sound and complete for the protocol.
 """
 
-from .machine import MergeError, normalize_session_type, session_type_equal, type_machine
-from .projector import ProjectionError, merge, project_alg, project_first, project_top
-from .runtime import (
-    Config,
-    Live,
-    NotLive,
-    Session,
-    Unknown,
-    buffer_normalize,
-    explore,
-    is_live,
-    session_traces,
-)
-from .syntax import (
-    DuplicateRoleError,
-    GAction,
-    GBoth,
-    GEither,
-    GKExit,
-    GSeq,
-    GSkip,
-    GStar,
-    GlobalType,
-    Interaction,
-    NotSessionTypeError,
-    ParseError,
-    SelfMessageError,
-    SessionEnv,
-    SessionType,
-    TEnd,
-    TExternal,
-    TIn,
-    TInternal,
-    TOut,
-    TRec,
-    TVar,
-    UnguardedRecursionError,
-    default_max_len,
-    interaction_count,
-    parse_global_type,
-    parse_session_env,
-    parse_session_type,
-    print_global_type,
-    print_session_env,
-    print_session_type,
-    roles_of,
-)
-from .tracelang import (
-    BudgetExceededError,
-    NotWellFormed,
-    TraceAutomaton,
-    WellFormed,
-    compile_traces,
-    enumerate_traces,
-    includes,
-    is_well_formed,
-    parikh_vector,
-    shuffle_automata,
-    well_formed,
-)
-from .verifier import (
-    Classification,
-    ConformanceReport,
-    FLAW_CATEGORIES,
-    check_preorder,
-    classify,
-    cross_check_theorems,
-    forced_join,
-    random_global_type,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetExceededError",
-    "Classification",
-    "Config",
-    "ConformanceReport",
-    "DuplicateRoleError",
-    "FLAW_CATEGORIES",
-    "GAction",
-    "GBoth",
-    "GEither",
-    "GKExit",
-    "GSeq",
-    "GSkip",
-    "GStar",
-    "GlobalType",
-    "Interaction",
-    "Live",
-    "MergeError",
-    "NotLive",
-    "NotSessionTypeError",
-    "NotWellFormed",
-    "ParseError",
-    "ProjectionError",
-    "SelfMessageError",
-    "Session",
-    "SessionEnv",
-    "SessionType",
-    "TEnd",
-    "TExternal",
-    "TIn",
-    "TInternal",
-    "TOut",
-    "TRec",
-    "TVar",
-    "TraceAutomaton",
-    "Unknown",
-    "UnguardedRecursionError",
-    "WellFormed",
-    "buffer_normalize",
-    "check_preorder",
-    "classify",
-    "compile_traces",
-    "cross_check_theorems",
-    "default_max_len",
-    "enumerate_traces",
-    "explore",
-    "forced_join",
-    "includes",
-    "interaction_count",
-    "is_live",
-    "is_well_formed",
-    "merge",
-    "normalize_session_type",
-    "parikh_vector",
-    "parse_global_type",
-    "parse_session_env",
-    "parse_session_type",
-    "print_global_type",
-    "print_session_env",
-    "print_session_type",
-    "project_alg",
-    "project_first",
-    "project_top",
-    "random_global_type",
-    "roles_of",
-    "session_traces",
-    "session_type_equal",
-    "shuffle_automata",
-    "type_machine",
-    "well_formed",
-]

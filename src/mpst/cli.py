@@ -415,12 +415,14 @@ def main() -> None:
                 raise argparse.ArgumentError(None, f"Invalid value for '{flag}': {value} is not in the range x>={low}.")
         command, as_json = arguments.pop("function"), arguments.pop("as_json")
         # every report starts with the command and what it read: its PATH,
-        # or the seed of crosscheck's samples
-        head = {"command": command.__name__}
-        if command is crosscheck:
+        # or the seed of crosscheck's samples; a command is known by its
+        # name, which a wrapper made with `functools.wraps` keeps
+        name = command.__name__
+        head = {"command": name}
+        if name == "crosscheck":
             head["seed"] = arguments["seed"]
         else:
-            head["input"] = arguments["gt_path" if command is verify else "path"]
+            head["input"] = arguments["gt_path" if name == "verify" else "path"]
         try:
             fields, lines, passed = command(**arguments)
         except tracelang.BudgetExceededError as exc:

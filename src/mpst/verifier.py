@@ -70,14 +70,6 @@ NO_KNOWLEDGE_FOR_CHOICE = "NoKnowledgeForChoice"
 NO_KNOWLEDGE_NO_CHOICE = "NoKnowledgeNoChoice"
 UNCLASSIFIED = "Unclassified"
 
-FLAW_CATEGORIES = (
-    PROJECTABLE,
-    NO_SEQUENTIALITY,
-    NO_KNOWLEDGE_FOR_CHOICE,
-    NO_KNOWLEDGE_NO_CHOICE,
-    UNCLASSIFIED,
-)
-
 DEFAULT_CANDIDATE_CAP = 64
 
 

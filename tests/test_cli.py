@@ -11,7 +11,7 @@ import resource
 import subprocess
 import sys
 import time
-from functools import reduce
+from functools import reduce, wraps
 from unittest import mock
 
 import pytest
@@ -595,6 +595,24 @@ def test_crosscheck_does_not_count_a_cut_exploration_as_incomplete(monkeypatch, 
         "violations": [],
         "well_formed": 2,
     }
+
+
+def test_main_heads_a_report_by_the_command_s_name(monkeypatch, capsys, sale):
+    """A tracer that rebinds `cli.verify` and `cli.crosscheck` to wrappers
+    made with `functools.wraps` leaves the functions the parser holds as
+    they were; `main` still heads their reports with the right fields."""
+    def wrapped(function):
+        @wraps(function)
+        def wrapper(*args, **kwargs):
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("verify", "crosscheck"):
+        monkeypatch.setattr(cli, name, wrapped(getattr(cli, name)))
+    assert run_in_process(monkeypatch, "verify", sale, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["input"] == sale
+    assert run_in_process(monkeypatch, "crosscheck", "--samples", "3", "--seed", "5", "--json") == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
 
 
 REJECTED_BOUNDS = [

@@ -11,12 +11,16 @@ catches no bound, only the command line's `main` writes a report,
 and a term's equality and stored slots are defined once per language,
 in the bases of `syntax`.
 
-`mpst/__init__.py` is left out of the import check: it imports names to
-re-export them."""
+The import check covers `mpst/__init__.py` too: the package re-exports
+nothing, so each name is imported from the module that defines it, and
+importing one module loads only the modules it imports."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,7 +28,6 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mpst"
 SOURCES = sorted(PACKAGE.glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,12 +44,33 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+# Each step imports one module in the same fresh interpreter and prints the
+# `mpst` modules it added to `sys.modules`.
+LOADS = """
+import importlib, json, sys
+loaded = set()
+for name in ("mpst.syntax", "mpst.tracelang"):
+    importlib.import_module(name)
+    now = {m for m in sys.modules if m.split(".")[0] == "mpst"}
+    print(json.dumps(sorted(now - loaded)))
+    loaded = now
+"""
+
+
+def test_importing_a_module_loads_only_what_it_needs():
+    environment = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", LOADS], capture_output=True, text=True, env=environment, check=True)
+    syntax, tracelang = map(json.loads, result.stdout.splitlines())
+    assert syntax == ["mpst", "mpst.syntax"]
+    assert tracelang == ["mpst.tracelang"]
+
+
 def test_the_check_sees_an_unused_import():
     source = "from typing import Iterator, Union\nimport re\nX = Union[int, str]\n"
     assert unused_imports(source) == ["Iterator (line 1)", "re (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

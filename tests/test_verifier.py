@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from mpst.syntax import (
     GEither,
     GKExit,
     GSeq,
+    GSkip,
     GStar,
     default_max_len,
     interaction_count,
@@ -541,6 +543,42 @@ def test_cross_check_accepts_a_small_pinned_batch():
     assert report["violations"] == []
     assert report["checked"] > 0
     assert report == cross_check_theorems(sample_count=30, seed=7)
+
+
+def random_loopk(seed, roles):
+    """A k-exit loop drawn from `seed`: k is 1 or 2, each body a random term
+    of 1 to 3 interactions with at most one `*`, each exit `skip` or a
+    random `*`-free term of 1 or 2 interactions."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 2)
+    bodies = [verifier._random_term(rng, roles, rng.randint(1, 3), 1) for _ in range(k)]
+    exits = [
+        GSkip() if rng.random() < 0.3 else verifier._random_term(rng, roles, rng.randint(1, 2), 0)
+        for _ in range(k)
+    ]
+    return GKExit(tuple(bodies), tuple(exits))
+
+
+def test_projections_of_well_formed_k_exit_loops_conform():
+    """The theorems on k-exit loops: a well-formed loop that projects has a
+    Live, sound and complete projection, or one whose exploration was cut
+    with no soundness counterexample, or its check ends at a bound."""
+    checked = 0
+    for roles in (("p", "q", "r"), ("p", "q")):
+        for seed in range(1500):
+            sample = random_loopk(seed, roles)
+            try:
+                if not tracelang.is_well_formed(sample):
+                    continue
+                report = check_preorder(sample, project_top(sample))
+            except (ProjectionError, tracelang.BudgetExceededError):
+                continue
+            checked += 1
+            if report.liveness == "Unknown":
+                assert report.sound_counterexample is None, (seed, roles)
+            else:
+                assert (report.liveness, report.sound, report.complete) == ("Live", True, True), (seed, roles)
+    assert checked >= 200
 
 
 @settings(max_examples=40, deadline=None)
