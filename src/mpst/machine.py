@@ -12,10 +12,62 @@ States of the machine are hash-consed expressions over term nodes:
 * ``("p", i)`` — the behaviour of the term node with object id ``i``;
 * ``("j", K)`` — the join of the behaviours in the key set ``K``
   (distribution of a prefix over the branches of a choice);
-* ``("m", {x, y})`` — the merge of two behaviours: pointwise on outputs
-  (which must offer identical choices), pointwise on shared inputs with
-  exclusive inputs kept, provided each exclusive input is compatible with
-  the other side.
+* ``("m", K)`` — the merge of the behaviours in the key set ``K``:
+  pointwise on outputs (which must offer identical choices), pointwise on
+  shared inputs with exclusive inputs kept, provided each exclusive input
+  is compatible with each part that lacks it.
+
+One constructor, `_Resolver._key`, builds both composite keys.  It
+replaces a part that has the key's own tag by that part's parts, and a
+set of one part is that part, so no join has a join part and no merge a
+merge part.  The parts of a key are kept in the order first met.
+
+Flattening keeps what a merge of two keys decides, since that merge,
+``x ⊓ y``, is associative, commutative and idempotent in its verdicts
+wherever each exclusive input is from one role (the case of several
+roles follows the proof):
+
+* Kinds.  ``x ⊓ y`` has a kind only when ``x`` and ``y`` have the same
+  one, and, for outputs, the same branch keys.  Its branch keys are the
+  union of theirs.  Equality and union are associative, commutative and
+  idempotent, so every grouping of the same parts has a kind iff all the
+  parts have one (and one output set), and then the same kind and keys.
+* Successors.  The successor of ``x ⊓ y`` by a branch key is the merge
+  of the successors of the parts that have that key.  So the state that
+  any grouping reaches by a path is a grouping of the states its parts
+  reach by it, and, by the point above and coinduction, every grouping
+  has the same branches everywhere and minimizes to the same machine.
+* Compatibility.  Each state on a path from ``x ⊓ y`` offers the union
+  of what its parts offer, so a path from ``x ⊓ y`` is a path from ``x``
+  or from ``y``, and `_compatible(p, a, x ⊓ y)` holds iff it holds for
+  ``x`` and for ``y``.  An exclusive input from one role ``p`` of a
+  grouping ``L ⊓ R`` is then compatible with ``R`` iff it is with each
+  part of ``R``.  Each ordered pair of distinct parts is split by some
+  grouping node, between a side that has the input and one that lacks
+  it, so a grouping passes iff every ordered pair of parts does, which
+  is what `prepare` checks.
+
+The last point needs inputs from one role.  An input from partners
+``{p, q}`` is compatible with a behaviour when it is for ``p`` or for
+``q``.  A grouping asks for one role that serves every part of ``R`` at
+once, where the pairs ask for one role per part, so a grouping that
+passes implies that the pairs pass, but not the other way.  With ``x =
+p?b.q?a.end``, ``y = q?b.p?a.end`` and ``z = {p,q}?a.end``, the binary
+``(x ⊓ y) ⊓ z`` fails while ``x ⊓ (y ⊓ z)`` and the set ``{x, y, z}``
+merge.  So the binary merge is not associative there, and no set of
+parts can give the verdict of each of its groupings.  The operands
+of a merge term are term nodes, so the term ``merge(merge(x, y), z)``
+is checked as it is grouped; merges flatten where the successor of a
+merge is again a merge, below a prefix or round a loop.
+
+Where a merge has several faults, only which one is named depends on
+the grouping.  Kinds and output sets are compared left to right over the
+parts in the order first met, and compatibility one ordered pair at a
+time in that order, where a binary grouping met them in its nesting
+order.  So the set of an `out`, an `end` and an `in` part, met in that
+order, names "a 'out' behaviour with a 'end' behaviour", where the
+grouping ``out ⊓ (end ⊓ in)`` named "a 'end' behaviour with a 'in'
+behaviour".
 
 Merges are evaluated coinductively: the memo table realizes the greatest
 fixpoint, so recursive types whose merge only closes through a loop (the
@@ -25,7 +77,7 @@ resolved and fails conservatively.  Resolution is budgeted by its work as
 well as by its size: past `_STATE_CAP` states or `_STEP_CAP` successor
 computations it raises `tracelang.BudgetExceededError`, a bound and not a
 finding about the type.  It visits branch keys in canonical order and the
-parts of a join in the order they were first joined, so the fault it
+parts of a join or a merge in the order first met, so the fault it
 reports for a type with several does not depend on hash order.
 
 A canonical term is never resolved again.  `normalize_session_type` keeps
@@ -66,9 +118,10 @@ from .tracelang import BudgetExceededError, minimal_form
 END, OUT, IN = "end", "out", "in"
 
 _STATE_CAP = 20000
-# Successor computations one resolution may make.  A merge of merges can
-# make new states ever more costly to reach while their number stays small,
-# so the state count alone does not bound the work.
+# Successor computations one resolution may make.  A merge of merges is
+# one set, but a join of merges of joins still nests the two tags, so new
+# states can grow ever more costly to reach while their number stays small,
+# and the state count alone does not bound the work.
 _STEP_CAP = 10 * _STATE_CAP
 
 
@@ -178,9 +231,8 @@ class _Resolver:
         self.closures: dict[tuple, _Closure] = {}
         self.kk: dict[tuple, tuple] = {}  # key -> (kind, frozenset of branch keys)
         self.kk_busy: set[tuple] = set()
-        self.mops: dict[tuple, tuple] = {}  # merge key -> (x, y)
+        self.parts: dict[tuple, tuple] = {}  # merge or join key -> its parts, first seen order
         self.merges: list[tuple] = []  # merge keys, in the order their kinds resolved
-        self.joins: dict[tuple, tuple] = {}  # join key -> its parts, first seen order
         self.states: dict[tuple, _State] = {}
         self.steps = 0  # calls of `target`, budgeted by _STEP_CAP
         self.root_key = self._pkey(self.term)
@@ -191,24 +243,21 @@ class _Resolver:
         self.nodes[id(node)] = node
         return ("p", id(node))
 
-    def _mkey(self, x: tuple, y: tuple) -> tuple:
-        if x == y:
-            return x
-        key = ("m", frozenset((x, y)))
-        self.mops.setdefault(key, (x, y))
-        return key
-
-    def _jkey(self, parts: Iterable[tuple]) -> tuple:
+    def _key(self, tag: str, parts: Iterable[tuple]) -> tuple:
+        """The key of the merge (`tag` "m") or the join ("j") of `parts`.
+        A part with the same tag stands for its own parts, so the key is
+        the set of the parts that have another tag, and one part is its
+        own key."""
         flat: dict[tuple, None] = {}
         for p in parts:
-            if p[0] == "j":
-                flat.update(dict.fromkeys(self.joins[p]))
+            if p[0] == tag:
+                flat.update(dict.fromkeys(self.parts[p]))
             else:
                 flat[p] = None
         if len(flat) == 1:
             return next(iter(flat))
-        key = ("j", frozenset(flat))
-        self.joins.setdefault(key, tuple(flat))
+        key = (tag, frozenset(flat))
+        self.parts.setdefault(key, tuple(flat))
         return key
 
     # -- epsilon closure --------------------------------------------------
@@ -231,7 +280,7 @@ class _Resolver:
                 if item[0] == "m":
                     cl.subs.append(item)
                 elif item[0] == "j":
-                    work.extend(reversed(self.joins[item]))
+                    work.extend(reversed(self.parts[item]))
                 else:
                     work.append(self.nodes[item[1]])
                 continue
@@ -257,7 +306,7 @@ class _Resolver:
                 case TVar(x):
                     work.append(self.binders[x])
                 case TMerge(l, r):
-                    cl.subs.append(self._mkey(self._pkey(l), self._pkey(r)))
+                    cl.subs.append(self._key("m", (self._pkey(l), self._pkey(r))))
                 case _:
                     raise TypeError(f"not a session type: {item!r}")
         self.closures[key] = cl
@@ -277,18 +326,18 @@ class _Resolver:
         self.kk_busy.add(key)
         try:
             if key[0] == "m":
-                x, y = self.mops[key]
-                kx, skx = self.kind_keys(x)
-                ky, sky = self.kind_keys(y)
-                if kx != ky:
-                    raise MergeError(
-                        f"cannot merge a {kx!r} behaviour with a {ky!r} behaviour"
-                    )
-                if kx == OUT and skx != sky:
-                    raise MergeError(
-                        "cannot merge internal choices offering different outputs"
-                    )
-                result = (kx, skx | sky)
+                (kind, keys), *rest = [self.kind_keys(p) for p in self.parts[key]]
+                for k, ks in rest:
+                    if k != kind:
+                        raise MergeError(
+                            f"cannot merge a {kind!r} behaviour with a {k!r} behaviour"
+                        )
+                    if kind == OUT and ks != keys:
+                        raise MergeError(
+                            "cannot merge internal choices offering different outputs"
+                        )
+                    keys |= ks
+                result = (kind, keys)
             else:
                 cl = self._close(key)
                 kinds: set[str] = set()
@@ -327,21 +376,16 @@ class _Resolver:
                 f"(more than {_STEP_CAP} resolution steps)"
             )
         if key[0] == "m":
-            x, y = self.mops[key]
-            _, skx = self.kind_keys(x)
-            _, sky = self.kind_keys(y)
-            if bk in skx and bk in sky:
-                return self._mkey(self.target(x, bk), self.target(y, bk))
-            if bk in skx:
-                return self.target(x, bk)
-            return self.target(y, bk)
+            return self._key(
+                "m", [self.target(p, bk) for p in self.parts[key] if bk in self.kind_keys(p)[1]]
+            )
         cl = self._close(key)
         parts = [self._pkey(c) for k, c in cl.atoms if k == bk]
         for sub in cl.subs:
             _, sks = self.kind_keys(sub)
             if bk in sks:
                 parts.append(self.target(sub, bk))
-        return self._jkey(parts)
+        return self._key("j", parts)
 
     # -- construction ---------------------------------------------------------
 
@@ -359,16 +403,16 @@ class _Resolver:
 
     def prepare(self) -> None:
         """Build and validate the full state graph.  Each merge is checked
-        once, in the order its kind resolved: building its operands may
+        once, in the order its kind resolved: building its parts may
         resolve more merges, which join the end of `self.merges`."""
         self._build_from(self.root_key)
         for mk in self.merges:
-            x, y = self.mops[mk]
-            self._build_from(x)
-            self._build_from(y)
+            ps = self.parts[mk]
+            for p in ps:
+                self._build_from(p)
             if self.kk[mk][0] == IN:
-                self._check_merge_compat(x, y)
-                self._check_merge_compat(y, x)
+                for x, y in itertools.permutations(ps, 2):
+                    self._check_merge_compat(x, y)
         for key, st in list(self.states.items()):
             self._check_input_determinism(st)
         for cl in list(self.closures.values()):

@@ -125,10 +125,9 @@ def _conformance(
     a finished one is definitive too (permutations keep length).  When that
     bounded check runs out of budget after an `Unknown` exploration, the
     BudgetExceededError says how many configurations the exploration
-    visited.  No gap is definitive too after a finished
-    exploration when no trace of the type is longer than `max_len`: every
-    trace of the type has then been checked, against every session trace
-    of its length."""
+    visited.  No gap is definitive too after a finished exploration when
+    no trace of the type is longer than `max_len`: every trace of the type
+    has then been checked, against every session trace of its length."""
     outside = includes(session_automaton, auto)
     finished = not isinstance(verdict, Unknown)
     missing = None

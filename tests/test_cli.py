@@ -1466,6 +1466,34 @@ def test_a_merge_past_the_resolver_cap_ends_bound_exhausted(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "source, code, report",
+    [
+        (
+            "(p -> q : a ; p -> q : a | p -> q : a)* ; p -> q : b",
+            0,
+            "p : rec X . q!a.X (+) q!b.end\nq : rec X . p?a.X + p?b.end\n",
+        ),
+        (
+            "loop1 (q -> p : d & {q,r} -> p : d*) exit ({q,r} -> p : c & p -> r : a)",
+            1,
+            "ProjectionError: AndEliminationExhausted\n",
+        ),
+    ],
+)
+def test_merges_of_merges_decide_within_a_small_step_cap(monkeypatch, capsys, tmp_path, source, code, report):
+    """Two types whose merges of merges repeat only as the sets of the keys
+    they merge decide with the resolver capped at 1,000 steps (the default
+    is 200,000): the loop of two ways to send `a` projects, and a 3-role
+    k-exit loop fails to project as AndEliminationExhausted."""
+    monkeypatch.setattr(machine, "_STEP_CAP", 1000)
+    path = tmp_path / "loop.gt"
+    path.write_text(source + "\n")
+    assert run_in_process(monkeypatch, "project", str(path)) == code
+    out, err = capsys.readouterr()
+    assert (out[: len(report)], err) == (report, "")
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("project", "{gt}"),

@@ -8,8 +8,9 @@ verifier nor the command line explores a session whole or compiles a
 type whole where the parts would do, or orders traces itself, the
 runtime decides liveness in one function only, the projector
 catches no bound, only the command line's `main` writes a report,
-and a term's equality and stored slots are defined once per language,
-in the bases of `syntax`.
+a term's equality and stored slots are defined once per language,
+in the bases of `syntax`, and no function refers to itself but those
+that still recurse, listed to be rewritten off explicit stacks.
 
 The import check covers `mpst/__init__.py` too: the package re-exports
 nothing, so each name is imported from the module that defines it, and
@@ -489,3 +490,71 @@ def test_the_check_sees_identity_outside_the_bases():
 
 def test_term_identity_lives_in_the_language_bases():
     assert identity_redefinitions((PACKAGE / "syntax.py").read_text(encoding="utf-8")) == []
+
+
+def self_references(source: str, module: str) -> list[str]:
+    """The functions of `source` that refer to themselves, in source order:
+    a function that names itself anywhere in its body, nested functions
+    included, whether it calls itself or passes itself as a value, and a
+    method that refers to `self.<its name>`.  Each is labelled
+    `module.name`, with the names of the classes and functions around it."""
+    found = []
+    work: list[tuple[ast.AST, str, bool]] = [(ast.parse(source), f"{module}.", False)]
+    while work:
+        node, prefix, in_class = work.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS):
+                for inner in ast.walk(child):
+                    if in_class:
+                        refers = (
+                            isinstance(inner, ast.Attribute)
+                            and inner.attr == child.name
+                            and isinstance(inner.value, ast.Name)
+                            and inner.value.id == "self"
+                        )
+                    else:
+                        refers = isinstance(inner, ast.Name) and inner.id == child.name
+                    if refers:
+                        found.append((child.lineno, prefix + child.name))
+                        break
+                work.append((child, f"{prefix}{child.name}.", False))
+            elif isinstance(child, ast.ClassDef):
+                work.append((child, f"{prefix}{child.name}.", True))
+            else:
+                work.append((child, prefix, in_class))
+    return [label for _, label in sorted(found)]
+
+
+def test_the_check_sees_a_function_that_refers_to_itself():
+    source = (
+        "def walk(t):\n    return [walk(k) for k in t]\n"
+        "def spread(t):\n    return list(map(spread, t))\n"
+        "def flat(t):\n    return [k for k in t]\n"
+        "def outer(t):\n    def inner(k):\n        return inner(k - 1) if k else outer\n    return inner(t)\n"
+        "class Walker:\n"
+        "    def visit(self, t):\n        return [self.visit(k) for k in t]\n"
+        "    def leave(self, t):\n        return other.leave(t) + leave(t)\n"
+    )
+    assert self_references(source, "m") == ["m.walk", "m.spread", "m.outer", "m.outer.inner", "m.Walker.visit"]
+
+
+# The functions that still recurse, one frame per level of their input.
+# Rewrite each off an explicit stack, and take it off this list.
+RECURSIVE = {
+    "cli._write",
+    "machine.root_kind",
+    "machine._Resolver.kind_keys",
+    "machine._Resolver.target",
+    "projector._project",
+    "projector._subst",
+    "tracelang.compile_traces",
+    "verifier._branches",
+    "verifier.forced_join",
+    "verifier._relaxed",
+    "verifier._random_term",
+}
+
+
+def test_no_function_refers_to_itself_but_the_listed_ones():
+    found = {label for path in SOURCES for label in self_references(path.read_text(encoding="utf-8"), path.stem)}
+    assert found == RECURSIVE

@@ -689,6 +689,13 @@ LETTERS = [
 ]
 
 
+def loops(kids):
+    """`loopk` with 1 or 2 bodies and as many exits, drawn from `kids`."""
+    return st.integers(1, 2).flatmap(
+        lambda k: st.builds(GKExit, st.lists(kids, min_size=k, max_size=k), st.lists(kids, min_size=k, max_size=k))
+    )
+
+
 def global_types():
     leaves = st.one_of(st.just(GSkip()), st.builds(GAction, st.sampled_from(LETTERS)))
     return st.recursive(
@@ -698,6 +705,7 @@ def global_types():
             st.builds(GEither, kids, kids),
             st.builds(GBoth, kids, kids),
             st.builds(GStar, kids),
+            loops(kids),
         ),
         max_leaves=8,
     )
