@@ -55,19 +55,25 @@ passes implies that the pairs pass, but not the other way.  With ``x =
 p?b.q?a.end``, ``y = q?b.p?a.end`` and ``z = {p,q}?a.end``, the binary
 ``(x ⊓ y) ⊓ z`` fails while ``x ⊓ (y ⊓ z)`` and the set ``{x, y, z}``
 merge.  So the binary merge is not associative there, and no set of
-parts can give the verdict of each of its groupings.  The operands
-of a merge term are term nodes, so the term ``merge(merge(x, y), z)``
-is checked as it is grouped; merges flatten where the successor of a
-merge is again a merge, below a prefix or round a loop.
+parts can give the verdict of each of its groupings.  Every merge is
+one set, whether it is written as a term or reached as a successor, and
+the set passes wherever some grouping does.  A merge term holds no merge
+(`syntax.TMerge` replaces such an operand by its operands), and `_close`
+keys its operands as one set, so ``merge(merge(x, y), z)``,
+``merge(x, merge(y, z))`` and ``merge(x, y, z)`` are one term and one
+state; a successor of a merge that is again a merge, below a prefix or
+round a loop, flattens in `_key`.  An operand that reaches a merge only
+through a `rec` binder is one part until a prefix is crossed.
 
 Where a merge has several faults, only which one is named depends on
 the grouping.  Kinds and output sets are compared left to right over the
-parts in the order first met, and compatibility one ordered pair at a
-time in that order, where a binary grouping met them in its nesting
-order.  So the set of an `out`, an `end` and an `in` part, met in that
-order, names "a 'out' behaviour with a 'end' behaviour", where the
-grouping ``out ⊓ (end ⊓ in)`` named "a 'end' behaviour with a 'in'
-behaviour".
+parts in the order first met, each part's kind found as it is compared,
+and compatibility one ordered pair at a time in that order, where a
+binary grouping met them in its nesting order.  So the set of an `out`,
+an `end` and an `in` part, met in that order, names "a 'out' behaviour
+with a 'end' behaviour", as the left-nested grouping ``(out ⊓ end) ⊓
+in`` does, where the grouping ``out ⊓ (end ⊓ in)`` named "a 'end'
+behaviour with a 'in' behaviour".
 
 Merges are evaluated coinductively: the memo table realizes the greatest
 fixpoint, so recursive types whose merge only closes through a loop (the
@@ -305,8 +311,8 @@ class _Resolver:
                     work.append(b)
                 case TVar(x):
                     work.append(self.binders[x])
-                case TMerge(l, r):
-                    cl.subs.append(self._key("m", (self._pkey(l), self._pkey(r))))
+                case TMerge(bs):
+                    cl.subs.append(self._key("m", map(self._pkey, bs)))
                 case _:
                     raise TypeError(f"not a session type: {item!r}")
         self.closures[key] = cl
@@ -326,8 +332,11 @@ class _Resolver:
         self.kk_busy.add(key)
         try:
             if key[0] == "m":
-                (kind, keys), *rest = [self.kind_keys(p) for p in self.parts[key]]
-                for k, ks in rest:
+                # a part's kind is found only when it is compared, so the first
+                # fault met left to right is named, as a left-nested grouping does
+                ps = iter(self.parts[key])
+                kind, keys = self.kind_keys(next(ps))
+                for k, ks in map(self.kind_keys, ps):
                     if k != kind:
                         raise MergeError(
                             f"cannot merge a {kind!r} behaviour with a {k!r} behaviour"
@@ -572,10 +581,7 @@ def _chain_machine(t: SessionType, n: int) -> Machine:
 def _kept_machine(t: SessionType) -> Machine | None:
     """The machine that normalization (or an earlier chain read) kept on
     `t`, or None."""
-    k = type(t)
-    if k is TOut or k is TIn or k is TInternal or k is TExternal or k is TRec:
-        return t._machine
-    return None
+    return getattr(t, "_machine", None)  # `end` and variables have none
 
 
 def is_canonical(t: SessionType) -> bool:
@@ -629,21 +635,23 @@ def session_type_equal(a: SessionType, b: SessionType) -> bool:
     return normalize_session_type(a) == normalize_session_type(b)
 
 
+# The root kind of each constructor that has one of its own.
+_ROOT_KINDS = {TEnd: END, TOut: OUT, TInternal: OUT, TIn: IN, TExternal: IN}
+
+
 def root_kind(t: SessionType) -> str | None:
     """The definite root kind of a (possibly open) type term, or None when
-    it depends on unresolved variables or merges."""
-    match t:
-        case TEnd():
-            return END
-        case TOut(_, _, _) | TInternal(_):
-            return OUT
-        case TIn(_, _, _) | TExternal(_):
-            return IN
-        case TRec(_, b):
-            return root_kind(b)
-        case TMerge(l, r):
-            kl = root_kind(l)
-            return kl if kl == root_kind(r) else None
-        case TVar(_):
+    it depends on unresolved variables or merges.  The operands of merges
+    and the bodies of `rec` are read off a stack."""
+    kinds: set[str] = set()
+    work = [t]
+    while work:
+        t = work.pop()
+        k = type(t)
+        if k is TVar:
             return None
-    raise TypeError(f"not a session type: {t!r}")
+        if k in _ROOT_KINDS:
+            kinds.add(_ROOT_KINDS[k])
+        else:
+            work += parts(t)  # a merge or a `rec`
+    return kinds.pop() if len(kinds) == 1 else None

@@ -135,7 +135,7 @@ def merge(t: SessionType, s: SessionType) -> SessionType:
     kept when they cannot be confused.  Raises ProjectionError
     (IncompatibleMerge) when no such behaviour exists."""
     try:
-        return machine.normalize_session_type(TMerge(t, s))
+        return machine.normalize_session_type(TMerge((t, s)))
     except ValueError as exc:
         raise ProjectionError(INCOMPATIBLE_MERGE, str(exc)) from None
 
@@ -167,8 +167,8 @@ def _merge_terms(
             loc,
         )
     if _is_closed(t) and _is_closed(s):
-        return _normalized(TMerge(t, s), role, loc)
-    return TMerge(t, s)
+        return _normalized(TMerge((t, s)), role, loc)
+    return TMerge((t, s))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,7 @@ def _kexit_build(
         names: dict[str, SessionType] = {
             after[i][r]: TVar(dvar[nxt] if r == deciders[nxt] else rvar[r]) for r in roles
         }
-        renamed.append({r: _subst(body_envs[i][r], names, frozenset()) for r in roles})
+        renamed.append({r: _subst(body_envs[i][r], names) for r in roles})
 
     defs: dict[str, SessionType] = {}
     for i in range(k):
@@ -378,8 +378,8 @@ def _kexit_build(
 
     result = dict(env)
     for r in roles:
-        result[r] = _close(rvar[r], defs, frozenset())
-    result[deciders[0]] = _close(dvar[0], defs, frozenset())
+        result[r] = _subst(TVar(rvar[r]), defs)
+    result[deciders[0]] = _subst(TVar(dvar[0]), defs)
 
     for r in roles:
         if _is_closed(result[r]):
@@ -387,21 +387,42 @@ def _kexit_build(
     return result
 
 
-def _close(name: str, defs: dict[str, SessionType], stack: frozenset[str]) -> SessionType:
-    """The definition of the unknown `name` with every unknown it uses
-    substituted in turn, bound by `rec` where it refers back to itself.
-    `stack` holds the unknowns being closed around it."""
-    body = _subst(defs[name], defs, stack | {name})
-    if name in free_type_vars(body):
-        return TRec(name, body)
-    return body
-
-
-def _subst(t: SessionType, defs: dict[str, SessionType], stack: frozenset[str]) -> SessionType:
-    if type(t) is TVar and t.name in defs:
-        return t if t.name in stack else _close(t.name, defs, stack)
-    subs = map(_subst, parts(t), itertools.repeat(defs), itertools.repeat(stack))
-    return with_parts(t, tuple(subs))
+def _subst(t: SessionType, defs: dict[str, SessionType]) -> SessionType:
+    """`t` with each unknown of `defs` replaced by its definition, in which
+    the unknowns are replaced in turn; a definition that refers back to its
+    own unknown is bound by `rec` there.  The term is rebuilt off an
+    explicit stack, and a canonical subterm, being closed, is kept as it
+    is."""
+    built: list[SessionType] = []  # rebuilt subterms, last built last
+    # Subterms to rebuild, with the unknowns being replaced around them, and
+    # nodes whose rebuilt parts are the last `n` of `built`, with the unknown
+    # they replace (None but for an unknown of `defs`), to assemble.
+    work: list[tuple] = [(t, frozenset())]
+    while work:
+        item = work.pop()
+        node = item[0]
+        if len(item) == 3:
+            _, n, name = item
+            new = built[len(built) - n :]
+            del built[len(built) - n :]
+            if name is None:
+                built.append(with_parts(node, new))
+            else:
+                body = new[0]
+                built.append(TRec(name, body) if name in free_type_vars(body) else body)
+            continue
+        stack = item[1]
+        if type(node) is TVar and node.name in defs and node.name not in stack:
+            work.append((node, 1, node.name))
+            work.append((defs[node.name], stack | {node.name}))
+            continue
+        kids = () if machine.is_canonical(node) else parts(node)
+        if kids:
+            work.append((node, len(kids), None))
+            work.extend(zip(reversed(kids), itertools.repeat(stack)))
+        else:
+            built.append(node)
+    return built[0]
 
 
 # ---------------------------------------------------------------------------

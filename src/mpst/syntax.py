@@ -25,8 +25,11 @@ off a stack, so a walk that folds a spine spends one frame on all of it.
 
 Constructors that differ only in meaning share one definition: ``;``,
 ``&`` and ``|`` are subclasses of ``_Pair``, each with its own hash tag,
-and the internal and external choice are subclasses of ``_Choice``.  A
-walk still tells them apart by ``type(t) is``.
+and the internal choice, the external choice and the merge are
+subclasses of ``_Choice``, each a tuple of two or more branches.  A
+merge's constructor replaces an operand that is itself a merge by that
+merge's operands, so no merge holds a merge.  A walk still tells them
+apart by ``type(t) is``.
 
 Interactions and compound terms of both languages (every constructor but
 ``GSkip``, ``TEnd`` and ``TVar``) hash in O(1): each derives from
@@ -465,7 +468,7 @@ class TIn(_SessionTerm):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class _Choice(_SessionTerm):
-    """The shape of both choices: two or more branches."""
+    """The shape of both choices and of the merge: two or more branches."""
 
     branches: tuple[SessionType, ...]
 
@@ -489,6 +492,23 @@ class TExternal(_Choice):
     __slots__ = ()
 
 
+class TMerge(_Choice):
+    """A merge of two or more behaviours whose resolution is deferred until
+    the enclosing recursion is closed.  An operand that is itself a merge
+    is replaced by its operands, so no merge holds a merge.  Produced only
+    by the projector; never written in source and never survives
+    normalization."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        flat: list[SessionType] = []
+        for b in self.branches:
+            flat.extend(b.branches if type(b) is TMerge else (b,))
+        object.__setattr__(self, "branches", flat)
+        _Choice.__post_init__(self)
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class TRec(_SessionTerm):
     """Recursive behaviour: `body` may refer back to this point as `var`."""
@@ -501,19 +521,6 @@ class TRec(_SessionTerm):
         object.__setattr__(self, "_machine", None)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TMerge(_SessionTerm):
-    """A merge of two behaviours whose resolution is deferred until the
-    enclosing recursion is closed.  Produced only by the projector; never
-    written in source and never survives normalization."""
-
-    left: SessionType
-    right: SessionType
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
-
-
 SessionType = Union[TEnd, TVar, TOut, TIn, TInternal, TExternal, TRec, TMerge]
 
 SessionEnv = dict  # dict[Role, SessionType]
@@ -524,14 +531,12 @@ def parts(t: SessionType) -> tuple[SessionType, ...]:
     k = type(t)
     if k is TOut or k is TIn:
         return (t.cont,)
-    if k is TInternal or k is TExternal:
+    if k is TInternal or k is TExternal or k is TMerge:
         return t.branches
     if k is TEnd or k is TVar:
         return ()
     if k is TRec:
         return (t.body,)
-    if k is TMerge:
-        return (t.left, t.right)
     raise TypeError(f"not a session type: {t!r}")
 
 
@@ -543,14 +548,12 @@ def with_parts(t: SessionType, new: Sequence[SessionType]) -> SessionType:
         return TOut(t.partner, t.message, new[0])
     if k is TIn:
         return TIn(t.partners, t.message, new[0])
-    if k is TInternal or k is TExternal:
+    if k is TInternal or k is TExternal or k is TMerge:
         return k(tuple(new))
     if k is TEnd or k is TVar:
         return t
     if k is TRec:
         return TRec(t.var, new[0])
-    if k is TMerge:
-        return TMerge(new[0], new[1])
     raise TypeError(f"not a session type: {t!r}")
 
 
@@ -1056,7 +1059,7 @@ def print_session_type(t: SessionType) -> str:
     work: list = [t]  # session types still to render, and text, last first
 
     def unit(node: SessionType) -> None:
-        if isinstance(node, (TInternal, TExternal, TRec, TMerge)):
+        if isinstance(node, (_Choice, TRec)):
             work.extend((")", node, "("))
         else:
             work.append(node)
@@ -1080,8 +1083,11 @@ def print_session_type(t: SessionType) -> str:
                     left = "{" + ",".join(sorted(ps)) + "}"
                 out.append(f"{left}?{a}.")
                 unit(c)
-            case TInternal(bs) | TExternal(bs):
-                sep = " (+) " if type(node) is TInternal else " + "
+            case _Choice(bs):
+                if type(node) is TMerge:
+                    out.append("merge(")
+                    work.append(")")
+                sep = {TInternal: " (+) ", TExternal: " + ", TMerge: ", "}[type(node)]
                 for i, b in enumerate(reversed(bs)):
                     if i:
                         work.append(sep)
@@ -1089,8 +1095,6 @@ def print_session_type(t: SessionType) -> str:
             case TRec(x, b):
                 out.append(f"rec {x} . ")
                 work.append(b)
-            case TMerge(l, r):
-                work.extend((")", r, ", ", l, "merge("))
             case _:
                 raise TypeError(f"not a session type: {node!r}")
     return "".join(out)

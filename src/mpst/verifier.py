@@ -303,13 +303,16 @@ def _candidate_envs(g: GlobalType, budget: int) -> list[SessionEnv]:
 def _relaxations(g: GlobalType) -> list[GlobalType] | None:
     """Variants of `g` with sequential compositions relaxed to unordered
     ones: all at once, then one at a time.  A type with no `;` node has no
-    variants, and one with more than 16 has None: its variants are not
-    tried."""
-    numbers = itertools.count()
-    variants = [_relaxed(g, None, numbers)]
-    total = next(numbers)  # the number of `;` nodes
+    variants, and one with more than 16 has None: its `;` nodes are
+    counted off a stack, and no variant is built."""
+    total, work = 0, [g]
+    while work:
+        node = work.pop()
+        total += type(node) is GSeq
+        work += subterms(node)
     if total > 16:
         return None
+    variants = [_relaxed(g, None, itertools.count())]
     variants += [_relaxed(g, {i}, itertools.count()) for i in range(total)]
     return [v for v in variants if v != g]
 

@@ -207,6 +207,36 @@ def test_stacked_stars_still_exit_with_usage_code(tmp_path, command):
     assert result.stderr == "error: input nests too deeply\n"
 
 
+@pytest.mark.parametrize("command", ["project", "verify"])
+def test_a_long_loop_body_decides(tmp_path, command):
+    """The projection of a 1,200-interaction loop body is closed into its
+    recursion off an explicit stack, not one frame per prefix."""
+    body = " ;\n".join(f"p -> q : a{i % 3}" if i % 2 == 0 else f"q -> p : b{i % 3}" for i in range(1200))
+    path = tmp_path / "loop.gt"
+    path.write_text(f"({body})* ; p -> q : z\n")
+    result = run(command, str(path))
+    assert (result.returncode, result.stderr) == (0, "")
+    if command == "project":
+        p = "".join(f"q!a{i % 3}." if i % 2 == 0 else f"q?b{i % 3}." for i in range(1200))
+        q = "".join(f"p?a{i % 3}." if i % 2 == 0 else f"p!b{i % 3}." for i in range(1200))
+        assert result.stdout.splitlines() == [f"p : rec X . {p}X (+) q!z.end", f"q : rec X . {q}X + p?z.end"]
+    else:
+        assert result.stdout.splitlines()[:3] == ["sound: yes", "complete: yes", "liveness: Live"]
+
+
+def test_classify_answers_on_a_long_chain_that_is_not_well_formed(tmp_path):
+    """The `;` nodes of a 1,200-interaction chain are counted off a stack,
+    and no relaxation is built past 16 of them."""
+    path = tmp_path / "chain.gt"
+    path.write_text(" ;\n".join("p -> q : a" if i % 2 == 0 else "r -> s : b" for i in range(1200)))
+    result = run("classify", str(path))
+    assert (result.returncode, result.stderr) == (1, "")
+    assert result.stdout.splitlines() == [
+        verifier.UNCLASSIFIED,
+        "not well formed, and relaxations are not tried past 16 `;` nodes",
+    ]
+
+
 def test_deep_equal_alternatives_project(tmp_path):
     """`_rewrites` compares the two sides of the `|`, each an 800-interaction
     chain; comparing them took more stack than projecting either."""

@@ -542,11 +542,9 @@ def test_the_check_sees_a_function_that_refers_to_itself():
 # Rewrite each off an explicit stack, and take it off this list.
 RECURSIVE = {
     "cli._write",
-    "machine.root_kind",
     "machine._Resolver.kind_keys",
     "machine._Resolver.target",
     "projector._project",
-    "projector._subst",
     "tracelang.compile_traces",
     "verifier._branches",
     "verifier.forced_join",

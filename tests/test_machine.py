@@ -5,12 +5,13 @@ from __future__ import annotations
 import functools
 import gc
 import os
+import re
 import subprocess
 import sys
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpst import machine
@@ -245,7 +246,7 @@ def session_terms(depth: int = 4, bound: tuple = ()):
     # A merge's operands may use an enclosing rec's variable: a merge that
     # its own recursion reaches again repeats as the set of the keys it
     # merges, so it resolves or ends at a cap.
-    faulty = st.one_of(st.builds(TMerge, kid, kid), st.builds(TInternal, st.lists(kid, min_size=2, max_size=2)))
+    faulty = st.one_of(st.builds(TMerge, st.lists(kid, min_size=2, max_size=3)), st.builds(TInternal, st.lists(kid, min_size=2, max_size=2)))
     return st.one_of(*leaves, outs, ins, rec, rec, internal, internal, external, external, faulty)
 
 
@@ -361,7 +362,7 @@ def test_a_resolver_is_freed_without_the_cycle_collector(monkeypatch):
             refs.append(weakref.ref(self))
 
     loop = parse_session_type("rec X . (p?a.(q!b.X (+) q!c.end) + p?d.end)")
-    merged = TMerge(parse_session_type("p?a.end + p?b.q!c.end"), parse_session_type("p?a.end"))
+    merged = TMerge((parse_session_type("p?a.end + p?b.q!c.end"), parse_session_type("p?a.end")))
     monkeypatch.setattr(machine, "_Resolver", Recorded)
     gc.disable()
     try:
@@ -452,7 +453,7 @@ def test_a_merge_that_never_repeats_runs_out_of_steps(monkeypatch):
 
     def looped():
         x = TVar("X")
-        return TRec("X", TMerge(TOut("p", "a", x), TOut("p", "a", TOut("p", "a", x))))
+        return TRec("X", TMerge((TOut("p", "a", x), TOut("p", "a", TOut("p", "a", x)))))
 
     assert print_session_type(normalize_session_type(looped())) == "rec X . p!a.X"
     monkeypatch.setattr(machine, "_STEP_CAP", 2)
@@ -463,39 +464,63 @@ def test_a_merge_that_never_repeats_runs_out_of_steps(monkeypatch):
     )
 
 
+def test_every_grouping_of_a_merge_is_one_term():
+    """A merge term holds no merge, so the three groupings of x, y and z
+    are one term.  For this input from two roles the binary grouping
+    `(x ⊓ y) ⊓ z` fails, and the set merges (see the `machine`
+    docstring)."""
+    x, y, z = t("p?b.q?a.end"), t("q?b.p?a.end"), t("{p,q}?a.end")
+    groupings = [TMerge((TMerge((x, y)), z)), TMerge((x, TMerge((y, z)))), TMerge((x, y, z))]
+    assert groupings[0] == groupings[1] == groupings[2]
+    assert all(g.branches == (x, y, z) for g in groupings)
+    assert print_session_type(groupings[0]) == "merge(p?b.q?a.end, q?b.p?a.end, {p,q}?a.end)"
+    for g in groupings:
+        assert print_session_type(normalize_session_type(g)) == "{p,q}?a.end + p?b.q?a.end + q?b.p?a.end"
+
+
 class BinaryMerges(machine._Resolver):
     """The resolver with binary merge keys, the reference for flattening:
     a merge of merges keeps its two parts as they are, so `merge(merge(x,
-    y), z)` and `merge(x, merge(y, z))` are two states.  Joins still
-    flatten."""
+    y), z)` and `merge(x, merge(y, z))` are two states, and a merge term
+    of n operands is keyed as its left-nested binary grouping.  Joins
+    still flatten."""
 
     def _key(self, tag, parts):
         if tag == "j":
             return super()._key(tag, parts)
-        parts = tuple(dict.fromkeys(parts))
-        if len(parts) == 1:
-            return parts[0]
-        key = ("m", frozenset(parts))
-        self.parts.setdefault(key, parts)
+        return functools.reduce(self._pair, parts)
+
+    def _pair(self, x, y):
+        if x == y:
+            return x
+        key = ("m", frozenset((x, y)))
+        self.parts.setdefault(key, (x, y))
         return key
 
 
+@example(TMerge((t("p?b.q?a.end"), t("q?b.p?a.end"), t("{p,q}?a.end"))))
 @settings(max_examples=300, deadline=None)
 @given(session_terms())
 def test_flat_merges_decide_as_binary_merges_do(ty):
     """Wherever the binary keys decide within the caps, the flat ones give
-    the same machine, or fail with the same class of error.  They can
-    differ on an input from several roles that some grouping of a merge
-    rejects (see the `machine` docstring); no term drawn here has one."""
+    the same machine, or fail with the same class of error.  They differ
+    only on an input from several roles that a grouping of a merge rejects
+    and the set merges (see the `machine` docstring), as in the example:
+    a merge term of three operands is drawn, and grouped by the
+    reference."""
     reference = BinaryMerges(ty)
     try:
         reference.prepare()
     except BudgetExceededError:
         return
     except ValueError as exc:
-        with pytest.raises(ValueError) as info:
+        try:
             resolved(ty)
-        assert type(info.value) is type(exc)
+        except ValueError as error:
+            assert type(error) is type(exc)
+        else:
+            assert type(exc) is machine.MergeError
+            assert re.fullmatch(r"input of '\w+' from \{\w+(,\w+)+\} cannot be merged: .*", str(exc))
         return
     assert rows(resolved(ty)) == rows(reference.minimized())
 

@@ -134,7 +134,7 @@ def test_subterm_helpers_round_trip_every_constructor():
         TInternal((out, TOut("q", "c", TEnd()))),
         TExternal((into, TIn(frozenset({"p"}), "c", TEnd()))),
         TRec("X", out),
-        TMerge(out, into),
+        TMerge((out, into)),
     ]:
         assert with_parts(t, parts(t)) == t
     assert with_parts(TRec("X", out), (into,)) == TRec("X", into)
@@ -307,8 +307,8 @@ def test_equal_session_terms_compare_at_any_depth():
         lambda: TExternal((TOut("q", "a", end), TOut("q", "b", end))),
         lambda: TRec("X", TOut("q", "a", TVar("X"))),
         lambda: TRec("Y", TOut("q", "a", TVar("X"))),
-        lambda: TMerge(TOut("q", "a", end), end),
-        lambda: TMerge(end, TOut("q", "a", end)),
+        lambda: TMerge((TOut("q", "a", end), end)),
+        lambda: TMerge((end, TOut("q", "a", end))),
     ]
 
     def deep(bottom):
@@ -345,7 +345,7 @@ def test_terms_of_every_constructor_hold_no_attribute_dict():
     terms = [
         GSkip(), a, GSeq(a, a), GBoth(a, a), GEither(a, a), GStar(a), GKExit([a], [a]),
         TEnd(), TVar("X"), out, TIn({"q"}, "a", TEnd()), TInternal((out, out)), TExternal((out, out)),
-        TRec("X", out), TMerge(out, out),
+        TRec("X", out), TMerge((out, out)),
     ]
     assert {type(t) for t in terms} == {*GLOBAL_CONSTRUCTORS, *SESSION_CONSTRUCTORS}
     for t in terms:
@@ -367,7 +367,7 @@ def test_no_term_takes_an_assigned_hash_or_machine():
     globals_ = [a.interaction, GSkip(), a, GSeq(a, a), GBoth(a, a), GEither(a, a), GStar(a), GKExit([a], [a])]
     sessions = [
         TEnd(), TVar("X"), out, TIn({"q"}, "a", TEnd()), TInternal((out, out)), TExternal((out, out)),
-        TRec("X", out), TMerge(out, out),
+        TRec("X", out), TMerge((out, out)),
     ]
     assert {type(t) for t in globals_ + sessions} == {Interaction, *GLOBAL_CONSTRUCTORS, *SESSION_CONSTRUCTORS}
     refused = (dataclasses.FrozenInstanceError, TypeError)
@@ -401,7 +401,7 @@ def test_session_terms_hash_as_generated_on_random_projections():
         TIn({"q", "r"}, "a", end),
         TRec("X", TInternal((TOut("q", "a", TVar("X")), TOut("q", "b", end)))),
         TExternal((TIn({"q"}, "a", end), TIn({"q"}, "b", end))),
-        TMerge(TOut("q", "a", end), end),
+        TMerge((TOut("q", "a", end), end)),
     ]
     projected = 0
     seed = 20261018
