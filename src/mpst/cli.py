@@ -54,6 +54,7 @@ _INPUT_ERRORS = (
     UnguardedRecursionError,
     NotSessionTypeError,
     OSError,
+    UnicodeDecodeError,  # stdin, where the locale reads it strictly
 )
 
 
@@ -157,7 +158,9 @@ def _projection_failed(exc: projector.ProjectionError, detailed: bool = False):
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+    # as stdin is read: a byte that is not UTF-8 becomes a lone surrogate,
+    # which starts no token, so the parser reports where it is
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return fh.read()
 
 

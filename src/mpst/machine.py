@@ -62,8 +62,8 @@ the set passes wherever some grouping does.  A merge term holds no merge
 keys its operands as one set, so ``merge(merge(x, y), z)``,
 ``merge(x, merge(y, z))`` and ``merge(x, y, z)`` are one term and one
 state; a successor of a merge that is again a merge, below a prefix or
-round a loop, flattens in `_key`.  An operand that reaches a merge only
-through a `rec` binder is one part until a prefix is crossed.
+round a loop, flattens in `_key`, and `_close` keys an operand that is a
+merge under `rec` binders by that merge's operands.
 
 Where a merge has several faults, only which one is named depends on
 the grouping.  Kinds and output sets are compared left to right over the
@@ -117,7 +117,7 @@ from .syntax import (
     TVar,
     UnguardedRecursionError,
     parts,
-    with_parts,
+    rebuild,
 )
 from .tracelang import BudgetExceededError, minimal_form
 
@@ -187,47 +187,27 @@ class _State:
 def _freshen(t: SessionType) -> tuple[SessionType, dict]:
     """Rebuild `t` with globally unique recursion-variable names; return the
     new term and the binder map name -> TRec node.  Binders are numbered in
-    preorder, and the term is rebuilt off an explicit stack."""
+    preorder."""
     binders: dict[str, TRec] = {}
-    counter = 0
-    built: list[SessionType] = []  # rebuilt subterms, last built last
-    # Subterms to rebuild, with the names their free variables get, and
-    # nodes whose rebuilt parts are the last `n` of `built`, with their
-    # binder's fresh name (None but for a `rec`), to assemble.
-    work: list[tuple] = [(t, {})]
-    while work:
-        item = work.pop()
-        node = item[0]
-        if len(item) == 3:
-            _, n, fresh = item
-            new = built[len(built) - n :]
-            del built[len(built) - n :]
-            if fresh is None:
-                built.append(with_parts(node, new))
-            else:
-                rec = TRec(fresh, new[0])
-                binders[fresh] = rec
-                built.append(rec)
-            continue
-        env = item[1]
+    numbers = itertools.count()
+
+    def step(node: SessionType, names: dict, new: list | None):
+        # `names` maps each variable bound above `node` to its new name
         k = type(node)
         if k is TVar:
-            if node.name not in env:
+            if node.name not in names:
                 raise ValueError(f"unbound recursion variable {node.name!r}")
-            built.append(TVar(env[node.name]))
-        elif k is TRec:
-            fresh = f"r{counter}"
-            counter += 1
-            work.append((node, 1, fresh))
-            work.append((node.body, env | {node.var: fresh}))
-        else:
-            kids = parts(node)
-            if kids:
-                work.append((node, len(kids), None))
-                work.extend(zip(reversed(kids), itertools.repeat(env)))
-            else:
-                built.append(node)
-    return built[0], binders
+            return TVar(names[node.name])
+        if k is TEnd:
+            return node
+        if k is not TRec:
+            return parts(node), names
+        if new is None:
+            return (node.body,), names | {node.var: f"r{next(numbers)}"}
+        rec = binders[names[node.var]] = TRec(names[node.var], new[0])
+        return rec
+
+    return rebuild(t, step, {}), binders
 
 
 class _Resolver:
@@ -312,7 +292,18 @@ class _Resolver:
                 case TVar(x):
                     work.append(self.binders[x])
                 case TMerge(bs):
-                    cl.subs.append(self._key("m", map(self._pkey, bs)))
+                    # an operand that is a merge under `rec` binders stands
+                    # for the operands of that merge
+                    ops, todo = [], list(reversed(bs))
+                    while todo:
+                        b = inner = todo.pop()
+                        while type(inner) is TRec:
+                            inner = inner.body
+                        if type(inner) is TMerge:
+                            todo += reversed(inner.branches)
+                        else:
+                            ops.append(b)
+                    cl.subs.append(self._key("m", map(self._pkey, ops)))
                 case _:
                     raise TypeError(f"not a session type: {item!r}")
         self.closures[key] = cl

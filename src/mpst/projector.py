@@ -60,13 +60,15 @@ from .syntax import (
     TOut,
     TRec,
     TVar,
+    fold,
     free_type_vars,
     parts,
+    postorder,
     print_global_type,
+    rebuild,
     roles_of,
     spine,
     subterms,
-    with_parts,
     with_subterms,
 )
 from .tracelang import BudgetExceededError, kexit_unfolding
@@ -390,39 +392,21 @@ def _kexit_build(
 def _subst(t: SessionType, defs: dict[str, SessionType]) -> SessionType:
     """`t` with each unknown of `defs` replaced by its definition, in which
     the unknowns are replaced in turn; a definition that refers back to its
-    own unknown is bound by `rec` there.  The term is rebuilt off an
-    explicit stack, and a canonical subterm, being closed, is kept as it
-    is."""
-    built: list[SessionType] = []  # rebuilt subterms, last built last
-    # Subterms to rebuild, with the unknowns being replaced around them, and
-    # nodes whose rebuilt parts are the last `n` of `built`, with the unknown
-    # they replace (None but for an unknown of `defs`), to assemble.
-    work: list[tuple] = [(t, frozenset())]
-    while work:
-        item = work.pop()
-        node = item[0]
-        if len(item) == 3:
-            _, n, name = item
-            new = built[len(built) - n :]
-            del built[len(built) - n :]
-            if name is None:
-                built.append(with_parts(node, new))
-            else:
-                body = new[0]
-                built.append(TRec(name, body) if name in free_type_vars(body) else body)
-            continue
-        stack = item[1]
-        if type(node) is TVar and node.name in defs and node.name not in stack:
-            work.append((node, 1, node.name))
-            work.append((defs[node.name], stack | {node.name}))
-            continue
-        kids = () if machine.is_canonical(node) else parts(node)
-        if kids:
-            work.append((node, len(kids), None))
-            work.extend(zip(reversed(kids), itertools.repeat(stack)))
-        else:
-            built.append(node)
-    return built[0]
+    own unknown is bound by `rec` there.  A canonical subterm, being
+    closed, is kept as it is."""
+
+    def step(node: SessionType, replacing: frozenset, new: list | None):
+        # `replacing` holds the unknowns being replaced around `node`
+        if type(node) is not TVar:
+            return node if machine.is_canonical(node) else (parts(node), replacing)
+        if new is not None:
+            body = new[0]
+            return TRec(node.name, body) if node.name in free_type_vars(body) else body
+        if node.name in defs and node.name not in replacing:
+            return (defs[node.name],), replacing | {node.name}
+        return node
+
+    return rebuild(t, step, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +558,7 @@ def _kept_failure(
 
     Only `ProjectionError` is caught: a bound raised while checking
     propagates, and is never taken for a proof."""
-    order = _postorder(g, ())
+    order = postorder(g)
     # by first discovery from the root, each loop before the loops inside it
     loops = dict.fromkeys(t for t, _ in reversed(order) if type(t) is GStar)
     if type(g) is not GSeq and not loops:
@@ -689,16 +673,14 @@ def _sequential_rewrites(
 
 def _serialize_all(g: GlobalType, left_first: bool) -> GlobalType:
     """`g` with every `&` made a `;`, its left operand first if
-    `left_first`, rebuilt in the order `_postorder` lists its subterms."""
-    built: dict[int, GlobalType] = {}  # by the id of the subterm rebuilt
-    for t, subs in _postorder(g, ()):
-        new = [built[id(x)] for x in subs]
-        if type(t) is GBoth:
-            a, b = new
-            built[id(t)] = GSeq(a, b) if left_first else GSeq(b, a)
-        else:
-            built[id(t)] = with_subterms(t, new)
-    return built[id(g)]
+    `left_first`, rebuilt bottom-up (`syntax.fold`)."""
+
+    def step(t: GlobalType, new: list[GlobalType]) -> GlobalType:
+        if type(t) is not GBoth:
+            return with_subterms(t, new)
+        return GSeq(*new) if left_first else GSeq(new[1], new[0])
+
+    return fold(g, step)
 
 
 def _rewrites(g: GlobalType, memo: dict[GlobalType, list[GlobalType]]) -> list[GlobalType]:
@@ -706,29 +688,13 @@ def _rewrites(g: GlobalType, memo: dict[GlobalType, list[GlobalType]]) -> list[G
     distributions of `&` plus factoring of a common alternative prefix; in
     context, the rewrites of every immediate subterm.  `memo` holds the
     rewrites of the terms seen so far; those of the others are filled in
-    in the order `_postorder` lists them."""
-    for t, subs in _postorder(g, memo):
+    in the order `syntax.postorder` lists them."""
+    for t, subs in postorder(g, done=memo):
         out = memo[t] = _root_rewrites(t)  # a term listed twice is filled twice, alike
         for i, x in enumerate(subs):
             for x2 in memo[x]:
                 out.append(with_subterms(t, subs[:i] + (x2,) + subs[i + 1 :]))
     return memo[g]
-
-
-def _postorder(g: GlobalType, done) -> list[tuple[GlobalType, tuple[GlobalType, ...]]]:
-    """Each subterm of `g` that is not in `done`, with its immediate
-    subterms, listed after its own subterms and once per occurrence.  The
-    walk takes subterms off one explicit stack, so a term of any depth
-    is listed, and it enters no subterm of a term in `done`."""
-    order, work = [], [g]
-    while work:
-        t = work.pop()
-        if t not in done:
-            subs = subterms(t)
-            order.append((t, subs))
-            work += subs
-    order.reverse()
-    return order
 
 
 def _root_rewrites(g: GlobalType) -> list[GlobalType]:

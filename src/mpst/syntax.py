@@ -17,11 +17,16 @@ then ``&``, then ``;``, then ``|``.  Binary operators associate to the left.
 Which fields of a constructor are subterms is known here only:
 ``subterms``/``with_subterms`` (global types) and ``parts``/``with_parts``
 (session types) list and replace the immediate subterms, so a structural
-walk spells out just the constructors it treats specially.  Walks recurse
-through ``map`` or a ``for`` loop, not a comprehension: on Python 3.11 a
-comprehension is a frame of its own and would halve the nesting depth a
-walk survives.  ``spine`` lists a ``;``, ``|`` or ``&`` spine's operands
-off a stack, so a walk that folds a spine spends one frame on all of it.
+walk spells out just the constructors it treats specially.  How a term is
+walked bottom-up is known here only too, by one walk per language, off an
+explicit stack, so a term of any depth is walked.  For global types,
+``postorder`` lists the subterms after their children, and ``fold``
+computes a value of each from the values of its children by a step per
+node; a walk may give more children than the immediate subterms, as the
+trace compiler takes the operands of a ``;``, ``|`` or ``&`` spine
+(``spine``) as one node's.  For session types, ``rebuild`` carries a
+scope down (such as the names bound above a node) and asks a step per
+node what to rebuild it from and what to build.
 
 Constructors that differ only in meaning share one definition: ``;``,
 ``&`` and ``|`` are subclasses of ``_Pair``, each with its own hash tag,
@@ -313,6 +318,35 @@ def with_subterms(g: GlobalType, new: Sequence[GlobalType]) -> GlobalType:
     raise TypeError(f"not a global type: {g!r}")
 
 
+def postorder(g: GlobalType, children=subterms, done=()) -> list[tuple[GlobalType, Sequence[GlobalType]]]:
+    """Each subterm of `g` that is not in `done`, with its children,
+    listed after them, left to right, once per occurrence.  The children
+    of `t` are `children(t)`, its immediate subterms unless a walk takes
+    more as one node, such as a spine's operands.  The walk takes terms off
+    one explicit stack, so a term of any depth is listed, and it enters no
+    subterm of a term in `done`."""
+    order, work = [], [g]
+    while work:
+        t = work.pop()
+        if t not in done:
+            subs = children(t)
+            order.append((t, subs))
+            work += subs
+    order.reverse()
+    return order
+
+
+def fold(g: GlobalType, step, children=subterms):
+    """The value of `g` computed bottom-up: `step(t, values)` for each
+    subterm `t` in `postorder`, given the values of its children in order.
+    The values wait on one stack, so a term of any depth folds."""
+    values: list = []
+    for t, subs in postorder(g, children):
+        n = len(values) - len(subs)
+        values[n:] = [step(t, values[n:])]
+    return values[0]
+
+
 def roles_of(g: GlobalType) -> frozenset[Role]:
     """All roles that take part in some interaction of `g`."""
     out: set[Role] = set()
@@ -345,12 +379,7 @@ def spine(g: GlobalType) -> list[GlobalType]:
 
 def interaction_count(g: GlobalType) -> int:
     """Number of interaction occurrences in `g`."""
-    n, work = 0, [g]
-    while work:
-        node = work.pop()
-        n += type(node) is GAction
-        work += subterms(node)
-    return n
+    return fold(g, lambda t, counts: (type(t) is GAction) + sum(counts))
 
 
 def default_max_len(g: GlobalType) -> int:
@@ -555,6 +584,39 @@ def with_parts(t: SessionType, new: Sequence[SessionType]) -> SessionType:
     if k is TRec:
         return TRec(t.var, new[0])
     raise TypeError(f"not a session type: {t!r}")
+
+
+def rebuild(t: SessionType, step, scope) -> SessionType:
+    """`t` rebuilt bottom-up off one explicit stack, as `step` directs.
+    Each node is given to `step(node, scope, None)`, with the scope its
+    parent passed on (`scope` at the root), which answers the term the
+    node becomes, or `(kids, inner)`: the terms to rebuild, each under the
+    scope `inner`, that the node is built from.  A node that passes its own
+    scope on is then rebuilt by `with_parts`; one that opens a new scope,
+    such as a binder, is built by `step(node, inner, rebuilt kids)`."""
+    built: list[SessionType] = []  # rebuilt terms, last built last
+    # Terms to rebuild, with their scopes, and nodes to build, with their
+    # inner scopes, how many of the last of `built` they take, and whether
+    # they passed their own scope on.
+    work: list[tuple] = [(t, scope)]
+    while work:
+        item = work.pop()
+        if len(item) == 4:
+            node, inner, n, same = item
+            n = len(built) - n
+            new = built[n:]
+            built[n:] = [with_parts(node, new) if same else step(node, inner, new)]
+            continue
+        node, outer = item
+        out = step(node, outer, None)
+        if type(out) is not tuple:
+            built.append(out)
+            continue
+        kids, inner = out
+        work.append((node, inner, len(kids), inner is outer))
+        for kid in reversed(kids):
+            work.append((kid, inner))
+    return built[0]
 
 
 def free_type_vars(t: SessionType) -> frozenset[str]:

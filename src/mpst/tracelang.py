@@ -14,12 +14,14 @@ construction and standard (Caron & Ziadi, TCS 2000): no move enters the
 start state.  So `;`, `|` and `*` never copy an operand's start: the
 accepting states of `a` in `a ; b` take the moves of `b`'s start, the
 start of `a` in `a | b` takes them too, and in `a*` the start of `a`
-accepts and every accepting state takes its moves.  A `;`, `|` or `&`
-spine (`spine`) is one fold of `_seq` or `_alt`, or one `shuffle_automata`,
-numbering states as nested calls would, in one frame.  No consumer cleans
-an automaton up first.  The one automaton that is not trim is the one-swap
-automaton `well_formed` builds for a type that is not well formed, which
-only `includes` reads.
+accepts and every accepting state takes its moves.  The automaton is
+folded bottom-up off an explicit stack (`syntax.fold`), a `;`, `|` or `&`
+spine (`spine`) as one node: `_spine` appends the states of all its
+operands to one list of moves in one pass, and `shuffle_automata` builds
+one product, each numbering states as nested binary calls would.  No
+consumer cleans an automaton up first.  The one automaton that is not trim
+is the one-swap automaton `well_formed` builds for a type that is not well
+formed, which only `includes` reads.
 
 Automata stay nondeterministic.  Each keeps the one subset automaton
 (`_Subset`) that all its language questions read, filled in row by row:
@@ -84,8 +86,10 @@ from .syntax import (
     GStar,
     Interaction,
     Role,
+    fold,
     roles_of,
     spine,
+    subterms,
 )
 
 Word = tuple[Interaction, ...]
@@ -214,29 +218,28 @@ def _wire(delta, sources, edges) -> None:
         delta[q] = list(dict.fromkeys(delta[q] + edges))
 
 
-def _append(a: TraceAutomaton, b: TraceAutomaton):
-    """The states of `a` followed by the states of `b` but its start, which
-    no move enters.  Returns the moves of all of them, the moves of `b`'s
-    start and `b`'s accepting states other than its start, renumbered."""
-    shift = a.n_states - 1
-    moves = [[(lab, r + shift) for lab, r in edges] for edges in b.delta]
-    accepts = frozenset(f + shift for f in b.accepts if f)
-    return list(a.delta) + moves[1:], moves[0], accepts
-
-
-def _seq(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
-    # every accepting state of `a` takes the moves of `b`'s start, and stays
-    # accepting when `b` accepts the empty word
-    delta, start_moves, accepts = _append(a, b)
-    _wire(delta, a.accepts, start_moves)
-    return TraceAutomaton(delta, accepts | a.accepts if 0 in b.accepts else accepts)
-
-
-def _alt(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
-    # `a`'s start is the start of both, with the moves of `b`'s start too
-    delta, start_moves, accepts = _append(a, b)
-    _wire(delta, [0], start_moves)
-    return TraceAutomaton(delta, a.accepts | accepts | (b.accepts & {0}))
+def _spine(autos: list[TraceAutomaton], seq: bool) -> TraceAutomaton:
+    """The automaton of a `;` spine (with `seq`) or a `|` spine whose
+    operands are compiled to `autos`, in one pass: each operand after the
+    first appends its states but its start, which no move enters, to one
+    list of moves, numbered as a left fold of binary steps numbers them."""
+    delta, accepts = list(autos[0].delta), autos[0].accepts
+    for b in autos[1:]:
+        shift = len(delta) - 1
+        moves = [[(lab, r + shift) for lab, r in edges] for edges in b.delta]
+        delta += moves[1:]
+        last = frozenset(f + shift for f in b.accepts if f)
+        # in `;` every state accepting so far takes the moves of `b`'s
+        # start, and stays accepting when `b` accepts the empty word; in `|`
+        # the first start, the start of all, takes them
+        _wire(delta, accepts if seq else [0], moves[0])
+        if not seq:
+            accepts = accepts | last | (b.accepts & {0})
+        elif 0 in b.accepts:
+            accepts = accepts | last
+        else:
+            accepts = last
+    return TraceAutomaton(delta, accepts)
 
 
 def _star(a: TraceAutomaton) -> TraceAutomaton:
@@ -294,22 +297,38 @@ def kexit_unfolding(
     return GSeq(GStar(reduce(GSeq, bodies)), reduce(GEither, arms))
 
 
+def _operands(g: GlobalType):
+    """What `compile_traces` builds the automaton of `g` from: the
+    operands of a `;`, `|` or `&` spine, a loop's unfolding, or else the
+    immediate subterms."""
+    k = type(g)
+    if k is GSeq or k is GEither or k is GBoth:
+        return spine(g)
+    if k is GKExit:
+        return (kexit_unfolding(g.bodies, g.exits),)
+    return subterms(g)
+
+
+def _compiled(g: GlobalType, autos: list[TraceAutomaton]) -> TraceAutomaton:
+    """The automaton of `g`, given those of its `_operands`."""
+    k = type(g)
+    if k is GAction:
+        return _letter(g.interaction)
+    if k is GSkip:
+        return _empty_word()
+    if k is GSeq or k is GEither:
+        return _spine(autos, k is GSeq)
+    if k is GBoth:
+        return shuffle_automata(*autos)
+    if k is GStar:
+        return _star(autos[0])
+    return autos[0]  # a loop's, its unfolding's
+
+
 def compile_traces(g: GlobalType) -> TraceAutomaton:
-    """An automaton accepting exactly the traces of `g`."""
-    match g:
-        case GSkip():
-            return _empty_word()
-        case GAction(i):
-            return _letter(i)
-        case GSeq() | GEither():
-            return reduce(_seq if type(g) is GSeq else _alt, map(compile_traces, spine(g)))
-        case GBoth():
-            return shuffle_automata(*map(compile_traces, spine(g)))
-        case GStar(b):
-            return _star(compile_traces(b))
-        case GKExit(bodies, exits):
-            return compile_traces(kexit_unfolding(bodies, exits))
-    raise TypeError(f"not a global type: {g!r}")
+    """An automaton accepting exactly the traces of `g`, folded bottom-up
+    (`syntax.fold`), a spine as one node."""
+    return fold(g, _compiled, _operands)
 
 
 # ---------------------------------------------------------------------------

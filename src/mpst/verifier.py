@@ -22,9 +22,7 @@ guessed.
 
 from __future__ import annotations
 
-import itertools
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import machine as _machine
@@ -48,6 +46,7 @@ from .syntax import (
     TInternal,
     TOut,
     default_max_len,
+    fold,
     spine,
     subterms,
     with_subterms,
@@ -302,31 +301,26 @@ def _candidate_envs(g: GlobalType, budget: int) -> list[SessionEnv]:
 
 def _relaxations(g: GlobalType) -> list[GlobalType] | None:
     """Variants of `g` with sequential compositions relaxed to unordered
-    ones: all at once, then one at a time.  A type with no `;` node has no
-    variants, and one with more than 16 has None: its `;` nodes are
-    counted off a stack, and no variant is built."""
-    total, work = 0, [g]
-    while work:
-        node = work.pop()
-        total += type(node) is GSeq
-        work += subterms(node)
-    if total > 16:
+    ones: all at once, then one at a time, in the pre-order of the `;`
+    nodes.  A type with no `;` node has no variants, and one with more
+    than 16 has None: its `;` nodes are counted first, and no variant is
+    built."""
+    if fold(g, lambda t, counts: (type(t) is GSeq) + sum(counts)) > 16:
         return None
-    variants = [_relaxed(g, None, itertools.count())]
-    variants += [_relaxed(g, {i}, itertools.count()) for i in range(total)]
-    return [v for v in variants if v != g]
+    whole, ones = fold(g, _relaxed)
+    return [v for v in [whole, *ones] if v != g]
 
 
-def _relaxed(t: GlobalType, flips: set[int] | None, numbers: Iterator[int]) -> GlobalType:
-    """`t` with the `;` nodes relaxed whose pre-order numbers, drawn from
-    `numbers`, are in `flips`, or with every `;` relaxed if `flips` is
-    None."""
-    if type(t) is GSeq:
-        i = next(numbers)
-        left, right = _relaxed(t.left, flips, numbers), _relaxed(t.right, flips, numbers)
-        return GBoth(left, right) if flips is None or i in flips else GSeq(left, right)
-    subs = map(_relaxed, subterms(t), itertools.repeat(flips), itertools.repeat(numbers))
-    return with_subterms(t, tuple(subs))
+def _relaxed(t: GlobalType, values: list[tuple]) -> tuple[GlobalType, list[GlobalType]]:
+    """`t` with every `;` relaxed, and the variants of `t` with one `;`
+    relaxed, in the pre-order of the `;` nodes, given the same of each of
+    its subterms."""
+    subs = subterms(t)
+    whole = [w for w, _ in values]
+    ones = [GBoth(*subs)] if type(t) is GSeq else []
+    for i, (_, kid_ones) in enumerate(values):
+        ones += [with_subterms(t, subs[:i] + (x,) + subs[i + 1 :]) for x in kid_ones]
+    return GBoth(*whole) if type(t) is GSeq else with_subterms(t, whole), ones
 
 
 def classify(

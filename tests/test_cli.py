@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -195,16 +196,91 @@ def test_long_chains_decide_at_the_default_recursion_limit(tmp_path, monkeypatch
     assert (reports["verify"]["sound"], reports["verify"]["complete"]) == (True, True)
 
 
-@pytest.mark.parametrize("command", ["check", "project"])
+@pytest.mark.parametrize("command", ["project"])
 def test_stacked_stars_still_exit_with_usage_code(tmp_path, command):
     """Iteration is not a spine: each of 1,500 stacked `*` is a frame of
-    the trace compiler and of the projector, so the input is reported as
-    nesting too deeply, with no traceback."""
+    the projector, so the input is reported as nesting too deeply, with
+    no traceback."""
     path = tmp_path / "stars.gt"
     path.write_text("p -> q : a" + "*" * 1500)
     result = run(command, str(path))
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "error: input nests too deeply\n"
+
+
+def alternation(levels: int) -> str:
+    """`p -> q : a0 ; (p -> q : b0 | p -> q : c0 ; (...))`, `levels` deep:
+    `;` and `|` alternate, so neither makes a spine."""
+    text = "p -> q : z"
+    for i in reversed(range(levels)):
+        text = f"p -> q : a{i} ; (p -> q : b{i} | p -> q : c{i} ; ({text}))"
+    return text
+
+
+def in_process(monkeypatch, capsys, tmp_path, text: str, *args: str) -> tuple[int, dict]:
+    """The exit code and the `--json` report of `mpst.cli.main` run in this
+    process, at the default recursion limit, on `text` as a `.gt` file."""
+    assert sys.getrecursionlimit() <= 1000
+    path = tmp_path / "deep.gt"
+    path.write_text(text)
+    code = run_in_process(monkeypatch, *args, str(path), "--json")
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, json.loads(out)
+
+
+def test_deep_inputs_decide_where_terms_are_folded(tmp_path, monkeypatch, capsys):
+    """The trace compiler and the relaxations of `classify` fold a term
+    bottom-up off an explicit stack, so inputs nested a thousand deep
+    decide in this process: 1,500 stacked `*` in `check` and `trace`, a
+    600-level alternation in `check`, and `classify` of a type under 1,500
+    stacked `*` that is not well formed, whose relaxations are compiled."""
+    stars = "p -> q : a" + "*" * 1500
+    code, report = in_process(monkeypatch, capsys, tmp_path, stars, "check")
+    assert (code, report["well_formed"]) == (0, True)
+    code, report = in_process(monkeypatch, capsys, tmp_path, stars, "trace")
+    assert (code, report["max_len"], report["count"]) == (0, 6, 7)
+    assert report["traces"] == [["p -> q : a"] * n for n in range(7)]
+    code, report = in_process(monkeypatch, capsys, tmp_path, alternation(600), "check")
+    assert (code, report["well_formed"]) == (0, True)
+    unordered = "(p -> q : a ; r -> s : b ; p -> q : c)" + "*" * 1500
+    code, report = in_process(monkeypatch, capsys, tmp_path, unordered, "classify")
+    assert (code, report["category"]) == (1, verifier.UNCLASSIFIED)
+    assert report["detail"] == "not well formed, and no sequentiality relaxation is implementable"
+
+
+@pytest.mark.parametrize(
+    ("command", "suffix", "text"),
+    [("check", ".gt", b"p -> q : a\xff"), ("simulate", ".mps", b"p : q!a.end\nq : p?a.\xffend\n"),
+     ("verify", ".mps", b"p : q!a.end\nq : p?a.\xffend\n")],
+)
+def test_undecodable_input_files_exit_with_usage_code(tmp_path, command, suffix, text):
+    """A byte that is not UTF-8 is read from a file as it is from stdin,
+    and reported where it stands, as a character that starts no token."""
+    path = tmp_path / f"bad{suffix}"
+    path.write_bytes(text)
+    args = [command, str(path)]
+    if command == "verify":
+        good = tmp_path / "good.gt"
+        good.write_text("p -> q : a")
+        args = [command, str(good), str(path)]
+    result = run(*args)
+    assert (result.returncode, result.stdout) == (2, "")
+    where = "1:11" if suffix == ".gt" else "2:9"
+    assert result.stderr == f"error: {where}: unexpected character '\\udcff'\n"
+
+
+def test_undecodable_stdin_read_strictly_exits_with_usage_code():
+    """Where stdin is decoded strictly, a byte that is not UTF-8 is
+    reported as the decoding error, on one line."""
+    result = subprocess.run(
+        [sys.executable, "-m", "mpst.cli", "check", "-"],
+        input=b"p -> q : a\xff",
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict", "PYTHONUTF8": "0"},
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == b"error: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n"
 
 
 @pytest.mark.parametrize("command", ["project", "verify"])

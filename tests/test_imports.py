@@ -545,10 +545,8 @@ RECURSIVE = {
     "machine._Resolver.kind_keys",
     "machine._Resolver.target",
     "projector._project",
-    "tracelang.compile_traces",
     "verifier._branches",
     "verifier.forced_join",
-    "verifier._relaxed",
     "verifier._random_term",
 }
 

@@ -478,6 +478,21 @@ def test_every_grouping_of_a_merge_is_one_term():
         assert print_session_type(normalize_session_type(g)) == "{p,q}?a.end + p?b.q?a.end + q?b.p?a.end"
 
 
+def test_a_merge_under_rec_joins_the_merge_it_is_an_operand_of():
+    """An operand that is a merge under a `rec` binder stands for that
+    merge's operands in the resolver's set, so every grouping of x, y and
+    z, with a `rec` around the inner merge or without, resolves alike."""
+    x, y, z = t("p?b.q?a.end"), t("q?b.p?a.end"), t("{p,q}?a.end")
+    groupings = [
+        TMerge((TRec("X", TMerge((x, y))), z)),
+        TMerge((x, TRec("X", TMerge((y, z))))),
+        TMerge((x, y, z)),
+        TMerge((TRec("X", TRec("Y", TMerge((x, TRec("Z", TMerge((y, z))))))), x)),
+    ]
+    for g in groupings:
+        assert print_session_type(normalize_session_type(g)) == "{p,q}?a.end + p?b.q?a.end + q?b.p?a.end"
+
+
 class BinaryMerges(machine._Resolver):
     """The resolver with binary merge keys, the reference for flattening:
     a merge of merges keeps its two parts as they are, so `merge(merge(x,

@@ -894,6 +894,14 @@ def test_a_shuffle_product_is_refused_iff_its_states_pass_the_budget(monkeypatch
                 assert shuffle_automata(*operands).n_states == size
 
 
+def loopk_text(k: int) -> str:
+    """A k-phase loop: phase i sends `b{i}` from p to q, and its exit sends
+    `e{i}` back."""
+    bodies = ", ".join(f"p -> q : b{i}" for i in range(k))
+    exits = ", ".join(f"q -> p : e{i}" for i in range(k))
+    return f"loop{k} ({bodies}) exit ({exits})"
+
+
 def binary_shuffle(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
     """The reference for `shuffle_automata`: the product of two automata,
     numbering pairs of states depth-first as they are found, `a`'s moves
@@ -918,12 +926,13 @@ def binary_shuffle(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
 
 def binary_compile(sample) -> TraceAutomaton:
     """`compile_traces` with every `&` taken as the binary product of its
-    two sides, as the term nests them."""
+    two sides, as the term nests them, and every `;` or `|` spine as a
+    left fold of its operands, two at a time."""
     if type(sample) is GBoth:
         return binary_shuffle(binary_compile(sample.left), binary_compile(sample.right))
     if type(sample) in (GSeq, GEither):
-        join = tracelang._seq if type(sample) is GSeq else tracelang._alt
-        return functools.reduce(join, map(binary_compile, spine(sample)))
+        seq = type(sample) is GSeq
+        return functools.reduce(lambda a, b: tracelang._spine([a, b], seq), map(binary_compile, spine(sample)))
     if type(sample) is GStar:
         return tracelang._star(binary_compile(sample.body))
     if type(sample) is GKExit:
@@ -934,8 +943,10 @@ def binary_compile(sample) -> TraceAutomaton:
 def test_an_and_spine_compiles_as_nested_binary_products_do():
     """`compile_traces` folds an `&` spine into one product, which numbers
     the states of left-, right- and mixed-nested spines as the nested
-    binary products do: the same moves, acceptance and DOT text, on
-    spines of up to six operands and on random samples."""
+    binary products do, and a `;` or `|` spine in one pass, as folding its
+    operands two at a time does: the same moves, acceptance and DOT text,
+    on spines of up to six operands, long `;` and `|` spines, k-exit loops
+    and random samples."""
     operands = [g(f"p{i} -> q{i} : a ; (q{i} -> p{i} : b | q{i} -> p{i} : c)") for i in range(6)]
     operands[2] = g("p2 -> q2 : a*")
     for n in range(2, 7):
@@ -950,6 +961,14 @@ def test_an_and_spine_compiles_as_nested_binary_products_do():
         for sample in spines:
             a, b = compile_traces(sample), binary_compile(sample)
             assert (a.delta, a.accepts, a.to_dot()) == (b.delta, b.accepts, b.to_dot())
+    long_spines = [functools.reduce(kind, operands * 40) for kind in (GSeq, GEither)]
+    long_spines += [functools.reduce(lambda rest, x: kind(x, rest), operands * 40) for kind in (GSeq, GEither)]
+    loops = [GKExit(tuple(operands[:k]), tuple(operands[k:] + operands[:k])[:k]) for k in range(1, 7)]
+    loops.append(g(loopk_text(40)))
+    loops.append(g("loop2 (p -> q : a ; q -> p : b?, skip) exit (p -> q : c | q -> p : d, skip)*"))
+    for sample in long_spines + loops:
+        a, b = compile_traces(sample), binary_compile(sample)
+        assert (a.delta, a.accepts, a.to_dot()) == (b.delta, b.accepts, b.to_dot())
     both = 0
     for i in range(600):
         sample = random_global_type(20260814 + i, max_size=10)
