@@ -5,9 +5,12 @@ environment of continuations describing what each role does *after* the
 current subterm, and returns the environment describing what each role does
 from the current subterm onward.
 
-Alternatives need one role whose two branch behaviours are both
-output-rooted and different — that role's branches are combined into an
-internal choice, everyone else's are merged.  Iterations (`*` and `loopk`)
+An alternative is a whole `|` spine (`spine`), however it is grouped,
+projected in one frame: of the roles whose branches differ, exactly one
+must start with outputs in every branch, and its distinct branches form
+one internal choice; every other role's branches are merged in one step.
+A merge is a set and the decider must open every operand, so no grouping
+of the spine projects differently.  Iterations (`*` and `loopk`)
 introduce one recursion unknown per decision point and per spectating role;
 since a spectator's merge may involve the still-open recursion unknowns,
 such merges are deferred (kept as symbolic merge nodes) and resolved by the
@@ -149,28 +152,28 @@ def _normalized(t: SessionType, role: Role, loc: GlobalType | None) -> SessionTy
         raise ProjectionError(INCOMPATIBLE_MERGE, f"role {role!r}: {exc}", loc) from None
 
 
-def _merge_terms(
-    t: SessionType,
-    s: SessionType,
-    role: Role,
-    loc: GlobalType | None,
-) -> SessionType:
-    """Merge two (possibly open) behaviour terms, eagerly when both are
-    closed, deferring to a symbolic merge node otherwise."""
-    if t == s:
-        return t
-    kt = machine.root_kind(t)
-    ks = machine.root_kind(s)
-    if kt is not None and ks is not None and kt != ks:
+def _merge_terms(ts: list[SessionType], role: Role, loc: GlobalType | None) -> SessionType:
+    """The merge of the (possibly open) behaviour terms `ts` of `role`, in
+    one step: duplicates are dropped, root kinds are compared left to
+    right, and the merge is normalized once when every term is closed, or
+    else kept as one deferred merge node.  A merge is a set of behaviours
+    (`TMerge` flattens, and the resolver keys a merge by its operands), so
+    the result does not depend on how `ts` was grouped; only which of
+    several faults is named depends on their order."""
+    ts = list(dict.fromkeys(ts))
+    if len(ts) == 1:
+        return ts[0]
+    kinds = list(dict.fromkeys(k for k in map(machine.root_kind, ts) if k is not None))
+    if len(kinds) > 1:
         raise ProjectionError(
             INCOMPATIBLE_MERGE,
-            f"role {role!r} would have to follow both a {kt!r}-rooted and "
-            f"a {ks!r}-rooted behaviour",
+            f"role {role!r} would have to follow both a {kinds[0]!r}-rooted and "
+            f"a {kinds[1]!r}-rooted behaviour",
             loc,
         )
-    if _is_closed(t) and _is_closed(s):
-        return _normalized(TMerge((t, s)), role, loc)
-    return TMerge((t, s))
+    if all(map(_is_closed, ts)):
+        return _normalized(TMerge(ts), role, loc)
+    return TMerge(ts)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +206,9 @@ def _project(g: GlobalType, env: SessionEnv, ctx: _Ctx) -> SessionEnv:
                 out = env
                 for x in reversed(spine(g)):
                     out = _project(x, out, ctx)
-            case GEither(l, r):
-                out = _alternative(g, _project(l, env, ctx), _project(r, env, ctx))
+            case GEither():
+                # the whole `|` spine, however it is grouped, in this one frame
+                out = _alternative(g, [_project(x, env, ctx) for x in spine(g)])
             case GStar(b):
                 out = _kexit(g, (b,), (GSkip(),), env, ctx)
             case GKExit(bodies, exits):
@@ -227,16 +231,22 @@ def _project(g: GlobalType, env: SessionEnv, ctx: _Ctx) -> SessionEnv:
     return out
 
 
-def _alternative(g: GlobalType, e1: SessionEnv, e2: SessionEnv) -> SessionEnv:
-    roles = sorted(e1)
-    diff = [r for r in roles if e1[r] != e2[r]]
+def _alternative(g: GlobalType, envs: list[SessionEnv]) -> SessionEnv:
+    """The projection of the `|` spine `g` from those of its operands,
+    `envs`, in one step.  The roles whose branches are not all equal
+    differ; of them exactly one, the decider, must start with outputs in
+    every branch, and its distinct branches form one internal choice.  The
+    branches of every other differing role are merged in one
+    `_merge_terms`.  Both the decider, which must open every operand, and
+    the merges, which are sets, read the operands as a set, so `g` projects
+    as every grouping of its spine would."""
+    roles = sorted(envs[0])
+    columns = zip(*[[e[r] for r in roles] for e in envs])
+    branches = {r: list(dict.fromkeys(column)) for r, column in zip(roles, columns)}
+    diff = [r for r in roles if len(branches[r]) > 1]
     if not diff:
-        return e1
-    deciders = [
-        r
-        for r in diff
-        if machine.root_kind(e1[r]) == "out" and machine.root_kind(e2[r]) == "out"
-    ]
+        return envs[0]
+    deciders = [r for r in diff if all(machine.root_kind(t) == "out" for t in branches[r])]
     if len(deciders) > 1:
         raise ProjectionError(
             NO_DECISION_MAKER,
@@ -244,30 +254,25 @@ def _alternative(g: GlobalType, e1: SessionEnv, e2: SessionEnv) -> SessionEnv:
             "branch was taken; the choice must rest with exactly one role",
             g,
         )
+    two = len(envs) == 2
     if not deciders:
         if len(diff) == 1:
             r = diff[0]
             raise ProjectionError(
                 OUTPUT_MISMATCH,
-                f"role {r!r} behaves differently in the two branches but "
-                "does not start with outputs in both, so it cannot signal "
-                "the choice",
+                f"role {r!r} behaves differently in {'the two' if two else 'the'} branches but "
+                f"does not start with outputs in {'both' if two else 'every branch'}, so it "
+                "cannot signal the choice",
                 g,
             )
         raise ProjectionError(
             NO_DECISION_MAKER,
-            f"no role starts with outputs in both branches; differing roles: "
-            f"{', '.join(map(repr, diff))}",
+            f"no role starts with outputs in {'both branches' if two else 'every branch'}; "
+            f"differing roles: {', '.join(map(repr, diff))}",
             g,
         )
     d = deciders[0]
-    out: SessionEnv = {}
-    for r in roles:
-        if r == d:
-            out[r] = TInternal((e1[r], e2[r]))
-        else:
-            out[r] = _merge_terms(e1[r], e2[r], r, g)
-    return out
+    return {r: TInternal(branches[r]) if r == d else _merge_terms(branches[r], r, g) for r in roles}
 
 
 def _kexit(
@@ -365,18 +370,15 @@ def _kexit_build(
         go_on, leave = renamed[i][p], exit_envs[i][p]
         defs[dvar[i]] = go_on if go_on == leave else TInternal((go_on, leave))
     for r in roles:
-        pieces = []
-        for i in range(k):
-            if deciders[i] != r:
-                pieces.extend((exit_envs[i][r], renamed[i][r]))
-        pieces = [t for t in pieces if t != TVar(rvar[r])]
-        if not pieces:
-            defs[rvar[r]] = TEnd()  # r decides every phase; never referenced
-            continue
-        combined = pieces[0]
-        for t in pieces[1:]:
-            combined = _merge_terms(combined, t, r, g)
-        defs[rvar[r]] = combined
+        pieces = [
+            t
+            for i in range(k)
+            if deciders[i] != r
+            for t in (exit_envs[i][r], renamed[i][r])
+            if t != TVar(rvar[r])
+        ]
+        # with no pieces, r decides every phase, and rvar[r] is never referenced
+        defs[rvar[r]] = _merge_terms(pieces, r, g) if pieces else TEnd()
 
     result = dict(env)
     for r in roles:

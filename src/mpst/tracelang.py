@@ -39,8 +39,9 @@ traces are built, in `word_key` order: as a set of words
 (`first_uncovered`, for `verify`).  `count_traces` counts them for
 `simulate` by a dynamic program over the non-zero (length, state) cells,
 and builds only the first few.  Each is budgeted by its work and raises
-`BudgetExceededError` past it, and so is the shuffle product of an `&`,
-by its states, before it builds any.
+`BudgetExceededError` past it, and so is the automaton of a spine, by
+its states: a shuffle product before it builds any, and a `;` or `|`
+spine before it appends the operand that would pass the budget.
 
 `minimal_form`, with which `machine` minimizes session machines, merges
 states by Hopcroft partition refinement, in O(m log n) for m moves between
@@ -222,10 +223,14 @@ def _spine(autos: list[TraceAutomaton], seq: bool) -> TraceAutomaton:
     """The automaton of a `;` spine (with `seq`) or a `|` spine whose
     operands are compiled to `autos`, in one pass: each operand after the
     first appends its states but its start, which no move enters, to one
-    list of moves, numbered as a left fold of binary steps numbers them."""
+    list of moves, numbered as a left fold of binary steps numbers them.
+    Raises BudgetExceededError, before appending an operand, when the
+    states would pass `DEFAULT_ENUM_CAP`."""
     delta, accepts = list(autos[0].delta), autos[0].accepts
     for b in autos[1:]:
         shift = len(delta) - 1
+        if shift + b.n_states > DEFAULT_ENUM_CAP:
+            raise BudgetExceededError(f"more than {DEFAULT_ENUM_CAP} states in the automaton of a `;` or `|` spine")
         moves = [[(lab, r + shift) for lab, r in edges] for edges in b.delta]
         delta += moves[1:]
         last = frozenset(f + shift for f in b.accepts if f)

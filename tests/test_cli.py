@@ -33,7 +33,7 @@ from mpst.syntax import (
 from test_machine import CORPUS_GLOBAL
 from test_runtime import STARVING_OBSERVER, disjoint_unions, pairs_text
 from test_syntax import global_texts, mutated
-from test_tracelang import and_spines, pairs, reference_enumerate_traces, reference_first_uncovered, renamed
+from test_tracelang import and_spines, loopk_text, pairs, reference_enumerate_traces, reference_first_uncovered, renamed
 
 SALE = (
     "seller -> buyer : descr ;\n"
@@ -247,6 +247,40 @@ def test_deep_inputs_decide_where_terms_are_folded(tmp_path, monkeypatch, capsys
     code, report = in_process(monkeypatch, capsys, tmp_path, unordered, "classify")
     assert (code, report["category"]) == (1, verifier.UNCLASSIFIED)
     assert report["detail"] == "not well formed, and no sequentiality relaxation is implementable"
+
+
+def test_a_long_alternative_decides_in_one_frame(tmp_path, monkeypatch, capsys):
+    """The projector takes a `|` spine as one alternative, in one frame:
+    `project` and `verify` decide on 1,500 operands over three messages,
+    more operands than the recursion limit, and `project` merges 300
+    distinct ones into one choice per role."""
+    text = " | ".join(f"p -> q : m{i % 3}" for i in range(1500))
+    code, report = in_process(monkeypatch, capsys, tmp_path, text, "project")
+    assert (code, report["environment"]) == (0, {"p": "q!m0.end (+) q!m1.end (+) q!m2.end", "q": "p?m0.end + p?m1.end + p?m2.end"})
+    code, report = in_process(monkeypatch, capsys, tmp_path, text, "verify")
+    assert (code, report["liveness"], report["sound"], report["complete"], report["basis"]) == (0, "Live", True, True, "exact")
+    text = " | ".join(f"p -> q : m{i}" for i in range(300))
+    code, report = in_process(monkeypatch, capsys, tmp_path, text, "project")
+    messages = sorted(f"m{i}" for i in range(300))
+    assert (code, report["environment"]) == (
+        0,
+        {"p": " (+) ".join(f"q!{m}.end" for m in messages), "q": " + ".join(f"p?{m}.end" for m in messages)},
+    )
+
+
+def test_a_loop_automaton_is_budgeted_by_its_states(tmp_path, monkeypatch, capsys):
+    """A k-phase loop with one interaction per body and per exit compiles to
+    (k + 1)(k + 2)/2 states: 80,601 at k = 400, which `check` decides, and
+    180,901 at k = 600, which the trace compiler refuses past 100,000, so
+    `check` ends BoundExhausted."""
+    code, report = in_process(monkeypatch, capsys, tmp_path, loopk_text(400), "check")
+    assert (code, report["well_formed"]) == (0, True)
+    code, report = in_process(monkeypatch, capsys, tmp_path, loopk_text(600), "check")
+    assert (code, report["error"], report["detail"]) == (
+        1,
+        "BoundExhausted",
+        "more than 100000 states in the automaton of a `;` or `|` spine",
+    )
 
 
 @pytest.mark.parametrize(

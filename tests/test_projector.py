@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import gc
+import random
 import sys
 import weakref
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpst import projector
+from mpst import projector, verifier
 from mpst.machine import session_type_equal
 from mpst.projector import (
     AND_ELIMINATION_EXHAUSTED,
@@ -26,16 +28,23 @@ from mpst.projector import (
 )
 from mpst.syntax import (
     GBoth,
+    GEither,
+    GKExit,
     GSeq,
+    GSkip,
     GStar,
     TEnd,
+    fold,
     parse_global_type,
     parse_session_type,
     print_global_type,
     print_session_env,
     print_session_type,
+    postorder,
     roles_of,
+    spine,
     subterms,
+    with_subterms,
 )
 from mpst.tracelang import BudgetExceededError, compile_traces, includes, is_well_formed
 from mpst.verifier import (
@@ -149,6 +158,141 @@ def test_alternative_whose_merge_fails_is_rejected():
         "(p -> q : a ; q -> r : a ; r -> p : a) | (p -> q : b ; q -> r : a ; r -> p : b)"
     )
     assert err.kind == INCOMPATIBLE_MERGE
+
+
+def test_an_alternative_of_many_operands_names_every_branch():
+    """A `|` spine of three or more operands is one alternative, decided
+    and merged over all of its branches at once, and its errors say
+    "every branch" where those of two operands say "both"."""
+    cases = {
+        "p -> q : a | q -> p : a | p -> q : b":
+            "NoDecisionMaker: no role starts with outputs in every branch; differing roles: 'p', 'q'"
+            " in: p -> q : a | q -> p : a | p -> q : b",
+        "{p,q} -> r : a | (p -> r : a ; q -> r : a) | (q -> r : a ; p -> r : a)":
+            "OutputMismatch: role 'r' behaves differently in the branches but does not start with"
+            " outputs in every branch, so it cannot signal the choice"
+            " in: {p,q} -> r : a | p -> r : a ; q -> r : a | q -> r : a ; p -> r : a",
+        "s -> r : e | ({p,q} -> r : d | q -> p : c)":
+            "NoDecisionMaker: no role starts with outputs in every branch; differing roles:"
+            " 'p', 'q', 'r', 's' in: s -> r : e | ({p,q} -> r : d | q -> p : c)",
+    }
+    for protocol, text in cases.items():
+        assert str(project_error(protocol)) == text
+    env = project_top(g("p -> q : a ; q -> r : a | p -> q : b ; q -> r : b | p -> q : c ; q -> r : a"))
+    assert print_session_env(env).splitlines() == [
+        "p : q!a.end (+) q!b.end (+) q!c.end",
+        "q : p?a.r!a.end + p?b.r!b.end + p?c.r!a.end",
+        "r : q?a.end + q?b.end",
+    ]
+
+
+def binary_outcome(monkeypatch, protocol) -> str:
+    """What `project_top` says of `protocol` under the binary rule: each
+    `|` node is an alternative of its two sides, and the pieces a loop
+    merges for a role are merged two at a time, left to right."""
+    n_ary = projector._merge_terms
+
+    def pairwise(ts, role, loc):
+        return functools.reduce(lambda x, y: n_ary([x, y], role, loc), ts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(projector, "spine", lambda x: [x.left, x.right] if type(x) is GEither else spine(x))
+        patch.setattr(projector, "_merge_terms", pairwise)
+        return outcome(project_top, protocol)
+
+
+def random_loop(seed: int):
+    """A k-exit loop, k from 1 to 3, over two or three roles, each body a
+    random term of 1 to 3 interactions with at most one `*`, each exit
+    `skip` or a random `*`-free term of 1 or 2 interactions."""
+    rng = random.Random(seed)
+    roles = ("p", "q", "r")[: rng.randint(2, 3)]
+    k = rng.randint(1, 3)
+    bodies = [verifier._random_term(rng, roles, rng.randint(1, 3), 1) for _ in range(k)]
+    exits = [
+        GSkip() if rng.random() < 0.3 else verifier._random_term(rng, roles, rng.randint(1, 2), 0)
+        for _ in range(k)
+    ]
+    return GKExit(tuple(bodies), tuple(exits))
+
+
+def binary_alike(protocol) -> bool:
+    """Whether every `|` spine of `protocol` has at most two operands and
+    every loop one phase, where the binary rule is the rule."""
+    return not any(
+        (type(x) is GEither and GEither in map(type, subs)) or (type(x) is GKExit and len(x.bodies) > 1)
+        for x, subs in postorder(protocol)
+    )
+
+
+def test_a_spine_projects_as_the_binary_rule_decides(monkeypatch):
+    """One alternative per `|` spine and one merge per loop role change no
+    verdict and no projection from those of the binary rule, on random
+    types and random k-exit loops; where every spine has at most two
+    operands and every loop one phase, they change no error text either."""
+    samples = [
+        random_global_type(i, max_size=6 + i % 11, role_count=2 + i % 3, star_depth=i % 3) for i in range(1000)
+    ]
+    samples += [random_loop(i) for i in range(1000)]
+    seen = set()
+    for protocol in samples:
+        got, want = outcome(project_top, protocol), binary_outcome(monkeypatch, protocol)
+        alike = binary_alike(protocol)
+        seen.add((alike, got.startswith("error: "), got == want))
+        if alike or not want.startswith("error: "):
+            assert got == want, print_global_type(protocol)
+        else:
+            assert got.startswith("error: "), print_global_type(protocol)
+    assert seen >= {(True, True, True), (True, False, True), (False, False, True), (False, True, False)}
+
+
+def grouped(operands: list, shape: str):
+    """The `|` of `operands`, nested to the left, to the right, or split
+    in halves."""
+    if len(operands) == 1:
+        return operands[0]
+    if shape == "left":
+        return functools.reduce(GEither, operands)
+    if shape == "right":
+        return functools.reduce(lambda rest, x: GEither(x, rest), reversed(operands))
+    half = len(operands) // 2
+    return GEither(grouped(operands[:half], shape), grouped(operands[half:], shape))
+
+
+def regrouped(protocol, shape: str):
+    """`protocol` with each of its `|` spines regrouped as `shape` says."""
+
+    def step(x, new):
+        return grouped(new, shape) if type(x) is GEither else with_subterms(x, new)
+
+    return fold(protocol, step, lambda x: spine(x) if type(x) is GEither else subterms(x))
+
+
+def direct_outcome(protocol):
+    """The projection against the top continuation, or the kind and detail
+    of its error, whose location prints the grouping."""
+    try:
+        return print_session_env(project_alg(protocol, {r: TEnd() for r in sorted(roles_of(protocol))}))
+    except ProjectionError as exc:
+        return (exc.kind, exc.detail)
+
+
+def test_a_spine_projects_alike_however_it_is_grouped():
+    """Regrouping every `|` spine of a type (to the left, to the right, or
+    in halves) changes neither its projection nor the kind and detail of
+    its error.  (The `&`-elimination search behind `project_top` rewrites
+    `|` nodes as they are grouped, so its candidates can differ.)"""
+    regroupable = errors = 0
+    for i in range(4000):
+        protocol = random_global_type(i, max_size=6 + i % 11, role_count=2 + i % 3, star_depth=i % 3)
+        variants = {regrouped(protocol, shape) for shape in ("left", "right", "halves")}
+        if len(variants) == 1:
+            continue
+        regroupable += 1
+        outcomes = {direct_outcome(v) for v in variants}
+        assert len(outcomes) == 1, print_global_type(protocol)
+        errors += type(outcomes.pop()) is tuple
+    assert regroupable > 400 and 0 < errors < regroupable
 
 
 def test_covert_channel_protocol_fails_every_rewrite():

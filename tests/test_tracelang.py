@@ -988,6 +988,24 @@ def test_a_shuffle_product_is_budgeted_by_the_states_it_numbers(monkeypatch):
         compile_traces(g(pairs(2)))
 
 
+def test_a_spine_automaton_is_budgeted_by_its_states(monkeypatch):
+    """A `;` or `|` spine of five letters has 6 states: it compiles under
+    a budget of 6, and appending the fifth letter passes a budget of 5, as
+    does the arms' `|` spine of a 3-phase loop's 10 states under 9."""
+    letters = ["p -> q : a", "p -> q : b", "q -> p : c", "p -> q : d", "q -> p : e"]
+    for text in (" ; ".join(letters), " | ".join(letters)):
+        monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 6)
+        assert compile_traces(g(text)).n_states == 6
+        monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 5)
+        with pytest.raises(BudgetExceededError, match="more than 5 states in the automaton of a `;` or `|` spine"):
+            compile_traces(g(text))
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 10)
+    assert compile_traces(g(loopk_text(3))).n_states == 10
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 9)
+    with pytest.raises(BudgetExceededError):
+        compile_traces(g(loopk_text(3)))
+
+
 def test_a_subset_automaton_is_budgeted_by_the_sets_it_numbers(monkeypatch):
     """`(p -> q : a | p -> q : b)* ; p -> q : a` followed by three choices
     between the same letters, in an `&` with `q -> r : c`, has 34 subset
