@@ -23,24 +23,32 @@ Unordered composition has no projection rule of its own: `project_top`
 rewrites `&` away (serializations first, then distributing rewrites
 breadth-first) and projects the first rewrite that succeeds.  The
 candidates are generated lazily and tried in the order they are generated,
-so none is built after the first that projects.  Within one elimination
-the rewrites of each subterm are computed once, however many candidates
-contain it, and so is the projection of each subterm against each
-environment of closed types it meets (outside loop bodies): the
-candidates share one memo of projections, and `project_first` shares it
-across the searches of several types, such as the relaxations one
-`classify` tries.  The memo is built only once the direct projection has
-failed, so a type that projects directly pays nothing for it.  Before the
-search of a type with `&` builds any candidate, the parts of the type that
-no rewrite changes are projected: when the tail of its root `;` spine, or
-the end of a `*` loop's body, fails there, every candidate fails, and the
-search is skipped (see `_kept_failure`).
+so none is built after the first that projects.  The search runs over
+hash-consed terms (`_Terms`): each distinct term it meets is one integer
+id in a table of its context, so comparing and deduplicating terms is
+comparing ints, whether a term holds `&` is a flag of its id, and
+rebuilding a node is one dict lookup; only the candidates projected become
+`GlobalType`s, built from shared subterm objects.  The rewrites of each
+id are computed once per context, however many candidates contain it, and
+so is the projection of each subterm against each environment of closed
+types it meets (outside loop bodies): the candidates share one memo of
+projections, and `project_first` shares it, and the table, across the
+searches of several types, such as the relaxations one `classify` tries.
+The memo and the table are built only once the direct projection has
+failed, so a type that projects directly pays nothing for them.  A
+candidate that only regroups the `;` and `|` spines of one that failed
+fails alike, so it is counted as tried but not projected (see
+`_Terms.canonical`).  Before the search of a type with `&` builds any
+candidate, the parts of the type that no rewrite changes are projected:
+when the tail of its root `;` spine, or the end of a `*` loop's body,
+fails there, every candidate fails, and the search is skipped (see
+`_kept_failure`).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 
 from . import machine
@@ -71,8 +79,6 @@ from .syntax import (
     rebuild,
     roles_of,
     spine,
-    subterms,
-    with_subterms,
 )
 from .tracelang import BudgetExceededError, kexit_unfolding
 
@@ -110,18 +116,22 @@ class ProjectionError(Exception):
 class _Ctx:
     """Per-projection state.  `counter` numbers the recursion unknowns; the
     '$' prefix keeps generated names disjoint from anything the source
-    syntax can produce.  `memo`, None until an `&`-elimination search
-    starts, maps (subterm, environment) to the environment or the error
-    fields `(kind, detail, location)` that projecting the subterm gave.
-    It is read only where `loops` is 0, i.e. outside loop bodies: there
-    every value of the environment is closed, while a loop body's
-    environment holds unknowns that are fresh on every call.  Names in a
-    memoized result cannot meet the same name later, since one context
-    serves every candidate of a search."""
+    syntax can produce.  `memo` and `terms` are None until an
+    `&`-elimination search starts.  `memo` then maps (subterm,
+    environment) to the environment or the error fields `(kind, detail,
+    location)` that projecting the subterm gave.  It is read only where
+    `loops` is 0, i.e. outside loop bodies: there every value of the
+    environment is closed, while a loop body's environment holds unknowns
+    that are fresh on every call.  Names in a memoized result cannot meet
+    the same name later, since one context serves every candidate of a
+    search.  `terms` is the table of hash-consed terms (`_Terms`) that
+    every search of the context builds its candidates in, so the searches
+    share their ids and the rewrites of each."""
 
     def __init__(self) -> None:
         self.counter = 0
         self.memo: dict[tuple[GlobalType, frozenset], SessionEnv | tuple] | None = None
+        self.terms: _Terms | None = None
         self.loops = 0
 
     def fresh(self) -> str:
@@ -447,7 +457,9 @@ def project_top(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> SessionEnv:
     unordered composition, or plain projection fails, the sequential
     rewrites of `g` are tried in the order they are generated and the first
     success wins; the candidates after it are never built.  The candidates
-    share one memo of the projections of their subterms.  A search that
+    share one memo of the projections of their subterms, and a candidate
+    that only regroups the `;` and `|` spines of one that failed is
+    counted as tried but not projected.  A search that
     parts of `g` no rewrite changes prove hopeless builds no candidate, and
     its error says "0 candidates tried"."""
     return _project_top(g, budget, _Ctx())
@@ -476,10 +488,11 @@ def _project_top(g: GlobalType, budget: int, ctx: _Ctx) -> SessionEnv:
         # when it ends: this frame, held by the error's traceback, must not
         # hold the error too, or the two would form a reference cycle
         if ctx.memo is None:
-            ctx.memo = {}
-        rewrites: dict[GlobalType, list[GlobalType]] = {}
-        both = _contains_both(g)
-        kept = _kept_failure(g, cont, rewrites, ctx) if both else None
+            ctx.memo, ctx.terms = {}, _Terms()
+        terms = ctx.terms
+        root = terms.intern(g)
+        both = terms.both[root]
+        kept = _kept_failure(terms, root, cont, ctx) if both else None
         if kept is not None:
             raise ProjectionError(
                 AND_ELIMINATION_EXHAUSTED,
@@ -488,12 +501,15 @@ def _project_top(g: GlobalType, budget: int, ctx: _Ctx) -> SessionEnv:
                 g,
             ) from None
         tried = 0
-        for cand in _sequential_rewrites(g, budget, rewrites):
+        failed: set[int] = set()  # the canonical ids of the candidates that failed
+        for cand in _sequential_rewrites(terms, root, budget):
             tried += 1
+            if failed and terms.canonical(cand) in failed:
+                continue  # it regroups one that failed, and fails alike
             try:
-                return _project_alg(cand, cont, ctx)
+                return _project_alg(terms.term(cand), cont, ctx)
             except ProjectionError:
-                continue
+                failed.add(terms.canonical(cand))
         if not both:
             raise
         raise ProjectionError(
@@ -504,25 +520,19 @@ def _project_top(g: GlobalType, budget: int, ctx: _Ctx) -> SessionEnv:
         ) from None
 
 
-def _kept_failure(
-    g: GlobalType,
-    cont: SessionEnv,
-    rewrites: dict[GlobalType, list[GlobalType]],
-    ctx: _Ctx,
-) -> str | None:
-    """Why no sequential rewrite of `g` projects against `cont`, found
-    from the parts of `g` that no rewrite changes, or None when these
-    parts prove nothing.  When `g` has a `;` root or a `*` loop, it
-    enters each kept subterm of `g` in `rewrites`, mapped to no rewrite,
-    as `_rewrites` would for the search that follows; it computes no
-    other rewrite.  Without either, no part is kept that every candidate
-    projects, and it returns None at once.
+def _kept_failure(terms: _Terms, g: int, cont: SessionEnv, ctx: _Ctx) -> str | None:
+    """Why no sequential rewrite of the term `g` of `terms` projects
+    against `cont`, found from the parts of `g` that no rewrite changes,
+    or None when these parts prove nothing.  Without a `;` root or a `*`
+    loop, no part is kept that every candidate projects, and it returns
+    None at once.
 
-    A term is *kept* when `_rewrites` gives it no rewrite: when neither it
-    nor any of its subterms has a root rewrite (`_root_rewrites`), so it
-    holds no `&`, and no `|` whose sides are equal or are two `;` with
-    equal left sides; nothing inside a kept term is ever rewritten.
-    The *kept suffix* of a term is the term itself when it is kept, and
+    A term is *kept* (the table's `kept` flag, set when the term is
+    added) when `_Terms.rewrites` gives it no rewrite: when neither it nor
+    any of its subterms has a root rewrite (`_Terms._root_rewrites`), so
+    it holds no `&`, and no `|` whose sides are equal or are two `;` with
+    equal left sides; nothing inside a kept term is ever rewritten.  The
+    *kept suffix* of a term is the term itself when it is kept, and
     otherwise the longest run of kept operands that ends its root `;`
     spine (`spine`; empty when the root is not a `;`).  The candidates
     are the two serializations and the terms the search reaches from `g`
@@ -560,68 +570,52 @@ def _kept_failure(
 
     Only `ProjectionError` is caught: a bound raised while checking
     propagates, and is never taken for a proof."""
-    order = postorder(g)
+    kind, subs = terms.kind, terms.subs
     # by first discovery from the root, each loop before the loops inside it
-    loops = dict.fromkeys(t for t, _ in reversed(order) if type(t) is GStar)
-    if type(g) is not GSeq and not loops:
+    loops = dict.fromkeys(t for t, _ in reversed(postorder(g, subs.__getitem__)) if kind[t] is GStar)
+    if kind[g] is not GSeq and not loops:
         return None  # no kept tail, and no loop
-    kept: set[GlobalType] = set()
-    for t, subs in order:
-        # only `&` and `|` have root rewrites, and an `&` always has
-        k = type(t)
-        if k is not GBoth and (k is not GEither or not _root_rewrites(t)) and kept.issuperset(subs):
-            kept.add(t)
-    rewrites.update((t, []) for t in kept)
-    tail = _kept_suffix(g, kept)
+    tail = _kept_suffix(terms, g)
     if tail is not None:
         try:
-            _project(tail, dict(cont), ctx)
+            _project(terms.term(tail), dict(cont), ctx)
         except ProjectionError as exc:
-            return f"every rewrite ends with {print_global_type(tail)}, whose projection says: {exc}"
+            return f"every rewrite ends with {print_global_type(terms.term(tail))}, whose projection says: {exc}"
     ctx.loops += 1
     try:
         for loop in reversed(loops):  # inner loops first
-            tail = _kept_suffix(loop.body, kept)
+            (body,) = subs[loop]
+            tail = _kept_suffix(terms, body)
             if tail is None:
                 continue
-            unknowns = {r: TVar(ctx.fresh()) for r in sorted(roles_of(loop))}
+            star = terms.term(loop)
+            unknowns = {r: TVar(ctx.fresh()) for r in sorted(roles_of(star))}
             try:
-                _project(tail, unknowns, ctx)
+                _project(terms.term(tail), unknowns, ctx)
             except ProjectionError as exc:
-                if tail is loop.body:
-                    return f"every rewrite keeps the loop {print_global_type(loop)}, whose body's projection says: {exc}"
+                if tail == body:
+                    return f"every rewrite keeps the loop {print_global_type(star)}, whose body's projection says: {exc}"
                 return (
-                    f"every rewrite keeps {print_global_type(tail)} at the end of the body of the loop "
-                    f"{print_global_type(loop)}, whose projection there says: {exc}"
+                    f"every rewrite keeps {print_global_type(terms.term(tail))} at the end of the body of the loop "
+                    f"{print_global_type(star)}, whose projection there says: {exc}"
                 )
     finally:
         ctx.loops -= 1
     return None
 
 
-def _kept_suffix(g: GlobalType, kept: set[GlobalType]) -> GlobalType | None:
-    """`g` when it is in `kept`; else the longest run of operands in `kept`
-    ending its root `;` spine, as one `;` term, or None when there is
-    none."""
-    if g in kept:
+def _kept_suffix(terms: _Terms, g: int) -> int | None:
+    """`g` when it is kept; else the longest run of kept operands ending
+    its root `;` spine, as one `;` term, or None when there is none."""
+    if terms.kept[g]:
         return g
-    if type(g) is not GSeq:
+    if terms.kind[g] is not GSeq:
         return None
-    ops = spine(g)
+    ops = terms.spine(g)
     n = len(ops)
-    while n and ops[n - 1] in kept:
+    while n and terms.kept[ops[n - 1]]:
         n -= 1
-    return reduce(GSeq, ops[n:]) if n < len(ops) else None
-
-
-def _contains_both(g: GlobalType) -> bool:
-    work = [g]
-    while work:
-        t = work.pop()
-        if type(t) is GBoth:
-            return True
-        work += subterms(t)
-    return False
+    return reduce(lambda x, y: terms.node(GSeq, x, y), ops[n:]) if n < len(ops) else None
 
 
 # ---------------------------------------------------------------------------
@@ -629,104 +623,231 @@ def _contains_both(g: GlobalType) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sequential_rewrites(
-    g: GlobalType,
-    budget: int,
-    rewrites: dict[GlobalType, list[GlobalType]] | None = None,
-) -> Iterator[GlobalType]:
-    """`&`-free rewrites of `g` other than `g` itself, built one at a time,
-    each yielded once, each denoting a sublanguage of (or the same language
-    as) `g`'s traces: the two whole-type serializations first, then every
-    `&`-free term of the breadth-first search from `g` under the
-    distributing rewrites, in the order the search visits them.  The search
-    visits at most `budget` terms, `g` included: once it has, it stops
-    expanding, and the terms it has visited are still yielded.  The
-    rewrites of a subterm are computed once and shared by every term of the
-    search that contains it, in `rewrites` when it is given."""
-    seen: set[GlobalType] = {g}
-    if rewrites is None:
-        rewrites = {}
+class _Terms:
+    """The terms of `&`-elimination searches, hash-consed (Filliâtre and
+    Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006): each
+    distinct term is one integer id, so two terms are equal exactly when
+    their ids are.  A node is found, or added, by its key: its constructor
+    and its children's ids (an interaction's key holds the interaction).
 
-    def fresh(t: GlobalType) -> bool:
-        if t in seen or _contains_both(t):
+    When an id is added, its constructor (`kind`), its children's ids in
+    `subterms` order (`subs`), whether it holds `&` (`both`) and whether
+    it is kept (`kept`, see `_kept_failure`) are stored with it.  Its
+    `GlobalType` (`term`), its rewrites (`rewrites`) and its canonical id
+    (`canonical`) are computed when first asked for and kept while the
+    table lives, which is one context's life."""
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.kind: list[type] = []
+        self.subs: list[tuple[int, ...]] = []
+        self.both: list[bool] = []
+        self.kept: list[bool] = []
+        self.terms: dict[int, GlobalType] = {}
+        self.rewritten: dict[int, list[int]] = {}
+        self.canon: dict[int, int] = {}
+        self.canons: dict[tuple, int] = {}
+
+    def node(self, *key) -> int:
+        """The id of the node whose key is `key`, added if it is new."""
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.kind)
+            k = key[0]
+            subs = () if k is GAction else key[1:]
+            both = k is GBoth
+            kept = not both and not (k is GEither and self._factors(*subs))
+            for c in subs:
+                both = both or self.both[c]
+                kept = kept and self.kept[c]
+            self.kind.append(k)
+            self.subs.append(subs)
+            self.both.append(both)
+            self.kept.append(kept)
+        return i
+
+    def _factors(self, l: int, r: int) -> bool:
+        """Whether `l | r` has a root rewrite: its sides are equal, or are
+        two `;` with equal left sides."""
+        kind, subs = self.kind, self.subs
+        return l == r or (kind[l] is GSeq and kind[r] is GSeq and subs[l][0] == subs[r][0])
+
+    def intern(self, g: GlobalType) -> int:
+        """The id of `g`; each id it adds keeps its subterm of `g` as its
+        term."""
+
+        def step(t: GlobalType, ids: list[int]) -> int:
+            k = type(t)
+            i = self.node(k, t.interaction) if k is GAction else self.node(k, *ids)
+            self.terms.setdefault(i, t)
+            return i
+
+        return fold(g, step)
+
+    def term(self, i: int) -> GlobalType:
+        """The `GlobalType` of id `i`, built from those of its children."""
+        terms, kind = self.terms, self.kind
+        # every leaf was interned from a term, so only compound nodes are built
+        for j, subs in postorder(i, self.subs.__getitem__, done=terms):
+            new = [terms[c] for c in subs]
+            if kind[j] is GKExit:
+                n = len(new) // 2
+                terms[j] = GKExit(tuple(new[:n]), tuple(new[n:]))
+            else:
+                terms[j] = kind[j](*new)
+        return terms[i]
+
+    def spine(self, i: int) -> list[int]:
+        """The operands, left to right, of the root `;` or `|` spine of
+        id `i`, as `syntax.spine` lists them."""
+        kind, subs, k = self.kind, self.subs, self.kind[i]
+        out, work = [], [i]
+        while work:
+            j = work.pop()
+            if kind[j] is k:
+                work += reversed(subs[j])
+            else:
+                out.append(j)
+        return out
+
+    def canonical(self, i: int) -> int:
+        """An id, in a numbering of its own, that two terms share exactly
+        when they differ at most in how their `;` and `|` spines are
+        grouped: a `;` or `|` node is keyed by its spine's operands, in
+        order, and every other node by its children, each by its
+        canonical id.
+
+        Two such terms project alike: to the same environment, or to
+        errors of the same kind and detail.  `_project` reads a `;` or a
+        `|` node only through `spine`, which lists the operands of the
+        whole spine however it is grouped.  It hands `_alternative` the
+        node and its operands' projections, and `_kexit` the node and a
+        loop's bodies and exits; both read the node only through
+        `roles_of`, which grouping does not change, and as the location of
+        an error.  By induction on the term, its projection against an
+        environment depends only on its canonical id and on the names of
+        the unknowns it draws from the context's counter.  Two twins draw
+        as many, in the same order, so their projections differ at most by
+        a renaming of unknowns, which changes neither a merge nor a
+        normalization, nor whether either fails.  The memo changes no
+        result, only whether one is computed again.  The search drops a
+        candidate's error unread, so a candidate whose canonical id is
+        that of one that failed would fail too, and is not projected."""
+        kind, subs, canon = self.kind, self.subs, self.canon
+
+        def operands(j: int) -> Sequence[int]:
+            return self.spine(j) if kind[j] is GSeq or kind[j] is GEither else subs[j]
+
+        for j, ops in postorder(i, operands, done=canon):
+            key = (kind[j], *map(canon.__getitem__, ops)) if ops else (kind[j], j)
+            canon[j] = self.canons.setdefault(key, len(self.canons))
+        return canon[i]
+
+    def serialized(self, i: int, left_first: bool) -> int:
+        """Id `i` with every `&` made a `;`, its left operand first if
+        `left_first`, rebuilt bottom-up (`syntax.fold`) where it holds `&`."""
+        kind, subs, both = self.kind, self.subs, self.both
+
+        def step(j: int, new: list[int]) -> int:
+            if not both[j]:
+                return j
+            if kind[j] is GBoth:
+                return self.node(GSeq, *new) if left_first else self.node(GSeq, new[1], new[0])
+            return self.node(kind[j], *new)
+
+        return fold(i, step, lambda j: subs[j] if both[j] else ())
+
+    def rewrites(self, i: int) -> list[int]:
+        """All single-step rewrites of id `i`: at the root,
+        `_root_rewrites`; in context, those of each child in turn, each in
+        its place.  A kept id has none.  The rewrites of the ids not seen
+        yet are filled in the order `syntax.postorder` lists them."""
+        memo, node, kind, subs, kept = self.rewritten, self.node, self.kind, self.subs, self.kept
+        for j, s in postorder(i, lambda j: () if kept[j] else subs[j], done=memo):
+            out = memo[j] = [] if kept[j] else self._root_rewrites(j)  # filled alike if listed twice
+            k = kind[j]
+            for n, x in enumerate(s):
+                out += [node(k, *s[:n], x2, *s[n + 1 :]) for x2 in memo[x]]
+        return memo[i]
+
+    def _root_rewrites(self, i: int) -> list[int]:
+        """The rewrites of id `i` at its root: the serializations and
+        distributions of an `&`, and the merge or factoring of a `|` whose
+        sides are equal or are two `;` with equal left sides."""
+        node, kind, subs = self.node, self.kind, self.subs
+        if kind[i] is GEither:
+            l, r = subs[i]
+            if l == r:
+                return [l]
+            if self._factors(l, r):
+                a, b = subs[l]
+                return [node(GSeq, a, node(GEither, b, subs[r][1]))]
+            return []
+        if kind[i] is not GBoth:
+            return []
+        l, r = subs[i]
+        out = [node(GSeq, l, r), node(GSeq, r, l)]
+        for a, b, flip in ((l, r, False), (r, l, True)):
+
+            def both(x: int) -> int:
+                return node(GBoth, b, x) if flip else node(GBoth, x, b)
+
+            k = kind[a]
+            if k is GSkip:
+                out.append(b)
+            elif k is GEither:
+                x, y = subs[a]
+                out.append(node(GEither, both(x), both(y)))
+            elif k is GSeq:
+                x, y = subs[a]
+                out.append(node(GSeq, both(x), y))
+                out.append(node(GSeq, x, both(y)))
+            elif k is GStar:
+                (x,) = subs[a]
+                out.append(node(GEither, node(GSeq, both(x), a), b))
+                out.append(node(GEither, node(GSeq, a, both(x)), b))
+            elif k is GKExit:
+                n = len(subs[a]) // 2
+                kids = [self.term(c) for c in subs[a]]
+                out.append(both(self.intern(kexit_unfolding(tuple(kids[:n]), tuple(kids[n:])))))
+        return out
+
+
+def _sequential_rewrites(terms: _Terms, g: int, budget: int) -> Iterator[int]:
+    """`&`-free rewrites of the term `g` of `terms` other than `g`
+    itself, built one at a time, each yielded once, each denoting a
+    sublanguage of (or the same language as) `g`'s traces: the two
+    whole-type serializations first, then every `&`-free term of the
+    breadth-first search from `g` under the distributing rewrites, in the
+    order the search visits them.  The search visits at most `budget`
+    terms, `g` included: once it has, it stops expanding, and the terms it
+    has visited are still yielded.  The rewrites of a term are computed
+    once per table and shared by every term of every search that contains
+    it."""
+    both = terms.both
+    seen: set[int] = {g}
+
+    def fresh(t: int) -> bool:
+        if t in seen or both[t]:
             return False
         seen.add(t)
         return True
 
     for left_first in (True, False):
-        t = _serialize_all(g, left_first)
+        t = terms.serialized(g, left_first)
         if fresh(t):
             yield t
 
     queue = [g]  # the visited terms, in the order visited; grows as it is read
-    visited: set[GlobalType] = {g}
+    visited: set[int] = {g}
     for t in queue:
         if fresh(t):
             yield t
         if len(queue) >= budget:
             continue
-        for t2 in _rewrites(t, rewrites):
+        for t2 in terms.rewrites(t):
             if t2 not in visited:
                 visited.add(t2)
                 queue.append(t2)
                 if len(queue) >= budget:
                     break
-
-
-def _serialize_all(g: GlobalType, left_first: bool) -> GlobalType:
-    """`g` with every `&` made a `;`, its left operand first if
-    `left_first`, rebuilt bottom-up (`syntax.fold`)."""
-
-    def step(t: GlobalType, new: list[GlobalType]) -> GlobalType:
-        if type(t) is not GBoth:
-            return with_subterms(t, new)
-        return GSeq(*new) if left_first else GSeq(new[1], new[0])
-
-    return fold(g, step)
-
-
-def _rewrites(g: GlobalType, memo: dict[GlobalType, list[GlobalType]]) -> list[GlobalType]:
-    """All single-step rewrites of `g`: at the root, the serializations and
-    distributions of `&` plus factoring of a common alternative prefix; in
-    context, the rewrites of every immediate subterm.  `memo` holds the
-    rewrites of the terms seen so far; those of the others are filled in
-    in the order `syntax.postorder` lists them."""
-    for t, subs in postorder(g, done=memo):
-        out = memo[t] = _root_rewrites(t)  # a term listed twice is filled twice, alike
-        for i, x in enumerate(subs):
-            for x2 in memo[x]:
-                out.append(with_subterms(t, subs[:i] + (x2,) + subs[i + 1 :]))
-    return memo[g]
-
-
-def _root_rewrites(g: GlobalType) -> list[GlobalType]:
-    """The rewrites of `g` at its root: the serializations and distributions
-    of an `&`, and the merge or factoring of a `|` whose sides are equal or
-    are two `;` with equal left sides."""
-    out: list[GlobalType] = []
-    match g:
-        case GBoth(l, r):
-            out.append(GSeq(l, r))
-            out.append(GSeq(r, l))
-            for a, b, flip in ((l, r, False), (r, l, True)):
-                def both(x: GlobalType, y: GlobalType) -> GlobalType:
-                    return GBoth(y, x) if flip else GBoth(x, y)
-
-                match a:
-                    case GSkip():
-                        out.append(b)
-                    case GEither(x, y):
-                        out.append(GEither(both(x, b), both(y, b)))
-                    case GSeq(x, y):
-                        out.append(GSeq(both(x, b), y))
-                        out.append(GSeq(x, both(y, b)))
-                    case GStar(x):
-                        out.append(GEither(GSeq(both(x, b), GStar(x)), b))
-                        out.append(GEither(GSeq(GStar(x), both(x, b)), b))
-                    case GKExit(bodies, exits):
-                        out.append(both(kexit_unfolding(bodies, exits), b))
-        case GEither(l, r) if l == r:
-            out.append(l)
-        case GEither(GSeq(a, b), GSeq(a2, c)) if a == a2:
-            out.append(GSeq(a, GEither(b, c)))
-    return out

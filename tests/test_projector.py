@@ -21,12 +21,13 @@ from mpst.projector import (
     NO_DECISION_MAKER,
     OUTPUT_MISMATCH,
     ProjectionError,
-    _sequential_rewrites,
+    _Terms,
     merge,
     project_alg,
     project_top,
 )
 from mpst.syntax import (
+    GAction,
     GBoth,
     GEither,
     GKExit,
@@ -46,7 +47,7 @@ from mpst.syntax import (
     subterms,
     with_subterms,
 )
-from mpst.tracelang import BudgetExceededError, compile_traces, includes, is_well_formed
+from mpst.tracelang import BudgetExceededError, compile_traces, includes, is_well_formed, kexit_unfolding
 from mpst.verifier import (
     NO_SEQUENTIALITY,
     UNCLASSIFIED,
@@ -55,6 +56,7 @@ from mpst.verifier import (
     classify,
     random_global_type,
 )
+from test_tracelang import candidates, global_types
 
 g = parse_global_type
 t = parse_session_type
@@ -324,41 +326,97 @@ def test_no_rewrite_adds_a_role():
     for i in range(300):
         sample = random_global_type(20260814 + i, 8, 4, 1)
         roles = roles_of(sample)
-        for cand in _sequential_rewrites(sample, DEFAULT_AND_BUDGET):
+        for cand in candidates(sample):
             assert roles_of(cand) <= roles
 
 
 def test_eliminate_and_candidates_stay_within_the_language():
     protocol = g("(p -> q : a ; q -> r : b) & (r -> s : c | s -> r : d)")
     whole = compile_traces(protocol)
-    candidates = list(_sequential_rewrites(protocol, DEFAULT_AND_BUDGET))
-    assert candidates
-    for cand in candidates:
+    found = candidates(protocol)
+    assert found
+    for cand in found:
         assert not isinstance(cand, GBoth)
         assert includes(compile_traces(cand), whole) is None
 
 
 def test_eliminate_and_respects_its_budget():
     protocol = g("(p -> q : a & q -> r : b) & (r -> s : c & s -> p : d)")
-    assert len(list(_sequential_rewrites(protocol, 5))) <= 5
+    assert len(candidates(protocol, 5)) <= 5
+
+
+def reference_root_rewrites(t) -> list:
+    """The rewrites of `t` at its root: the two serializations of an `&`,
+    and for each of its sides, the other side distributed into it (into
+    each branch of a `|`, each side of a `;` in turn, the body of a `*`
+    unrolled once before or after the loop, or the unfolding of a
+    `loopk`), with a `skip` side dropped; and the merge of a `|` whose
+    sides are equal, or else the factoring of a `|` of two `;` with equal
+    left sides."""
+    out = []
+    match t:
+        case GBoth(l, r):
+            out += [GSeq(l, r), GSeq(r, l)]
+            for a, b, flip in ((l, r, False), (r, l, True)):
+
+                def both(x):
+                    return GBoth(b, x) if flip else GBoth(x, b)
+
+                match a:
+                    case GSkip():
+                        out.append(b)
+                    case GEither(x, y):
+                        out.append(GEither(both(x), both(y)))
+                    case GSeq(x, y):
+                        out += [GSeq(both(x), y), GSeq(x, both(y))]
+                    case GStar(x):
+                        out += [GEither(GSeq(both(x), a), b), GEither(GSeq(a, both(x)), b)]
+                    case GKExit(bodies, exits):
+                        out.append(both(kexit_unfolding(bodies, exits)))
+        case GEither(l, r) if l == r:
+            out.append(l)
+        case GEither(GSeq(a, b), GSeq(a2, c)) if a == a2:
+            out.append(GSeq(a, GEither(b, c)))
+    return out
+
+
+def reference_rewrites(t) -> list:
+    """The single-step rewrites of `t`, by recursion: those at its root,
+    then those inside each immediate subterm in turn, each in its place."""
+    subs = subterms(t)
+    inside = [with_subterms(t, subs[:i] + (x,) + subs[i + 1 :]) for i, s in enumerate(subs) for x in reference_rewrites(s)]
+    return reference_root_rewrites(t) + inside
+
+
+def reference_serialized(protocol, left_first: bool):
+    """`protocol` with every `&` made a `;`, its left side first if
+    `left_first`."""
+
+    def step(x, new):
+        if type(x) is not GBoth:
+            return with_subterms(x, new)
+        return GSeq(*new) if left_first else GSeq(new[1], new[0])
+
+    return fold(protocol, step)
 
 
 def reference_sequential_rewrites(protocol, budget: int) -> list:
-    """The search `_sequential_rewrites` describes, level by level and
-    without its memo: the two whole-type serializations, then the
-    breadth-first search from `protocol`, visiting at most `budget` terms;
-    of these, each `&`-free term other than `protocol`, once, in order."""
+    """The search `_sequential_rewrites` describes, on terms, level by
+    level and without a memo or any code of the projector: the two
+    whole-type serializations, then the breadth-first search from
+    `protocol`, visiting at most `budget` terms; of these, each `&`-free
+    term other than `protocol`, once, in order."""
     visited = {protocol: None}
     level = [protocol]
     while level and len(visited) < budget:
         below = []
         for t in level:
-            for t2 in projector._rewrites(t, {}):
+            for t2 in reference_rewrites(t):
                 if len(visited) < budget and t2 not in visited:
                     visited[t2] = None
                     below.append(t2)
         level = below
-    serialized = (projector._serialize_all(protocol, left_first) for left_first in (True, False))
+    serialized = (reference_serialized(protocol, left_first) for left_first in (True, False))
     terms = dict.fromkeys(t for t in (*serialized, *visited) if t != protocol and not has_both(t))
     return list(terms)
 
@@ -369,7 +427,90 @@ RANDOM_TYPES = [random_global_type(20260814 + i) for i in range(300)]
 @pytest.mark.parametrize("budget", [1, 2, 5, 17, 64, 256])
 def test_the_rewrite_search_tries_every_term_it_visits(budget):
     for protocol in RANDOM_TYPES:
-        assert list(_sequential_rewrites(protocol, budget)) == reference_sequential_rewrites(protocol, budget)
+        assert candidates(protocol, budget) == reference_sequential_rewrites(protocol, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(global_types())
+def test_the_search_over_ids_builds_the_reference_candidates(sample):
+    """On generated types, which hold `loopk` where the random types do
+    not, the search over the table builds the candidates of the
+    term-level reference, in its order, at budgets 1, 17 and 256: the
+    unfolding of a `loopk` beside an `&` is interned as the reference
+    builds it."""
+    for budget in (1, 17, 256):
+        assert candidates(sample, budget) == reference_sequential_rewrites(sample, budget)
+
+
+def flattened(protocol):
+    """`protocol` as nested tuples, each `;` and `|` spine as the tuple of
+    its operands, so two terms flatten alike exactly when they differ at
+    most in how their spines are grouped."""
+
+    def step(x, new):
+        k = type(x)
+        return (k.__name__, x.interaction if k is GAction else tuple(new))
+
+    return fold(protocol, step, lambda x: spine(x) if type(x) in (GSeq, GEither) else subterms(x))
+
+
+def fresh_outcome(protocol, cont):
+    """The projection of `protocol` against `cont` in a fresh context, or
+    the kind and detail of its error, which leave out its location."""
+    try:
+        return print_session_env(project_alg(protocol, cont))
+    except ProjectionError as exc:
+        return (exc.kind, exc.detail)
+
+
+def test_a_canonical_id_names_exactly_the_terms_that_flatten_alike():
+    """In one table, two terms share a canonical id exactly when they
+    flatten alike, over every subterm of the random types, of the same
+    with every `;` made a `|`, of those with their `|` spines regrouped,
+    and of those with every `|` made a `;` again."""
+
+    def made(old, new):
+        return lambda x, subs: new(*subs) if type(x) is old else with_subterms(x, subs)
+
+    terms = _Terms()
+    canonical: dict[tuple, set] = {}
+    for protocol in RANDOM_TYPES:
+        alternatives = fold(protocol, made(GSeq, GEither))
+        regroupings = [regrouped(alternatives, shape) for shape in ("left", "right", "halves")]
+        for variant in (protocol, alternatives, *regroupings, *(fold(v, made(GEither, GSeq)) for v in regroupings)):
+            for t, _ in postorder(variant):
+                canonical.setdefault(flattened(t), set()).add(terms.canonical(terms.intern(t)))
+    assert all(len(ids) == 1 for ids in canonical.values())
+    assert len(set().union(*canonical.values())) == len(canonical) > 2000
+
+
+SKIP_SAMPLES = [*RANDOM_TYPES, *(random_global_type(5000 + i, 10, 4, 2) for i in range(700))]
+
+
+def test_candidates_that_only_regroup_each_other_project_alike():
+    """The search does not project a candidate whose canonical id is that
+    of one that failed.  On the random workload's types, 700 samples with
+    longer bodies and nested loops, and the well-formed relaxations of
+    those that are not well formed, two candidates of a search share a
+    canonical id exactly when they flatten alike, and every set of such
+    twins projects alike, each twin in a fresh context: to the same
+    environment, or to errors of the same kind and detail."""
+    searches = twins = classes = 0
+    for protocol in [*SKIP_SAMPLES, *well_formed_relaxations(SKIP_SAMPLES)]:
+        searches += 1
+        terms = _Terms()
+        alike: dict[int, list] = {}
+        for i in projector._sequential_rewrites(terms, terms.intern(protocol), DEFAULT_AND_BUDGET):
+            alike.setdefault(terms.canonical(i), []).append(terms.term(i))
+        assert len({flattened(members[0]) for members in alike.values()}) == len(alike)
+        cont = {r: TEnd() for r in sorted(roles_of(protocol))}
+        for members in alike.values():
+            if len(members) > 1:
+                twins += len(members) - 1
+                classes += 1
+                assert len({flattened(m) for m in members}) == 1
+                assert len({fresh_outcome(m, cont) for m in members}) == 1, print_global_type(protocol)
+    assert searches > 1400 and twins > 6000 and classes > 3000
 
 
 # Random-workload types whose search reaches its budget partway through a
@@ -471,21 +612,18 @@ def test_a_search_that_may_succeed_runs(protocol):
 
 
 def test_the_check_keeps_exactly_the_terms_with_no_rewrite():
-    """The check enters in the search's memo of rewrites, each mapped to no
-    rewrite, exactly the subterms that `_rewrites` gives no rewrite, on
-    every type with a `;` root or a `*` loop, and nothing on the others."""
-    walked = 0
+    """The table flags as kept, when it adds a term, exactly the terms
+    that have no rewrite: those the reference gives none, and those the
+    table's own rewrites leave alone, on every subterm of every random
+    type."""
+    kept = 0
     for protocol in RANDOM_TYPES:
-        kept, rewrites = {}, {}
-        cont = {r: TEnd() for r in sorted(roles_of(protocol))}
-        projector._kept_failure(protocol, cont, kept, projector._Ctx())
-        projector._rewrites(protocol, rewrites)
-        if type(protocol) is GSeq or any(type(t) is GStar for t in rewrites):
-            walked += 1
-            assert kept == {t: [] for t, out in rewrites.items() if not out}
-        else:
-            assert kept == {}
-    assert walked > 150
+        terms = _Terms()
+        for t, _ in postorder(protocol):
+            i = terms.intern(t)
+            assert terms.kept[i] == (not reference_rewrites(t)) == (not terms.rewrites(i))
+            kept += terms.kept[i]
+    assert kept > 1000
 
 
 def test_a_bound_met_while_checking_is_no_proof(monkeypatch):
@@ -545,8 +683,8 @@ IN_CONTEXT_CANDIDATES = {
 def test_eliminate_and_rewrites_inside_loops_in_order(protocol):
     """`&` inside loop bodies, loop exits and `*` is rewritten in context,
     bodies before exits; the candidate list is pinned in full."""
-    candidates = [print_global_type(c) for c in _sequential_rewrites(g(protocol), DEFAULT_AND_BUDGET)]
-    assert candidates == IN_CONTEXT_CANDIDATES[protocol]
+    found = [print_global_type(c) for c in candidates(g(protocol))]
+    assert found == IN_CONTEXT_CANDIDATES[protocol]
 
 
 def chain(sender: str, receiver: str, n: int) -> str:
@@ -561,17 +699,32 @@ def chain(sender: str, receiver: str, n: int) -> str:
     ],
 )
 def test_projection_keys_no_candidate_after_the_first_that_projects(monkeypatch, protocol):
-    drawn = 0
+    """The direct projection fails, and the first candidate projects: it
+    is the one candidate the search draws, builds as a term and projects."""
+    protocol = g(protocol)
+    drawn, built, projected = 0, [], []
+    search, term, project = projector._sequential_rewrites, _Terms.term, projector._project_alg
 
-    def counted(t, budget, *rewrites):
+    def counted_search(*args):
         nonlocal drawn
-        for cand in _sequential_rewrites(t, budget, *rewrites):
+        for cand in search(*args):
             drawn += 1
             yield cand
 
-    monkeypatch.setattr(projector, "_sequential_rewrites", counted)
-    assert project_top(g(protocol))
-    assert drawn == 1
+    def counted_term(terms, i):
+        built.append(i)
+        return term(terms, i)
+
+    def counted_project(t, cont, ctx):
+        projected.append(t)
+        return project(t, cont, ctx)
+
+    monkeypatch.setattr(projector, "_sequential_rewrites", counted_search)
+    monkeypatch.setattr(_Terms, "term", counted_term)
+    monkeypatch.setattr(projector, "_project_alg", counted_project)
+    assert project_top(protocol)
+    assert drawn == len(built) == 1
+    assert len(projected) == 2 and projected[0] is protocol
 
 
 @pytest.mark.parametrize(
@@ -751,7 +904,7 @@ def reference_project_top(protocol):
     except ProjectionError as exc:
         direct_error = exc
     tried = 0
-    for cand in _sequential_rewrites(protocol, DEFAULT_AND_BUDGET):
+    for cand in candidates(protocol):
         tried += 1
         try:
             return project_alg(cand, cont)

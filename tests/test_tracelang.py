@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import parikh, swap_violations, swappable, trace_set
 from mpst import machine, tracelang
-from mpst.projector import DEFAULT_AND_BUDGET, ProjectionError, _sequential_rewrites, project_top
+from mpst.projector import DEFAULT_AND_BUDGET, ProjectionError, _sequential_rewrites, _Terms, project_top
 from mpst.runtime import explore
 from mpst.syntax import (
     GAction,
@@ -316,6 +316,13 @@ def enumeration(enumerate_, auto, max_len, cap):
         return str(exc)
 
 
+def candidates(protocol, budget: int = DEFAULT_AND_BUDGET) -> list:
+    """The `&`-elimination candidates of `protocol`, as terms, in the order
+    the search builds them."""
+    terms = _Terms()
+    return [terms.term(i) for i in _sequential_rewrites(terms, terms.intern(protocol), budget)]
+
+
 def language_question_automata():
     """Criterion 8's samples and their `&`-elimination candidates compiled,
     the session automata of the samples that project, the one-swap
@@ -323,7 +330,7 @@ def language_question_automata():
     automaton that accepts nothing.  Returns every automaton, and each
     one-swap automaton paired with the automaton it swaps."""
     samples = [random_global_type(20260814 + i) for i in range(200)]
-    compiled = [compile_traces(t) for s in samples for t in (s, *_sequential_rewrites(s, DEFAULT_AND_BUDGET))]
+    compiled = [compile_traces(t) for s in samples for t in (s, *candidates(s))]
     sessions, swaps = [], []
     for sample in samples:
         try:
@@ -547,7 +554,7 @@ def test_refinement_matches_moore_on_criterion_8_automata(monkeypatch):
     monkeypatch.setattr(machine, "minimal_form", both_ways)
     for i in range(200):
         sample = random_global_type(20260814 + i)
-        for term in (sample, *_sequential_rewrites(sample, DEFAULT_AND_BUDGET)):
+        for term in (sample, *candidates(sample)):
             dfa = expanded(compile_traces(term))
             assert len(dfa) == len(dfa.accepting)
             both_ways(0, dfa.accepting.__getitem__, lambda s: dfa[s].items(), int)
