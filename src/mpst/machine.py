@@ -100,6 +100,7 @@ too.  No two states of a chain are bisimilar, as their distances to
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -428,10 +429,20 @@ class _Resolver:
                         raise NotSessionTypeError(what)
 
     def _check_input_determinism(self, st: _State) -> None:
+        """Raises NotSessionTypeError when two inputs of `st` take one
+        message from partner sets of which one holds the other, naming the
+        first such pair in branch order.  Only inputs of one message can
+        clash, so each input is compared only with the later inputs of its
+        own message."""
         ins = [bk for bk in st.branches if bk[0] == IN]
-        for i, (_, ps1, a1) in enumerate(ins):
-            for _, ps2, a2 in ins[i + 1 :]:
-                if a1 == a2 and (ps1 <= ps2 or ps2 <= ps1):
+        later: dict[str, deque] = {}
+        for _, ps, a in ins:
+            later.setdefault(a, deque()).append(ps)
+        for _, ps1, a1 in ins:
+            rest = later[a1]
+            rest.popleft()  # ps1 itself
+            for ps2 in rest:
+                if ps1 <= ps2 or ps2 <= ps1:
                     raise NotSessionTypeError(
                         f"ambiguous external choice: inputs of {a1!r} from "
                         f"{{{','.join(sorted(ps1))}}} and "

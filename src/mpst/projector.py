@@ -17,7 +17,11 @@ such merges are deferred (kept as symbolic merge nodes) and resolved by the
 state-machine normalizer once the enclosing recursions are closed.  Each
 loop body is projected once, against fresh unknowns for what follows it;
 every choice of decision roles tried renames those unknowns and assembles
-the recursion from the same projections.
+the recursion from the same projections.  Each role's merge of what it does
+on leaving and on going round is checked first, on the projections as they
+are, so a choice whose merge fails, as most failing choices do on the root
+kinds of the pieces, is rejected before any piece is renamed (see
+`_kexit_build`).
 
 Unordered composition has no projection rule of its own: `project_top`
 rewrites `&` away (serializations first, then distributing rewrites
@@ -203,34 +207,35 @@ def _project(g: GlobalType, env: SessionEnv, ctx: _Ctx) -> SessionEnv:
         if hit is not None:
             return hit
     try:
-        match g:
-            case GSkip():
-                out = env
-            case GAction(i):
-                out = dict(env)
-                for s in i.senders:
-                    out[s] = TOut(i.receiver, i.message, env[s])
-                out[i.receiver] = TIn(i.senders, i.message, env[i.receiver])
-            case GSeq():
-                # the whole `;` spine, right to left, in this one frame
-                out = env
-                for x in reversed(spine(g)):
-                    out = _project(x, out, ctx)
-            case GEither():
-                # the whole `|` spine, however it is grouped, in this one frame
-                out = _alternative(g, [_project(x, env, ctx) for x in spine(g)])
-            case GStar(b):
-                out = _kexit(g, (b,), (GSkip(),), env, ctx)
-            case GKExit(bodies, exits):
-                out = _kexit(g, bodies, exits, env, ctx)
-            case GBoth(_, _):
-                raise ProjectionError(
-                    AND_ELIMINATION_EXHAUSTED,
-                    "unordered composition has no direct projection rule",
-                    g,
-                )
-            case _:
-                raise TypeError(f"not a global type: {g!r}")
+        k = type(g)
+        if k is GAction:
+            i = g.interaction
+            out = dict(env)
+            for s in i.senders:
+                out[s] = TOut(i.receiver, i.message, env[s])
+            out[i.receiver] = TIn(i.senders, i.message, env[i.receiver])
+        elif k is GSeq:
+            # the whole `;` spine, right to left, in this one frame
+            out = env
+            for x in reversed(spine(g)):
+                out = _project(x, out, ctx)
+        elif k is GEither:
+            # the whole `|` spine, however it is grouped, in this one frame
+            out = _alternative(g, [_project(x, env, ctx) for x in spine(g)])
+        elif k is GSkip:
+            out = env
+        elif k is GStar:
+            out = _kexit(g, (g.body,), (GSkip(),), env, ctx)
+        elif k is GKExit:
+            out = _kexit(g, g.bodies, g.exits, env, ctx)
+        elif k is GBoth:
+            raise ProjectionError(
+                AND_ELIMINATION_EXHAUSTED,
+                "unordered composition has no direct projection rule",
+                g,
+            )
+        else:
+            raise TypeError(f"not a global type: {g!r}")
     except ProjectionError as exc:
         # the fields, not the error: its traceback would hold these frames
         if key is not None:
@@ -361,34 +366,63 @@ def _kexit_build(
     env: SessionEnv,
     ctx: _Ctx,
 ) -> SessionEnv:
+    """The loop `g` with phase i decided by `deciders[i]`, assembled from
+    the projections of its exits (`exit_envs`) and of its bodies
+    (`body_envs`), body i projected against the unknowns `after[i]`.  Body
+    i continues into phase i + 1: into that phase's decider, and into its
+    own recursion unknown for every other role.  Each role merges what it
+    does on leaving and on going round the phases it does not decide.
+
+    These merges are checked, role by role, on the body projections as
+    they are, before any fresh unknown is drawn or any piece renamed, so
+    an assignment whose merge fails, most often on root kinds, renames
+    nothing.  The check raises the error the renamed merges would.
+    Renaming replaces unknowns with unknowns: it changes neither a piece's
+    root kind (`machine.root_kind` reads no unknown) nor whether the piece
+    is closed, and it leaves a closed piece equal.  Pieces that it makes
+    equal have one root kind, so the kinds named are the same.  A body
+    piece renames to the role's own recursion unknown, which is no piece
+    of its merge, exactly when it is the unknown for what follows the body
+    and the role does not decide the next phase.  So each role's merge
+    fails on its kinds, or on normalizing its pieces when all are closed,
+    exactly when the renamed merge does, and the merge of closed pieces is
+    the renamed one.  When no role fails, only the open pieces and the
+    deciders' pieces are renamed."""
     k = len(deciders)
+
+    def pieces(r: Role, names: dict[str, SessionType] | None = None) -> list[SessionType]:
+        out = []
+        for i in range(k):
+            if deciders[i] != r:
+                out.append(exit_envs[i][r])
+                t = body_envs[i][r]
+                if t != TVar(after[i][r]) or r == deciders[(i + 1) % k]:
+                    out.append(_subst(t, names) if names else t)
+        return out
+
+    merged: dict[Role, SessionType] = {}
+    for r in roles:
+        ts = pieces(r)
+        # with no pieces, r decides every phase, and its recursion unknown
+        # is never referenced
+        merged[r] = _merge_terms(ts, r, g) if ts else TEnd()
+
     dvar = [ctx.fresh() for _ in range(k)]
     rvar = {r: ctx.fresh() for r in roles}
-
-    # body i continues into phase i + 1, which that phase's decider opens
-    renamed: list[SessionEnv] = []
-    for i in range(k):
-        nxt = (i + 1) % k
-        names: dict[str, SessionType] = {
-            after[i][r]: TVar(dvar[nxt] if r == deciders[nxt] else rvar[r]) for r in roles
-        }
-        renamed.append({r: _subst(body_envs[i][r], names) for r in roles})
-
+    # the unknowns of all bodies are distinct, so one renaming serves them all
+    names: dict[str, SessionType] = {
+        after[i][r]: TVar(dvar[(i + 1) % k] if r == deciders[(i + 1) % k] else rvar[r])
+        for i in range(k)
+        for r in roles
+    }
     defs: dict[str, SessionType] = {}
     for i in range(k):
         p = deciders[i]
-        go_on, leave = renamed[i][p], exit_envs[i][p]
+        go_on, leave = _subst(body_envs[i][p], names), exit_envs[i][p]
         defs[dvar[i]] = go_on if go_on == leave else TInternal((go_on, leave))
     for r in roles:
-        pieces = [
-            t
-            for i in range(k)
-            if deciders[i] != r
-            for t in (exit_envs[i][r], renamed[i][r])
-            if t != TVar(rvar[r])
-        ]
-        # with no pieces, r decides every phase, and rvar[r] is never referenced
-        defs[rvar[r]] = _merge_terms(pieces, r, g) if pieces else TEnd()
+        t = merged[r]
+        defs[rvar[r]] = t if _is_closed(t) else _merge_terms(pieces(r, names), r, g)
 
     result = dict(env)
     for r in roles:
@@ -615,7 +649,7 @@ def _kept_suffix(terms: _Terms, g: int) -> int | None:
     n = len(ops)
     while n and terms.kept[ops[n - 1]]:
         n -= 1
-    return reduce(lambda x, y: terms.node(GSeq, x, y), ops[n:]) if n < len(ops) else None
+    return reduce(lambda x, y: terms.node((GSeq, x, y)), ops[n:]) if n < len(ops) else None
 
 
 # ---------------------------------------------------------------------------
@@ -648,22 +682,25 @@ class _Terms:
         self.canon: dict[int, int] = {}
         self.canons: dict[tuple, int] = {}
 
-    def node(self, *key) -> int:
+    def node(self, key: tuple) -> int:
         """The id of the node whose key is `key`, added if it is new."""
         i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.kind)
-            k = key[0]
-            subs = () if k is GAction else key[1:]
-            both = k is GBoth
-            kept = not both and not (k is GEither and self._factors(*subs))
-            for c in subs:
-                both = both or self.both[c]
-                kept = kept and self.kept[c]
-            self.kind.append(k)
-            self.subs.append(subs)
-            self.both.append(both)
-            self.kept.append(kept)
+        return self._add(key) if i is None else i
+
+    def _add(self, key: tuple) -> int:
+        """The id of the new node whose key is `key`, added."""
+        i = self.ids[key] = len(self.kind)
+        k = key[0]
+        subs = () if k is GAction else key[1:]
+        both = k is GBoth
+        kept = not both and not (k is GEither and self._factors(*subs))
+        for c in subs:
+            both = both or self.both[c]
+            kept = kept and self.kept[c]
+        self.kind.append(k)
+        self.subs.append(subs)
+        self.both.append(both)
+        self.kept.append(kept)
         return i
 
     def _factors(self, l: int, r: int) -> bool:
@@ -678,7 +715,7 @@ class _Terms:
 
         def step(t: GlobalType, ids: list[int]) -> int:
             k = type(t)
-            i = self.node(k, t.interaction) if k is GAction else self.node(k, *ids)
+            i = self.node((k, t.interaction) if k is GAction else (k, *ids))
             self.terms.setdefault(i, t)
             return i
 
@@ -752,8 +789,8 @@ class _Terms:
             if not both[j]:
                 return j
             if kind[j] is GBoth:
-                return self.node(GSeq, *new) if left_first else self.node(GSeq, new[1], new[0])
-            return self.node(kind[j], *new)
+                return self.node((GSeq, *new) if left_first else (GSeq, new[1], new[0]))
+            return self.node((kind[j], *new))
 
         return fold(i, step, lambda j: subs[j] if both[j] else ())
 
@@ -762,12 +799,16 @@ class _Terms:
         `_root_rewrites`; in context, those of each child in turn, each in
         its place.  A kept id has none.  The rewrites of the ids not seen
         yet are filled in the order `syntax.postorder` lists them."""
-        memo, node, kind, subs, kept = self.rewritten, self.node, self.kind, self.subs, self.kept
+        memo, get, add, kind, subs, kept = self.rewritten, self.ids.get, self._add, self.kind, self.subs, self.kept
         for j, s in postorder(i, lambda j: () if kept[j] else subs[j], done=memo):
             out = memo[j] = [] if kept[j] else self._root_rewrites(j)  # filled alike if listed twice
             k = kind[j]
             for n, x in enumerate(s):
-                out += [node(k, *s[:n], x2, *s[n + 1 :]) for x2 in memo[x]]
+                head, tail = (k, *s[:n]), s[n + 1 :]
+                for x2 in memo[x]:
+                    key = (*head, x2, *tail)
+                    new = get(key)
+                    out.append(add(key) if new is None else new)
         return memo[i]
 
     def _root_rewrites(self, i: int) -> list[int]:
@@ -781,31 +822,31 @@ class _Terms:
                 return [l]
             if self._factors(l, r):
                 a, b = subs[l]
-                return [node(GSeq, a, node(GEither, b, subs[r][1]))]
+                return [node((GSeq, a, node((GEither, b, subs[r][1]))))]
             return []
         if kind[i] is not GBoth:
             return []
         l, r = subs[i]
-        out = [node(GSeq, l, r), node(GSeq, r, l)]
+        out = [node((GSeq, l, r)), node((GSeq, r, l))]
         for a, b, flip in ((l, r, False), (r, l, True)):
 
             def both(x: int) -> int:
-                return node(GBoth, b, x) if flip else node(GBoth, x, b)
+                return node((GBoth, b, x) if flip else (GBoth, x, b))
 
             k = kind[a]
             if k is GSkip:
                 out.append(b)
             elif k is GEither:
                 x, y = subs[a]
-                out.append(node(GEither, both(x), both(y)))
+                out.append(node((GEither, both(x), both(y))))
             elif k is GSeq:
                 x, y = subs[a]
-                out.append(node(GSeq, both(x), y))
-                out.append(node(GSeq, x, both(y)))
+                out.append(node((GSeq, both(x), y)))
+                out.append(node((GSeq, x, both(y))))
             elif k is GStar:
                 (x,) = subs[a]
-                out.append(node(GEither, node(GSeq, both(x), a), b))
-                out.append(node(GEither, node(GSeq, a, both(x)), b))
+                out.append(node((GEither, node((GSeq, both(x), a)), b)))
+                out.append(node((GEither, node((GSeq, a, both(x))), b)))
             elif k is GKExit:
                 n = len(subs[a]) // 2
                 kids = [self.term(c) for c in subs[a]]

@@ -134,6 +134,19 @@ def test_overlapping_input_partner_sets_same_message_rejected():
         type_machine(t("p?a.end + {p,q}?a.end"))
 
 
+def test_an_ambiguous_choice_names_its_first_overlapping_pair():
+    """Of the inputs of `m`, in branch order {p,q}, {p,r}, {p,r,s}, {q},
+    two pairs overlap: the first and the last, and the two in between.
+    The error names the pair met first when each input is compared with
+    every later one, whatever order the branches are written in.  The
+    two inputs of `n`, which overlap too, come later in branch order."""
+    branches = ["{p,q}?m.end", "{p,r}?m.end", "{p,r,s}?m.end", "q?m.end", "q?n.end", "{p,q}?n.end"]
+    first = r"^ambiguous external choice: inputs of 'm' from \{p,q\} and \{q\} overlap$"
+    for written in (branches, branches[::-1], branches[1::2] + branches[::2]):
+        with pytest.raises(NotSessionTypeError, match=first):
+            type_machine(t(" + ".join(written)))
+
+
 def test_overlapping_partner_sets_different_messages_allowed():
     m = type_machine(t("p?a.end + {p,q}?b.end"))
     assert m.kinds[0] == "in"

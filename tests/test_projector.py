@@ -35,6 +35,8 @@ from mpst.syntax import (
     GSkip,
     GStar,
     TEnd,
+    TInternal,
+    TVar,
     fold,
     parse_global_type,
     parse_session_type,
@@ -442,6 +444,22 @@ def test_the_search_over_ids_builds_the_reference_candidates(sample):
         assert candidates(sample, budget) == reference_sequential_rewrites(sample, budget)
 
 
+def test_the_search_over_ids_builds_the_reference_candidates_beside_a_loop():
+    """Beside an `&`, a random k-exit loop whose bodies or exits have
+    rewrites of their own is rewritten in context, each rewrite of a body
+    or exit in its place among the loop's 2k children; the search over the
+    table builds the reference's candidates, in its order, for 200 loops
+    at budgets 1, 17 and 256."""
+    rewritten_inside = 0
+    for seed in range(200):
+        loop = random_loop(seed)
+        protocol = GBoth(loop, random_global_type(seed, 3, 3, 0))
+        rewritten_inside += bool(reference_rewrites(loop))
+        for budget in (1, 17, 256):
+            assert candidates(protocol, budget) == reference_sequential_rewrites(protocol, budget)
+    assert rewritten_inside > 40
+
+
 def flattened(protocol):
     """`protocol` as nested tuples, each `;` and `|` spine as the tuple of
     its operands, so two terms flatten alike exactly when they differ at
@@ -797,6 +815,104 @@ def test_a_loop_with_more_decider_assignments_than_the_cap_ends_at_a_bound(monke
     with pytest.raises(error, match=message):
         project_top(g(protocol))
     assert builds == 16
+
+
+def renaming_first_build(g, roles, exit_envs, body_envs, after, deciders, env, ctx):
+    """`_kexit_build` without its check of the merges before renaming: it
+    draws the fresh unknowns, renames every role's body projections, and
+    only then merges each role's pieces, role by role."""
+    k = len(deciders)
+    dvar = [ctx.fresh() for _ in range(k)]
+    rvar = {r: ctx.fresh() for r in roles}
+    renamed = []
+    for i in range(k):
+        nxt = (i + 1) % k
+        names = {after[i][r]: TVar(dvar[nxt] if r == deciders[nxt] else rvar[r]) for r in roles}
+        renamed.append({r: projector._subst(body_envs[i][r], names) for r in roles})
+    defs = {}
+    for i in range(k):
+        p = deciders[i]
+        go_on, leave = renamed[i][p], exit_envs[i][p]
+        defs[dvar[i]] = go_on if go_on == leave else TInternal((go_on, leave))
+    for r in roles:
+        pieces = [
+            t for i in range(k) if deciders[i] != r for t in (exit_envs[i][r], renamed[i][r]) if t != TVar(rvar[r])
+        ]
+        defs[rvar[r]] = projector._merge_terms(pieces, r, g) if pieces else TEnd()
+    result = dict(env)
+    for r in roles:
+        result[r] = projector._subst(TVar(rvar[r]), defs)
+    result[deciders[0]] = projector._subst(TVar(dvar[0]), defs)
+    for r in roles:
+        if projector._is_closed(result[r]):
+            result[r] = projector._normalized(result[r], r, g)
+    return result
+
+
+def located_outcome(protocol):
+    """What `project_top` says of `protocol`: the environment, or its
+    error's kind, detail and location, or a bound's message."""
+    try:
+        return print_session_env(project_top(protocol))
+    except ProjectionError as exc:
+        return (exc.kind, exc.detail, exc.location)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def renaming_first_outcome(protocol):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projector, "_kexit_build", renaming_first_build)
+        return located_outcome(protocol)
+
+
+# The exit-only role `a` merges two closed pieces that fail to normalize;
+# the later role `z` merges an `end` with an output.  Each role's merge is
+# checked in its turn, so `a`'s error is the loop's, as it was when the
+# pieces were renamed first.
+EXIT_ROLE_FAILS_FIRST = "loop2 (z -> q : b, z -> q : c) exit (q -> a : m ; a -> r : x, q -> a : m ; a -> r : y)"
+
+
+def test_a_loop_merge_checked_before_renaming_decides_as_after_it(monkeypatch):
+    """`_kexit_build` checks each role's merge before it renames any
+    piece, and so says what it said when it renamed first: the same
+    environment, or an error of the same kind, detail and location, on
+    the random workload's types and their well-formed relaxations, and on
+    random k-exit loops alone, after a `;`, before one and beside an `&`.
+    Among these, many decider assignments fail on root kinds."""
+    loops = [random_loop(i) for i in range(300)]
+    others = [random_global_type(i, 3, 3, 0) for i in range(300)]
+    samples = [
+        g(EXIT_ROLE_FAILS_FIRST),
+        *RANDOM_TYPES,
+        *well_formed_relaxations(RANDOM_TYPES),
+        *loops,
+        *(GSeq(x, loop) for x, loop in zip(others, loops)),
+        *(GSeq(loop, x) for x, loop in zip(others, loops)),
+        *(GBoth(loop, x) for x, loop in zip(others, loops)),
+    ]
+    build, kinds_failed = projector._kexit_build, 0
+
+    def counted_build(*args):
+        nonlocal kinds_failed
+        try:
+            return build(*args)
+        except ProjectionError as exc:
+            kinds_failed += "would have to follow both" in exc.detail
+            raise
+
+    monkeypatch.setattr(projector, "_kexit_build", counted_build)
+    for protocol in samples:
+        assert located_outcome(protocol) == renaming_first_outcome(protocol), print_global_type(protocol)
+    assert kinds_failed > 1000
+    kind, detail, _ = located_outcome(g(EXIT_ROLE_FAILS_FIRST))
+    assert (kind, detail) == (INCOMPATIBLE_MERGE, "role 'a': cannot merge internal choices offering different outputs")
+
+
+@settings(max_examples=150, deadline=None)
+@given(global_types())
+def test_a_loop_merge_checked_before_renaming_decides_as_after_it_on_generated_types(sample):
+    assert located_outcome(sample) == renaming_first_outcome(sample)
 
 
 @settings(max_examples=60, deadline=None)
