@@ -84,7 +84,7 @@ from .syntax import (
     roles_of,
     spine,
 )
-from .tracelang import BudgetExceededError, kexit_unfolding
+from .tracelang import BudgetExceededError
 
 NO_DECISION_MAKER = "NoDecisionMaker"
 INCOMPATIBLE_MERGE = "IncompatibleMerge"
@@ -848,10 +848,19 @@ class _Terms:
                 out.append(node((GEither, node((GSeq, both(x), a)), b)))
                 out.append(node((GEither, node((GSeq, a, both(x))), b)))
             elif k is GKExit:
-                n = len(subs[a]) // 2
-                kids = [self.term(c) for c in subs[a]]
-                out.append(both(self.intern(kexit_unfolding(tuple(kids[:n]), tuple(kids[n:])))))
+                out.append(both(self._unfolding(a)))
         return out
+
+    def _unfolding(self, i: int) -> int:
+        """The id of `(B1;..;Bk)* ; (E1 | B1;E2 | .. | B1;..;B(k-1);Ek)`,
+        which has the traces of the loop `i`, `loopk (B1..Bk) exit
+        (E1..Ek)`, its nodes added in the order `intern` adds those of the
+        term: each arm is built as the `|` spine takes it."""
+        node, subs = self.node, self.subs[i]
+        bodies, exits = subs[: len(subs) // 2], subs[len(subs) // 2 :]
+        rounds = node((GStar, reduce(lambda x, y: node((GSeq, x, y)), bodies)))
+        arms = (reduce(lambda arm, b: node((GSeq, b, arm)), reversed(bodies[:n]), e) for n, e in enumerate(exits))
+        return node((GSeq, rounds, reduce(lambda x, y: node((GEither, x, y)), arms)))
 
 
 def _sequential_rewrites(terms: _Terms, g: int, budget: int) -> Iterator[int]:

@@ -11,17 +11,24 @@ Automata have no epsilon moves, start at state 0 and are trim: every state
 is reachable from state 0 and can reach acceptance.  Compilation builds
 position automata (Berry & Sethi, TCS 1986), which are trim by
 construction and standard (Caron & Ziadi, TCS 2000): no move enters the
-start state.  So `;`, `|` and `*` never copy an operand's start: the
-accepting states of `a` in `a ; b` take the moves of `b`'s start, the
-start of `a` in `a | b` takes them too, and in `a*` the start of `a`
-accepts and every accepting state takes its moves.  The automaton is
-folded bottom-up off an explicit stack (`syntax.fold`), a `;`, `|` or `&`
-spine (`spine`) as one node: `_spine` appends the states of all its
-operands to one list of moves in one pass, and `shuffle_automata` builds
-one product, each numbering states as nested binary calls would.  No
-consumer cleans an automaton up first.  The one automaton that is not trim
-is the one-swap automaton `well_formed` builds for a type that is not well
-formed, which only `includes` reads.
+start state.  So no construction copies an operand's start: each appends
+the states of its parts but their starts to one list of moves (`_append`)
+and gives the moves of each part's start to the states that go on with
+it.  In a `;` spine (`_seq`) these are its junctions, the states reached
+after each operand; in a `|` spine (`_alt`) the start of all.  A loop
+`loopk (B1..Bk) exit (E1..Ek)` (`_loop`) is the `;` spine of its bodies
+with each exit Ei wired into the junction before Bi, and its last
+junction, where a round ends, takes the moves and the acceptance of the
+start; `*` is the loop of one phase whose exit is the empty word.  So
+every part is appended once, and a loop of k phases has one state more
+than its parts have past their starts, not the O(k^2) states of the term
+that unfolds it.  The automaton is folded bottom-up off an explicit stack
+(`syntax.fold`), a `;`, `|` or `&` spine (`spine`) as one node, and
+`shuffle_automata` builds an `&` spine's one product, each numbering
+states as nested binary calls would.  No consumer cleans an automaton up
+first.  The one automaton that is not trim is the one-swap automaton
+`well_formed` builds for a type that is not well formed, which only
+`includes` reads.
 
 Automata stay nondeterministic.  Each keeps the one subset automaton
 (`_Subset`) that all its language questions read, filled in row by row:
@@ -39,9 +46,8 @@ traces are built, in `word_key` order: as a set of words
 (`first_uncovered`, for `verify`).  `count_traces` counts them for
 `simulate` by a dynamic program over the non-zero (length, state) cells,
 and builds only the first few.  Each is budgeted by its work and raises
-`BudgetExceededError` past it, and so is the automaton of a spine, by
-its states: a shuffle product before it builds any, and a `;` or `|`
-spine before it appends the operand that would pass the budget.
+`BudgetExceededError` past it, and so is the automaton of a spine or a
+loop, by its states, counted before any is built.
 
 `minimal_form`, with which `machine` minimizes session machines, merges
 states by Hopcroft partition refinement, in O(m log n) for m moves between
@@ -80,7 +86,6 @@ from .syntax import (
     GAction,
     GBoth,
     GEither,
-    GKExit,
     GlobalType,
     GSeq,
     GSkip,
@@ -219,40 +224,78 @@ def _wire(delta, sources, edges) -> None:
         delta[q] = list(dict.fromkeys(delta[q] + edges))
 
 
-def _spine(autos: list[TraceAutomaton], seq: bool) -> TraceAutomaton:
-    """The automaton of a `;` spine (with `seq`) or a `|` spine whose
-    operands are compiled to `autos`, in one pass: each operand after the
-    first appends its states but its start, which no move enters, to one
-    list of moves, numbered as a left fold of binary steps numbers them.
-    Raises BudgetExceededError, before appending an operand, when the
-    states would pass `DEFAULT_ENUM_CAP`."""
-    delta, accepts = list(autos[0].delta), autos[0].accepts
-    for b in autos[1:]:
-        shift = len(delta) - 1
-        if shift + b.n_states > DEFAULT_ENUM_CAP:
-            raise BudgetExceededError(f"more than {DEFAULT_ENUM_CAP} states in the automaton of a `;` or `|` spine")
-        moves = [[(lab, r + shift) for lab, r in edges] for edges in b.delta]
-        delta += moves[1:]
-        last = frozenset(f + shift for f in b.accepts if f)
-        # in `;` every state accepting so far takes the moves of `b`'s
-        # start, and stays accepting when `b` accepts the empty word; in `|`
-        # the first start, the start of all, takes them
-        _wire(delta, accepts if seq else [0], moves[0])
-        if not seq:
-            accepts = accepts | last | (b.accepts & {0})
-        elif 0 in b.accepts:
-            accepts = accepts | last
-        else:
-            accepts = last
+def _budget(autos: list[TraceAutomaton], what: str) -> None:
+    """Raise BudgetExceededError, before anything is built, when appending
+    `autos`, each but its start, to one start state would pass
+    `DEFAULT_ENUM_CAP` states."""
+    if 1 + sum([len(a.delta) - 1 for a in autos]) > DEFAULT_ENUM_CAP:
+        raise BudgetExceededError(f"more than {DEFAULT_ENUM_CAP} states in the automaton of {what}")
+
+
+def _append(delta, a: TraceAutomaton, sources) -> frozenset[int]:
+    """Append the states of `a` but its start, which no move enters, to
+    `delta`, numbered on from its last state, and give every state in
+    `sources` the moves of `a`'s start; the first part appended to a lone
+    start with no moves is taken as it is.  Returns the accepting states
+    of `a` that were appended, as numbered in `delta`."""
+    shift = len(delta) - 1
+    if not shift:
+        delta[:] = a.delta
+        return a.accepts - {0}
+    moves = [[(lab, r + shift) for lab, r in edges] for edges in a.delta]
+    delta += moves[1:]
+    _wire(delta, sources, moves[0])
+    return frozenset([f + shift for f in a.accepts if f])
+
+
+def _chain(autos: list[TraceAutomaton]) -> tuple[list, list[frozenset[int]]]:
+    """The moves of the `;` spine of `autos`, numbered as a left fold of
+    binary steps numbers them, and its junctions J0 = {0}, J1, .., Ji the
+    states reached after the first i operands: Ji takes the moves of the
+    next operand's start, and holds J(i-1) too when the i-th operand
+    accepts the empty word."""
+    delta, junctions = [[]], [frozenset({0})]
+    for a in autos:
+        last = _append(delta, a, junctions[-1])
+        junctions.append(junctions[-1] | last if 0 in a.accepts else last)
+    return delta, junctions
+
+
+def _seq(autos: list[TraceAutomaton]) -> TraceAutomaton:
+    """The automaton of a `;` spine whose operands are compiled to `autos`."""
+    _budget(autos, "a `;` or `|` spine")
+    delta, junctions = _chain(autos)
+    return TraceAutomaton(delta, junctions[-1])
+
+
+def _alt(autos: list[TraceAutomaton]) -> TraceAutomaton:
+    """The automaton of a `|` spine whose operands are compiled to `autos`:
+    the start of all takes the moves of each operand's start, and accepts
+    when one of them does."""
+    _budget(autos, "a `;` or `|` spine")
+    delta, accepts = [[]], frozenset()
+    for a in autos:
+        accepts |= _append(delta, a, [0]) | (a.accepts & {0})
     return TraceAutomaton(delta, accepts)
 
 
-def _star(a: TraceAutomaton) -> TraceAutomaton:
-    # `a`'s start accepts, and every accepting state of `a` may begin
-    # another round with the moves of `a`'s start
-    delta = list(a.delta)
-    _wire(delta, a.accepts, delta[0])
-    return TraceAutomaton(delta, a.accepts | {0})
+def _loop(bodies: list[TraceAutomaton], exits: list[TraceAutomaton]) -> TraceAutomaton:
+    """The automaton of `loopk (B1..Bk) exit (E1..Ek)` whose bodies and
+    exits are compiled to `bodies` and `exits`, each appended once: the
+    bodies as one `;` spine (`_chain`) with junctions J0..Jk, then each
+    exit Ei, whose start's moves J(i-1) takes; J(i-1) accepts when Ei
+    accepts the empty word.  A finished round is the start again, so Jk
+    takes the start's moves, and accepts when the start does.  `*` is the
+    loop of one phase whose exit is the empty word."""
+    _budget(bodies + exits, "a loop")
+    delta, junctions = _chain(bodies)
+    accepts = frozenset()
+    for before, e in zip(junctions, exits):
+        accepts |= _append(delta, e, before)
+        if 0 in e.accepts:
+            accepts |= before
+    _wire(delta, junctions[-1], delta[0])
+    return TraceAutomaton(delta, accepts | junctions[-1] if 0 in accepts else accepts)
 
 
 def shuffle_automata(*parts: TraceAutomaton) -> TraceAutomaton:
@@ -289,29 +332,11 @@ def shuffle_automata(*parts: TraceAutomaton) -> TraceAutomaton:
     return TraceAutomaton(delta, frozenset(accepts))
 
 
-def kexit_unfolding(
-    bodies: tuple[GlobalType, ...], exits: tuple[GlobalType, ...]
-) -> GlobalType:
-    """loopk (B1..Bk) exit (E1..Ek) has the same traces as
-    (B1;..;Bk)* ; (E1 | B1;E2 | .. | B1;..;B(k-1);Ek)."""
-    arms = []
-    for i, arm in enumerate(exits):
-        for b in reversed(bodies[:i]):
-            arm = GSeq(b, arm)
-        arms.append(arm)
-    return GSeq(GStar(reduce(GSeq, bodies)), reduce(GEither, arms))
-
-
 def _operands(g: GlobalType):
     """What `compile_traces` builds the automaton of `g` from: the
-    operands of a `;`, `|` or `&` spine, a loop's unfolding, or else the
-    immediate subterms."""
+    operands of a `;`, `|` or `&` spine, or else the immediate subterms."""
     k = type(g)
-    if k is GSeq or k is GEither or k is GBoth:
-        return spine(g)
-    if k is GKExit:
-        return (kexit_unfolding(g.bodies, g.exits),)
-    return subterms(g)
+    return spine(g) if k is GSeq or k is GEither or k is GBoth else subterms(g)
 
 
 def _compiled(g: GlobalType, autos: list[TraceAutomaton]) -> TraceAutomaton:
@@ -321,13 +346,16 @@ def _compiled(g: GlobalType, autos: list[TraceAutomaton]) -> TraceAutomaton:
         return _letter(g.interaction)
     if k is GSkip:
         return _empty_word()
-    if k is GSeq or k is GEither:
-        return _spine(autos, k is GSeq)
+    if k is GSeq:
+        return _seq(autos)
+    if k is GEither:
+        return _alt(autos)
     if k is GBoth:
         return shuffle_automata(*autos)
     if k is GStar:
-        return _star(autos[0])
-    return autos[0]  # a loop's, its unfolding's
+        return _loop(autos, [_empty_word()])
+    n = len(g.bodies)
+    return _loop(autos[:n], autos[n:])
 
 
 def compile_traces(g: GlobalType) -> TraceAutomaton:

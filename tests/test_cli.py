@@ -269,18 +269,29 @@ def test_a_long_alternative_decides_in_one_frame(tmp_path, monkeypatch, capsys):
 
 
 def test_a_loop_automaton_is_budgeted_by_its_states(tmp_path, monkeypatch, capsys):
-    """A k-phase loop with one interaction per body and per exit compiles to
-    (k + 1)(k + 2)/2 states: 80,601 at k = 400, which `check` decides, and
-    180,901 at k = 600, which the trace compiler refuses past 100,000, so
-    `check` ends BoundExhausted."""
-    code, report = in_process(monkeypatch, capsys, tmp_path, loopk_text(400), "check")
+    """A k-phase loop with one interaction per body and per exit compiles,
+    each part appended once, to 2k + 1 states: 1,201 at k = 600, which
+    `check` decides under a budget of 1,201, and which the trace compiler
+    refuses under one of 1,200 before it builds any, so `check` ends
+    BoundExhausted on the loop's own message."""
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 1201)
+    code, report = in_process(monkeypatch, capsys, tmp_path, loopk_text(600), "check")
     assert (code, report["well_formed"]) == (0, True)
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 1200)
     code, report = in_process(monkeypatch, capsys, tmp_path, loopk_text(600), "check")
     assert (code, report["error"], report["detail"]) == (
         1,
         "BoundExhausted",
-        "more than 100000 states in the automaton of a `;` or `|` spine",
+        "more than 1200 states in the automaton of a loop",
     )
+
+
+@pytest.mark.parametrize("k", [600, 2000])
+def test_a_long_loop_is_decided(tmp_path, monkeypatch, capsys, k):
+    """A loop grows its automaton by two states a phase, so `check` decides
+    the 600-phase and the 2,000-phase loop under the default budget."""
+    code, report = in_process(monkeypatch, capsys, tmp_path, loopk_text(k), "check")
+    assert (code, report["well_formed"]) == (0, True)
 
 
 @pytest.mark.parametrize(

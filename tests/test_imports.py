@@ -9,7 +9,8 @@ type whole where the parts would do, or orders traces itself, the
 runtime decides liveness in one function only, the projector
 catches no bound, only the command line's `main` writes a report,
 a term's equality and stored slots are defined once per language,
-in the bases of `syntax`, and no function refers to itself but those
+in the bases of `syntax`, the trace compiler calls no constructor of a
+global term, and no function refers to itself but those
 that still recurse, listed to be rewritten off explicit stacks.
 
 The import check covers `mpst/__init__.py` too: the package re-exports
@@ -391,6 +392,39 @@ def test_the_check_sees_a_report_written_outside_main():
 def test_only_main_writes_a_report():
     assert named((PACKAGE / "cli.py").read_text(encoding="utf-8"), REPORT_WRITERS, outside="main") == []
 
+
+
+# The trace compiler builds automata and no terms: a loop compiles as a
+# loop, not as a term that unfolds it, so rewriting terms stays in the
+# modules that own it.
+CONSTRUCTORS = {"GAction", "GSeq", "GBoth", "GEither", "GStar", "GKExit"}
+
+
+def constructor_calls(source: str) -> list[str]:
+    """The calls in `source` of a global-term constructor, by its name or
+    as an attribute, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in CONSTRUCTORS:
+                found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_check_sees_a_constructor_call():
+    source = (
+        "from .syntax import GSeq, GStar\n"
+        "def unfold(b, e):\n    return GSeq(GStar(b), e)\n"
+        "def again(b):\n    return syntax.GKExit((b,), (b,))\n"
+        "def kind(g):\n    return type(g) is GSeq or isinstance(g, GStar)\n"
+    )
+    assert constructor_calls(source) == ["GSeq (line 3)", "GStar (line 3)", "GKExit (line 5)"]
+
+
+def test_the_trace_compiler_builds_no_term():
+    assert constructor_calls((PACKAGE / "tracelang.py").read_text(encoding="utf-8")) == []
 
 # A bound is a `tracelang.BudgetExceededError`, which is a `RuntimeError`.
 BOUND_CATCHERS = {"BudgetExceededError", "RuntimeError", "Exception", "BaseException"}

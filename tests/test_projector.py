@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import kexit_unfolding
 from mpst import projector, verifier
 from mpst.machine import session_type_equal
 from mpst.projector import (
@@ -49,7 +50,7 @@ from mpst.syntax import (
     subterms,
     with_subterms,
 )
-from mpst.tracelang import BudgetExceededError, compile_traces, includes, is_well_formed, kexit_unfolding
+from mpst.tracelang import BudgetExceededError, compile_traces, includes, is_well_formed
 from mpst.verifier import (
     NO_SEQUENTIALITY,
     UNCLASSIFIED,

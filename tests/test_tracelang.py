@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 import time
 from collections import deque
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import parikh, swap_violations, swappable, trace_set
+from oracles import kexit_unfolding, parikh, swap_violations, swappable, trace_set
 from mpst import machine, tracelang
 from mpst.projector import DEFAULT_AND_BUDGET, ProjectionError, _sequential_rewrites, _Terms, project_top
 from mpst.runtime import explore
@@ -24,7 +25,9 @@ from mpst.syntax import (
     GSkip,
     GStar,
     Interaction,
+    fold,
     parse_global_type,
+    postorder,
     print_global_type,
     roles_of,
     spine,
@@ -735,6 +738,72 @@ def test_swap_diamonds_match_one_swap_inclusion_on_random_types(size, roles, sta
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def unfolded(sample):
+    """`sample` with every loop replaced, innermost first, by its
+    unfolding (`oracles.kexit_unfolding`), so that it holds none."""
+
+    def step(t, new):
+        if type(t) is GKExit:
+            return kexit_unfolding(tuple(new[: len(t.bodies)]), tuple(new[len(t.bodies) :]))
+        return with_subterms(t, new)
+
+    return fold(sample, step)
+
+
+def assert_compiles_as_its_unfolding(sample) -> None:
+    a, b = compile_traces(sample), compile_traces(unfolded(sample))
+    assert includes(a, b) is None and includes(b, a) is None
+    assert swap_closed(a) == swap_closed(b)
+
+
+def random_phase(rng: random.Random, depth: int):
+    """A body or exit of `random_loop`: a letter, `skip`, a starred or
+    optional letter, two letters in sequence, or, with `depth` left, a
+    loop."""
+    x, r = GAction(rng.choice(LETTERS)), rng.random()
+    if depth and r < 0.15:
+        return random_loop(rng, depth - 1)
+    if r < 0.3:
+        return GSkip()
+    if r < 0.45:
+        return GStar(x)
+    if r < 0.6:
+        return GEither(x, GSkip())
+    if r < 0.75:
+        return GSeq(x, GAction(rng.choice(LETTERS)))
+    return x
+
+
+def random_loop(rng: random.Random, depth: int):
+    """A loop of one to four phases drawn by `random_phase`."""
+    k = rng.randint(1, 4)
+    return GKExit(tuple(random_phase(rng, depth) for _ in range(k)), tuple(random_phase(rng, depth) for _ in range(k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(global_types())
+def test_a_loop_compiles_to_the_language_of_its_unfolding(sample):
+    """The automaton of each loop of a generated type, built once from its
+    parts, has the language, and so the swap closure, of the term that
+    unfolds it."""
+    assert_compiles_as_its_unfolding(sample)
+
+
+def test_random_loops_compile_to_the_languages_of_their_unfoldings():
+    """1,500 seeded loops, with nullable bodies and exits and loops nested
+    in them, alone or under `;`, `|` and `&`: over 3,000 loops, some
+    accepting the empty word and some not."""
+    rng = random.Random(20261020)
+    count = nullable = 0
+    for _ in range(1500):
+        loop, other = random_loop(rng, 2), random_phase(rng, 1)
+        sample = rng.choice([loop, GSeq(other, loop), GSeq(loop, other), GEither(loop, other), GBoth(loop, other)])
+        assert_compiles_as_its_unfolding(sample)
+        count += sum(type(t) is GKExit for t, _ in postorder(sample))
+        nullable += 0 in compile_traces(loop).accepts
+    assert count > 3000 and 0 < nullable < 1500
+
+
 def renamed(sample, suffix: str):
     """`sample` with `suffix` appended to every role."""
     if type(sample) is GAction:
@@ -931,19 +1000,30 @@ def binary_shuffle(a: TraceAutomaton, b: TraceAutomaton) -> TraceAutomaton:
     return TraceAutomaton(delta, accepts)
 
 
+def reference_star(a: TraceAutomaton) -> TraceAutomaton:
+    """The position automaton of `a*`: `a`'s start accepts, and every
+    accepting state of `a` may begin another round with the moves of `a`'s
+    start."""
+    delta = list(a.delta)
+    tracelang._wire(delta, a.accepts, delta[0])
+    return TraceAutomaton(delta, a.accepts | {0})
+
+
 def binary_compile(sample) -> TraceAutomaton:
     """`compile_traces` with every `&` taken as the binary product of its
-    two sides, as the term nests them, and every `;` or `|` spine as a
-    left fold of its operands, two at a time."""
+    two sides, as the term nests them, every `;` or `|` spine as a left
+    fold of its operands, two at a time, every `*` as `reference_star`
+    builds it, and every loop by `tracelang._loop` on its parts compiled
+    so."""
     if type(sample) is GBoth:
         return binary_shuffle(binary_compile(sample.left), binary_compile(sample.right))
     if type(sample) in (GSeq, GEither):
-        seq = type(sample) is GSeq
-        return functools.reduce(lambda a, b: tracelang._spine([a, b], seq), map(binary_compile, spine(sample)))
+        pair = tracelang._seq if type(sample) is GSeq else tracelang._alt
+        return functools.reduce(lambda a, b: pair([a, b]), map(binary_compile, spine(sample)))
     if type(sample) is GStar:
-        return tracelang._star(binary_compile(sample.body))
+        return reference_star(binary_compile(sample.body))
     if type(sample) is GKExit:
-        return binary_compile(tracelang.kexit_unfolding(sample.bodies, sample.exits))
+        return tracelang._loop(list(map(binary_compile, sample.bodies)), list(map(binary_compile, sample.exits)))
     return compile_traces(sample)
 
 
@@ -997,8 +1077,8 @@ def test_a_shuffle_product_is_budgeted_by_the_states_it_numbers(monkeypatch):
 
 def test_a_spine_automaton_is_budgeted_by_its_states(monkeypatch):
     """A `;` or `|` spine of five letters has 6 states: it compiles under
-    a budget of 6, and appending the fifth letter passes a budget of 5, as
-    does the arms' `|` spine of a 3-phase loop's 10 states under 9."""
+    a budget of 6 and is refused, before any state is built, under a
+    budget of 5, as a 3-phase loop's 7 states are under 6."""
     letters = ["p -> q : a", "p -> q : b", "q -> p : c", "p -> q : d", "q -> p : e"]
     for text in (" ; ".join(letters), " | ".join(letters)):
         monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 6)
@@ -1006,10 +1086,10 @@ def test_a_spine_automaton_is_budgeted_by_its_states(monkeypatch):
         monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 5)
         with pytest.raises(BudgetExceededError, match="more than 5 states in the automaton of a `;` or `|` spine"):
             compile_traces(g(text))
-    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 10)
-    assert compile_traces(g(loopk_text(3))).n_states == 10
-    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 9)
-    with pytest.raises(BudgetExceededError):
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 7)
+    assert compile_traces(g(loopk_text(3))).n_states == 7
+    monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 6)
+    with pytest.raises(BudgetExceededError, match="more than 6 states in the automaton of a loop"):
         compile_traces(g(loopk_text(3)))
 
 
