@@ -28,21 +28,22 @@ rewrites `&` away (serializations first, then distributing rewrites
 breadth-first) and projects the first rewrite that succeeds.  The
 candidates are generated lazily and tried in the order they are generated,
 so none is built after the first that projects.  The search runs over
-hash-consed terms (`_Terms`): each distinct term it meets is one integer
-id in a table of its context, so comparing and deduplicating terms is
+hash-consed terms (`_Terms`) in which a `;`, `|` or `&` node is a whole
+spine: each distinct term is one integer id in a table of its context,
+however its spines are grouped, so comparing and deduplicating terms is
 comparing ints, whether a term holds `&` is a flag of its id, and
 rebuilding a node is one dict lookup; only the candidates projected become
-`GlobalType`s, built from shared subterm objects.  The rewrites of each
-id are computed once per context, however many candidates contain it, and
-so is the projection of each subterm against each environment of closed
-types it meets (outside loop bodies): the candidates share one memo of
-projections, and `project_first` shares it, and the table, across the
-searches of several types, such as the relaxations one `classify` tries.
-The memo and the table are built only once the direct projection has
-failed, so a type that projects directly pays nothing for them.  A
-candidate that only regroups the `;` and `|` spines of one that failed
-fails alike, so it is counted as tried but not projected (see
-`_Terms.canonical`).  Before the search of a type with `&` builds any
+`GlobalType`s, built from shared subterm objects.  The rewrites act on a
+spine's operands, so the parentheses of a type change neither the
+candidates nor their order, and no two candidates are one type grouped two
+ways.  The rewrites of each id are computed once per context, however
+many candidates contain it, and so is the projection of each subterm
+against each environment of closed types it meets (outside loop bodies):
+the candidates share one memo of projections, and `project_first` shares
+it, and the table, across the searches of several types, such as the
+relaxations one `classify` tries.  The memo and the table are built only
+once the direct projection has failed, so a type that projects directly
+pays nothing for them.  Before the search of a type with `&` builds any
 candidate, the parts of the type that no rewrite changes are projected:
 when the tail of its root `;` spine, or the end of a `*` loop's body,
 fails there, every candidate fails, and the search is skipped (see
@@ -52,7 +53,7 @@ fails there, every candidate fails, and the search is skipped (see
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from functools import reduce
 
 from . import machine
@@ -83,6 +84,7 @@ from .syntax import (
     rebuild,
     roles_of,
     spine,
+    subterms,
 )
 from .tracelang import BudgetExceededError
 
@@ -130,7 +132,8 @@ class _Ctx:
     the same name later, since one context serves every candidate of a
     search.  `terms` is the table of hash-consed terms (`_Terms`) that
     every search of the context builds its candidates in, so the searches
-    share their ids and the rewrites of each."""
+    share their ids, one per term however its spines are grouped, and the
+    rewrites of each."""
 
     def __init__(self) -> None:
         self.counter = 0
@@ -491,11 +494,13 @@ def project_top(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> SessionEnv:
     unordered composition, or plain projection fails, the sequential
     rewrites of `g` are tried in the order they are generated and the first
     success wins; the candidates after it are never built.  The candidates
-    share one memo of the projections of their subterms, and a candidate
-    that only regroups the `;` and `|` spines of one that failed is
-    counted as tried but not projected.  A search that
-    parts of `g` no rewrite changes prove hopeless builds no candidate, and
-    its error says "0 candidates tried"."""
+    share one memo of the projections of their subterms.  Direct
+    projection and the search both read each `;`, `|` and `&` spine whole,
+    so every grouping of `g` gives the same environment, or an error of
+    the same kind and detail, candidate count included; only the terms an
+    error prints show their grouping.  A search that parts of `g` no
+    rewrite changes prove hopeless builds no candidate, and its error says
+    "0 candidates tried"."""
     return _project_top(g, budget, _Ctx())
 
 
@@ -535,15 +540,12 @@ def _project_top(g: GlobalType, budget: int, ctx: _Ctx) -> SessionEnv:
                 g,
             ) from None
         tried = 0
-        failed: set[int] = set()  # the canonical ids of the candidates that failed
         for cand in _sequential_rewrites(terms, root, budget):
             tried += 1
-            if failed and terms.canonical(cand) in failed:
-                continue  # it regroups one that failed, and fails alike
             try:
                 return _project_alg(terms.term(cand), cont, ctx)
             except ProjectionError:
-                failed.add(terms.canonical(cand))
+                continue
         if not both:
             raise
         raise ProjectionError(
@@ -564,24 +566,25 @@ def _kept_failure(terms: _Terms, g: int, cont: SessionEnv, ctx: _Ctx) -> str | N
     A term is *kept* (the table's `kept` flag, set when the term is
     added) when `_Terms.rewrites` gives it no rewrite: when neither it nor
     any of its subterms has a root rewrite (`_Terms._root_rewrites`), so
-    it holds no `&`, and no `|` whose sides are equal or are two `;` with
-    equal left sides; nothing inside a kept term is ever rewritten.  The
+    it holds no `&`, and no `|` two of whose `;` operands share their
+    first operand; nothing inside a kept term is ever rewritten.  The
     *kept suffix* of a term is the term itself when it is kept, and
     otherwise the longest run of kept operands that ends its root `;`
-    spine (`spine`; empty when the root is not a `;`).  The candidates
-    are the two serializations and the terms the search reaches from `g`
-    by single rewrites, each at one node of the term.
+    spine (the table's operands of a `;` node; empty when the root is not
+    a `;`).  The candidates are the two serializations and the terms the
+    search reaches from `g` by single rewrites, each at one node of the
+    term.
 
     (A) Kept tail.  Every candidate's root spine ends with the kept
     suffix K of `g`.  No rewrite acts at a `;` node, so one that acts
     inside the root spine acts inside one operand, which is not kept and
-    so lies before K; the new operand's own spine takes the old one's
-    place and K still ends the spine.  A serialization turns each `&`
-    into a `;`, which adds operands in place of one that is not kept.
-    `_project` folds a root spine from its right end, starting from the
-    environment it is given, and `_project_alg` gives every candidate
-    `cont`: so each candidate first projects K against `cont`, and if
-    that raises, so does the candidate.
+    so lies before K; the new operand takes the old one's place, a new
+    `;` spliced in as its operands, and K still ends the spine.  A
+    serialization turns each `&` spine into a `;`, which adds operands in
+    place of one that is not kept.  `_project` folds a root spine from
+    its right end, starting from the environment it is given, and
+    `_project_alg` gives every candidate `cont`: so each candidate first
+    projects K against `cont`, and if that raises, so does the candidate.
 
     (B) Dead loop.  Let L be a `*` loop in `g` and K the kept suffix of
     its body.  Every candidate holds a `*` loop whose body ends with K.
@@ -591,16 +594,17 @@ def _kept_failure(terms: _Terms, g: int, cont: SessionEnv, ctx: _Ctx) -> str | N
     serialization or distribution of `&` (an unrolling of a `*` operand
     keeps the `*` beside its unrolled body, and a `loopk` operand
     unfolds into a term that holds each of its bodies and exits), and
-    the merge or factoring of a `|`.  `_project` visits every subterm
-    of a candidate, short of the bodies of loops with no roles, whose
-    projection never fails.  At the loop, `_kexit` projects the body
-    against fresh unknowns for the loop's roles, whatever follows the
-    loop, without the memo; the body's projection folds K first, and
-    projecting K depends only on the entries of its roles, which are
-    fresh unknowns, and on which of them are equal, not on their names.
-    So if K raises against fresh unknowns here, every candidate raises.
-    A `loopk` gives no such proof, since an `&` above it unfolds it into
-    a different loop with other bodies.
+    the factoring of a `|`.  Splicing a spine into another keeps each
+    operand whole, and a `|` that drops a repeated operand keeps one copy
+    of it.  `_project` visits every subterm of a candidate, short of the
+    bodies of loops with no roles, whose projection never fails.  At the
+    loop, `_kexit` projects the body against fresh unknowns for the
+    loop's roles, whatever follows the loop, without the memo; the body's
+    projection folds K first, and projecting K depends only on the
+    entries of its roles, which are fresh unknowns, and on which of them
+    are equal, not on their names.  So if K raises against fresh unknowns
+    here, every candidate raises.  A `loopk` gives no such proof, since an
+    `&` above it unfolds it into a different loop with other bodies.
 
     Only `ProjectionError` is caught: a bound raised while checking
     propagates, and is never taken for a proof."""
@@ -645,11 +649,11 @@ def _kept_suffix(terms: _Terms, g: int) -> int | None:
         return g
     if terms.kind[g] is not GSeq:
         return None
-    ops = terms.spine(g)
+    ops = terms.subs[g]
     n = len(ops)
     while n and terms.kept[ops[n - 1]]:
         n -= 1
-    return reduce(lambda x, y: terms.node((GSeq, x, y)), ops[n:]) if n < len(ops) else None
+    return terms.node((GSeq, *ops[n:])) if n < len(ops) else None
 
 
 # ---------------------------------------------------------------------------
@@ -659,17 +663,26 @@ def _kept_suffix(terms: _Terms, g: int) -> int | None:
 
 class _Terms:
     """The terms of `&`-elimination searches, hash-consed (Filliâtre and
-    Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006): each
-    distinct term is one integer id, so two terms are equal exactly when
-    their ids are.  A node is found, or added, by its key: its constructor
-    and its children's ids (an interaction's key holds the interaction).
+    Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006) modulo
+    the associativity of `;`, `|` and `&`: each distinct term is one
+    integer id, so two terms are equal exactly when their ids are.  A node
+    is found, or added, by its key: its constructor and its children's ids
+    (an interaction's key holds the interaction).  A `;`, `|` or `&` node
+    is a whole spine, its children the spine's operands: `node` replaces
+    an operand of the node's own kind by its operands, keeps the first of
+    each repeated operand of a `|`, and gives a spine of one operand as
+    that operand.  So every grouping of a term is one id, and a `|` that
+    repeats an operand is the `|` that does not.  The trace semantics
+    makes each of these one language (`|` is union and `&` shuffle), and
+    a search, which reads ids alone, does the same on each.
 
     When an id is added, its constructor (`kind`), its children's ids in
-    `subterms` order (`subs`), whether it holds `&` (`both`) and whether
-    it is kept (`kept`, see `_kept_failure`) are stored with it.  Its
-    `GlobalType` (`term`), its rewrites (`rewrites`) and its canonical id
-    (`canonical`) are computed when first asked for and kept while the
-    table lives, which is one context's life."""
+    order, a loop's bodies first (`subs`), whether it holds `&` (`both`),
+    whether it has a root rewrite (`rooted`: an `&`, or a `|` two of
+    whose `;` operands share their first operand) and whether it is kept
+    (`kept`, see `_kept_failure`) are stored with it.  Its `GlobalType`
+    (`term`) and its rewrites (`rewrites`) are computed when first asked
+    for and kept while the table lives, which is one context's life."""
 
     def __init__(self) -> None:
         self.ids: dict[tuple, int] = {}
@@ -677,41 +690,48 @@ class _Terms:
         self.subs: list[tuple[int, ...]] = []
         self.both: list[bool] = []
         self.kept: list[bool] = []
+        self.rooted: list[bool] = []
         self.terms: dict[int, GlobalType] = {}
         self.rewritten: dict[int, list[int]] = {}
-        self.canon: dict[int, int] = {}
-        self.canons: dict[tuple, int] = {}
 
     def node(self, key: tuple) -> int:
-        """The id of the node whose key is `key`, added if it is new."""
+        """The id of the node whose key is `key`, added if it is new; a
+        spine's key is flattened first."""
         i = self.ids.get(key)
-        return self._add(key) if i is None else i
+        if i is not None:
+            return i
+        k, kind, subs = key[0], self.kind, self.subs
+        if k is GSeq or k is GEither or k is GBoth:
+            ops = [y for c in key[1:] for y in (subs[c] if kind[c] is k else (c,))]
+            flat = (k, *(dict.fromkeys(ops) if k is GEither else ops))
+            if len(flat) == 2:
+                return flat[1]
+            i = None if flat == key else self.ids.get(flat)
+            return self._add(flat) if i is None else i
+        return self._add(key)
 
     def _add(self, key: tuple) -> int:
-        """The id of the new node whose key is `key`, added."""
-        i = self.ids[key] = len(self.kind)
-        k = key[0]
-        subs = () if k is GAction else key[1:]
-        both = k is GBoth
-        kept = not both and not (k is GEither and self._factors(*subs))
-        for c in subs:
+        """The id of the new node whose key, flattened, is `key`, added."""
+        k, kind, subs = key[0], self.kind, self.subs
+        i = self.ids[key] = len(kind)
+        cs = () if k is GAction else key[1:]
+        # a `|` with two `;` operands of one first operand has a factoring
+        firsts = [subs[c][0] for c in cs if kind[c] is GSeq] if k is GEither else ()
+        rooted = k is GBoth or len(firsts) > 1 and len(set(firsts)) < len(firsts)
+        both, kept = k is GBoth, not rooted
+        for c in cs:
             both = both or self.both[c]
             kept = kept and self.kept[c]
-        self.kind.append(k)
-        self.subs.append(subs)
+        kind.append(k)
+        subs.append(cs)
         self.both.append(both)
         self.kept.append(kept)
+        self.rooted.append(rooted)
         return i
 
-    def _factors(self, l: int, r: int) -> bool:
-        """Whether `l | r` has a root rewrite: its sides are equal, or are
-        two `;` with equal left sides."""
-        kind, subs = self.kind, self.subs
-        return l == r or (kind[l] is GSeq and kind[r] is GSeq and subs[l][0] == subs[r][0])
-
     def intern(self, g: GlobalType) -> int:
-        """The id of `g`; each id it adds keeps its subterm of `g` as its
-        term."""
+        """The id of `g`, each spine of `g` read whole (`spine`); each id it
+        adds keeps its subterm of `g` as its term."""
 
         def step(t: GlobalType, ids: list[int]) -> int:
             k = type(t)
@@ -719,77 +739,34 @@ class _Terms:
             self.terms.setdefault(i, t)
             return i
 
-        return fold(g, step)
+        return fold(g, step, lambda t: spine(t) if type(t) in (GSeq, GEither, GBoth) else subterms(t))
 
     def term(self, i: int) -> GlobalType:
-        """The `GlobalType` of id `i`, built from those of its children."""
+        """The `GlobalType` of id `i`, built from those of its children, a
+        spine nested to the left as the parser nests it."""
         terms, kind = self.terms, self.kind
         # every leaf was interned from a term, so only compound nodes are built
         for j, subs in postorder(i, self.subs.__getitem__, done=terms):
             new = [terms[c] for c in subs]
-            if kind[j] is GKExit:
+            k = kind[j]
+            if k is GKExit:
                 n = len(new) // 2
                 terms[j] = GKExit(tuple(new[:n]), tuple(new[n:]))
             else:
-                terms[j] = kind[j](*new)
+                terms[j] = GStar(*new) if k is GStar else reduce(k, new)
         return terms[i]
 
-    def spine(self, i: int) -> list[int]:
-        """The operands, left to right, of the root `;` or `|` spine of
-        id `i`, as `syntax.spine` lists them."""
-        kind, subs, k = self.kind, self.subs, self.kind[i]
-        out, work = [], [i]
-        while work:
-            j = work.pop()
-            if kind[j] is k:
-                work += reversed(subs[j])
-            else:
-                out.append(j)
-        return out
-
-    def canonical(self, i: int) -> int:
-        """An id, in a numbering of its own, that two terms share exactly
-        when they differ at most in how their `;` and `|` spines are
-        grouped: a `;` or `|` node is keyed by its spine's operands, in
-        order, and every other node by its children, each by its
-        canonical id.
-
-        Two such terms project alike: to the same environment, or to
-        errors of the same kind and detail.  `_project` reads a `;` or a
-        `|` node only through `spine`, which lists the operands of the
-        whole spine however it is grouped.  It hands `_alternative` the
-        node and its operands' projections, and `_kexit` the node and a
-        loop's bodies and exits; both read the node only through
-        `roles_of`, which grouping does not change, and as the location of
-        an error.  By induction on the term, its projection against an
-        environment depends only on its canonical id and on the names of
-        the unknowns it draws from the context's counter.  Two twins draw
-        as many, in the same order, so their projections differ at most by
-        a renaming of unknowns, which changes neither a merge nor a
-        normalization, nor whether either fails.  The memo changes no
-        result, only whether one is computed again.  The search drops a
-        candidate's error unread, so a candidate whose canonical id is
-        that of one that failed would fail too, and is not projected."""
-        kind, subs, canon = self.kind, self.subs, self.canon
-
-        def operands(j: int) -> Sequence[int]:
-            return self.spine(j) if kind[j] is GSeq or kind[j] is GEither else subs[j]
-
-        for j, ops in postorder(i, operands, done=canon):
-            key = (kind[j], *map(canon.__getitem__, ops)) if ops else (kind[j], j)
-            canon[j] = self.canons.setdefault(key, len(self.canons))
-        return canon[i]
-
     def serialized(self, i: int, left_first: bool) -> int:
-        """Id `i` with every `&` made a `;`, its left operand first if
-        `left_first`, rebuilt bottom-up (`syntax.fold`) where it holds `&`."""
+        """Id `i` with every `&` spine made a `;` of its operands, in order
+        if `left_first` and else reversed, rebuilt bottom-up (`syntax.fold`)
+        where it holds `&`."""
         kind, subs, both = self.kind, self.subs, self.both
 
         def step(j: int, new: list[int]) -> int:
             if not both[j]:
                 return j
             if kind[j] is GBoth:
-                return self.node((GSeq, *new) if left_first else (GSeq, new[1], new[0]))
+                return self.node((GSeq, *(new if left_first else reversed(new))))
             return self.node((kind[j], *new))
 
         return fold(i, step, lambda j: subs[j] if both[j] else ())
@@ -799,54 +776,68 @@ class _Terms:
         `_root_rewrites`; in context, those of each child in turn, each in
         its place.  A kept id has none.  The rewrites of the ids not seen
         yet are filled in the order `syntax.postorder` lists them."""
-        memo, get, add, kind, subs, kept = self.rewritten, self.ids.get, self._add, self.kind, self.subs, self.kept
+        memo, get, add, node, kind, subs, kept, rooted = (
+            self.rewritten, self.ids.get, self._add, self.node, self.kind, self.subs, self.kept, self.rooted
+        )
         for j, s in postorder(i, lambda j: () if kept[j] else subs[j], done=memo):
-            out = memo[j] = [] if kept[j] else self._root_rewrites(j)  # filled alike if listed twice
+            out = memo[j] = self._root_rewrites(j) if rooted[j] else []  # filled alike if listed twice
             k = kind[j]
+            spliced = k is GSeq or k is GEither or k is GBoth
             for n, x in enumerate(s):
                 head, tail = (k, *s[:n]), s[n + 1 :]
                 for x2 in memo[x]:
-                    key = (*head, x2, *tail)
+                    # a spine takes a new child of its own kind as operands
+                    flat = spliced and kind[x2] is k
+                    key = (*head, *subs[x2], *tail) if flat else (*head, x2, *tail)
                     new = get(key)
-                    out.append(add(key) if new is None else new)
+                    if new is None:
+                        # where a `|` may hold an operand twice, `node` drops it
+                        new = node(key) if k is GEither and (flat or x2 in s) else add(key)
+                    out.append(new)
         return memo[i]
 
     def _root_rewrites(self, i: int) -> list[int]:
-        """The rewrites of id `i` at its root: the serializations and
-        distributions of an `&`, and the merge or factoring of a `|` whose
-        sides are equal or are two `;` with equal left sides."""
+        """The rewrites of the rooted id `i` at its root.  Of an `&`
+        spine: each operand taken first and taken last (`a ; (the rest)`
+        and `(the rest) ; a`), then, for each operand in turn, the `&` of
+        the others distributed into it, in its place: into each operand of
+        a `|`, into each operand of a `;` in turn, into the body of a `*`
+        unrolled once before or after the loop, or into the unfolding of a
+        `loopk`; a `skip` operand is dropped.  Of a `|` spine: each maximal
+        set of `;` operands that share their first operand factored, as one
+        operand where its first member stood."""
         node, kind, subs = self.node, self.kind, self.subs
+        ops = subs[i]
         if kind[i] is GEither:
-            l, r = subs[i]
-            if l == r:
-                return [l]
-            if self._factors(l, r):
-                a, b = subs[l]
-                return [node((GSeq, a, node((GEither, b, subs[r][1]))))]
-            return []
-        if kind[i] is not GBoth:
-            return []
-        l, r = subs[i]
-        out = [node((GSeq, l, r)), node((GSeq, r, l))]
-        for a, b, flip in ((l, r, False), (r, l, True)):
+            firsts: dict[int, list[int]] = {}
+            for x in ops:
+                if kind[x] is GSeq:
+                    firsts.setdefault(subs[x][0], []).append(x)
+            out = []
+            for a, xs in firsts.items():
+                if len(xs) > 1:
+                    factored = node((GSeq, a, node((GEither, *(node((GSeq, *subs[x][1:])) for x in xs)))))
+                    out.append(node((GEither, *(factored if x == xs[0] else x for x in ops if x == xs[0] or x not in xs))))
+            return out
+        rests = [node((GBoth, *ops[:n], *ops[n + 1 :])) for n in range(len(ops))]
+        out = list(dict.fromkeys(x for a, rest in zip(ops, rests) for x in (node((GSeq, a, rest)), node((GSeq, rest, a)))))
+        for n, (a, rest) in enumerate(zip(ops, rests)):
 
             def both(x: int) -> int:
-                return node((GBoth, b, x) if flip else (GBoth, x, b))
+                return node((GBoth, *ops[:n], x, *ops[n + 1 :]))
 
             k = kind[a]
             if k is GSkip:
-                out.append(b)
+                out.append(rest)
             elif k is GEither:
-                x, y = subs[a]
-                out.append(node((GEither, both(x), both(y))))
+                out.append(node((GEither, *map(both, subs[a]))))
             elif k is GSeq:
-                x, y = subs[a]
-                out.append(node((GSeq, both(x), y)))
-                out.append(node((GSeq, x, both(y))))
+                xs = subs[a]
+                out += (node((GSeq, *xs[:m], both(x), *xs[m + 1 :])) for m, x in enumerate(xs))
             elif k is GStar:
                 (x,) = subs[a]
-                out.append(node((GEither, node((GSeq, both(x), a)), b)))
-                out.append(node((GEither, node((GSeq, a, both(x))), b)))
+                out.append(node((GEither, node((GSeq, both(x), a)), rest)))
+                out.append(node((GEither, node((GSeq, a, both(x))), rest)))
             elif k is GKExit:
                 out.append(both(self._unfolding(a)))
         return out
@@ -854,13 +845,11 @@ class _Terms:
     def _unfolding(self, i: int) -> int:
         """The id of `(B1;..;Bk)* ; (E1 | B1;E2 | .. | B1;..;B(k-1);Ek)`,
         which has the traces of the loop `i`, `loopk (B1..Bk) exit
-        (E1..Ek)`, its nodes added in the order `intern` adds those of the
-        term: each arm is built as the `|` spine takes it."""
+        (E1..Ek)`: each arm one `;` spine."""
         node, subs = self.node, self.subs[i]
         bodies, exits = subs[: len(subs) // 2], subs[len(subs) // 2 :]
-        rounds = node((GStar, reduce(lambda x, y: node((GSeq, x, y)), bodies)))
-        arms = (reduce(lambda arm, b: node((GSeq, b, arm)), reversed(bodies[:n]), e) for n, e in enumerate(exits))
-        return node((GSeq, rounds, reduce(lambda x, y: node((GEither, x, y)), arms)))
+        arms = (node((GSeq, *bodies[:n], e)) for n, e in enumerate(exits))
+        return node((GSeq, node((GStar, node((GSeq, *bodies)))), node((GEither, *arms))))
 
 
 def _sequential_rewrites(terms: _Terms, g: int, budget: int) -> Iterator[int]:
@@ -873,7 +862,29 @@ def _sequential_rewrites(terms: _Terms, g: int, budget: int) -> Iterator[int]:
     terms, `g` included: once it has, it stops expanding, and the terms it
     has visited are still yielded.  The rewrites of a term are computed
     once per table and shared by every term of every search that contains
-    it."""
+    it.
+
+    The budget bounds the search's work, not only the terms it keeps.  An
+    `&` spine of n operands has n! serializations, but the search reaches
+    each as a term of its own, one rewrite at a time, and each term it
+    reaches takes a place in the budget.  It expands (asks `rewrites` of)
+    a term only while fewer than `budget` are visited, so it expands at
+    most `budget` terms.  The rewrites of a term t are the root rewrites
+    of its nodes, each in its place.  A spine of n operands, which have m
+    operands of their own in all, has at most 4n + m root rewrites: an
+    `&` at most 2n serializations and, for each operand, one
+    distribution, two for a `*`, or one per operand of a `;`; a `|` at
+    most one factoring per operand.  Any other node has none.  A root
+    rewrite at a node v builds at most as many ids as v has operands and
+    operands' operands, or as a `loopk` operand has arms, and it is one
+    entry, one id, in the list of each node above v.  So a term of s
+    child places, counted once per place, has at most 5s rewrites, and
+    expanding it adds O(s^2) ids to the table, however many orderings its
+    `&` spines have.  For an `&` spine of n interactions, every term the
+    search visits is a `;` of interactions and `&` spines of them, and an
+    expansion adds at most 6n ids: an `&` of k interactions has at most 2k
+    serializations, each adding at most the `&` of the rest, the `;` and
+    its key at the root."""
     both = terms.both
     seen: set[int] = {g}
 

@@ -456,6 +456,38 @@ def test_simulate_accepts_live_sessions(tmp_path):
     assert result.stdout.splitlines()[0] == "Live"
 
 
+# Two groupings of one type each, of a `|` spine and of the `&` spine of
+# `random_global_type(3207, 10, 3)`: an `&` search that rewrites binary
+# nodes projects the first grouping of each and not the second.
+GROUPINGS = [
+    (
+        "(p -> q : m ; q -> r : x | p -> q : m ; q -> r : y) | p -> q : n ; q -> r : w",
+        "p -> q : m ; q -> r : x | (p -> q : m ; q -> r : y | p -> q : n ; q -> r : w)",
+    ),
+    (
+        "(q -> r : c | {q,r} -> p : e) & q -> r : a & q -> p : c",
+        "(q -> r : c | {q,r} -> p : e) & (q -> r : a & q -> p : c)",
+    ),
+]
+
+
+@pytest.mark.parametrize("texts", GROUPINGS, ids=["either", "both"])
+def test_project_decides_every_grouping_alike(tmp_path, texts):
+    """Both groupings project, and `project`, `verify` and `classify` print
+    the same report of each."""
+    path = tmp_path / "g.gt"
+    for command in ("project", "verify", "classify"):
+        outputs = []
+        for text in texts:
+            path.write_text(text + "\n")
+            result = run(command, "--json", str(path))
+            assert (result.returncode, result.stderr) == (0, ""), (command, text)
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1], command
+    if texts[1] == GROUPINGS[1][1]:
+        assert parse_global_type(texts[1]) == verifier.random_global_type(3207, 10, 3)
+
+
 def test_verify_projects_when_no_environment_is_given(sale):
     result = run("verify", sale)
     assert result.returncode == 0

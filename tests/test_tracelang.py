@@ -327,12 +327,12 @@ def candidates(protocol, budget: int = DEFAULT_AND_BUDGET) -> list:
 
 
 def language_question_automata():
-    """Criterion 8's samples and their `&`-elimination candidates compiled,
-    the session automata of the samples that project, the one-swap
-    automata (not trim) of the samples that are not well formed, and the
-    automaton that accepts nothing.  Returns every automaton, and each
+    """Criterion 8's 200 samples and the next 50 of its seeds, and their
+    `&`-elimination candidates, compiled; the session automata of the
+    samples that project, the one-swap automata (not trim) of the samples
+    that are not well formed, and the automaton that accepts nothing.  Returns every automaton, and each
     one-swap automaton paired with the automaton it swaps."""
-    samples = [random_global_type(20260814 + i) for i in range(200)]
+    samples = [random_global_type(20260814 + i) for i in range(250)]
     compiled = [compile_traces(t) for s in samples for t in (s, *candidates(s))]
     sessions, swaps = [], []
     for sample in samples:
@@ -544,8 +544,8 @@ def expanded(auto):
 
 
 def test_refinement_matches_moore_on_criterion_8_automata(monkeypatch):
-    """The subset automata of the samples and of their `&`-elimination
-    candidates, every row computed, and every automaton `type_machine`
+    """The subset automata of criterion 8's 200 samples and the next 50 of
+    its seeds and of their `&`-elimination candidates, every row computed, and every automaton `type_machine`
     minimizes while the samples are projected and checked."""
     sizes = []
 
@@ -555,7 +555,7 @@ def test_refinement_matches_moore_on_criterion_8_automata(monkeypatch):
         return kinds, rows
 
     monkeypatch.setattr(machine, "minimal_form", both_ways)
-    for i in range(200):
+    for i in range(250):
         sample = random_global_type(20260814 + i)
         for term in (sample, *candidates(sample)):
             dfa = expanded(compile_traces(term))
