@@ -10,7 +10,10 @@ bound exhausted), 2 the input could not be parsed or the usage was wrong.
 
 Each command returns its outcome: its report's fields, its text lines,
 and whether it passed.  `main` alone writes it, reports a bound met
-anywhere in a command as BoundExhausted, and picks the exit code.
+anywhere in a command as BoundExhausted, and picks the exit code.  Each
+command imports the layers it runs when it runs, so `check` and `trace`
+load only the parser and the trace compiler, and `simulate` loads no
+projector and no verifier.
 
 File formats: `.gt` files hold one global type, `.mps` files hold one
 session environment (`role : type` lines); both allow `//` comments.
@@ -24,7 +27,7 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from . import projector, runtime, tracelang, verifier
+from . import tracelang
 from .syntax import (
     DuplicateRoleError,
     NotSessionTypeError,
@@ -145,7 +148,7 @@ def _write(value, newline: str, texts: _Encoded, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _projection_failed(exc: projector.ProjectionError, detailed: bool = False):
+def _projection_failed(exc, detailed: bool = False):
     """The outcome of the failed projection `exc`: its kind, and its detail
     and location when `detailed`; the text names all three."""
     fields = {"projected": False, "error": exc.kind}
@@ -203,6 +206,8 @@ def check(path, dot):
 
 def project(path, budget):
     """Project the global type in PATH onto each participant."""
+    from . import projector
+
     g = _load_global(path)
     try:
         env = projector.project_top(g, budget=budget)
@@ -226,6 +231,8 @@ def simulate(path, trace_count, length_bound, buf_bound, depth_bound):
     sample printed is built.  They are counted on the shuffle of the parts
     of one `runtime.explore_parts`, whose subset automaton is the product
     of theirs."""
+    from . import runtime
+
     env = _load_env(path)
     bound = length_bound or 2 * len(env) + 8
     verdict, parts = runtime.explore_parts(runtime.Session(env, buf_bound), depth_bound)
@@ -254,6 +261,8 @@ def verify(gt_path, env_path=None, *, max_len, buf_bound, depth_bound, projectio
 
     With ENV_PATH the environment is read from file, and --budget is a
     usage error; otherwise the global type is projected first."""
+    from . import projector, verifier
+
     if env_path is not None and projection_budget is not None:
         raise argparse.ArgumentError(None, "--budget is read only when ENV_PATH is omitted")
     g = _load_global(gt_path)
@@ -262,7 +271,7 @@ def verify(gt_path, env_path=None, *, max_len, buf_bound, depth_bound, projectio
         env = _load_env(env_path)
     else:
         try:
-            env = projector.project_top(g, budget=projection_budget or projector.DEFAULT_AND_BUDGET)
+            env = projector.project_top(g, budget=projection_budget or tracelang.DEFAULT_AND_BUDGET)
         except projector.ProjectionError as exc:
             return _projection_failed(exc)
     report = verifier.check_preorder(g, env, bound, buf_bound, depth_bound)
@@ -296,6 +305,8 @@ def verify(gt_path, env_path=None, *, max_len, buf_bound, depth_bound, projectio
 
 def classify(path, max_len, buf_bound, depth_bound, budget):
     """Diagnose why the global type in PATH resists projection."""
+    from . import verifier
+
     g = _load_global(path)
     outcome = verifier.classify(g, max_len, buf_bound, depth_bound, budget=budget)
     return (
@@ -335,6 +346,8 @@ def trace(path, dot, max_len):
 def crosscheck(samples, max_size, role_count, star_depth, seed, buf_bound, depth_bound):
     """Cross-check projection soundness/completeness/liveness on random
     global types."""
+    from . import verifier
+
     report = verifier.cross_check_theorems(
         samples, seed, max_size, role_count, star_depth, buf_bound, depth_bound
     )
@@ -363,10 +376,10 @@ _PARAMETERS = {
     "dot": ("--dot", None, None, "Write the trace automaton in DOT format."),
     "max_len": ("--max-len", 1, None, "Trace length bound (default: 2·interactions + 4)."),
     "length_bound": ("--max-len", 1, None, "Trace length bound (default: 2·roles + 8)."),
-    "buf_bound": ("--buf-bound", 1, runtime.DEFAULT_BUF_BOUND, "Buffer capacity per channel (default: %(default)s)."),
-    "depth_bound": ("--depth", 1, runtime.DEFAULT_DEPTH_BOUND, "Configuration exploration bound (default: %(default)s)."),
-    "budget": ("--budget", 1, projector.DEFAULT_AND_BUDGET, "Terms the unordered-composition rewrite search visits, not the candidates tried (default: %(default)s)."),
-    "projection_budget": ("--budget", 1, None, f"As for project, without ENV_PATH only (default: {projector.DEFAULT_AND_BUDGET})."),
+    "buf_bound": ("--buf-bound", 1, tracelang.DEFAULT_BUF_BOUND, "Buffer capacity per channel (default: %(default)s)."),
+    "depth_bound": ("--depth", 1, tracelang.DEFAULT_DEPTH_BOUND, "Configuration exploration bound (default: %(default)s)."),
+    "budget": ("--budget", 1, tracelang.DEFAULT_AND_BUDGET, "Terms the unordered-composition rewrite search visits, not the candidates tried (default: %(default)s)."),
+    "projection_budget": ("--budget", 1, None, f"As for project, without ENV_PATH only (default: {tracelang.DEFAULT_AND_BUDGET})."),
     "trace_count": ("--traces", 0, 10, "How many sample traces to print (default: %(default)s)."),
     "samples": ("--samples", 0, 200, "Number of random global types (default: %(default)s)."),
     "max_size": ("--max-size", 1, 8, "Interactions per sample (default: %(default)s)."),

@@ -17,6 +17,16 @@ States of the machine are hash-consed expressions over term nodes:
   shared inputs with exclusive inputs kept, provided each exclusive input
   is compatible with each part that lacks it.
 
+States are keyed by node identity, so resolution keeps the sharing of
+the term it is given: a subterm that several parents share is one state,
+however many paths reach it, and a term whose continuations are shared
+resolves in the states of its graph, not of the tree it unfolds to.
+Freshening (`_freshen`), which gives each `rec` binder a name of its own
+so that a variable names one binder, renames only on a clash: a term
+whose distinct `rec` nodes have distinct names and whose variables are
+all bound is resolved as it is, and only a term with two `rec` nodes of
+one name is rebuilt, with every binder renamed.
+
 One constructor, `_Resolver._key`, builds both composite keys.  It
 replaces a part that has the key's own tag by that part's parts, and a
 set of one part is that part, so no join has a join part and no merge a
@@ -186,9 +196,46 @@ class _State:
 
 
 def _freshen(t: SessionType) -> tuple[SessionType, dict]:
-    """Rebuild `t` with globally unique recursion-variable names; return the
-    new term and the binder map name -> TRec node.  Binders are numbered in
-    preorder."""
+    """`t` with each `rec` binder named apart, and the binder map name ->
+    TRec node.  When the distinct `rec` nodes of `t` have distinct names
+    and every variable is bound, that is `t` itself, its sharing kept: one
+    walk over its distinct nodes finds each node's free variables once,
+    from its parts', so a shared subterm is walked once.  Otherwise
+    `_renamed` rebuilds it."""
+    binders: dict[str, TRec] = {}
+    free: dict[int, frozenset] = {}  # id of each node walked -> its free variables
+    work = [t]
+    while work:
+        node = work[-1]
+        if id(node) in free:
+            work.pop()
+            continue
+        # a prefix chain down to `end` has no variables and no binders
+        kids = () if getattr(node, "_chain", 0) else parts(node)
+        todo = [kid for kid in kids if id(kid) not in free]
+        if todo:
+            work += todo
+            continue
+        work.pop()
+        k = type(node)
+        if k is TVar:
+            names = frozenset((node.name,))
+        elif k is TRec:
+            if binders.setdefault(node.var, node) is not node:
+                return _renamed(t)
+            names = free[id(node.body)] - {node.var}
+        else:
+            names = frozenset().union(*[free[id(kid)] for kid in kids])
+        free[id(node)] = names
+    if free[id(t)]:
+        return _renamed(t)  # which raises, naming the variable it meets first
+    return t, binders
+
+
+def _renamed(t: SessionType) -> tuple[SessionType, dict]:
+    """`t` rebuilt with its binders named r0, r1, ... in preorder, and the
+    binder map name -> TRec node of the new term; a variable that no `rec`
+    binds raises ValueError."""
     binders: dict[str, TRec] = {}
     numbers = itertools.count()
 

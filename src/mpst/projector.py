@@ -16,12 +16,13 @@ since a spectator's merge may involve the still-open recursion unknowns,
 such merges are deferred (kept as symbolic merge nodes) and resolved by the
 state-machine normalizer once the enclosing recursions are closed.  Each
 loop body is projected once, against fresh unknowns for what follows it;
-every choice of decision roles tried renames those unknowns and assembles
-the recursion from the same projections.  Each role's merge of what it does
-on leaving and on going round is checked first, on the projections as they
-are, so a choice whose merge fails, as most failing choices do on the root
-kinds of the pieces, is rejected before any piece is renamed (see
-`_kexit_build`).
+every choice of decision roles tried takes some of those unknowns as its
+recursion unknowns, renames the others to them (a `*` loop renames none),
+and assembles the recursion from the same projections.  Each role's merge
+of what it does on leaving and on going round is checked first, on the
+projections as they are, so a choice whose merge fails, as most failing
+choices do on the root kinds of the pieces, is rejected before any piece
+is renamed (see `_kexit_build`).
 
 Unordered composition has no projection rule of its own: `project_top`
 rewrites `&` away (serializations first, then distributing rewrites
@@ -86,15 +87,13 @@ from .syntax import (
     spine,
     subterms,
 )
-from .tracelang import BudgetExceededError
+from .tracelang import DEFAULT_AND_BUDGET, BudgetExceededError
 
 NO_DECISION_MAKER = "NoDecisionMaker"
 INCOMPATIBLE_MERGE = "IncompatibleMerge"
 OUTPUT_MISMATCH = "OutputMismatch"
 UNBOUND_CONTINUATION = "UnboundContinuation"
 AND_ELIMINATION_EXHAUSTED = "AndEliminationExhausted"
-
-DEFAULT_AND_BUDGET = 256
 
 _KEXIT_ASSIGNMENT_CAP = 16
 
@@ -376,21 +375,27 @@ def _kexit_build(
     own recursion unknown for every other role.  Each role merges what it
     does on leaving and on going round the phases it does not decide.
 
-    These merges are checked, role by role, on the body projections as
-    they are, before any fresh unknown is drawn or any piece renamed, so
-    an assignment whose merge fails, most often on root kinds, renames
-    nothing.  The check raises the error the renamed merges would.
-    Renaming replaces unknowns with unknowns: it changes neither a piece's
-    root kind (`machine.root_kind` reads no unknown) nor whether the piece
-    is closed, and it leaves a closed piece equal.  Pieces that it makes
-    equal have one root kind, so the kinds named are the same.  A body
-    piece renames to the role's own recursion unknown, which is no piece
-    of its merge, exactly when it is the unknown for what follows the body
-    and the role does not decide the next phase.  So each role's merge
-    fails on its kinds, or on normalizing its pieces when all are closed,
-    exactly when the renamed merge does, and the merge of closed pieces is
-    the renamed one.  When no role fails, only the open pieces and the
-    deciders' pieces are renamed."""
+    No unknown is drawn: each phase's decider unknown is the unknown for
+    what its decider does after the body before it, and each role's
+    recursion unknown is the unknown for what it does after the first body
+    whose next phase it does not decide.  Only the other body unknowns are
+    renamed, each to its role's recursion unknown, so a `*` loop, which
+    has one phase, renames nothing.
+
+    The merges are checked, role by role, on the body projections as they
+    are, before any piece is renamed, so an assignment whose merge fails,
+    most often on root kinds, renames nothing.  The check raises the error
+    the renamed merges would.  Renaming replaces unknowns with unknowns: it
+    changes neither a piece's root kind (`machine.root_kind` reads no
+    unknown) nor whether the piece is closed, and it leaves a closed piece
+    equal.  Pieces that it makes equal have one root kind, so the kinds
+    named are the same.  A body piece renames to the role's own recursion
+    unknown, which is no piece of its merge, exactly when it is the unknown
+    for what follows the body and the role does not decide the next phase.
+    So each role's merge fails on its kinds, or on normalizing its pieces
+    when all are closed, exactly when the renamed merge does, and the merge
+    of closed pieces is the renamed one.  When no role fails, only the open
+    pieces and the deciders' pieces are renamed."""
     k = len(deciders)
 
     def pieces(r: Role, names: dict[str, SessionType] | None = None) -> list[SessionType]:
@@ -410,30 +415,34 @@ def _kexit_build(
         # is never referenced
         merged[r] = _merge_terms(ts, r, g) if ts else TEnd()
 
-    dvar = [ctx.fresh() for _ in range(k)]
-    rvar = {r: ctx.fresh() for r in roles}
-    # the unknowns of all bodies are distinct, so one renaming serves them all
-    names: dict[str, SessionType] = {
-        after[i][r]: TVar(dvar[(i + 1) % k] if r == deciders[(i + 1) % k] else rvar[r])
-        for i in range(k)
-        for r in roles
-    }
+    dvar = [after[i - 1][deciders[i]] for i in range(k)]
+    rvar: dict[Role, str] = {}  # no entry for a role that decides every phase
+    names: dict[str, SessionType] = {}  # one renaming serves all bodies
+    for i in range(k):
+        for r in roles:
+            if r != deciders[(i + 1) % k]:
+                x = rvar.setdefault(r, after[i][r])
+                if x != after[i][r]:
+                    names[after[i][r]] = TVar(x)
     defs: dict[str, SessionType] = {}
     for i in range(k):
         p = deciders[i]
-        go_on, leave = _subst(body_envs[i][p], names), exit_envs[i][p]
+        go_on = _subst(body_envs[i][p], names) if names else body_envs[i][p]
+        leave = exit_envs[i][p]
         defs[dvar[i]] = go_on if go_on == leave else TInternal((go_on, leave))
-    for r in roles:
+    for r, x in rvar.items():
         t = merged[r]
-        defs[rvar[r]] = t if _is_closed(t) else _merge_terms(pieces(r, names), r, g)
+        defs[x] = t if not names or _is_closed(t) else _merge_terms(pieces(r, names), r, g)
 
     result = dict(env)
-    for r in roles:
-        result[r] = _subst(TVar(rvar[r]), defs)
+    for r, x in rvar.items():
+        if r != deciders[0]:
+            result[r] = _subst(TVar(x), defs)
     result[deciders[0]] = _subst(TVar(dvar[0]), defs)
 
+    # outside loop bodies the environment is closed, and so is every result
     for r in roles:
-        if _is_closed(result[r]):
+        if not ctx.loops or _is_closed(result[r]):
             result[r] = _normalized(result[r], r, g)
     return result
 
@@ -442,7 +451,14 @@ def _subst(t: SessionType, defs: dict[str, SessionType]) -> SessionType:
     """`t` with each unknown of `defs` replaced by its definition, in which
     the unknowns are replaced in turn; a definition that refers back to its
     own unknown is bound by `rec` there.  A canonical subterm, being
-    closed, is kept as it is."""
+    closed, is kept as it is.  An unknown whose definition refers to no
+    other unknown of `defs` is its definition, bound by `rec` when it
+    refers to itself, without a walk that rebuilds it."""
+    if type(t) is TVar and t.name in defs:
+        body = defs[t.name]
+        names = free_type_vars(body)
+        if all(x == t.name or x not in defs for x in names):
+            return TRec(t.name, body) if t.name in names else body
 
     def step(node: SessionType, replacing: frozenset, new: list | None):
         # `replacing` holds the unknowns being replaced around `node`

@@ -39,10 +39,7 @@ from typing import Optional
 
 from . import machine as _machine
 from .syntax import Interaction, Role, SessionEnv
-from .tracelang import TraceAutomaton, Word, enumerate_traces
-
-DEFAULT_BUF_BOUND = 4
-DEFAULT_DEPTH_BOUND = 10000
+from .tracelang import DEFAULT_BUF_BOUND, DEFAULT_DEPTH_BOUND, TraceAutomaton, Word, enumerate_traces
 
 Buffer = tuple  # canonical: sorted tuple of ((sender, receiver), (msg, ...))
 

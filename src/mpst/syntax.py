@@ -75,6 +75,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from operator import is_not
 from typing import Sequence, Union
 
 Role = str
@@ -592,20 +593,26 @@ def rebuild(t: SessionType, step, scope) -> SessionType:
     parent passed on (`scope` at the root), which answers the term the
     node becomes, or `(kids, inner)`: the terms to rebuild, each under the
     scope `inner`, that the node is built from.  A node that passes its own
-    scope on is then rebuilt by `with_parts`; one that opens a new scope,
-    such as a binder, is built by `step(node, inner, rebuilt kids)`."""
+    scope on gives its parts as its kids and is then rebuilt by
+    `with_parts`, or returned as it is when each rebuilt part is the part
+    itself, so a rebuild that changes nothing allocates nothing; one that
+    opens a new scope, such as a binder, is built by `step(node, inner,
+    rebuilt kids)`."""
     built: list[SessionType] = []  # rebuilt terms, last built last
     # Terms to rebuild, with their scopes, and nodes to build, with their
-    # inner scopes, how many of the last of `built` they take, and whether
-    # they passed their own scope on.
+    # inner scopes, their kids, and whether they passed their own scope on.
     work: list[tuple] = [(t, scope)]
     while work:
         item = work.pop()
         if len(item) == 4:
-            node, inner, n, same = item
-            n = len(built) - n
+            node, inner, kids, same = item
+            n = len(built) - len(kids)
             new = built[n:]
-            built[n:] = [with_parts(node, new) if same else step(node, inner, new)]
+            if not same:
+                node = step(node, inner, new)
+            elif any(map(is_not, new, kids)):
+                node = with_parts(node, new)
+            built[n:] = [node]
             continue
         node, outer = item
         out = step(node, outer, None)
@@ -613,7 +620,7 @@ def rebuild(t: SessionType, step, scope) -> SessionType:
             built.append(out)
             continue
         kids, inner = out
-        work.append((node, inner, len(kids), inner is outer))
+        work.append((node, inner, kids, inner is outer))
         for kid in reversed(kids):
             work.append((kid, inner))
     return built[0]

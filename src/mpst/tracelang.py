@@ -101,6 +101,13 @@ from .syntax import (
 Word = tuple[Interaction, ...]
 
 DEFAULT_ENUM_CAP = 100000
+# The defaults of the bounds that the runtime (a channel's buffer and the
+# configurations explored) and the projector (the terms the `&` search
+# visits) take.  They are kept here, beside the enumeration cap, so the
+# command line reads them without loading those layers.
+DEFAULT_BUF_BOUND = 4
+DEFAULT_DEPTH_BOUND = 10000
+DEFAULT_AND_BUDGET = 256
 
 
 class BudgetExceededError(RuntimeError):
@@ -219,9 +226,11 @@ def _letter(i: Interaction) -> TraceAutomaton:
 
 def _wire(delta, sources, edges) -> None:
     """Give every state in `sources` the moves `edges` as well.  Each
-    state gets a new list, so `edges` may be one of the lists wired."""
-    for q in sources:
-        delta[q] = list(dict.fromkeys(delta[q] + edges))
+    state gets a new list, so `edges` may be one of the lists wired; with
+    no moves to wire, no list is copied."""
+    if edges:
+        for q in sources:
+            delta[q] = list(dict.fromkeys(delta[q] + edges))
 
 
 def _budget(autos: list[TraceAutomaton], what: str) -> None:
@@ -279,20 +288,22 @@ def _alt(autos: list[TraceAutomaton]) -> TraceAutomaton:
     return TraceAutomaton(delta, accepts)
 
 
-def _loop(bodies: list[TraceAutomaton], exits: list[TraceAutomaton]) -> TraceAutomaton:
+def _loop(bodies: list[TraceAutomaton], exits: list[TraceAutomaton | None]) -> TraceAutomaton:
     """The automaton of `loopk (B1..Bk) exit (E1..Ek)` whose bodies and
     exits are compiled to `bodies` and `exits`, each appended once: the
     bodies as one `;` spine (`_chain`) with junctions J0..Jk, then each
     exit Ei, whose start's moves J(i-1) takes; J(i-1) accepts when Ei
     accepts the empty word.  A finished round is the start again, so Jk
     takes the start's moves, and accepts when the start does.  `*` is the
-    loop of one phase whose exit is the empty word."""
-    _budget(bodies + exits, "a loop")
+    loop of one phase whose exit is the empty word, given as None, which
+    appends and wires nothing: J0 accepts."""
+    _budget(bodies + [e for e in exits if e is not None], "a loop")
     delta, junctions = _chain(bodies)
     accepts = frozenset()
     for before, e in zip(junctions, exits):
-        accepts |= _append(delta, e, before)
-        if 0 in e.accepts:
+        if e is not None:
+            accepts |= _append(delta, e, before)
+        if e is None or 0 in e.accepts:
             accepts |= before
     _wire(delta, junctions[-1], delta[0])
     return TraceAutomaton(delta, accepts | junctions[-1] if 0 in accepts else accepts)
@@ -353,7 +364,7 @@ def _compiled(g: GlobalType, autos: list[TraceAutomaton]) -> TraceAutomaton:
     if k is GBoth:
         return shuffle_automata(*autos)
     if k is GStar:
-        return _loop(autos, [_empty_word()])
+        return _loop(autos, [None])
     n = len(g.bodies)
     return _loop(autos[:n], autos[n:])
 

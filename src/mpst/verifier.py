@@ -26,8 +26,8 @@ import random
 from dataclasses import dataclass
 
 from . import machine as _machine
-from .projector import DEFAULT_AND_BUDGET, ProjectionError, project_first, project_top
-from .runtime import DEFAULT_BUF_BOUND, DEFAULT_DEPTH_BOUND, Live, NotLive, Session, Unknown, explore_parts
+from .projector import ProjectionError, project_first, project_top
+from .runtime import Live, NotLive, Session, Unknown, explore_parts
 from .syntax import (
     GAction,
     GBoth,
@@ -52,6 +52,9 @@ from .syntax import (
     with_subterms,
 )
 from .tracelang import (
+    DEFAULT_AND_BUDGET,
+    DEFAULT_BUF_BOUND,
+    DEFAULT_DEPTH_BOUND,
     BudgetExceededError,
     TraceAutomaton,
     Word,

@@ -1632,11 +1632,14 @@ def test_two_role_types_are_well_formed_without_a_subset_automaton(tmp_path):
 
 def test_a_merge_past_the_resolver_cap_ends_bound_exhausted(tmp_path):
     """`project` on `(p -> q : a | p -> q : b)* ; p -> q : a` followed by 14
-    choices between the same two letters meets a merge with more than
-    20,000 states to resolve.  It reports that bound as BoundExhausted, not
-    as a merge that fails, with nothing on stderr."""
+    choices between the same two letters and a last `p -> q : c` meets a
+    behaviour with more than 20,000 states to resolve: each role's
+    behaviour must know which of the last 15 letters before `c` were `a`,
+    so its minimal machine alone has 2**15 + 1 states, however its terms
+    are shared.  It reports that bound as BoundExhausted, not as a merge
+    that fails, with nothing on stderr."""
     path = tmp_path / "choices.gt"
-    path.write_text("(p -> q : a | p -> q : b)* ; p -> q : a ; " + " ; ".join(["(p -> q : a | p -> q : b)"] * 14))
+    path.write_text("(p -> q : a | p -> q : b)* ; p -> q : a ; " + " ; ".join(["(p -> q : a | p -> q : b)"] * 14) + " ; p -> q : c")
     proc = run_capped("project", str(path), "--json")
     assert (proc.returncode, proc.stderr) == (1, "")
     assert json.loads(proc.stdout) == {
@@ -1644,6 +1647,27 @@ def test_a_merge_past_the_resolver_cap_ends_bound_exhausted(tmp_path):
         "detail": "session type is too large to resolve (more than 20000 states)",
         "error": "BoundExhausted",
         "input": str(path),
+        "schema": 1,
+    }
+
+
+def test_a_merge_that_fails_on_a_shared_continuation_is_decided(tmp_path):
+    """Without the last `c` the input above ends right after its 14
+    choices, so one state of `p` would both end and send: the merge
+    fails.  Resolution keeps the sharing of the projected terms,
+    so it finds that within the bound, where a copy that unshared them
+    met 20,000 states first."""
+    path = tmp_path / "choices.gt"
+    path.write_text("(p -> q : a | p -> q : b)* ; p -> q : a ; " + " ; ".join(["(p -> q : a | p -> q : b)"] * 14))
+    proc = run_capped("project", str(path), "--json")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout) == {
+        "command": "project",
+        "detail": "role 'p': one state mixes end and out behaviours",
+        "error": "IncompatibleMerge",
+        "input": str(path),
+        "location": "(p -> q : a | p -> q : b)*",
+        "projected": False,
         "schema": 1,
     }
 

@@ -15,7 +15,8 @@ that still recurse, listed to be rewritten off explicit stacks.
 
 The import check covers `mpst/__init__.py` too: the package re-exports
 nothing, so each name is imported from the module that defines it, and
-importing one module loads only the modules it imports."""
+importing one module loads only the modules it imports; the command
+line imports a command's layers only when that command runs."""
 
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ def unused_imports(source: str) -> list[str]:
 LOADS = """
 import importlib, json, sys
 loaded = set()
-for name in ("mpst.syntax", "mpst.tracelang"):
+for name in ("mpst.syntax", "mpst.tracelang", "mpst.cli"):
     importlib.import_module(name)
     now = {m for m in sys.modules if m.split(".")[0] == "mpst"}
     print(json.dumps(sorted(now - loaded)))
@@ -62,9 +63,46 @@ for name in ("mpst.syntax", "mpst.tracelang"):
 def test_importing_a_module_loads_only_what_it_needs():
     environment = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run([sys.executable, "-c", LOADS], capture_output=True, text=True, env=environment, check=True)
-    syntax, tracelang = map(json.loads, result.stdout.splitlines())
+    syntax, tracelang, cli = map(json.loads, result.stdout.splitlines())
     assert syntax == ["mpst", "mpst.syntax"]
     assert tracelang == ["mpst.tracelang"]
+    assert cli == ["mpst.cli"]
+
+
+# Runs one command through `mpst.cli.main` in a fresh interpreter and
+# prints the `mpst` modules loaded when it exits.
+RUNS = """
+import json, sys
+from mpst import cli
+sys.argv = ["mpst", *sys.argv[1:]]
+try:
+    cli.main()
+except SystemExit:
+    pass
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "mpst")))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("check", ["syntax", "tracelang"]),
+        ("trace", ["syntax", "tracelang"]),
+        ("simulate", ["machine", "runtime", "syntax", "tracelang"]),
+        ("project", ["machine", "projector", "syntax", "tracelang"]),
+        ("classify", ["machine", "projector", "runtime", "syntax", "tracelang", "verifier"]),
+    ],
+)
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, loaded):
+    path = tmp_path / ("env.mps" if command == "simulate" else "protocol.gt")
+    path.write_text("p : q!a.end\nq : p?a.end\n" if command == "simulate" else "p -> q : a\n")
+    environment = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", RUNS, command, str(path), "--json"], capture_output=True, text=True, env=environment, check=True
+    )
+    *report, modules = result.stdout.splitlines()
+    assert json.loads("\n".join(report))["command"] == command
+    assert json.loads(modules) == ["mpst", "mpst.cli", *(f"mpst.{m}" for m in loaded)]
 
 
 def test_the_check_sees_an_unused_import():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import os
 import re
 import subprocess
@@ -624,3 +625,133 @@ def test_a_merge_past_a_long_input_chain_is_refused_without_recursing():
         merge(t("p?a.end"), t(f"{chain}.p?a.end"))
     assert err.value.kind == INCOMPATIBLE_MERGE
     assert "input of 'a' from {p} cannot be merged: " in str(err.value)
+
+
+# --- freshening: the term itself unless its binders clash ------------------
+
+
+def rebuilding_freshen(ty):
+    """The freshening that copied every term whole: each binder renamed
+    r0, r1, ... in preorder, every variable renamed with it, and a
+    variable that no `rec` binds refused.  The copy unshares every
+    subterm that two parents share."""
+    binders, numbers = {}, itertools.count()
+
+    def copy(node, names):
+        if type(node) is TVar:
+            if node.name not in names:
+                raise ValueError(f"unbound recursion variable {node.name!r}")
+            return TVar(names[node.name])
+        if type(node) is TRec:
+            name = f"r{next(numbers)}"
+            rec = binders[name] = TRec(name, copy(node.body, names | {node.var: name}))
+            return rec
+        return with_parts(node, [copy(x, names) for x in parts(node)])
+
+    return copy(ty, {}), binders
+
+
+def test_freshening_keeps_a_term_whose_binders_are_distinct_and_bound():
+    loop = TRec("X", TOut("p", "a", TVar("X")))
+    inner = TRec("Y", TInternal((TOut("q", "b", TVar("X")), TOut("q", "c", TVar("Y")))))
+    nested = TRec("X", TOut("p", "a", inner))
+    shared = TInternal((TOut("q", "a", loop), TOut("q", "b", loop)))
+    for ty in (loop, nested, shared):
+        assert machine._freshen(ty)[0] is ty
+    assert machine._freshen(nested)[1] == {"X": nested, "Y": inner}
+    # one `rec` node reached twice is one binder
+    assert machine._freshen(shared)[1]["X"] is loop
+
+
+def test_freshening_renames_binders_that_two_rec_nodes_share():
+    ty = TInternal((TOut("q", "a", t("rec X . p!a.X")), TOut("q", "b", t("rec X . p!b.X"))))
+    fresh, binders = machine._freshen(ty)
+    assert fresh is not ty
+    assert print_session_type(fresh) == "q!a.(rec r0 . p!a.r0) (+) q!b.(rec r1 . p!b.r1)"
+    assert sorted(binders) == ["r0", "r1"]
+    assert (fresh, binders) == rebuilding_freshen(ty)
+
+
+# bound on the first path to it, free on the second
+SHARED_OPEN = TOut("p", "a", TVar("X"))
+
+
+@pytest.mark.parametrize(
+    "ty",
+    [
+        TOut("p", "a", TVar("X")),
+        TInternal((TOut("q", "a", TRec("X", SHARED_OPEN)), TOut("q", "b", SHARED_OPEN))),
+        TInternal((TOut("q", "a", t("rec X . p!a.X")), TOut("q", "b", TVar("Y")))),
+    ],
+)
+def test_freshening_refuses_an_unbound_variable_as_the_copy_did(ty):
+    with pytest.raises(ValueError) as expected:
+        rebuilding_freshen(ty)
+    with pytest.raises(ValueError) as refused:
+        machine._freshen(ty)
+    assert str(refused.value) == str(expected.value)
+    assert str(refused.value).startswith("unbound recursion variable")
+
+
+def normalized_outcome(ty):
+    try:
+        return print_session_type(normalize_session_type(ty))
+    except (ValueError, BudgetExceededError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_normalizes_as_the_copy_did(ty):
+    """`normalize_session_type(ty)` is what it was when freshening copied
+    the term: the same canonical form, or the same error."""
+    kept = normalized_outcome(ty)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(machine, "_freshen", rebuilding_freshen)
+        assert normalized_outcome(ty) == kept, print_session_type(ty)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(chains(), session_terms()))
+def test_generated_terms_normalize_as_with_a_copying_freshening(ty):
+    assert_normalizes_as_the_copy_did(ty)
+
+
+def test_projected_terms_normalize_as_with_a_copying_freshening(monkeypatch):
+    """Every term that projection normalizes, on the random workload's
+    types, their well-formed relaxations and the corpus, normalizes as it
+    did when freshening copied it."""
+    from test_projector import RANDOM_TYPES, well_formed_relaxations
+
+    normalize, seen = machine.normalize_session_type, []
+
+    def kept(ty):
+        seen.append(ty)
+        return normalize(ty)
+
+    monkeypatch.setattr(machine, "normalize_session_type", kept)
+    for protocol in [*RANDOM_TYPES, *well_formed_relaxations(RANDOM_TYPES), *map(parse_global_type, CORPUS_GLOBAL)]:
+        try:
+            project_top(protocol)
+        except (ProjectionError, BudgetExceededError):
+            pass
+    monkeypatch.undo()
+    resolved_terms = [ty for ty in seen if not machine.is_canonical(ty)]
+    assert len(resolved_terms) > 400
+    for ty in resolved_terms:
+        assert_normalizes_as_the_copy_did(ty)
+
+
+@pytest.mark.parametrize("choice, prefix", [(TInternal, functools.partial(TOut, "q")), (TMerge, functools.partial(TIn, frozenset("q")))])
+def test_choices_that_share_a_continuation_resolve_in_linear_states(choice, prefix):
+    """n choices in a row, both branches of each going on to the next
+    choice, are one term of 3n + 3 nodes that unfolds to a tree of 2**n
+    leaves.  States are keyed by node, so n = 40 resolves in O(n) states,
+    far below the cap that the unfolded tree would pass."""
+    n = 40
+    ty = TRec("X", prefix("z", TVar("X")))
+    for _ in range(n):
+        ty = choice((prefix("a", ty), prefix("b", ty)))
+    assert machine._freshen(ty)[0] is ty
+    r = machine._Resolver(ty)
+    r.prepare()
+    assert len(r.states) <= 3 * n + 2
+    assert len(type_machine(ty).kinds) == n + 1
