@@ -20,7 +20,13 @@ States of the machine are hash-consed expressions over term nodes:
 States are keyed by node identity, so resolution keeps the sharing of
 the term it is given: a subterm that several parents share is one state,
 however many paths reach it, and a term whose continuations are shared
-resolves in the states of its graph, not of the tree it unfolds to.
+resolves in the states of its graph, not of the tree it unfolds to.  A
+`rec` node is keyed as its body and a variable as its binder's body
+(`_Resolver._pkey`), so a variable is its binder's state and never a
+second state of the behaviour it names; a walk from a variable that
+meets only binders and variables has come round an unguarded loop, and
+keys the variable itself, whose closure finds no prefix and raises as
+before.
 Freshening (`_freshen`), which gives each `rec` binder a name of its own
 so that a variable names one binder, renames only on a clash: a term
 whose distinct `rec` nodes have distinct names and whose variables are
@@ -49,8 +55,8 @@ roles follows the proof):
   has the same branches everywhere and minimizes to the same machine.
 * Compatibility.  Each state on a path from ``x ⊓ y`` offers the union
   of what its parts offer, so a path from ``x ⊓ y`` is a path from ``x``
-  or from ``y``, and `_compatible(p, a, x ⊓ y)` holds iff it holds for
-  ``x`` and for ``y``.  An exclusive input from one role ``p`` of a
+  or from ``y``, and a message ``a`` from ``p`` is compatible with ``x ⊓
+  y`` iff it is with ``x`` and with ``y``.  An exclusive input from one role ``p`` of a
   grouping ``L ⊓ R`` is then compatible with ``R`` iff it is with each
   part of ``R``.  Each ordered pair of distinct parts is split by some
   grouping node, between a side that has the input and one that lacks
@@ -85,14 +91,42 @@ with a 'end' behaviour", as the left-nested grouping ``(out ⊓ end) ⊓
 in`` does, where the grouping ``out ⊓ (end ⊓ in)`` named "a 'end'
 behaviour with a 'in' behaviour".
 
+A state's successors come from one pass: the pass of `kind_keys` that
+reads a key's closure (its atoms and sub-merges), or a merge's parts, to
+find its kind also groups them by branch key, and `target` computes each
+successor from its group, once per state and branch key, where it
+rescanned every atom and part for each key.  The groups keep the order of
+the parts, and each successor is first computed when the rescan first
+computed it, so every key is built from the same parts in the same order.
+
+Merge compatibility is decided by index (`_Resolver._merge_passes`), and
+only a merge that fails runs the ordered pairwise scan, which names the
+fault.  By the proof above the set passes iff every ordered pair ``(x,
+y)`` does: every input ``(ps, a)`` of ``x`` that ``y`` lacks is
+compatible with ``y`` for some role of ``ps``.  Let ``C(y, r)`` be the
+messages that ``y`` can consume from ``r``, the inputs from partners that
+include ``r`` on a path from ``y`` that takes no such input (so ``a``
+from ``r`` is compatible with ``y`` iff ``a`` is not in ``C(y, r)``).  A
+pair fails iff some input ``(ps, a)`` of ``x`` that ``y`` lacks has ``a``
+in ``C(y, r)`` for every ``r`` of ``ps``, and an input that ``y`` lacks
+is another part's as soon as any part has it.  So the set fails iff a
+part ``y`` lacks an input that another part has and can consume its
+message from each of its partners.  `_merge_passes` walks each part once
+per partner role of the inputs some part lacks, and looks up only the
+inputs whose message a walk found, so a merge of n parts costs O(n) walks
+where the scan made n(n-1) checks.
+
 Merges are evaluated coinductively: the memo table realizes the greatest
 fixpoint, so recursive types whose merge only closes through a loop (the
 deferred merges produced when projecting nested iterations) resolve here.
 A merge whose kind depends on itself before crossing a prefix cannot be
 resolved and fails conservatively.  Resolution is budgeted by its work as
 well as by its size: past `_STATE_CAP` states or `_STEP_CAP` successor
-computations it raises `tracelang.BudgetExceededError`, a bound and not a
-finding about the type.  It visits branch keys in canonical order and the
+computations (one per state and branch key) it raises
+`tracelang.BudgetExceededError`, a bound and not a finding about the type.
+So does a read-back past `_READBACK_CAP` term nodes: a canonical term
+reads a state back once per path to it, and can be exponentially larger
+than its machine.  It visits branch keys in canonical order and the
 parts of a join or a merge in the order first met, so the fault it
 reports for a type with several does not depend on hash order.
 
@@ -111,7 +145,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .syntax import (
@@ -140,6 +174,9 @@ _STATE_CAP = 20000
 # states can grow ever more costly to reach while their number stays small,
 # and the state count alone does not bound the work.
 _STEP_CAP = 10 * _STATE_CAP
+# Term nodes one read-back may build.  A canonical term reads a state back
+# once per path to it, so its size can be exponential in its machine's.
+_READBACK_CAP = 50 * _STATE_CAP
 
 
 class MergeError(NotSessionTypeError):
@@ -176,17 +213,6 @@ def _bk_order(bk: tuple):
     if bk[0] == "out":
         return (0, bk[2], (bk[1],))
     return (1, bk[2], tuple(sorted(bk[1])))
-
-
-@dataclass(slots=True)
-class _Closure:
-    """What a state offers without crossing a prefix: immediate atoms,
-    opaque sub-behaviours (merges), and the choice nodes crossed.  An atom
-    is a prefix's (branch key, continuation), or ``((END,), None)``."""
-
-    atoms: list = field(default_factory=list)
-    subs: list = field(default_factory=list)
-    flavors: list = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -262,18 +288,37 @@ class _Resolver:
     def __init__(self, t: SessionType):
         self.term, self.binders = _freshen(t)
         self.nodes: dict[int, SessionType] = {}
-        self.closures: dict[tuple, _Closure] = {}
+        self.flavors: list[tuple] = []  # (kind, branch keys) of each choice met, in order
         self.kk: dict[tuple, tuple] = {}  # key -> (kind, frozenset of branch keys)
         self.kk_busy: set[tuple] = set()
         self.parts: dict[tuple, tuple] = {}  # merge or join key -> its parts, first seen order
         self.merges: list[tuple] = []  # merge keys, in the order their kinds resolved
         self.states: dict[tuple, _State] = {}
-        self.steps = 0  # calls of `target`, budgeted by _STEP_CAP
+        self.index: dict[tuple, dict] = {}  # key -> its index, made with its kind (see kind_keys)
+        self.moves: dict[tuple, dict] = {}  # key -> branch key -> successor key, as computed
+        self.steps = 0  # successor computations, budgeted by _STEP_CAP
+        self.consumed: dict[tuple, set] = {}  # (role, built key) -> what the key can consume from it
         self.root_key = self._pkey(self.term)
 
     # -- state expression keys ------------------------------------------
 
     def _pkey(self, node: SessionType) -> tuple:
+        """The key of the behaviour of `node`.  A `rec` is its body, and a
+        variable its binder's body, so neither is a state of its own.  A
+        walk that passes each binder and each variable once without meeting
+        another node has come round an unguarded loop (`rec X . X`): it
+        keys `node` itself, whose closure finds no prefix and raises."""
+        start = node
+        for _ in range(2 * len(self.binders) + 1):
+            k = type(node)
+            if k is TRec:
+                node = node.body
+            elif k is TVar:
+                node = self.binders[node.name]
+            else:
+                break
+        else:
+            node = start
         self.nodes[id(node)] = node
         return ("p", id(node))
 
@@ -296,11 +341,13 @@ class _Resolver:
 
     # -- epsilon closure --------------------------------------------------
 
-    def _close(self, key: tuple) -> _Closure:
-        cached = self.closures.get(key)
-        if cached is not None:
-            return cached
-        cl = _Closure()
+    def _close(self, key: tuple) -> tuple[list, list]:
+        """What the behaviour `key` offers without crossing a prefix: its
+        atoms, each a prefix's (branch key, continuation) or ``((END,),
+        None)``, and its opaque sub-behaviours (merges), each in the order
+        met.  The choice nodes it crosses join `self.flavors`."""
+        atoms: list = []
+        subs: list = []
         seen: set = set()
         # State keys (tuples) and term nodes still to visit, next one last:
         # a depth-first walk in the order of the branches.
@@ -312,7 +359,7 @@ class _Resolver:
                     continue
                 seen.add(item)
                 if item[0] == "m":
-                    cl.subs.append(item)
+                    subs.append(item)
                 elif item[0] == "j":
                     work.extend(reversed(self.parts[item]))
                 else:
@@ -322,40 +369,37 @@ class _Resolver:
             if nid in seen:
                 continue
             seen.add(nid)
-            match item:
-                case TEnd():
-                    cl.atoms.append(((END,), None))
-                case TOut(q, a, c):
-                    cl.atoms.append(((OUT, q, a), c))
-                case TIn(ps, a, c):
-                    cl.atoms.append(((IN, ps, a), c))
-                case TInternal(bs):
-                    cl.flavors.append((OUT, tuple(self._pkey(b) for b in bs)))
-                    work.extend(reversed(bs))
-                case TExternal(bs):
-                    cl.flavors.append((IN, tuple(self._pkey(b) for b in bs)))
-                    work.extend(reversed(bs))
-                case TRec(_, b):
-                    work.append(b)
-                case TVar(x):
-                    work.append(self.binders[x])
-                case TMerge(bs):
-                    # an operand that is a merge under `rec` binders stands
-                    # for the operands of that merge
-                    ops, todo = [], list(reversed(bs))
-                    while todo:
-                        b = inner = todo.pop()
-                        while type(inner) is TRec:
-                            inner = inner.body
-                        if type(inner) is TMerge:
-                            todo += reversed(inner.branches)
-                        else:
-                            ops.append(b)
-                    cl.subs.append(self._key("m", map(self._pkey, ops)))
-                case _:
-                    raise TypeError(f"not a session type: {item!r}")
-        self.closures[key] = cl
-        return cl
+            k = type(item)
+            if k is TOut:
+                atoms.append(((OUT, item.partner, item.message), item.cont))
+            elif k is TIn:
+                atoms.append(((IN, item.partners, item.message), item.cont))
+            elif k is TEnd:
+                atoms.append(((END,), None))
+            elif k is TInternal or k is TExternal:
+                bs = item.branches
+                self.flavors.append((OUT if k is TInternal else IN, tuple(map(self._pkey, bs))))
+                work.extend(reversed(bs))
+            elif k is TRec:
+                work.append(item.body)
+            elif k is TVar:
+                work.append(self.binders[item.name])
+            elif k is TMerge:
+                # an operand that is a merge under `rec` binders stands
+                # for the operands of that merge
+                ops, todo = [], list(reversed(item.branches))
+                while todo:
+                    b = inner = todo.pop()
+                    while type(inner) is TRec:
+                        inner = inner.body
+                    if type(inner) is TMerge:
+                        todo += reversed(inner.branches)
+                    else:
+                        ops.append(b)
+                subs.append(self._key("m", map(self._pkey, ops)))
+            else:
+                raise TypeError(f"not a session type: {item!r}")
+        return atoms, subs
 
     # -- kinds and branch keys ---------------------------------------------
 
@@ -369,35 +413,40 @@ class _Resolver:
                 "before any prefix"
             )
         self.kk_busy.add(key)
+        # per branch key, what the successor by it is made of: the parts of
+        # the atoms' continuations, then the parts or sub-merges that have it
+        index: dict[tuple, tuple] = {}
         try:
             if key[0] == "m":
                 # a part's kind is found only when it is compared, so the first
                 # fault met left to right is named, as a left-nested grouping does
-                ps = iter(self.parts[key])
-                kind, keys = self.kind_keys(next(ps))
-                for k, ks in map(self.kind_keys, ps):
-                    if k != kind:
+                kind = None
+                for p in self.parts[key]:
+                    k, ks = self.kind_keys(p)
+                    if kind is None:
+                        kind, keys = k, ks
+                    elif k != kind:
                         raise MergeError(
                             f"cannot merge a {kind!r} behaviour with a {k!r} behaviour"
                         )
-                    if kind == OUT and ks != keys:
+                    elif kind == OUT and ks != keys:
                         raise MergeError(
                             "cannot merge internal choices offering different outputs"
                         )
-                    keys |= ks
-                result = (kind, keys)
+                    for bk in ks:
+                        index.setdefault(bk, ([], []))[1].append(p)
             else:
-                cl = self._close(key)
+                atoms, subs = self._close(key)
                 kinds: set[str] = set()
-                keys: set[tuple] = set()
-                for bk, _ in cl.atoms:
+                for bk, c in atoms:
                     kinds.add(bk[0])
-                    if bk[0] != END:
-                        keys.add(bk)
-                for sub in cl.subs:
+                    if c is not None:  # `end` has no successor
+                        index.setdefault(bk, ([], []))[0].append(self._pkey(c))
+                for sub in subs:
                     ks, sks = self.kind_keys(sub)
                     kinds.add(ks)
-                    keys |= sks
+                    for bk in sks:
+                        index.setdefault(bk, ([], []))[1].append(sub)
                 if not kinds:
                     raise UnguardedRecursionError(
                         "behaviour loops without any input or output"
@@ -406,9 +455,11 @@ class _Resolver:
                     raise NotSessionTypeError(
                         f"one state mixes {' and '.join(sorted(kinds))} behaviours"
                     )
-                result = (kinds.pop(), frozenset(keys))
+                kind = kinds.pop()
         finally:
             self.kk_busy.discard(key)
+        result = (kind, frozenset(index))
+        self.index[key] = index
         self.kk[key] = result
         if key[0] == "m":
             self.merges.append(key)
@@ -417,23 +468,21 @@ class _Resolver:
     # -- successor states ---------------------------------------------------
 
     def target(self, key: tuple, bk: tuple) -> tuple:
+        """The successor of `key` by its branch key `bk`, computed once."""
+        moves = self.moves.setdefault(key, {})
+        t = moves.get(bk)
+        if t is not None:
+            return t
         self.steps += 1
         if self.steps > _STEP_CAP:
             raise BudgetExceededError(
                 "session type is too large to resolve "
                 f"(more than {_STEP_CAP} resolution steps)"
             )
-        if key[0] == "m":
-            return self._key(
-                "m", [self.target(p, bk) for p in self.parts[key] if bk in self.kind_keys(p)[1]]
-            )
-        cl = self._close(key)
-        parts = [self._pkey(c) for k, c in cl.atoms if k == bk]
-        for sub in cl.subs:
-            _, sks = self.kind_keys(sub)
-            if bk in sks:
-                parts.append(self.target(sub, bk))
-        return self._key("j", parts)
+        atoms, subs = self.index[key][bk]
+        succ = [self.target(sub, bk) for sub in subs]
+        t = moves[bk] = self._key("m", succ) if key[0] == "m" else self._key("j", atoms + succ)
+        return t
 
     # -- construction ---------------------------------------------------------
 
@@ -444,7 +493,9 @@ class _Resolver:
             if k in self.states:
                 continue
             kind, keys = self.kind_keys(k)
-            branches = {bk: self.target(k, bk) for bk in sorted(keys, key=_bk_order)}
+            if len(keys) > 1:
+                keys = sorted(keys, key=_bk_order)
+            branches = {bk: self.target(k, bk) for bk in keys}
             self.states[k] = _State(kind, branches)
             _check_size(len(self.states))
             work.extend(branches.values())
@@ -452,28 +503,29 @@ class _Resolver:
     def prepare(self) -> None:
         """Build and validate the full state graph.  Each merge is checked
         once, in the order its kind resolved: building its parts may
-        resolve more merges, which join the end of `self.merges`."""
+        resolve more merges, which join the end of `self.merges`.  An input
+        merge that fails its index check is scanned pair by pair, which
+        names its first failing pair."""
         self._build_from(self.root_key)
         for mk in self.merges:
             ps = self.parts[mk]
             for p in ps:
                 self._build_from(p)
-            if self.kk[mk][0] == IN:
+            if self.kk[mk][0] == IN and not self._merge_passes(ps):
                 for x, y in itertools.permutations(ps, 2):
                     self._check_merge_compat(x, y)
         for key, st in list(self.states.items()):
             self._check_input_determinism(st)
-        for cl in list(self.closures.values()):
-            for flavor, opkeys in cl.flavors:
-                for ok in opkeys:
-                    k, _ = self.kind_keys(ok)
-                    if k != flavor:
-                        what = (
-                            "an internal choice branch must be an output"
-                            if flavor == OUT
-                            else "an external choice branch must be an input"
-                        )
-                        raise NotSessionTypeError(what)
+        for flavor, opkeys in list(self.flavors):
+            for ok in opkeys:
+                k, _ = self.kind_keys(ok)
+                if k != flavor:
+                    what = (
+                        "an internal choice branch must be an output"
+                        if flavor == OUT
+                        else "an external choice branch must be an input"
+                    )
+                    raise NotSessionTypeError(what)
 
     def _check_input_determinism(self, st: _State) -> None:
         """Raises NotSessionTypeError when two inputs of `st` take one
@@ -482,6 +534,8 @@ class _Resolver:
         clash, so each input is compared only with the later inputs of its
         own message."""
         ins = [bk for bk in st.branches if bk[0] == IN]
+        if len(ins) < 2:
+            return
         later: dict[str, deque] = {}
         for _, ps, a in ins:
             later.setdefault(a, deque()).append(ps)
@@ -503,31 +557,65 @@ class _Resolver:
         _, sky = self.kind_keys(y)
         for bk in sorted(skx - sky, key=_bk_order):
             _, partners, message = bk
-            if not any(self._compatible(p, message, y) for p in partners):
+            if all(message in self._consumed(p, y) for p in partners):
                 raise MergeError(
                     f"input of {message!r} from "
                     f"{{{','.join(sorted(partners))}}} cannot be merged: "
                     "the other behaviour may consume it elsewhere"
                 )
 
-    def _compatible(self, p: Role, a: str, key: tuple) -> bool:
-        """Whether a message `a` from `p` cannot be consumed from the built
-        state `key` on: no path from `key` reaches an input of `a` from
-        partners that include `p`, where a path follows every branch but
-        the inputs from partners that include `p`.  One depth-first walk
-        over the built states, off an explicit stack, so each question
-        costs one pass over what `key` reaches."""
+    def _merge_passes(self, ps: tuple) -> bool:
+        """Whether every ordered pair of the built input parts `ps` passes
+        `_check_merge_compat`, decided by index: a part fails iff it lacks
+        an input that another part has and can consume its message from
+        each of its partners.  Each part is walked once per partner role of
+        the inputs that some part lacks, and only what a walk finds is
+        looked up, so a merge of n parts costs O(n) walks, not n(n-1)."""
+        n = len(ps)
+        held: dict[tuple, int] = {}  # input branch key -> parts that have it
+        for p in ps:
+            for bk in self.kk[p][1]:
+                held[bk] = held.get(bk, 0) + 1
+        lacked: dict[tuple, list] = {}  # (role, message) -> inputs some part lacks
+        for bk, count in held.items():
+            if count < n:
+                for r in bk[1]:
+                    lacked.setdefault((r, bk[2]), []).append(bk)
+        if not lacked:
+            return True
+        roles = {r for r, _ in lacked}
+        lacking = sum(count < n for count in held.values())
+        for y in ps:
+            keys = self.kk[y][1]
+            if sum(held[bk] < n for bk in keys) == lacking:
+                continue  # `y` has every input that some part lacks
+            for r in roles:
+                for a in self._consumed(r, y):
+                    for bk in lacked.get((r, a), ()):
+                        if bk not in keys and all(a in self._consumed(q, y) for q in bk[1]):
+                            return False
+        return True
+
+    def _consumed(self, p: Role, key: tuple) -> set:
+        """The messages that the built state `key` on can consume from `p`:
+        those of the inputs from partners that include `p` on a path from
+        `key`, where a path follows every branch but those inputs.  One
+        depth-first walk over the built states, off an explicit stack, kept
+        per role and state."""
+        found = self.consumed.get((p, key))
+        if found is not None:
+            return found
+        found = self.consumed[(p, key)] = set()
         seen = {key}
         work = [key]
         while work:
             for bk, t in self.states[work.pop()].branches.items():
                 if bk[0] == IN and p in bk[1]:
-                    if bk[2] == a:
-                        return False
+                    found.add(bk[2])
                 elif t not in seen:
                     seen.add(t)
                     work.append(t)
-        return True
+        return found
 
     # -- minimization and readback ----------------------------------------------
 
@@ -548,9 +636,11 @@ def machine_to_type(m: Machine) -> SessionType:
     """Read back the canonical term of a minimized machine.  Recursion
     binders are introduced exactly at states reached by a cycle, named in
     first-use order.  The walk is depth-first in branch order, off an
-    explicit stack."""
+    explicit stack.  It reads a state back once per path to it, so past
+    `_READBACK_CAP` term nodes built it raises BudgetExceededError."""
     names: dict[int, str | None] = {}  # states on the path -> binder name, once used
     counter = 0
+    built = 0  # term nodes built, budgeted by _READBACK_CAP
     # Per state on the path, innermost last: the state, its remaining
     # branches, the branch key being read back, and the prefixes read so far.
     frames: list[list] = []
@@ -570,11 +660,13 @@ def machine_to_type(m: Machine) -> SessionType:
             frames.append([s, branches, bk, []])
             s = target
             continue
+        built += 1
         # `t` continues the branch that the innermost frame reads back
         while frames:
             frame = frames[-1]
             bk = frame[2]
             frame[3].append(TOut(bk[1], bk[2], t) if bk[0] == OUT else TIn(bk[1], bk[2], t))
+            built += 1
             step = next(frame[1], None)
             if step is not None:
                 frame[2], s = step
@@ -583,14 +675,19 @@ def machine_to_type(m: Machine) -> SessionType:
             state, _, _, prefixes = frame
             if len(prefixes) == 1:
                 t = prefixes[0]
-            elif m.kinds[state] == OUT:
-                t = TInternal(tuple(prefixes))
             else:
-                t = TExternal(tuple(prefixes))
+                t = (TInternal if m.kinds[state] == OUT else TExternal)(tuple(prefixes))
+                built += 1
             name = names.pop(state)
             if name is not None:
                 t = TRec(name, t)
-        else:
+                built += 1
+        if built > _READBACK_CAP:
+            raise BudgetExceededError(
+                "session type is too large to read back "
+                f"(more than {_READBACK_CAP} term nodes)"
+            )
+        if not frames:
             return t
 
 

@@ -38,12 +38,16 @@ apart by ``type(t) is``.
 
 Interactions and compound terms of both languages (every constructor but
 ``GSkip``, ``TEnd`` and ``TVar``) hash in O(1): each derives from
-``_Term``, whose ``_hash`` slot holds the hash its constructor computes
-once, when it builds the term, to the value the generated dataclass hash
-would give.  The elimination of ``&`` keys sets and dicts by whole terms
-and the subset steps of trace automata by interactions, so a lookup walks
-no tree and rebuilds no field tuple, and hashing a term of any depth
-cannot overflow the stack.  Compound terms take their equality from their
+``_Term``, whose ``_hash`` slot holds the hash computed once, to the
+value the generated dataclass hash would give.  A global term's
+constructor computes it when it builds the term.  A compound session term
+is built with ``None`` there and computes it on its first ``hash()``
+(`_hash_session`), together with the hashes that the terms below it do
+not have yet, off an explicit stack, so a term that is built and dropped
+unhashed costs no hash.  The elimination of ``&`` keys sets and dicts by
+whole terms and the subset steps of trace automata by interactions, so a
+lookup walks no tree and rebuilds no field tuple, and hashing a term of
+any depth cannot overflow the stack.  Compound terms take their equality from their
 language's base, ``_GlobalTerm`` or ``_SessionTerm``: it is structural
 and walks both terms with an explicit stack (global types compare their
 stored hashes first), so comparing two deep terms cannot overflow it
@@ -428,10 +432,11 @@ def _same_session(self, other) -> bool:
 
 
 def _mark_chain(t) -> None:
-    """Set the two slots a prefix `t` gets when it is built: `_chain`, the
+    """Set the slots a prefix `t` gets when it is built: `_chain`, the
     number of prefixes down to `end` when `t` is a prefix chain (0 when it
-    is not), read off its continuation in O(1); and `_machine`, which
-    `mpst.machine` fills in when it knows the minimal machine of `t`."""
+    is not), read off its continuation in O(1); `_machine`, which
+    `mpst.machine` fills in when it knows the minimal machine of `t`; and
+    `_hash`, None until `t` is first hashed."""
     c = t.cont
     k = type(c)
     if k is TEnd:
@@ -442,14 +447,52 @@ def _mark_chain(t) -> None:
         n = 0
     object.__setattr__(t, "_chain", n)
     object.__setattr__(t, "_machine", None)
+    object.__setattr__(t, "_hash", None)
+
+
+def _hash_session(self) -> int:
+    """The stored hash of a compound session term, the generated dataclass
+    hash of its fields, computed on first use.  The compound terms below
+    it that have none yet get theirs first, off an explicit stack, so that
+    each field's hash is stored when its tuple is hashed."""
+    h = self._hash
+    if h is not None:
+        return h
+    work = [self]
+    while work:
+        node = work[-1]
+        k = type(node)
+        # `end` and variables have no `_hash` slot and hash at once
+        if k is TOut or k is TIn:
+            kid = node.cont
+            if getattr(kid, "_hash", 0) is None:
+                work.append(kid)
+                continue
+            h = hash((node.partner if k is TOut else node.partners, node.message, kid))
+        elif k is TRec:
+            kid = node.body
+            if getattr(kid, "_hash", 0) is None:
+                work.append(kid)
+                continue
+            h = hash((node.var, kid))
+        else:
+            todo = [kid for kid in node.branches if getattr(kid, "_hash", 0) is None]
+            if todo:
+                work += todo
+                continue
+            h = hash((node.branches,))
+        work.pop()
+        object.__setattr__(node, "_hash", h)
+    return self._hash
 
 
 class _SessionTerm(_Term):
-    """The compound session types: `_same_session` equality, `_machine` slot."""
+    """The compound session types: `_same_session` equality, a hash stored
+    on first use, `_machine` slot."""
 
     __slots__ = ("_machine",)
     __eq__ = _same_session
-    __hash__ = _Term.__hash__
+    __hash__ = _hash_session
 
 
 @dataclass(frozen=True, slots=True)
@@ -474,7 +517,6 @@ class TOut(_SessionTerm):
     _chain: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.partner, self.message, self.cont)))
         _mark_chain(self)
 
 
@@ -492,7 +534,6 @@ class TIn(_SessionTerm):
         object.__setattr__(self, "partners", frozenset(self.partners))
         if not self.partners:
             raise ValueError("input needs at least one partner")
-        object.__setattr__(self, "_hash", hash((self.partners, self.message, self.cont)))
         _mark_chain(self)
 
 
@@ -506,8 +547,8 @@ class _Choice(_SessionTerm):
         object.__setattr__(self, "branches", tuple(self.branches))
         if len(self.branches) < 2:
             raise ValueError("choice needs at least two branches")
-        object.__setattr__(self, "_hash", hash((self.branches,)))
         object.__setattr__(self, "_machine", None)
+        object.__setattr__(self, "_hash", None)
 
 
 class TInternal(_Choice):
@@ -547,8 +588,8 @@ class TRec(_SessionTerm):
     body: SessionType
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.var, self.body)))
         object.__setattr__(self, "_machine", None)
+        object.__setattr__(self, "_hash", None)
 
 
 SessionType = Union[TEnd, TVar, TOut, TIn, TInternal, TExternal, TRec, TMerge]

@@ -625,10 +625,16 @@ def minimal_form(root, kind, edges, order) -> tuple[list, list[dict]]:
     per letter, and `order` is a sort key on letters.  The states are
     indexed breadth-first from the root and merged by Hopcroft refinement
     (`_refine`) in O(m log n) for m moves between n states.  The moves are
-    partial, so every initial block, the states of one kind, starts as a
-    splitter instead of adding a sink state for the missing letters.  The
-    blocks are numbered depth-first from the root's, taking letters in
-    `order`.  Returns `(kinds, rows)`: block `n` has kind `kinds[n]`, and
+    partial, so every initial block starts as a splitter instead of adding
+    a sink state for the missing letters.  The initial blocks are the
+    states of one kind and one set of letters, which gives the blocks that
+    seeding by kind alone gives: a stable partition keeps two states in one
+    block only when they move by the same letters, so the coarsest stable
+    partition that separates kinds separates letter sets too, and it is
+    also the coarsest that refines the seeding by both.  When every initial
+    block holds one state there is nothing to refine.  The blocks are
+    numbered depth-first from the root's, taking letters in `order`.
+    Returns `(kinds, rows)`: block `n` has kind `kinds[n]`, and
     `rows[n]` maps its letters, in `order`, to the numbers of their
     successors.  Two states have the same behaviour iff their minimal forms
     are equal."""
@@ -644,7 +650,11 @@ def minimal_form(root, kind, edges, order) -> tuple[list, list[dict]]:
             row.append((letter, index[t]))
         moves.append(row)
     labels = [kind(s) for s in states]
-    block = _refine(labels, moves)
+    signatures = [(k, frozenset(a for a, _ in row)) for k, row in zip(labels, moves)]
+    if len(set(signatures)) == len(states):
+        block = list(range(len(states)))  # no two states to tell apart
+    else:
+        block = _refine(signatures, moves)
 
     rep: dict[int, int] = {}
     for s, b in enumerate(block):

@@ -1651,6 +1651,81 @@ def test_a_merge_past_the_resolver_cap_ends_bound_exhausted(tmp_path):
     }
 
 
+def shared_choices(n: int) -> str:
+    """`(p -> q : a | p -> q : b)* ; p -> q : a`, then `n` choices between
+    the same two letters, then `p -> q : c`.  The minimal machines of `p`
+    and `q` have 2**(n + 1) + 1 states, and their canonical terms read each
+    state back once per path to it."""
+    return "(p -> q : a | p -> q : b)* ; p -> q : a ; " + " ; ".join(["(p -> q : a | p -> q : b)"] * n) + " ; p -> q : c\n"
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (3, "653989bd871c29291ab2859f9be00c48bee6c51d2ceff45b9952ede28a1599d2"),
+        (4, "817a37a0fe7b0c2d9e3ce47aa43a7f0fcb1de0eb0c2f1701dec419e0cbdf98fa"),
+    ],
+)
+def test_shared_choices_read_back_within_the_budget(monkeypatch, capsys, tmp_path, n, digest):
+    """At n = 3 and 4 the read-back stays within its budget, and `project`
+    prints what it printed before the read-back was budgeted (at n = 4,
+    about 5 MB)."""
+    path = tmp_path / "choices.gt"
+    path.write_text(shared_choices(n))
+    assert run_in_process(monkeypatch, "project", str(path)) == 0
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (digest, "")
+
+
+def test_a_read_back_past_its_budget_ends_bound_exhausted_in_bounded_memory(tmp_path):
+    """At n = 5 the canonical term of `p` would pass `_READBACK_CAP` term
+    nodes: `project` reports that bound as BoundExhausted, in a process
+    whose address space is capped at 1 GiB."""
+    path = tmp_path / "choices.gt"
+    path.write_text(shared_choices(5))
+    proc = run_capped("project", str(path), "--json")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout) == {
+        "command": "project",
+        "detail": f"session type is too large to read back (more than {machine._READBACK_CAP} term nodes)",
+        "error": "BoundExhausted",
+        "input": str(path),
+        "schema": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("project", "{gt}"),
+        ("verify", "{gt}"),
+        ("classify", "{gt}"),
+        ("verify", "{gt}", "{env}"),
+        ("simulate", "{env}"),
+    ],
+)
+def test_a_read_back_past_its_budget_is_reported_by_every_command(monkeypatch, capsys, tmp_path, args):
+    """With the read-back capped at three term nodes, the canonical term of
+    a merge that projection normalizes, or of a loop read from an ENV
+    file, cannot be read back: each command reports BoundExhausted."""
+    monkeypatch.setattr(machine, "_READBACK_CAP", 3)
+    gt, env = tmp_path / "merge.gt", tmp_path / "loop.mps"
+    gt.write_text("p -> q : a ; q -> r : x | p -> q : b ; q -> r : y\n")
+    env.write_text("p : rec X . (q!a.X (+) q!b.end)\nq : rec Y . (p?a.Y + p?b.end)\n")
+    command, *paths = (arg.format(gt=gt, env=env) for arg in args)
+    assert run_in_process(monkeypatch, command, *paths, "--json") == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    role = "in binding for role 'p': " if "{env}" in args else ""
+    assert json.loads(out) == {
+        "command": command,
+        "detail": f"{role}session type is too large to read back (more than 3 term nodes)",
+        "error": "BoundExhausted",
+        "input": paths[0],
+        "schema": 1,
+    }
+
+
 def test_a_merge_that_fails_on_a_shared_continuation_is_decided(tmp_path):
     """Without the last `c` the input above ends right after its 14
     choices, so one state of `p` would both end and send: the merge

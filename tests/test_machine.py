@@ -6,6 +6,7 @@ import functools
 import gc
 import itertools
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpst import machine
+from mpst import machine, tracelang
 from mpst.machine import (
     _bk_order,
     machine_to_type,
@@ -35,6 +36,7 @@ from mpst.syntax import (
     TOut,
     TRec,
     TVar,
+    UnguardedRecursionError,
     check_guarded,
     free_type_vars,
     parse_global_type,
@@ -594,18 +596,24 @@ def reference_occurs(resolver, p, a, key) -> bool:
 
 
 def test_the_compatibility_walk_agrees_with_the_recursive_one(monkeypatch):
-    """Every compatibility question asked while projecting
+    """Every compatibility walk made while projecting
     `random_global_type(i, 10, 4, 2)`, i < 1000, and classifying the 300
-    random-workload types gets the recursive walk's answer."""
+    random-workload types gives the recursive walk's answer for each
+    message that an input of the resolver takes: a message from a role is
+    found consumable iff the recursive walk finds it incompatible."""
     answers = []
-    walk = machine._Resolver._compatible
+    walk = machine._Resolver._consumed
 
-    def compared(self, p, a, key):
-        answer = walk(self, p, a, key)
-        answers.append((answer, reference_compatible(self, p, a, key, set())))
-        return answer
+    def compared(self, p, key):
+        first = (p, key) not in self.consumed
+        found = walk(self, p, key)
+        if first:
+            messages = {bk[2] for st in self.states.values() for bk in st.branches if bk[0] == machine.IN}
+            for a in sorted(messages):
+                answers.append((a not in found, reference_compatible(self, p, a, key, set())))
+        return found
 
-    monkeypatch.setattr(machine._Resolver, "_compatible", compared)
+    monkeypatch.setattr(machine._Resolver, "_consumed", compared)
     for i in range(1000):
         try:
             project_top(random_global_type(i, 10, 4, 2))
@@ -755,3 +763,156 @@ def test_choices_that_share_a_continuation_resolve_in_linear_states(choice, pref
     r.prepare()
     assert len(r.states) <= 3 * n + 2
     assert len(type_machine(ty).kinds) == n + 1
+
+
+# --- one state per behaviour, one pass per state, merges by index ----------
+
+VAR_X, VAR_Y = TVar("X"), TVar("Y")
+
+
+@pytest.mark.parametrize(
+    "ty",
+    [
+        TRec("X", VAR_X),
+        TRec("X", TRec("Y", VAR_X)),
+        TRec("X", TRec("Y", VAR_Y)),
+        TMerge((TRec("X", VAR_X), t("p?a.end"))),
+        TMerge((t("p?a.end"), TRec("X", TRec("Y", VAR_X)))),
+    ],
+)
+def test_unguarded_loops_raise_as_before(ty):
+    """A variable is keyed as its binder's body, so a loop that meets no
+    prefix would key a variable as itself; the walk stops there, and the
+    type fails with the error it failed with when every variable was a
+    state of its own."""
+    for f in (resolved, type_machine, normalize_session_type):
+        with pytest.raises(UnguardedRecursionError) as info:
+            f(ty)
+        assert str(info.value) == "behaviour loops without any input or output"
+
+
+def test_a_variable_is_no_state_of_its_own():
+    """In `rec X . merge(p?t.q!t.end, p?m.q!m.X)` neither `X` nor its `rec`
+    is a state: the loop closes on the merge."""
+    ty = TRec("X", TMerge((t("p?t.q!t.end"), TIn(frozenset("p"), "m", TOut("q", "m", VAR_X)))))
+    r = machine._Resolver(ty)
+    r.prepare()
+    kinds = [type(r.nodes[key[1]]) for key in r.states if key[0] == "p"]
+    assert TVar not in kinds and TRec not in kinds
+    assert len(r.states) == 6  # the merge, its two parts, q!t.end, end and q!m.X
+    assert print_session_type(normalize_session_type(ty)) == "rec X . p?m.q!m.X + p?t.q!t.end"
+
+
+def spine(n: int):
+    """`p -> q : m{i} ; q -> r : m{i}`, i < n, joined by `|`: `q` and `r`
+    each merge n inputs that no other part takes."""
+    return parse_global_type(" | ".join(f"p -> q : m{i} ; q -> r : m{i}" for i in range(n)))
+
+
+def resolver_work(monkeypatch, call):
+    """The successor computations and compatibility walks of every resolver
+    that `call()` makes, and its `_check_merge_compat` calls."""
+    resolvers, scans = [], []
+
+    class Counted(machine._Resolver):
+        def __init__(self, ty):
+            super().__init__(ty)
+            resolvers.append(self)
+
+        def _check_merge_compat(self, x, y):
+            scans.append((x, y))
+            return super()._check_merge_compat(x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(machine, "_Resolver", Counted)
+        call()
+    return sum(r.steps for r in resolvers), sum(map(len, (r.consumed for r in resolvers))), len(scans)
+
+
+def test_merges_on_a_long_spine_take_linear_work(monkeypatch):
+    """Each part of a merge is walked once per partner role, and each state
+    computes each successor once, so a spine four times as long takes four
+    times the work; its merges pass, so no pairwise scan runs."""
+    short = resolver_work(monkeypatch, lambda: project_top(spine(300)))
+    long = resolver_work(monkeypatch, lambda: project_top(spine(1200)))
+    assert short[1] == 600 and short[2] == 0
+    assert long == (4 * short[0], 4 * short[1], 0)
+
+
+def test_only_a_failing_merge_scans_its_pairs(monkeypatch):
+    """A merge that fails names its fault from the ordered pairwise scan,
+    which stops at the first pair that fails."""
+    x, y = t("p?a.end"), t("q?c.p?a.end")
+    assert resolver_work(monkeypatch, lambda: pytest.raises(machine.MergeError, type_machine, TMerge((x, y))))[2] == 1
+    with pytest.raises(machine.MergeError) as info:
+        type_machine(TMerge((x, y)))
+    assert str(info.value) == (
+        "input of 'a' from {p} cannot be merged: the other behaviour may consume it elsewhere"
+    )
+
+
+def moore_minimal_form(root, kind, edges, order):
+    """The reference for `tracelang.minimal_form`: the states that `root`
+    reaches, split from one block by Moore refinement into blocks of
+    (kind, {(letter, block of successor)}) until no block splits, then
+    numbered depth-first from the root's block, letters in `order`."""
+    states, seen = [], {root}
+    work = [root]
+    while work:
+        s = work.pop()
+        states.append(s)
+        for _, t in edges(s):
+            if t not in seen:
+                seen.add(t)
+                work.append(t)
+    block, count = dict.fromkeys(states, 0), 1
+    while True:
+        sigs: dict = {}
+        split = {s: sigs.setdefault((kind(s), frozenset((a, block[t]) for a, t in edges(s))), len(sigs)) for s in states}
+        if len(sigs) == count:
+            break
+        block, count = split, len(sigs)
+    rep = {}
+    for s in states:
+        rep.setdefault(block[s], s)
+    number: dict = {}
+    stack = [block[root]]
+    while stack:
+        b = stack.pop()
+        if b not in number:
+            number[b] = len(number)
+            stack.extend(block[t] for _, t in sorted(edges(rep[b]), key=lambda m: order(m[0]), reverse=True))
+    rows = [{a: number[block[t]] for a, t in sorted(edges(rep[b]), key=lambda m: order(m[0]))} for b in number]
+    return [kind(rep[b]) for b in number], rows
+
+
+def random_machine(seed: int):
+    """1-14 states over the letters a, b, c.  Every other seed draws each
+    state's kind and letters from one or two signatures, so that many
+    states share one and only refinement tells them apart."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    if seed % 2:
+        pool = [(rng.choice(("out", "in")), tuple(rng.sample("abc", rng.randint(1, 2)))) for _ in range(rng.randint(1, 2))]
+        pool.append(("end", ()))
+    else:
+        pool = [(k, tuple(rng.sample("abc", rng.randint(1, 3)))) for k in ("out", "in")] + [("end", ())] * 2
+    kinds, edges = [], []
+    for _ in range(n):
+        k, letters = rng.choice(pool)
+        kinds.append(k)
+        edges.append({a: rng.randrange(n) for a in letters})
+    return kinds, edges
+
+
+def test_minimal_form_agrees_with_moore_on_random_machines(monkeypatch):
+    """Seeding the blocks by (kind, letters), and not refining when every
+    block holds one state, gives Moore's blocks and numbering."""
+    refined = []
+    refine = tracelang._refine
+    monkeypatch.setattr(tracelang, "_refine", lambda labels, moves: refined.append(len(labels)) or refine(labels, moves))
+    for seed in range(600):
+        kinds, edges = random_machine(seed)
+        args = (0, kinds.__getitem__, lambda s: edges[s].items(), str)
+        assert tracelang.minimal_form(*args) == moore_minimal_form(*args)
+    assert 100 < len(refined) < 600

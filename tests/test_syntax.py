@@ -427,6 +427,30 @@ def test_hashing_a_deep_session_type_needs_no_stack():
     assert chain in {chain}
 
 
+def test_a_session_term_hashes_on_first_use_without_recursing():
+    """A term of every compound constructor, 1,500 levels deep and sharing
+    its continuations, is built unhashed and hashes on first use, each
+    node to the hash of its fields."""
+    ty, built = TVar("X"), []
+    for k in range(1500):
+        shared = TIn(frozenset("p"), f"m{k % 3}", ty)
+        ty = [
+            TExternal((shared, TIn(frozenset("q"), "b", ty))),
+            TRec("X", TOut("q", "a", ty)),
+            TMerge((shared, TIn(frozenset("r"), "c", ty))),
+            TInternal((TOut("q", "a", ty), TOut("q", "b", ty))),
+        ][k % 4]
+        built.append(ty)
+    assert all(t._hash is None for t in built)
+    assert hash(ty) == hash((ty.branches,))  # the first hash walks all 1,500 levels
+    assert all(hash(t) == hash(fields_of(t)) for t in built)
+
+
+def fields_of(t) -> tuple:
+    """The fields of the compound session term `t`, in field order."""
+    return tuple(getattr(t, f.name) for f in dataclasses.fields(t) if f.compare)
+
+
 def test_print_parse_round_trip_on_nested_type():
     src = "((p -> q : a | q -> p : b) ; (r -> s : c & s -> r : d))*"
     g = parse_global_type(src)
