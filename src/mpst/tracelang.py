@@ -32,7 +32,8 @@ first.  The one automaton that is not trim is the one-swap automaton
 
 Automata stay nondeterministic.  Each keeps the one subset automaton
 (`_Subset`) that all its language questions read, filled in row by row:
-`swap_closed` reads every row, the other questions only those they reach.
+`swap_closed` reads every row (of a nondeterministic automaton; it reads a
+deterministic one's own moves), the other questions only those they reach.
 Its letters are numbered, and its rows ordered, by the letters' texts, so
 every word a question picks is the least in one order, `word_key`'s: the
 counterexample of `includes`, the witness of `well_formed`, the gap of
@@ -55,24 +56,79 @@ n states.  The deterministic automata it minimizes are partial, so every
 initial block (the states of one kind) starts as a splitter, which does
 the work of a sink state for the missing letters.
 
-`well_formed` decides closure under swaps by swap diamonds on the subset
-automaton of the compiled automaton (`swap_closed`): from every state,
-each independent pair read in one order must be readable in the other,
-and whatever follows the first order must follow the second.  Most
-diamonds close on one state; the rest seed one inclusion search between
-states of the same deterministic automaton.  `is_well_formed` stops there,
-with a boolean.  Only `well_formed`, which `check` uses, finds a witness:
-for a type that is not well formed it builds the one-swap automaton
-(`_swap_variants`) and runs `includes` on it, to find the least word
-outside the traces.
+Well-formedness is closure of the traces under swapping one adjacent pair
+`α β` with `_swappable(α, β)`: it implies closure under any number of
+swaps.  Most types settle it by their syntax (`_by_construction`), in one
+fold over spines that computes, per node, its first letters (those that
+can start one of its traces), its last letters, whether it accepts the
+empty word, and whether it is closed by construction.  Every global type
+has a non-empty language, so the three are exact: a letter and `skip`
+have the obvious ones, `|` and `&` take the union of their operands'
+first and last letters, a `;` spine adds an operand's first letters while
+the operands before it all accept the empty word, and its last letters
+while those after it do, and `*` keeps its body's and accepts the empty
+word.  The rules, where a swap at a word's positions i, i+1 is "inside"
+an operand's word when both letters come from it:
 
-A type whose root is an `&` of parts with disjoint roles is decided one
-part at a time.  The operands of the root `&` spine are grouped by shared
-roles, transitively (`role_groups`), and compiled alone (`compile_parts`);
-the type is well formed iff each group is, so the product of the groups,
-whose states multiply, is never built for a well-formed type.  Only the
-witness of a type that is not well formed is found on the product, as
-for any type.
+- A letter and `skip` are closed: no word has two letters to swap.
+- `|` of closed operands is closed: a word of one operand, swapped, is a
+  word of that operand.
+- `&` of closed operands is closed, whatever roles they share.  A word
+  interleaves one word of each operand; fix such a split.  Two swapped
+  letters of one operand are adjacent in that operand's word, which stays
+  a word of its operand when they swap; a letter of one operand swapped
+  with a letter of another gives another interleaving of the same words.
+- A `;` spine `A1 ; .. ; An` is closed when its operands are and, at each
+  junction i, no letter that can end `A1 ; .. ; Ai` swaps with a letter
+  that can start `A(i+1)`.  A word is u1 .. un with ui a word of Ai; a
+  swap inside a ui keeps it a word of Ai, and one across words swaps the
+  last letter α of a non-empty ui with the first letter β of the next
+  non-empty word u(j+1), the words between them empty: α is a last letter
+  of `A1 ; .. ; Aj` (empty operands pass their letters on) and β a first
+  letter of A(j+1), which junction j tests.
+- `B*` is closed when B is and no last letter of B swaps with a first
+  letter of B: a word is u1 .. un with every ui a non-empty word of B; a
+  swap inside a ui keeps it a word of B, and one across words swaps a
+  last letter of one with a first letter of the next.
+- `loopk` is left undecided.
+
+So the type is closed by construction iff no junction swaps.  A junction
+(α, β) that swaps is realized: some word of the part before it ends in α
+and some word of the part after it starts with β, so some trace of the
+node holds α β adjacent, and so does some trace of the type, as every
+trace of a subterm is a factor of a trace of the type (every language is
+non-empty, and an `&` may run one operand's word whole).  Swapping it
+gives a word with β immediately followed by α; when no trace of the type
+holds that adjacency, the type is not well formed.  The adjacent pairs of
+a type are exactly those inside an operand's word, those at a `;` or `*`
+junction (a last letter before it and a first letter after it), and any
+two letters of different operands of an `&`, which can run them side by
+side in either order; they are computed only when a junction swaps, and
+only for the reversed junction pairs.  Every other type is undecided.
+The pass counts its swap tests, the letters it gathers and the
+adjacency pairs it tests against `DEFAULT_ENUM_CAP`, and past it the type
+is undecided: its work is bounded as compiling's is, and it never
+raises.
+
+An undecided type is compiled, and closure decided by swap diamonds on a
+deterministic automaton of it (`swap_closed`): from every state, each
+independent pair read in one order must be readable in the other, and
+whatever follows the first order must follow the second.  Most diamonds
+close on one state; the rest seed one inclusion search between states of
+the same deterministic automaton.  The rows are the compiled automaton's
+own moves when it is deterministic, and its subset automaton's
+otherwise.  `is_well_formed` stops there, with a boolean.  Only
+`well_formed`, which `check` uses, finds a witness: for a type that is
+not well formed it builds the one-swap automaton (`_swap_variants`) and
+runs `includes` on it, to find the least word outside the traces.
+
+An undecided type whose root is an `&` of parts with disjoint roles is
+decided one part at a time.  The operands of the root `&` spine are
+grouped by shared roles, transitively (`role_groups`), and compiled alone
+(`compile_parts`); the type is well formed iff each group is, so the
+product of the groups, whose states multiply, is never built for a
+well-formed type.  Only the witness of a type that is not well formed is
+found on the product, as for any type.
 """
 
 from __future__ import annotations
@@ -120,7 +176,9 @@ class TraceAutomaton:
     `delta[q]` is a list of (label, target) pairs; every label is an
     interaction, so there are no epsilon moves.  State 0 is the start
     state, and `accepts` is the set of accepting states.  Every language
-    question reads its one subset automaton, `_subset`, built by the first.
+    question reads its one subset automaton, `_subset`, built by the first,
+    but the swap diamonds of an automaton that is already deterministic,
+    which read its own moves.
 
     Every automaton the package builds is trim: every state is reachable
     from state 0 and can reach an accepting state, and the empty language
@@ -714,7 +772,10 @@ class NotWellFormed:
 
 
 def _swappable(first: Interaction, second: Interaction) -> bool:
-    return first.receiver not in (second.senders | {second.receiver})
+    """Whether `first second` may swap: `first`'s receiver is neither the
+    receiver nor a sender of `second`."""
+    r = first.receiver
+    return r != second.receiver and r not in second.senders
 
 
 def _swap_variants(a: TraceAutomaton) -> TraceAutomaton:
@@ -748,37 +809,50 @@ def _swap_variants(a: TraceAutomaton) -> TraceAutomaton:
 
 def swap_closed(a: TraceAutomaton) -> bool:
     """Whether the language of the trim automaton `a` is closed under
-    swapping one adjacent independent pair, decided by swap diamonds on
-    its subset automaton D.
-
-    It is closed iff, for every state S of D and letters α, β with
-    `_swappable(α, β)` and T = δ(S, αβ) defined, T' = δ(S, βα) is defined
-    and L(T) ⊆ L(T').  T is not empty, as no state of D is, so an undefined
-    T' already breaks closure.  Most diamonds close on one state (T == T'),
-    which needs nothing more; the other pairs seed one search over pairs of
-    states of D, which fails at a pair whose left state accepts while the
-    right one does not, or has a letter the right one lacks."""
-    dfa = a._subset
-    letters, accepting = dfa.letters, dfa.accepting
+    swapping one adjacent independent pair, decided by swap diamonds
+    (`_diamonds`) on a deterministic automaton of it: `a`'s own moves when
+    no state of `a` has two moves by one letter, and its subset automaton
+    otherwise.  Both are trim, as the diamonds need."""
+    letters = {lab for edges in a.delta for lab, _ in edges}
     # `_swappable(α, β)` needs α's receiver to be neither a sender nor the
     # receiver of β.  So when every letter has every receiver of the
     # alphabet among its roles, no pair of letters swaps, no diamond is
     # asked for, and the language is closed; over two roles this always
-    # holds.  Deciding it reads no row of D.
+    # holds.  Deciding it reads no row.
     receivers = {alpha.receiver for alpha in letters}
     if all(receivers <= alpha.senders | {alpha.receiver} for alpha in letters):
         return True
-    rows = [dfa[s] for s, _ in enumerate(accepting)]  # grows while it is read
-    independent: dict[tuple[int, int], bool] = {}
+    if all(len(edges) == len({lab for lab, _ in edges}) for edges in a.delta):
+        return _diamonds([dict(edges) for edges in a.delta], [q in a.accepts for q in range(a.n_states)], _swappable)
+    dfa = a._subset
+    rows = [dfa[s] for s, _ in enumerate(dfa.accepting)]  # grows while it is read
+    letter = dfa.letters
+    return _diamonds(rows, dfa.accepting, lambda x, y: _swappable(letter[x], letter[y]))
+
+
+def _diamonds(rows: list[dict], accepting: list[bool], swappable) -> bool:
+    """Whether the language of a trim deterministic automaton, whose state
+    `s` moves by letter `x` to `rows[s][x]` and accepts when
+    `accepting[s]`, is closed under swapping one adjacent pair `x y` with
+    `swappable(x, y)`.
+
+    It is closed iff, for every state S and letters α, β with
+    `swappable(α, β)` and T = δ(S, αβ) defined, T' = δ(S, βα) is defined
+    and L(T) ⊆ L(T').  T is not empty, as no state of a trim automaton is,
+    so an undefined T' already breaks closure.  Most diamonds close on one
+    state (T == T'), which needs nothing more; the other pairs seed one
+    search over pairs of states, which fails at a pair whose left state
+    accepts while the right one does not, or has a letter the right one
+    lacks."""
+    independent: dict[tuple, bool] = {}
     pending: set[tuple[int, int]] = set()
     for row in rows:
         for alpha, r in row.items():
             for beta, t in rows[r].items():
-                swappable = independent.get((alpha, beta))
-                if swappable is None:
-                    swappable = _swappable(letters[alpha], letters[beta])
-                    independent[alpha, beta] = swappable
-                if not swappable:
+                free = independent.get((alpha, beta))
+                if free is None:
+                    free = independent[alpha, beta] = swappable(alpha, beta)
+                if not free:
                     continue
                 r2 = row.get(beta)
                 t2 = None if r2 is None else rows[r2].get(alpha)
@@ -854,10 +928,124 @@ def compile_parts(g: GlobalType) -> dict[frozenset[Role], TraceAutomaton]:
     return {roles_of(group): compile_traces(group) for group in role_groups(g)}
 
 
+class _Undecided(Exception):
+    """The structural pass does not settle a type: it holds a `loopk`, or
+    settling it passes the pass's work bound, or every junction that swaps
+    is undone by a trace."""
+
+
+_NO_LETTERS: frozenset[Interaction] = frozenset()
+
+
+def _by_construction(g: GlobalType) -> bool | None:
+    """Whether `g` is well formed, settled by its first and last letters
+    (see the module docstring), or None when they do not settle it.
+
+    One fold over spines (`_operands`) gives each node its first letters,
+    its last letters and whether it accepts the empty word, and tests
+    every junction of a `;` spine or a `*` on the way.  With no junction
+    that swaps, `g` is closed by construction.  Otherwise the reversed
+    junction pairs (β, α) are looked for among the adjacent pairs of `g`:
+    at the junctions met, then, in a second fold that gathers only their
+    letters, across the operands of each `&` spine.  One that no trace
+    holds refutes `g`.  The swap tests, the letters gathered at `|` and
+    `&` (and, in the second fold, at every node) and the adjacency pairs
+    tested are counted, and past `DEFAULT_ENUM_CAP` of them `g` is
+    undecided: the pass never raises."""
+    cap = DEFAULT_ENUM_CAP
+    spent = 0
+    junctions: list[tuple[frozenset, frozenset]] = []  # (last letters before, first letters after)
+    swaps: set[tuple[Interaction, Interaction]] = set()
+
+    def spend(n: int) -> None:
+        nonlocal spent
+        spent += n
+        if spent > cap:
+            raise _Undecided
+
+    def meet(last: frozenset, first: frozenset) -> None:
+        if last and first:
+            spend(len(last) * len(first))
+            junctions.append((last, first))
+            swaps.update((alpha, beta) for alpha in last for beta in first if _swappable(alpha, beta))
+
+    def letters(t: GlobalType, kids: list[tuple]) -> tuple[frozenset, frozenset, bool]:
+        k = type(t)
+        if k is GAction:
+            one = frozenset((t.interaction,))
+            return one, one, False
+        if k is GSeq:
+            first, last, empty = kids[0]
+            for f, l, e in kids[1:]:
+                meet(last, f)
+                if empty:
+                    first |= f
+                last = last | l if e else l
+                empty = empty and e
+            return first, last, empty
+        if k is GStar:
+            first, last, _ = kids[0]
+            meet(last, first)
+            return first, last, True
+        if k is GSkip:
+            return _NO_LETTERS, _NO_LETTERS, True
+        if k is not GEither and k is not GBoth:  # a `loopk`
+            raise _Undecided
+        first = _NO_LETTERS.union(*[f for f, _, _ in kids])
+        last = _NO_LETTERS.union(*[l for _, l, _ in kids])
+        spend(len(first) + len(last))
+        return first, last, (any if k is GEither else all)([e for _, _, e in kids])
+
+    def occurring(t: GlobalType, kids: list[frozenset]) -> frozenset:
+        """The letters of `pending` that occur in `t`; at an `&` spine,
+        the pairs of them that two of its operands hold leave `pending`."""
+        nonlocal pending
+        k = type(t)
+        if k is GAction:
+            return frozenset((t.interaction,)) & relevant
+        here = _NO_LETTERS.union(*kids)
+        spend(len(here))
+        if k is GBoth:
+            spend(len(pending) * len(kids))
+            pending = {pair for pair in pending if not _apart(pair, kids)}
+            if not pending:
+                raise _Undecided
+        return here
+
+    try:
+        fold(g, letters, _operands)
+        if not swaps:
+            return True
+        pending = {(beta, alpha) for alpha, beta in swaps}
+        for last, first in junctions:
+            spend(len(pending))
+            pending = {(beta, alpha) for beta, alpha in pending if beta not in last or alpha not in first}
+            if not pending:
+                return None
+        relevant = frozenset(x for pair in pending for x in pair)
+        fold(g, occurring, _operands)
+    except _Undecided:
+        return None
+    return False
+
+
+def _apart(pair: tuple[Interaction, Interaction], operands: list[frozenset]) -> bool:
+    """Whether two different `operands`, given by the letters they hold,
+    hold the first and the second letter of `pair`."""
+    x, y = pair
+    xs = [i for i, held in enumerate(operands) if x in held]
+    ys = [i for i, held in enumerate(operands) if y in held]
+    return bool(xs and ys) and (len(xs) > 1 or len(ys) > 1 or xs != ys)
+
+
 def is_well_formed(g: GlobalType) -> bool:
     """Whether `g` is well formed (see `well_formed`), without a witness:
-    each role group is compiled and decided in turn, stopping at the first
-    that is not."""
+    settled by construction (`_by_construction`) when its first and last
+    letters settle it, and otherwise by compiling each role group and
+    deciding it in turn, stopping at the first that is not."""
+    closed = _by_construction(g)
+    if closed is not None:
+        return closed
     return all(swap_closed(compile_traces(group)) for group in role_groups(g))
 
 
@@ -866,13 +1054,18 @@ def well_formed(g: GlobalType) -> WellFormed | NotWellFormed:
     adjacent independent interactions.
 
     Closure under one swap implies closure under any number of swaps, so
-    checking the one-swap variants suffices.  `swap_closed` decides it on
-    the subset automaton of each role group of `g` (see `compile_parts`).
-    Only a type that is not well formed builds the one-swap automaton, of
-    the shuffle of its groups, whose shortlex-least word outside the
-    traces, swapped back, is the witness."""
+    checking the one-swap variants suffices.  The first and last letters
+    of `g` settle it when they can (`_by_construction`), with no
+    automaton; otherwise `swap_closed` decides it on each role group of
+    `g` (see `compile_parts`).  Only a type that is not well formed builds
+    the one-swap automaton, of the shuffle of its groups, whose
+    shortlex-least word outside the traces, swapped back, is the
+    witness."""
+    closed = _by_construction(g)
+    if closed:
+        return WellFormed()
     parts = compile_parts(g).values()
-    if all(map(swap_closed, parts)):
+    if closed is None and all(map(swap_closed, parts)):
         return WellFormed()
     a = shuffle_automata(*parts)
     w2 = includes(_swap_variants(a), a)

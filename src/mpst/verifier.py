@@ -23,6 +23,7 @@ guessed.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import machine as _machine
@@ -63,7 +64,6 @@ from .tracelang import (
     includes,
     is_well_formed,
     shuffle_automata,
-    swap_closed,
 )
 
 PROJECTABLE = "Projectable"
@@ -163,28 +163,35 @@ def check_preorder(
 
     The type is compiled by its role groups (`tracelang.compile_parts`)
     and the session explored once, by its components when they decide it
-    (`runtime.explore_parts`); see `_check`."""
+    (`runtime.explore_parts`); see `_checks`."""
     if max_len is None:
         max_len = default_max_len(g)
-    return _check(compile_parts(g), env, max_len, buf_bound, depth_bound)
+    (report,) = _checks(g, [env], max_len, buf_bound, depth_bound)
+    return report
 
 
-def _check(
-    groups: dict[frozenset[Role], TraceAutomaton], env: SessionEnv, max_len: int, buf_bound: int, depth_bound: int,
-) -> ConformanceReport:
-    """`check_preorder` of `env` against the type whose role groups are
-    compiled to `groups`.  When the session's parts are several, have the
-    groups' roles and each has its group's traces, the report is the whole
-    product's: sound, complete, Live and exact (see `runtime.explore_parts`).
-    Otherwise the shuffle of the parts is checked against the shuffle of
-    the groups; every field of the report depends on the two languages
-    alone, so counterexamples and bounds are the product's."""
-    verdict, parts = explore_parts(Session(env, buf_bound), depth_bound)
-    if len(parts) > 1 and parts.keys() == groups.keys() and all(
-        includes(a, groups[roles]) is None and includes(groups[roles], a) is None for roles, a in parts.items()
-    ):
-        return ConformanceReport(True, None, True, None, max_len, buf_bound, "exact", "Live")
-    return _conformance(shuffle_automata(*groups.values()), verdict, shuffle_automata(*parts.values()), max_len, buf_bound)
+def _checks(
+    g: GlobalType, envs: Iterable[SessionEnv], max_len: int, buf_bound: int, depth_bound: int,
+) -> Iterator[ConformanceReport]:
+    """`check_preorder` of each of `envs` in turn against `g`, whose role
+    groups are compiled once, when the first is checked, for all of them.
+    When a session's parts are several, have the groups' roles and each
+    has its group's traces, the report is the whole product's: sound,
+    complete, Live and exact (see `runtime.explore_parts`).  Otherwise the
+    shuffle of the parts is checked against the shuffle of the groups;
+    every field of the report depends on the two languages alone, so
+    counterexamples and bounds are the product's."""
+    groups = compile_parts(g)
+    for env in envs:
+        verdict, parts = explore_parts(Session(env, buf_bound), depth_bound)
+        if len(parts) > 1 and parts.keys() == groups.keys() and all(
+            includes(a, groups[roles]) is None and includes(groups[roles], a) is None for roles, a in parts.items()
+        ):
+            yield ConformanceReport(True, None, True, None, max_len, buf_bound, "exact", "Live")
+        else:
+            yield _conformance(
+                shuffle_automata(*groups.values()), verdict, shuffle_automata(*parts.values()), max_len, buf_bound
+            )
 
 
 # --- candidate implementations for diagnosis --------------------------------
@@ -347,28 +354,30 @@ def classify(
       of a sound and complete candidate: then `g` is implementable and only
       the projection algorithm falls short).
 
-    Well-formedness is decided first, and only a well-formed type is
-    projected: a type that is not well formed goes straight to the
-    relaxations, each of which is projected only when it is well formed,
-    all of them sharing one memo of projections (see `project_first`).
-    Relaxations are tried only for a type with at most 16 `;` nodes: a
-    type that is not well formed and has more goes straight to
-    Unclassified, with a detail that says so.  Every projection tried
-    along the way uses `budget` (see `project_top`).  Each candidate is
-    checked (`_check`) against the automata of the role groups of `g`
-    that deciding well-formedness compiled.  A check that runs out of
-    budget ends the diagnosis with its BudgetExceededError: a candidate
-    left unchecked is no finding.
+    Well-formedness is decided first (`is_well_formed`, which compiles
+    nothing where the first and last letters settle it), and only a
+    well-formed type is projected: a type that is not well formed goes
+    straight to the relaxations, the first of equal ones tried once, each
+    projected only when it is well formed, all of them sharing one memo of
+    projections (see `project_first`).  Relaxations are tried only for a
+    type with at most 16 `;` nodes: a type that is not well formed and has
+    more goes straight to Unclassified, with a detail that says so.  Every
+    projection tried along the way uses `budget` (see `project_top`).  The
+    role groups of `g` are compiled for its candidates, when the first is
+    checked, and every candidate is checked against them (`_checks`).  A
+    check that runs out of budget ends the diagnosis with its
+    BudgetExceededError: a candidate left unchecked is no finding.
     """
-    groups = compile_parts(g)
-    if not all(map(swap_closed, groups.values())):
+    if not is_well_formed(g):
         variants = _relaxations(g)
         if variants is None:
             return Classification(
                 UNCLASSIFIED,
                 "not well formed, and relaxations are not tried past 16 `;` nodes",
             )
-        if project_first((v for v in variants if is_well_formed(v)), budget) is not None:
+        # a type with one `;` node relaxes it to the same variant all at
+        # once and one at a time
+        if project_first((v for v in dict.fromkeys(variants) if is_well_formed(v)), budget) is not None:
             return Classification(
                 NO_SEQUENTIALITY,
                 "the specified ordering of independent interactions cannot be"
@@ -392,8 +401,7 @@ def classify(
     if max_len is None:
         max_len = default_max_len(g)
     found_complete = False
-    for cand in candidates:
-        report = _check(groups, cand, max_len, buf_bound, depth_bound)
+    for report in _checks(g, candidates, max_len, buf_bound, depth_bound):
         if not report.complete:
             continue
         found_complete = True
@@ -480,13 +488,15 @@ def cross_check_theorems(
     depth_bound: int = DEFAULT_DEPTH_BOUND,
 ) -> dict:
     """Check, over random samples, that every well-formed projectable
-    global type has a live projection that is sound and complete.  Each
-    checked sample is decided as `check_preorder` decides it (`_check`,
-    role-group shortcut included), so `crosscheck` and `verify` agree on
-    every sample.  A completeness gap is a violation only when the
-    exploration finished: one cut at `depth_bound` (`Unknown`) explored
-    part of the session, whose traces may hold the missing word.  Returns
-    counters and the list of violations (empty on success)."""
+    global type has a live projection that is sound and complete.
+    Well-formedness is decided as `classify` decides it (`is_well_formed`),
+    and each checked sample, and only those, is compiled and decided as
+    `check_preorder` decides it (`_checks`, role-group shortcut included),
+    so `crosscheck` and `verify` agree on every sample.  A completeness
+    gap is a violation only when the exploration finished: one cut at
+    `depth_bound` (`Unknown`) explored part of the session, whose traces
+    may hold the missing word.  Returns counters and the list of
+    violations (empty on success)."""
     report = {
         "samples": sample_count,
         "well_formed": 0,
@@ -496,8 +506,7 @@ def cross_check_theorems(
     }
     for i in range(sample_count):
         g = random_global_type(seed + i, max_size, role_count, star_depth)
-        groups = compile_parts(g)
-        wf = all(map(swap_closed, groups.values()))
+        wf = is_well_formed(g)
         if wf:
             report["well_formed"] += 1
         try:
@@ -508,7 +517,7 @@ def cross_check_theorems(
         if not wf:
             continue
         report["checked"] += 1
-        conformance = _check(groups, env, default_max_len(g), buf_bound, depth_bound)
+        (conformance,) = _checks(g, [env], default_max_len(g), buf_bound, depth_bound)
         if conformance.liveness == "NotLive":
             report["violations"].append((i, "liveness", None))
             continue

@@ -110,10 +110,10 @@ AND_REFUSED = "more than 100000 states in the shuffle product of an `&`"
 @pytest.mark.parametrize("command", ["check", "project"])
 @pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
 def test_too_deep_inputs_exit_with_usage_code(tmp_path, name, command):
-    """No input is too deep.  `check` compiles the 1,500-operand `&` spine
-    in one frame and refuses its product of 2**1500 states, and `project`
-    serializes it off an explicit stack and projects the first
-    serialization, a chain.  A long `;` spine is compiled and projected
+    """No input is too deep.  `check` settles the 1,500-operand `&` spine
+    by its first and last letters, with no automaton (an `&` of letters is
+    closed under swaps), and `project` serializes it off an explicit stack
+    and projects the first serialization, a chain.  A long `;` spine is compiled and projected
     in one frame, so the 1,500-interaction chain decides.  Parentheses
     parse off an explicit stack, so 1,200 of them decide as the
     interaction they enclose does."""
@@ -123,7 +123,7 @@ def test_too_deep_inputs_exit_with_usage_code(tmp_path, name, command):
     assert "Traceback" not in result.stderr
     if name == "and1500":
         if command == "check":
-            assert (result.returncode, result.stdout, result.stderr) == (1, f"BoundExhausted: {AND_REFUSED}\n", "")
+            assert (result.returncode, result.stdout, result.stderr) == (0, "WellFormed\n", "")
         else:
             assert (result.returncode, result.stderr) == (0, "")
             assert result.stdout.splitlines() == [
@@ -148,12 +148,24 @@ def test_too_deep_inputs_exit_with_usage_code(tmp_path, name, command):
 
 @pytest.mark.parametrize("command", ["trace", "classify", "verify"])
 def test_a_long_and_spine_is_refused_unless_it_is_projected(tmp_path, command):
-    """`trace` and `classify` compile the 1,500-operand `&` spine in one
-    frame and report its product as BoundExhausted; `verify` projects it
-    first, to a chain, and then refuses the product the same way."""
+    """`trace` compiles the 1,500-operand `&` spine in one frame and
+    reports its product as BoundExhausted; `verify` projects it first, to
+    a chain, and then refuses the product the same way.  `classify`
+    settles well-formedness by the spine's first and last letters and
+    projects it, so it compiles nothing and answers Projectable."""
     path = tmp_path / "and1500.gt"
     path.write_text(DEEP_INPUTS["and1500"])
     result = run(command, str(path), "--json")
+    if command == "classify":
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout) == {
+            "category": "Projectable",
+            "command": command,
+            "detail": "well formed and projectable",
+            "input": str(path),
+            "schema": 1,
+        }
+        return
     assert (result.returncode, result.stderr) == (1, "")
     assert json.loads(result.stdout) == {
         "command": command,
@@ -1598,12 +1610,14 @@ TWO_ROLE_CHOICES = "(p -> q : a | p -> q : b)* ; p -> q : a ; " + " ; ".join(["(
 
 def test_a_subset_automaton_past_its_budget_ends_bound_exhausted(tmp_path):
     """`(p -> q : a | p -> q : b)* ; p -> q : a` followed by 22 choices
-    between the same two letters, all in an `&` with `q -> r : c`, has
-    about 2**24 sets of states to tell apart.  `check` and `classify`
-    stop before the 100,001st, with one BoundExhausted report and nothing
-    on stderr."""
+    between the same two letters, all in an `&` with `q -> r : c`, then
+    `p -> q : a`, has about 2**24 sets of states to tell apart.  Its first
+    and last letters do not settle it: `q -> r : c` before the last
+    `p -> q : a` swaps, and the `&` holds the two the other way round.  So
+    `check` and `classify` determinize it, and stop before the 100,001st
+    set, with one BoundExhausted report and nothing on stderr."""
     path = tmp_path / "choices.gt"
-    path.write_text(f"({TWO_ROLE_CHOICES}) & q -> r : c")
+    path.write_text(f"(({TWO_ROLE_CHOICES}) & q -> r : c) ; p -> q : a")
     for command in ("check", "classify"):
         start = time.perf_counter()
         proc = run_capped(command, str(path), "--json")

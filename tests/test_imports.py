@@ -7,7 +7,9 @@ an indent, which would select its pure-Python encoder, and neither the
 verifier nor the command line explores a session whole or compiles a
 type whole where the parts would do, or orders traces itself, the
 runtime decides liveness in one function only, the projector
-catches no bound, only the command line's `main` writes a report,
+catches no bound, only the command line's `main` writes a report, the
+verifier decides well-formedness only through `is_well_formed` and
+compiles a type only to check environments against it,
 a term's equality and stored slots are defined once per language,
 in the bases of `syntax`, the trace compiler calls no constructor of a
 global term, and no function refers to itself but those
@@ -429,6 +431,49 @@ def test_the_check_sees_a_report_written_outside_main():
 
 def test_only_main_writes_a_report():
     assert named((PACKAGE / "cli.py").read_text(encoding="utf-8"), REPORT_WRITERS, outside="main") == []
+
+
+# Whether a type is well formed is decided in `tracelang`, by one pass
+# with the automata behind it (`is_well_formed`): the verifier never asks
+# the swap diamonds itself, and compiles a type's role groups only to
+# check environments against them, in `_checks`.
+def calls_outside(source: str, names: set[str], outside: str) -> list[str]:
+    """The calls in `source` of a function named in `names`, by its name
+    or as an attribute, outside the body of the module-level function
+    `outside`, in line order."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for definition in tree.body
+        if isinstance(definition, FUNCTIONS) and definition.name == outside
+        for node in ast.walk(definition)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_check_sees_a_call_outside_its_owner():
+    source = (
+        "from .tracelang import compile_parts\n"
+        "def _checks(g):\n    return compile_parts(g)\n"
+        "def classify(g):\n    return all(map(swap_closed, compile_parts(g).values()))\n"
+        "def crosscheck(g):\n    return tracelang.compile_parts(g), compile_parts\n"
+    )
+    assert calls_outside(source, {"compile_parts"}, outside="_checks") == [
+        "compile_parts (line 5)", "compile_parts (line 7)"
+    ]
+
+
+def test_the_verifier_decides_well_formedness_through_one_pass():
+    source = (PACKAGE / "verifier.py").read_text(encoding="utf-8")
+    assert named(source, {"swap_closed", "_by_construction"}) == []
+    assert calls_outside(source, {"compile_parts", "compile_traces"}, outside="_checks") == []
 
 
 

@@ -6,7 +6,7 @@ import functools
 import math
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,7 +56,7 @@ from mpst.tracelang import (
     well_formed,
     word_key,
 )
-from mpst.verifier import cross_check_theorems, random_global_type
+from mpst.verifier import _relaxations, cross_check_theorems, random_global_type
 
 
 def g(src: str):
@@ -1151,3 +1151,141 @@ def test_well_formedness_stops_at_the_first_group_that_is_not():
     assert is_well_formed(protocol) is False
     with pytest.raises(BudgetExceededError):
         compile_parts(protocol)
+
+
+# --- well-formedness by construction ----------------------------------------
+
+
+def by_diamonds(sample) -> bool:
+    """Whether `sample` is well formed, by the swap diamonds on the
+    automaton of each of its role groups: the fallback of the structural
+    pass, and its reference here."""
+    return all(swap_closed(compile_traces(group)) for group in role_groups(sample))
+
+
+@settings(max_examples=300, deadline=None)
+@given(global_types())
+def test_the_structural_pass_agrees_with_the_swap_diamonds_on_generated_types(sample):
+    """Wherever the first and last letters settle a generated type,
+    `loopk` and all, they settle it as the swap diamonds do."""
+    verdict = tracelang._by_construction(sample)
+    if verdict is not None:
+        assert verdict == by_diamonds(sample)
+
+
+def test_the_structural_pass_agrees_with_the_swap_diamonds_on_random_types_and_relaxations():
+    """On 300 random types with up to 10 interactions, nested stars and
+    multi-sender letters, and on every relaxation `classify` builds for
+    them, the pass agrees with the swap diamonds wherever it decides, and
+    it decides most types of each verdict."""
+    decided: Counter = Counter()
+    for seed in range(300):
+        sample = random_global_type(seed, 10, 4, 2)
+        for t in [sample, *(_relaxations(sample) or ())]:
+            verdict, truth = tracelang._by_construction(t), by_diamonds(t)
+            assert verdict in (None, truth), print_global_type(t)
+            decided[truth, verdict is not None] += 1
+    assert decided[True, True] > 10 * decided[True, False]
+    assert decided[False, True] > 2 * decided[False, False] > 0
+
+
+@pytest.mark.parametrize(
+    "src, verdict",
+    [
+        # a letter, `skip`, and `|` of closed operands
+        ("{p,q} -> r : a", True),
+        ("skip", True),
+        ("(p -> q : a ; q -> r : b) | {r,s} -> p : c", True),
+        # `&` of closed operands that share roles and a multi-sender letter
+        ("({p,q} -> r : a ; r -> p : b) & ({p,q} -> r : a ; r -> q : c)", True),
+        # a `;` junction whose letters do not swap: q receives a and sends b
+        ("p -> q : a ; {q,s} -> r : b", True),
+        # a `;` junction that swaps, and no trace holds b before a; the
+        # operands between accept the empty word and pass a on
+        ("{p,q} -> r : a ; s -> t : b", False),
+        ("{p,q} -> r : a ; skip ; (r -> s : c)* ; s -> t : b", False),
+        # a `*` junction: p receives b and sends a, so nothing swaps ...
+        ("(p -> q : a ; q -> p : b)*", True),
+        # ... while c, last, swaps with a, first, and no trace holds a c
+        ("(p -> q : a ; q -> r : b ; r -> s : c)*", False),
+        # a junction that swaps where a trace holds the other order, in
+        # another operand of a `|` or across the operands of an `&`
+        ("(p -> q : a ; r -> s : b) | (r -> s : b ; p -> q : a)", None),
+        ("(p -> q : a ; r -> s : b) & r -> s : b", None),
+    ],
+)
+def test_each_rule_of_the_structural_pass(src, verdict):
+    sample = g(src)
+    assert tracelang._by_construction(sample) is verdict
+    if verdict is not None:
+        assert verdict == by_diamonds(sample) == bool(well_formed(sample))
+
+
+def test_the_structural_pass_leaves_loops_undecided():
+    loop = GKExit((GAction(letter("p -> q : a")),), (GAction(letter("q -> p : b")),))
+    assert tracelang._by_construction(loop) is None
+    assert tracelang._by_construction(GSeq(loop, GAction(letter("r -> s : c")))) is None
+    assert is_well_formed(loop) and well_formed(loop)
+
+
+def ring(k: int) -> str:
+    """A loop passing `m` once round a ring of k roles, then `stop` once."""
+    roles = [f"r{i}" for i in range(k)]
+    hops = [f"{roles[i]} -> {roles[(i + 1) % k]}" for i in range(k)]
+    return "(" + " ; ".join(f"{hop} : m" for hop in hops) + ")* ; " + " ; ".join(f"{hop} : stop" for hop in hops)
+
+
+def chain(length: int) -> str:
+    """`length` interactions round a ring of four roles, each sent by the
+    receiver of the one before."""
+    roles = "pqrs"
+    return " ; ".join(f"{roles[j % 4]} -> {roles[(j + 1) % 4]} : m{j % 3}" for j in range(length))
+
+
+def test_the_chain_ring_and_pairs_families_are_well_formed_without_an_automaton(monkeypatch):
+    def unexpected(t):
+        raise AssertionError("a type was compiled")
+
+    monkeypatch.setattr(tracelang, "compile_traces", unexpected)
+    samples = [chain(500), chain(1500), *map(ring, range(3, 14)), *map(pairs, range(1, 9))]
+    for sample in map(g, samples):
+        assert tracelang._by_construction(sample) is True
+        assert well_formed(sample) == WellFormed() and is_well_formed(sample)
+
+
+def counting_swap_tests(monkeypatch) -> list:
+    """The pairs `_swappable` is asked about from now on."""
+    asked = []
+    swappable_ = tracelang._swappable
+    monkeypatch.setattr(tracelang, "_swappable", lambda a, b: asked.append((a, b)) or swappable_(a, b))
+    return asked
+
+
+def test_the_structural_pass_stays_within_its_bound_on_a_long_starred_spine(monkeypatch):
+    """In a `;` spine of 1,500 starred letters every operand accepts the
+    empty word, so junction i tests the i letters before it: 1,124,250
+    swap tests in all.  The pass gives up, undecided, within
+    `DEFAULT_ENUM_CAP` of them."""
+    sample = g(" ; ".join(f"(p -> q : m{i})*" for i in range(1500)))
+    asked = counting_swap_tests(monkeypatch)
+    start = time.perf_counter()
+    assert tracelang._by_construction(sample) is None
+    assert 0 < len(asked) <= DEFAULT_ENUM_CAP
+    assert time.perf_counter() - start < 5
+
+
+def test_the_structural_pass_stays_within_its_bound_beside_a_long_and(monkeypatch):
+    """After an `&` of `p -> q : c` and 1,500 distinct letters from r to
+    s, `p -> q : c` swaps with each of them, and the `&` holds each pair
+    the other way round, so only the adjacency across its 1,501 operands
+    could settle the junction: more pairs than `DEFAULT_ENUM_CAP`.  The
+    pass gives up without raising, and the automata meet their own bound:
+    the product of the `&`."""
+    sample = g("(p -> q : c & " + " & ".join(f"r -> s : m{i}" for i in range(1500)) + ") ; p -> q : c")
+    asked = counting_swap_tests(monkeypatch)
+    start = time.perf_counter()
+    assert tracelang._by_construction(sample) is None
+    assert len(asked) == 1501
+    assert time.perf_counter() - start < 5
+    with pytest.raises(BudgetExceededError, match="shuffle product of an `&`"):
+        is_well_formed(sample)

@@ -297,11 +297,13 @@ def test_classify_determinizes_the_type_once_for_every_candidate(monkeypatch):
 
 
 def test_classify_determinizes_the_type_on_its_candidate_path_once(monkeypatch):
-    """The type's 7-state subset automaton, built to decide well-formedness,
-    serves every candidate; then each candidate's session has its own."""
+    """The type's first and last letters settle its well-formedness, so
+    its 7-state subset automaton is built when the first candidate is
+    checked, after that candidate's session's, and serves every candidate;
+    each later candidate's session has its own."""
     built = counting_subset_automata(monkeypatch)
     assert classify(g(UNKNOWABLE_CHOICE)).category == NO_KNOWLEDGE_FOR_CHOICE
-    assert [len(auto._subset.accepting) for auto in built] == [7, 4, 4, 4]
+    assert [len(auto._subset.accepting) for auto in built] == [4, 7, 4, 4]
 
 
 def pairs(n: int) -> str:
@@ -314,8 +316,10 @@ def test_classify_compiles_only_the_role_groups_of_a_projectable_spine(monkeypat
     counting_compiles(monkeypatch, lambda t, auto: compiled.append(t))
     built = counting_subset_automata(monkeypatch)
     assert classify(protocol).category == PROJECTABLE
-    assert compiled == tracelang.role_groups(protocol) and len(compiled) == 5
-    assert [auto.n_states for auto in built] == [4] * 5
+    assert len(tracelang.role_groups(protocol)) == 5
+    # well formed by its first and last letters, and projectable: no
+    # candidate is checked, so nothing is compiled
+    assert compiled == [] and built == []
 
 
 def test_crosscheck_determinizes_only_the_automata_it_compiles_and_explores(monkeypatch):
@@ -362,6 +366,21 @@ def test_classify_does_not_project_a_type_that_is_not_well_formed(monkeypatch):
     monkeypatch.setattr(projector, "_project_top", counting)
     assert classify(protocol).category == NO_SEQUENTIALITY
     assert projected and all(t != protocol for t in projected)
+
+
+def test_classify_tries_each_relaxation_once(monkeypatch):
+    """A type with one `;` node relaxes it to the same variant all at once
+    and one at a time; `classify` decides that variant once, and, as it
+    does not project, tries nothing more."""
+    protocol = g("(p -> q : a | r -> q : b) ; s -> t : c")
+    relaxed = g("(p -> q : a | r -> q : b) & s -> t : c")
+    assert _relaxations(protocol) == [relaxed, relaxed]
+    asked = []
+    decide = verifier.is_well_formed
+    monkeypatch.setattr(verifier, "is_well_formed", lambda t: asked.append(t) or decide(t))
+    outcome = classify(protocol)
+    assert outcome.category == UNCLASSIFIED and "no sequentiality relaxation" in outcome.detail
+    assert asked == [protocol, relaxed]
 
 
 def test_classify_and_crosscheck_find_no_swap_witness(monkeypatch):
