@@ -39,11 +39,11 @@ apart by ``type(t) is``.
 Interactions and compound terms of both languages (every constructor but
 ``GSkip``, ``TEnd`` and ``TVar``) hash in O(1): each derives from
 ``_Term``, whose ``_hash`` slot holds the hash computed once, to the
-value the generated dataclass hash would give.  A global term's
-constructor computes it when it builds the term.  A compound session term
-is built with ``None`` there and computes it on its first ``hash()``
-(`_hash_session`), together with the hashes that the terms below it do
-not have yet, off an explicit stack, so a term that is built and dropped
+value the generated dataclass hash would give.  The constructor of a
+global term or an interaction computes it when it builds the term.  A
+compound session term is built with ``None`` there and computes it on its
+first ``hash()`` (`_hash_session`), together with the hashes that the
+terms below it do not have yet, off an explicit stack, so a term that is built and dropped
 unhashed costs no hash.  The elimination of ``&`` keys sets and dicts by
 whole terms and the subset steps of trace automata by interactions, so a
 lookup walks no tree and rebuilds no field tuple, and hashing a term of
@@ -67,9 +67,22 @@ off explicit stacks as well.
 
 Compound session terms have two more slots, which equality, hashing,
 ``repr`` and pattern matching ignore: ``_machine`` (``_SessionTerm``'s),
-the minimal machine that ``mpst.machine`` keeps on a canonical term, and,
-on prefixes, ``_chain``, the number of prefixes down to ``end`` (0 when
-the term is not such a chain), set from the continuation's when built.
+the minimal machine that ``mpst.machine`` keeps on a canonical term, None
+when built, and, on prefixes, ``_chain``, the number of prefixes down to
+``end`` (0 when the term is not such a chain), read off the
+continuation's when built.
+
+Every constructor with fields builds its term in one step, in its own
+``__init__`` (the dataclass is declared ``init=False``): it checks and
+converts its arguments, computes ``_hash``, ``_chain`` and ``_machine``
+itself, and writes each slot once, through that slot's member descriptor,
+bound once per class (the ``_set_*`` names).  A frozen dataclass's
+generated ``__init__`` would write each field through
+``object.__setattr__`` and leave the derived slots to a
+``__post_init__`` that writes them the same way, at about twice the
+cost.  The classes stay frozen, slotted dataclasses: ``fields``,
+``replace``, ``__match_args__``, ``repr`` and the ``FrozenInstanceError``
+of an assignment are the generated ones.
 
 Comments run from ``//`` to end of line in both languages.
 """
@@ -129,7 +142,10 @@ class _Term:
         return self._hash
 
 
-@dataclass(frozen=True, slots=True)
+_set_hash = _Term._hash.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Interaction(_Term):
     """One message exchange: every role in `senders` sends `message`, and
     `receiver` consumes one copy from each sender.
@@ -142,15 +158,16 @@ class Interaction(_Term):
     receiver: Role
     message: Message
 
-    def __post_init__(self):
-        object.__setattr__(self, "senders", frozenset(self.senders))
-        if not self.senders:
+    def __init__(self, senders, receiver, message):
+        senders = frozenset(senders)
+        if not senders:
             raise ValueError("interaction needs at least one sender")
-        if self.receiver in self.senders:
-            raise SelfMessageError(
-                f"role {self.receiver!r} cannot send a message to itself"
-            )
-        object.__setattr__(self, "_hash", hash((self.senders, self.receiver, self.message)))
+        if receiver in senders:
+            raise SelfMessageError(f"role {receiver!r} cannot send a message to itself")
+        _set_senders(self, senders)
+        _set_receiver(self, receiver)
+        _set_message(self, message)
+        _set_hash(self, hash((senders, receiver, message)))
 
     # keeps the generated `__eq__`, but not a hash of the fields per call
     __hash__ = _Term.__hash__
@@ -161,6 +178,11 @@ class Interaction(_Term):
         else:
             left = "{" + ",".join(sorted(self.senders)) + "}"
         return f"{left} -> {self.receiver} : {self.message}"
+
+
+_set_senders = Interaction.senders.__set__
+_set_receiver = Interaction.receiver.__set__
+_set_message = Interaction.message.__set__
 
 
 def _same_global(self, other) -> bool:
@@ -216,17 +238,21 @@ class GSkip:
     """The empty choreography (unit of sequencing)."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class GAction(_GlobalTerm):
     """A single interaction."""
 
     interaction: Interaction
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.interaction,)))
+    def __init__(self, interaction):
+        _set_interaction(self, interaction)
+        _set_hash(self, hash((interaction,)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+_set_interaction = GAction.interaction.__set__
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class _Pair(_GlobalTerm):
     """The shape of `;`, `&` and `|`: two sides, hashed behind the `_TAG`
     of the constructor, so that the three of the same two sides hash
@@ -235,8 +261,14 @@ class _Pair(_GlobalTerm):
     left: GlobalType
     right: GlobalType
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self._TAG, self.left, self.right)))
+    def __init__(self, left, right):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((self._TAG, left, right)))
+
+
+_set_left = _Pair.left.__set__
+_set_right = _Pair.right.__set__
 
 
 class GSeq(_Pair):
@@ -260,17 +292,21 @@ class GEither(_Pair):
     _TAG = 2
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class GStar(_GlobalTerm):
     """`body` happens zero or more times."""
 
     body: GlobalType
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.body,)))
+    def __init__(self, body):
+        _set_star_body(self, body)
+        _set_hash(self, hash((body,)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+_set_star_body = GStar.body.__set__
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class GKExit(_GlobalTerm):
     """k-exit iteration: cycle through `bodies` in order, with the option
     before each round of phase i to leave through `exits[i]` instead.
@@ -281,12 +317,17 @@ class GKExit(_GlobalTerm):
     bodies: tuple[GlobalType, ...]
     exits: tuple[GlobalType, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "bodies", tuple(self.bodies))
-        object.__setattr__(self, "exits", tuple(self.exits))
-        if not self.bodies or len(self.bodies) != len(self.exits):
+    def __init__(self, bodies, exits):
+        bodies, exits = tuple(bodies), tuple(exits)
+        if not bodies or len(bodies) != len(exits):
             raise ValueError("loopk needs k >= 1 bodies and k exits")
-        object.__setattr__(self, "_hash", hash((self.bodies, self.exits)))
+        _set_bodies(self, bodies)
+        _set_exits(self, exits)
+        _set_hash(self, hash((bodies, exits)))
+
+
+_set_bodies = GKExit.bodies.__set__
+_set_exits = GKExit.exits.__set__
 
 
 GlobalType = Union[GSkip, GAction, GSeq, GBoth, GEither, GStar, GKExit]
@@ -431,23 +472,16 @@ def _same_session(self, other) -> bool:
         a, b = work.pop()
 
 
-def _mark_chain(t) -> None:
-    """Set the slots a prefix `t` gets when it is built: `_chain`, the
-    number of prefixes down to `end` when `t` is a prefix chain (0 when it
-    is not), read off its continuation in O(1); `_machine`, which
-    `mpst.machine` fills in when it knows the minimal machine of `t`; and
-    `_hash`, None until `t` is first hashed."""
-    c = t.cont
-    k = type(c)
+def _chain_above(cont: SessionType) -> int:
+    """The `_chain` of a prefix whose continuation is `cont`: the number of
+    prefixes down to `end` when the prefix is a prefix chain, 0 when it is
+    not, read off `cont` in O(1)."""
+    k = type(cont)
     if k is TEnd:
-        n = 1
-    elif k is TOut or k is TIn:
-        n = c._chain + 1 if c._chain else 0
-    else:
-        n = 0
-    object.__setattr__(t, "_chain", n)
-    object.__setattr__(t, "_machine", None)
-    object.__setattr__(t, "_hash", None)
+        return 1
+    if k is TOut or k is TIn:
+        return cont._chain and cont._chain + 1
+    return 0
 
 
 def _hash_session(self) -> int:
@@ -482,7 +516,7 @@ def _hash_session(self) -> int:
                 continue
             h = hash((node.branches,))
         work.pop()
-        object.__setattr__(node, "_hash", h)
+        _set_hash(node, h)
     return self._hash
 
 
@@ -495,19 +529,28 @@ class _SessionTerm(_Term):
     __hash__ = _hash_session
 
 
+_set_machine = _SessionTerm._machine.__set__
+
+
 @dataclass(frozen=True, slots=True)
 class TEnd:
     """Successfully terminated behaviour."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TVar:
     """A recursion variable."""
 
     name: str
 
+    def __init__(self, name):
+        _set_name(self, name)
 
-@dataclass(frozen=True, slots=True, eq=False)
+
+_set_name = TVar.name.__set__
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class TOut(_SessionTerm):
     """Send `message` to `partner`, then continue as `cont`."""
 
@@ -516,11 +559,22 @@ class TOut(_SessionTerm):
     cont: SessionType
     _chain: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _mark_chain(self)
+    def __init__(self, partner, message, cont):
+        _set_out_partner(self, partner)
+        _set_out_message(self, message)
+        _set_out_cont(self, cont)
+        _set_out_chain(self, _chain_above(cont))
+        _set_machine(self, None)
+        _set_hash(self, None)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+_set_out_partner = TOut.partner.__set__
+_set_out_message = TOut.message.__set__
+_set_out_cont = TOut.cont.__set__
+_set_out_chain = TOut._chain.__set__
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class TIn(_SessionTerm):
     """Receive `message` from every role in `partners` (a join: one copy
     from each), then continue as `cont`."""
@@ -530,25 +584,40 @@ class TIn(_SessionTerm):
     cont: SessionType
     _chain: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "partners", frozenset(self.partners))
-        if not self.partners:
+    def __init__(self, partners, message, cont):
+        partners = frozenset(partners)
+        if not partners:
             raise ValueError("input needs at least one partner")
-        _mark_chain(self)
+        _set_in_partners(self, partners)
+        _set_in_message(self, message)
+        _set_in_cont(self, cont)
+        _set_in_chain(self, _chain_above(cont))
+        _set_machine(self, None)
+        _set_hash(self, None)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+_set_in_partners = TIn.partners.__set__
+_set_in_message = TIn.message.__set__
+_set_in_cont = TIn.cont.__set__
+_set_in_chain = TIn._chain.__set__
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class _Choice(_SessionTerm):
     """The shape of both choices and of the merge: two or more branches."""
 
     branches: tuple[SessionType, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if len(self.branches) < 2:
+    def __init__(self, branches):
+        branches = tuple(branches)
+        if len(branches) < 2:
             raise ValueError("choice needs at least two branches")
-        object.__setattr__(self, "_machine", None)
-        object.__setattr__(self, "_hash", None)
+        _set_branches(self, branches)
+        _set_machine(self, None)
+        _set_hash(self, None)
+
+
+_set_branches = _Choice.branches.__set__
 
 
 class TInternal(_Choice):
@@ -572,24 +641,29 @@ class TMerge(_Choice):
 
     __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, branches):
         flat: list[SessionType] = []
-        for b in self.branches:
+        for b in branches:
             flat.extend(b.branches if type(b) is TMerge else (b,))
-        object.__setattr__(self, "branches", flat)
-        _Choice.__post_init__(self)
+        _Choice.__init__(self, flat)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class TRec(_SessionTerm):
     """Recursive behaviour: `body` may refer back to this point as `var`."""
 
     var: str
     body: SessionType
 
-    def __post_init__(self):
-        object.__setattr__(self, "_machine", None)
-        object.__setattr__(self, "_hash", None)
+    def __init__(self, var, body):
+        _set_var(self, var)
+        _set_rec_body(self, body)
+        _set_machine(self, None)
+        _set_hash(self, None)
+
+
+_set_var = TRec.var.__set__
+_set_rec_body = TRec.body.__set__
 
 
 SessionType = Union[TEnd, TVar, TOut, TIn, TInternal, TExternal, TRec, TMerge]

@@ -14,8 +14,9 @@ construction and standard (Caron & Ziadi, TCS 2000): no move enters the
 start state.  So no construction copies an operand's start: each appends
 the states of its parts but their starts to one list of moves (`_append`)
 and gives the moves of each part's start to the states that go on with
-it.  In a `;` spine (`_seq`) these are its junctions, the states reached
-after each operand; in a `|` spine (`_alt`) the start of all.  A loop
+it, extending their own move lists, so no list is copied twice.  In a `;`
+spine (`_seq`) these are its junctions, the states reached after each
+operand; in a `|` spine (`_alt`) the start of all.  A loop
 `loopk (B1..Bk) exit (E1..Ek)` (`_loop`) is the `;` spine of its bodies
 with each exit Ei wired into the junction before Bi, and its last
 junction, where a round ends, takes the moves and the acceptance of the
@@ -34,6 +35,8 @@ Automata stay nondeterministic.  Each keeps the one subset automaton
 (`_Subset`) that all its language questions read, filled in row by row:
 `swap_closed` reads every row (of a nondeterministic automaton; it reads a
 deterministic one's own moves), the other questions only those they reach.
+A deterministic automaton is its own subset automaton: its rows are its
+own moves, in letter order, under its own state numbers.
 Its letters are numbered, and its rows ordered, by the letters' texts, so
 every word a question picks is the least in one order, `word_key`'s: the
 counterexample of `includes`, the witness of `well_formed`, the gap of
@@ -227,6 +230,11 @@ class TraceAutomaton:
         return "\n".join(lines)
 
 
+def _deterministic(delta) -> bool:
+    """Whether no state of the moves `delta` has two moves by one letter."""
+    return all(len(edges) == len({lab for lab, _ in edges}) for edges in delta)
+
+
 class _Subset(dict):
     """The subset automaton of a `TraceAutomaton`, whose moves must not
     change once this is built: the state sets reachable from {0}, numbered
@@ -237,18 +245,37 @@ class _Subset(dict):
     when first read (`__missing__`), and `accepting[s]` says whether `s`
     accepts.  Every state of the subset automaton of a trim automaton
     accepts some word.  Numbering a set past `DEFAULT_ENUM_CAP` raises
-    BudgetExceededError, so every reader is budgeted."""
+    BudgetExceededError, so every reader is budgeted.
+
+    An automaton that is already deterministic (`_deterministic`) is its
+    own subset automaton: its states keep their numbers, `accepting` is
+    read off its accepting states, and each row is the state's moves in
+    letter order, so no set is built or numbered.  Every reader takes a
+    row's letters in order and gives the same answer under either
+    numbering: state `q` stands for the set {q}, and the states reachable
+    from 0 are numbered one to one.  One with more states than the budget,
+    such as a session explored under a large `--depth`, is still numbered
+    set by set, so its readers meet the budget as before."""
 
     def __init__(self, a: TraceAutomaton):
         texts = {lab: str(lab) for lab in {lab for edges in a.delta for lab, _ in edges}}
         letters = sorted(texts, key=texts.__getitem__)
         ids = {lab: x for x, lab in enumerate(letters)}
         self.letters, self.texts, self.ids = letters, [texts[lab] for lab in letters], ids
+        if len(a.delta) <= DEFAULT_ENUM_CAP and _deterministic(a.delta):
+            self._delta = a.delta
+            self.accepting = [q in a.accepts for q in range(len(a.delta))]
+            return
+        self._delta = None
         self.accepting = [0 in a.accepts]
         self._moves = [[(ids[lab], r) for lab, r in edges] for edges in a.delta]
         self._accepts, self._sets, self._index = a.accepts, [frozenset({0})], {frozenset({0}): 0}
 
     def __missing__(self, s: int) -> dict[int, int]:
+        if self._delta is not None:
+            ids = self.ids
+            row = self[s] = dict(sorted([(ids[lab], r) for lab, r in self._delta[s]]))
+            return row
         moves, sets, index = self._moves, self._sets, self._index
         succ: dict[int, set[int]] = {}
         for q in sets[s]:
@@ -283,9 +310,11 @@ def _letter(i: Interaction) -> TraceAutomaton:
 
 
 def _wire(delta, sources, edges) -> None:
-    """Give every state in `sources` the moves `edges` as well.  Each
-    state gets a new list, so `edges` may be one of the lists wired; with
-    no moves to wire, no list is copied."""
+    """Give every state in `sources` the moves `edges` as well, each move
+    once: a loop's last junction may hold its start, or states that have
+    some of the start's moves already.  Each state gets a new list, so
+    `edges` may be one of the lists wired; with no moves to wire, no list
+    is copied."""
     if edges:
         for q in sources:
             delta[q] = list(dict.fromkeys(delta[q] + edges))
@@ -303,15 +332,21 @@ def _append(delta, a: TraceAutomaton, sources) -> frozenset[int]:
     """Append the states of `a` but its start, which no move enters, to
     `delta`, numbered on from its last state, and give every state in
     `sources` the moves of `a`'s start; the first part appended to a lone
-    start with no moves is taken as it is.  Returns the accepting states
-    of `a` that were appended, as numbered in `delta`."""
+    start with no moves is taken whole, start and all.  Each move list of
+    `a` enters `delta` as one copy, so `a` never changes.  The start's moves extend
+    each source's own list in place: they enter the states just appended,
+    so none of them is there already.  Returns the accepting states of `a`
+    that were appended, as numbered in `delta`."""
     shift = len(delta) - 1
     if not shift:
-        delta[:] = a.delta
+        delta[:] = map(list.copy, a.delta)
         return a.accepts - {0}
     moves = [[(lab, r + shift) for lab, r in edges] for edges in a.delta]
     delta += moves[1:]
-    _wire(delta, sources, moves[0])
+    start = moves[0]
+    if start:
+        for q in sources:
+            delta[q] += start
     return frozenset([f + shift for f in a.accepts if f])
 
 
@@ -340,7 +375,7 @@ def _alt(autos: list[TraceAutomaton]) -> TraceAutomaton:
     the start of all takes the moves of each operand's start, and accepts
     when one of them does."""
     _budget(autos, "a `;` or `|` spine")
-    delta, accepts = [[]], frozenset()
+    delta, accepts = [[]], set()
     for a in autos:
         accepts |= _append(delta, a, [0]) | (a.accepts & {0})
     return TraceAutomaton(delta, accepts)
@@ -822,7 +857,7 @@ def swap_closed(a: TraceAutomaton) -> bool:
     receivers = {alpha.receiver for alpha in letters}
     if all(receivers <= alpha.senders | {alpha.receiver} for alpha in letters):
         return True
-    if all(len(edges) == len({lab for lab, _ in edges}) for edges in a.delta):
+    if _deterministic(a.delta):
         return _diamonds([dict(edges) for edges in a.delta], [q in a.accepts for q in range(a.n_states)], _swappable)
     dfa = a._subset
     rows = [dfa[s] for s, _ in enumerate(dfa.accepting)]  # grows while it is read

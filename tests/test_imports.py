@@ -11,7 +11,7 @@ catches no bound, only the command line's `main` writes a report, the
 verifier decides well-formedness only through `is_well_formed` and
 compiles a type only to check environments against it,
 a term's equality and stored slots are defined once per language,
-in the bases of `syntax`, the trace compiler calls no constructor of a
+in the bases of `syntax`, whose term classes have no `__post_init__`, the trace compiler calls no constructor of a
 global term, and no function refers to itself but those
 that still recurse, listed to be rewritten off explicit stacks.
 
@@ -607,6 +607,41 @@ def test_the_check_sees_identity_outside_the_bases():
 
 def test_term_identity_lives_in_the_language_bases():
     assert identity_redefinitions((PACKAGE / "syntax.py").read_text(encoding="utf-8")) == []
+
+
+def post_init_hooks(source: str) -> list[str]:
+    """The classes of `source` that define or assign `__post_init__`,
+    which a dataclass's generated `__init__` calls once it has written
+    every field."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for statement in node.body:
+                if isinstance(statement, FUNCTIONS):
+                    names = [statement.name]
+                elif isinstance(statement, ast.Assign):
+                    names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                if "__post_init__" in names:
+                    found.append(f"{node.name}.__post_init__ (line {statement.lineno})")
+    return found
+
+
+def test_the_check_sees_a_post_init_hook():
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    def __post_init__(self):\n        pass\n"
+        "class B(A):\n    __post_init__ = A.__post_init__\n"
+        "class C:\n    def __init__(self, x):\n        self.x = x\n"
+    )
+    assert post_init_hooks(source) == ["A.__post_init__ (line 4)", "B.__post_init__ (line 7)"]
+
+
+def test_term_constructors_write_their_own_slots():
+    """Every term class of `syntax` that has fields writes them in its own
+    `__init__`, once each, so none has a `__post_init__` that writes the
+    stored hash or the other derived slots a second time."""
+    assert post_init_hooks((PACKAGE / "syntax.py").read_text(encoding="utf-8")) == []
 
 
 def self_references(source: str, module: str) -> list[str]:

@@ -42,6 +42,7 @@ from mpst.syntax import (
     parse_session_env,
     parse_session_type,
     parts,
+    postorder,
     print_global_type,
     print_session_env,
     print_session_type,
@@ -53,6 +54,8 @@ from mpst.syntax import (
 )
 from mpst.projector import ProjectionError, project_top
 from mpst.verifier import random_global_type
+from test_machine import CORPUS_GLOBAL
+from test_tracelang import loopk_text
 
 
 def test_single_interaction_parses_to_action():
@@ -326,13 +329,19 @@ def test_equal_session_terms_compare_at_any_depth():
 
 GLOBAL_CONSTRUCTORS = (GSkip, GAction, GSeq, GBoth, GEither, GStar, GKExit)
 SESSION_CONSTRUCTORS = (TEnd, TVar, TOut, TIn, TInternal, TExternal, TRec, TMerge)
-# frozen dataclasses with the compared fields of each session-type
-# constructor and the generated hash
+PAIRS = (GSeq, GBoth, GEither)
+# frozen dataclasses with the compared fields of each constructor and of
+# interactions, and the generated hash; the twin of `;`, `&` or `|` takes
+# its constructor's `_TAG` first, as a field that repr leaves out, since
+# the stored hash of the three includes it
 GENERATED = {
     k: dataclasses.make_dataclass(
-        k.__name__, [f.name for f in dataclasses.fields(k) if f.compare], frozen=True
+        k.__name__,
+        [("_TAG", int, dataclasses.field(repr=False))] * (k in PAIRS)
+        + [f.name for f in dataclasses.fields(k) if f.compare],
+        frozen=True,
     )
-    for k in SESSION_CONSTRUCTORS
+    for k in (Interaction, *GLOBAL_CONSTRUCTORS, *SESSION_CONSTRUCTORS)
 }
 
 
@@ -417,6 +426,100 @@ def test_session_terms_hash_as_generated_on_random_projections():
         assert hash(t) == hash(generated_twin(t))
         assert repr(t) == repr(generated_twin(t))
     assert {type(t) for t in terms} >= {TOut, TIn, TInternal, TExternal, TRec}
+
+
+def test_global_terms_and_interactions_are_built_as_generated():
+    """A global term or an interaction built by its constructor's own
+    `__init__` hashes and prints as its generated twin, and so does every
+    subterm of it; built again from its fields (`dataclasses.replace`), it
+    is equal, with an equal twin."""
+    # the corpus but its 500-interaction chain, whose generated repr
+    # recurses past the recursion limit
+    texts = [*CORPUS_GLOBAL[:-1], loopk_text(3), "(p -> q : a)? ; skip", "p -> q : a & {p, r} -> q : b"]
+    types = [parse_global_type(text) for text in texts]
+    types += [random_global_type(seed, max_size=10, role_count=4, star_depth=2) for seed in range(200)]
+    terms = {t for g in types for t, _ in postorder(g)}
+    terms |= {t.interaction for t in terms if type(t) is GAction}
+    assert {type(t) for t in terms} == {Interaction, *GLOBAL_CONSTRUCTORS}
+    for t in terms:
+        twin = generated_twin(t)
+        assert hash(t) == hash(twin) and repr(t) == repr(twin)
+        again = dataclasses.replace(t)
+        assert again == t and again is not t and generated_twin(again) == twin
+
+
+def test_a_prefix_counts_the_prefixes_down_to_end():
+    """`_chain` is the number of prefixes down to `end`, and 0 down to a
+    variable, a choice, a merge or a `rec`, on chains that mix outputs and
+    inputs."""
+    end = TEnd()
+    out = TOut("q", "a", end)
+    bottoms = [
+        (end, True),
+        (TVar("X"), False),
+        (TInternal((out, TOut("q", "b", end))), False),
+        (TExternal((TIn({"q"}, "a", end), TIn({"q"}, "b", end))), False),
+        (TMerge((out, end)), False),
+        (TRec("X", TOut("q", "a", TVar("X"))), False),
+    ]
+    for bottom, counted in bottoms:
+        t = bottom
+        for k in range(1, 40):
+            t = TOut("q", f"m{k}", t) if k % 3 else TIn({"q", "r"}, f"m{k}", t)
+            assert t._chain == (k if counted else 0)
+
+
+def test_a_session_term_is_built_with_no_machine_and_no_hash():
+    """A compound session term keeps no machine when built, and stores its
+    hash, the generated one, only once it is first hashed."""
+    end = TEnd()
+    out = TOut("q", "a", end)
+    for build in (
+        lambda: TOut("q", "a", out),
+        lambda: TIn({"q", "r"}, "a", out),
+        lambda: TInternal((out, TOut("q", "b", end))),
+        lambda: TExternal((TIn({"q"}, "a", end), TIn({"q"}, "b", end))),
+        lambda: TMerge((out, end)),
+        lambda: TRec("X", TOut("q", "a", TVar("X"))),
+    ):
+        t = build()
+        assert t._machine is None and t._hash is None
+        assert hash(t) == t._hash == hash(generated_twin(t))
+        assert t._machine is None
+
+
+def test_every_constructor_refuses_as_before():
+    """Each refusal of a constructor keeps its exception type and message,
+    whether the term is built by position, by keyword or by `replace`; a
+    merge flattens its operands before it counts them."""
+    p = frozenset({"p"})
+    a = GAction(Interaction(p, "q", "a"))
+    out = TOut("q", "a", TEnd())
+    refused = [
+        (lambda: Interaction(frozenset(), "q", "a"), ValueError, "interaction needs at least one sender"),
+        (lambda: Interaction(senders=[], receiver="q", message="a"), ValueError, "interaction needs at least one sender"),
+        (lambda: Interaction(p, "p", "a"), SelfMessageError, "role 'p' cannot send a message to itself"),
+        (lambda: Interaction({"p", "q"}, "q", "a"), SelfMessageError, "role 'q' cannot send a message to itself"),
+        (lambda: dataclasses.replace(a.interaction, receiver="p"), SelfMessageError, "role 'p' cannot send a message to itself"),
+        (lambda: TIn(frozenset(), "a", TEnd()), ValueError, "input needs at least one partner"),
+        (lambda: TIn(partners=(), message="a", cont=TEnd()), ValueError, "input needs at least one partner"),
+        (lambda: TInternal((out,)), ValueError, "choice needs at least two branches"),
+        (lambda: TExternal(()), ValueError, "choice needs at least two branches"),
+        (lambda: TMerge([out]), ValueError, "choice needs at least two branches"),
+        (lambda: dataclasses.replace(TInternal((out, out)), branches=(out,)), ValueError, "choice needs at least two branches"),
+        (lambda: GKExit([a], [a, a]), ValueError, "loopk needs k >= 1 bodies and k exits"),
+        (lambda: GKExit([a, a], [a]), ValueError, "loopk needs k >= 1 bodies and k exits"),
+        (lambda: GKExit((), ()), ValueError, "loopk needs k >= 1 bodies and k exits"),
+        (lambda: GKExit(bodies=[a], exits=[]), ValueError, "loopk needs k >= 1 bodies and k exits"),
+    ]
+    for build, kind, message in refused:
+        with pytest.raises(kind) as caught:
+            build()
+        assert type(caught.value) is kind and str(caught.value) == message
+    merged = TMerge((TMerge((out, TEnd())),))
+    assert merged.branches == (out, TEnd()) and type(merged.branches) is tuple
+    assert GKExit(iter([a]), iter([a])).bodies == (a,)
+    assert TIn(["q", "q"], "a", TEnd()).partners == frozenset({"q"})
 
 
 def test_hashing_a_deep_session_type_needs_no_stack():

@@ -57,6 +57,7 @@ from mpst.tracelang import (
     word_key,
 )
 from mpst.verifier import _relaxations, cross_check_theorems, random_global_type
+from test_machine import CORPUS_GLOBAL
 
 
 def g(src: str):
@@ -1091,6 +1092,120 @@ def test_a_spine_automaton_is_budgeted_by_its_states(monkeypatch):
     monkeypatch.setattr(tracelang, "DEFAULT_ENUM_CAP", 6)
     with pytest.raises(BudgetExceededError, match="more than 6 states in the automaton of a loop"):
         compile_traces(g(loopk_text(3)))
+
+
+def starred_spine(n: int) -> str:
+    return " ; ".join(f"(p -> q : m{i})*" for i in range(n))
+
+
+def test_junction_wiring_copies_each_move_list_once(monkeypatch):
+    """The `;` spine of 600 starred letters and the `|` spine of 2,000
+    letters: `_append` leaves every move list already in `delta` where it
+    is, extended in place, and puts in one new list per state it appends,
+    none of them an operand's own; the only other copies are each star's,
+    wiring its start into its last junction.  So each list is copied once
+    where a copy per wiring of a junction state made the first spine cubic
+    in n and the second quadratic.  The moves are the 180,900 and 2,000
+    that copying built."""
+    append, wire = tracelang._append, tracelang._wire
+    appended, wired = [], []
+
+    def watching_append(delta, a, sources):
+        kept = list(map(id, delta)) if len(delta) > 1 else []
+        out = append(delta, a, sources)
+        ids = list(map(id, delta))
+        assert ids[: len(kept)] == kept and set(ids).isdisjoint(map(id, a.delta))
+        appended.append(len(ids) - len(kept))
+        return out
+
+    def watching_wire(delta, sources, edges):
+        wired.append(len(sources) if edges else 0)
+        wire(delta, sources, edges)
+
+    monkeypatch.setattr(tracelang, "_append", watching_append)
+    monkeypatch.setattr(tracelang, "_wire", watching_wire)
+    auto = compile_traces(g(starred_spine(600)))
+    assert sum(map(len, auto.delta)) == 180900
+    # each star appends its letter's 2 lists and copies 1 wiring its
+    # junction; the spine takes the first star's 2 lists, then 1 per star
+    assert sum(appended) == 600 * 2 + 2 + 599 and wired == [1] * 600
+    appended.clear(), wired.clear()
+    auto = compile_traces(g(" | ".join(f"p -> q : m{i}" for i in range(2000))))
+    assert sum(map(len, auto.delta)) == 2000
+    assert sum(appended) == 2 + 1999 and wired == []
+
+
+def copying_append(delta, a, sources):
+    """`_append` as it was when each wiring went through `_wire`: every
+    source gets a new list, the old one and the new moves, each move once,
+    and a first part taken as it is keeps its own lists."""
+    shift = len(delta) - 1
+    if not shift:
+        delta[:] = a.delta
+        return a.accepts - {0}
+    moves = [[(lab, r + shift) for lab, r in edges] for edges in a.delta]
+    delta += moves[1:]
+    if moves[0]:
+        for q in sources:
+            delta[q] = list(dict.fromkeys(delta[q] + moves[0]))
+    return frozenset([f + shift for f in a.accepts if f])
+
+
+def test_junction_wiring_builds_the_automata_that_copying_built(monkeypatch):
+    """The moves and accepting states of every automaton compiled from the
+    corpus, the pinned compositions, the two spine families, a 5-phase loop
+    and 1,000 random types with nested stars are those the copying wiring
+    built.  One automaton differs, as it may: a shuffle of two loops by one
+    letter moves twice by it from the state where both loop, and the
+    copying wiring dropped the second move when a junction followed."""
+    samples = [g(text) for text in (*CORPUS_GLOBAL, *PINNED, starred_spine(60), loopk_text(5))]
+    samples.append(g(" | ".join(f"p -> q : m{i}" for i in range(60))))
+    samples += [random_global_type(i, 10, 4, 2) for i in range(1000)]
+    twice = g("((p -> q : a)* & (p -> q : a)*) ; r -> s : b")
+    built = [compile_traces(sample) for sample in (*samples, twice)]
+    monkeypatch.setattr(tracelang, "_append", copying_append)
+    for sample, auto in zip(samples, built):
+        reference = compile_traces(sample)
+        assert auto.delta == reference.delta and auto.accepts == reference.accepts
+    reference, auto = compile_traces(twice), built[-1]
+    assert auto.delta != reference.delta and auto.accepts == reference.accepts
+    assert [list(dict.fromkeys(edges)) for edges in auto.delta] == reference.delta
+    assert enumerate_traces(auto, 6) == enumerate_traces(reference, 6)
+
+
+def outcome(question, *args):
+    """What `question(*args)` answers, or the bound it raises."""
+    try:
+        return question(*args)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def test_a_deterministic_automaton_is_its_own_subset_automaton(monkeypatch):
+    """Each deterministic automaton compiled from the corpus and from 400
+    random types reads its rows off its own moves, and every reader
+    answers on it as on the subset automaton that the general
+    construction builds for a twin of it: `member`, `includes` both ways
+    with its neighbour, `list_traces`, `count_traces` and
+    `first_uncovered`."""
+    samples = [g(text) for text in CORPUS_GLOBAL] + [random_global_type(i, 10, 4, 2) for i in range(400)]
+    pairs_ = [(compile_traces(s), compile_traces(s)) for s in samples]
+    pairs_ = [(auto, twin) for auto, twin in pairs_ if tracelang._deterministic(auto.delta)]
+    assert len(pairs_) > 300
+    with monkeypatch.context() as patched:
+        patched.setattr(tracelang, "_deterministic", lambda delta: False)
+        for _, twin in pairs_:
+            assert twin._subset._delta is None
+    for auto, _ in pairs_:
+        assert auto._subset._delta is auto.delta
+    for (a, ta), (b, tb) in zip(pairs_, pairs_[1:]):
+        assert includes(a, b) == includes(ta, tb) and includes(b, a) == includes(tb, ta)
+        assert outcome(list_traces, a, 6) == outcome(list_traces, ta, 6)
+        assert outcome(count_traces, a, 8, 5) == outcome(count_traces, ta, 8, 5)
+        assert outcome(first_uncovered, a, b, 6) == outcome(first_uncovered, ta, tb, 6)
+        words = enumerate_traces(ta, 4) | enumerate_traces(tb, 4)
+        words |= {w[:-1] + w[-1:] * 2 for w in words if w}
+        assert all(a.member(w) == ta.member(w) for w in words)
 
 
 def test_a_subset_automaton_is_budgeted_by_the_sets_it_numbers(monkeypatch):
