@@ -5,12 +5,10 @@ environment of continuations describing what each role does *after* the
 current subterm, and returns the environment describing what each role does
 from the current subterm onward.
 
-An alternative is a whole `|` spine (`spine`), however it is grouped,
-projected in one frame: of the roles whose branches differ, exactly one
-must start with outputs in every branch, and its distinct branches form
-one internal choice; every other role's branches are merged in one step.
-A merge is a set and the decider must open every operand, so no grouping
-of the spine projects differently.  Iterations (`*` and `loopk`)
+An alternative is a `|` spine, projected in one frame: of the roles
+whose branches differ, exactly one must start with outputs in every
+branch, and its distinct branches form one internal choice; every other
+role's branches are merged in one step.  Iterations (`*` and `loopk`)
 introduce one recursion unknown per decision point and per spectating role;
 since a spectator's merge may involve the still-open recursion unknowns,
 such merges are deferred (kept as symbolic merge nodes) and resolved by the
@@ -29,14 +27,13 @@ rewrites `&` away (serializations first, then distributing rewrites
 breadth-first) and projects the first rewrite that succeeds.  The
 candidates are generated lazily and tried in the order they are generated,
 so none is built after the first that projects.  The search runs over
-hash-consed terms (`_Terms`) in which a `;`, `|` or `&` node is a whole
-spine: each distinct term is one integer id in a table of its context,
-however its spines are grouped, so comparing and deduplicating terms is
-comparing ints, whether a term holds `&` is a flag of its id, and
-rebuilding a node is one dict lookup; only the candidates projected become
-`GlobalType`s, built from shared subterm objects.  The rewrites act on a
-spine's operands, so the parentheses of a type change neither the
-candidates nor their order, and no two candidates are one type grouped two
+hash-consed terms (`_Terms`): each distinct term is one integer id in a
+table of its context, so comparing and deduplicating terms is comparing
+ints, whether a term holds `&` is a flag of its id, and rebuilding a node
+is one dict lookup; only the candidates projected become `GlobalType`s,
+built from shared subterm objects.  The rewrites act on a spine's
+operands, and one that puts a spine in an operand place of its own kind
+splices its operands in, so no two candidates are one type grouped two
 ways.  The rewrites of each id are computed once per context, however
 many candidates contain it, and so is the projection of each subterm
 against each environment of closed types it meets (outside loop bodies):
@@ -55,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from functools import reduce
 
 from . import machine
 from .syntax import (
@@ -84,8 +80,6 @@ from .syntax import (
     print_global_type,
     rebuild,
     roles_of,
-    spine,
-    subterms,
 )
 from .tracelang import DEFAULT_AND_BUDGET, BudgetExceededError
 
@@ -131,8 +125,7 @@ class _Ctx:
     the same name later, since one context serves every candidate of a
     search.  `terms` is the table of hash-consed terms (`_Terms`) that
     every search of the context builds its candidates in, so the searches
-    share their ids, one per term however its spines are grouped, and the
-    rewrites of each."""
+    share their ids, one per term, and the rewrites of each."""
 
     def __init__(self) -> None:
         self.counter = 0
@@ -219,11 +212,11 @@ def _project(g: GlobalType, env: SessionEnv, ctx: _Ctx) -> SessionEnv:
         elif k is GSeq:
             # the whole `;` spine, right to left, in this one frame
             out = env
-            for x in reversed(spine(g)):
+            for x in reversed(g.operands):
                 out = _project(x, out, ctx)
         elif k is GEither:
-            # the whole `|` spine, however it is grouped, in this one frame
-            out = _alternative(g, [_project(x, env, ctx) for x in spine(g)])
+            # the whole `|` spine in this one frame
+            out = _alternative(g, [_project(x, env, ctx) for x in g.operands])
         elif k is GSkip:
             out = env
         elif k is GStar:
@@ -255,8 +248,8 @@ def _alternative(g: GlobalType, envs: list[SessionEnv]) -> SessionEnv:
     every branch, and its distinct branches form one internal choice.  The
     branches of every other differing role are merged in one
     `_merge_terms`.  Both the decider, which must open every operand, and
-    the merges, which are sets, read the operands as a set, so `g` projects
-    as every grouping of its spine would."""
+    the merges, which are sets, read the operands as a set, so a repeated
+    operand changes nothing."""
     roles = sorted(envs[0])
     columns = zip(*[[e[r] for r in roles] for e in envs])
     branches = {r: list(dict.fromkeys(column)) for r, column in zip(roles, columns)}
@@ -510,13 +503,9 @@ def project_top(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> SessionEnv:
     unordered composition, or plain projection fails, the sequential
     rewrites of `g` are tried in the order they are generated and the first
     success wins; the candidates after it are never built.  The candidates
-    share one memo of the projections of their subterms.  Direct
-    projection and the search both read each `;`, `|` and `&` spine whole,
-    so every grouping of `g` gives the same environment, or an error of
-    the same kind and detail, candidate count included; only the terms an
-    error prints show their grouping.  A search that parts of `g` no
-    rewrite changes prove hopeless builds no candidate, and its error says
-    "0 candidates tried"."""
+    share one memo of the projections of their subterms.  A search that
+    parts of `g` no rewrite changes prove hopeless builds no candidate,
+    and its error says "0 candidates tried"."""
     return _project_top(g, budget, _Ctx())
 
 
@@ -679,18 +668,17 @@ def _kept_suffix(terms: _Terms, g: int) -> int | None:
 
 class _Terms:
     """The terms of `&`-elimination searches, hash-consed (Filliâtre and
-    Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006) modulo
-    the associativity of `;`, `|` and `&`: each distinct term is one
-    integer id, so two terms are equal exactly when their ids are.  A node
-    is found, or added, by its key: its constructor and its children's ids
-    (an interaction's key holds the interaction).  A `;`, `|` or `&` node
-    is a whole spine, its children the spine's operands: `node` replaces
-    an operand of the node's own kind by its operands, keeps the first of
-    each repeated operand of a `|`, and gives a spine of one operand as
-    that operand.  So every grouping of a term is one id, and a `|` that
-    repeats an operand is the `|` that does not.  The trace semantics
-    makes each of these one language (`|` is union and `&` shuffle), and
-    a search, which reads ids alone, does the same on each.
+    Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006): each
+    distinct term is one integer id, so two terms are equal exactly when
+    their ids are.  A node is found, or added, by its key: its constructor
+    and its children's ids (an interaction's key holds the interaction).
+    A `;`, `|` or `&` node is a spine, its children the spine's operands:
+    as the constructors do, `node` replaces an operand of the node's own
+    kind by its operands, and it also keeps the first of each repeated
+    operand of a `|`, and gives a spine of one operand as that operand.
+    So a `|` that repeats an operand is the `|` that does not.  The trace
+    semantics makes the two one language (`|` is union), and a search,
+    which reads ids alone, does the same on each.
 
     When an id is added, its constructor (`kind`), its children's ids in
     order, a loop's bodies first (`subs`), whether it holds `&` (`both`),
@@ -746,8 +734,8 @@ class _Terms:
         return i
 
     def intern(self, g: GlobalType) -> int:
-        """The id of `g`, each spine of `g` read whole (`spine`); each id it
-        adds keeps its subterm of `g` as its term."""
+        """The id of `g`; each id it adds keeps its subterm of `g` as its
+        term."""
 
         def step(t: GlobalType, ids: list[int]) -> int:
             k = type(t)
@@ -755,11 +743,11 @@ class _Terms:
             self.terms.setdefault(i, t)
             return i
 
-        return fold(g, step, lambda t: spine(t) if type(t) in (GSeq, GEither, GBoth) else subterms(t))
+        return fold(g, step)
 
     def term(self, i: int) -> GlobalType:
         """The `GlobalType` of id `i`, built from those of its children, a
-        spine nested to the left as the parser nests it."""
+        spine by one constructor call."""
         terms, kind = self.terms, self.kind
         # every leaf was interned from a term, so only compound nodes are built
         for j, subs in postorder(i, self.subs.__getitem__, done=terms):
@@ -769,7 +757,7 @@ class _Terms:
                 n = len(new) // 2
                 terms[j] = GKExit(tuple(new[:n]), tuple(new[n:]))
             else:
-                terms[j] = GStar(*new) if k is GStar else reduce(k, new)
+                terms[j] = k(*new)
         return terms[i]
 
     def serialized(self, i: int, left_first: bool) -> int:

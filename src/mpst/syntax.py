@@ -11,8 +11,7 @@ Two small languages live here:
   choice ``+``, ``rec X . T`` and ``end``.
 
 Operator tightness in the global grammar, tightest first: postfix ``*``/``?``,
-then ``&``, then ``;``, then ``|``.  Binary operators associate to the left.
-``A?`` is parsed as ``A | skip``.
+then ``&``, then ``;``, then ``|``.  ``A?`` is parsed as ``A | skip``.
 
 Which fields of a constructor are subterms is known here only:
 ``subterms``/``with_subterms`` (global types) and ``parts``/``with_parts``
@@ -22,19 +21,20 @@ walked bottom-up is known here only too, by one walk per language, off an
 explicit stack, so a term of any depth is walked.  For global types,
 ``postorder`` lists the subterms after their children, and ``fold``
 computes a value of each from the values of its children by a step per
-node; a walk may give more children than the immediate subterms, as the
-trace compiler takes the operands of a ``;``, ``|`` or ``&`` spine
-(``spine``) as one node's.  For session types, ``rebuild`` carries a
-scope down (such as the names bound above a node) and asks a step per
-node what to rebuild it from and what to build.
+node.  For session types, ``rebuild`` carries a scope down (such as the
+names bound above a node) and asks a step per node what to rebuild it
+from and what to build.
 
-Constructors that differ only in meaning share one definition: ``;``,
-``&`` and ``|`` are subclasses of ``_Pair``, each with its own hash tag,
-and the internal choice, the external choice and the merge are
-subclasses of ``_Choice``, each a tuple of two or more branches.  A
-merge's constructor replaces an operand that is itself a merge by that
-merge's operands, so no merge holds a merge.  A walk still tells them
-apart by ``type(t) is``.
+Spines are n-ary, as ``;``, ``|`` and ``&`` are associative in the trace
+semantics: each is a subclass of ``_Pair``, a tuple of two or more
+operands with its own hash tag, and the internal choice, the external
+choice and the merge are subclasses of ``_Choice``, each a tuple of two
+or more branches.  The constructors of a spine and of a merge splice in
+an operand of their own kind, and drop no repeated operand, so every
+grouping of a text is one term, printed one way.  A walk tells them
+apart by ``type(t) is``.  A spine's ``left`` (all operands but the last)
+and ``right`` (the last) only let reference semantics written over
+binary nodes match it; no module of the package reads them.
 
 Interactions and compound terms of both languages (every constructor but
 ``GSkip``, ``TEnd`` and ``TVar``) hash in O(1): each derives from
@@ -81,8 +81,11 @@ generated ``__init__`` would write each field through
 ``object.__setattr__`` and leave the derived slots to a
 ``__post_init__`` that writes them the same way, at about twice the
 cost.  The classes stay frozen, slotted dataclasses: ``fields``,
-``replace``, ``__match_args__``, ``repr`` and the ``FrozenInstanceError``
-of an assignment are the generated ones.
+``replace``, ``repr`` and the ``FrozenInstanceError`` of an assignment
+are the generated ones, and so is ``__match_args__`` but a spine's.  A
+spine takes its operands by position, so ``replace`` does not rebuild
+one.  A copy or a pickle of a term is rebuilt through its constructor
+(``_Term.__reduce__``), which computes the derived slots again.
 
 Comments run from ``//`` to end of line in both languages.
 """
@@ -91,7 +94,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import is_not
 from typing import Sequence, Union
 
@@ -140,6 +143,12 @@ class _Term:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        """Copy and pickle through the constructor, which computes the
+        derived slots again; a slotted dataclass's state has fields only."""
+        args = self.operands if isinstance(self, _Pair) else [getattr(self, f.name) for f in fields(self) if f.init]
+        return type(self), tuple(args)
 
 
 _set_hash = _Term._hash.__set__
@@ -193,29 +202,15 @@ def _same_global(self, other) -> bool:
     a, b = self, other
     while True:
         k = type(a)
-        # the sides of `;`, `|` and `&` go on the stack without a
-        # `subterms` call, and a pair of children built by different
-        # constructors never does
-        if k is GSeq or k is GEither or k is GBoth:
-            if a._hash != b._hash:
-                return False
-            x, y = a.left, b.left
-            if x is not y:
-                if type(x) is not type(y):
-                    return False
-                work.append((x, y))
-            x, y = a.right, b.right
-            if x is not y:
-                if type(x) is not type(y):
-                    return False
-                work.append((x, y))
-        elif k is GAction:
+        if k is GAction:
             if a.interaction != b.interaction:
                 return False
         elif k is not GSkip:
-            if a._hash != b._hash or k is GKExit and len(a.bodies) != len(b.bodies):
+            # a loop has as many exits as bodies
+            xs, ys = subterms(a), subterms(b)
+            if a._hash != b._hash or len(xs) != len(ys):
                 return False
-            for x, y in zip(subterms(a), subterms(b)):
+            for x, y in zip(xs, ys):
                 if x is not y:
                     if type(x) is not type(y):
                         return False
@@ -254,39 +249,55 @@ _set_interaction = GAction.interaction.__set__
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class _Pair(_GlobalTerm):
-    """The shape of `;`, `&` and `|`: two sides, hashed behind the `_TAG`
-    of the constructor, so that the three of the same two sides hash
+    """The shape of `;`, `&` and `|`: two or more operands, given by
+    position, one of the spine's own kind spliced in, hashed behind the
+    `_TAG` of the constructor, so the three of the same operands hash
     apart."""
 
-    left: GlobalType
-    right: GlobalType
+    operands: tuple[GlobalType, ...]
 
-    def __init__(self, left, right):
-        _set_left(self, left)
-        _set_right(self, right)
-        _set_hash(self, hash((self._TAG, left, right)))
+    __match_args__ = ("left", "right")
+
+    def __init__(self, *operands):
+        k = type(self)
+        for x in operands:
+            if type(x) is k:
+                operands = tuple([z for y in operands for z in (y.operands if type(y) is k else (y,))])
+                break
+        if len(operands) < 2:
+            raise ValueError("a spine needs at least two operands")
+        _set_operands(self, operands)
+        _set_hash(self, hash((self._TAG, operands)))
+
+    @property
+    def left(self) -> GlobalType:
+        ops = self.operands
+        return ops[0] if len(ops) == 2 else type(self)(*ops[:-1])
+
+    @property
+    def right(self) -> GlobalType:
+        return self.operands[-1]
 
 
-_set_left = _Pair.left.__set__
-_set_right = _Pair.right.__set__
+_set_operands = _Pair.operands.__set__
 
 
 class GSeq(_Pair):
-    """`left` then `right`."""
+    """The operands one after another, in order."""
 
     __slots__ = ()
     _TAG = 0
 
 
 class GBoth(_Pair):
-    """Both sides happen, in any interleaving."""
+    """Every operand happens, in any interleaving."""
 
     __slots__ = ()
     _TAG = 1
 
 
 class GEither(_Pair):
-    """Exactly one side happens."""
+    """Exactly one operand happens."""
 
     __slots__ = ()
     _TAG = 2
@@ -338,7 +349,7 @@ def subterms(g: GlobalType) -> tuple[GlobalType, ...]:
     first, then its exits."""
     k = type(g)
     if k is GSeq or k is GBoth or k is GEither:
-        return (g.left, g.right)
+        return g.operands
     if k is GAction or k is GSkip:
         return ()
     if k is GStar:
@@ -353,7 +364,7 @@ def with_subterms(g: GlobalType, new: Sequence[GlobalType]) -> GlobalType:
     order `subterms` lists them."""
     k = type(g)
     if k is GSeq or k is GBoth or k is GEither:
-        return k(new[0], new[1])
+        return k(*new)
     if k is GAction or k is GSkip:
         return g
     if k is GStar:
@@ -367,10 +378,10 @@ def with_subterms(g: GlobalType, new: Sequence[GlobalType]) -> GlobalType:
 def postorder(g: GlobalType, children=subterms, done=()) -> list[tuple[GlobalType, Sequence[GlobalType]]]:
     """Each subterm of `g` that is not in `done`, with its children,
     listed after them, left to right, once per occurrence.  The children
-    of `t` are `children(t)`, its immediate subterms unless a walk takes
-    more as one node, such as a spine's operands.  The walk takes terms off
-    one explicit stack, so a term of any depth is listed, and it enters no
-    subterm of a term in `done`."""
+    of `t` are `children(t)`, its immediate subterms unless a walk reads
+    another structure, such as the `&` search's table of ids.  The walk
+    takes terms off one explicit stack, so a term of any depth is listed,
+    and it enters no subterm of a term in `done`."""
     order, work = [], [g]
     while work:
         t = work.pop()
@@ -405,22 +416,6 @@ def roles_of(g: GlobalType) -> frozenset[Role]:
         else:
             work.extend(subterms(node))
     return frozenset(out)
-
-
-def spine(g: GlobalType) -> list[GlobalType]:
-    """The operands, left to right, of the root `;`, `|` or `&` spine of
-    `g`, however it is parenthesized, taken off a stack; `[g]` for any
-    other root."""
-    k = type(g) if type(g) in (GSeq, GEither, GBoth) else None
-    out: list[GlobalType] = []
-    work = [g]
-    while work:
-        node = work.pop()
-        if type(node) is k:
-            work += (node.right, node.left)
-        else:
-            out.append(node)
-    return out
 
 
 def interaction_count(g: GlobalType) -> int:
@@ -869,8 +864,9 @@ class _Tokens:
 
 _LOOP_RE = re.compile(r"loop([0-9]+)$")
 # Each binary operator's constructor and how tightly it binds.  The
-# operator stack holds such pairs; `_OPEN` marks where a group opens on it,
-# and nothing reduces past it.
+# operator stack holds, for each open spine, such a pair and where the
+# spine's first operand is on the operand stack; `_OPEN` marks where a
+# group opens on it, and nothing reduces past it.
 _BINARY = {"|": (GEither, 0), ";": (GSeq, 1), "&": (GBoth, 2)}
 _OPEN = (None, -1)
 
@@ -893,8 +889,14 @@ def parse_global_type(text: str) -> GlobalType:
     Operators are reduced by precedence off two explicit stacks, one of
     operands and one of operators, so nesting costs no stack frames.  A
     parenthesis or a loop group pushes `_OPEN` on the operator stack and is
-    closed by reducing down to it.  Equal tightness reduces first, so
-    binary operators nest to the left."""
+    closed by reducing down to it.  An operator equal to the one on top
+    of the stack adds an operand to its open spine, and a spine is built
+    once, by one constructor call on all its operands, when a looser
+    operator or the end of its group closes it.  A spine that ends a
+    parenthesis is kept open when neither the operator before the
+    parenthesis nor the token after it binds more tightly: the parenthesis
+    is dropped, and the spine joins one of its kind around it, so a chain
+    parenthesized to the left or to the right is built once too."""
     toks = _Tokens(text)
     kinds, texts = toks.kinds, toks.texts
     operands: list[GlobalType] = []
@@ -957,12 +959,20 @@ def parse_global_type(text: str) -> GlobalType:
                 i += 1
                 continue
             op = _BINARY.get(kind)
-            tight = 0 if op is None else op[1]
-            while ops[-1][1] >= tight:
-                right = operands.pop()
-                operands[-1] = ops.pop()[0](operands[-1], right)
+            tight = -1 if op is None else op[1]
+            while ops[-1][1] > tight:
+                if kind == ")" and ops[-2] is _OPEN and groups and groups[-1] is None:
+                    # a parenthesized spine that neither neighbour binds
+                    # more tightly stays open, and the spine around it
+                    # takes its operands in place
+                    after = kinds[i + 1]
+                    if after != "*" and after != "?" and max(ops[-3][1], _BINARY.get(after, _OPEN)[1]) <= ops[-1][1]:
+                        break
+                k, _, start = ops.pop()
+                operands[start:] = [k(*operands[start:])]
             if op is not None:
-                ops.append(op)
+                if ops[-1][1] < tight:
+                    ops.append((*op, len(operands) - 1))
                 i += 1
                 break
             # the operand ends the innermost group, or the whole type
@@ -975,7 +985,12 @@ def parse_global_type(text: str) -> GlobalType:
                 if kind != ")":
                     raise toks.expected(i, ")")
                 groups.pop()
-                ops.pop()
+                if ops[-1] is _OPEN:
+                    ops.pop()
+                else:  # the open spine loses its parentheses
+                    del ops[-2]
+                    if ops[-2][1] == ops[-1][1]:
+                        del ops[-1]  # and joins the spine of its kind around it
                 i += 1
                 continue
             if kind != "," and kind != ")":
@@ -1198,37 +1213,40 @@ _G_OP = {GEither: "|", GSeq: ";", GBoth: "&"}
 def print_global_type(g: GlobalType) -> str:
     """Render `g` so that parse_global_type(print_global_type(g)) == g.
 
-    Terms, each with the precedence level it is printed at and whether it
-    is a right operand, and the text between them are taken off an
-    explicit stack, so a type of any depth prints."""
+    Terms, each with the precedence level it is printed at, and the text
+    between them are taken off an explicit stack, so a type of any depth
+    prints.  A spine prints its operands between its operators, and none
+    of them is a spine of its kind, so a term is parenthesized only where
+    it binds more loosely than its place."""
     out: list[str] = []
-    work: list = [(g, 0, False)]  # (term, level, right) and text, last first
+    work: list = [(g, 0)]  # (term, level) and text, last first
     while work:
         item = work.pop()
         if type(item) is str:
             out.append(item)
             continue
-        node, level, right = item
+        node, level = item
         p = _G_PREC.get(type(node), 4)
         match node:
             case GSkip():
                 pieces: list = ["skip"]
             case GAction(i):
                 pieces = [str(i)]
-            case GSeq(l, r) | GBoth(l, r) | GEither(l, r):
-                pieces = [(l, p, False), f" {_G_OP[type(node)]} ", (r, p, True)]
+            case _Pair(operands=ops):
+                sep = f" {_G_OP[type(node)]} "
+                pieces = [piece for x in ops for piece in (sep, (x, p))][1:]
             case GStar(b):
-                pieces = [(b, p, False), "*"]
+                pieces = [(b, p), "*"]
             case GKExit(bodies, exits):
                 pieces = [f"loop{len(bodies)} ("]
                 for i, x in enumerate(bodies + exits):
                     if i:
                         pieces.append(") exit (" if i == len(bodies) else ", ")
-                    pieces.append((x, 0, False))
+                    pieces.append((x, 0))
                 pieces.append(")")
             case _:
                 raise TypeError(f"not a global type: {node!r}")
-        if p < level or (p == level and right):
+        if p < level:
             pieces = ["(", *pieces, ")"]
         work.extend(reversed(pieces))
     return "".join(out)

@@ -24,17 +24,15 @@ start; `*` is the loop of one phase whose exit is the empty word.  So
 every part is appended once, and a loop of k phases has one state more
 than its parts have past their starts, not the O(k^2) states of the term
 that unfolds it.  The automaton is folded bottom-up off an explicit stack
-(`syntax.fold`), a `;`, `|` or `&` spine (`spine`) as one node, and
-`shuffle_automata` builds an `&` spine's one product, each numbering
-states as nested binary calls would.  No consumer cleans an automaton up
-first.  The one automaton that is not trim is the one-swap automaton
-`well_formed` builds for a type that is not well formed, which only
-`includes` reads.
+(`syntax.fold`), and `shuffle_automata` builds an `&` spine's one
+product, each numbering states as nested binary calls would.  No
+consumer cleans an automaton up first.  The one automaton that is not
+trim is the one-swap automaton `well_formed` builds for a type that is
+not well formed, which only `includes` reads.
 
 Automata stay nondeterministic.  Each keeps the one subset automaton
 (`_Subset`) that all its language questions read, filled in row by row:
-`swap_closed` reads every row (of a nondeterministic automaton; it reads a
-deterministic one's own moves), the other questions only those they reach.
+`swap_closed` reads every row, the other questions only those they reach.
 A deterministic automaton is its own subset automaton: its rows are its
 own moves, in letter order, under its own state numbers.
 Its letters are numbered, and its rows ordered, by the letters' texts, so
@@ -118,12 +116,12 @@ deterministic automaton of it (`swap_closed`): from every state, each
 independent pair read in one order must be readable in the other, and
 whatever follows the first order must follow the second.  Most diamonds
 close on one state; the rest seed one inclusion search between states of
-the same deterministic automaton.  The rows are the compiled automaton's
-own moves when it is deterministic, and its subset automaton's
-otherwise.  `is_well_formed` stops there, with a boolean.  Only
-`well_formed`, which `check` uses, finds a witness: for a type that is
-not well formed it builds the one-swap automaton (`_swap_variants`) and
-runs `includes` on it, to find the least word outside the traces.
+the same deterministic automaton, the compiled automaton's subset
+automaton, whose rows are its own moves when it is deterministic.
+`is_well_formed` stops there, with a boolean.  Only `well_formed`, which
+`check` uses, finds a witness: for a type that is not well formed it
+builds the one-swap automaton (`_swap_variants`) and runs `includes` on
+it, to find the least word outside the traces.
 
 An undecided type whose root is an `&` of parts with disjoint roles is
 decided one part at a time.  The operands of the root `&` spine are
@@ -139,7 +137,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .syntax import (
     GAction,
@@ -153,8 +151,7 @@ from .syntax import (
     Role,
     fold,
     roles_of,
-    spine,
-    subterms,
+    with_subterms,
 )
 
 Word = tuple[Interaction, ...]
@@ -179,9 +176,8 @@ class TraceAutomaton:
     `delta[q]` is a list of (label, target) pairs; every label is an
     interaction, so there are no epsilon moves.  State 0 is the start
     state, and `accepts` is the set of accepting states.  Every language
-    question reads its one subset automaton, `_subset`, built by the first,
-    but the swap diamonds of an automaton that is already deterministic,
-    which read its own moves.
+    question reads its one subset automaton, `_subset`, built by the
+    first.
 
     Every automaton the package builds is trim: every state is reachable
     from state 0 and can reach an accepting state, and the empty language
@@ -436,15 +432,8 @@ def shuffle_automata(*parts: TraceAutomaton) -> TraceAutomaton:
     return TraceAutomaton(delta, frozenset(accepts))
 
 
-def _operands(g: GlobalType):
-    """What `compile_traces` builds the automaton of `g` from: the
-    operands of a `;`, `|` or `&` spine, or else the immediate subterms."""
-    k = type(g)
-    return spine(g) if k is GSeq or k is GEither or k is GBoth else subterms(g)
-
-
 def _compiled(g: GlobalType, autos: list[TraceAutomaton]) -> TraceAutomaton:
-    """The automaton of `g`, given those of its `_operands`."""
+    """The automaton of `g`, given those of its immediate subterms."""
     k = type(g)
     if k is GAction:
         return _letter(g.interaction)
@@ -464,8 +453,8 @@ def _compiled(g: GlobalType, autos: list[TraceAutomaton]) -> TraceAutomaton:
 
 def compile_traces(g: GlobalType) -> TraceAutomaton:
     """An automaton accepting exactly the traces of `g`, folded bottom-up
-    (`syntax.fold`), a spine as one node."""
-    return fold(g, _compiled, _operands)
+    (`syntax.fold`)."""
+    return fold(g, _compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -845,9 +834,8 @@ def _swap_variants(a: TraceAutomaton) -> TraceAutomaton:
 def swap_closed(a: TraceAutomaton) -> bool:
     """Whether the language of the trim automaton `a` is closed under
     swapping one adjacent independent pair, decided by swap diamonds
-    (`_diamonds`) on a deterministic automaton of it: `a`'s own moves when
-    no state of `a` has two moves by one letter, and its subset automaton
-    otherwise.  Both are trim, as the diamonds need."""
+    (`_diamonds`) on its subset automaton, which is trim, as the diamonds
+    need, and is `a`'s own moves when `a` is deterministic."""
     letters = {lab for edges in a.delta for lab, _ in edges}
     # `_swappable(α, β)` needs α's receiver to be neither a sender nor the
     # receiver of β.  So when every letter has every receiver of the
@@ -857,8 +845,6 @@ def swap_closed(a: TraceAutomaton) -> bool:
     receivers = {alpha.receiver for alpha in letters}
     if all(receivers <= alpha.senders | {alpha.receiver} for alpha in letters):
         return True
-    if _deterministic(a.delta):
-        return _diamonds([dict(edges) for edges in a.delta], [q in a.accepts for q in range(a.n_states)], _swappable)
     dfa = a._subset
     rows = [dfa[s] for s, _ in enumerate(dfa.accepting)]  # grows while it is read
     letter = dfa.letters
@@ -912,7 +898,7 @@ def _diamonds(rows: list[dict], accepting: list[bool], swappable) -> bool:
 
 
 def role_groups(g: GlobalType) -> list[GlobalType]:
-    """The operands of the root `&` spine of `g` (`spine`), grouped by
+    """The operands of the root `&` spine of `g`, grouped by
     shared roles, transitively: two operands are in one group when a chain
     of operands, each sharing a role with the next, joins them.  A group of
     several operands is their `&`, and an operand with no role, such as
@@ -941,7 +927,7 @@ def role_groups(g: GlobalType) -> list[GlobalType]:
     groups be explored, compared (`compile_parts` and
     `runtime.explore_parts` key their parts alike) and counted group by group."""
     groups: list[tuple[frozenset, list[GlobalType]]] = []
-    for operand in spine(g) if type(g) is GBoth else [g]:
+    for operand in g.operands if type(g) is GBoth else [g]:
         roles, members, apart = roles_of(operand), [], []
         for group in groups:
             if group[0].isdisjoint(roles):
@@ -952,7 +938,7 @@ def role_groups(g: GlobalType) -> list[GlobalType]:
         groups = apart + [(roles, members + [operand])]
     if len(groups) == 1:
         return [g]
-    return [reduce(GBoth, members) for _, members in groups]
+    return [members[0] if len(members) == 1 else with_subterms(g, members) for _, members in groups]
 
 
 def compile_parts(g: GlobalType) -> dict[frozenset[Role], TraceAutomaton]:
@@ -976,17 +962,17 @@ def _by_construction(g: GlobalType) -> bool | None:
     """Whether `g` is well formed, settled by its first and last letters
     (see the module docstring), or None when they do not settle it.
 
-    One fold over spines (`_operands`) gives each node its first letters,
-    its last letters and whether it accepts the empty word, and tests
-    every junction of a `;` spine or a `*` on the way.  With no junction
-    that swaps, `g` is closed by construction.  Otherwise the reversed
-    junction pairs (β, α) are looked for among the adjacent pairs of `g`:
-    at the junctions met, then, in a second fold that gathers only their
-    letters, across the operands of each `&` spine.  One that no trace
-    holds refutes `g`.  The swap tests, the letters gathered at `|` and
-    `&` (and, in the second fold, at every node) and the adjacency pairs
-    tested are counted, and past `DEFAULT_ENUM_CAP` of them `g` is
-    undecided: the pass never raises."""
+    One fold gives each node its first letters, its last letters and
+    whether it accepts the empty word, and tests every junction of a `;`
+    spine or a `*` on the way.  With no junction that swaps, `g` is
+    closed by construction.  Otherwise the reversed junction pairs (β, α)
+    are looked for among the adjacent pairs of `g`: at the junctions met,
+    then, in a second fold that gathers only their letters, across the
+    operands of each `&` spine.  One that no trace holds refutes `g`.  The
+    swap tests, the letters gathered at `|` and `&` (and, in the second
+    fold, at every node) and the adjacency pairs tested are counted, and
+    past `DEFAULT_ENUM_CAP` of them `g` is undecided: the pass never
+    raises."""
     cap = DEFAULT_ENUM_CAP
     spent = 0
     junctions: list[tuple[frozenset, frozenset]] = []  # (last letters before, first letters after)
@@ -1048,7 +1034,7 @@ def _by_construction(g: GlobalType) -> bool | None:
         return here
 
     try:
-        fold(g, letters, _operands)
+        fold(g, letters)
         if not swaps:
             return True
         pending = {(beta, alpha) for alpha, beta in swaps}
@@ -1058,7 +1044,7 @@ def _by_construction(g: GlobalType) -> bool | None:
             if not pending:
                 return None
         relevant = frozenset(x for pair in pending for x in pair)
-        fold(g, occurring, _operands)
+        fold(g, occurring)
     except _Undecided:
         return None
     return False

@@ -48,7 +48,6 @@ from .syntax import (
     TOut,
     default_max_len,
     fold,
-    spine,
     subterms,
     with_subterms,
 )
@@ -297,7 +296,7 @@ def _candidate_envs(g: GlobalType, budget: int) -> list[SessionEnv]:
     if type(g) is not GEither:
         return []
     projections: list[SessionEnv] = []
-    for b in spine(g):
+    for b in g.operands:
         try:
             projections.append(project_top(b, budget))
         except ProjectionError:
@@ -311,26 +310,34 @@ def _candidate_envs(g: GlobalType, budget: int) -> list[SessionEnv]:
 
 def _relaxations(g: GlobalType) -> list[GlobalType] | None:
     """Variants of `g` with sequential compositions relaxed to unordered
-    ones: all at once, then one at a time, in the pre-order of the `;`
-    nodes.  A type with no `;` node has no variants, and one with more
-    than 16 has None: its `;` nodes are counted first, and no variant is
-    built."""
-    if fold(g, lambda t, counts: (type(t) is GSeq) + sum(counts)) > 16:
+    ones: all at once, then one junction of a `;` spine at a time, the
+    junctions in pre-order.  A type with no junction has no variants, and
+    one with more than 16 has None: its junctions are counted first, and
+    no variant is built."""
+    if fold(g, lambda t, counts: (len(t.operands) - 1 if type(t) is GSeq else 0) + sum(counts)) > 16:
         return None
     whole, ones = fold(g, _relaxed)
     return [v for v in [whole, *ones] if v != g]
 
 
 def _relaxed(t: GlobalType, values: list[tuple]) -> tuple[GlobalType, list[GlobalType]]:
-    """`t` with every `;` relaxed, and the variants of `t` with one `;`
-    relaxed, in the pre-order of the `;` nodes, given the same of each of
-    its subterms."""
+    """`t` with every `;` relaxed, and the variants of `t` with one
+    junction relaxed, given the same of each of its subterms.  Of a `;`
+    spine `A1 ; .. ; An`, all at once is the `&` of its relaxed operands,
+    and junction j gives `(A1 ; .. ; Aj) & (A(j+1) ; .. ; An)`: its
+    junctions left to right, then the variants of each operand in its
+    place."""
     subs = subterms(t)
     whole = [w for w, _ in values]
-    ones = [GBoth(*subs)] if type(t) is GSeq else []
+    ones = [GBoth(_sequence(subs[:j]), _sequence(subs[j:])) for j in range(1, len(subs))] if type(t) is GSeq else []
     for i, (_, kid_ones) in enumerate(values):
         ones += [with_subterms(t, subs[:i] + (x,) + subs[i + 1 :]) for x in kid_ones]
     return GBoth(*whole) if type(t) is GSeq else with_subterms(t, whole), ones
+
+
+def _sequence(ops: tuple[GlobalType, ...]) -> GlobalType:
+    """The `;` spine of `ops`, or its one operand."""
+    return ops[0] if len(ops) == 1 else GSeq(*ops)
 
 
 def classify(
@@ -360,8 +367,8 @@ def classify(
     straight to the relaxations, the first of equal ones tried once, each
     projected only when it is well formed, all of them sharing one memo of
     projections (see `project_first`).  Relaxations are tried only for a
-    type with at most 16 `;` nodes: a type that is not well formed and has
-    more goes straight to Unclassified, with a detail that says so.  Every
+    type with at most 16 `;` junctions: a type that is not well formed and
+    has more goes straight to Unclassified, with a detail that says so.  Every
     projection tried along the way uses `budget` (see `project_top`).  The
     role groups of `g` are compiled for its candidates, when the first is
     checked, and every candidate is checked against them (`_checks`).  A
@@ -373,9 +380,9 @@ def classify(
         if variants is None:
             return Classification(
                 UNCLASSIFIED,
-                "not well formed, and relaxations are not tried past 16 `;` nodes",
+                "not well formed, and relaxations are not tried past 16 `;` junctions",
             )
-        # a type with one `;` node relaxes it to the same variant all at
+        # a type with one junction relaxes it to the same variant all at
         # once and one at a time
         if project_first((v for v in dict.fromkeys(variants) if is_well_formed(v)), budget) is not None:
             return Classification(

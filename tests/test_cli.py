@@ -358,15 +358,15 @@ def test_a_long_loop_body_decides(tmp_path, command):
 
 
 def test_classify_answers_on_a_long_chain_that_is_not_well_formed(tmp_path):
-    """The `;` nodes of a 1,200-interaction chain are counted off a stack,
-    and no relaxation is built past 16 of them."""
+    """The junctions of a 1,200-interaction chain are counted, and no
+    relaxation is built past 16 of them."""
     path = tmp_path / "chain.gt"
     path.write_text(" ;\n".join("p -> q : a" if i % 2 == 0 else "r -> s : b" for i in range(1200)))
     result = run("classify", str(path))
     assert (result.returncode, result.stderr) == (1, "")
     assert result.stdout.splitlines() == [
         verifier.UNCLASSIFIED,
-        "not well formed, and relaxations are not tried past 16 `;` nodes",
+        "not well formed, and relaxations are not tried past 16 `;` junctions",
     ]
 
 

@@ -10,6 +10,7 @@ runtime decides liveness in one function only, the projector
 catches no bound, only the command line's `main` writes a report, the
 verifier decides well-formedness only through `is_well_formed` and
 compiles a type only to check environments against it,
+no module walks a spine apart from the term or reads its binary view,
 a term's equality and stored slots are defined once per language,
 in the bases of `syntax`, whose term classes have no `__post_init__`, the trace compiler calls no constructor of a
 global term, and no function refers to itself but those
@@ -688,6 +689,60 @@ def test_the_check_sees_a_function_that_refers_to_itself():
         "    def leave(self, t):\n        return other.leave(t) + leave(t)\n"
     )
     assert self_references(source, "m") == ["m.walk", "m.spread", "m.outer", "m.outer.inner", "m.Walker.visit"]
+
+
+# A spine's operands are its immediate subterms: no module walks a spine
+# apart from the term itself, and nothing in the package reads the binary
+# view (`left`, `right`, or a `;`, `|` or `&` class pattern by position)
+# that a spine keeps for reference semantics written over binary nodes.
+SPINE_WALKS = {"spine", "_operands"}
+BINARY_VIEW = {"left", "right"}
+SPINE_CLASSES = {"GSeq", "GBoth", "GEither", "_Pair"}
+
+
+def spine_walks_and_binary_reads(source: str) -> list[str]:
+    """Where `source` defines, imports or names one of `SPINE_WALKS`,
+    reads an attribute in `BINARY_VIEW`, or matches a class of
+    `SPINE_CLASSES` by position, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, FUNCTIONS) and node.name in SPINE_WALKS:
+            found.append((node.lineno, f"def {node.name}"))
+        elif isinstance(node, ast.alias) and node.name in SPINE_WALKS:
+            found.append((node.lineno, f"import {node.name}"))
+        elif isinstance(node, ast.Name) and node.id in SPINE_WALKS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in BINARY_VIEW | SPINE_WALKS:
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.MatchClass) and node.patterns:
+            cls = node.cls.attr if isinstance(node.cls, ast.Attribute) else getattr(node.cls, "id", None)
+            if cls in SPINE_CLASSES:
+                found.append((node.lineno, f"case {cls}(..)"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_check_sees_a_spine_walk_or_a_binary_read():
+    source = (
+        "from .syntax import spine, subterms\n"
+        "def _operands(g):\n    return syntax.spine(g) + [g.left, g.right]\n"
+        "match g:\n    case GSeq(l, r):\n        pass\n"
+        "    case GBoth(operands=ops) | GStar(b):\n        pass\n"
+        "left, right = g.operands[0], g.operands[-1]\n"
+        "_set_operands = _Pair.operands.__set__\n"
+    )
+    assert spine_walks_and_binary_reads(source) == [
+        "import spine (line 1)",
+        "def _operands (line 2)",
+        ".left (line 3)",
+        ".right (line 3)",
+        ".spine (line 3)",
+        "case GSeq(..) (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_walks_a_spine_apart_or_reads_its_binary_view(path):
+    assert spine_walks_and_binary_reads(path.read_text(encoding="utf-8")) == []
 
 
 # The functions that still recurse, one frame per level of their input.

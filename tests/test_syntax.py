@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import itertools
+import pickle
 import re
 import sys
 from pathlib import Path
@@ -47,7 +49,6 @@ from mpst.syntax import (
     print_session_env,
     print_session_type,
     roles_of,
-    spine,
     subterms,
     with_parts,
     with_subterms,
@@ -55,6 +56,7 @@ from mpst.syntax import (
 from mpst.projector import ProjectionError, project_top
 from mpst.verifier import random_global_type
 from test_machine import CORPUS_GLOBAL
+from test_projector import grouped
 from test_tracelang import loopk_text
 
 
@@ -151,41 +153,148 @@ def test_subterm_helpers_round_trip_every_constructor():
 
 
 def test_spine_lists_the_same_operands_however_parenthesized():
-    """`;`, `|` and `&` are associative: a spine nested to the left, to the
-    right or both ways has the same operands, in order, and a subterm
-    built by another constructor is one operand."""
+    """`;`, `|` and `&` are associative: a spine built nested to the left,
+    to the right or both ways is one term with the same operands, in
+    order, and a subterm built by another constructor is one operand.
+    Repeated operands stay, as written."""
     a, b, c, d = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "abcd")
     for op in (GSeq, GEither, GBoth):
         other = GBoth(b, c) if op is GSeq else GSeq(b, c)
-        for g in (
-            op(op(op(a, other), c), d),
-            op(a, op(other, op(c, d))),
-            op(op(a, op(other, c)), d),
-        ):
-            assert spine(g) == [a, other, c, d]
-    assert spine(parse_global_type("p -> q : a ; (p -> q : b ; p -> q : c) | p -> q : d")) == [
-        parse_global_type("p -> q : a ; (p -> q : b ; p -> q : c)"),
+        built = [op(op(op(a, other), c), d), op(a, op(other, op(c, d))), op(op(a, op(other, c)), d), op(a, other, c, d)]
+        for g in built:
+            assert g.operands == (a, other, c, d) and type(g.operands) is tuple
+            assert g == built[0] and hash(g) == hash(built[0])
+        assert op(op(a, a), a).operands == (a, a, a)
+    assert parse_global_type("p -> q : a ; (p -> q : b ; p -> q : c) | p -> q : d").operands == (
+        parse_global_type("p -> q : a ; p -> q : b ; p -> q : c"),
         d,
-    ]
+    )
 
 
 def test_spine_of_any_other_root_is_the_term_itself():
+    """An operand of another constructor is kept whole: only an operand of
+    the spine's own kind is spliced in."""
     a, b = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "ab")
-    for g in (GSkip(), a, GStar(GSeq(a, b)), GKExit((GSeq(a, b),), (b,))):
-        assert spine(g) == [g]
+    for g in (GSkip(), a, GStar(GSeq(a, b)), GKExit((GSeq(a, b),), (b,)), GBoth(a, b), GEither(a, b)):
+        assert GSeq(g, a).operands == (g, a) and GSeq(a, g).operands == (a, g)
+    assert GSeq(GSeq(a, b)).operands == (a, b)
 
 
 def test_spine_of_a_deep_chain_needs_no_stack():
+    """A chain of 20,000 operands is one term, whichever way its text
+    nests; built by one constructor call, it copies its operands once."""
     links = [GAction(Interaction(frozenset({"p"}), "q", f"m{i}")) for i in range(20000)]
-    assert spine(functools.reduce(GSeq, links)) == links
-    assert spine(functools.reduce(lambda rest, x: GSeq(x, rest), reversed(links))) == links
-    assert interaction_count(functools.reduce(GEither, links)) == 20000
+    chain = GSeq(*links)
+    assert chain.operands == tuple(links)
+    texts = [str(x.interaction) for x in links]
+    assert parse_global_type(" ; ".join(texts)) == chain
+    assert parse_global_type(" ; (".join(texts) + ")" * (len(texts) - 1)) == chain
+    assert interaction_count(GEither(*links)) == 20000
+
+
+def test_every_grouping_of_a_text_is_one_term():
+    """For `;`, `|` and `&`, every parenthesization of one text parses to
+    one term, with one hash and one printed form, which parses back to
+    it; a subterm of another operator stays one operand, and a
+    parenthesized spine of the same operator is spliced in."""
+    operands = ["p -> q : a", "(q -> r : b | r -> q : c)", "r -> p : d*", "p -> q : a", "(q -> p : e & r -> p : f ; p -> r : g)"]
+    for op in ";|&":
+        terms = [parse_global_type(grouped(operands, shape, f" {op} ")) for shape in ("left", "right", "halves", "flat")]
+        printed = {print_global_type(t) for t in terms}
+        assert all(t == terms[0] and hash(t) == hash(terms[0]) for t in terms)
+        assert len(printed) == 1 and parse_global_type(printed.pop()) == terms[0]
+        # the second operand is a `|` spine and the last a `;` spine
+        assert len(terms[0].operands) == {";": 6, "|": 6, "&": 5}[op]
+    assert print_global_type(parse_global_type("p -> q : a ; (q -> r : b ; (r -> p : c | skip))")) == (
+        "p -> q : a ; q -> r : b ; (r -> p : c | skip)"
+    )
+
+
+def test_parsing_a_chain_builds_its_spine_once(monkeypatch):
+    """The parser collects the operands of a spine and calls its
+    constructor once, when the spine closes: the corpus's 500-interaction
+    chain is one `;` call, however its text nests."""
+    calls = []
+    built = GSeq.__init__
+
+    def counted(self, *operands):
+        calls.append(len(operands))
+        built(self, *operands)
+
+    monkeypatch.setattr(GSeq, "__init__", counted)
+    chain = parse_global_type(CORPUS_GLOBAL[-1])
+    assert calls == [500] and len(chain.operands) == 500
+    for shape in ("left", "right", "halves"):
+        calls.clear()
+        assert parse_global_type(grouped(CORPUS_GLOBAL[-1].split(" ; "), shape, " ; ")) == chain and calls == [500]
+
+
+def test_a_parenthesized_spine_joins_only_where_the_parser_would():
+    """A spine that ends a parenthesis joins the spine around it only
+    where dropping the parenthesis parses alike: not under a postfix
+    operator, and not next to an operator that binds more tightly."""
+    texts = [
+        "p -> q : a ; (q -> p : b ; p -> q : c)*",
+        "p -> q : a ; (q -> p : b ; p -> q : c)? ; p -> q : d",
+        "p -> q : a & (q -> p : b ; p -> q : c) ; p -> q : d",
+        "p -> q : a ; (q -> p : b ; p -> q : c) & p -> q : d",
+        "(p -> q : a ; q -> p : b) & p -> q : c",
+        "p -> q : e | (p -> q : a ; q -> p : b) ; p -> q : c",
+        "(p -> q : a | q -> p : b) ; (p -> q : c | q -> p : d) | p -> q : e",
+        "((p -> q : a | (q -> p : b)) | p -> q : c) ; (p -> q : d)",
+        "loop1 ((p -> q : a ; q -> p : b)) exit ((p -> q : c ; (q -> p : d)))",
+    ]
+    for text in texts:
+        g = parse_global_type(text)
+        assert g == reference_parsers.parse_global_type(text), text
+        assert parse_global_type(print_global_type(g)) == g
+
+
+def test_repr_of_the_corpus_chain_does_not_recurse():
+    """The generated repr recurses once per level, and a spine is one
+    level: the 500-interaction chain prints at the default recursion
+    limit."""
+    chain = parse_global_type(CORPUS_GLOBAL[-1])
+    text = repr(chain)
+    assert text.startswith("GSeq(operands=(GAction(") and text.count("GAction(") == 500
+
+
+def test_copies_keep_their_derived_slots():
+    """A copy, a deep copy or a pickle of a term is rebuilt through its
+    constructor, so its stored hash, its chain length and its empty
+    machine slot are computed again: for a spine, a `loopk`, an
+    interaction and each session constructor."""
+    end = TEnd()
+    out = TOut("q", "a", end)
+    terms = [
+        parse_global_type("p -> q : a ; q -> p : b"),
+        parse_global_type("p -> q : a | (q -> p : b & p -> q : c)*"),
+        parse_global_type(loopk_text(2)),
+        parse_global_type("{p, r} -> q : a").interaction,
+        out,
+        TIn({"q", "r"}, "a", out),
+        TInternal((out, TOut("q", "b", end))),
+        TExternal((TIn({"q"}, "a", end), TIn({"q"}, "b", end))),
+        TMerge((out, end)),
+        TRec("X", TOut("q", "a", TVar("X"))),
+        TVar("X"),
+        end,
+        GSkip(),
+    ]
+    for t in terms:
+        for again in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert type(again) is type(t) and again == t and hash(again) == hash(t)
+            if isinstance(t, (TOut, TIn)):
+                assert again._chain == t._chain
+            if hasattr(t, "_machine"):
+                assert again._machine is None
 
 
 def test_global_terms_hash_as_their_field_tuples():
     """A term's stored hash is the hash of its field tuple, behind a tag of
     its own for `;`, `|` and `&` (the generated dataclass hash, for the
-    other terms); repr and replace are untouched."""
+    other terms); repr is the generated one, and so is replace but for a
+    spine, whose constructor takes its operands by position."""
     a, b = (GAction(Interaction(frozenset({"p"}), "q", m)) for m in "ab")
     cases = [
         (
@@ -199,9 +308,9 @@ def test_global_terms_hash_as_their_field_tuples():
             (a.interaction,),
             "GAction(interaction=Interaction(senders=frozenset({'p'}), receiver='q', message='a'))",
         ),
-        (lambda: GSeq(a, b), (GSeq._TAG, a, b), f"GSeq(left={a!r}, right={b!r})"),
-        (lambda: GBoth(a, b), (GBoth._TAG, a, b), f"GBoth(left={a!r}, right={b!r})"),
-        (lambda: GEither(a, b), (GEither._TAG, a, b), f"GEither(left={a!r}, right={b!r})"),
+        (lambda: GSeq(a, b), (GSeq._TAG, (a, b)), f"GSeq(operands=({a!r}, {b!r}))"),
+        (lambda: GBoth(a, b, a), (GBoth._TAG, (a, b, a)), f"GBoth(operands=({a!r}, {b!r}, {a!r}))"),
+        (lambda: GEither(a, b), (GEither._TAG, (a, b)), f"GEither(operands=({a!r}, {b!r}))"),
         (lambda: GStar(a), (a,), f"GStar(body={a!r})"),
         (lambda: GKExit([a], [b]), ((a,), (b,)), f"GKExit(bodies=({a!r},), exits=({b!r},))"),
     ]
@@ -210,9 +319,10 @@ def test_global_terms_hash_as_their_field_tuples():
         assert term is not twin and term == twin
         assert hash(term) == hash(fields) == hash(twin)
         assert repr(term) == text
-        assert dataclasses.replace(term) == term
-    replaced = dataclasses.replace(GSeq(a, b), right=a)
-    assert replaced == GSeq(a, a) and hash(replaced) == hash((GSeq._TAG, a, a))
+        if not isinstance(term, PAIRS):
+            assert dataclasses.replace(term) == term
+    with pytest.raises(TypeError):
+        dataclasses.replace(GSeq(a, b))
     assert dataclasses.replace(GKExit((a,), (b,)), exits=[a]) == GKExit((a,), (a,))
     assert GSeq.__match_args__ == ("left", "right")
     assert Interaction.__match_args__ == ("senders", "receiver", "message")
@@ -220,9 +330,13 @@ def test_global_terms_hash_as_their_field_tuples():
 
 
 def test_hashing_a_deep_sequence_needs_no_stack():
+    """A term 20,000 levels deep, `;` and `|` alternating, each level
+    built on the one below it."""
     steps = [GAction(Interaction(frozenset({"p"}), "q", f"m{k % 3}")) for k in range(20000)]
-    chain = functools.reduce(GSeq, steps)
-    assert hash(chain) == hash((GSeq._TAG, chain.left, chain.right))
+    chain = steps[0]
+    for k, x in enumerate(steps[1:]):
+        chain = (GSeq if k % 2 else GEither)(chain, x)
+    assert hash(chain) == hash((GEither._TAG, chain.operands))
     assert chain in {chain}
 
 
@@ -267,7 +381,7 @@ def test_equal_global_terms_compare_at_any_depth():
     ]
 
     def deep(bottom):
-        return functools.reduce(GSeq, [bottom()] + [a] * 1000)
+        return functools.reduce(lambda t, x: GSeq(GStar(t), x), [a] * 1000, bottom())
 
     assert_equal_when_built_alike(bottoms, deep)
     assert a != "p -> q : a" and GSeq(a, b) != (a, b)
@@ -282,6 +396,8 @@ def test_global_equality_does_not_stop_at_equal_hashes():
         (GStar(a), GStar(b)),
         (GKExit([a], [a]), GKExit([a, a], [a, a])),
         (GSeq(GSeq(a, b), a), GSeq(GSeq(a, a), a)),
+        (GSeq(a, b), GSeq(a, b, a)),
+        (GEither(a, b, a), GEither(a, b)),
     ]
     for x, y in cases:
         object.__setattr__(y, "_hash", x._hash)
@@ -431,11 +547,10 @@ def test_session_terms_hash_as_generated_on_random_projections():
 def test_global_terms_and_interactions_are_built_as_generated():
     """A global term or an interaction built by its constructor's own
     `__init__` hashes and prints as its generated twin, and so does every
-    subterm of it; built again from its fields (`dataclasses.replace`), it
-    is equal, with an equal twin."""
-    # the corpus but its 500-interaction chain, whose generated repr
-    # recurses past the recursion limit
-    texts = [*CORPUS_GLOBAL[:-1], loopk_text(3), "(p -> q : a)? ; skip", "p -> q : a & {p, r} -> q : b"]
+    subterm of it; built again from its fields (`dataclasses.replace`, or
+    a spine's constructor on its operands), it is equal, with an equal
+    twin."""
+    texts = [*CORPUS_GLOBAL, loopk_text(3), "(p -> q : a)? ; skip", "p -> q : a & {p, r} -> q : b"]
     types = [parse_global_type(text) for text in texts]
     types += [random_global_type(seed, max_size=10, role_count=4, star_depth=2) for seed in range(200)]
     terms = {t for g in types for t, _ in postorder(g)}
@@ -444,7 +559,7 @@ def test_global_terms_and_interactions_are_built_as_generated():
     for t in terms:
         twin = generated_twin(t)
         assert hash(t) == hash(twin) and repr(t) == repr(twin)
-        again = dataclasses.replace(t)
+        again = type(t)(*t.operands) if isinstance(t, PAIRS) else dataclasses.replace(t)
         assert again == t and again is not t and generated_twin(again) == twin
 
 
@@ -491,7 +606,7 @@ def test_a_session_term_is_built_with_no_machine_and_no_hash():
 def test_every_constructor_refuses_as_before():
     """Each refusal of a constructor keeps its exception type and message,
     whether the term is built by position, by keyword or by `replace`; a
-    merge flattens its operands before it counts them."""
+    merge and a spine flatten their operands before they count them."""
     p = frozenset({"p"})
     a = GAction(Interaction(p, "q", "a"))
     out = TOut("q", "a", TEnd())
@@ -511,6 +626,9 @@ def test_every_constructor_refuses_as_before():
         (lambda: GKExit([a, a], [a]), ValueError, "loopk needs k >= 1 bodies and k exits"),
         (lambda: GKExit((), ()), ValueError, "loopk needs k >= 1 bodies and k exits"),
         (lambda: GKExit(bodies=[a], exits=[]), ValueError, "loopk needs k >= 1 bodies and k exits"),
+        (lambda: GSeq(a), ValueError, "a spine needs at least two operands"),
+        (lambda: GBoth(), ValueError, "a spine needs at least two operands"),
+        (lambda: GEither(a), ValueError, "a spine needs at least two operands"),
     ]
     for build, kind, message in refused:
         with pytest.raises(kind) as caught:
@@ -519,6 +637,7 @@ def test_every_constructor_refuses_as_before():
     merged = TMerge((TMerge((out, TEnd())),))
     assert merged.branches == (out, TEnd()) and type(merged.branches) is tuple
     assert GKExit(iter([a]), iter([a])).bodies == (a,)
+    assert GSeq(GSeq(a, a)).operands == (a, a)
     assert TIn(["q", "q"], "a", TEnd()).partners == frozenset({"q"})
 
 

@@ -25,7 +25,6 @@ from mpst.syntax import (
     parse_session_env,
     parse_session_type,
     roles_of,
-    spine,
     subterms,
 )
 from mpst import projector, tracelang, verifier
@@ -369,7 +368,7 @@ def test_classify_does_not_project_a_type_that_is_not_well_formed(monkeypatch):
 
 
 def test_classify_tries_each_relaxation_once(monkeypatch):
-    """A type with one `;` node relaxes it to the same variant all at once
+    """A type with one junction relaxes it to the same variant all at once
     and one at a time; `classify` decides that variant once, and, as it
     does not project, tries nothing more."""
     protocol = g("(p -> q : a | r -> q : b) ; s -> t : c")
@@ -381,6 +380,33 @@ def test_classify_tries_each_relaxation_once(monkeypatch):
     outcome = classify(protocol)
     assert outcome.category == UNCLASSIFIED and "no sequentiality relaxation" in outcome.detail
     assert asked == [protocol, relaxed]
+
+
+def test_a_spine_relaxes_one_junction_at_a_time():
+    """Of a `;` spine, all its junctions at once, then each junction in
+    turn, left to right, with the operands before it and those after it
+    on the two sides of an `&`, then the variants of each operand in its
+    place; 16 junctions are relaxed, and 17 are not."""
+    protocol = g("p -> q : a ; (q -> r : b ; r -> p : c | s -> t : d ; t -> s : e)")
+    assert _relaxations(protocol) == [
+        g("p -> q : a & (q -> r : b & r -> p : c | s -> t : d & t -> s : e)"),
+        g("p -> q : a & (q -> r : b ; r -> p : c | s -> t : d ; t -> s : e)"),
+        g("p -> q : a ; (q -> r : b & r -> p : c | s -> t : d ; t -> s : e)"),
+        g("p -> q : a ; (q -> r : b ; r -> p : c | s -> t : d & t -> s : e)"),
+    ]
+    chain = g("p -> q : a ; q -> r : b ; r -> s : c ; s -> t : d")
+    assert _relaxations(chain) == [
+        g("p -> q : a & q -> r : b & r -> s : c & s -> t : d"),
+        g("p -> q : a & (q -> r : b ; r -> s : c ; s -> t : d)"),
+        g("(p -> q : a ; q -> r : b) & (r -> s : c ; s -> t : d)"),
+        g("(p -> q : a ; q -> r : b ; r -> s : c) & s -> t : d"),
+    ]
+    links = [f"p -> q : m{i}" for i in range(19)]
+    assert len(_relaxations(g(" ; ".join(links[:17])))) == 17
+    assert _relaxations(g(" ; ".join(links[:18]))) is None
+    # the junctions of every spine count
+    assert len(_relaxations(g("(" + " ; ".join(links[:9]) + ")* | " + " ; ".join(links[9:18])))) == 17
+    assert _relaxations(g("(" + " ; ".join(links[:10]) + ")* | " + " ; ".join(links[10:]))) is None
 
 
 def test_classify_and_crosscheck_find_no_swap_witness(monkeypatch):
@@ -414,7 +440,7 @@ def classify_projecting_first(protocol):
         if variants is None:
             return Classification(
                 UNCLASSIFIED,
-                "not well formed, and relaxations are not tried past 16 `;` nodes",
+                "not well formed, and relaxations are not tried past 16 `;` junctions",
             )
         for variant in variants:
             if not well_formed(variant):
@@ -502,13 +528,13 @@ def test_an_env_join_fails_when_one_role_cannot_join():
 
 def test_candidates_are_the_join_then_the_projections_each_once():
     same = g("(p -> q : a ; r -> s : b) | (p -> q : a ; r -> s : b)")
-    assert _candidate_envs(same, DEFAULT_AND_BUDGET) == [project_top(spine(same)[0])]
+    assert _candidate_envs(same, DEFAULT_AND_BUDGET) == [project_top(same.operands[0])]
     apart = g("(p -> q : a ; q -> r : b) | (r -> p : c)")
-    projections = [project_top(b) for b in spine(apart)]
+    projections = [project_top(b) for b in apart.operands]
     assert forced_join_env(projections) is None
     assert _candidate_envs(apart, DEFAULT_AND_BUDGET) == projections
     unknowable = g(UNKNOWABLE_CHOICE)
-    projections = [project_top(b) for b in spine(unknowable)]
+    projections = [project_top(b) for b in unknowable.operands]
     joined = forced_join_env(projections)
     assert joined is not None
     assert _candidate_envs(unknowable, DEFAULT_AND_BUDGET) == [joined, *projections]
