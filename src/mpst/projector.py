@@ -45,13 +45,18 @@ pays nothing for them.  Before the search of a type with `&` builds any
 candidate, the parts of the type that no rewrite changes are projected:
 when the tail of its root `;` spine, or the end of a `*` loop's body,
 fails there, every candidate fails, and the search is skipped (see
-`_kept_failure`).
+`_kept_failure`).  So it is when the exit of a `*` loop inside no loop
+is blind in every candidate: some role that does not decide the loop
+takes in it only kinds of action (sending, receiving) that it takes
+nowhere else, so its merge of leaving and going round fails.  A search
+that stops at its budget says so in its error.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections import Counter
+from collections.abc import Generator, Iterable
 
 from . import machine
 from .syntax import (
@@ -504,8 +509,10 @@ def project_top(g: GlobalType, budget: int = DEFAULT_AND_BUDGET) -> SessionEnv:
     rewrites of `g` are tried in the order they are generated and the first
     success wins; the candidates after it are never built.  The candidates
     share one memo of the projections of their subterms.  A search that
-    parts of `g` no rewrite changes prove hopeless builds no candidate,
-    and its error says "0 candidates tried"."""
+    parts of `g` no rewrite changes, or a loop whose exit a role cannot
+    follow, prove hopeless builds no candidate, and its error says "0
+    candidates tried" and why (see `_kept_failure`); the error of a search
+    that stopped at `budget` terms says so."""
     return _project_top(g, budget, _Ctx())
 
 
@@ -544,8 +551,13 @@ def _project_top(g: GlobalType, budget: int, ctx: _Ctx) -> SessionEnv:
                 f"plain projection says: {direct_error}",
                 g,
             ) from None
-        tried = 0
-        for cand in _sequential_rewrites(terms, root, budget):
+        search, tried = _sequential_rewrites(terms, root, budget), 0
+        while True:
+            try:
+                cand = next(search)
+            except StopIteration as stop:
+                cut = f"; the search stopped at {budget} terms" if stop.value else ""
+                break
             tried += 1
             try:
                 return _project_alg(terms.term(cand), cont, ctx)
@@ -555,7 +567,7 @@ def _project_top(g: GlobalType, budget: int, ctx: _Ctx) -> SessionEnv:
             raise
         raise ProjectionError(
             AND_ELIMINATION_EXHAUSTED,
-            f"no sequential rewrite projects ({tried} candidates tried); "
+            f"no sequential rewrite projects ({tried} candidates tried){cut}; "
             f"plain projection says: {direct_error}",
             g,
         ) from None
@@ -611,6 +623,68 @@ def _kept_failure(terms: _Terms, g: int, cont: SessionEnv, ctx: _Ctx) -> str | N
     here, every candidate raises.  A `loopk` gives no such proof, since an
     `&` above it unfolds it into a different loop with other bodies.
 
+    (C) Blind exit.  Let L be a `*` loop of `g` inside no `*` or `loopk`
+    of `g`, and K(r) the kinds of action (sending, receiving) a role r
+    takes in L.  Call r *blind* at L when r takes no kind of K(r)
+    anywhere in `g` outside L (a second occurrence of L counts as
+    outside), and, when L lies under an `&` of `g`, no `&` spine in L has
+    r acting in two of its operands.  Let D be the roles `_kexit` may
+    choose to decide L: when L is kept, those that open the projection of
+    its body against fresh unknowns (computed for (B)) with an output, or
+    all its roles when none does; otherwise all its roles.  If D has at
+    most `_KEXIT_ASSIGNMENT_CAP` roles, and for each d in D a blind role
+    other than d acts in L, every candidate fails: so (C1) when L has two
+    blind roles, and (C2) when L is kept and its one blind role is not in
+    D.
+    (i) Every candidate holds a `*` loop inside no loop whose body is L's
+    body, or a rewrite of it when L is not kept.  As (B) shows, rewrites
+    above or beside L keep it whole, and rewrites inside its body leave it
+    a `*` of a rewrite of the body.  No rewrite moves an `&` operand into
+    a loop body: a distribution into a `*` operand puts the other operands
+    beside the loop, in the unrolled copy of its body (`(x & rest) ; x*`
+    or `x* ; (x & rest)`), and the `*` a `loopk` unfolds into holds only
+    that loop's bodies.  So no rewrite puts L inside a loop, or a new `&`
+    above it.  L has copies only in separate branches of a `|`, as a
+    rewrite copies a subterm beside itself only when unrolling a loop,
+    which L is not inside.
+    (ii) The exit of a `*` is `skip`, which `_kexit` projects as the
+    environment it is given, so no role differs there, and `_kexit`
+    draws the deciders from the body's projection against fresh unknowns,
+    which depends on the body alone: in every candidate they are among D,
+    whatever follows the loop.  With at most `_KEXIT_ASSIGNMENT_CAP` of
+    them, `_kexit` tries each, and the loop raises `ProjectionError` when
+    each fails.
+    (iii) With decider d, a blind role r other than d merges A, what it
+    does after the loop, with β, its projection of the body, which ends in
+    the recursion unknown and holds an action, as r acts in the body.  As
+    the loop lies inside no loop, the merge is resolved there.  Every
+    action of β has a kind in K(r), and β goes round for ever, so every
+    state the merge reaches along β holds a part with an action of a kind
+    in K(r).  After the loop, r does two things only: actions of terms
+    that follow the loop and come from `g` outside L, whose kinds are not
+    in K(r), and actions of the copies of L's body that a distribution
+    into L unrolls after it, `(L ; (body & rest)) | rest`, each a rewrite
+    of `body & rest`, whose traces shuffle a trace of the body with one of
+    the rest.  Take a complete trace t of what follows the loop, and u,
+    r's actions in t before its first action of a kind not in K(r).  When
+    L lies under no `&`, no copy follows it and u is empty.  Otherwise u
+    is r's part of body traces, one per copy in order, the last cut short;
+    as r acts in no two operands of an `&` in the body, no rewrite of the
+    body reorders r's actions, so each such part is r's part of a trace of
+    the candidate's body too, and β, going round, follows u.  The
+    projection of a term for r, where it is defined, follows r's part of
+    each of its traces, key by key: an action is its prefix, a choice or
+    a merge offers the union of its branches' keys, and a merge's
+    successor by a key merges every part that has it.  So A follows u to
+    a state of kind `end`, or of r's next action in t, whose kind is not
+    in K(r).  Along u both parts have every key, and the merge's rule for
+    exclusive inputs drops a part only from the branches whose key it
+    lacks, so the merge keeps A's state and β's.  It reaches a state that
+    pairs a kind in K(r) with another, and fails.
+    A candidate that meets a bound of the resolver before it fails ends
+    the search BoundExhausted, and (B) and (C) decide that search
+    instead; their proofs say which candidates fail, not in what order.
+
     Only `ProjectionError` is caught: a bound raised while checking
     propagates, and is never taken for a proof."""
     kind, subs = terms.kind, terms.subs
@@ -624,6 +698,7 @@ def _kept_failure(terms: _Terms, g: int, cont: SessionEnv, ctx: _Ctx) -> str | N
             _project(terms.term(tail), dict(cont), ctx)
         except ProjectionError as exc:
             return f"every rewrite ends with {print_global_type(terms.term(tail))}, whose projection says: {exc}"
+    bodies: dict[int, SessionEnv] = {}  # each kept loop's body, projected against fresh unknowns
     ctx.loops += 1
     try:
         for loop in reversed(loops):  # inner loops first
@@ -634,7 +709,7 @@ def _kept_failure(terms: _Terms, g: int, cont: SessionEnv, ctx: _Ctx) -> str | N
             star = terms.term(loop)
             unknowns = {r: TVar(ctx.fresh()) for r in sorted(roles_of(star))}
             try:
-                _project(terms.term(tail), unknowns, ctx)
+                projected = _project(terms.term(tail), unknowns, ctx)
             except ProjectionError as exc:
                 if tail == body:
                     return f"every rewrite keeps the loop {print_global_type(star)}, whose body's projection says: {exc}"
@@ -642,8 +717,60 @@ def _kept_failure(terms: _Terms, g: int, cont: SessionEnv, ctx: _Ctx) -> str | N
                     f"every rewrite keeps {print_global_type(terms.term(tail))} at the end of the body of the loop "
                     f"{print_global_type(star)}, whose projection there says: {exc}"
                 )
+            if tail == body:
+                bodies[loop] = projected
     finally:
         ctx.loops -= 1
+    # the loops inside no loop, each with whether it lies under an `&`
+    outer: dict[int, bool] = {}
+    work = [(g, False)]
+    while work:
+        t, under = work.pop()
+        k = kind[t]
+        if k is GStar:
+            outer[t] = outer.get(t, False) or under
+        elif k is not GKExit:
+            work += ((c, under or k is GBoth) for c in subs[t])
+    if not outer:
+        return None
+    # per id: its actions by (role, kind), counted once per occurrence, and
+    # the roles that act in two operands of one `&` inside it
+    acts: dict[int, Counter] = {}
+    mixed: dict[int, frozenset[Role]] = {}
+    for t, cs in postorder(g, subs.__getitem__):
+        if t in acts:
+            continue
+        if kind[t] is GAction:
+            i = terms.terms[t].interaction
+            acts[t], mixed[t] = Counter([*((s, "out") for s in i.senders), (i.receiver, "in")]), frozenset()
+            continue
+        acts[t] = sum((acts[c] for c in cs), Counter())
+        mixed[t] = frozenset().union(*map(mixed.__getitem__, cs))
+        if kind[t] is GBoth:
+            operands = Counter(r for c in cs for r in {r for r, _ in acts[c]})
+            mixed[t] |= {r for r, n in operands.items() if n > 1}
+    for loop, under in outer.items():
+        inside = acts[loop]
+        roles = sorted({r for r, _ in inside})
+        blind = [
+            r
+            for r in roles
+            if all(acts[g][r, k] == n for (x, k), n in inside.items() if x == r)
+            and not (under and r in mixed[loop])
+        ]
+        deciders = roles
+        if loop in bodies:
+            deciders = [r for r in roles if machine.root_kind(bodies[loop][r]) == "out"] or roles
+        if blind and len(deciders) <= _KEXIT_ASSIGNMENT_CAP and all(any(r != d for r in blind) for d in deciders):
+            names = ", ".join(map(repr, blind))
+            takes = f"role {names} takes in it only kinds of action it takes"
+            if len(blind) > 1:
+                takes, names = f"roles {names} take in it only kinds of action they take", f"one of {names}"
+            return (
+                f"in every rewrite the loop {print_global_type(terms.term(loop))} lies inside no loop, and {takes} "
+                f"nowhere else: whichever of {', '.join(map(repr, deciders))} decides the loop, {names} does not, "
+                "and cannot tell when it ends"
+            )
     return None
 
 
@@ -856,7 +983,7 @@ class _Terms:
         return node((GSeq, node((GStar, node((GSeq, *bodies)))), node((GEither, *arms))))
 
 
-def _sequential_rewrites(terms: _Terms, g: int, budget: int) -> Iterator[int]:
+def _sequential_rewrites(terms: _Terms, g: int, budget: int) -> Generator[int, None, bool]:
     """`&`-free rewrites of the term `g` of `terms` other than `g`
     itself, built one at a time, each yielded once, each denoting a
     sublanguage of (or the same language as) `g`'s traces: the two
@@ -864,7 +991,10 @@ def _sequential_rewrites(terms: _Terms, g: int, budget: int) -> Iterator[int]:
     breadth-first search from `g` under the distributing rewrites, in the
     order the search visits them.  The search visits at most `budget`
     terms, `g` included: once it has, it stops expanding, and the terms it
-    has visited are still yielded.  The rewrites of a term are computed
+    has visited are still yielded.  It returns whether it stopped so, with
+    a term it visited left unexpanded, which is exactly when it visited
+    `budget` terms: the last term visited is expanded after every term
+    before it.  The rewrites of a term are computed
     once per table and shared by every term of every search that contains
     it.
 
@@ -916,3 +1046,4 @@ def _sequential_rewrites(terms: _Terms, g: int, budget: int) -> Iterator[int]:
                 queue.append(t2)
                 if len(queue) >= budget:
                     break
+    return len(queue) >= budget

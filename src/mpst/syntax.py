@@ -221,11 +221,40 @@ def _same_global(self, other) -> bool:
 
 
 class _GlobalTerm(_Term):
-    """The compound global types: equal when `_same_global` says so."""
+    """The compound global types: equal when `_same_global` says so, and
+    printed by `repr` as a generated dataclass repr would print them."""
 
     __slots__ = ()
     __eq__ = _same_global
     __hash__ = _Term.__hash__  # a class that sets `__eq__` alone is unhashable
+
+    def __repr__(self) -> str:
+        """`Name(field=value, ...)`, nested, as the generated repr gives it,
+        but built off an explicit stack, so a term of any depth prints.
+        The stack holds text, and values to print wrapped in a list."""
+        out: list[str] = []
+        work: list = [[self]]
+        while work:
+            item = work.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            (x,) = item
+            if isinstance(x, _GlobalTerm):
+                todo = [f"{type(x).__qualname__}("]
+                for n, f in enumerate(fields(x)):
+                    todo += [f"{', ' if n else ''}{f.name}=", [getattr(x, f.name)]]
+                todo.append(")")
+            elif type(x) is tuple:
+                todo = ["("]
+                for n, y in enumerate(x):
+                    todo += [", " if n else "", [y]]
+                todo.append(",)" if len(x) == 1 else ")")
+            else:
+                out.append(repr(x))
+                continue
+            work += reversed(todo)
+        return "".join(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +262,7 @@ class GSkip:
     """The empty choreography (unit of sequencing)."""
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class GAction(_GlobalTerm):
     """A single interaction."""
 
@@ -247,7 +276,7 @@ class GAction(_GlobalTerm):
 _set_interaction = GAction.interaction.__set__
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class _Pair(_GlobalTerm):
     """The shape of `;`, `&` and `|`: two or more operands, given by
     position, one of the spine's own kind spliced in, hashed behind the
@@ -303,7 +332,7 @@ class GEither(_Pair):
     _TAG = 2
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class GStar(_GlobalTerm):
     """`body` happens zero or more times."""
 
@@ -317,7 +346,7 @@ class GStar(_GlobalTerm):
 _set_star_body = GStar.body.__set__
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class GKExit(_GlobalTerm):
     """k-exit iteration: cycle through `bodies` in order, with the option
     before each round of phase i to leave through `exits[i]` instead.

@@ -725,9 +725,10 @@ def test_generated_terms_normalize_as_with_a_copying_freshening(ty):
 
 def test_projected_terms_normalize_as_with_a_copying_freshening(monkeypatch):
     """Every term that projection normalizes, on the random workload's
-    types, their well-formed relaxations and the corpus, normalizes as it
-    did when freshening copied it."""
-    from test_projector import RANDOM_TYPES, well_formed_relaxations
+    types, their well-formed relaxations, the differential samples of the
+    projector's tests and the corpus, normalizes as it did when freshening
+    copied it."""
+    from test_projector import DIFFERENTIAL_SAMPLES, RANDOM_TYPES, well_formed_relaxations
 
     normalize, seen = machine.normalize_session_type, []
 
@@ -736,7 +737,8 @@ def test_projected_terms_normalize_as_with_a_copying_freshening(monkeypatch):
         return normalize(ty)
 
     monkeypatch.setattr(machine, "normalize_session_type", kept)
-    for protocol in [*RANDOM_TYPES, *well_formed_relaxations(RANDOM_TYPES), *map(parse_global_type, CORPUS_GLOBAL)]:
+    samples = [*RANDOM_TYPES, *well_formed_relaxations(RANDOM_TYPES), *DIFFERENTIAL_SAMPLES]
+    for protocol in [*samples, *map(parse_global_type, CORPUS_GLOBAL)]:
         try:
             project_top(protocol)
         except (ProjectionError, BudgetExceededError):

@@ -629,8 +629,9 @@ def test_the_budget_bounds_the_table_of_an_and_spine(n):
 
 
 # Random-workload types whose search reaches its budget partway through a
-# level: the terms of that level past the budget's point are tried too.
-LEVEL_CUT = {26: 29, 45: 36, 80: 28, 191: 28, 207: 26}
+# level: the terms of that level past the budget's point are tried too, and
+# the error says where the search stopped.
+LEVEL_CUT = {12: 22, 45: 36, 84: 24, 162: 24, 191: 28}
 
 
 @pytest.mark.parametrize("i", sorted(LEVEL_CUT))
@@ -639,13 +640,41 @@ def test_a_search_cut_at_its_budget_tries_the_rest_of_its_level(i):
     with pytest.raises(ProjectionError) as error:
         project_top(RANDOM_TYPES[i])
     assert error.value.kind == AND_ELIMINATION_EXHAUSTED
-    assert f"({LEVEL_CUT[i]} candidates tried)" in str(error.value)
+    assert f"({LEVEL_CUT[i]} candidates tried); the search stopped at {DEFAULT_AND_BUDGET} terms;" in str(error.value)
+
+
+def searched(protocol, budget: int = DEFAULT_AND_BUDGET) -> tuple[list, bool]:
+    """The `&`-elimination candidates of `protocol`, as terms, in the order
+    the search builds them, and whether it stopped at its budget."""
+    terms = _Terms()
+    search, found = projector._sequential_rewrites(terms, terms.intern(protocol), budget), []
+    while True:
+        try:
+            found.append(terms.term(next(search)))
+        except StopIteration as stop:
+            return found, stop.value
+
+
+@pytest.mark.parametrize("budget", [1, 5, 64, 256])
+def test_a_search_says_whether_its_budget_stopped_it(budget):
+    """The search stopped at its budget exactly when the term-level
+    reference visits `budget` terms: it left one of them unexpanded.  At
+    budget 1 every search stops, having expanded nothing."""
+    stopped = 0
+    for protocol in RANDOM_TYPES:
+        visited, _ = reference_search(normal(protocol), budget)
+        assert searched(protocol, budget)[1] == (len(visited) >= budget)
+        stopped += len(visited) >= budget
+    assert 0 < stopped and (stopped < len(RANDOM_TYPES)) == (budget > 1)
 
 
 # Searches proven hopeless before any candidate is built: by a failing kept
 # tail of the root `;` spine, by a loop kept whole whose body fails, by a
-# failing kept end of a loop's body, and two random-workload types whose
-# searches would reach their budget partway through a level.
+# failing kept end of a loop's body, two random-workload types whose
+# searches would reach their budget partway through a level, and by loops
+# inside no loop whose exit a role that does not decide them cannot follow:
+# one with two such roles and a body that holds `&`, and one kept whole
+# whose one such role cannot decide it.
 PROVEN_HOPELESS = {
     "kept tail": (
         "(p -> q : c & r -> s : d) ; (p -> q : a | q -> p : b)",
@@ -690,6 +719,24 @@ PROVEN_HOPELESS = {
         " composition has no direct projection rule in: ({p,s} -> r : c | r -> s : c)* &"
         " ({p,s} -> r : b & s -> r : e ; r -> p : c ; (p -> q : b | r -> q : b))",
     ),
+    "random 60": (
+        "p -> q : d & ({r,s} -> p : c & (p -> q : a | p -> q : a) ; r -> s : e ; q -> p : b)*",
+        "no sequential rewrite projects (0 candidates tried): in every rewrite the loop"
+        " ({r,s} -> p : c & (p -> q : a | p -> q : a) ; r -> s : e ; q -> p : b)* lies inside no"
+        " loop, and roles 'r', 's' take in it only kinds of action they take nowhere else:"
+        " whichever of 'p', 'q', 'r', 's' decides the loop, one of 'r', 's' does not, and cannot"
+        " tell when it ends; plain projection says: AndEliminationExhausted: unordered composition"
+        " has no direct projection rule in: p -> q : d & ({r,s} -> p : c & (p -> q : a | p -> q : a)"
+        " ; r -> s : e ; q -> p : b)*",
+    ),
+    "blind spectator of a kept loop": (
+        "t -> r : e* & (t -> u : e ; q -> u : g)",
+        "no sequential rewrite projects (0 candidates tried): in every rewrite the loop t -> r : e*"
+        " lies inside no loop, and role 'r' takes in it only kinds of action it takes nowhere else:"
+        " whichever of 't' decides the loop, 'r' does not, and cannot tell when it ends; plain"
+        " projection says: AndEliminationExhausted: unordered composition has no direct projection"
+        " rule in: t -> r : e* & (t -> u : e ; q -> u : g)",
+    ),
 }
 
 
@@ -712,12 +759,15 @@ def test_a_hopeless_search_builds_no_candidate(monkeypatch, name):
 
 # Near misses: each has a kept part the check projects, or a loop it must
 # not count on, and its search runs.  The loopk's body fails against fresh
-# unknowns, yet `&` unfolds the loopk and a candidate projects.
+# unknowns, yet `&` unfolds the loopk and a candidate projects.  In the
+# last, `q` receives after the loop as in it, so it is not blind there, and
+# a candidate projects.
 NOT_PROVEN = [
     "(p -> q : a & r -> s : b) ; (p -> q : c | p -> q : d)",
     "(p -> q : a)* ; (p -> q : b & r -> s : c)",
     "(p -> q : a & q -> p : b)* ; p -> q : c",
     "loop2 (p -> q : a | skip, p -> q : c) exit (p -> q : d, p -> q : e) & r -> s : f",
+    "(p -> q : a)* & (p -> q : b ; r -> s : c)",
 ]
 
 
@@ -725,6 +775,17 @@ NOT_PROVEN = [
 def test_a_search_that_may_succeed_runs(protocol):
     assert not proven_hopeless(g(protocol))
     assert project_top(g(protocol))
+
+
+def test_a_copy_that_reorders_a_role_lets_its_merge_of_the_exit_pass():
+    """Why a role is blind at a loop under an `&` only when no `&` in the
+    loop holds it in two operands: a copy of the body that a distribution
+    unrolls after the loop may order the role's actions otherwise than the
+    loop's own body does, and the merge then keeps the two orders as
+    exclusive inputs.  `r` takes only receptions in the loop, and only the
+    copy's after it, yet its merge of leaving and going round passes."""
+    env = project_top(g("(p -> r : x ; p -> r : a)* ; p -> r : a ; p -> r : x"))
+    assert print_session_type(env["r"]) == "rec X . p?a.p?x.end + p?x.p?a.X"
 
 
 def test_the_check_keeps_exactly_the_terms_with_no_rewrite():
@@ -1105,24 +1166,25 @@ def has_both(x) -> bool:
 
 def reference_project_top(protocol):
     """`project_top` without the memo: every candidate is projected on its
-    own by the public `project_alg`, with a fresh context."""
+    own by the public `project_alg`, with a fresh context, and the error
+    says when the search stopped at its budget."""
     cont = {r: TEnd() for r in sorted(roles_of(protocol))}
     try:
         return project_alg(protocol, cont)
     except ProjectionError as exc:
         direct_error = exc
-    tried = 0
-    for cand in candidates(protocol):
-        tried += 1
+    found, stopped = searched(protocol)
+    for cand in found:
         try:
             return project_alg(cand, cont)
         except ProjectionError:
             continue
     if not has_both(protocol):
         raise direct_error
+    cut = f"; the search stopped at {DEFAULT_AND_BUDGET} terms" if stopped else ""
     raise ProjectionError(
         AND_ELIMINATION_EXHAUSTED,
-        f"no sequential rewrite projects ({tried} candidates tried); "
+        f"no sequential rewrite projects ({len(found)} candidates tried){cut}; "
         f"plain projection says: {direct_error}",
         protocol,
     )
@@ -1203,14 +1265,34 @@ def well_formed_relaxations(protocols) -> list:
 SOUNDNESS_SAMPLES = [*RANDOM_TYPES, *(random_global_type(s) for s in range(3000))]
 
 
-@pytest.mark.parametrize("relaxed", [False, True], ids=["types", "relaxations"])
-def test_a_search_is_proven_hopeless_only_where_no_candidate_projects(relaxed):
-    """On the random workload's types, the first 3,000 of the random
-    generator's, and the well-formed relaxations of those that are not
-    well formed, the check that skips a search fires only where the
-    memo-free reference search finds nothing, and changes nothing else."""
-    samples = well_formed_relaxations(SOUNDNESS_SAMPLES) if relaxed else SOUNDNESS_SAMPLES
-    assert sum(map(proven_hopeless, samples)) > 0
+# what the error of a search proven hopeless by a blind exit says
+BLIND_EXIT = "cannot tell when it ends"
+
+
+@pytest.mark.parametrize("samples", ["types", "relaxations", "differential"])
+def test_a_search_is_proven_hopeless_only_where_no_candidate_projects(samples):
+    """On the random workload's types and the first 3,000 of the random
+    generator's, on `DIFFERENTIAL_SAMPLES`, and on the well-formed
+    relaxations of those that are not well formed, the check that skips a
+    search fires only where the memo-free reference search finds nothing,
+    and changes nothing else; a blind exit proves some of each."""
+    protocols = {
+        "types": SOUNDNESS_SAMPLES,
+        "relaxations": well_formed_relaxations(SOUNDNESS_SAMPLES),
+        "differential": [*DIFFERENTIAL_SAMPLES, *well_formed_relaxations(DIFFERENTIAL_SAMPLES)],
+    }[samples]
+    hopeless = [protocol for protocol in protocols if proven_hopeless(protocol)]
+    assert any(BLIND_EXIT in outcome(project_top, protocol) for protocol in hopeless)
+
+
+@settings(max_examples=300, deadline=None)
+@given(global_types())
+def test_a_blind_exit_is_proven_only_where_no_candidate_projects(sample):
+    """On generated types, which hold `loopk` where the random types do
+    not, a search that a blind exit proves hopeless is one the reference
+    search exhausts."""
+    if BLIND_EXIT in outcome(project_top, sample):
+        assert outcome(reference_project_top, sample).startswith(f"error: {AND_ELIMINATION_EXHAUSTED}: ")
 
 
 def test_classify_shares_projections_across_relaxations_without_changing_them():

@@ -251,12 +251,79 @@ def test_a_parenthesized_spine_joins_only_where_the_parser_would():
 
 
 def test_repr_of_the_corpus_chain_does_not_recurse():
-    """The generated repr recurses once per level, and a spine is one
-    level: the 500-interaction chain prints at the default recursion
-    limit."""
+    """A spine is one level, and `repr` walks off a stack besides: the
+    500-interaction chain prints at the default recursion limit."""
     chain = parse_global_type(CORPUS_GLOBAL[-1])
     text = repr(chain)
     assert text.startswith("GSeq(operands=(GAction(") and text.count("GAction(") == 500
+
+
+def generated_repr(t) -> str:
+    """The repr that plain dataclasses of the same names and fields, built
+    like `t`, generate: `Name(field=value, ...)`, recursing once per
+    level."""
+    mirrors: dict = {}
+
+    def mirror(x):
+        if type(x) is tuple:
+            return tuple([mirror(y) for y in x])
+        if not isinstance(x, syntax._GlobalTerm):
+            return x
+        names = [f.name for f in dataclasses.fields(x)]
+        cls = mirrors.setdefault(type(x), dataclasses.make_dataclass(type(x).__qualname__, names))
+        return cls(*[mirror(getattr(x, name)) for name in names])
+
+    return repr(mirror(t))
+
+
+def alternating(depth: int):
+    """`p -> q : a ; (p -> q : a ; (.. | r -> s : c) | r -> s : c)`, `;` and
+    `|` alternating `depth` levels deep, so that no spine flattens."""
+    a, c = parse_global_type("p -> q : a"), parse_global_type("r -> s : c")
+    t = a
+    for i in range(depth):
+        t = GSeq(a, t) if i % 2 else GEither(t, c)
+    return t
+
+
+def nested_loops(depth: int):
+    t = parse_global_type("p -> q : a")
+    for _ in range(depth):
+        t = GKExit((t,), (GSkip(),))
+    return t
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        "p -> q : a",
+        "p -> q : a ; (r -> s : b | skip)* & {p,r} -> q : c",
+        loopk_text(1),
+        loopk_text(3),
+        "loop2 (p -> q : a, skip) exit (q -> p : b & r -> s : c, p -> q : d | skip)",
+    ],
+)
+def test_repr_of_a_global_term_is_the_generated_one(protocol):
+    g = parse_global_type(protocol)
+    assert repr(g) == generated_repr(g)
+
+
+@pytest.mark.parametrize(
+    "deep",
+    [parse_global_type("p -> q : a" + "*" * 400), alternating(300), nested_loops(300)],
+    ids=["stars", "alternating", "loopk"],
+)
+def test_repr_of_a_deep_global_term_does_not_recurse(deep):
+    """400 stacked `*`, 300 alternating `;` and `|`, and 300 nested
+    `loopk` print at the default recursion limit, as the generated repr
+    prints them with the limit raised."""
+    text = repr(deep)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        assert text == generated_repr(deep)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_copies_keep_their_derived_slots():
